@@ -86,13 +86,22 @@ def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
     """
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
+    return _bernoulli_from_row(p, table.row(p.n), convention)
+
+
+def _bernoulli_from_row(
+    p: FamilyPoint, row: Sequence[Rat], convention: str = "corrected"
+) -> Rat:
+    """mp_bernoulli at index len(row) - 1, given that row of the second-kind
+    triangle; p supplies only k and the box lengths."""
+    n = len(row) - 1
     prod = _length_product(p)
     total = Fraction(0)
-    for m in range(p.n + 1):
+    for m, entry in enumerate(row):
         term = (
-            Fraction((-1) ** (p.n - m))
+            Fraction((-1) ** (n - m))
             * math.factorial(m)
-            * table[p.n, m]
+            * entry
             * prod ** (m + 1)
             / Fraction((m + 1) ** p.k)
         )
@@ -226,10 +235,18 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     family so that the reduction holds in both conventions."""
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
+    return _bernoulli_poly_from_row(p, table.row(p.n), convention)
+
+
+def _bernoulli_poly_from_row(
+    p: FamilyPoint, row: Sequence[Rat], convention: str = "corrected"
+) -> Polynomial:
+    """mp_bernoulli_poly at index len(row) - 1, given that row of the
+    second-kind triangle; p supplies only k and the box lengths."""
+    n = len(row) - 1
     prod = _length_product(p)
-    coeffs = [Fraction(0)] * (p.n + 1)
-    for m in range(p.n + 1):
-        entry = table[p.n, m]
+    coeffs = [Fraction(0)] * (n + 1)
+    for m, entry in enumerate(row):
         if entry == 0:
             continue
         base = Fraction((-1) ** m) * math.factorial(m) * entry
@@ -244,7 +261,7 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
                 / Fraction((m - i + 1) ** p.k)
                 * Fraction((-1) ** i)
             )
-    return Polynomial([Fraction((-1) ** p.n) * c for c in coeffs])
+    return Polynomial([Fraction((-1) ** n) * c for c in coeffs])
 
 
 def mp_bernoulli_poly_gf_check(

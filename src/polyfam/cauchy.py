@@ -153,6 +153,17 @@ def mp_first_closed(p: FamilyPoint) -> Rat:
     )
 
 
+def _classic_first_values(n: int, k: int, prod: Rat) -> list[Rat]:
+    """C_0, ..., C_n at the classical parameters for a box whose edge lengths
+    multiply to `prod`, all read from rows of one stirling_first(n)."""
+    s = stirling_first(n)
+    weights = [prod ** (j + 1) / Fraction((j + 1) ** k) for j in range(n + 1)]
+    return [
+        sum((s[m, j] * weights[j] for j in range(m + 1)), Fraction(0))
+        for m in range(n + 1)
+    ]
+
+
 def classic_first_with_lengths(
     m: int, k: int, lengths: Sequence[RatLike]
 ) -> Rat:
@@ -161,14 +172,10 @@ def classic_first_with_lengths(
     ls = as_rat_tuple(lengths)
     if len(ls) != k:
         raise PreconditionError(f"expected {k} box lengths, got {len(ls)}")
-    s = stirling_first(m)
     prod = Fraction(1)
     for l in ls:
         prod *= l
-    return sum(
-        (s[m, j] * prod ** (j + 1) / Fraction((j + 1) ** k) for j in range(m + 1)),
-        Fraction(0),
-    )
+    return _classic_first_values(m, k, prod)[m]
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:
@@ -189,13 +196,8 @@ def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    return sum(
-        (
-            nc[p.n, m] * classic_first_with_lengths(m, p.k, p.lengths)
-            for m in range(p.n + 1)
-        ),
-        Fraction(0),
-    )
+    classic = _classic_first_values(p.n, p.k, _length_product(p))
+    return sum((nc[p.n, m] * classic[m] for m in range(p.n + 1)), Fraction(0))
 
 
 def generalized_harmonic(
@@ -241,11 +243,15 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     prod_alpha = Fraction(1)
     for a in p.alpha[: p.n]:
         prod_alpha *= a
+    # One exp of order n gives every P_m: its coefficient m depends only on
+    # the inner coefficients 1..m, as in modified_bell(m, ...).
+    bell = TruncatedSeries(
+        p.n, [Fraction(0)] + [-h / j for j, h in enumerate(harmonics, 1)]
+    ).exp()
     prod = _length_product(p)
     total = Fraction(0)
     for m in range(p.n + 1):
-        pm = modified_bell(m, tuple(-h for h in harmonics[:m]))
-        total += pm * prod ** (m + 1) / Fraction((m + 1) ** p.k)
+        total += bell.coefficient(m) * prod ** (m + 1) / Fraction((m + 1) ** p.k)
     return Fraction((-1) ** p.n) * prod_alpha * total
 
 
@@ -275,11 +281,11 @@ def mp_second_lah(p: FamilyPoint) -> Rat:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     lah = lah_signed(p.n)
+    classic = _classic_first_values(p.n, p.k, _length_product(p))
     total = Fraction(0)
     for l in range(p.n + 1):
-        classic = classic_first_with_lengths(l, p.k, p.lengths)
         for m in range(l, p.n + 1):
-            total += nc[p.n, m] * lah[m, l] * classic
+            total += nc[p.n, m] * lah[m, l] * classic[l]
     return total
 
 
@@ -369,30 +375,27 @@ def mp_poly_first(p: FamilyPoint) -> Polynomial:
     """First-kind polynomial in z: the box integral of
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
-    table = comtet_first(p.alpha[: p.n], p.n)
-    coeffs = [Fraction(0)] * (p.n + 1)
-    for m in range(p.n + 1):
-        weights = _binomial_length_weights(p, m)
-        entry = table[p.n, m]
-        if entry == 0:
-            continue
-        for i in range(m + 1):
-            coeffs[i] += Fraction((-1) ** i) * entry * weights[i]
-    return Polynomial(coeffs)
+    return _poly_from_row(p, comtet_first(p.alpha[: p.n], p.n).row(p.n))
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
     """Second-kind polynomial in z: the box integral of
-    prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle."""
+    prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
+    as (-1)^n times the first-kind expansion of its row n."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
-    coeffs = [Fraction(0)] * (p.n + 1)
-    for m in range(p.n + 1):
-        weights = _binomial_length_weights(p, m)
-        entry = table[p.n, m]
+    return (-1) ** p.n * _poly_from_row(p, table.row(p.n))
+
+
+def _poly_from_row(p: FamilyPoint, row: Sequence[Rat]) -> Polynomial:
+    """sum_i sum_{m>=i} (-1)^i C(m, i) row[m] (l...)^(m-i+1)/(m-i+1)^k z^i
+    for one triangle row; p supplies only k and the box lengths."""
+    coeffs = [Fraction(0)] * len(row)
+    for m, entry in enumerate(row):
         if entry == 0:
             continue
+        weights = _binomial_length_weights(p, m)
         for i in range(m + 1):
-            coeffs[i] += Fraction((-1) ** (i + p.n)) * entry * weights[i]
+            coeffs[i] += Fraction((-1) ** i) * entry * weights[i]
     return Polynomial(coeffs)
 
 

@@ -18,7 +18,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import Polynomial, PreconditionError, Rat
 from .bernoulli import mp_bernoulli, mp_bernoulli_poly
@@ -86,10 +86,25 @@ def _rational_list(text: str) -> tuple[Rat, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _ids_list(text: str) -> tuple[str, ...]:
     if text == "all":
         return IDENTITY_IDS
     ids = tuple(part for part in text.split(",") if part)
+    if not ids:
+        raise argparse.ArgumentTypeError("no identity ids given")
     unknown = [i for i in ids if i not in IDENTITY_IDS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -339,7 +354,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--decimals",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         metavar="D",
         help="also print a rounded decimal approximation with D places",
@@ -395,14 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=IDENTITY_IDS,
         help="comma list of identity ids, or 'all'",
     )
-    verify.add_argument("--n-max", type=int, default=5)
-    verify.add_argument("--k-max", type=int, default=2)
+    verify.add_argument("--n-max", type=_int_at_least(0), default=5)
+    verify.add_argument("--k-max", type=_int_at_least(1), default=2)
     verify.add_argument(
-        "--points", type=int, default=10, help="random points per identity"
+        "--points",
+        type=_int_at_least(0),
+        default=10,
+        help="random points per identity",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
-        "--order", type=int, default=6, help="series truncation order"
+        "--order",
+        type=_int_at_least(0),
+        default=6,
+        help="series truncation order",
     )
     verify.add_argument(
         "--mode",

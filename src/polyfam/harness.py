@@ -33,6 +33,8 @@ from .algebra import (
     poly_from_roots,
 )
 from .bernoulli import (
+    _bernoulli_from_row,
+    _bernoulli_poly_from_row,
     classic_poly_bernoulli,
     mp_bernoulli,
     mp_bernoulli_gf_check,
@@ -40,6 +42,8 @@ from .bernoulli import (
 )
 from .cauchy import (
     FamilyPoint,
+    _classic_first_values,
+    _poly_from_row,
     classic_first_with_lengths,
     lif_series,
     mp_first_bell,
@@ -485,11 +489,11 @@ def _eval_T32(pt: ParamPoint) -> _Outcome:
     corrected = mp_second_lah(fp)
     nc = noncentral_second(fp.alpha[: fp.n], fp.n)
     lah = lah_signed(fp.n)
+    unit_values = _classic_first_values(fp.n, fp.k, Fraction(1))
     verbatim = Fraction(0)
     for l in range(fp.n + 1):
-        unit_value = classic_first_with_lengths(l, fp.k, (Fraction(1),) * fp.k)
         for m in range(l, fp.n + 1):
-            verbatim += nc[fp.n, m] * lah[m, l] * unit_value
+            verbatim += nc[fp.n, m] * lah[m, l] * unit_values[l]
     note = ""
     if verbatim != lhs:
         note = f"unit-length reading gives {verbatim}"
@@ -530,10 +534,8 @@ def _eval_T41(pt: ParamPoint) -> _Outcome:
 
 
 def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
-    return [
-        mp_bernoulli(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
+    table = comtet_second(fp.alpha[: fp.n], fp.n)
+    return [_bernoulli_from_row(fp, row) for row in table.rows]
 
 
 def _first_vector(fp: FamilyPoint) -> list[Rat]:
@@ -749,24 +751,18 @@ def _eval_C51b(pt: ParamPoint) -> _Outcome:
 
 
 def _first_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    return [
-        mp_poly_first(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
+    table = comtet_first(fp.alpha[: fp.n], fp.n)
+    return [_poly_from_row(fp, row) for row in table.rows]
 
 
 def _second_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    return [
-        mp_poly_second(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
+    table = signless_comtet_first(fp.alpha[: fp.n], fp.n)
+    return [(-1) ** j * _poly_from_row(fp, row) for j, row in enumerate(table.rows)]
 
 
 def _bernoulli_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    return [
-        mp_bernoulli_poly(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
+    table = comtet_second(fp.alpha[: fp.n], fp.n)
+    return [_bernoulli_poly_from_row(fp, row) for row in table.rows]
 
 
 def _eval_T52a(pt: ParamPoint) -> _Outcome:

@@ -4,8 +4,17 @@ One exact basis-change engine produces every triangle in this package:
 generalized (Comtet) Stirling numbers of both kinds for an arbitrary rational
 parameter sequence, their signless variant, the classical Stirling and signed
 Lah triangles, and the non-central tables. Named recurrences and closed forms
-exist only as cross-checks; the engine itself expands basis elements into
-monomials and back-substitutes.
+exist only as cross-checks.
+
+Every supported basis is a Newton basis b_0 = 1, b_{m+1} = c (X - node_m) b_m
+with a scale c = +-1 and a node sequence. Writing the source basis with scale
+c_s and nodes a, the target with c_t and b, the connection table obeys
+
+    T(n+1, m) = c_s [c_t T(n, m-1) + (b_m - a_n) T(n, m)],
+
+since (X - a_n) t_m = c_t t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
+Verde-Star, Stud. Appl. Math. 1988). The engine builds rows 0..size of a
+table in one pass of this recurrence and keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -13,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .algebra import (
     Polynomial,
@@ -22,7 +30,6 @@ from .algebra import (
     Rat,
     RatLike,
     as_rat_tuple,
-    poly_from_roots,
 )
 
 __all__ = [
@@ -45,75 +52,58 @@ __all__ = [
     "table_product",
 ]
 
-_MONOMIAL = "monomial"
-_FALLING = "falling"
-_NEGATED_FALLING = "negated-falling"
-_MULTIPARAM = "multiparam"
-
 
 @dataclass(frozen=True)
 class Basis:
-    """A graded polynomial basis b_0, b_1, ... with deg b_m = m and b_0 = 1.
+    """A graded Newton basis: b_0 = 1 and b_{m+1} = scale (X - node_m) b_m.
 
-    Kinds:
-      monomial          b_m = X^m
-      falling           b_m = X(X-1)...(X-m+1)
-      negated-falling   b_m = (-X)(-X-1)...(-X-m+1)
-      multiparam        b_m = (X-a_0)(X-a_1)...(X-a_{m-1}) for the stored
-                        parameter sequence a
+    Nodes are `alpha` when it is given, else node_i = step * i:
+      monomial          b_m = X^m                            nodes 0, 0, ...
+      falling           b_m = X(X-1)...(X-m+1)               nodes 0, 1, 2, ...
+      negated-falling   b_m = (-X)(-X-1)...(-X-m+1)          nodes 0, -1, -2, ...
+                                                             scale -1
+      multiparam        b_m = (X-a_0)(X-a_1)...(X-a_{m-1})   nodes a
     """
 
-    kind: str
-    alpha: tuple[Rat, ...] = ()
+    scale: int = 1
+    step: int = 0
+    alpha: Optional[tuple[Rat, ...]] = None
 
     @classmethod
     def monomial(cls) -> "Basis":
-        return cls(_MONOMIAL)
+        return cls()
 
     @classmethod
     def falling(cls) -> "Basis":
-        return cls(_FALLING)
+        return cls(step=1)
 
     @classmethod
     def negated_falling(cls) -> "Basis":
-        return cls(_NEGATED_FALLING)
+        return cls(scale=-1, step=-1)
 
     @classmethod
     def multiparam(cls, alpha: Iterable[RatLike]) -> "Basis":
-        return cls(_MULTIPARAM, as_rat_tuple(alpha))
+        return cls(alpha=as_rat_tuple(alpha))
+
+    def nodes(self, count: int) -> tuple[Rat, ...]:
+        """node_0, ..., node_{count-1}."""
+        if self.alpha is None:
+            return tuple(Fraction(self.step * i) for i in range(count))
+        if len(self.alpha) < count:
+            raise PreconditionError(
+                f"parameter sequence of length {len(self.alpha)} cannot "
+                f"form a degree-{count} basis element"
+            )
+        return self.alpha[:count]
 
     def element(self, m: int) -> Polynomial:
         """The degree-m basis polynomial."""
-        return _basis_element(self, m)
-
-    def trimmed(self, size: int) -> "Basis":
-        """Drop parameters a size-`size` table can never read (cache key hygiene)."""
-        if self.kind == _MULTIPARAM and len(self.alpha) > size:
-            return Basis(_MULTIPARAM, self.alpha[:size])
-        return self
-
-
-@lru_cache(maxsize=None)
-def _basis_element(basis: Basis, m: int) -> Polynomial:
-    if m < 0:
-        raise PreconditionError("basis degree must be nonnegative")
-    if basis.kind == _MONOMIAL:
-        return Polynomial([Fraction(0)] * m + [Fraction(1)])
-    if basis.kind == _FALLING:
-        return poly_from_roots(range(m))
-    if basis.kind == _NEGATED_FALLING:
+        if m < 0:
+            raise PreconditionError("basis degree must be nonnegative")
         acc = Polynomial((1,))
-        for i in range(m):
-            acc = acc * Polynomial((-i, -1))
+        for node in self.nodes(m):
+            acc = acc * Polynomial((-self.scale * node, self.scale))
         return acc
-    if basis.kind == _MULTIPARAM:
-        if m > len(basis.alpha):
-            raise PreconditionError(
-                f"parameter sequence of length {len(basis.alpha)} cannot "
-                f"form a degree-{m} basis element"
-            )
-        return poly_from_roots(basis.alpha[:m])
-    raise PreconditionError(f"unknown basis kind {basis.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -173,33 +163,31 @@ def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     return CoeffTable(tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _connection(source: Basis, target: Basis, size: int) -> CoeffTable:
-    rows: list[tuple[Rat, ...]] = []
-    for n in range(size + 1):
-        residual = list(source.element(n).coeffs)
-        residual.extend([Fraction(0)] * (n + 1 - len(residual)))
-        out = [Fraction(0)] * (n + 1)
-        for m in range(n, -1, -1):
-            c = residual[m] / target.element(m).leading_coefficient
-            out[m] = c
-            if c != 0:
-                for i, b in enumerate(target.element(m).coeffs):
-                    residual[i] -= c * b
-        rows.append(tuple(out))
-    return CoeffTable(tuple(rows))
-
-
 def connection_coeffs(source: Basis, target: Basis, size: int) -> CoeffTable:
     """Exact table T with source_n(X) = sum_{m<=n} T(n, m) target_m(X).
 
-    Works for any pair of the supported bases; rows 0..size. Raises
-    PreconditionError when a multiparam basis holds fewer than `size`
-    parameters.
+    Works for any pair of Newton bases; rows 0..size, built by the node
+    recurrence of the module docstring. Raises PreconditionError when a
+    multiparam basis holds fewer than `size` parameters.
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    return _connection(source.trimmed(size), target.trimmed(size), size)
+    a, b = source.nodes(size), target.nodes(size)
+    sign = source.scale * target.scale
+    row: tuple[Rat, ...] = (Fraction(1),)
+    rows = [row]
+    for n, a_n in enumerate(a):
+        shifts = [
+            b_m - a_n if source.scale == 1 else a_n - b_m for b_m in b[: n + 1]
+        ]
+        lower = row if sign == 1 else tuple(-c for c in row)
+        row = (
+            (shifts[0] * row[0],)
+            + tuple(lower[m - 1] + shifts[m] * row[m] for m in range(1, n + 1))
+            + (lower[n],)
+        )
+        rows.append(row)
+    return CoeffTable(tuple(rows))
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:

@@ -170,6 +170,29 @@ def test_bell_route_agrees_on_nonzero_parameters(n, k, alpha):
     assert mp_first_bell(p) == mp_first_def(p)
 
 
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=2),
+    st.lists(nonzero_rationals, min_size=8, max_size=8),
+    st.lists(nonzero_rationals, min_size=2, max_size=2),
+)
+def test_bell_route_equals_the_per_index_bell_sum(n, k, alpha, lengths):
+    p = FamilyPoint(n, k, tuple(alpha), tuple(lengths[:k]))
+    minus_h = [-h for h in generalized_harmonic(alpha, n, n)]
+    prod = Fraction(1)
+    for l in p.lengths:
+        prod *= l
+    total = sum(
+        modified_bell(m, minus_h[:m]) * prod ** (m + 1) / Fraction((m + 1) ** k)
+        for m in range(n + 1)
+    )
+    expected = (-1) ** n * total
+    for a in alpha[:n]:
+        expected *= a
+    assert mp_first_bell(p) == expected
+
+
 @given(st.lists(nonzero_rationals, min_size=3, max_size=3))
 def test_bell_polynomials_vanish_past_the_parameter_count(alpha):
     # exp(sum_j -H^(j) t^j / j) = prod_i (1 - t/a_i) has degree len(alpha).

@@ -157,6 +157,25 @@ def test_verify_rejects_unknown_ids():
     assert run_cli("verify", "--ids", "bogus").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "-1"),
+        ("verify", "--k-max", "0"),
+        ("verify", "--points", "-3"),
+        ("verify", "--order", "-1"),
+        ("verify", "--ids", ","),
+        ("number", "cauchy-1", "--n", "2", "--decimals", "-1"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_errata_is_a_single_document():
     proc = run_cli(
         "verify", "--ids", "T3.1", "--n-max", "2", "--k-max", "1",

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,20 @@ def test_sweep_threads_do_not_change_results():
         ids=["T2.1", "T4.2a", "GF-Li"], grid=SMALL, seed=1, threads=4
     )
     assert base == threaded
+
+
+def test_repeated_sweeps_hold_no_growing_state():
+    grid = GridSpec(n_max=6, points=5)
+    held = []
+    tracemalloc.start()
+    try:
+        for seed in (101, 102, 103):
+            sweep(grid=grid, seed=seed)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[2] <= held[0] + 64 * 1024, held
 
 
 def test_sweep_rejects_unknown_ids():

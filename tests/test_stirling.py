@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfam.algebra import Polynomial, PreconditionError, poly_from_roots
+from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     Basis,
     comtet_first,
@@ -30,6 +31,59 @@ alpha_lists = st.lists(rationals, min_size=0, max_size=5)
 
 def classical(n):
     return tuple(Fraction(i) for i in range(n))
+
+
+# Reference engine: expand each basis element into monomials and peel the
+# target elements off from the top degree down. It shares no code with the
+# node recurrence in polyfam.stirling and costs O(n^3) per table.
+
+
+def _monomial(m):
+    return Polynomial([Fraction(0)] * m + [Fraction(1)])
+
+
+def _falling(m):
+    return poly_from_roots(range(m))
+
+
+def _negated_falling(m):
+    acc = Polynomial((1,))
+    for i in range(m):
+        acc = acc * Polynomial((-i, -1))
+    return acc
+
+
+def _multiparam(alpha):
+    return lambda m: poly_from_roots(alpha[:m])
+
+
+def _oracle_connection(source, target, size):
+    rows = []
+    for n in range(size + 1):
+        residual = list(source(n).coeffs)
+        residual.extend([Fraction(0)] * (n + 1 - len(residual)))
+        out = [Fraction(0)] * (n + 1)
+        for m in range(n, -1, -1):
+            element = target(m)
+            c = residual[m] / element.leading_coefficient
+            out[m] = c
+            if c != 0:
+                for i, b in enumerate(element.coeffs):
+                    residual[i] -= c * b
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+_ORACLE_BASES = {
+    "comtet-1": lambda a: (_multiparam(a), _monomial),
+    "comtet-2": lambda a: (_monomial, _multiparam(a)),
+    "signless-comtet-1": lambda a: (_multiparam([-x for x in a]), _monomial),
+    "stirling-1": lambda a: (_falling, _monomial),
+    "stirling-2": lambda a: (_monomial, _falling),
+    "lah": lambda a: (_negated_falling, _falling),
+    "noncentral-1": lambda a: (_multiparam(a), _falling),
+    "noncentral-2": lambda a: (_multiparam(a), _falling),
+}
 
 
 def test_table_indexing_outside_triangle_is_zero():
@@ -173,6 +227,35 @@ def test_connection_coefficients_compose_to_identity(a, b):
     forward = connection_coeffs(src, dst, size)
     back = connection_coeffs(dst, src, size)
     assert table_product(forward, back).is_identity()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.lists(rationals, min_size=10, max_size=10),
+    st.lists(rationals, min_size=10, max_size=10),
+)
+def test_node_recurrence_matches_the_back_substitution_oracle(size, alpha, beta):
+    assert sorted(_ORACLE_BASES) == sorted(TABLE_FAMILIES)
+    for family, (build, needs_alpha) in TABLE_FAMILIES.items():
+        table = build(alpha, size) if needs_alpha else build(size)
+        source, target = _ORACLE_BASES[family](alpha)
+        assert table.rows == _oracle_connection(source, target, size), family
+    mixed = connection_coeffs(Basis.multiparam(alpha), Basis.multiparam(beta), size)
+    assert mixed.rows == _oracle_connection(
+        _multiparam(alpha), _multiparam(beta), size
+    )
+
+
+def test_connection_preconditions():
+    with pytest.raises(PreconditionError):
+        connection_coeffs(Basis.monomial(), Basis.falling(), -1)
+    with pytest.raises(PreconditionError):
+        connection_coeffs(Basis.multiparam((1, 2)), Basis.monomial(), 3)
+    with pytest.raises(PreconditionError):
+        connection_coeffs(Basis.monomial(), Basis.multiparam((1, 2)), 3)
+    with pytest.raises(PreconditionError):
+        Basis.falling().element(-1)
 
 
 def test_basis_elements():
