@@ -18,15 +18,9 @@ from .algebra import (
     exp_series,
     integer_samples,
     log1p_series,
-    poly_definite_integral,
-    poly_from_roots,
-    series_compose,
-    series_exp,
-    series_log,
 )
 from .bernoulli import (
     CONVENTIONS,
-    SeriesCheck,
     classic_poly_bernoulli,
     li_gf_check,
     mp_bernoulli,
@@ -37,6 +31,7 @@ from .bernoulli import (
 from .cauchy import (
     SPECIAL_FAMILIES,
     FamilyPoint,
+    SeriesCheck,
     classic_first_with_lengths,
     family_point,
     generalized_cauchy_poly,
@@ -59,8 +54,10 @@ from .cauchy import (
     specialize,
 )
 from .harness import (
+    CATALOG,
     IDENTITY_IDS,
     GridSpec,
+    Identity,
     IdentityReport,
     ParamPoint,
     bernoulli_from_first,
@@ -83,7 +80,6 @@ from .stirling import (
     inversion_check,
     lah_closed_form,
     lah_signed,
-    noncentral_first,
     noncentral_second,
     signless_comtet_first,
     stirling_first,

@@ -28,11 +28,6 @@ __all__ = [
     "exp_series",
     "integer_samples",
     "log1p_series",
-    "poly_definite_integral",
-    "poly_from_roots",
-    "series_compose",
-    "series_exp",
-    "series_log",
 ]
 
 
@@ -193,14 +188,6 @@ class Polynomial:
 
 
 X = Polynomial((0, 1))
-
-
-def poly_from_roots(shifts: Iterable[RatLike]) -> Polynomial:
-    return Polynomial.from_roots(shifts)
-
-
-def poly_definite_integral(p: Polynomial, upper: RatLike) -> Rat:
-    return p.integral_to(upper)
 
 
 def box_integral_monomial(m: int, lengths: Sequence[RatLike], k: int) -> Rat:
@@ -374,18 +361,6 @@ class TruncatedSeries:
                 acc += j * out[j] * self._coeffs[i - j]
             out[i] = self._coeffs[i] - acc / i
         return TruncatedSeries(n, out)
-
-
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    return outer.compose(inner)
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    return s.exp()
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    return s.log()
 
 
 def exp_series(order: int, rate: RatLike = 1) -> TruncatedSeries:

@@ -12,7 +12,6 @@ factorial that is kept computable for the errata report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,12 +25,11 @@ from .algebra import (
     as_rat_tuple,
     exp_series,
 )
-from .cauchy import FamilyPoint, _length_product
+from .cauchy import FamilyPoint, SeriesCheck, _length_product
 from .stirling import comtet_second, stirling_second
 
 __all__ = [
     "CONVENTIONS",
-    "SeriesCheck",
     "classic_poly_bernoulli",
     "li_gf_check",
     "mp_bernoulli",
@@ -64,9 +62,10 @@ def classic_poly_bernoulli(n: int, k: int) -> Rat:
     return Fraction((-1) ** n) * total
 
 
-def li_gf_check(k: int, order: int) -> bool:
-    """True iff sum_{m>=1} (1 - e^{-t})^{m-1} / m^k matches the exponential
-    generating function of the classical values through the given order."""
+def li_gf_check(k: int, order: int) -> SeriesCheck:
+    """Compare sum_{m>=1} (1 - e^{-t})^{m-1} / m^k with the exponential
+    generating function of the classical values through the given order;
+    the stated and corrected readings agree."""
     u = 1 - exp_series(order, rate=-1)
     lhs = TruncatedSeries.constant(0, order)
     for m in range(1, order + 2):
@@ -75,7 +74,7 @@ def li_gf_check(k: int, order: int) -> bool:
         order,
         [classic_poly_bernoulli(n, k) / math.factorial(n) for n in range(order + 1)],
     )
-    return lhs == rhs
+    return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
 def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
@@ -109,37 +108,6 @@ def _bernoulli_from_row(
             term *= math.factorial(m)
         total += term
     return total
-
-
-@dataclass(frozen=True)
-class SeriesCheck:
-    """Comparison of a family generating function against a closed form.
-
-    lhs holds the family side, rhs the reconstructed closed form, and
-    verbatim_rhs the closed form with its summation ranges read exactly as
-    stated (see `note`). All three share the same truncation order.
-    """
-
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
-    verbatim_rhs: TruncatedSeries
-    note: str = ""
-
-    @property
-    def order(self) -> int:
-        return self.lhs.order
-
-    @property
-    def per_coefficient(self) -> tuple[bool, ...]:
-        return tuple(a == b for a, b in zip(self.lhs.coeffs, self.rhs.coeffs))
-
-    @property
-    def all_match(self) -> bool:
-        return all(self.per_coefficient)
-
-    @property
-    def verbatim_matches(self) -> bool:
-        return self.lhs == self.verbatim_rhs
 
 
 def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:

@@ -26,7 +26,6 @@ from .algebra import (
     as_rat_tuple,
     box_integral_monomial,
     log1p_series,
-    poly_from_roots,
 )
 from .stirling import (
     comtet_first,
@@ -38,6 +37,7 @@ from .stirling import (
 
 __all__ = [
     "FamilyPoint",
+    "SeriesCheck",
     "classic_first_with_lengths",
     "family_point",
     "generalized_cauchy_poly",
@@ -137,7 +137,8 @@ def _integrate_in_product_variable(p: FamilyPoint, poly: Polynomial) -> Rat:
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate each monomial over the box."""
-    return _integrate_in_product_variable(p, poly_from_roots(p.alpha[: p.n]))
+    product = Polynomial.from_roots(p.alpha[: p.n])
+    return _integrate_in_product_variable(p, product)
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
@@ -258,7 +259,7 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
 def mp_second_def(p: FamilyPoint) -> Rat:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
     (-1)^n prod_i (T + a_i), and integrate each monomial over the box."""
-    expanded = poly_from_roots(tuple(-a for a in p.alpha[: p.n]))
+    expanded = Polynomial.from_roots(tuple(-a for a in p.alpha[: p.n]))
     return Fraction((-1) ** p.n) * _integrate_in_product_variable(p, expanded)
 
 
@@ -334,6 +335,37 @@ def specialize(
     return mp_second_def(point)
 
 
+@dataclass(frozen=True)
+class SeriesCheck:
+    """Comparison of a family generating function against a closed form.
+
+    lhs holds the family side, rhs the reconstructed closed form, and
+    verbatim_rhs the closed form with its summation ranges read exactly as
+    stated (see `note`). All three share the same truncation order.
+    """
+
+    lhs: TruncatedSeries
+    rhs: TruncatedSeries
+    verbatim_rhs: TruncatedSeries
+    note: str = ""
+
+    @property
+    def order(self) -> int:
+        return self.lhs.order
+
+    @property
+    def per_coefficient(self) -> tuple[bool, ...]:
+        return tuple(a == b for a, b in zip(self.lhs.coeffs, self.rhs.coeffs))
+
+    @property
+    def all_match(self) -> bool:
+        return all(self.per_coefficient)
+
+    @property
+    def verbatim_matches(self) -> bool:
+        return self.lhs == self.verbatim_rhs
+
+
 def lif_series(k: int, order: int) -> TruncatedSeries:
     """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k)."""
     return TruncatedSeries(
@@ -345,10 +377,10 @@ def lif_series(k: int, order: int) -> TruncatedSeries:
     )
 
 
-def lif_gf_check(k: int, order: int) -> bool:
-    """True iff the factorial polylogarithm composed with log(1+t) matches
-    the exponential generating function of the classical first-kind values
-    through the requested order."""
+def lif_gf_check(k: int, order: int) -> SeriesCheck:
+    """Compare the factorial polylogarithm composed with log(1+t) with the
+    exponential generating function of the classical first-kind values
+    through the requested order; the stated and corrected readings agree."""
     lhs = lif_series(k, order).compose(log1p_series(order))
     rhs = TruncatedSeries(
         order,
@@ -357,7 +389,7 @@ def lif_gf_check(k: int, order: int) -> bool:
             for n in range(order + 1)
         ],
     )
-    return lhs == rhs
+    return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
 def _binomial_length_weights(

@@ -41,7 +41,6 @@ from .stirling import (
     comtet_first,
     comtet_second,
     lah_signed,
-    noncentral_first,
     noncentral_second,
     signless_comtet_first,
     stirling_first,
@@ -66,7 +65,7 @@ TABLE_FAMILIES = {
     "stirling-1": (stirling_first, False),
     "stirling-2": (stirling_second, False),
     "lah": (lah_signed, False),
-    "noncentral-1": (noncentral_first, True),
+    "noncentral-1": (noncentral_second, True),
     "noncentral-2": (noncentral_second, True),
 }
 

@@ -8,16 +8,19 @@ coincide). Verdicts are PASS, FAIL, or NA; NA marks a point outside the
 identity's preconditions and is never a failure. The errata ledger collects,
 for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
+
+The catalog is one tuple of `Identity` records. A single-integral corollary
+is its parent's evaluator marked `k1_only`, so it is checked with k forced
+to 1.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -27,25 +30,23 @@ from .algebra import (
     RatLike,
     TruncatedSeries,
     as_rat_tuple,
-    exp_series,
     integer_samples,
-    log1p_series,
-    poly_from_roots,
 )
 from .bernoulli import (
     _bernoulli_from_row,
     _bernoulli_poly_from_row,
-    classic_poly_bernoulli,
+    li_gf_check,
     mp_bernoulli,
     mp_bernoulli_gf_check,
     mp_bernoulli_poly,
 )
 from .cauchy import (
     FamilyPoint,
+    SeriesCheck,
     _classic_first_values,
     _poly_from_row,
     classic_first_with_lengths,
-    lif_series,
+    lif_gf_check,
     mp_first_bell,
     mp_first_closed,
     mp_first_def,
@@ -70,11 +71,12 @@ from .stirling import (
 )
 
 __all__ = [
+    "CATALOG",
     "GridSpec",
     "IDENTITY_IDS",
+    "Identity",
     "IdentityReport",
     "ParamPoint",
-    "STATEMENTS",
     "bernoulli_from_first",
     "bernoulli_from_second",
     "errata_ledger",
@@ -89,119 +91,6 @@ __all__ = [
 PASS = "PASS"
 FAIL = "FAIL"
 NA = "NA"
-
-IDENTITY_IDS: tuple[str, ...] = (
-    "T2.1",
-    "C2.1",
-    "T2.2",
-    "C2.2",
-    "T2.3",
-    "T2.4",
-    "T3.1",
-    "C3.1",
-    "T3.2",
-    "C3.2",
-    "T4.1",
-    "T4.2a",
-    "T4.2b",
-    "C4.1a",
-    "C4.1b",
-    "T4.3a",
-    "T4.3b",
-    "C4.2a",
-    "C4.2b",
-    "T5.1a",
-    "T5.1b",
-    "C5.1a",
-    "C5.1b",
-    "T5.2a",
-    "T5.2b",
-    "T5.2c",
-    "T5.2d",
-    "GF-Lif",
-    "GF-Li",
-    "CASES-2",
-    "CASES-3",
-)
-
-STATEMENTS: dict[str, str] = {
-    "T2.1": "first-kind values via the first-kind triangle",
-    "C2.1": "single-integral case of T2.1",
-    "T2.2": "first-kind values via the non-central table and the classical first-kind triangle",
-    "C2.2": "single-integral case of T2.2",
-    "T2.3": "first-kind values as non-central combinations of classical-parameter values",
-    "T2.4": "explicit first-kind formula via weighted Bell polynomials of reciprocal power sums",
-    "T3.1": "second-kind values via the signless triangle",
-    "C3.1": "single-integral case of T3.1",
-    "T3.2": "second-kind values via non-central, signed Lah, and classical-parameter factors",
-    "C3.2": "single-integral case of T3.2",
-    "T4.1": "exponential generating function of the Bernoulli-type family",
-    "T4.2a": "second-kind values expanded in Bernoulli-type values",
-    "T4.2b": "Bernoulli-type values expanded in second-kind values",
-    "C4.1a": "single-integral case of T4.2a",
-    "C4.1b": "single-integral case of T4.2b",
-    "T4.3a": "first-kind values expanded in Bernoulli-type values",
-    "T4.3b": "Bernoulli-type values expanded in first-kind values",
-    "C4.2a": "single-integral case of T4.3a",
-    "C4.2b": "single-integral case of T4.3b",
-    "T5.1a": "closed form of the first-kind polynomial family",
-    "T5.1b": "closed form of the second-kind polynomial family",
-    "C5.1a": "single-integral case of T5.1a",
-    "C5.1b": "single-integral case of T5.1b",
-    "T5.2a": "Bernoulli-type polynomials expanded in first-kind polynomials",
-    "T5.2b": "Bernoulli-type polynomials expanded in second-kind polynomials",
-    "T5.2c": "first-kind polynomials expanded in Bernoulli-type polynomials",
-    "T5.2d": "second-kind polynomials expanded in Bernoulli-type polynomials",
-    "GF-Lif": "factorial-polylogarithm generating function of classical first-kind values",
-    "GF-Li": "polylogarithm generating function of classical Bernoulli-type values",
-    "CASES-2": "specialization web of the first-kind family",
-    "CASES-3": "specialization web of the second-kind family",
-}
-
-_SIGNLESS_NOTE = (
-    "the signless triangle must be read as the expansion of prod(x + a_i), "
-    "equal to (-1)^(n-m) times the first-kind entry; entrywise absolute "
-    "values agree with it only when every parameter is nonnegative"
-)
-
-CORRECTED_READINGS: dict[str, str] = {
-    "T2.3": (
-        "the classical-parameter factor is indexed by the summation variable "
-        "and carries the box lengths: sum_m S(n,m;a) C_m(lengths)"
-    ),
-    "T3.1": _SIGNLESS_NOTE,
-    "C3.1": _SIGNLESS_NOTE,
-    "T3.2": (
-        "the classical-parameter factors carry the box lengths: C_l(lengths), "
-        "not the unit-box values"
-    ),
-    "C3.2": (
-        "the classical factors carry the box length; the stated form also "
-        "reuses the length symbol as the summation index"
-    ),
-    "T4.2a": (
-        "insert the factor (-1)^(m-j) inside the double sum and read the "
-        "signless triangle as the expansion of prod(x + a_i)"
-    ),
-    "T4.2b": "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)",
-    "C4.1a": (
-        "restore the (-1)^n prefactor of the parent identity and insert the "
-        "factor (-1)^(m-j) inside the double sum"
-    ),
-    "C4.1b": "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)",
-    "T4.3a": "insert the factor (-1)^(m-j) inside the double sum",
-    "T4.3b": "the weight is m!, not 1/m!",
-    "C4.2a": "insert the factor (-1)^(m-j) inside the double sum",
-    "C4.2b": "the weight is m!, not 1/m!",
-    "T5.1b": _SIGNLESS_NOTE,
-    "C5.1b": _SIGNLESS_NOTE,
-    "T5.2b": "the prefactor is (-1)^n, not (-1)^(n-m)",
-    "T5.2c": "insert the factor (-1)^(m-j) inside the double sum",
-    "T5.2d": (
-        "insert the factor (-1)^(m-j) inside the double sum and read the "
-        "signless triangle as the expansion of prod(x + a_i)"
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -249,6 +138,19 @@ class _Outcome:
     note: str = ""
 
 
+@dataclass(frozen=True)
+class Identity:
+    """One catalog entry. `evaluate` gives both readings at a point;
+    `correction` describes the corrected reading when the stated one fails
+    somewhere; a `k1_only` entry is evaluated with k forced to 1."""
+
+    id: str
+    statement: str
+    evaluate: Callable[[ParamPoint], _Outcome]
+    correction: str = ""
+    k1_only: bool = False
+
+
 def point_to_json(point: ParamPoint) -> dict:
     return {
         "n": point.n,
@@ -262,9 +164,7 @@ def point_to_json(point: ParamPoint) -> dict:
 
 
 def _fmt(value: Union[Rat, Polynomial, TruncatedSeries, Sequence]) -> str:
-    if isinstance(value, Polynomial):
-        return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
-    if isinstance(value, TruncatedSeries):
+    if isinstance(value, (Polynomial, TruncatedSeries)):
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
@@ -281,25 +181,18 @@ def _family(pt: ParamPoint) -> FamilyPoint:
 
 def _force_k1(pt: ParamPoint) -> ParamPoint:
     lengths = pt.lengths[:1] if pt.lengths else (Fraction(1),)
-    return ParamPoint(
-        n=pt.n,
-        k=1,
-        alpha=pt.alpha,
-        lengths=lengths,
-        z0=pt.z0,
-        q=pt.q,
-        series_order=pt.series_order,
-    )
+    return replace(pt, k=1, lengths=lengths)
 
 
 # ---------------------------------------------------------------------------
-# Corrected inversion transforms (shared with round-trip tests). Each maps a
-# vector of values indexed 0..n for one family to the target family's value
-# at index n; they apply to numbers and to polynomials alike.
+# Expansion weights. Every expansion identity, stated or corrected, is the
+# double sum sum_{j<=m<=n} weight(j, m) values[j] over one family's values at
+# indices 0..n; it applies to numbers and to polynomials alike.
 # ---------------------------------------------------------------------------
 
 
-def _double_sum(n, weight, values, zero):
+def _double_sum(n, values, weight):
+    zero = Polynomial() if isinstance(values[0], Polynomial) else Fraction(0)
     acc = zero
     for j in range(n + 1):
         inner = zero
@@ -311,260 +204,98 @@ def _double_sum(n, weight, values, zero):
     return acc
 
 
-def _zero_like(values):
-    return Polynomial() if isinstance(values[0], Polynomial) else Fraction(0)
-
-
-def second_from_bernoulli(
-    n: int, alpha: Sequence[RatLike], values: Sequence
-):
+def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Second-kind value (or polynomial) at index n from Bernoulli-type
     values 0..n: sum_{j,m} (-1)^(n+m-j) sc(n,m) s(m,j)/m! values[j]."""
     a = as_rat_tuple(alpha)
-    s = comtet_first(a, n)
-    sc = signless_comtet_first(a, n)
+    s, sc = comtet_first(a, n), signless_comtet_first(a, n)
 
     def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (n + m - j))
-            * sc[n, m]
-            * s[m, j]
-            / Fraction(math.factorial(m))
-        )
+        return (-1) ** (n + m - j) * sc[n, m] * s[m, j] / math.factorial(m)
 
-    return _double_sum(n, weight, values, _zero_like(values))
+    return _double_sum(n, values, weight)
 
 
-def bernoulli_from_second(
-    n: int, alpha: Sequence[RatLike], values: Sequence
-):
+def bernoulli_from_second(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from second-kind
     values 0..n: sum_{j,m} (-1)^n m! S(n,m) S(m,j) values[j]."""
-    a = as_rat_tuple(alpha)
-    table = comtet_second(a, n)
+    table = comtet_second(as_rat_tuple(alpha), n)
 
     def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** n)
-            * math.factorial(m)
-            * table[n, m]
-            * table[m, j]
-        )
+        return (-1) ** n * math.factorial(m) * table[n, m] * table[m, j]
 
-    return _double_sum(n, weight, values, _zero_like(values))
+    return _double_sum(n, values, weight)
 
 
-def first_from_bernoulli(
-    n: int, alpha: Sequence[RatLike], values: Sequence
-):
+def first_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """First-kind value (or polynomial) at index n from Bernoulli-type values
     0..n: sum_{j,m} (-1)^(m-j) s(n,m) s(m,j)/m! values[j]."""
-    a = as_rat_tuple(alpha)
+    weight = _first_weight(n, as_rat_tuple(alpha), alternating=True)
+    return _double_sum(n, values, weight)
+
+
+def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
+    """Bernoulli-type value (or polynomial) at index n from first-kind values
+    0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
+    weight = _second_weight(n, as_rat_tuple(alpha), power=1)
+    return _double_sum(n, values, weight)
+
+
+def _first_weight(n: int, a: tuple[Rat, ...], alternating: bool = False):
+    """s(m,j) s(n,m) / m!, as stated in T4.3a and T5.2c; `alternating`
+    inserts the (-1)^(m-j) of the corrected reading."""
     s = comtet_first(a, n)
 
     def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (m - j))
-            * s[n, m]
-            * s[m, j]
-            / Fraction(math.factorial(m))
-        )
+        sign = (-1) ** (m - j) if alternating else 1
+        return sign * s[n, m] * s[m, j] / math.factorial(m)
 
-    return _double_sum(n, weight, values, _zero_like(values))
+    return weight
 
 
-def bernoulli_from_first(
-    n: int, alpha: Sequence[RatLike], values: Sequence
-):
-    """Bernoulli-type value (or polynomial) at index n from first-kind values
-    0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
-    a = as_rat_tuple(alpha)
+def _second_weight(n: int, a: tuple[Rat, ...], power: int = -1):
+    """(-1)^(n-m) S(n,m) S(m,j) (m!)^power: 1/m! as stated in T4.2b and
+    T4.3b, m! in T5.2b and in the corrected T4.3b."""
     table = comtet_second(a, n)
 
     def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (n - m))
-            * math.factorial(m)
-            * table[n, m]
-            * table[m, j]
-        )
+        factor = Fraction(math.factorial(m)) ** power
+        return (-1) ** (n - m) * factor * table[n, m] * table[m, j]
 
-    return _double_sum(n, weight, values, _zero_like(values))
+    return weight
+
+
+def _abs_first_weight(n: int, a: tuple[Rat, ...], prefactor: bool = True):
+    """(-1)^n s(m,j) |s|(n,m) / m!, as stated in T4.2a and T5.2d; the
+    single-integral form C4.1a prints no (-1)^n."""
+    s = comtet_first(a, n)
+    sabs = s.entrywise_abs()
+    sign = (-1) ** n if prefactor else 1
+
+    def weight(j: int, m: int) -> Rat:
+        return sign * s[m, j] * sabs[n, m] / math.factorial(m)
+
+    return weight
 
 
 # ---------------------------------------------------------------------------
-# Per-identity evaluators
+# Shared evaluator bodies. Each evaluator computes, in this order, its value
+# vector, the left-hand side, the corrected reading and the stated tables, so
+# the first precondition violated is the one reported.
 # ---------------------------------------------------------------------------
 
 
-def _values_equal_outcome(lhs: Rat, rhs: Rat, note: str = "") -> _Outcome:
-    v = _verdict(lhs == rhs)
-    return _Outcome(v, v, _fmt(lhs), _fmt(rhs), note)
-
-
-def _eval_T21(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    return _values_equal_outcome(mp_first_def(fp), mp_first_closed(fp))
-
-
-def _eval_C21(pt: ParamPoint) -> _Outcome:
-    return _eval_T21(_force_k1(pt))
-
-
-def _eval_T22(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    return _values_equal_outcome(mp_first_def(fp), mp_first_noncentral(fp))
-
-
-def _eval_C22(pt: ParamPoint) -> _Outcome:
-    return _eval_T22(_force_k1(pt))
-
-
-def _eval_T23(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    lhs = mp_first_def(fp)
-    corrected = mp_first_via_polycauchy(fp)
-    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
-    unit_value = classic_first_with_lengths(fp.n, fp.k, (Fraction(1),) * fp.k)
-    verbatim = sum(
-        (nc[fp.n, m] * unit_value for m in range(fp.n + 1)), Fraction(0)
-    )
-    note = ""
-    if verbatim != lhs:
-        note = f"stated reading gives {verbatim}"
-    return _Outcome(
-        _verdict(verbatim == lhs),
-        _verdict(corrected == lhs),
-        _fmt(lhs),
-        _fmt(corrected),
-        note,
-    )
-
-
-def _eval_T24(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    return _values_equal_outcome(mp_first_def(fp), mp_first_bell(fp))
-
-
-def _second_abs_closed(fp: FamilyPoint) -> Rat:
-    """Stated closed form with entrywise absolute values of the first-kind
-    triangle in place of the signless triangle."""
-    table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
-    prod = Fraction(1)
-    for l in fp.lengths:
-        prod *= l
-    return Fraction((-1) ** fp.n) * sum(
-        (
-            table[fp.n, m] * prod ** (m + 1) / Fraction((m + 1) ** fp.k)
-            for m in range(fp.n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _eval_T31(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    lhs = mp_second_def(fp)
-    corrected = mp_second_closed(fp)
-    verbatim = _second_abs_closed(fp)
-    note = ""
-    if verbatim != lhs:
-        note = f"absolute-value reading gives {verbatim}"
-    return _Outcome(
-        _verdict(verbatim == lhs),
-        _verdict(corrected == lhs),
-        _fmt(lhs),
-        _fmt(corrected),
-        note,
-    )
-
-
-def _eval_C31(pt: ParamPoint) -> _Outcome:
-    return _eval_T31(_force_k1(pt))
-
-
-def _eval_T32(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    lhs = mp_second_def(fp)
-    corrected = mp_second_lah(fp)
-    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
-    lah = lah_signed(fp.n)
-    unit_values = _classic_first_values(fp.n, fp.k, Fraction(1))
-    verbatim = Fraction(0)
-    for l in range(fp.n + 1):
-        for m in range(l, fp.n + 1):
-            verbatim += nc[fp.n, m] * lah[m, l] * unit_values[l]
-    note = ""
-    if verbatim != lhs:
-        note = f"unit-length reading gives {verbatim}"
-    return _Outcome(
-        _verdict(verbatim == lhs),
-        _verdict(corrected == lhs),
-        _fmt(lhs),
-        _fmt(corrected),
-        note,
-    )
-
-
-def _eval_C32(pt: ParamPoint) -> _Outcome:
-    out = _eval_T32(_force_k1(pt))
-    extra = "stated form reuses the length symbol as the summation index"
-    note = f"{out.note}; {extra}" if out.note else extra
-    return _Outcome(out.verbatim, out.corrected, out.lhs, out.rhs, note)
-
-
-def _require_order(pt: ParamPoint) -> int:
-    if pt.series_order is None:
-        raise PreconditionError("this identity needs a series truncation order")
-    if pt.series_order < 0:
-        raise PreconditionError("series order must be nonnegative")
-    return pt.series_order
-
-
-def _eval_T41(pt: ParamPoint) -> _Outcome:
-    order = _require_order(pt)
-    check = mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order)
-    return _Outcome(
-        _verdict(check.verbatim_matches),
-        _verdict(check.all_match),
-        _fmt(check.lhs),
-        _fmt(check.rhs),
-        check.note,
-    )
-
-
-def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-    return [_bernoulli_from_row(fp, row) for row in table.rows]
-
-
-def _first_vector(fp: FamilyPoint) -> list[Rat]:
-    return [
-        mp_first_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
-
-
-def _second_vector(fp: FamilyPoint) -> list[Rat]:
-    return [
-        mp_second_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
-
-
-def _inversion_outcome(
-    lhs, corrected, verbatim, stated_label: str, sample_count: int = 0
-) -> _Outcome:
+def _readings_outcome(lhs, corrected, verbatim, label: str, samples: int = 0):
+    """Both readings against lhs. Polynomials are compared at `samples`
+    integer points, more than their degree bound, so exactly."""
     if isinstance(lhs, Polynomial):
-        # Degrees are bounded by the family index, so sample_count points
-        # (strictly more than the degree bound) decide equality exactly.
-        samples = integer_samples(sample_count)
-        corrected_ok = all(lhs(z) == corrected(z) for z in samples)
-        verbatim_ok = all(lhs(z) == verbatim(z) for z in samples)
+        points = integer_samples(samples)
+        corrected_ok = all(lhs(z) == corrected(z) for z in points)
+        verbatim_ok = all(lhs(z) == verbatim(z) for z in points)
     else:
         corrected_ok = lhs == corrected
         verbatim_ok = lhs == verbatim
-    note = "" if verbatim_ok else f"{stated_label} gives {_fmt(verbatim)}"
+    note = "" if verbatim_ok else f"{label} gives {_fmt(verbatim)}"
     return _Outcome(
         _verdict(verbatim_ok),
         _verdict(corrected_ok),
@@ -574,105 +305,37 @@ def _inversion_outcome(
     )
 
 
-def _eval_T42a(pt: ParamPoint) -> _Outcome:
+def _agree(pt: ParamPoint, route) -> _Outcome:
+    """The definition against one first-kind route; one reading."""
     fp = _family(pt)
-    values = _bernoulli_vector(fp)
-    lhs = mp_second_def(fp)
-    corrected = second_from_bernoulli(fp.n, fp.alpha, values)
-    s = comtet_first(fp.alpha[: fp.n], fp.n)
-    sabs = s.entrywise_abs()
-
-    def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** fp.n)
-            * s[m, j]
-            * sabs[fp.n, m]
-            / Fraction(math.factorial(m))
-        )
-
-    verbatim = _double_sum(fp.n, weight, values, Fraction(0))
-    return _inversion_outcome(lhs, corrected, verbatim, "stated reading")
+    lhs, rhs = mp_first_def(fp), route(fp)
+    v = _verdict(lhs == rhs)
+    return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
 
 
-def _eval_T42b(pt: ParamPoint) -> _Outcome:
+def _inversion(pt: ParamPoint, lhs_route, vector, transform, stated_weight):
+    """An expansion identity: lhs_route against the other family's values at
+    0..n, summed by the corrected transform and by the stated weight (None
+    when the stated weights are the corrected ones)."""
     fp = _family(pt)
-    values = _second_vector(fp)
-    lhs = mp_bernoulli(fp)
-    corrected = bernoulli_from_second(fp.n, fp.alpha, values)
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (fp.n - m))
-            * table[m, j]
-            * table[fp.n, m]
-            / Fraction(math.factorial(m))
-        )
-
-    verbatim = _double_sum(fp.n, weight, values, Fraction(0))
-    return _inversion_outcome(lhs, corrected, verbatim, "stated reading")
+    values = vector(fp)
+    lhs = lhs_route(fp)
+    corrected = transform(fp.n, fp.alpha, values)
+    verbatim = corrected
+    if stated_weight is not None:
+        weight = stated_weight(fp.n, fp.alpha[: fp.n])
+        verbatim = _double_sum(fp.n, values, weight)
+    return _readings_outcome(lhs, corrected, verbatim, "stated reading", fp.n + 1)
 
 
-def _eval_C41a(pt: ParamPoint) -> _Outcome:
-    pt = _force_k1(pt)
-    fp = _family(pt)
-    values = _bernoulli_vector(fp)
-    lhs = mp_second_def(fp)
-    corrected = second_from_bernoulli(fp.n, fp.alpha, values)
-    s = comtet_first(fp.alpha[: fp.n], fp.n)
-    sabs = s.entrywise_abs()
-
-    # As printed the single-integral form drops even the (-1)^n prefactor.
-    def weight(j: int, m: int) -> Rat:
-        return s[m, j] * sabs[fp.n, m] / Fraction(math.factorial(m))
-
-    verbatim = _double_sum(fp.n, weight, values, Fraction(0))
-    return _inversion_outcome(lhs, corrected, verbatim, "stated reading")
-
-
-def _eval_C41b(pt: ParamPoint) -> _Outcome:
-    return _eval_T42b(_force_k1(pt))
-
-
-def _eval_T43a(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    values = _bernoulli_vector(fp)
-    lhs = mp_first_def(fp)
-    corrected = first_from_bernoulli(fp.n, fp.alpha, values)
-    s = comtet_first(fp.alpha[: fp.n], fp.n)
-
-    def weight(j: int, m: int) -> Rat:
-        return s[m, j] * s[fp.n, m] / Fraction(math.factorial(m))
-
-    verbatim = _double_sum(fp.n, weight, values, Fraction(0))
-    return _inversion_outcome(lhs, corrected, verbatim, "stated reading")
-
-
-def _eval_T43b(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    values = _first_vector(fp)
-    lhs = mp_bernoulli(fp)
-    corrected = bernoulli_from_first(fp.n, fp.alpha, values)
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (fp.n - m))
-            * table[m, j]
-            * table[fp.n, m]
-            / Fraction(math.factorial(m))
-        )
-
-    verbatim = _double_sum(fp.n, weight, values, Fraction(0))
-    return _inversion_outcome(lhs, corrected, verbatim, "stated reading")
-
-
-def _eval_C42a(pt: ParamPoint) -> _Outcome:
-    return _eval_T43a(_force_k1(pt))
-
-
-def _eval_C42b(pt: ParamPoint) -> _Outcome:
-    return _eval_T43b(_force_k1(pt))
+def _series_outcome(check: SeriesCheck) -> _Outcome:
+    return _Outcome(
+        _verdict(check.verbatim_matches),
+        _verdict(check.all_match),
+        _fmt(check.lhs),
+        _fmt(check.rhs),
+        check.note,
+    )
 
 
 def _poly_samples_outcome(
@@ -706,48 +369,43 @@ def _poly_samples_outcome(
     )
 
 
-def _eval_T51a(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    poly = mp_poly_first(fp)
-    return _poly_samples_outcome(fp, pt, poly, poly, mp_poly_first_oracle)
+def _require_order(pt: ParamPoint) -> int:
+    if pt.series_order is None:
+        raise PreconditionError("this identity needs a series truncation order")
+    if pt.series_order < 0:
+        raise PreconditionError("series order must be nonnegative")
+    return pt.series_order
 
 
-def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
-    """Stated second-kind polynomial expansion with entrywise absolute values
-    of the first-kind triangle."""
-    table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
-    prod = Fraction(1)
-    for l in fp.lengths:
-        prod *= l
-    coeffs = [Fraction(0)] * (fp.n + 1)
-    for m in range(fp.n + 1):
-        entry = table[fp.n, m]
-        if entry == 0:
-            continue
-        for i in range(m + 1):
-            coeffs[i] += (
-                Fraction((-1) ** (i + fp.n))
-                * math.comb(m, i)
-                * entry
-                * prod ** (m - i + 1)
-                / Fraction((m - i + 1) ** fp.k)
-            )
-    return Polynomial(coeffs)
+def _require_q(pt: ParamPoint) -> Rat:
+    if pt.q is None:
+        raise PreconditionError("specialization web needs the q parameter")
+    return pt.q
 
 
-def _eval_T51b(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    return _poly_samples_outcome(
-        fp, pt, mp_poly_second(fp), _poly_second_abs(fp), mp_poly_second_oracle
-    )
+# ---------------------------------------------------------------------------
+# Value vectors at indices 0..n, read from one table where a triangle is
+# involved.
+# ---------------------------------------------------------------------------
 
 
-def _eval_C51a(pt: ParamPoint) -> _Outcome:
-    return _eval_T51a(_force_k1(pt))
+def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
+    table = comtet_second(fp.alpha[: fp.n], fp.n)
+    return [_bernoulli_from_row(fp, row) for row in table.rows]
 
 
-def _eval_C51b(pt: ParamPoint) -> _Outcome:
-    return _eval_T51b(_force_k1(pt))
+def _first_vector(fp: FamilyPoint) -> list[Rat]:
+    return [
+        mp_first_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
+        for j in range(fp.n + 1)
+    ]
+
+
+def _second_vector(fp: FamilyPoint) -> list[Rat]:
+    return [
+        mp_second_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
+        for j in range(fp.n + 1)
+    ]
 
 
 def _first_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
@@ -765,115 +423,231 @@ def _bernoulli_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     return [_bernoulli_poly_from_row(fp, row) for row in table.rows]
 
 
-def _eval_T52a(pt: ParamPoint) -> _Outcome:
+def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
+    """Stated second-kind polynomial: the signless row replaced by entrywise
+    absolute values of the first-kind row. Its value at 0 is the stated
+    closed form of the numbers."""
+    table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
+    return (-1) ** fp.n * _poly_from_row(fp, table.row(fp.n))
+
+
+# ---------------------------------------------------------------------------
+# Per-identity evaluators. They name their routes in their bodies rather than
+# binding them in closures or partials, so a caller that rebinds a route in
+# this module's namespace (such as a per-layer tracer) sees every call.
+# ---------------------------------------------------------------------------
+
+
+def _eval_T21(pt: ParamPoint) -> _Outcome:
+    return _agree(pt, mp_first_closed)
+
+
+def _eval_T22(pt: ParamPoint) -> _Outcome:
+    return _agree(pt, mp_first_noncentral)
+
+
+def _eval_T23(pt: ParamPoint) -> _Outcome:
     fp = _family(pt)
-    values = _first_poly_vector(fp)
-    lhs = mp_bernoulli_poly(fp)
-    corrected = bernoulli_from_first(fp.n, fp.alpha, values)
+    lhs = mp_first_def(fp)
+    corrected = mp_first_via_polycauchy(fp)
+    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
+    unit_value = classic_first_with_lengths(fp.n, fp.k, (Fraction(1),) * fp.k)
+    verbatim = sum((nc[fp.n, m] * unit_value for m in range(fp.n + 1)), Fraction(0))
+    return _readings_outcome(lhs, corrected, verbatim, "stated reading")
+
+
+def _eval_T24(pt: ParamPoint) -> _Outcome:
+    return _agree(pt, mp_first_bell)
+
+
+def _eval_T31(pt: ParamPoint) -> _Outcome:
+    fp = _family(pt)
+    lhs = mp_second_def(fp)
+    corrected = mp_second_closed(fp)
+    verbatim = _poly_second_abs(fp)(0)
+    return _readings_outcome(lhs, corrected, verbatim, "absolute-value reading")
+
+
+def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
+    fp = _family(pt)
+    lhs = mp_second_def(fp)
+    corrected = mp_second_lah(fp)
+    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
+    lah = lah_signed(fp.n)
+    unit_values = _classic_first_values(fp.n, fp.k, Fraction(1))
+    verbatim = Fraction(0)
+    for l in range(fp.n + 1):
+        for m in range(l, fp.n + 1):
+            verbatim += nc[fp.n, m] * lah[m, l] * unit_values[l]
+    out = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
+    return replace(out, note="; ".join(s for s in (out.note, remark) if s))
+
+
+def _eval_T41(pt: ParamPoint) -> _Outcome:
+    order = _require_order(pt)
+    return _series_outcome(mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order))
+
+
+def _eval_T42a(pt: ParamPoint) -> _Outcome:
+    return _inversion(
+        pt, mp_second_def, _bernoulli_vector, second_from_bernoulli, _abs_first_weight
+    )
+
+
+def _eval_T42b(pt: ParamPoint) -> _Outcome:
+    return _inversion(
+        pt, mp_bernoulli, _second_vector, bernoulli_from_second, _second_weight
+    )
+
+
+def _eval_C41a(pt: ParamPoint) -> _Outcome:
+    # As printed the single-integral form drops even the (-1)^n prefactor.
+    weight = partial(_abs_first_weight, prefactor=False)
+    return _inversion(
+        pt, mp_second_def, _bernoulli_vector, second_from_bernoulli, weight
+    )
+
+
+def _eval_T43a(pt: ParamPoint) -> _Outcome:
+    return _inversion(
+        pt, mp_first_def, _bernoulli_vector, first_from_bernoulli, _first_weight
+    )
+
+
+def _eval_T43b(pt: ParamPoint) -> _Outcome:
+    return _inversion(
+        pt, mp_bernoulli, _first_vector, bernoulli_from_first, _second_weight
+    )
+
+
+def _eval_T51a(pt: ParamPoint) -> _Outcome:
+    fp = _family(pt)
+    poly = mp_poly_first(fp)
+    return _poly_samples_outcome(fp, pt, poly, poly, mp_poly_first_oracle)
+
+
+def _eval_T51b(pt: ParamPoint) -> _Outcome:
+    fp = _family(pt)
+    return _poly_samples_outcome(
+        fp, pt, mp_poly_second(fp), _poly_second_abs(fp), mp_poly_second_oracle
+    )
+
+
+def _eval_T52a(pt: ParamPoint) -> _Outcome:
     # The stated polynomial form carries the correct weights already.
-    verbatim = corrected
-    return _inversion_outcome(
-        lhs, corrected, verbatim, "stated reading", sample_count=fp.n + 1
+    return _inversion(
+        pt, mp_bernoulli_poly, _first_poly_vector, bernoulli_from_first, None
     )
 
 
 def _eval_T52b(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    values = _second_poly_vector(fp)
-    lhs = mp_bernoulli_poly(fp)
-    corrected = bernoulli_from_second(fp.n, fp.alpha, values)
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** (fp.n - m))
-            * math.factorial(m)
-            * table[m, j]
-            * table[fp.n, m]
-        )
-
-    verbatim = _double_sum(fp.n, weight, values, Polynomial())
-    return _inversion_outcome(
-        lhs, corrected, verbatim, "stated reading", sample_count=fp.n + 1
+    weight = partial(_second_weight, power=1)
+    return _inversion(
+        pt, mp_bernoulli_poly, _second_poly_vector, bernoulli_from_second, weight
     )
 
 
 def _eval_T52c(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    values = _bernoulli_poly_vector(fp)
-    lhs = mp_poly_first(fp)
-    corrected = first_from_bernoulli(fp.n, fp.alpha, values)
-    s = comtet_first(fp.alpha[: fp.n], fp.n)
-
-    def weight(j: int, m: int) -> Rat:
-        return s[m, j] * s[fp.n, m] / Fraction(math.factorial(m))
-
-    verbatim = _double_sum(fp.n, weight, values, Polynomial())
-    return _inversion_outcome(
-        lhs, corrected, verbatim, "stated reading", sample_count=fp.n + 1
+    return _inversion(
+        pt, mp_poly_first, _bernoulli_poly_vector, first_from_bernoulli, _first_weight
     )
 
 
 def _eval_T52d(pt: ParamPoint) -> _Outcome:
-    fp = _family(pt)
-    values = _bernoulli_poly_vector(fp)
-    lhs = mp_poly_second(fp)
-    corrected = second_from_bernoulli(fp.n, fp.alpha, values)
-    s = comtet_first(fp.alpha[: fp.n], fp.n)
-    sabs = s.entrywise_abs()
-
-    def weight(j: int, m: int) -> Rat:
-        return (
-            Fraction((-1) ** fp.n)
-            * s[m, j]
-            * sabs[fp.n, m]
-            / Fraction(math.factorial(m))
-        )
-
-    verbatim = _double_sum(fp.n, weight, values, Polynomial())
-    return _inversion_outcome(
-        lhs, corrected, verbatim, "stated reading", sample_count=fp.n + 1
+    return _inversion(
+        pt,
+        mp_poly_second,
+        _bernoulli_poly_vector,
+        second_from_bernoulli,
+        _abs_first_weight,
     )
 
 
 def _eval_GF_Lif(pt: ParamPoint) -> _Outcome:
     order = _require_order(pt)
-    lhs = lif_series(pt.k, order).compose(log1p_series(order))
-    rhs = TruncatedSeries(
-        order,
-        [
-            specialize("poly", "first", n, pt.k) / math.factorial(n)
-            for n in range(order + 1)
-        ],
-    )
-    v = _verdict(lhs == rhs)
-    return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
+    return _series_outcome(lif_gf_check(pt.k, order))
 
 
 def _eval_GF_Li(pt: ParamPoint) -> _Outcome:
     order = _require_order(pt)
-    u = 1 - exp_series(order, rate=-1)
-    lhs = TruncatedSeries.constant(0, order)
-    for m in range(1, order + 2):
-        lhs = lhs + u ** (m - 1) / Fraction(m**pt.k)
-    rhs = TruncatedSeries(
-        order,
-        [
-            classic_poly_bernoulli(n, pt.k) / math.factorial(n)
-            for n in range(order + 1)
-        ],
+    return _series_outcome(li_gf_check(pt.k, order))
+
+
+def _cases(pt: ParamPoint, kind: str) -> _Outcome:
+    """Specialization web of one family: eight arrows between the special
+    families and their triangle, integral and closed-form readings. The
+    second kind reads the signless triangle and negated roots under the
+    sign (-1)^n."""
+    q = _require_q(pt)
+    n, k = pt.n, pt.k
+    ell = pt.lengths[0] if pt.lengths else Fraction(1)
+    classical_roots = tuple(Fraction(i) for i in range(n))
+    first = kind == "first"
+    if first:
+        triangle, closed = stirling_first(n), mp_first_closed
+    else:
+        triangle = signless_comtet_first(classical_roots, n)
+        closed = mp_second_closed
+    sign = 1 if first else (-1) ** n
+    triangle_poly = sign * sum(
+        (triangle[n, m] / Fraction((m + 1) ** k) for m in range(n + 1)),
+        Fraction(0),
     )
-    v = _verdict(lhs == rhs)
-    return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
+    triangle_q = sign * sum(
+        (
+            triangle[n, m] * q ** (n - m) / Fraction((m + 1) ** k)
+            for m in range(n + 1)
+        ),
+        Fraction(0),
+    )
 
+    def integral(roots: tuple[Rat, ...]) -> Rat:
+        product = Polynomial.from_roots(r if first else -r for r in roots)
+        return sign * product.integral_to(ell)
 
-def _require_q(pt: ParamPoint) -> Rat:
-    if pt.q is None:
-        raise PreconditionError("specialization web needs the q parameter")
-    return pt.q
-
-
-def _cases_outcome(arrows: list[tuple[str, Rat, Rat]]) -> _Outcome:
+    q_roots = tuple(Fraction(i) * q for i in range(n))
+    arrows = [
+        (
+            "poly-vs-triangle",
+            specialize("poly", kind, n, k),
+            triangle_poly,
+        ),
+        (
+            "classic-vs-integral",
+            specialize("classic", kind, n, lengths=(ell,)),
+            integral(classical_roots),
+        ),
+        (
+            "q-poly-vs-homogeneity",
+            specialize("q-poly", kind, n, k, q=q),
+            triangle_q,
+        ),
+        (
+            "q-one-collapse",
+            specialize("q-poly", kind, n, k, q=1),
+            specialize("poly", kind, n, k),
+        ),
+        (
+            "extended-vs-closed",
+            specialize("extended-q", kind, n, k, q=q, lengths=pt.lengths),
+            closed(FamilyPoint(n, k, q_roots, pt.lengths)),
+        ),
+        (
+            "extended-unit-collapse",
+            specialize("extended-q", kind, n, k, q=q, lengths=(Fraction(1),) * k),
+            specialize("q-poly", kind, n, k, q=q),
+        ),
+        (
+            "q-classic-vs-integral",
+            specialize("q-classic", kind, n, q=q, lengths=(ell,)),
+            integral(q_roots),
+        ),
+        (
+            "q-classic-collapse",
+            specialize("q-classic", kind, n, q=1, lengths=(ell,)),
+            specialize("classic", kind, n, lengths=(ell,)),
+        ),
+    ]
     failed = [name for name, left, right in arrows if left != right]
     v = _verdict(not failed)
     lhs = "; ".join(f"{name}={left}" for name, left, _ in arrows)
@@ -882,190 +656,180 @@ def _cases_outcome(arrows: list[tuple[str, Rat, Rat]]) -> _Outcome:
     return _Outcome(v, v, lhs, rhs, note)
 
 
-def _eval_CASES2(pt: ParamPoint) -> _Outcome:
-    q = _require_q(pt)
-    n, k = pt.n, pt.k
-    ell = pt.lengths[0] if pt.lengths else Fraction(1)
-    s = stirling_first(n)
-    triangle_poly = sum(
-        (s[n, m] / Fraction((m + 1) ** k) for m in range(n + 1)), Fraction(0)
-    )
-    triangle_q = sum(
-        (s[n, m] * q ** (n - m) / Fraction((m + 1) ** k) for m in range(n + 1)),
-        Fraction(0),
-    )
-    classical_roots = tuple(Fraction(i) for i in range(n))
-    q_roots = tuple(Fraction(i) * q for i in range(n))
-    arrows = [
-        (
-            "poly-vs-triangle",
-            specialize("poly", "first", n, k),
-            triangle_poly,
-        ),
-        (
-            "classic-vs-integral",
-            specialize("classic", "first", n, lengths=(ell,)),
-            poly_from_roots(classical_roots).integral_to(ell),
-        ),
-        (
-            "q-poly-vs-homogeneity",
-            specialize("q-poly", "first", n, k, q=q),
-            triangle_q,
-        ),
-        (
-            "q-one-collapse",
-            specialize("q-poly", "first", n, k, q=1),
-            specialize("poly", "first", n, k),
-        ),
-        (
-            "extended-vs-closed",
-            specialize("extended-q", "first", n, k, q=q, lengths=pt.lengths),
-            mp_first_closed(FamilyPoint(n, k, q_roots, pt.lengths)),
-        ),
-        (
-            "extended-unit-collapse",
-            specialize(
-                "extended-q", "first", n, k, q=q, lengths=(Fraction(1),) * k
-            ),
-            specialize("q-poly", "first", n, k, q=q),
-        ),
-        (
-            "q-classic-vs-integral",
-            specialize("q-classic", "first", n, q=q, lengths=(ell,)),
-            poly_from_roots(q_roots).integral_to(ell),
-        ),
-        (
-            "q-classic-collapse",
-            specialize("q-classic", "first", n, q=1, lengths=(ell,)),
-            specialize("classic", "first", n, lengths=(ell,)),
-        ),
-    ]
-    return _cases_outcome(arrows)
+# ---------------------------------------------------------------------------
+# The catalog
+# ---------------------------------------------------------------------------
 
+_SIGNLESS = (
+    "the signless triangle must be read as the expansion of prod(x + a_i), "
+    "equal to (-1)^(n-m) times the first-kind entry; entrywise absolute "
+    "values agree with it only when every parameter is nonnegative"
+)
+_MJ = "insert the factor (-1)^(m-j) inside the double sum"
+_MJ_SIGNLESS = (
+    f"{_MJ} and read the signless triangle as the expansion of prod(x + a_i)"
+)
+_PREFACTOR = "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)"
+_WEIGHT = "the weight is m!, not 1/m!"
+_C32_REMARK = "stated form reuses the length symbol as the summation index"
 
-def _eval_CASES3(pt: ParamPoint) -> _Outcome:
-    q = _require_q(pt)
-    n, k = pt.n, pt.k
-    ell = pt.lengths[0] if pt.lengths else Fraction(1)
-    signless = signless_comtet_first(tuple(Fraction(i) for i in range(n)), n)
-    sign = Fraction((-1) ** n)
-    triangle_poly = sign * sum(
-        (signless[n, m] / Fraction((m + 1) ** k) for m in range(n + 1)),
-        Fraction(0),
-    )
-    triangle_q = sign * sum(
-        (
-            signless[n, m] * q ** (n - m) / Fraction((m + 1) ** k)
-            for m in range(n + 1)
-        ),
-        Fraction(0),
-    )
+CATALOG: tuple[Identity, ...] = (
+    Identity("T2.1", "first-kind values via the first-kind triangle", _eval_T21),
+    Identity("C2.1", "single-integral case of T2.1", _eval_T21, k1_only=True),
+    Identity(
+        "T2.2",
+        "first-kind values via the non-central table and the classical "
+        "first-kind triangle",
+        _eval_T22,
+    ),
+    Identity("C2.2", "single-integral case of T2.2", _eval_T22, k1_only=True),
+    Identity(
+        "T2.3",
+        "first-kind values as non-central combinations of classical-parameter "
+        "values",
+        _eval_T23,
+        "the classical-parameter factor is indexed by the summation variable "
+        "and carries the box lengths: sum_m S(n,m;a) C_m(lengths)",
+    ),
+    Identity(
+        "T2.4",
+        "explicit first-kind formula via weighted Bell polynomials of "
+        "reciprocal power sums",
+        _eval_T24,
+    ),
+    Identity(
+        "T3.1", "second-kind values via the signless triangle", _eval_T31, _SIGNLESS
+    ),
+    Identity(
+        "C3.1", "single-integral case of T3.1", _eval_T31, _SIGNLESS, k1_only=True
+    ),
+    Identity(
+        "T3.2",
+        "second-kind values via non-central, signed Lah, and "
+        "classical-parameter factors",
+        _eval_T32,
+        "the classical-parameter factors carry the box lengths: C_l(lengths), "
+        "not the unit-box values",
+    ),
+    Identity(
+        "C3.2",
+        "single-integral case of T3.2",
+        partial(_eval_T32, remark=_C32_REMARK),
+        "the classical factors carry the box length; the stated form also "
+        "reuses the length symbol as the summation index",
+        k1_only=True,
+    ),
+    Identity(
+        "T4.1",
+        "exponential generating function of the Bernoulli-type family",
+        _eval_T41,
+    ),
+    Identity(
+        "T4.2a",
+        "second-kind values expanded in Bernoulli-type values",
+        _eval_T42a,
+        _MJ_SIGNLESS,
+    ),
+    Identity(
+        "T4.2b",
+        "Bernoulli-type values expanded in second-kind values",
+        _eval_T42b,
+        _PREFACTOR,
+    ),
+    Identity(
+        "C4.1a",
+        "single-integral case of T4.2a",
+        _eval_C41a,
+        f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
+        k1_only=True,
+    ),
+    Identity(
+        "C4.1b", "single-integral case of T4.2b", _eval_T42b, _PREFACTOR, k1_only=True
+    ),
+    Identity(
+        "T4.3a", "first-kind values expanded in Bernoulli-type values", _eval_T43a, _MJ
+    ),
+    Identity(
+        "T4.3b",
+        "Bernoulli-type values expanded in first-kind values",
+        _eval_T43b,
+        _WEIGHT,
+    ),
+    Identity("C4.2a", "single-integral case of T4.3a", _eval_T43a, _MJ, k1_only=True),
+    Identity(
+        "C4.2b", "single-integral case of T4.3b", _eval_T43b, _WEIGHT, k1_only=True
+    ),
+    Identity("T5.1a", "closed form of the first-kind polynomial family", _eval_T51a),
+    Identity(
+        "T5.1b",
+        "closed form of the second-kind polynomial family",
+        _eval_T51b,
+        _SIGNLESS,
+    ),
+    Identity("C5.1a", "single-integral case of T5.1a", _eval_T51a, k1_only=True),
+    Identity(
+        "C5.1b", "single-integral case of T5.1b", _eval_T51b, _SIGNLESS, k1_only=True
+    ),
+    Identity(
+        "T5.2a",
+        "Bernoulli-type polynomials expanded in first-kind polynomials",
+        _eval_T52a,
+    ),
+    Identity(
+        "T5.2b",
+        "Bernoulli-type polynomials expanded in second-kind polynomials",
+        _eval_T52b,
+        "the prefactor is (-1)^n, not (-1)^(n-m)",
+    ),
+    Identity(
+        "T5.2c",
+        "first-kind polynomials expanded in Bernoulli-type polynomials",
+        _eval_T52c,
+        _MJ,
+    ),
+    Identity(
+        "T5.2d",
+        "second-kind polynomials expanded in Bernoulli-type polynomials",
+        _eval_T52d,
+        _MJ_SIGNLESS,
+    ),
+    Identity(
+        "GF-Lif",
+        "factorial-polylogarithm generating function of classical first-kind "
+        "values",
+        _eval_GF_Lif,
+    ),
+    Identity(
+        "GF-Li",
+        "polylogarithm generating function of classical Bernoulli-type values",
+        _eval_GF_Li,
+    ),
+    Identity(
+        "CASES-2",
+        "specialization web of the first-kind family",
+        partial(_cases, kind="first"),
+    ),
+    Identity(
+        "CASES-3",
+        "specialization web of the second-kind family",
+        partial(_cases, kind="second"),
+    ),
+)
 
-    def negated_integral(roots: tuple[Rat, ...], upper: Rat) -> Rat:
-        negated = poly_from_roots(tuple(-r for r in roots))
-        return sign * negated.integral_to(upper)
-
-    classical_roots = tuple(Fraction(i) for i in range(n))
-    q_roots = tuple(Fraction(i) * q for i in range(n))
-    arrows = [
-        (
-            "poly-vs-triangle",
-            specialize("poly", "second", n, k),
-            triangle_poly,
-        ),
-        (
-            "classic-vs-integral",
-            specialize("classic", "second", n, lengths=(ell,)),
-            negated_integral(classical_roots, ell),
-        ),
-        (
-            "q-poly-vs-homogeneity",
-            specialize("q-poly", "second", n, k, q=q),
-            triangle_q,
-        ),
-        (
-            "q-one-collapse",
-            specialize("q-poly", "second", n, k, q=1),
-            specialize("poly", "second", n, k),
-        ),
-        (
-            "extended-vs-closed",
-            specialize("extended-q", "second", n, k, q=q, lengths=pt.lengths),
-            mp_second_closed(FamilyPoint(n, k, q_roots, pt.lengths)),
-        ),
-        (
-            "extended-unit-collapse",
-            specialize(
-                "extended-q", "second", n, k, q=q, lengths=(Fraction(1),) * k
-            ),
-            specialize("q-poly", "second", n, k, q=q),
-        ),
-        (
-            "q-classic-vs-integral",
-            specialize("q-classic", "second", n, q=q, lengths=(ell,)),
-            negated_integral(q_roots, ell),
-        ),
-        (
-            "q-classic-collapse",
-            specialize("q-classic", "second", n, q=1, lengths=(ell,)),
-            specialize("classic", "second", n, lengths=(ell,)),
-        ),
-    ]
-    return _cases_outcome(arrows)
-
-
-EVALUATORS: dict[str, Callable[[ParamPoint], _Outcome]] = {
-    "T2.1": _eval_T21,
-    "C2.1": _eval_C21,
-    "T2.2": _eval_T22,
-    "C2.2": _eval_C22,
-    "T2.3": _eval_T23,
-    "T2.4": _eval_T24,
-    "T3.1": _eval_T31,
-    "C3.1": _eval_C31,
-    "T3.2": _eval_T32,
-    "C3.2": _eval_C32,
-    "T4.1": _eval_T41,
-    "T4.2a": _eval_T42a,
-    "T4.2b": _eval_T42b,
-    "C4.1a": _eval_C41a,
-    "C4.1b": _eval_C41b,
-    "T4.3a": _eval_T43a,
-    "T4.3b": _eval_T43b,
-    "C4.2a": _eval_C42a,
-    "C4.2b": _eval_C42b,
-    "T5.1a": _eval_T51a,
-    "T5.1b": _eval_T51b,
-    "C5.1a": _eval_C51a,
-    "C5.1b": _eval_C51b,
-    "T5.2a": _eval_T52a,
-    "T5.2b": _eval_T52b,
-    "T5.2c": _eval_T52c,
-    "T5.2d": _eval_T52d,
-    "GF-Lif": _eval_GF_Lif,
-    "GF-Li": _eval_GF_Li,
-    "CASES-2": _eval_CASES2,
-    "CASES-3": _eval_CASES3,
-}
+IDENTITY_IDS: tuple[str, ...] = tuple(entry.id for entry in CATALOG)
+_BY_ID: dict[str, Identity] = {entry.id: entry for entry in CATALOG}
 
 
 def verify(identity: str, point: ParamPoint) -> IdentityReport:
     """Evaluate one identity at one point; precondition violations become NA
     verdicts with a note, never exceptions."""
-    if identity not in EVALUATORS:
+    entry = _BY_ID.get(identity)
+    if entry is None:
         raise ValueError(f"unknown identity id {identity!r}")
     try:
-        out = EVALUATORS[identity](point)
+        out = entry.evaluate(_force_k1(point) if entry.k1_only else point)
     except PreconditionError as exc:
-        return IdentityReport(
-            identity=identity,
-            point=point,
-            verbatim=NA,
-            corrected=NA,
-            lhs="",
-            rhs="",
-            note=f"precondition violated: {exc}",
-        )
+        out = _Outcome(NA, NA, "", "", f"precondition violated: {exc}")
     return IdentityReport(
         identity=identity,
         point=point,
@@ -1095,7 +859,6 @@ class GridSpec:
 
 
 _GF_IDS = ("GF-Lif", "GF-Li")
-_COROLLARY_IDS = ("C2.1", "C2.2", "C3.1", "C3.2", "C4.1a", "C4.1b", "C4.2a", "C4.2b", "C5.1a", "C5.1b")
 
 
 def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Rat:
@@ -1108,7 +871,7 @@ def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Rat:
 def _random_point(
     rng: random.Random, grid: GridSpec, identity: str
 ) -> ParamPoint:
-    k = 1 if identity in _COROLLARY_IDS else rng.randint(1, grid.k_max)
+    k = 1 if _BY_ID[identity].k1_only else rng.randint(1, grid.k_max)
     if identity == "T4.1":
         order = grid.series_order
         alpha: list[Rat] = []
@@ -1147,7 +910,7 @@ def _points_for(identity: str, grid: GridSpec, seed: int) -> list[ParamPoint]:
             for o in orders
         ]
     points: list[ParamPoint] = []
-    k_options = [1] if identity in _COROLLARY_IDS else sorted({1, min(2, grid.k_max)})
+    k_options = [1] if _BY_ID[identity].k1_only else sorted({1, min(2, grid.k_max)})
     if identity == "T4.1":
         order = grid.series_order
         for k in k_options:
@@ -1185,50 +948,30 @@ def _points_for(identity: str, grid: GridSpec, seed: int) -> list[ParamPoint]:
     return points
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get("POLYFAM_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(threads, 1)
-
-
 def sweep(
     ids: Optional[Iterable[str]] = None,
     grid: GridSpec = GridSpec(),
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> tuple[IdentityReport, ...]:
     """Verify the requested identities (all by default) over deterministic
     classical points plus seeded random rational points.
 
     The report tuple is ordered by (catalog order, point index) and is a pure
-    function of (ids, grid, seed); the thread count never affects it.
+    function of (ids, grid, seed).
     """
     if ids is None:
         chosen = list(IDENTITY_IDS)
     else:
         chosen = list(ids)
-        unknown = [i for i in chosen if i not in EVALUATORS]
+        unknown = [i for i in chosen if i not in _BY_ID]
         if unknown:
             raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
         chosen.sort(key=IDENTITY_IDS.index)
-    jobs = [
-        (identity, point)
+    return tuple(
+        verify(identity, point)
         for identity in chosen
         for point in _points_for(identity, grid, seed)
-    ]
-    workers = _resolve_threads(threads)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda job: verify(*job), jobs))
-    else:
-        reports = [verify(identity, point) for identity, point in jobs]
-    return tuple(reports)
+    )
 
 
 def summarize(reports: Sequence[IdentityReport]) -> dict:
@@ -1267,17 +1010,17 @@ def errata_ledger(reports: Sequence[IdentityReport]) -> dict:
     failed anywhere, with a minimal counterexample point and the corrected
     reading. Deterministic for a deterministic report sequence."""
     entries = []
-    for identity in IDENTITY_IDS:
-        rows = [r for r in reports if r.identity == identity]
+    for entry in CATALOG:
+        rows = [r for r in reports if r.identity == entry.id]
         failures = [r for r in rows if r.verbatim == FAIL]
         if not failures:
             continue
         minimal = min(failures, key=lambda r: _point_size(r.point))
         entries.append(
             {
-                "identity": identity,
-                "statement": STATEMENTS[identity],
-                "corrected_reading": CORRECTED_READINGS.get(identity, ""),
+                "identity": entry.id,
+                "statement": entry.statement,
+                "corrected_reading": entry.correction,
                 "verbatim_failures": len(failures),
                 "points_checked": len(rows),
                 "counterexample": {

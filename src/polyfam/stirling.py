@@ -44,7 +44,6 @@ __all__ = [
     "inversion_check",
     "lah_closed_form",
     "lah_signed",
-    "noncentral_first",
     "noncentral_second",
     "signless_comtet_first",
     "stirling_first",
@@ -246,13 +245,6 @@ def noncentral_second(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     """Non-central Stirling numbers: the expansion of
     (X-a_0)...(X-a_{n-1}) in the falling-factorial basis."""
     return connection_coeffs(Basis.multiparam(alpha), Basis.falling(), size)
-
-
-def noncentral_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
-    """Alias of noncentral_second: both conventional names denote the same
-    connection family (products of shifted factors expanded in falling
-    factorials), so the tables coincide entry by entry."""
-    return noncentral_second(alpha, size)
 
 
 def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:

@@ -153,8 +153,8 @@ def test_classical_anchor_values():
 def test_generating_function_checks():
     started = time.monotonic()
     for k in (1, 2, 3):
-        assert lif_gf_check(k, 8)
-        assert li_gf_check(k, 8)
+        assert lif_gf_check(k, 8).all_match
+        assert li_gf_check(k, 8).all_match
     for k in (1, 2):
         check = mp_bernoulli_gf_check(
             tuple(range(1, 8)), (Fraction(1),) * k, k, 6

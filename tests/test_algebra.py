@@ -15,8 +15,6 @@ from polyfam.algebra import (
     exp_series,
     integer_samples,
     log1p_series,
-    poly_definite_integral,
-    poly_from_roots,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -55,10 +53,10 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_from_roots_expansion():
-    p = poly_from_roots((1, 2, 3))
+    p = Polynomial.from_roots((1, 2, 3))
     assert p.coeffs == (Fraction(-6), Fraction(11), Fraction(-6), Fraction(1))
     assert p(1) == 0 and p(2) == 0 and p(3) == 0
-    assert poly_from_roots(()) == Polynomial((1,))
+    assert Polynomial.from_roots(()) == Polynomial((1,))
 
 
 def test_shifted_is_argument_translation():
@@ -70,7 +68,7 @@ def test_shifted_is_argument_translation():
 
 def test_definite_integral():
     # int_0^1 x(x-1) dx = -1/6
-    assert poly_definite_integral(poly_from_roots((0, 1)), 1) == Fraction(-1, 6)
+    assert Polynomial.from_roots((0, 1)).integral_to(1) == Fraction(-1, 6)
     assert (X * X).integral_to(2) == Fraction(8, 3)
     assert Polynomial().integral_to(5) == 0
 

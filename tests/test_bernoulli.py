@@ -95,7 +95,7 @@ def test_polynomial_degree_and_leading_coefficient():
 
 def test_li_generating_function_check():
     for k in (1, 2, 3):
-        assert li_gf_check(k, 6)
+        assert li_gf_check(k, 6).all_match
 
 
 def test_number_generating_function_check():

@@ -216,7 +216,7 @@ def test_lif_series_prefix():
 
 def test_lif_generating_function_check():
     for k in (1, 2, 3):
-        assert lif_gf_check(k, 6)
+        assert lif_gf_check(k, 6).all_match
 
 
 def test_specialize_families():

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -5,8 +8,26 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from polyfam.cli import main
+from polyfam.cli import build_parser, main
+from polyfam.harness import FAIL, IDENTITY_IDS, GridSpec, sweep
+
+# sha256 of the stdout of `verify --seed 0` plus each extra argv.
+SEED0_SHA256 = {
+    "default": (
+        (), "929194616961586e56a7453d28271300cf59c10a63bfc8ef23de9b240bdbb549"
+    ),
+    "errata": (
+        ("--errata",),
+        "e878ec4b9e2746ee7d47c078301c83c5520287b67de25939cabd1c817b3f8669",
+    ),
+    "verbatim": (
+        ("--mode", "verbatim"),
+        "929194616961586e56a7453d28271300cf59c10a63bfc8ef23de9b240bdbb549",
+    ),
+}
 
 
 def run_cli(*args, env=None):
@@ -195,6 +216,67 @@ def test_verify_output_is_deterministic():
     assert first.stdout == second.stdout
     threaded = run_cli(*args, env={"POLYFAM_THREADS": "3"})
     assert threaded.stdout == first.stdout
+
+
+@pytest.mark.parametrize("variant", sorted(SEED0_SHA256))
+def test_seed0_verify_stdout_matches_the_golden_hashes(variant, capsys):
+    extra, digest = SEED0_SHA256[variant]
+    code = main(["verify", "--seed", "0", *extra])
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    assert code == (1 if variant == "verbatim" else 0)
+
+
+def _exit_code(argv):
+    """Run cli.main in process, silenced; only SystemExit may escape it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+_id_lists = st.lists(
+    st.sampled_from(IDENTITY_IDS + ("all", "bogus", "")), min_size=1, max_size=3
+).map(",".join)
+_verify_flags = st.fixed_dictionaries(
+    {
+        "--n-max": st.sampled_from(["-1", "0", "1", "2"]),
+        "--points": st.sampled_from(["-1", "0", "1"]),
+    },
+    optional={
+        "--ids": _id_lists,
+        "--k-max": st.sampled_from(["0", "1", "2", "x"]),
+        "--seed": st.integers(-2, 3).map(str),
+        "--order": st.sampled_from(["-1", "0", "2"]),
+        "--mode": st.sampled_from(["corrected", "verbatim", "both"]),
+        "--format": st.sampled_from(["json", "csv"]),
+    },
+)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(flags=_verify_flags, errata=st.booleans())
+def test_verify_argv_grammar_keeps_the_exit_code_contract(flags, errata):
+    argv = ["verify"] + [part for item in flags.items() for part in item]
+    argv += ["--errata"] if errata else []
+    code = _exit_code(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        args = build_parser().parse_args(argv)
+        grid = GridSpec(
+            n_max=args.n_max,
+            k_max=args.k_max,
+            points=args.points,
+            series_order=args.order,
+        )
+        reports = sweep(ids=args.ids, grid=grid, seed=args.seed)
+        column = [getattr(r, args.mode) for r in reports]
+        assert (code == 1) == (FAIL in column)
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):

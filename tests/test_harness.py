@@ -2,16 +2,15 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polyfam.algebra import Polynomial
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
-    CORRECTED_READINGS,
-    EVALUATORS,
+    CATALOG,
     IDENTITY_IDS,
-    STATEMENTS,
     GridSpec,
     ParamPoint,
     bernoulli_from_first,
@@ -44,12 +43,50 @@ def rand_vectors(seed, size):
     return alpha, numbers, polys
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_identity_catalog_is_complete_and_unique():
+    assert IDENTITY_IDS == tuple(entry.id for entry in CATALOG)
     assert len(IDENTITY_IDS) == 31
     assert len(set(IDENTITY_IDS)) == 31
-    assert set(EVALUATORS) == set(IDENTITY_IDS)
-    assert set(STATEMENTS) == set(IDENTITY_IDS)
-    assert set(CORRECTED_READINGS) <= set(IDENTITY_IDS)
+    for entry in CATALOG:
+        assert entry.statement
+        assert callable(entry.evaluate)
+        # Exactly the single-integral corollaries are evaluated at k = 1.
+        assert entry.k1_only == entry.statement.startswith("single-integral case")
+
+
+def test_corollaries_evaluate_their_parent_with_one_integration():
+    point = ParamPoint(
+        n=3, k=2, alpha=(1, "1/2", -2), lengths=(3, "1/3"), z0=2, q=2,
+        series_order=4,
+    )
+    forced = ParamPoint(
+        n=3, k=1, alpha=point.alpha, lengths=(3,), z0=2, q=2, series_order=4
+    )
+    for corollary, parent in (("C2.1", "T2.1"), ("C4.2b", "T4.3b"),
+                              ("C5.1b", "T5.1b")):
+        report = verify(corollary, point)
+        expected = verify(parent, forced)
+        assert report.point == point
+        assert (report.verbatim, report.corrected, report.lhs, report.rhs) == (
+            expected.verbatim, expected.corrected, expected.lhs, expected.rhs
+        )
+
+
+def test_readme_identity_table_matches_the_catalog():
+    lines = README.read_text().splitlines()
+    start = lines.index("| id | checks | status |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    assert rows == [
+        (entry.id, entry.statement, "corrected" if entry.correction else "verbatim")
+        for entry in CATALOG
+    ]
 
 
 def test_param_point_coerces_string_rationals():
@@ -145,14 +182,6 @@ def test_sweep_is_deterministic_and_ordered():
     order = [IDENTITY_IDS.index(r.identity) for r in first]
     assert order == sorted(order)
     assert sweep(grid=SMALL, seed=4) != first
-
-
-def test_sweep_threads_do_not_change_results():
-    base = sweep(ids=["T2.1", "T4.2a", "GF-Li"], grid=SMALL, seed=1)
-    threaded = sweep(
-        ids=["T2.1", "T4.2a", "GF-Li"], grid=SMALL, seed=1, threads=4
-    )
-    assert base == threaded
 
 
 def test_repeated_sweeps_hold_no_growing_state():
