@@ -14,7 +14,7 @@ from .algebra import (
     X,
     as_rat,
     as_rat_tuple,
-    box_integral_monomial,
+    box_moments,
     exp_series,
     integer_samples,
     log1p_series,

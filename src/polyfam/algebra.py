@@ -24,7 +24,7 @@ __all__ = [
     "X",
     "as_rat",
     "as_rat_tuple",
-    "box_integral_monomial",
+    "box_moments",
     "exp_series",
     "integer_samples",
     "log1p_series",
@@ -190,13 +190,16 @@ class Polynomial:
 X = Polynomial((0, 1))
 
 
-def box_integral_monomial(m: int, lengths: Sequence[RatLike], k: int) -> Rat:
-    """Integral of (x_1 * ... * x_k)^m over the box [0,l_1] x ... x [0,l_k].
+def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> tuple[Rat, ...]:
+    """Moments mu_0, ..., mu_size of the box [0,l_1] x ... x [0,l_k]: mu_m is
+    the integral of (x_1 * ... * x_k)^m over the box.
 
-    Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables.
+    Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables, so a
+    box integral of any polynomial in T = x_1 * ... * x_k is its coefficient
+    row paired with these moments.
     """
-    if m < 0:
-        raise PreconditionError("monomial exponent must be nonnegative")
+    if size < 0:
+        raise PreconditionError("moment count must be nonnegative")
     if k < 1:
         raise PreconditionError("need at least one integration variable")
     ls = as_rat_tuple(lengths)
@@ -207,7 +210,12 @@ def box_integral_monomial(m: int, lengths: Sequence[RatLike], k: int) -> Rat:
     prod = Fraction(1)
     for l in ls:
         prod *= l
-    return prod ** (m + 1) / Fraction((m + 1) ** k)
+    power = prod
+    moments = []
+    for m in range(size + 1):
+        moments.append(power / (m + 1) ** k)
+        power *= prod
+    return tuple(moments)
 
 
 class TruncatedSeries:

@@ -23,9 +23,10 @@ from .algebra import (
     TruncatedSeries,
     as_rat,
     as_rat_tuple,
+    box_moments,
     exp_series,
 )
-from .cauchy import FamilyPoint, SeriesCheck, _length_product
+from .cauchy import FamilyPoint, SeriesCheck, _pair, _poly_from_row
 from .stirling import comtet_second, stirling_second
 
 __all__ = [
@@ -46,20 +47,28 @@ def _check_convention(convention: str) -> None:
         raise PreconditionError(f"unknown summation convention {convention!r}")
 
 
+def _bernoulli_row(
+    row: Sequence[Rat], convention: str = "corrected"
+) -> tuple[Rat, ...]:
+    """The monomial row (-1)^(n-m) m! S_a(n, m) of the Bernoulli type at index
+    n = len(row) - 1, from row n of the second-kind triangle; the 'verbatim'
+    convention multiplies each entry by a second m!."""
+    n = len(row) - 1
+    power = 2 if convention == "verbatim" else 1
+    return tuple(
+        (-1) ** (n - m) * math.factorial(m) ** power * entry
+        for m, entry in enumerate(row)
+    )
+
+
 def classic_poly_bernoulli(n: int, k: int) -> Rat:
-    """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k."""
+    """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k: the
+    Bernoulli row of the classical triangle paired with the unit-box
+    moments."""
     if n < 0:
         raise PreconditionError("index must be nonnegative")
-    table = stirling_second(n)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += (
-            table[n, m]
-            * Fraction((-1) ** m)
-            * math.factorial(m)
-            / Fraction((m + 1) ** k)
-        )
-    return Fraction((-1) ** n) * total
+    row = _bernoulli_row(stirling_second(n).row(n))
+    return _pair(row, box_moments((1,) * k, k, n))
 
 
 def li_gf_check(k: int, order: int) -> SeriesCheck:
@@ -85,29 +94,8 @@ def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
     """
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    return _bernoulli_from_row(p, table.row(p.n), convention)
-
-
-def _bernoulli_from_row(
-    p: FamilyPoint, row: Sequence[Rat], convention: str = "corrected"
-) -> Rat:
-    """mp_bernoulli at index len(row) - 1, given that row of the second-kind
-    triangle; p supplies only k and the box lengths."""
-    n = len(row) - 1
-    prod = _length_product(p)
-    total = Fraction(0)
-    for m, entry in enumerate(row):
-        term = (
-            Fraction((-1) ** (n - m))
-            * math.factorial(m)
-            * entry
-            * prod ** (m + 1)
-            / Fraction((m + 1) ** p.k)
-        )
-        if convention == "verbatim":
-            term *= math.factorial(m)
-        total += term
-    return total
+    row = _bernoulli_row(table.row(p.n), convention)
+    return _pair(row, box_moments(p.lengths, p.k, p.n))
 
 
 def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
@@ -157,21 +145,13 @@ def mp_bernoulli_gf_check(
             for n in range(order + 1)
         ],
     )
-    prod = Fraction(1)
-    for l in ls:
-        prod *= l
-
-    def weight(m: int) -> Rat:
-        return (
-            Fraction((-1) ** m)
-            * math.factorial(m)
-            * prod ** (m + 1)
-            / Fraction((m + 1) ** k)
-        )
-
+    weights = [
+        (-1) ** m * math.factorial(m) * mu
+        for m, mu in enumerate(box_moments(ls, k, order))
+    ]
     rhs = TruncatedSeries.constant(0, order)
     for m in range(order + 1):
-        rhs = rhs + weight(m) * _second_kind_column_egf(head, m, order)
+        rhs = rhs + weights[m] * _second_kind_column_egf(head, m, order)
     # Stated ranges: outer sum over j with the inner sum running m = j..order;
     # the same (j, m) pairs in the other order.
     verbatim = TruncatedSeries.constant(0, order)
@@ -181,7 +161,7 @@ def mp_bernoulli_gf_check(
             for i in range(m + 1):
                 if i != j:
                     denom *= head[j] - head[i]
-            verbatim = verbatim + weight(m) * exp_series(order, rate=-head[j]) / denom
+            verbatim = verbatim + weights[m] * exp_series(order, rate=-head[j]) / denom
     return SeriesCheck(
         lhs=lhs,
         rhs=rhs,
@@ -203,33 +183,8 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     family so that the reduction holds in both conventions."""
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    return _bernoulli_poly_from_row(p, table.row(p.n), convention)
-
-
-def _bernoulli_poly_from_row(
-    p: FamilyPoint, row: Sequence[Rat], convention: str = "corrected"
-) -> Polynomial:
-    """mp_bernoulli_poly at index len(row) - 1, given that row of the
-    second-kind triangle; p supplies only k and the box lengths."""
-    n = len(row) - 1
-    prod = _length_product(p)
-    coeffs = [Fraction(0)] * (n + 1)
-    for m, entry in enumerate(row):
-        if entry == 0:
-            continue
-        base = Fraction((-1) ** m) * math.factorial(m) * entry
-        if convention == "verbatim":
-            base *= math.factorial(m)
-        for i in range(m + 1):
-            # (-z)^i contributes another (-1)^i to the z^i coefficient.
-            coeffs[i] += (
-                base
-                * math.comb(m, i)
-                * prod ** (m - i + 1)
-                / Fraction((m - i + 1) ** p.k)
-                * Fraction((-1) ** i)
-            )
-    return Polynomial([Fraction((-1) ** n) * c for c in coeffs])
+    row = _bernoulli_row(table.row(p.n), convention)
+    return _poly_from_row(row, box_moments(p.lengths, p.k, p.n))
 
 
 def mp_bernoulli_poly_gf_check(
@@ -255,27 +210,13 @@ def mp_bernoulli_poly_gf_check(
             for n in range(order + 1)
         ],
     )
-    prod = Fraction(1)
-    for l in ls:
-        prod *= l
-
-    def z_weight(m: int) -> Rat:
-        return sum(
-            (
-                math.comb(m, i)
-                * prod ** (m - i + 1)
-                * (-z) ** i
-                / Fraction((m - i + 1) ** k)
-                for i in range(m + 1)
-            ),
-            Fraction(0),
-        )
-
+    moments = box_moments(ls, k, order)
     rhs = TruncatedSeries.constant(0, order)
     verbatim = TruncatedSeries.constant(0, order)
     for m in range(order + 1):
         column = _second_kind_column_egf(head, m, order)
-        w = z_weight(m)
+        # w_m(z0): the shifted moment, the polynomial of the unit row T^m.
+        w = _poly_from_row((0,) * m + (1,), moments)(z)
         rhs = rhs + Fraction((-1) ** m) * math.factorial(m) * w * column
         verbatim = verbatim + Fraction((-1) ** m) * w * column
     return SeriesCheck(

@@ -24,7 +24,7 @@ from .algebra import (
     TruncatedSeries,
     as_rat,
     as_rat_tuple,
-    box_integral_monomial,
+    box_moments,
     log1p_series,
 )
 from .stirling import (
@@ -115,54 +115,42 @@ def family_point(
     return FamilyPoint(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths))
 
 
-def _length_product(p: FamilyPoint) -> Rat:
-    prod = Fraction(1)
-    for l in p.lengths:
-        prod *= l
-    return prod
+def _pair(row: Sequence[Rat], moments: Sequence[Rat]) -> Rat:
+    """The box integral of sum_m row[m] T^m, given the box moments of T."""
+    return sum((c * mu for c, mu in zip(row, moments)), Fraction(0))
 
 
-def _integrate_in_product_variable(p: FamilyPoint, poly: Polynomial) -> Rat:
-    """Box integral of poly(x_1 ... x_k), term by term."""
-    return sum(
-        (
-            c * box_integral_monomial(m, p.lengths, p.k)
-            for m, c in enumerate(poly.coeffs)
-            if c != 0
-        ),
-        Fraction(0),
-    )
+def _poly_from_row(row: Sequence[Rat], moments: Sequence[Rat]) -> Polynomial:
+    """The polynomial in z of the box integral of sum_m row[m] (T - z)^m,
+    through the shifted moments: its z^i coefficient is
+    sum_{m>=i} (-1)^i C(m, i) row[m] mu_(m-i)."""
+    coeffs = [Fraction(0)] * len(row)
+    for m, entry in enumerate(row):
+        if entry == 0:
+            continue
+        for i in range(m + 1):
+            coeffs[i] += (-1) ** i * math.comb(m, i) * entry * moments[m - i]
+    return Polynomial(coeffs)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate each monomial over the box."""
     product = Polynomial.from_roots(p.alpha[: p.n])
-    return _integrate_in_product_variable(p, product)
+    return _pair(product.coeffs, box_moments(p.lengths, p.k, p.n))
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
     """First kind from the first-kind triangle row n."""
     table = comtet_first(p.alpha[: p.n], p.n)
-    prod = _length_product(p)
-    return sum(
-        (
-            table[p.n, m] * prod ** (m + 1) / Fraction((m + 1) ** p.k)
-            for m in range(p.n + 1)
-        ),
-        Fraction(0),
-    )
+    return _pair(table.row(p.n), box_moments(p.lengths, p.k, p.n))
 
 
-def _classic_first_values(n: int, k: int, prod: Rat) -> list[Rat]:
-    """C_0, ..., C_n at the classical parameters for a box whose edge lengths
-    multiply to `prod`, all read from rows of one stirling_first(n)."""
-    s = stirling_first(n)
-    weights = [prod ** (j + 1) / Fraction((j + 1) ** k) for j in range(n + 1)]
-    return [
-        sum((s[m, j] * weights[j] for j in range(m + 1)), Fraction(0))
-        for m in range(n + 1)
-    ]
+def _classic_first_values(moments: Sequence[Rat]) -> list[Rat]:
+    """C_0, ..., C_n at the classical parameters for the box of `moments`
+    (mu_0..mu_n), all read from rows of one stirling_first(n)."""
+    s = stirling_first(len(moments) - 1)
+    return [_pair(row, moments) for row in s.rows]
 
 
 def classic_first_with_lengths(
@@ -170,13 +158,8 @@ def classic_first_with_lengths(
 ) -> Rat:
     """First-kind value at the classical parameters (0, 1, ..., m-1) with a
     general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k."""
-    ls = as_rat_tuple(lengths)
-    if len(ls) != k:
-        raise PreconditionError(f"expected {k} box lengths, got {len(ls)}")
-    prod = Fraction(1)
-    for l in ls:
-        prod *= l
-    return _classic_first_values(m, k, prod)[m]
+    moments = box_moments(lengths, k, m)
+    return _pair(stirling_first(m).row(m), moments)
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:
@@ -184,20 +167,18 @@ def mp_first_noncentral(p: FamilyPoint) -> Rat:
     triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     s = stirling_first(p.n)
-    prod = _length_product(p)
-    total = Fraction(0)
-    for j in range(p.n + 1):
-        weight = prod ** (j + 1) / Fraction((j + 1) ** p.k)
-        for m in range(j, p.n + 1):
-            total += nc[p.n, m] * s[m, j] * weight
-    return total
+    row = [
+        sum((nc[p.n, m] * s[m, j] for m in range(j, p.n + 1)), Fraction(0))
+        for j in range(p.n + 1)
+    ]
+    return _pair(row, box_moments(p.lengths, p.k, p.n))
 
 
 def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    classic = _classic_first_values(p.n, p.k, _length_product(p))
+    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n))
     return sum((nc[p.n, m] * classic[m] for m in range(p.n + 1)), Fraction(0))
 
 
@@ -249,10 +230,7 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     bell = TruncatedSeries(
         p.n, [Fraction(0)] + [-h / j for j, h in enumerate(harmonics, 1)]
     ).exp()
-    prod = _length_product(p)
-    total = Fraction(0)
-    for m in range(p.n + 1):
-        total += bell.coefficient(m) * prod ** (m + 1) / Fraction((m + 1) ** p.k)
+    total = _pair(bell.coeffs, box_moments(p.lengths, p.k, p.n))
     return Fraction((-1) ** p.n) * prod_alpha * total
 
 
@@ -260,21 +238,16 @@ def mp_second_def(p: FamilyPoint) -> Rat:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
     (-1)^n prod_i (T + a_i), and integrate each monomial over the box."""
     expanded = Polynomial.from_roots(tuple(-a for a in p.alpha[: p.n]))
-    return Fraction((-1) ** p.n) * _integrate_in_product_variable(p, expanded)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return Fraction((-1) ** p.n) * _pair(expanded.coeffs, moments)
 
 
 def mp_second_closed(p: FamilyPoint) -> Rat:
     """Second kind from the signless triangle (read as the expansion of
     prod_i (X + a_i), valid for every parameter sequence)."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
-    prod = _length_product(p)
-    return Fraction((-1) ** p.n) * sum(
-        (
-            table[p.n, m] * prod ** (m + 1) / Fraction((m + 1) ** p.k)
-            for m in range(p.n + 1)
-        ),
-        Fraction(0),
-    )
+    moments = box_moments(p.lengths, p.k, p.n)
+    return Fraction((-1) ** p.n) * _pair(table.row(p.n), moments)
 
 
 def mp_second_lah(p: FamilyPoint) -> Rat:
@@ -282,7 +255,7 @@ def mp_second_lah(p: FamilyPoint) -> Rat:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     lah = lah_signed(p.n)
-    classic = _classic_first_values(p.n, p.k, _length_product(p))
+    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n))
     total = Fraction(0)
     for l in range(p.n + 1):
         for m in range(l, p.n + 1):
@@ -367,13 +340,11 @@ class SeriesCheck:
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:
-    """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k)."""
+    """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k): the
+    unit-box moments over m!."""
+    moments = box_moments((1,) * k, k, order)
     return TruncatedSeries(
-        order,
-        [
-            Fraction(1, math.factorial(m) * (m + 1) ** k)
-            for m in range(order + 1)
-        ],
+        order, [mu / math.factorial(m) for m, mu in enumerate(moments)]
     )
 
 
@@ -392,22 +363,12 @@ def lif_gf_check(k: int, order: int) -> SeriesCheck:
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
-def _binomial_length_weights(
-    p: FamilyPoint, m: int
-) -> tuple[Rat, ...]:
-    """Row of weights w(m, i) = C(m, i) (l_1...l_k)^(m-i+1) / (m-i+1)^k."""
-    prod = _length_product(p)
-    return tuple(
-        math.comb(m, i) * prod ** (m - i + 1) / Fraction((m - i + 1) ** p.k)
-        for i in range(m + 1)
-    )
-
-
 def mp_poly_first(p: FamilyPoint) -> Polynomial:
     """First-kind polynomial in z: the box integral of
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
-    return _poly_from_row(p, comtet_first(p.alpha[: p.n], p.n).row(p.n))
+    table = comtet_first(p.alpha[: p.n], p.n)
+    return _poly_from_row(table.row(p.n), box_moments(p.lengths, p.k, p.n))
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
@@ -415,20 +376,8 @@ def mp_poly_second(p: FamilyPoint) -> Polynomial:
     prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
     as (-1)^n times the first-kind expansion of its row n."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
-    return (-1) ** p.n * _poly_from_row(p, table.row(p.n))
-
-
-def _poly_from_row(p: FamilyPoint, row: Sequence[Rat]) -> Polynomial:
-    """sum_i sum_{m>=i} (-1)^i C(m, i) row[m] (l...)^(m-i+1)/(m-i+1)^k z^i
-    for one triangle row; p supplies only k and the box lengths."""
-    coeffs = [Fraction(0)] * len(row)
-    for m, entry in enumerate(row):
-        if entry == 0:
-            continue
-        weights = _binomial_length_weights(p, m)
-        for i in range(m + 1):
-            coeffs[i] += Fraction((-1) ** i) * entry * weights[i]
-    return Polynomial(coeffs)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return (-1) ** p.n * _poly_from_row(table.row(p.n), moments)
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:

@@ -47,16 +47,32 @@ from .stirling import (
     stirling_second,
 )
 
-NUMBER_FAMILIES = (
-    "mp-cauchy-1",
-    "mp-cauchy-2",
-    "mp-bernoulli",
-    "poly-cauchy-1",
-    "poly-cauchy-2",
-    "poly-bernoulli",
-    "cauchy-1",
-    "cauchy-2",
+_FIRST_ROUTES = (
+    lambda point, mode: mp_first_def(point),
+    lambda point, mode: mp_poly_first(point),
 )
+_SECOND_ROUTES = (
+    lambda point, mode: mp_second_def(point),
+    lambda point, mode: mp_poly_second(point),
+)
+_BERNOULLI_ROUTES = (
+    lambda point, mode: mp_bernoulli(point, convention=mode),
+    lambda point, mode: mp_bernoulli_poly(point, convention=mode),
+)
+
+# family -> (number route, polynomial route); only the Bernoulli type reads
+# the --mode convention.
+FAMILY_ROUTES = {
+    "mp-cauchy-1": _FIRST_ROUTES,
+    "mp-cauchy-2": _SECOND_ROUTES,
+    "mp-bernoulli": _BERNOULLI_ROUTES,
+    "poly-cauchy-1": _FIRST_ROUTES,
+    "poly-cauchy-2": _SECOND_ROUTES,
+    "poly-bernoulli": _BERNOULLI_ROUTES,
+    "cauchy-1": _FIRST_ROUTES,
+    "cauchy-2": _SECOND_ROUTES,
+}
+NUMBER_FAMILIES = tuple(FAMILY_ROUTES)
 
 TABLE_FAMILIES = {
     "comtet-1": (comtet_first, True),
@@ -186,51 +202,25 @@ def _family_params(args, point: FamilyPoint) -> dict:
     return params
 
 
-def _number_value(family: str, point: FamilyPoint, mode: str) -> Rat:
-    if family in ("mp-cauchy-1", "poly-cauchy-1", "cauchy-1"):
-        return mp_first_def(point)
-    if family in ("mp-cauchy-2", "poly-cauchy-2", "cauchy-2"):
-        return mp_second_def(point)
-    return mp_bernoulli(point, convention=mode)
-
-
-def _poly_value(family: str, point: FamilyPoint, mode: str) -> Polynomial:
-    if family in ("mp-cauchy-1", "poly-cauchy-1", "cauchy-1"):
-        return mp_poly_first(point)
-    if family in ("mp-cauchy-2", "poly-cauchy-2", "cauchy-2"):
-        return mp_poly_second(point)
-    return mp_bernoulli_poly(point, convention=mode)
-
-
-def _cmd_number(args) -> int:
+def _cmd_value(args) -> int:
+    """`number` and `poly`: one family value, or one polynomial's coefficients
+    (its value with --z)."""
     point = _build_point(args, args.n)
-    value = _number_value(args.family, point, args.mode)
+    number_route, poly_route = FAMILY_ROUTES[args.family]
+    params = _family_params(args, point)
+    if args.command == "number":
+        value = number_route(point, args.mode)
+    elif args.z is None:
+        value = poly_route(point, args.mode)
+    else:
+        value = poly_route(point, args.mode)(args.z)
+        params["z"] = str(args.z)
     record = {
         "family": args.family,
-        "params": _family_params(args, point),
+        "params": params,
         "value": _render(value),
         "mode": args.mode,
     }
-    columns = ["family", "params", "value", "mode"]
-    if args.decimals is not None:
-        record["approx"] = _approx_of(value, args.decimals)
-        columns.append("approx")
-    _Emitter(args.format, columns).emit(record)
-    return 0
-
-
-def _cmd_poly(args) -> int:
-    point = _build_point(args, args.n)
-    poly = _poly_value(args.family, point, args.mode)
-    value = poly(args.z) if args.z is not None else poly
-    record = {
-        "family": args.family,
-        "params": _family_params(args, point),
-        "value": _render(value),
-        "mode": args.mode,
-    }
-    if args.z is not None:
-        record["params"]["z"] = str(args.z)
     columns = ["family", "params", "value", "mode"]
     if args.decimals is not None:
         record["approx"] = _approx_of(value, args.decimals)
@@ -376,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     number.add_argument("family", choices=NUMBER_FAMILIES)
     _add_family_flags(number)
     _add_output_flags(number)
-    number.set_defaults(handler=_cmd_number)
+    number.set_defaults(handler=_cmd_value)
 
     poly = commands.add_parser(
         "poly", help="compute one polynomial family member (coefficients)"
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--z", type=_rational, default=None, help="evaluate at z instead"
     )
     _add_output_flags(poly)
-    poly.set_defaults(handler=_cmd_poly)
+    poly.set_defaults(handler=_cmd_value)
 
     table = commands.add_parser(
         "table", help="emit the rows of a connection-coefficient triangle"

@@ -30,11 +30,11 @@ from .algebra import (
     RatLike,
     TruncatedSeries,
     as_rat_tuple,
+    box_moments,
     integer_samples,
 )
 from .bernoulli import (
-    _bernoulli_from_row,
-    _bernoulli_poly_from_row,
+    _bernoulli_row,
     li_gf_check,
     mp_bernoulli,
     mp_bernoulli_gf_check,
@@ -44,6 +44,7 @@ from .cauchy import (
     FamilyPoint,
     SeriesCheck,
     _classic_first_values,
+    _pair,
     _poly_from_row,
     classic_first_with_lengths,
     lif_gf_check,
@@ -62,6 +63,7 @@ from .cauchy import (
     specialize,
 )
 from .stirling import (
+    CoeffTable,
     comtet_first,
     comtet_second,
     lah_signed,
@@ -187,7 +189,8 @@ def _force_k1(pt: ParamPoint) -> ParamPoint:
 # ---------------------------------------------------------------------------
 # Expansion weights. Every expansion identity, stated or corrected, is the
 # double sum sum_{j<=m<=n} weight(j, m) values[j] over one family's values at
-# indices 0..n; it applies to numbers and to polynomials alike.
+# indices 0..n; it applies to numbers and to polynomials alike. Each weight
+# builder reads a triangle built by its caller, of size n.
 # ---------------------------------------------------------------------------
 
 
@@ -208,43 +211,34 @@ def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Second-kind value (or polynomial) at index n from Bernoulli-type
     values 0..n: sum_{j,m} (-1)^(n+m-j) sc(n,m) s(m,j)/m! values[j]."""
     a = as_rat_tuple(alpha)
-    s, sc = comtet_first(a, n), signless_comtet_first(a, n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (-1) ** (n + m - j) * sc[n, m] * s[m, j] / math.factorial(m)
-
-    return _double_sum(n, values, weight)
+    return _double_sum(n, values, _signless_weight(a, comtet_first(a, n)))
 
 
 def bernoulli_from_second(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from second-kind
     values 0..n: sum_{j,m} (-1)^n m! S(n,m) S(m,j) values[j]."""
     table = comtet_second(as_rat_tuple(alpha), n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (-1) ** n * math.factorial(m) * table[n, m] * table[m, j]
-
-    return _double_sum(n, values, weight)
+    return _double_sum(n, values, _from_second(table))
 
 
 def first_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """First-kind value (or polynomial) at index n from Bernoulli-type values
     0..n: sum_{j,m} (-1)^(m-j) s(n,m) s(m,j)/m! values[j]."""
-    weight = _first_weight(n, as_rat_tuple(alpha), alternating=True)
-    return _double_sum(n, values, weight)
+    table = comtet_first(as_rat_tuple(alpha), n)
+    return _double_sum(n, values, _to_first(table))
 
 
 def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from first-kind values
     0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
-    weight = _second_weight(n, as_rat_tuple(alpha), power=1)
-    return _double_sum(n, values, weight)
+    table = comtet_second(as_rat_tuple(alpha), n)
+    return _double_sum(n, values, _from_first(table))
 
 
-def _first_weight(n: int, a: tuple[Rat, ...], alternating: bool = False):
+def _first_weight(s: CoeffTable, alternating: bool = False):
     """s(m,j) s(n,m) / m!, as stated in T4.3a and T5.2c; `alternating`
     inserts the (-1)^(m-j) of the corrected reading."""
-    s = comtet_first(a, n)
+    n = s.size
 
     def weight(j: int, m: int) -> Rat:
         sign = (-1) ** (m - j) if alternating else 1
@@ -253,22 +247,24 @@ def _first_weight(n: int, a: tuple[Rat, ...], alternating: bool = False):
     return weight
 
 
-def _second_weight(n: int, a: tuple[Rat, ...], power: int = -1):
+def _second_weight(table: CoeffTable, power: int = -1, prefactor: bool = False):
     """(-1)^(n-m) S(n,m) S(m,j) (m!)^power: 1/m! as stated in T4.2b and
-    T4.3b, m! in T5.2b and in the corrected T4.3b."""
-    table = comtet_second(a, n)
+    T4.3b, m! in T5.2b and in the corrected T4.3b; `prefactor` replaces
+    (-1)^(n-m) by the (-1)^n of the corrected T4.2b and T5.2b."""
+    n = table.size
 
     def weight(j: int, m: int) -> Rat:
         factor = Fraction(math.factorial(m)) ** power
-        return (-1) ** (n - m) * factor * table[n, m] * table[m, j]
+        sign = (-1) ** n if prefactor else (-1) ** (n - m)
+        return sign * factor * table[n, m] * table[m, j]
 
     return weight
 
 
-def _abs_first_weight(n: int, a: tuple[Rat, ...], prefactor: bool = True):
+def _abs_first_weight(s: CoeffTable, prefactor: bool = True):
     """(-1)^n s(m,j) |s|(n,m) / m!, as stated in T4.2a and T5.2d; the
     single-integral form C4.1a prints no (-1)^n."""
-    s = comtet_first(a, n)
+    n = s.size
     sabs = s.entrywise_abs()
     sign = (-1) ** n if prefactor else 1
 
@@ -278,9 +274,28 @@ def _abs_first_weight(n: int, a: tuple[Rat, ...], prefactor: bool = True):
     return weight
 
 
+def _signless_weight(alpha: tuple[Rat, ...], s: CoeffTable):
+    """(-1)^(n+m-j) sc(n,m) s(m,j) / m!, the corrected T4.2a and T5.2d, with
+    the signless triangle sc of the same parameters."""
+    n = s.size
+    sc = signless_comtet_first(alpha, n)
+
+    def weight(j: int, m: int) -> Rat:
+        return (-1) ** (n + m - j) * sc[n, m] * s[m, j] / math.factorial(m)
+
+    return weight
+
+
+# The corrected weights of first_from_bernoulli, bernoulli_from_first and
+# bernoulli_from_second; second_from_bernoulli's is _signless_weight.
+_to_first = partial(_first_weight, alternating=True)
+_from_first = partial(_second_weight, power=1)
+_from_second = partial(_second_weight, power=1, prefactor=True)
+
+
 # ---------------------------------------------------------------------------
 # Shared evaluator bodies. Each evaluator computes, in this order, its value
-# vector, the left-hand side, the corrected reading and the stated tables, so
+# vector, the left-hand side, the corrected reading and the stated one, so
 # the first precondition violated is the one reported.
 # ---------------------------------------------------------------------------
 
@@ -313,19 +328,20 @@ def _agree(pt: ParamPoint, route) -> _Outcome:
     return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
 
 
-def _inversion(pt: ParamPoint, lhs_route, vector, transform, stated_weight):
+def _inversion(pt: ParamPoint, lhs_route, vector, triangle, corrected, stated):
     """An expansion identity: lhs_route against the other family's values at
-    0..n, summed by the corrected transform and by the stated weight (None
-    when the stated weights are the corrected ones)."""
+    0..n, summed by the corrected and by the stated weight (None when the
+    stated weights are the corrected ones). Both weight builders read the one
+    table `triangle` builds."""
     fp = _family(pt)
     values = vector(fp)
     lhs = lhs_route(fp)
-    corrected = transform(fp.n, fp.alpha, values)
-    verbatim = corrected
-    if stated_weight is not None:
-        weight = stated_weight(fp.n, fp.alpha[: fp.n])
-        verbatim = _double_sum(fp.n, values, weight)
-    return _readings_outcome(lhs, corrected, verbatim, "stated reading", fp.n + 1)
+    table = triangle(fp.alpha[: fp.n], fp.n)
+    corrected_sum = _double_sum(fp.n, values, corrected(table))
+    verbatim = corrected_sum
+    if stated is not None:
+        verbatim = _double_sum(fp.n, values, stated(table))
+    return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading", fp.n + 1)
 
 
 def _series_outcome(check: SeriesCheck) -> _Outcome:
@@ -391,7 +407,8 @@ def _require_q(pt: ParamPoint) -> Rat:
 
 def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
     table = comtet_second(fp.alpha[: fp.n], fp.n)
-    return [_bernoulli_from_row(fp, row) for row in table.rows]
+    moments = box_moments(fp.lengths, fp.k, fp.n)
+    return [_pair(_bernoulli_row(row), moments) for row in table.rows]
 
 
 def _first_vector(fp: FamilyPoint) -> list[Rat]:
@@ -410,17 +427,22 @@ def _second_vector(fp: FamilyPoint) -> list[Rat]:
 
 def _first_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = comtet_first(fp.alpha[: fp.n], fp.n)
-    return [_poly_from_row(fp, row) for row in table.rows]
+    moments = box_moments(fp.lengths, fp.k, fp.n)
+    return [_poly_from_row(row, moments) for row in table.rows]
 
 
 def _second_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = signless_comtet_first(fp.alpha[: fp.n], fp.n)
-    return [(-1) ** j * _poly_from_row(fp, row) for j, row in enumerate(table.rows)]
+    moments = box_moments(fp.lengths, fp.k, fp.n)
+    return [
+        (-1) ** j * _poly_from_row(row, moments) for j, row in enumerate(table.rows)
+    ]
 
 
 def _bernoulli_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = comtet_second(fp.alpha[: fp.n], fp.n)
-    return [_bernoulli_poly_from_row(fp, row) for row in table.rows]
+    moments = box_moments(fp.lengths, fp.k, fp.n)
+    return [_poly_from_row(_bernoulli_row(row), moments) for row in table.rows]
 
 
 def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
@@ -428,7 +450,8 @@ def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
     absolute values of the first-kind row. Its value at 0 is the stated
     closed form of the numbers."""
     table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
-    return (-1) ** fp.n * _poly_from_row(fp, table.row(fp.n))
+    moments = box_moments(fp.lengths, fp.k, fp.n)
+    return (-1) ** fp.n * _poly_from_row(table.row(fp.n), moments)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +497,7 @@ def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
     corrected = mp_second_lah(fp)
     nc = noncentral_second(fp.alpha[: fp.n], fp.n)
     lah = lah_signed(fp.n)
-    unit_values = _classic_first_values(fp.n, fp.k, Fraction(1))
+    unit_values = _classic_first_values(box_moments((1,) * fp.k, fp.k, fp.n))
     verbatim = Fraction(0)
     for l in range(fp.n + 1):
         for m in range(l, fp.n + 1):
@@ -488,35 +511,32 @@ def _eval_T41(pt: ParamPoint) -> _Outcome:
     return _series_outcome(mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order))
 
 
-def _eval_T42a(pt: ParamPoint) -> _Outcome:
+def _eval_T42a(pt: ParamPoint, prefactor: bool = True) -> _Outcome:
     return _inversion(
-        pt, mp_second_def, _bernoulli_vector, second_from_bernoulli, _abs_first_weight
+        pt,
+        mp_second_def,
+        _bernoulli_vector,
+        comtet_first,
+        partial(_signless_weight, pt.alpha),
+        partial(_abs_first_weight, prefactor=prefactor),
     )
 
 
 def _eval_T42b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _second_vector, bernoulli_from_second, _second_weight
-    )
-
-
-def _eval_C41a(pt: ParamPoint) -> _Outcome:
-    # As printed the single-integral form drops even the (-1)^n prefactor.
-    weight = partial(_abs_first_weight, prefactor=False)
-    return _inversion(
-        pt, mp_second_def, _bernoulli_vector, second_from_bernoulli, weight
+        pt, mp_bernoulli, _second_vector, comtet_second, _from_second, _second_weight
     )
 
 
 def _eval_T43a(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_first_def, _bernoulli_vector, first_from_bernoulli, _first_weight
+        pt, mp_first_def, _bernoulli_vector, comtet_first, _to_first, _first_weight
     )
 
 
 def _eval_T43b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _first_vector, bernoulli_from_first, _second_weight
+        pt, mp_bernoulli, _first_vector, comtet_second, _from_first, _second_weight
     )
 
 
@@ -536,20 +556,30 @@ def _eval_T51b(pt: ParamPoint) -> _Outcome:
 def _eval_T52a(pt: ParamPoint) -> _Outcome:
     # The stated polynomial form carries the correct weights already.
     return _inversion(
-        pt, mp_bernoulli_poly, _first_poly_vector, bernoulli_from_first, None
+        pt, mp_bernoulli_poly, _first_poly_vector, comtet_second, _from_first, None
     )
 
 
 def _eval_T52b(pt: ParamPoint) -> _Outcome:
-    weight = partial(_second_weight, power=1)
     return _inversion(
-        pt, mp_bernoulli_poly, _second_poly_vector, bernoulli_from_second, weight
+        pt,
+        mp_bernoulli_poly,
+        _second_poly_vector,
+        comtet_second,
+        _from_second,
+        # As stated, the weights of T5.2a: (-1)^(n-m) m!.
+        _from_first,
     )
 
 
 def _eval_T52c(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_poly_first, _bernoulli_poly_vector, first_from_bernoulli, _first_weight
+        pt,
+        mp_poly_first,
+        _bernoulli_poly_vector,
+        comtet_first,
+        _to_first,
+        _first_weight,
     )
 
 
@@ -558,7 +588,8 @@ def _eval_T52d(pt: ParamPoint) -> _Outcome:
         pt,
         mp_poly_second,
         _bernoulli_poly_vector,
-        second_from_bernoulli,
+        comtet_first,
+        partial(_signless_weight, pt.alpha),
         _abs_first_weight,
     )
 
@@ -589,16 +620,11 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         triangle = signless_comtet_first(classical_roots, n)
         closed = mp_second_closed
     sign = 1 if first else (-1) ** n
-    triangle_poly = sign * sum(
-        (triangle[n, m] / Fraction((m + 1) ** k) for m in range(n + 1)),
-        Fraction(0),
-    )
-    triangle_q = sign * sum(
-        (
-            triangle[n, m] * q ** (n - m) / Fraction((m + 1) ** k)
-            for m in range(n + 1)
-        ),
-        Fraction(0),
+    unit_moments = box_moments((1,) * k, k, n)
+    row = triangle.row(n)
+    triangle_poly = sign * _pair(row, unit_moments)
+    triangle_q = sign * _pair(
+        [c * q ** (n - m) for m, c in enumerate(row)], unit_moments
     )
 
     def integral(roots: tuple[Rat, ...]) -> Rat:
@@ -739,7 +765,8 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "C4.1a",
         "single-integral case of T4.2a",
-        _eval_C41a,
+        # As printed the single-integral form drops even the (-1)^n prefactor.
+        partial(_eval_T42a, prefactor=False),
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
         k1_only=True,
     ),

@@ -11,7 +11,7 @@ from polyfam.algebra import (
     X,
     as_rat,
     as_rat_tuple,
-    box_integral_monomial,
+    box_moments,
     exp_series,
     integer_samples,
     log1p_series,
@@ -94,30 +94,32 @@ def test_antiderivative_undoes_nothing_it_should_not(a):
     assert rebuilt == p
 
 
-def test_box_integral_monomial_values():
-    assert box_integral_monomial(0, (1,), 1) == 1
-    assert box_integral_monomial(2, (1, 1), 2) == Fraction(1, 9)
-    assert box_integral_monomial(1, (Fraction(1, 2), 3), 2) == Fraction(9, 16)
+def test_box_moments_values():
+    assert box_moments((1,), 1, 0) == (1,)
+    assert box_moments((1, 1), 2, 2) == (1, Fraction(1, 4), Fraction(1, 9))
+    assert box_moments((Fraction(1, 2), 3), 2, 1)[1] == Fraction(9, 16)
 
 
-def test_box_integral_monomial_matches_iterated_integration():
+def test_box_moments_match_iterated_integration():
     lengths = (Fraction(2), Fraction(1, 3))
-    m = 3
-    # Separate the variables: each factor contributes int_0^l x^m dx.
-    want = Fraction(1)
-    for l in lengths:
-        mono = Polynomial([0] * m + [1])
-        want *= mono.integral_to(l)
-    assert box_integral_monomial(m, lengths, 2) == want
+    moments = box_moments(lengths, 2, 4)
+    assert len(moments) == 5
+    for m in range(5):
+        # Separate the variables: each factor contributes int_0^l x^m dx.
+        want = Fraction(1)
+        for l in lengths:
+            mono = Polynomial([0] * m + [1])
+            want *= mono.integral_to(l)
+        assert moments[m] == want
 
 
-def test_box_integral_monomial_preconditions():
+def test_box_moments_preconditions():
     with pytest.raises(PreconditionError):
-        box_integral_monomial(-1, (1,), 1)
+        box_moments((1,), 1, -1)
     with pytest.raises(PreconditionError):
-        box_integral_monomial(2, (1, 1), 1)
+        box_moments((1, 1), 1, 2)
     with pytest.raises(PreconditionError):
-        box_integral_monomial(2, (), 0)
+        box_moments((), 0, 2)
 
 
 def test_series_padding_and_truncation():

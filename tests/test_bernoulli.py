@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -91,6 +92,45 @@ def test_polynomial_degree_and_leading_coefficient():
         assert poly.leading_coefficient == (
             Fraction((-1) ** n) * math.factorial(n) * prod
         )
+
+
+def _complete_homogeneous(degree, values):
+    """h_degree(values): the sum of all monomials of that degree."""
+    total = Fraction(0)
+    for combo in itertools.combinations_with_replacement(values, degree):
+        total += math.prod(combo, start=Fraction(1))
+    return total
+
+
+def test_polynomial_matches_symbolic_shifted_integrals():
+    """Independent route for every z: sum_m (-1)^(n-m) m!^e S_a(n, m) times
+    the iterated sympy integral of (x_1...x_k - z)^m, with e = 1 (corrected)
+    or 2 (verbatim) and S_a(n, m) = h_(n-m)(a_0, ..., a_m)."""
+    z = sympy.Symbol("z")
+    alpha = (Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(-3))
+    for lengths in ((Fraction(-5, 2),), (Fraction(3, 2), Fraction(-2, 5))):
+        k = len(lengths)
+        xs = sympy.symbols(f"x0:{k}")
+        integrals = []
+        for m in range(5):
+            integrand = (sympy.prod(xs) - z) ** m
+            for x, l in zip(xs, lengths):
+                integrand = sympy.integrate(integrand, (x, 0, sympy.Rational(l)))
+            integrals.append(integrand)
+        for n in range(5):
+            for convention, power in (("corrected", 1), ("verbatim", 2)):
+                want = sum(
+                    (-1) ** (n - m)
+                    * math.factorial(m) ** power
+                    * sympy.Rational(_complete_homogeneous(n - m, alpha[: m + 1]))
+                    * integrals[m]
+                    for m in range(n + 1)
+                )
+                got = mp_bernoulli_poly(FamilyPoint(n, k, alpha, lengths), convention)
+                got_expr = sum(
+                    sympy.Rational(c) * z**i for i, c in enumerate(got.coeffs)
+                )
+                assert sympy.expand(want - got_expr) == 0, (n, k, convention)
 
 
 def test_li_generating_function_check():

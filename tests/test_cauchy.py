@@ -253,11 +253,12 @@ def test_specialize_preconditions():
 @settings(max_examples=20)
 @given(
     st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=2),
     st.lists(rationals, min_size=4, max_size=4),
-    nonzero_rationals,
+    st.lists(nonzero_rationals, min_size=2, max_size=2),
 )
-def test_polynomials_evaluate_to_the_shifted_integrals(n, alpha, length):
-    p = FamilyPoint(n, 1, tuple(alpha), (length,))
+def test_polynomials_evaluate_to_the_shifted_integrals(n, k, alpha, lengths):
+    p = FamilyPoint(n, k, tuple(alpha), tuple(lengths[:k]))
     first = mp_poly_first(p)
     second = mp_poly_second(p)
     assert first(0) == mp_first_def(p)

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -30,15 +29,11 @@ SEED0_SHA256 = {
 }
 
 
-def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "polyfam", *args],
         capture_output=True,
         text=True,
-        env=full_env,
     )
 
 
@@ -214,8 +209,6 @@ def test_verify_output_is_deterministic():
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.stdout == second.stdout
-    threaded = run_cli(*args, env={"POLYFAM_THREADS": "3"})
-    assert threaded.stdout == first.stdout
 
 
 @pytest.mark.parametrize("variant", sorted(SEED0_SHA256))
