@@ -1,14 +1,17 @@
 """Exact arithmetic foundations: rational scalars, dense polynomials, and
 truncated formal power series.
 
-Every scalar in this package is a `fractions.Fraction`; nothing is ever
-rounded. `Polynomial` is an immutable dense univariate polynomial and
+Every scalar this package returns is a `fractions.Fraction`; nothing is
+ever rounded. `Polynomial` is an immutable dense univariate polynomial and
 `TruncatedSeries` an order-N prefix of a formal power series, both with
-exact ring operations.
+exact ring operations. `IntVector` holds rationals fraction-free, as integer
+numerators over one common denominator, so that long dot products run over
+Python ints and reduce once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -16,6 +19,7 @@ Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 __all__ = [
+    "IntVector",
     "Polynomial",
     "PreconditionError",
     "Rat",
@@ -190,13 +194,37 @@ class Polynomial:
 X = Polynomial((0, 1))
 
 
-def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> tuple[Rat, ...]:
+class IntVector:
+    """Rationals num[i] / den: integer numerators over one common positive
+    denominator. Indexing and iteration yield the reduced Fractions."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: int = 1):
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, values: Iterable[RatLike]) -> "IntVector":
+        vals = as_rat_tuple(values)
+        den = math.lcm(*(v.denominator for v in vals))
+        return cls(tuple(v.numerator * (den // v.denominator) for v in vals), den)
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, i: int) -> Rat:
+        return Fraction(self.num[i], self.den)
+
+
+def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
     """Moments mu_0, ..., mu_size of the box [0,l_1] x ... x [0,l_k]: mu_m is
     the integral of (x_1 * ... * x_k)^m over the box.
 
     Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables, so a
     box integral of any polynomial in T = x_1 * ... * x_k is its coefficient
-    row paired with these moments.
+    row paired with these moments. With l_1 ... l_k = u/v and
+    L = lcm(1, ..., size+1) they are held over Q = v^(size+1) L^k, with
+    numerators M_m = u^(m+1) v^(size-m) (L/(m+1))^k.
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
@@ -204,18 +232,11 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> tuple[Rat, ...
         raise PreconditionError("need at least one integration variable")
     ls = as_rat_tuple(lengths)
     if len(ls) != k:
-        raise PreconditionError(
-            f"expected {k} box lengths, got {len(ls)}"
-        )
-    prod = Fraction(1)
-    for l in ls:
-        prod *= l
-    power = prod
-    moments = []
-    for m in range(size + 1):
-        moments.append(power / (m + 1) ** k)
-        power *= prod
-    return tuple(moments)
+        raise PreconditionError(f"expected {k} box lengths, got {len(ls)}")
+    prod, lcm = Fraction(math.prod(ls)), math.lcm(*range(1, size + 2))
+    u, v = prod.numerator, prod.denominator
+    num = (u**j * v ** (size + 1 - j) * (lcm // j) ** k for j in range(1, size + 2))
+    return IntVector(tuple(num), v ** (size + 1) * lcm**k)
 
 
 class TruncatedSeries:

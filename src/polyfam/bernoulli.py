@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
+    IntVector,
     PreconditionError,
     Polynomial,
     Rat,
@@ -47,18 +48,15 @@ def _check_convention(convention: str) -> None:
         raise PreconditionError(f"unknown summation convention {convention!r}")
 
 
-def _bernoulli_row(
-    row: Sequence[Rat], convention: str = "corrected"
-) -> tuple[Rat, ...]:
+def _bernoulli_row(row: IntVector, convention: str = "corrected") -> IntVector:
     """The monomial row (-1)^(n-m) m! S_a(n, m) of the Bernoulli type at index
     n = len(row) - 1, from row n of the second-kind triangle; the 'verbatim'
     convention multiplies each entry by a second m!."""
-    n = len(row) - 1
-    power = 2 if convention == "verbatim" else 1
-    return tuple(
-        (-1) ** (n - m) * math.factorial(m) ** power * entry
-        for m, entry in enumerate(row)
+    n, power = len(row) - 1, 2 if convention == "verbatim" else 1
+    num = (
+        (-1) ** (n - m) * math.factorial(m) ** power * r for m, r in enumerate(row.num)
     )
+    return IntVector(tuple(num), row.den)
 
 
 def classic_poly_bernoulli(n: int, k: int) -> Rat:
@@ -67,7 +65,7 @@ def classic_poly_bernoulli(n: int, k: int) -> Rat:
     moments."""
     if n < 0:
         raise PreconditionError("index must be nonnegative")
-    row = _bernoulli_row(stirling_second(n).row(n))
+    row = _bernoulli_row(stirling_second(n).int_row(n))
     return _pair(row, box_moments((1,) * k, k, n))
 
 
@@ -94,7 +92,7 @@ def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
     """
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    row = _bernoulli_row(table.row(p.n), convention)
+    row = _bernoulli_row(table.int_row(p.n), convention)
     return _pair(row, box_moments(p.lengths, p.k, p.n))
 
 
@@ -118,10 +116,7 @@ def _second_kind_column_egf(
     generating function (in -t) of column m of the second-kind triangle."""
     acc = TruncatedSeries.constant(0, order)
     for j in range(m + 1):
-        denom = Fraction(1)
-        for i in range(m + 1):
-            if i != j:
-                denom *= alpha[j] - alpha[i]
+        denom = math.prod(alpha[j] - alpha[i] for i in range(m + 1) if i != j)
         acc = acc + exp_series(order, rate=-alpha[j]) / denom
     return acc
 
@@ -157,10 +152,7 @@ def mp_bernoulli_gf_check(
     verbatim = TruncatedSeries.constant(0, order)
     for j in range(order + 1):
         for m in range(j, order + 1):
-            denom = Fraction(1)
-            for i in range(m + 1):
-                if i != j:
-                    denom *= head[j] - head[i]
+            denom = math.prod(head[j] - head[i] for i in range(m + 1) if i != j)
             verbatim = verbatim + weights[m] * exp_series(order, rate=-head[j]) / denom
     return SeriesCheck(
         lhs=lhs,
@@ -183,7 +175,7 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     family so that the reduction holds in both conventions."""
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    row = _bernoulli_row(table.row(p.n), convention)
+    row = _bernoulli_row(table.int_row(p.n), convention)
     return _poly_from_row(row, box_moments(p.lengths, p.k, p.n))
 
 
@@ -216,7 +208,7 @@ def mp_bernoulli_poly_gf_check(
     for m in range(order + 1):
         column = _second_kind_column_egf(head, m, order)
         # w_m(z0): the shifted moment, the polynomial of the unit row T^m.
-        w = _poly_from_row((0,) * m + (1,), moments)(z)
+        w = _poly_from_row(IntVector((0,) * m + (1,)), moments)(z)
         rhs = rhs + Fraction((-1) ** m) * math.factorial(m) * w * column
         verbatim = verbatim + Fraction((-1) ** m) * w * column
     return SeriesCheck(

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
+    IntVector,
     Polynomial,
     PreconditionError,
     Rat,
@@ -28,6 +30,7 @@ from .algebra import (
     log1p_series,
 )
 from .stirling import (
+    CoeffTable,
     comtet_first,
     lah_signed,
     noncentral_second,
@@ -115,42 +118,51 @@ def family_point(
     return FamilyPoint(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths))
 
 
-def _pair(row: Sequence[Rat], moments: Sequence[Rat]) -> Rat:
-    """The box integral of sum_m row[m] T^m, given the box moments of T."""
-    return sum((c * mu for c, mu in zip(row, moments)), Fraction(0))
+def _pair(row: IntVector, moments: IntVector) -> Rat:
+    """The box integral of sum_m row[m] T^m, given the box moments of T: one
+    integer dot product, reduced once."""
+    return Fraction(sum(map(mul, row.num, moments.num)), row.den * moments.den)
 
 
-def _poly_from_row(row: Sequence[Rat], moments: Sequence[Rat]) -> Polynomial:
+def _poly_from_row(row: IntVector, moments: IntVector) -> Polynomial:
     """The polynomial in z of the box integral of sum_m row[m] (T - z)^m,
     through the shifted moments: its z^i coefficient is
     sum_{m>=i} (-1)^i C(m, i) row[m] mu_(m-i)."""
-    coeffs = [Fraction(0)] * len(row)
-    for m, entry in enumerate(row):
-        if entry == 0:
-            continue
-        for i in range(m + 1):
-            coeffs[i] += (-1) ** i * math.comb(m, i) * entry * moments[m - i]
+    r, mu, coeffs = row.num, moments.num, []
+    for i in range(len(r)):
+        acc = sum(math.comb(m, i) * r[m] * mu[m - i] for m in range(i, len(r)))
+        coeffs.append(Fraction((-1) ** i * acc, row.den * moments.den))
     return Polynomial(coeffs)
+
+
+def _times(row: IntVector, table: CoeffTable) -> IntVector:
+    """The row vector sum_m row[m] table(m, j) for a classical table, whose
+    entries are integers (den 1)."""
+    t, r = table.num, row.num
+    num = (sum(r[m] * t[m][j] for m in range(j, len(r))) for j in range(len(r)))
+    return IntVector(tuple(num), row.den)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate each monomial over the box."""
     product = Polynomial.from_roots(p.alpha[: p.n])
-    return _pair(product.coeffs, box_moments(p.lengths, p.k, p.n))
+    return _pair(IntVector.of(product.coeffs), box_moments(p.lengths, p.k, p.n))
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
     """First kind from the first-kind triangle row n."""
     table = comtet_first(p.alpha[: p.n], p.n)
-    return _pair(table.row(p.n), box_moments(p.lengths, p.k, p.n))
+    return _pair(table.int_row(p.n), box_moments(p.lengths, p.k, p.n))
 
 
-def _classic_first_values(moments: Sequence[Rat]) -> list[Rat]:
+def _classic_first_values(moments: IntVector) -> IntVector:
     """C_0, ..., C_n at the classical parameters for the box of `moments`
-    (mu_0..mu_n), all read from rows of one stirling_first(n)."""
+    (mu_0..mu_n) over the moments' denominator, all read from the integer
+    rows of one stirling_first(n)."""
     s = stirling_first(len(moments) - 1)
-    return [_pair(row, moments) for row in s.rows]
+    values = (sum(map(mul, row, moments.num)) for row in s.num)
+    return IntVector(tuple(values), moments.den)
 
 
 def classic_first_with_lengths(
@@ -159,18 +171,14 @@ def classic_first_with_lengths(
     """First-kind value at the classical parameters (0, 1, ..., m-1) with a
     general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k."""
     moments = box_moments(lengths, k, m)
-    return _pair(stirling_first(m).row(m), moments)
+    return _pair(stirling_first(m).int_row(m), moments)
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:
     """First kind through the non-central table and the classical first-kind
     triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    s = stirling_first(p.n)
-    row = [
-        sum((nc[p.n, m] * s[m, j] for m in range(j, p.n + 1)), Fraction(0))
-        for j in range(p.n + 1)
-    ]
+    row = _times(nc.int_row(p.n), stirling_first(p.n))
     return _pair(row, box_moments(p.lengths, p.k, p.n))
 
 
@@ -179,7 +187,7 @@ def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     classic = _classic_first_values(box_moments(p.lengths, p.k, p.n))
-    return sum((nc[p.n, m] * classic[m] for m in range(p.n + 1)), Fraction(0))
+    return _pair(nc.int_row(p.n), classic)
 
 
 def generalized_harmonic(
@@ -222,15 +230,13 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     (-1)^n (prod a_i) sum_m P_m(-H^(1), ..., -H^(m)) (l_1...l_k)^(m+1)/(m+1)^k.
     Requires nonzero parameters."""
     harmonics = generalized_harmonic(p.alpha, p.n, p.n)
-    prod_alpha = Fraction(1)
-    for a in p.alpha[: p.n]:
-        prod_alpha *= a
+    prod_alpha = math.prod(p.alpha[: p.n])
     # One exp of order n gives every P_m: its coefficient m depends only on
     # the inner coefficients 1..m, as in modified_bell(m, ...).
     bell = TruncatedSeries(
         p.n, [Fraction(0)] + [-h / j for j, h in enumerate(harmonics, 1)]
     ).exp()
-    total = _pair(bell.coeffs, box_moments(p.lengths, p.k, p.n))
+    total = _pair(IntVector.of(bell.coeffs), box_moments(p.lengths, p.k, p.n))
     return Fraction((-1) ** p.n) * prod_alpha * total
 
 
@@ -239,7 +245,7 @@ def mp_second_def(p: FamilyPoint) -> Rat:
     (-1)^n prod_i (T + a_i), and integrate each monomial over the box."""
     expanded = Polynomial.from_roots(tuple(-a for a in p.alpha[: p.n]))
     moments = box_moments(p.lengths, p.k, p.n)
-    return Fraction((-1) ** p.n) * _pair(expanded.coeffs, moments)
+    return Fraction((-1) ** p.n) * _pair(IntVector.of(expanded.coeffs), moments)
 
 
 def mp_second_closed(p: FamilyPoint) -> Rat:
@@ -247,20 +253,19 @@ def mp_second_closed(p: FamilyPoint) -> Rat:
     prod_i (X + a_i), valid for every parameter sequence)."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.k, p.n)
-    return Fraction((-1) ** p.n) * _pair(table.row(p.n), moments)
+    return Fraction((-1) ** p.n) * _pair(table.int_row(p.n), moments)
 
 
 def mp_second_lah(p: FamilyPoint) -> Rat:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
-    nc = noncentral_second(p.alpha[: p.n], p.n)
-    lah = lah_signed(p.n)
-    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n))
-    total = Fraction(0)
-    for l in range(p.n + 1):
-        for m in range(l, p.n + 1):
-            total += nc[p.n, m] * lah[m, l] * classic[l]
-    return total
+    return _second_lah(p.alpha, p.n, box_moments(p.lengths, p.k, p.n))
+
+
+def _second_lah(alpha: Sequence[Rat], n: int, moments: IntVector) -> Rat:
+    """The Lah chain of mp_second_lah, with C_l for the box of `moments`."""
+    row = _times(noncentral_second(alpha[:n], n).int_row(n), lah_signed(n))
+    return _pair(row, _classic_first_values(moments))
 
 
 def specialize(
@@ -368,7 +373,7 @@ def mp_poly_first(p: FamilyPoint) -> Polynomial:
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
     table = comtet_first(p.alpha[: p.n], p.n)
-    return _poly_from_row(table.row(p.n), box_moments(p.lengths, p.k, p.n))
+    return _poly_from_row(table.int_row(p.n), box_moments(p.lengths, p.k, p.n))
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
@@ -377,7 +382,7 @@ def mp_poly_second(p: FamilyPoint) -> Polynomial:
     as (-1)^n times the first-kind expansion of its row n."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.k, p.n)
-    return (-1) ** p.n * _poly_from_row(table.row(p.n), moments)
+    return (-1) ** p.n * _poly_from_row(table.int_row(p.n), moments)
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:

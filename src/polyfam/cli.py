@@ -308,8 +308,8 @@ def _cmd_verify(args) -> int:
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="family index n >= 0")
-    sub.add_argument("--k", type=int, default=1, help="number of integrations")
+    sub.add_argument("--n", type=_int_at_least(0), required=True, help="index n >= 0")
+    sub.add_argument("--k", type=_int_at_least(1), default=1, help="depth k >= 1")
     group = sub.add_mutually_exclusive_group()
     group.add_argument(
         "--alpha",
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="emit the rows of a connection-coefficient triangle"
     )
     table.add_argument("family", choices=sorted(TABLE_FAMILIES))
-    table.add_argument("--n-max", type=int, default=5, help="last row to emit")
+    table.add_argument("--n-max", type=_int_at_least(0), default=5, help="last row")
     group = table.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=_rational_list, default=None)
     group.add_argument("--q", type=_rational, default=None)

@@ -24,6 +24,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import (
+    IntVector,
     Polynomial,
     PreconditionError,
     Rat,
@@ -43,9 +44,9 @@ from .bernoulli import (
 from .cauchy import (
     FamilyPoint,
     SeriesCheck,
-    _classic_first_values,
     _pair,
     _poly_from_row,
+    _second_lah,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -66,7 +67,6 @@ from .stirling import (
     CoeffTable,
     comtet_first,
     comtet_second,
-    lah_signed,
     noncentral_second,
     signless_comtet_first,
     stirling_first,
@@ -408,7 +408,9 @@ def _require_q(pt: ParamPoint) -> Rat:
 def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
     table = comtet_second(fp.alpha[: fp.n], fp.n)
     moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [_pair(_bernoulli_row(row), moments) for row in table.rows]
+    return [
+        _pair(_bernoulli_row(table.int_row(j)), moments) for j in range(fp.n + 1)
+    ]
 
 
 def _first_vector(fp: FamilyPoint) -> list[Rat]:
@@ -428,21 +430,25 @@ def _second_vector(fp: FamilyPoint) -> list[Rat]:
 def _first_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = comtet_first(fp.alpha[: fp.n], fp.n)
     moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [_poly_from_row(row, moments) for row in table.rows]
+    return [_poly_from_row(table.int_row(j), moments) for j in range(fp.n + 1)]
 
 
 def _second_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = signless_comtet_first(fp.alpha[: fp.n], fp.n)
     moments = box_moments(fp.lengths, fp.k, fp.n)
     return [
-        (-1) ** j * _poly_from_row(row, moments) for j, row in enumerate(table.rows)
+        (-1) ** j * _poly_from_row(table.int_row(j), moments)
+        for j in range(fp.n + 1)
     ]
 
 
 def _bernoulli_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
     table = comtet_second(fp.alpha[: fp.n], fp.n)
     moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [_poly_from_row(_bernoulli_row(row), moments) for row in table.rows]
+    return [
+        _poly_from_row(_bernoulli_row(table.int_row(j)), moments)
+        for j in range(fp.n + 1)
+    ]
 
 
 def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
@@ -451,7 +457,7 @@ def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
     closed form of the numbers."""
     table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
     moments = box_moments(fp.lengths, fp.k, fp.n)
-    return (-1) ** fp.n * _poly_from_row(table.row(fp.n), moments)
+    return (-1) ** fp.n * _poly_from_row(table.int_row(fp.n), moments)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +501,7 @@ def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     corrected = mp_second_lah(fp)
-    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
-    lah = lah_signed(fp.n)
-    unit_values = _classic_first_values(box_moments((1,) * fp.k, fp.k, fp.n))
-    verbatim = Fraction(0)
-    for l in range(fp.n + 1):
-        for m in range(l, fp.n + 1):
-            verbatim += nc[fp.n, m] * lah[m, l] * unit_values[l]
+    verbatim = _second_lah(fp.alpha, fp.n, box_moments((1,) * fp.k, fp.k, fp.n))
     out = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
     return replace(out, note="; ".join(s for s in (out.note, remark) if s))
 
@@ -621,11 +621,9 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         closed = mp_second_closed
     sign = 1 if first else (-1) ** n
     unit_moments = box_moments((1,) * k, k, n)
-    row = triangle.row(n)
-    triangle_poly = sign * _pair(row, unit_moments)
-    triangle_q = sign * _pair(
-        [c * q ** (n - m) for m, c in enumerate(row)], unit_moments
-    )
+    triangle_poly = sign * _pair(triangle.int_row(n), unit_moments)
+    q_row = IntVector.of(c * q ** (n - m) for m, c in enumerate(triangle.row(n)))
+    triangle_q = sign * _pair(q_row, unit_moments)
 
     def integral(roots: tuple[Rat, ...]) -> Rat:
         product = Polynomial.from_roots(r if first else -r for r in roots)

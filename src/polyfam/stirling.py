@@ -15,6 +15,11 @@ c_s and nodes a, the target with c_t and b, the connection table obeys
 since (X - a_n) t_m = c_t t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
 Verde-Star, Stud. Appl. Math. 1988). The engine builds rows 0..size of a
 table in one pass of this recurrence and keeps no state between calls.
+
+The pass is fraction-free, after Bareiss (Math. Comp. 1968): with D the lcm
+of the node denominators and A = D a, B = D b, the integers
+r(n, m) = D^(n-m) T(n, m) obey
+r(n+1, m) = c_s [c_t r(n, m-1) + (B_m - A_n) r(n, m)].
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .algebra import (
+    IntVector,
     Polynomial,
     PreconditionError,
     Rat,
@@ -105,75 +112,100 @@ class Basis:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffTable:
     """Lower-triangular connection table; entry (n, m) is the coefficient of
     the target basis element of degree m in the expansion of the source
     element of degree n. Indexing outside the triangle yields zero.
+
+    Held fraction-free: entry (n, m) is num[n][m] / den^(n-m) with integer
+    numerators and one denominator den >= 1. The Fraction entries (`rows`,
+    `row`, indexing, equality) are a view built on first use.
     """
 
-    rows: tuple[tuple[Rat, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     @property
     def size(self) -> int:
-        return len(self.rows) - 1
+        return len(self.num) - 1
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Rat, ...], ...]:
+        return tuple(
+            tuple(Fraction(r, self.den ** (n - m)) for m, r in enumerate(row))
+            for n, row in enumerate(self.num)
+        )
 
     def row(self, n: int) -> tuple[Rat, ...]:
         return self.rows[n]
 
+    def int_row(self, n: int) -> IntVector:
+        """Row n as integer numerators over the common denominator den^n."""
+        d = self.den
+        return IntVector(tuple(r * d**m for m, r in enumerate(self.num[n])), d**n)
+
     def __getitem__(self, nm: tuple[int, int]) -> Rat:
         n, m = nm
-        if 0 <= n < len(self.rows) and 0 <= m < len(self.rows[n]):
-            return self.rows[n][m]
-        return Fraction(0)
+        return self.rows[n][m] if 0 <= m <= n < len(self.num) else Fraction(0)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CoeffTable):
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     def entrywise_abs(self) -> "CoeffTable":
-        return CoeffTable(tuple(tuple(abs(c) for c in row) for row in self.rows))
+        return CoeffTable(tuple(tuple(map(abs, row)) for row in self.num), self.den)
 
     def is_identity(self) -> bool:
         return all(
-            c == (1 if n == m else 0)
-            for n, row in enumerate(self.rows)
-            for m, c in enumerate(row)
+            r == (n == m) for n, row in enumerate(self.num) for m, r in enumerate(row)
         )
 
 
 def identity_table(size: int) -> CoeffTable:
     return CoeffTable(
-        tuple(
-            tuple(Fraction(1 if n == m else 0) for m in range(n + 1))
-            for n in range(size + 1)
-        )
+        tuple(tuple(int(n == m) for m in range(n + 1)) for n in range(size + 1))
     )
 
 
 def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
-    """Triangular matrix product (a b)(n, j) = sum_m a(n, m) b(m, j)."""
+    """Triangular matrix product (a b)(n, j) = sum_m a(n, m) b(m, j), over
+    the lcm of the two denominators."""
     if a.size != b.size:
         raise PreconditionError("table sizes must match for a product")
-    rows = []
-    for n in range(a.size + 1):
-        rows.append(
-            tuple(
-                sum((a[n, m] * b[m, j] for m in range(j, n + 1)), Fraction(0))
-                for j in range(n + 1)
-            )
-        )
-    return CoeffTable(tuple(rows))
+    d = math.lcm(a.den, b.den)
+    x, y = (
+        [[r * (d // t.den) ** (n - m) for m, r in enumerate(row)]
+         for n, row in enumerate(t.num)]
+        for t in (a, b)
+    )
+    return CoeffTable(
+        tuple(
+            tuple(sum(x[n][m] * y[m][j] for m in range(j, n + 1)) for j in range(n + 1))
+            for n in range(a.size + 1)
+        ),
+        d,
+    )
 
 
 def connection_coeffs(source: Basis, target: Basis, size: int) -> CoeffTable:
     """Exact table T with source_n(X) = sum_{m<=n} T(n, m) target_m(X).
 
-    Works for any pair of Newton bases; rows 0..size, built by the node
-    recurrence of the module docstring. Raises PreconditionError when a
-    multiparam basis holds fewer than `size` parameters.
+    Works for any pair of Newton bases; rows 0..size, built over the integers
+    by the node recurrence of the module docstring. Raises PreconditionError
+    when a multiparam basis holds fewer than `size` parameters.
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
     a, b = source.nodes(size), target.nodes(size)
+    d = math.lcm(*(x.denominator for x in a + b))
+    a, b = ([x.numerator * (d // x.denominator) for x in xs] for xs in (a, b))
     sign = source.scale * target.scale
-    row: tuple[Rat, ...] = (Fraction(1),)
+    row: tuple[int, ...] = (1,)
     rows = [row]
     for n, a_n in enumerate(a):
         shifts = [
@@ -186,7 +218,7 @@ def connection_coeffs(source: Basis, target: Basis, size: int) -> CoeffTable:
             + (lower[n],)
         )
         rows.append(row)
-    return CoeffTable(tuple(rows))
+    return CoeffTable(tuple(rows), d)
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
@@ -266,10 +298,7 @@ def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:
         )
     total = Fraction(0)
     for j in range(m + 1):
-        denom = Fraction(1)
-        for i in range(m + 1):
-            if i != j:
-                denom *= a[j] - a[i]
+        denom = math.prod(a[j] - a[i] for i in range(m + 1) if i != j)
         total += a[j] ** n / denom
     return total
 
@@ -298,15 +327,10 @@ def inversion_check(alpha: Iterable[RatLike], size: int) -> InversionCheck:
         table_product(first, second).is_identity()
         and table_product(second, first).is_identity()
     )
-    signed = True
-    for n in range(size + 1):
-        for i in range(n + 1):
-            acc = Fraction(0)
-            for j in range(i, n + 1):
-                acc += Fraction((-1) ** (j - i)) * first[n, j] * second[j, i]
-            if acc != (1 if n == i else 0):
-                signed = False
-                break
-        if not signed:
-            break
+    signed = all(
+        sum((-1) ** (j - i) * first[n, j] * second[j, i] for j in range(i, n + 1))
+        == (n == i)
+        for n in range(size + 1)
+        for i in range(n + 1)
+    )
     return InversionCheck(unsigned=unsigned, signed=signed)

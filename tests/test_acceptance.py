@@ -18,6 +18,7 @@ from polyfam.algebra import box_moments, integer_samples
 from polyfam.bernoulli import (
     classic_poly_bernoulli,
     li_gf_check,
+    mp_bernoulli,
     mp_bernoulli_gf_check,
     mp_bernoulli_poly,
 )
@@ -89,6 +90,30 @@ def test_first_kind_oracle_equivalence():
         assert mp_first_noncentral(p) == value
         assert mp_first_via_polycauchy(p) == value
     assert time.monotonic() - started < 10.0
+
+
+def test_all_twelve_routes_agree_at_a_large_point():
+    # One seeded n=30, k=2 point with height-20 parameters and lengths: every
+    # triangle route against the definitions, every polynomial against its
+    # numbers at z=0, and the Bernoulli type against the inversion from the
+    # definitional first-kind vector.
+    rng = random.Random(SEED + 30)
+    n, k = 30, 2
+    alpha = tuple(rand_rat(rng, nonzero=True) for _ in range(n))
+    lengths = tuple(rand_rat(rng, nonzero=True) for _ in range(k))
+    p = FamilyPoint(n, k, alpha, lengths)
+    first, second = mp_first_def(p), mp_second_def(p)
+    for route in (mp_first_closed, mp_first_noncentral, mp_first_via_polycauchy,
+                  mp_first_bell):
+        assert route(p) == first, route.__name__
+    for route in (mp_second_closed, mp_second_lah):
+        assert route(p) == second, route.__name__
+    bernoulli = mp_bernoulli(p)
+    assert mp_poly_first(p)(0) == first
+    assert mp_poly_second(p)(0) == second
+    assert mp_bernoulli_poly(p)(0) == bernoulli
+    vector = [mp_first_def(FamilyPoint(j, k, alpha, lengths)) for j in range(n + 1)]
+    assert bernoulli_from_first(n, alpha, vector) == bernoulli
 
 
 def test_second_kind_oracle_equivalence():

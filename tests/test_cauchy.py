@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyfam.algebra import PreconditionError
+from polyfam.algebra import IntVector, Polynomial, PreconditionError, box_moments
 from polyfam.cauchy import (
     FamilyPoint,
+    _pair,
+    _poly_from_row,
     classic_first_with_lengths,
     family_point,
     generalized_cauchy_poly,
@@ -29,6 +32,7 @@ from polyfam.cauchy import (
     mp_second_lah,
     specialize,
 )
+from polyfam.stirling import comtet_first, comtet_second, signless_comtet_first
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 nonzero_rationals = rationals.filter(lambda v: v != 0)
@@ -86,6 +90,44 @@ def test_second_kind_routes_agree(n, k, alpha, lengths):
     value = mp_second_def(p)
     assert mp_second_closed(p) == value
     assert mp_second_lah(p) == value
+
+
+wide_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=50)
+negative_length = [Fraction(-7, 3), Fraction(-1, 50), Fraction(-5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.one_of(st.just(Fraction(0)), wide_rationals), min_size=8, max_size=8),
+    st.lists(wide_rationals.filter(lambda v: v != 0), min_size=3, max_size=3),
+)
+@example(0, 1, [Fraction(0)] * 8, negative_length)
+@example(0, 3, [Fraction(1, 3)] * 8, negative_length)
+@example(6, 2, [Fraction(-1, 2), Fraction(-1, 2), 0, 7, Fraction(3, 49), 0, 1, 1],
+         negative_length)
+@example(5, 3, [Fraction(2, 9)] * 8, negative_length)
+def test_integer_pairing_matches_the_fraction_sums(n, k, alpha, lengths):
+    # The moments and both pairings recomputed in Fraction, term by term.
+    lengths = lengths[:k]
+    mu = [math.prod(lengths) ** (m + 1) / (m + 1) ** k for m in range(n + 1)]
+    moments = box_moments(lengths, k, n)
+    assert list(moments) == mu and len(moments) == n + 1
+    for build in (comtet_first, comtet_second, signless_comtet_first):
+        table = build(alpha, n)
+        row = table.row(n)
+        value = sum((c * mu[m] for m, c in enumerate(row)), Fraction(0))
+        assert _pair(table.int_row(n), moments) == value
+        assert _pair(IntVector.of(row), moments) == value
+        shifted = [
+            sum(
+                (-1) ** i * math.comb(m, i) * row[m] * mu[m - i]
+                for m in range(i, n + 1)
+            )
+            for i in range(n + 1)
+        ]
+        assert _poly_from_row(table.int_row(n), moments) == Polynomial(shifted)
 
 
 def test_second_kind_def_negates_every_factor():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyfam.cli import build_parser, main
+from polyfam.cli import NUMBER_FAMILIES, TABLE_FAMILIES, build_parser, main
 from polyfam.harness import FAIL, IDENTITY_IDS, GridSpec, sweep
 
 # sha256 of the stdout of `verify --seed 0` plus each extra argv.
@@ -182,6 +182,11 @@ def test_verify_rejects_unknown_ids():
         ("verify", "--order", "-1"),
         ("verify", "--ids", ","),
         ("number", "cauchy-1", "--n", "2", "--decimals", "-1"),
+        ("table", "lah", "--n-max", "-1"),
+        ("number", "mp-cauchy-1", "--n", "-1"),
+        ("number", "mp-cauchy-1", "--n", "2", "--k", "0"),
+        ("poly", "mp-bernoulli", "--n", "-2"),
+        ("poly", "cauchy-2", "--n", "1", "--k", "-1"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv):
@@ -270,6 +275,53 @@ def test_verify_argv_grammar_keeps_the_exit_code_contract(flags, errata):
         reports = sweep(ids=args.ids, grid=grid, seed=args.seed)
         column = [getattr(r, args.mode) for r in reports]
         assert (code == 1) == (FAIL in column)
+
+
+_ints = st.sampled_from(["-1", "0", "1", "2", "x"])
+_shared_flags = {
+    "--alpha": st.sampled_from(["", "1/2,-3", "0,0,1/7", "1/0"]),
+    "--q": st.sampled_from(["-2/3", "0", "x"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--decimals": st.sampled_from(["-1", "0", "3"]),
+}
+_value_flags = st.fixed_dictionaries(
+    {"--n": _ints},
+    optional={
+        "--k": st.sampled_from(["-1", "0", "1", "3"]),
+        "--lengths": st.sampled_from(["1", "2,-1/3", "0,1", "1,1,1"]),
+        "--mode": st.sampled_from(["corrected", "verbatim", "both"]),
+        "--z": st.sampled_from(["1/2", "-3", "z"]),
+        **_shared_flags,
+    },
+)
+_table_flags = st.fixed_dictionaries({}, optional={"--n-max": _ints, **_shared_flags})
+_argvs = st.one_of(
+    st.tuples(
+        st.sampled_from(["number", "poly"]),
+        st.sampled_from(NUMBER_FAMILIES + ("bogus",)),
+        _value_flags,
+    ),
+    st.tuples(
+        st.just("table"),
+        st.sampled_from(tuple(TABLE_FAMILIES) + ("bogus",)),
+        _table_flags,
+    ),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_argvs)
+def test_value_and_table_argv_grammar_keeps_the_exit_code_contract(argv_parts):
+    command, family, flags = argv_parts
+    argv = [command, family] + [part for item in flags.items() for part in item]
+    code = _exit_code(argv)
+    # No identity is checked here, so exit 1 never fits.
+    assert code in (0, 2, 3)
+    lows = {"--n": 0, "--n-max": 0, "--k": 1}
+    if any(flags.get(f, "x") != "x" and int(flags[f]) < low for f, low in lows.items()):
+        assert code == 2
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):

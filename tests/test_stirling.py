@@ -9,6 +9,7 @@ from polyfam.algebra import Polynomial, PreconditionError
 from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     Basis,
+    CoeffTable,
     comtet_first,
     comtet_second,
     comtet_second_explicit,
@@ -242,6 +243,84 @@ def test_node_recurrence_matches_the_back_substitution_oracle(size, alpha, beta)
     assert mixed.rows == _oracle_connection(
         _multiparam(alpha), _multiparam(beta), size
     )
+
+
+# Fraction-free kernel: nodes with denominators up to 50, zeros and repeats.
+wide_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=50)
+
+
+@st.composite
+def node_lists(draw):
+    pool = draw(st.lists(wide_rationals, min_size=1, max_size=3)) + [Fraction(0)]
+    node = st.one_of(st.sampled_from(pool), wide_rationals)
+    return draw(st.lists(node, min_size=12, max_size=12))
+
+
+def _hand_built(table, factor):
+    """The same entries held over the denominator factor * table.den."""
+    den = factor * table.den
+    return CoeffTable(
+        tuple(
+            tuple(int(c * den ** (n - m)) for m, c in enumerate(row))
+            for n, row in enumerate(table.rows)
+        ),
+        den,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=12), node_lists(), node_lists())
+def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
+    builds = [
+        (build(alpha, size) if needs_alpha else build(size), family)
+        for family, (build, needs_alpha) in TABLE_FAMILIES.items()
+    ]
+    builds.append(
+        (connection_coeffs(Basis.multiparam(alpha), Basis.multiparam(beta), size),
+         "mixed")
+    )
+    for table, family in builds:
+        if family == "mixed":
+            want = _oracle_connection(_multiparam(alpha), _multiparam(beta), size)
+        else:
+            source, target = _ORACLE_BASES[family](alpha)
+            want = _oracle_connection(source, target, size)
+        assert table.den >= 1
+        assert all(isinstance(r, int) for row in table.num for r in row)
+        for n, row in enumerate(table.num):
+            assert len(row) == n + 1
+            for m, r in enumerate(row):
+                assert Fraction(r, table.den ** (n - m)) == want[n][m], family
+            int_row = table.int_row(n)
+            assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=12), node_lists(), st.integers(2, 6))
+def test_table_views_agree_across_denominators(size, alpha, factor):
+    basis = Basis.multiparam(alpha)
+    same = connection_coeffs(basis, basis, size)
+    assert same.is_identity() and identity_table(size).is_identity()
+    assert same == identity_table(size)
+    assert hash(same) == hash(identity_table(size))
+    first, second = comtet_first(alpha, size), comtet_second(alpha, size)
+    for table in (first, second, signless_comtet_first(alpha, size)):
+        hand = _hand_built(table, factor)
+        assert hand.den != table.den
+        assert hand == table and hash(hand) == hash(table)
+        assert hand.rows == table.rows and hand[size, 0] == table[size, 0]
+        assert hand.entrywise_abs() == table.entrywise_abs()
+        assert hand.entrywise_abs().rows == tuple(
+            tuple(abs(c) for c in row) for row in table.rows
+        )
+        assert table_product(hand, identity_table(size)) == table
+        assert table_product(identity_table(size), hand) == table
+        assert hand.is_identity() == table.is_identity()
+    assert table_product(_hand_built(first, factor), second).is_identity()
+    assert table_product(second, _hand_built(first, factor)).is_identity()
+    last = first.num[-1]
+    bumped = CoeffTable(first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den)
+    assert bumped != first and bumped != _hand_built(first, factor)
 
 
 def test_connection_preconditions():
