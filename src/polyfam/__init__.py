@@ -34,7 +34,6 @@ from .cauchy import (
     SeriesCheck,
     classic_first_with_lengths,
     family_point,
-    generalized_cauchy_poly,
     generalized_harmonic,
     lif_gf_check,
     lif_series,

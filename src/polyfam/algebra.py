@@ -85,10 +85,6 @@ class Polynomial:
         self._coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
-    def constant(cls, value: RatLike) -> "Polynomial":
-        return cls((as_rat(value),))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
         """The monic polynomial prod_i (X - r_i); the empty product is 1."""
         acc = cls((1,))
@@ -105,12 +101,6 @@ class Polynomial:
         if not self._coeffs:
             return float("-inf")
         return len(self._coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> Rat:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
 
     def coefficient(self, i: int) -> Rat:
         if 0 <= i < len(self._coeffs):
@@ -170,14 +160,6 @@ class Polynomial:
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * x + c
-        return acc
-
-    def shifted(self, offset: RatLike) -> "Polynomial":
-        """The polynomial q with q(X) = p(X + offset)."""
-        shift = Polynomial((as_rat(offset), 1))
-        acc = Polynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * shift + Polynomial.constant(c)
         return acc
 
     def antiderivative(self) -> "Polynomial":

@@ -43,7 +43,6 @@ __all__ = [
     "SeriesCheck",
     "classic_first_with_lengths",
     "family_point",
-    "generalized_cauchy_poly",
     "generalized_harmonic",
     "lif_gf_check",
     "lif_series",
@@ -143,11 +142,28 @@ def _times(row: IntVector, table: CoeffTable) -> IntVector:
     return IntVector(tuple(num), row.den)
 
 
+def _box_integral(product: Polynomial, lengths: Sequence[Rat]) -> Rat:
+    """The box integral of sum_m c_m T^m, T = x_1...x_k, one variable at a
+    time: integrating over x_i in [0, u/v] multiplies c_m by
+    u^(m+1) / (v^(m+1) (m+1)). Numerators and denominators are carried as
+    integers and reduced once. The definitions' own integration, apart from
+    box_moments."""
+    nums = [c.numerator for c in product.coeffs]
+    dens = [c.denominator for c in product.coeffs]
+    for length in lengths:
+        u, v = length.numerator, length.denominator
+        up, vp = u, v
+        for m in range(len(nums)):
+            nums[m] *= up
+            dens[m] *= vp * (m + 1)
+            up, vp = up * u, vp * v
+    return sum(map(Fraction, nums, dens), Fraction(0))
+
+
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
-    and integrate each monomial over the box."""
-    product = Polynomial.from_roots(p.alpha[: p.n])
-    return _pair(IntVector.of(product.coeffs), box_moments(p.lengths, p.k, p.n))
+    and integrate it over the box one variable at a time."""
+    return _box_integral(Polynomial.from_roots(p.alpha[: p.n]), p.lengths)
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
@@ -242,10 +258,10 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
 
 def mp_second_def(p: FamilyPoint) -> Rat:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
-    (-1)^n prod_i (T + a_i), and integrate each monomial over the box."""
+    (-1)^n prod_i (T + a_i), and integrate it over the box one variable at a
+    time."""
     expanded = Polynomial.from_roots(tuple(-a for a in p.alpha[: p.n]))
-    moments = box_moments(p.lengths, p.k, p.n)
-    return Fraction((-1) ** p.n) * _pair(IntVector.of(expanded.coeffs), moments)
+    return (-1) ** p.n * _box_integral(expanded, p.lengths)
 
 
 def mp_second_closed(p: FamilyPoint) -> Rat:
@@ -398,17 +414,3 @@ def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
     z = as_rat(z0)
     return mp_second_def(p.with_alpha(tuple(a - z for a in p.alpha[: p.n])))
 
-
-def generalized_cauchy_poly(
-    kind: str,
-    n: int,
-    alpha: Iterable[RatLike],
-    length: RatLike = 1,
-) -> Polynomial:
-    """Single-integral (k = 1) polynomial families."""
-    point = FamilyPoint(n, 1, as_rat_tuple(alpha), (as_rat(length),))
-    if kind == "first":
-        return mp_poly_first(point)
-    if kind == "second":
-        return mp_poly_second(point)
-    raise PreconditionError(f"unknown family kind {kind!r}")

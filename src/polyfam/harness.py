@@ -187,110 +187,70 @@ def _force_k1(pt: ParamPoint) -> ParamPoint:
 
 
 # ---------------------------------------------------------------------------
-# Expansion weights. Every expansion identity, stated or corrected, is the
-# double sum sum_{j<=m<=n} weight(j, m) values[j] over one family's values at
-# indices 0..n; it applies to numbers and to polynomials alike. Each weight
-# builder reads a triangle built by its caller, of size n.
+# Expansion identities. Every one, stated or corrected, is the double sum
+# sum_{j<=m<=n} w(j, m) values[j] over one family's values at indices 0..n,
+# for numbers and polynomials alike. Its weight is a constant
+# (e_n, e_m, e_j, p, absolute):
+#     w(j, m) = (-1)^(e_n n + e_m m + e_j j) m!^p L(n, m) T(m, j),
+# where T is the point's one triangle and L is T, or |T| entrywise when
+# `absolute`. The signless triangle needs no table of its own:
+# (-1)^(n+m-j) sc(n, m) = (-1)^j s(n, m).
 # ---------------------------------------------------------------------------
 
+_FIRST = (0, 0, 0, -1, False)  # s(n,m) s(m,j) / m!: stated T4.3a, T5.2c
+_TO_FIRST = (0, 1, 1, -1, False)  # (-1)^(m-j) s(n,m) s(m,j) / m!
+_SIGNLESS_FIRST = (0, 0, 1, -1, False)  # (-1)^(n+m-j) sc(n,m) s(m,j) / m!
+_ABS_FIRST = (1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a, T5.2d
+_SECOND = (1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
+_FROM_FIRST = (1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
+_FROM_SECOND = (1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
 
-def _double_sum(n, values, weight):
+
+def _expand(values: Sequence, table: CoeffTable, weight: tuple):
+    """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free. As
+    T(n, m) = num[n][m] / D^(n-m), the weight of values[j] is one integer
+    c_j = sum_m (-1)^(e_m m) f_m l_m num[m][j] over D^(n-j), where l_m is
+    num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
+    over a further n! for p = -1; so each value is scaled once."""
+    e_n, e_m, e_j, power, absolute = weight
+    n, num = table.size, table.num
+    left = [abs(r) for r in num[n]] if absolute else num[n]
+    fact = [math.factorial(m) for m in range(n + 1)]
+    scale = fact if power == 1 else [fact[n] // f for f in fact]
+    lead = [(-1) ** (e_m * m) * scale[m] * left[m] for m in range(n + 1)]
+    den = 1 if power == 1 else fact[n]
     zero = Polynomial() if isinstance(values[0], Polynomial) else Fraction(0)
-    acc = zero
+    terms = []
     for j in range(n + 1):
-        inner = zero
-        for m in range(j, n + 1):
-            w = weight(j, m)
-            if w != 0:
-                inner = inner + w * values[j]
-        acc = acc + inner
-    return acc
+        c = sum(lead[m] * num[m][j] for m in range(j, n + 1))
+        if c:
+            sign = (-1) ** (e_n * n + e_j * j)
+            terms.append(Fraction(sign * c, den * table.den ** (n - j)) * values[j])
+    return sum(terms, zero)
 
 
 def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Second-kind value (or polynomial) at index n from Bernoulli-type
     values 0..n: sum_{j,m} (-1)^(n+m-j) sc(n,m) s(m,j)/m! values[j]."""
-    a = as_rat_tuple(alpha)
-    return _double_sum(n, values, _signless_weight(a, comtet_first(a, n)))
+    return _expand(values, comtet_first(as_rat_tuple(alpha), n), _SIGNLESS_FIRST)
 
 
 def bernoulli_from_second(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from second-kind
     values 0..n: sum_{j,m} (-1)^n m! S(n,m) S(m,j) values[j]."""
-    table = comtet_second(as_rat_tuple(alpha), n)
-    return _double_sum(n, values, _from_second(table))
+    return _expand(values, comtet_second(as_rat_tuple(alpha), n), _FROM_SECOND)
 
 
 def first_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """First-kind value (or polynomial) at index n from Bernoulli-type values
     0..n: sum_{j,m} (-1)^(m-j) s(n,m) s(m,j)/m! values[j]."""
-    table = comtet_first(as_rat_tuple(alpha), n)
-    return _double_sum(n, values, _to_first(table))
+    return _expand(values, comtet_first(as_rat_tuple(alpha), n), _TO_FIRST)
 
 
 def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from first-kind values
     0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
-    table = comtet_second(as_rat_tuple(alpha), n)
-    return _double_sum(n, values, _from_first(table))
-
-
-def _first_weight(s: CoeffTable, alternating: bool = False):
-    """s(m,j) s(n,m) / m!, as stated in T4.3a and T5.2c; `alternating`
-    inserts the (-1)^(m-j) of the corrected reading."""
-    n = s.size
-
-    def weight(j: int, m: int) -> Rat:
-        sign = (-1) ** (m - j) if alternating else 1
-        return sign * s[n, m] * s[m, j] / math.factorial(m)
-
-    return weight
-
-
-def _second_weight(table: CoeffTable, power: int = -1, prefactor: bool = False):
-    """(-1)^(n-m) S(n,m) S(m,j) (m!)^power: 1/m! as stated in T4.2b and
-    T4.3b, m! in T5.2b and in the corrected T4.3b; `prefactor` replaces
-    (-1)^(n-m) by the (-1)^n of the corrected T4.2b and T5.2b."""
-    n = table.size
-
-    def weight(j: int, m: int) -> Rat:
-        factor = Fraction(math.factorial(m)) ** power
-        sign = (-1) ** n if prefactor else (-1) ** (n - m)
-        return sign * factor * table[n, m] * table[m, j]
-
-    return weight
-
-
-def _abs_first_weight(s: CoeffTable, prefactor: bool = True):
-    """(-1)^n s(m,j) |s|(n,m) / m!, as stated in T4.2a and T5.2d; the
-    single-integral form C4.1a prints no (-1)^n."""
-    n = s.size
-    sabs = s.entrywise_abs()
-    sign = (-1) ** n if prefactor else 1
-
-    def weight(j: int, m: int) -> Rat:
-        return sign * s[m, j] * sabs[n, m] / math.factorial(m)
-
-    return weight
-
-
-def _signless_weight(alpha: tuple[Rat, ...], s: CoeffTable):
-    """(-1)^(n+m-j) sc(n,m) s(m,j) / m!, the corrected T4.2a and T5.2d, with
-    the signless triangle sc of the same parameters."""
-    n = s.size
-    sc = signless_comtet_first(alpha, n)
-
-    def weight(j: int, m: int) -> Rat:
-        return (-1) ** (n + m - j) * sc[n, m] * s[m, j] / math.factorial(m)
-
-    return weight
-
-
-# The corrected weights of first_from_bernoulli, bernoulli_from_first and
-# bernoulli_from_second; second_from_bernoulli's is _signless_weight.
-_to_first = partial(_first_weight, alternating=True)
-_from_first = partial(_second_weight, power=1)
-_from_second = partial(_second_weight, power=1, prefactor=True)
+    return _expand(values, comtet_second(as_rat_tuple(alpha), n), _FROM_FIRST)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +260,10 @@ _from_second = partial(_second_weight, power=1, prefactor=True)
 # ---------------------------------------------------------------------------
 
 
-def _readings_outcome(lhs, corrected, verbatim, label: str, samples: int = 0):
-    """Both readings against lhs. Polynomials are compared at `samples`
-    integer points, more than their degree bound, so exactly."""
-    if isinstance(lhs, Polynomial):
-        points = integer_samples(samples)
-        corrected_ok = all(lhs(z) == corrected(z) for z in points)
-        verbatim_ok = all(lhs(z) == verbatim(z) for z in points)
-    else:
-        corrected_ok = lhs == corrected
-        verbatim_ok = lhs == verbatim
+def _readings_outcome(lhs, corrected, verbatim, label: str):
+    """Both readings against lhs, compared exactly (a Polynomial by its
+    coefficients)."""
+    corrected_ok, verbatim_ok = lhs == corrected, lhs == verbatim
     note = "" if verbatim_ok else f"{label} gives {_fmt(verbatim)}"
     return _Outcome(
         _verdict(verbatim_ok),
@@ -331,17 +285,15 @@ def _agree(pt: ParamPoint, route) -> _Outcome:
 def _inversion(pt: ParamPoint, lhs_route, vector, triangle, corrected, stated):
     """An expansion identity: lhs_route against the other family's values at
     0..n, summed by the corrected and by the stated weight (None when the
-    stated weights are the corrected ones). Both weight builders read the one
-    table `triangle` builds."""
+    stated weights are the corrected ones), both over the one table
+    `triangle` builds."""
     fp = _family(pt)
     values = vector(fp)
     lhs = lhs_route(fp)
     table = triangle(fp.alpha[: fp.n], fp.n)
-    corrected_sum = _double_sum(fp.n, values, corrected(table))
-    verbatim = corrected_sum
-    if stated is not None:
-        verbatim = _double_sum(fp.n, values, stated(table))
-    return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading", fp.n + 1)
+    corrected_sum = _expand(values, table, corrected)
+    verbatim = corrected_sum if stated is None else _expand(values, table, stated)
+    return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
 
 
 def _series_outcome(check: SeriesCheck) -> _Outcome:
@@ -511,32 +463,27 @@ def _eval_T41(pt: ParamPoint) -> _Outcome:
     return _series_outcome(mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order))
 
 
-def _eval_T42a(pt: ParamPoint, prefactor: bool = True) -> _Outcome:
+def _eval_T42a(pt: ParamPoint, stated: tuple = _ABS_FIRST) -> _Outcome:
     return _inversion(
-        pt,
-        mp_second_def,
-        _bernoulli_vector,
-        comtet_first,
-        partial(_signless_weight, pt.alpha),
-        partial(_abs_first_weight, prefactor=prefactor),
+        pt, mp_second_def, _bernoulli_vector, comtet_first, _SIGNLESS_FIRST, stated
     )
 
 
 def _eval_T42b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _second_vector, comtet_second, _from_second, _second_weight
+        pt, mp_bernoulli, _second_vector, comtet_second, _FROM_SECOND, _SECOND
     )
 
 
 def _eval_T43a(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_first_def, _bernoulli_vector, comtet_first, _to_first, _first_weight
+        pt, mp_first_def, _bernoulli_vector, comtet_first, _TO_FIRST, _FIRST
     )
 
 
 def _eval_T43b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _first_vector, comtet_second, _from_first, _second_weight
+        pt, mp_bernoulli, _first_vector, comtet_second, _FROM_FIRST, _SECOND
     )
 
 
@@ -556,7 +503,7 @@ def _eval_T51b(pt: ParamPoint) -> _Outcome:
 def _eval_T52a(pt: ParamPoint) -> _Outcome:
     # The stated polynomial form carries the correct weights already.
     return _inversion(
-        pt, mp_bernoulli_poly, _first_poly_vector, comtet_second, _from_first, None
+        pt, mp_bernoulli_poly, _first_poly_vector, comtet_second, _FROM_FIRST, None
     )
 
 
@@ -566,20 +513,15 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
         mp_bernoulli_poly,
         _second_poly_vector,
         comtet_second,
-        _from_second,
+        _FROM_SECOND,
         # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-        _from_first,
+        _FROM_FIRST,
     )
 
 
 def _eval_T52c(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt,
-        mp_poly_first,
-        _bernoulli_poly_vector,
-        comtet_first,
-        _to_first,
-        _first_weight,
+        pt, mp_poly_first, _bernoulli_poly_vector, comtet_first, _TO_FIRST, _FIRST
     )
 
 
@@ -589,8 +531,8 @@ def _eval_T52d(pt: ParamPoint) -> _Outcome:
         mp_poly_second,
         _bernoulli_poly_vector,
         comtet_first,
-        partial(_signless_weight, pt.alpha),
-        _abs_first_weight,
+        _SIGNLESS_FIRST,
+        _ABS_FIRST,
     )
 
 
@@ -630,27 +572,14 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         return sign * product.integral_to(ell)
 
     q_roots = tuple(Fraction(i) * q for i in range(n))
+    poly = specialize("poly", kind, n, k)
+    classic = specialize("classic", kind, n, lengths=(ell,))
+    q_poly = specialize("q-poly", kind, n, k, q=q)
     arrows = [
-        (
-            "poly-vs-triangle",
-            specialize("poly", kind, n, k),
-            triangle_poly,
-        ),
-        (
-            "classic-vs-integral",
-            specialize("classic", kind, n, lengths=(ell,)),
-            integral(classical_roots),
-        ),
-        (
-            "q-poly-vs-homogeneity",
-            specialize("q-poly", kind, n, k, q=q),
-            triangle_q,
-        ),
-        (
-            "q-one-collapse",
-            specialize("q-poly", kind, n, k, q=1),
-            specialize("poly", kind, n, k),
-        ),
+        ("poly-vs-triangle", poly, triangle_poly),
+        ("classic-vs-integral", classic, integral(classical_roots)),
+        ("q-poly-vs-homogeneity", q_poly, triangle_q),
+        ("q-one-collapse", specialize("q-poly", kind, n, k, q=1), poly),
         (
             "extended-vs-closed",
             specialize("extended-q", kind, n, k, q=q, lengths=pt.lengths),
@@ -659,7 +588,7 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         (
             "extended-unit-collapse",
             specialize("extended-q", kind, n, k, q=q, lengths=(Fraction(1),) * k),
-            specialize("q-poly", kind, n, k, q=q),
+            q_poly,
         ),
         (
             "q-classic-vs-integral",
@@ -669,7 +598,7 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         (
             "q-classic-collapse",
             specialize("q-classic", kind, n, q=1, lengths=(ell,)),
-            specialize("classic", kind, n, lengths=(ell,)),
+            classic,
         ),
     ]
     failed = [name for name, left, right in arrows if left != right]
@@ -764,7 +693,7 @@ CATALOG: tuple[Identity, ...] = (
         "C4.1a",
         "single-integral case of T4.2a",
         # As printed the single-integral form drops even the (-1)^n prefactor.
-        partial(_eval_T42a, prefactor=False),
+        partial(_eval_T42a, stated=(0, 0, 0, -1, True)),
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
         k1_only=True,
     ),

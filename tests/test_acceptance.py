@@ -222,7 +222,7 @@ def test_polynomial_families_match_shifted_oracles():
             (bern, Fraction((-1) ** p.n) * math.factorial(p.n) * prod),
         ):
             assert poly.degree == p.n
-            assert poly.leading_coefficient == leading
+            assert poly.coeffs[-1] == leading
 
 
 def test_specialization_web():

@@ -59,13 +59,6 @@ def test_from_roots_expansion():
     assert Polynomial.from_roots(()) == Polynomial((1,))
 
 
-def test_shifted_is_argument_translation():
-    p = X * X - 3 * X + Polynomial.constant(1)
-    q = p.shifted(Fraction(1, 2))
-    for z in integer_samples(4):
-        assert q(z) == p(z + Fraction(1, 2))
-
-
 def test_definite_integral():
     # int_0^1 x(x-1) dx = -1/6
     assert Polynomial.from_roots((0, 1)).integral_to(1) == Fraction(-1, 6)

@@ -89,7 +89,7 @@ def test_polynomial_degree_and_leading_coefficient():
     for n in range(5):
         poly = mp_bernoulli_poly(FamilyPoint(n, 2, alpha, lengths))
         assert poly.degree == n
-        assert poly.leading_coefficient == (
+        assert poly.coeffs[-1] == (
             Fraction((-1) ** n) * math.factorial(n) * prod
         )
 

@@ -13,7 +13,6 @@ from polyfam.cauchy import (
     _poly_from_row,
     classic_first_with_lengths,
     family_point,
-    generalized_cauchy_poly,
     generalized_harmonic,
     lif_gf_check,
     lif_series,
@@ -320,14 +319,5 @@ def test_polynomial_degree_and_leading_coefficient():
         second = mp_poly_second(p)
         assert first.degree == n
         assert second.degree == n
-        assert first.leading_coefficient == (-1) ** n * prod
-        assert second.leading_coefficient == prod
-
-
-def test_generalized_cauchy_poly_dispatch():
-    alpha = (Fraction(2), Fraction(-1))
-    p = FamilyPoint(2, 1, alpha, (Fraction(1),))
-    assert generalized_cauchy_poly("first", 2, alpha) == mp_poly_first(p)
-    assert generalized_cauchy_poly("second", 2, alpha) == mp_poly_second(p)
-    with pytest.raises(PreconditionError):
-        generalized_cauchy_poly("third", 2, alpha)
+        assert first.coeffs[-1] == (-1) ** n * prod
+        assert second.coeffs[-1] == prod

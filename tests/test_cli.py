@@ -13,18 +13,39 @@ from hypothesis import strategies as st
 from polyfam.cli import NUMBER_FAMILIES, TABLE_FAMILIES, build_parser, main
 from polyfam.harness import FAIL, IDENTITY_IDS, GridSpec, sweep
 
-# sha256 of the stdout of `verify --seed 0` plus each extra argv.
-SEED0_SHA256 = {
+# The `verify` argv after "verify", the sha256 of its stdout and its exit
+# code. The seed-0 runs are also perfbench/golden.json's; the other three
+# pin the default grid at other seeds, the csv format and deeper series.
+VERIFY_SHA256 = {
     "default": (
-        (), "929194616961586e56a7453d28271300cf59c10a63bfc8ef23de9b240bdbb549"
+        ("--seed", "0"),
+        "929194616961586e56a7453d28271300cf59c10a63bfc8ef23de9b240bdbb549",
+        0,
     ),
     "errata": (
-        ("--errata",),
+        ("--seed", "0", "--errata"),
         "e878ec4b9e2746ee7d47c078301c83c5520287b67de25939cabd1c817b3f8669",
+        0,
     ),
     "verbatim": (
-        ("--mode", "verbatim"),
+        ("--seed", "0", "--mode", "verbatim"),
         "929194616961586e56a7453d28271300cf59c10a63bfc8ef23de9b240bdbb549",
+        1,
+    ),
+    "seed3-n9-points6": (
+        ("--seed", "3", "--n-max", "9", "--points", "6"),
+        "87564c2ea1a33967821d62be0d9a69a8f35d4b83a263bc4167f736cc9b02ccba",
+        0,
+    ),
+    "seed7-errata-csv": (
+        ("--seed", "7", "--errata", "--format", "csv"),
+        "20ea0fb795367a8a8dac8f338ee8a3c3f8e901e133c68cb99c4c1e72f268c316",
+        0,
+    ),
+    "seed5-k3-order8-points4": (
+        ("--seed", "5", "--k-max", "3", "--order", "8", "--points", "4"),
+        "2dc75a3507ca63c2414612e65779d0bc9a34dff246d3c4ca08bfe2b3de42156a",
+        0,
     ),
 }
 
@@ -216,13 +237,13 @@ def test_verify_output_is_deterministic():
     assert first.stdout == second.stdout
 
 
-@pytest.mark.parametrize("variant", sorted(SEED0_SHA256))
-def test_seed0_verify_stdout_matches_the_golden_hashes(variant, capsys):
-    extra, digest = SEED0_SHA256[variant]
-    code = main(["verify", "--seed", "0", *extra])
+@pytest.mark.parametrize("variant", sorted(VERIFY_SHA256))
+def test_verify_stdout_matches_the_golden_hashes(variant, capsys):
+    argv, digest, exit_code = VERIFY_SHA256[variant]
+    code = main(["verify", *argv])
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
-    assert code == (1 if variant == "verbatim" else 0)
+    assert code == exit_code
 
 
 def _exit_code(argv):

@@ -1,18 +1,31 @@
 import gc
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyfam.algebra import Polynomial
+from polyfam import algebra, bernoulli, cauchy, harness
+from polyfam.algebra import IntVector, Polynomial
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
     CATALOG,
+    FAIL,
     IDENTITY_IDS,
     GridSpec,
     ParamPoint,
+    _ABS_FIRST,
+    _FIRST,
+    _FROM_FIRST,
+    _FROM_SECOND,
+    _SECOND,
+    _SIGNLESS_FIRST,
+    _TO_FIRST,
+    _expand,
     bernoulli_from_first,
     bernoulli_from_second,
     errata_ledger,
@@ -23,6 +36,7 @@ from polyfam.harness import (
     sweep,
     verify,
 )
+from polyfam.stirling import comtet_first, comtet_second, signless_comtet_first
 
 SMALL = GridSpec(n_max=3, k_max=1, points=2, series_order=4, bound=6)
 
@@ -242,3 +256,104 @@ def test_corrected_mode_passes_everywhere_on_a_small_grid():
     reports = sweep(grid=SMALL, seed=2)
     bad = [r for r in reports if r.corrected == "FAIL"]
     assert bad == []
+
+
+def _double_sum(n, values, weight):
+    """The expansion term by term: sum_{j<=m<=n} weight(j, m) values[j]."""
+    acc = Polynomial() if isinstance(values[0], Polynomial) else Fraction(0)
+    for j in range(n + 1):
+        for m in range(j, n + 1):
+            w = weight(j, m)
+            if w != 0:
+                acc = acc + w * values[j]
+    return acc
+
+
+def _written_out_weights(alpha, n):
+    """Each weight spec with its table and its weight as printed, the signless
+    one read from its own triangle."""
+    s, S = comtet_first(alpha, n), comtet_second(alpha, n)
+    sc, sa, f = signless_comtet_first(alpha, n), s.entrywise_abs(), math.factorial
+    return {
+        _FIRST: (s, lambda j, m: s[n, m] * s[m, j] / f(m)),
+        _TO_FIRST: (s, lambda j, m: (-1) ** (m - j) * s[n, m] * s[m, j] / f(m)),
+        _SIGNLESS_FIRST: (
+            s, lambda j, m: (-1) ** (n + m - j) * sc[n, m] * s[m, j] / f(m)
+        ),
+        _ABS_FIRST: (s, lambda j, m: (-1) ** n * sa[n, m] * s[m, j] / f(m)),
+        (0, 0, 0, -1, True): (s, lambda j, m: sa[n, m] * s[m, j] / f(m)),
+        _SECOND: (S, lambda j, m: (-1) ** (n - m) * S[n, m] * S[m, j] / f(m)),
+        _FROM_FIRST: (S, lambda j, m: (-1) ** (n - m) * f(m) * S[n, m] * S[m, j]),
+        _FROM_SECOND: (S, lambda j, m: (-1) ** n * f(m) * S[n, m] * S[m, j]),
+    }
+
+
+_rats = st.fractions(min_value=-9, max_value=9, max_denominator=50)
+
+
+@st.composite
+def _expansion_cases(draw):
+    n = draw(st.integers(0, 12))
+    # A small pool makes zeros and repeated parameters common.
+    pool = draw(st.lists(_rats, min_size=1, max_size=3)) + [Fraction(0)]
+    node = st.one_of(st.sampled_from(pool), _rats)
+    alpha = draw(st.lists(node, min_size=n, max_size=n + 2))
+    polys = st.lists(_rats, max_size=n + 2).map(Polynomial)
+    value = _rats if draw(st.booleans()) else polys
+    return n, alpha, draw(st.lists(value, min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expansion_cases())
+def test_expand_matches_the_written_out_double_sum(case):
+    n, alpha, values = case
+    weights = _written_out_weights(alpha, n)
+    for spec, (table, weight) in weights.items():
+        assert repr(_expand(values, table, spec)) == repr(
+            _double_sum(n, values, weight)
+        ), spec
+    for transform, spec in (
+        (second_from_bernoulli, _SIGNLESS_FIRST),
+        (bernoulli_from_second, _FROM_SECOND),
+        (first_from_bernoulli, _TO_FIRST),
+        (bernoulli_from_first, _FROM_FIRST),
+    ):
+        assert repr(transform(n, alpha, values)) == repr(
+            _double_sum(n, values, weights[spec][1])
+        ), transform.__name__
+
+
+def _first_length_only(real):
+    def fake(lengths, k, size):
+        return real(tuple(lengths[:1]) + (1,) * (k - 1), k, size)
+
+    return fake
+
+
+def _doubled_mu1(real):
+    def fake(lengths, k, size):
+        mu = real(lengths, k, size)
+        num = tuple(2 * v if m == 1 else v for m, v in enumerate(mu.num))
+        return IntVector(num, mu.den)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, _first_length_only, _doubled_mu1],
+    ids=["real", "first-length-only", "doubled-mu1"],
+)
+def test_the_sweep_sees_a_fault_in_the_box_moments(fault, monkeypatch):
+    # The definitions integrate without box_moments, so a fault in it is a
+    # corrected FAIL of a route, of a polynomial family and of an expansion.
+    if fault is not None:
+        fake = fault(algebra.box_moments)
+        for module in (algebra, cauchy, bernoulli, harness):
+            monkeypatch.setattr(module, "box_moments", fake)
+    reports = sweep(grid=GridSpec(n_max=4, points=4), seed=0)
+    failed = {r.identity for r in reports if r.corrected == FAIL}
+    if fault is None:
+        assert failed == set()
+    else:
+        assert {"T2.1", "T3.1", "T4.3b", "T5.1a"} <= failed, sorted(failed)

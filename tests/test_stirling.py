@@ -65,7 +65,7 @@ def _oracle_connection(source, target, size):
         out = [Fraction(0)] * (n + 1)
         for m in range(n, -1, -1):
             element = target(m)
-            c = residual[m] / element.leading_coefficient
+            c = residual[m] / element.coeffs[-1]
             out[m] = c
             if c != 0:
                 for i, b in enumerate(element.coeffs):
