@@ -110,14 +110,15 @@ def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
 
 
 def _second_kind_column_egf(
-    alpha: Sequence[Rat], m: int, order: int
+    alpha: Sequence[Rat], exps: Sequence[TruncatedSeries], m: int, order: int
 ) -> TruncatedSeries:
     """sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i): the exponential
-    generating function (in -t) of column m of the second-kind triangle."""
+    generating function (in -t) of column m of the second-kind triangle, with
+    e^{-a_j t} read from exps."""
     acc = TruncatedSeries.constant(0, order)
     for j in range(m + 1):
         denom = math.prod(alpha[j] - alpha[i] for i in range(m + 1) if i != j)
-        acc = acc + exp_series(order, rate=-alpha[j]) / denom
+        acc = acc + exps[j] / denom
     return acc
 
 
@@ -144,16 +145,17 @@ def mp_bernoulli_gf_check(
         (-1) ** m * math.factorial(m) * mu
         for m, mu in enumerate(box_moments(ls, k, order))
     ]
+    exps = [exp_series(order, rate=-a) for a in head]
     rhs = TruncatedSeries.constant(0, order)
     for m in range(order + 1):
-        rhs = rhs + weights[m] * _second_kind_column_egf(head, m, order)
+        rhs = rhs + weights[m] * _second_kind_column_egf(head, exps, m, order)
     # Stated ranges: outer sum over j with the inner sum running m = j..order;
     # the same (j, m) pairs in the other order.
     verbatim = TruncatedSeries.constant(0, order)
     for j in range(order + 1):
         for m in range(j, order + 1):
             denom = math.prod(head[j] - head[i] for i in range(m + 1) if i != j)
-            verbatim = verbatim + weights[m] * exp_series(order, rate=-head[j]) / denom
+            verbatim = verbatim + weights[m] * exps[j] / denom
     return SeriesCheck(
         lhs=lhs,
         rhs=rhs,
@@ -203,10 +205,11 @@ def mp_bernoulli_poly_gf_check(
         ],
     )
     moments = box_moments(ls, k, order)
+    exps = [exp_series(order, rate=-a) for a in head]
     rhs = TruncatedSeries.constant(0, order)
     verbatim = TruncatedSeries.constant(0, order)
     for m in range(order + 1):
-        column = _second_kind_column_egf(head, m, order)
+        column = _second_kind_column_egf(head, exps, m, order)
         # w_m(z0): the shifted moment, the polynomial of the unit row T^m.
         w = _poly_from_row(IntVector((0,) * m + (1,)), moments)(z)
         rhs = rhs + Fraction((-1) ** m) * math.factorial(m) * w * column

@@ -275,13 +275,8 @@ def mp_second_closed(p: FamilyPoint) -> Rat:
 def mp_second_lah(p: FamilyPoint) -> Rat:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
-    return _second_lah(p.alpha, p.n, box_moments(p.lengths, p.k, p.n))
-
-
-def _second_lah(alpha: Sequence[Rat], n: int, moments: IntVector) -> Rat:
-    """The Lah chain of mp_second_lah, with C_l for the box of `moments`."""
-    row = _times(noncentral_second(alpha[:n], n).int_row(n), lah_signed(n))
-    return _pair(row, _classic_first_values(moments))
+    row = _times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n), lah_signed(p.n))
+    return _pair(row, _classic_first_values(box_moments(p.lengths, p.k, p.n)))
 
 
 def specialize(

@@ -162,20 +162,14 @@ class _Emitter:
         self._csv.writerow(row)
 
 
-def _render(value) -> object:
+def _render(value, scalar: Callable[[Rat], str] = str) -> object:
+    """A value, a sequence or a Polynomial's coefficients, each rational
+    rendered by `scalar`."""
     if isinstance(value, Polynomial):
-        return [str(c) for c in value.coeffs]
+        value = value.coeffs
     if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return str(value)
-
-
-def _approx_of(value, places: int) -> object:
-    if isinstance(value, Polynomial):
-        return [_approx(c, places) for c in value.coeffs]
-    if isinstance(value, (list, tuple)):
-        return [_approx(v, places) for v in value]
-    return _approx(value, places)
+        return [scalar(v) for v in value]
+    return scalar(value)
 
 
 def _build_point(args, n: int) -> FamilyPoint:
@@ -223,7 +217,7 @@ def _cmd_value(args) -> int:
     }
     columns = ["family", "params", "value", "mode"]
     if args.decimals is not None:
-        record["approx"] = _approx_of(value, args.decimals)
+        record["approx"] = _render(value, lambda v: _approx(v, args.decimals))
         columns.append("approx")
     _Emitter(args.format, columns).emit(record)
     return 0

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import (
-    IntVector,
     Polynomial,
     PreconditionError,
     Rat,
@@ -35,7 +34,6 @@ from .algebra import (
     integer_samples,
 )
 from .bernoulli import (
-    _bernoulli_row,
     li_gf_check,
     mp_bernoulli,
     mp_bernoulli_gf_check,
@@ -44,9 +42,7 @@ from .bernoulli import (
 from .cauchy import (
     FamilyPoint,
     SeriesCheck,
-    _pair,
     _poly_from_row,
-    _second_lah,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -282,13 +278,18 @@ def _agree(pt: ParamPoint, route) -> _Outcome:
     return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
 
 
-def _inversion(pt: ParamPoint, lhs_route, vector, triangle, corrected, stated):
-    """An expansion identity: lhs_route against the other family's values at
-    0..n, summed by the corrected and by the stated weight (None when the
-    stated weights are the corrected ones), both over the one table
-    `triangle` builds."""
+def _values(route, fp: FamilyPoint) -> list:
+    """One public route's values at indices 0..n, parameters and box of fp."""
+    return [route(FamilyPoint(j, fp.k, fp.alpha, fp.lengths)) for j in range(fp.n + 1)]
+
+
+def _inversion(pt: ParamPoint, lhs_route, value_route, triangle, corrected, stated):
+    """An expansion identity: lhs_route against value_route's values at 0..n,
+    summed by the corrected and by the stated weight (None when the stated
+    weights are the corrected ones), both over the one table `triangle`
+    builds."""
     fp = _family(pt)
-    values = vector(fp)
+    values = _values(value_route, fp)
     lhs = lhs_route(fp)
     table = triangle(fp.alpha[: fp.n], fp.n)
     corrected_sum = _expand(values, table, corrected)
@@ -351,58 +352,6 @@ def _require_q(pt: ParamPoint) -> Rat:
     return pt.q
 
 
-# ---------------------------------------------------------------------------
-# Value vectors at indices 0..n, read from one table where a triangle is
-# involved.
-# ---------------------------------------------------------------------------
-
-
-def _bernoulli_vector(fp: FamilyPoint) -> list[Rat]:
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-    moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [
-        _pair(_bernoulli_row(table.int_row(j)), moments) for j in range(fp.n + 1)
-    ]
-
-
-def _first_vector(fp: FamilyPoint) -> list[Rat]:
-    return [
-        mp_first_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
-
-
-def _second_vector(fp: FamilyPoint) -> list[Rat]:
-    return [
-        mp_second_def(FamilyPoint(j, fp.k, fp.alpha, fp.lengths))
-        for j in range(fp.n + 1)
-    ]
-
-
-def _first_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    table = comtet_first(fp.alpha[: fp.n], fp.n)
-    moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [_poly_from_row(table.int_row(j), moments) for j in range(fp.n + 1)]
-
-
-def _second_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    table = signless_comtet_first(fp.alpha[: fp.n], fp.n)
-    moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [
-        (-1) ** j * _poly_from_row(table.int_row(j), moments)
-        for j in range(fp.n + 1)
-    ]
-
-
-def _bernoulli_poly_vector(fp: FamilyPoint) -> list[Polynomial]:
-    table = comtet_second(fp.alpha[: fp.n], fp.n)
-    moments = box_moments(fp.lengths, fp.k, fp.n)
-    return [
-        _poly_from_row(_bernoulli_row(table.int_row(j)), moments)
-        for j in range(fp.n + 1)
-    ]
-
-
 def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
     """Stated second-kind polynomial: the signless row replaced by entrywise
     absolute values of the first-kind row. Its value at 0 is the stated
@@ -453,7 +402,7 @@ def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     corrected = mp_second_lah(fp)
-    verbatim = _second_lah(fp.alpha, fp.n, box_moments((1,) * fp.k, fp.k, fp.n))
+    verbatim = mp_second_lah(FamilyPoint(fp.n, fp.k, fp.alpha, (Fraction(1),) * fp.k))
     out = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
     return replace(out, note="; ".join(s for s in (out.note, remark) if s))
 
@@ -465,25 +414,25 @@ def _eval_T41(pt: ParamPoint) -> _Outcome:
 
 def _eval_T42a(pt: ParamPoint, stated: tuple = _ABS_FIRST) -> _Outcome:
     return _inversion(
-        pt, mp_second_def, _bernoulli_vector, comtet_first, _SIGNLESS_FIRST, stated
+        pt, mp_second_def, mp_bernoulli, comtet_first, _SIGNLESS_FIRST, stated
     )
 
 
 def _eval_T42b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _second_vector, comtet_second, _FROM_SECOND, _SECOND
+        pt, mp_bernoulli, mp_second_def, comtet_second, _FROM_SECOND, _SECOND
     )
 
 
 def _eval_T43a(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_first_def, _bernoulli_vector, comtet_first, _TO_FIRST, _FIRST
+        pt, mp_first_def, mp_bernoulli, comtet_first, _TO_FIRST, _FIRST
     )
 
 
 def _eval_T43b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, _first_vector, comtet_second, _FROM_FIRST, _SECOND
+        pt, mp_bernoulli, mp_first_def, comtet_second, _FROM_FIRST, _SECOND
     )
 
 
@@ -503,7 +452,7 @@ def _eval_T51b(pt: ParamPoint) -> _Outcome:
 def _eval_T52a(pt: ParamPoint) -> _Outcome:
     # The stated polynomial form carries the correct weights already.
     return _inversion(
-        pt, mp_bernoulli_poly, _first_poly_vector, comtet_second, _FROM_FIRST, None
+        pt, mp_bernoulli_poly, mp_poly_first, comtet_second, _FROM_FIRST, None
     )
 
 
@@ -511,7 +460,7 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
     return _inversion(
         pt,
         mp_bernoulli_poly,
-        _second_poly_vector,
+        mp_poly_second,
         comtet_second,
         _FROM_SECOND,
         # As stated, the weights of T5.2a: (-1)^(n-m) m!.
@@ -521,7 +470,7 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
 
 def _eval_T52c(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_poly_first, _bernoulli_poly_vector, comtet_first, _TO_FIRST, _FIRST
+        pt, mp_poly_first, mp_bernoulli_poly, comtet_first, _TO_FIRST, _FIRST
     )
 
 
@@ -529,7 +478,7 @@ def _eval_T52d(pt: ParamPoint) -> _Outcome:
     return _inversion(
         pt,
         mp_poly_second,
-        _bernoulli_poly_vector,
+        mp_bernoulli_poly,
         comtet_first,
         _SIGNLESS_FIRST,
         _ABS_FIRST,
@@ -562,10 +511,9 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         triangle = signless_comtet_first(classical_roots, n)
         closed = mp_second_closed
     sign = 1 if first else (-1) ** n
-    unit_moments = box_moments((1,) * k, k, n)
-    triangle_poly = sign * _pair(triangle.int_row(n), unit_moments)
-    q_row = IntVector.of(c * q ** (n - m) for m, c in enumerate(triangle.row(n)))
-    triangle_q = sign * _pair(q_row, unit_moments)
+    unit = (Fraction(1),) * k
+    pairs = zip(triangle.row(n), box_moments(unit, k, n))
+    triangle_q = sign * sum(c * q ** (n - m) * mu for m, (c, mu) in enumerate(pairs))
 
     def integral(roots: tuple[Rat, ...]) -> Rat:
         product = Polynomial.from_roots(r if first else -r for r in roots)
@@ -576,7 +524,7 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
     classic = specialize("classic", kind, n, lengths=(ell,))
     q_poly = specialize("q-poly", kind, n, k, q=q)
     arrows = [
-        ("poly-vs-triangle", poly, triangle_poly),
+        ("poly-vs-triangle", poly, closed(FamilyPoint(n, k, classical_roots, unit))),
         ("classic-vs-integral", classic, integral(classical_roots)),
         ("q-poly-vs-homogeneity", q_poly, triangle_q),
         ("q-one-collapse", specialize("q-poly", kind, n, k, q=1), poly),
@@ -587,7 +535,7 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         ),
         (
             "extended-unit-collapse",
-            specialize("extended-q", kind, n, k, q=q, lengths=(Fraction(1),) * k),
+            specialize("extended-q", kind, n, k, q=q, lengths=unit),
             q_poly,
         ),
         (
@@ -811,6 +759,12 @@ class GridSpec:
     series_order: int = 6
     bound: int = 20
 
+    def __post_init__(self) -> None:
+        low = {"n_max": 0, "k_max": 1, "points": 0, "series_order": 0, "bound": 1}
+        for name, least in low.items():
+            if getattr(self, name) < least:
+                raise PreconditionError(f"grid {name} must be at least {least}")
+
 
 _GF_IDS = ("GF-Lif", "GF-Li")
 
@@ -828,6 +782,16 @@ def _random_point(
     k = 1 if _BY_ID[identity].k1_only else rng.randint(1, grid.k_max)
     if identity == "T4.1":
         order = grid.series_order
+        # The 2 bound + 1 integers alone suffice up to here; beyond, count
+        # the reduced p/q with |p|, q <= bound.
+        if order >= 2 * grid.bound + 1:
+            b = range(1, grid.bound + 1)
+            pool = 1 + 2 * sum(math.gcd(p, q) == 1 for p in b for q in b)
+            if order + 1 > pool:
+                raise PreconditionError(
+                    f"series order {order} needs {order + 1} distinct parameters, "
+                    f"but only {pool} rationals have height at most {grid.bound}"
+                )
         alpha: list[Rat] = []
         while len(alpha) < order + 1:
             candidate = _rand_rat(rng, grid.bound)
@@ -910,8 +874,9 @@ def sweep(
     """Verify the requested identities (all by default) over deterministic
     classical points plus seeded random rational points.
 
-    The report tuple is ordered by (catalog order, point index) and is a pure
-    function of (ids, grid, seed).
+    The report tuple is ordered by (catalog order, point index), each id
+    swept once however often it is requested, and is a pure function of
+    (ids, grid, seed).
     """
     if ids is None:
         chosen = list(IDENTITY_IDS)
@@ -920,7 +885,7 @@ def sweep(
         unknown = [i for i in chosen if i not in _BY_ID]
         if unknown:
             raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
-        chosen.sort(key=IDENTITY_IDS.index)
+        chosen = sorted(set(chosen), key=IDENTITY_IDS.index)
     return tuple(
         verify(identity, point)
         for identity in chosen

@@ -229,6 +229,30 @@ def test_verify_errata_is_a_single_document():
     assert doc["entries"][0]["counterexample"]["point"]["n"] >= 0
 
 
+def test_verify_counts_a_repeated_id_once(capsys):
+    ledgers = []
+    for ids in ("T3.1", "T3.1,T3.1"):
+        assert main(["verify", "--ids", ids, "--errata"]) == 0
+        ledgers.append(json.loads(capsys.readouterr().out))
+    assert ledgers[1] == ledgers[0]
+    entry = ledgers[1]["entries"][0]
+    assert (entry["points_checked"], entry["verbatim_failures"]) == (20, 8)
+
+
+def test_verify_with_too_few_distinct_parameters_exits_3():
+    # 511 rationals have height at most 20; order 511 needs 512 of them.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyfam", "verify", "--ids", "T4.1", "--order", "511"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "precondition violated" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_output_is_deterministic():
     args = ("verify", "--ids", "T2.1,T4.2a", "--n-max", "3", "--k-max", "1",
             "--points", "2")

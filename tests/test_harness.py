@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfam import algebra, bernoulli, cauchy, harness
-from polyfam.algebra import IntVector, Polynomial
+from polyfam.algebra import IntVector, Polynomial, PreconditionError
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
     CATALOG,
@@ -215,6 +216,41 @@ def test_repeated_sweeps_hold_no_growing_state():
 def test_sweep_rejects_unknown_ids():
     with pytest.raises(ValueError):
         sweep(ids=["T2.1", "bogus"], grid=SMALL)
+
+
+def test_sweep_checks_a_repeated_id_once():
+    assert sweep(ids=["T3.1", "T3.1"]) == sweep(ids=["T3.1"])
+    repeated = sweep(ids=["T5.2a", "T2.1", "T5.2a"], grid=SMALL)
+    assert repeated == sweep(ids=["T2.1", "T5.2a"], grid=SMALL)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_max", -1), ("k_max", 0), ("points", -1), ("series_order", -1), ("bound", 0)],
+)
+def test_grid_rejects_out_of_range_sizes(field, value):
+    with pytest.raises(PreconditionError, match=field):
+        GridSpec(**{field: value})
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 20])
+def test_t41_points_need_enough_distinct_rationals(bound):
+    # A T4.1 point needs series_order + 1 distinct parameters of height at
+    # most `bound`; one more than the pool is refused, not searched for.
+    heights = range(1, bound + 1)
+    pool = len({Fraction(p, q) for p in range(-bound, bound + 1) for q in heights})
+    grid = GridSpec(series_order=pool - 1, bound=bound)
+    point = harness._random_point(random.Random(0), grid, "T4.1")
+    assert len(set(point.alpha)) == pool
+    with pytest.raises(PreconditionError, match=f"only {pool} rationals"):
+        harness._random_point(
+            random.Random(0), replace(grid, series_order=pool), "T4.1"
+        )
+
+
+def test_a_sweep_with_too_few_distinct_rationals_is_refused():
+    with pytest.raises(PreconditionError):
+        sweep(ids=["T4.1"], grid=GridSpec(bound=1, points=1))
 
 
 def test_summarize_counts_verdicts():
