@@ -6,7 +6,9 @@ The multiparameter values are weighted sums of second-kind triangle rows. Two
 summation conventions exist for them: the 'corrected' single-factorial
 convention (the default, and the unique one that reduces to the classical
 values at integer parameters) and a 'verbatim' convention with a duplicated
-factorial that is kept computable for the errata report.
+factorial. The verbatim one is computed only on request, as by `polyfam
+number`/`poly --mode verbatim`; the identity sweep and its errata ledger do
+not use it.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .stirling import (
 )
 
 __all__ = [
+    "SPECIAL_FAMILIES",
     "FamilyPoint",
     "SeriesCheck",
     "classic_first_with_lengths",

@@ -237,21 +237,29 @@ def _cmd_table(args) -> int:
         table = build(alpha, args.n_max)
         base_params = {"alpha": ",".join(str(a) for a in alpha)}
     else:
+        if args.alpha is not None or args.q is not None:
+            raise PreconditionError(
+                f"table family {args.family!r} takes no --alpha or --q"
+            )
         table = build(args.n_max)
         base_params = {}
     columns = ["family", "params", "value", "mode"]
+    if args.decimals is not None:
+        columns.append("approx")
     emitter = _Emitter(args.format, columns)
     for n in range(args.n_max + 1):
         params = dict(base_params)
         params["n"] = str(n)
-        emitter.emit(
-            {
-                "family": args.family,
-                "params": params,
-                "value": [str(c) for c in table.row(n)],
-                "mode": "corrected",
-            }
-        )
+        row = table.row(n)
+        record = {
+            "family": args.family,
+            "params": params,
+            "value": _render(row),
+            "mode": "corrected",
+        }
+        if args.decimals is not None:
+            record["approx"] = _render(row, lambda v: _approx(v, args.decimals))
+        emitter.emit(record)
     return 0
 
 

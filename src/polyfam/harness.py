@@ -876,12 +876,15 @@ def sweep(
 
     The report tuple is ordered by (catalog order, point index), each id
     swept once however often it is requested, and is a pure function of
-    (ids, grid, seed).
+    (ids, grid, seed). An empty id list raises ValueError, since a sweep that
+    checked nothing must not read as a success.
     """
     if ids is None:
         chosen = list(IDENTITY_IDS)
     else:
         chosen = list(ids)
+        if not chosen:
+            raise ValueError("no identity ids given")
         unknown = [i for i in chosen if i not in _BY_ID]
         if unknown:
             raise ValueError(f"unknown identity ids: {', '.join(unknown)}")

@@ -1,25 +1,26 @@
-"""Connection coefficients between graded polynomial bases.
+"""Connection coefficients between Newton bases.
 
-One exact basis-change engine produces every triangle in this package:
-generalized (Comtet) Stirling numbers of both kinds for an arbitrary rational
-parameter sequence, their signless variant, the classical Stirling and signed
-Lah triangles, and the non-central tables. Named recurrences and closed forms
+One exact recurrence produces every triangle in this package: generalized
+(Comtet) Stirling numbers of both kinds for an arbitrary rational parameter
+sequence, their signless variant, the classical Stirling and signed Lah
+triangles, and the non-central tables. Named recurrences and closed forms
 exist only as cross-checks.
 
-Every supported basis is a Newton basis b_0 = 1, b_{m+1} = c (X - node_m) b_m
-with a scale c = +-1 and a node sequence. Writing the source basis with scale
-c_s and nodes a, the target with c_t and b, the connection table obeys
+A Newton basis is its node sequence: b_0 = 1 and b_{m+1} = (X - node_m) b_m.
+Monomials have the nodes 0, 0, ..., falling factorials 0, 1, 2, ..., rising
+factorials 0, -1, -2, ..., and the multiparameter products the parameters
+themselves. With source nodes a and target nodes b, the connection table
+obeys
 
-    T(n+1, m) = c_s [c_t T(n, m-1) + (b_m - a_n) T(n, m)],
+    T(n+1, m) = T(n, m-1) + (b_m - a_n) T(n, m),
 
-since (X - a_n) t_m = c_t t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
-Verde-Star, Stud. Appl. Math. 1988). The engine builds rows 0..size of a
-table in one pass of this recurrence and keeps no state between calls.
+since (X - a_n) t_m = t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
+Verde-Star, Stud. Appl. Math. 1988). The recurrence builds rows 0..size of a
+table in one pass and keeps no state between calls.
 
 The pass is fraction-free, after Bareiss (Math. Comp. 1968): with D the lcm
 of the node denominators and A = D a, B = D b, the integers
-r(n, m) = D^(n-m) T(n, m) obey
-r(n+1, m) = c_s [c_t r(n, m-1) + (B_m - A_n) r(n, m)].
+r(n, m) = D^(n-m) T(n, m) obey r(n+1, m) = r(n, m-1) + (B_m - A_n) r(n, m).
 """
 
 from __future__ import annotations
@@ -28,26 +29,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .algebra import (
-    IntVector,
-    Polynomial,
-    PreconditionError,
-    Rat,
-    RatLike,
-    as_rat_tuple,
-)
+from .algebra import IntVector, PreconditionError, Rat, RatLike, as_rat_tuple
 
 __all__ = [
-    "Basis",
     "CoeffTable",
     "InversionCheck",
     "comtet_first",
     "comtet_second",
     "comtet_second_explicit",
     "connection_coeffs",
-    "identity_table",
     "inversion_check",
     "lah_closed_form",
     "lah_signed",
@@ -57,59 +49,6 @@ __all__ = [
     "stirling_second",
     "table_product",
 ]
-
-
-@dataclass(frozen=True)
-class Basis:
-    """A graded Newton basis: b_0 = 1 and b_{m+1} = scale (X - node_m) b_m.
-
-    Nodes are `alpha` when it is given, else node_i = step * i:
-      monomial          b_m = X^m                            nodes 0, 0, ...
-      falling           b_m = X(X-1)...(X-m+1)               nodes 0, 1, 2, ...
-      negated-falling   b_m = (-X)(-X-1)...(-X-m+1)          nodes 0, -1, -2, ...
-                                                             scale -1
-      multiparam        b_m = (X-a_0)(X-a_1)...(X-a_{m-1})   nodes a
-    """
-
-    scale: int = 1
-    step: int = 0
-    alpha: Optional[tuple[Rat, ...]] = None
-
-    @classmethod
-    def monomial(cls) -> "Basis":
-        return cls()
-
-    @classmethod
-    def falling(cls) -> "Basis":
-        return cls(step=1)
-
-    @classmethod
-    def negated_falling(cls) -> "Basis":
-        return cls(scale=-1, step=-1)
-
-    @classmethod
-    def multiparam(cls, alpha: Iterable[RatLike]) -> "Basis":
-        return cls(alpha=as_rat_tuple(alpha))
-
-    def nodes(self, count: int) -> tuple[Rat, ...]:
-        """node_0, ..., node_{count-1}."""
-        if self.alpha is None:
-            return tuple(Fraction(self.step * i) for i in range(count))
-        if len(self.alpha) < count:
-            raise PreconditionError(
-                f"parameter sequence of length {len(self.alpha)} cannot "
-                f"form a degree-{count} basis element"
-            )
-        return self.alpha[:count]
-
-    def element(self, m: int) -> Polynomial:
-        """The degree-m basis polynomial."""
-        if m < 0:
-            raise PreconditionError("basis degree must be nonnegative")
-        acc = Polynomial((1,))
-        for node in self.nodes(m):
-            acc = acc * Polynomial((-self.scale * node, self.scale))
-        return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +105,6 @@ class CoeffTable:
         )
 
 
-def identity_table(size: int) -> CoeffTable:
-    return CoeffTable(
-        tuple(tuple(int(n == m) for m in range(n + 1)) for n in range(size + 1))
-    )
-
-
 def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     """Triangular matrix product (a b)(n, j) = sum_m a(n, m) b(m, j), over
     the lcm of the two denominators."""
@@ -192,30 +125,35 @@ def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     )
 
 
-def connection_coeffs(source: Basis, target: Basis, size: int) -> CoeffTable:
+def connection_coeffs(
+    source: Iterable[RatLike], target: Iterable[RatLike], size: int
+) -> CoeffTable:
     """Exact table T with source_n(X) = sum_{m<=n} T(n, m) target_m(X).
 
-    Works for any pair of Newton bases; rows 0..size, built over the integers
-    by the node recurrence of the module docstring. Raises PreconditionError
-    when a multiparam basis holds fewer than `size` parameters.
+    Works for any pair of Newton bases, each given by its node sequence; rows
+    0..size, built over the integers by the node recurrence of the module
+    docstring. Raises PreconditionError when either sequence holds fewer than
+    `size` nodes.
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    a, b = source.nodes(size), target.nodes(size)
+    a, b = (as_rat_tuple(nodes) for nodes in (source, target))
+    for nodes in (a, b):
+        if len(nodes) < size:
+            raise PreconditionError(
+                f"parameter sequence of length {len(nodes)} cannot "
+                f"form a degree-{size} basis element"
+            )
+    a, b = a[:size], b[:size]
     d = math.lcm(*(x.denominator for x in a + b))
     a, b = ([x.numerator * (d // x.denominator) for x in xs] for xs in (a, b))
-    sign = source.scale * target.scale
     row: tuple[int, ...] = (1,)
     rows = [row]
     for n, a_n in enumerate(a):
-        shifts = [
-            b_m - a_n if source.scale == 1 else a_n - b_m for b_m in b[: n + 1]
-        ]
-        lower = row if sign == 1 else tuple(-c for c in row)
         row = (
-            (shifts[0] * row[0],)
-            + tuple(lower[m - 1] + shifts[m] * row[m] for m in range(1, n + 1))
-            + (lower[n],)
+            ((b[0] - a_n) * row[0],)
+            + tuple(row[m - 1] + (b[m] - a_n) * row[m] for m in range(1, n + 1))
+            + (row[n],)
         )
         rows.append(row)
     return CoeffTable(tuple(rows), d)
@@ -224,13 +162,13 @@ def connection_coeffs(source: Basis, target: Basis, size: int) -> CoeffTable:
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     """Generalized Stirling numbers of the first kind: the expansion of
     (X-a_0)...(X-a_{n-1}) in monomials."""
-    return connection_coeffs(Basis.multiparam(alpha), Basis.monomial(), size)
+    return connection_coeffs(alpha, (0,) * size, size)
 
 
 def comtet_second(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     """Generalized Stirling numbers of the second kind: the expansion of X^n
     in the products (X-a_0)...(X-a_{m-1})."""
-    return connection_coeffs(Basis.monomial(), Basis.multiparam(alpha), size)
+    return connection_coeffs((0,) * size, alpha, size)
 
 
 def signless_comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
@@ -240,24 +178,28 @@ def signless_comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     sequence, and agrees with its entrywise absolute values exactly when all
     parameters are nonnegative.
     """
-    negated = tuple(-a for a in as_rat_tuple(alpha))
-    return connection_coeffs(Basis.multiparam(negated), Basis.monomial(), size)
+    return connection_coeffs((-a for a in as_rat_tuple(alpha)), (0,) * size, size)
 
 
 def stirling_first(size: int) -> CoeffTable:
     """Classical signed Stirling numbers of the first kind."""
-    return comtet_first(tuple(Fraction(i) for i in range(size)), size)
+    return connection_coeffs(range(size), (0,) * size, size)
 
 
 def stirling_second(size: int) -> CoeffTable:
     """Classical Stirling numbers of the second kind."""
-    return comtet_second(tuple(Fraction(i) for i in range(size)), size)
+    return connection_coeffs((0,) * size, range(size), size)
 
 
 def lah_signed(size: int) -> CoeffTable:
     """Signed Lah numbers L(m, l) defined by the exact expansion of the
-    negated falling factorial in the falling-factorial basis."""
-    return connection_coeffs(Basis.negated_falling(), Basis.falling(), size)
+    negated falling factorial (-X)_m = (-1)^m X(X+1)...(X+m-1) in the
+    falling-factorial basis: the rising-to-falling table, row m times
+    (-1)^m."""
+    rising = connection_coeffs(range(0, -size, -1), range(size), size)
+    return CoeffTable(
+        tuple(tuple((-1) ** m * c for c in row) for m, row in enumerate(rising.num))
+    )
 
 
 def lah_closed_form(m: int, l: int) -> Rat:
@@ -276,7 +218,7 @@ def lah_closed_form(m: int, l: int) -> Rat:
 def noncentral_second(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     """Non-central Stirling numbers: the expansion of
     (X-a_0)...(X-a_{n-1}) in the falling-factorial basis."""
-    return connection_coeffs(Basis.multiparam(alpha), Basis.falling(), size)
+    return connection_coeffs(alpha, range(size), size)
 
 
 def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:

@@ -158,6 +158,33 @@ def test_table_multiparameter_needs_parameters():
     assert "precondition violated" in proc.stderr
 
 
+def test_table_decimals_adds_an_approx_field(capsys):
+    assert main(["table", "lah", "--n-max", "2", "--decimals", "2"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[2]["value"] == ["0", "2", "1"]
+    assert [r["approx"] for r in rows] == [
+        ["1.00"], ["0.00", "-1.00"], ["0.00", "2.00", "1.00"]
+    ]
+    argv = ["table", "comtet-1", "--n-max", "1", "--alpha", "1/3", "--format", "csv"]
+    assert main(argv + ["--decimals", "3"]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header == "family,params,value,mode,approx"
+    assert row.endswith(',"[""-0.333"",""1.000""]"')
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "family,params,value,mode"
+
+
+@pytest.mark.parametrize("family", ["stirling-1", "stirling-2", "lah"])
+@pytest.mark.parametrize("flag", [("--alpha", "1,2"), ("--q", "1")])
+def test_classical_tables_reject_parameters(family, flag, capsys):
+    assert main(["table", family, "--n-max", "2", *flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"precondition violated: table family {family!r} takes no --alpha or --q\n"
+    )
+
+
 def test_bad_rational_is_a_usage_error():
     assert run_cli("number", "cauchy-1", "--n", "2",
                    "--lengths", "1/0").returncode == 2

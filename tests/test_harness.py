@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfam import algebra, bernoulli, cauchy, harness
+import polyfam
+from polyfam import algebra, bernoulli, cauchy, harness, stirling
 from polyfam.algebra import IntVector, Polynomial, PreconditionError
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
@@ -216,6 +217,19 @@ def test_repeated_sweeps_hold_no_growing_state():
 def test_sweep_rejects_unknown_ids():
     with pytest.raises(ValueError):
         sweep(ids=["T2.1", "bogus"], grid=SMALL)
+
+
+@pytest.mark.parametrize("ids", [[], (), iter(())])
+def test_sweep_refuses_an_empty_id_list(ids):
+    with pytest.raises(ValueError, match="no identity ids"):
+        sweep(ids=ids, grid=SMALL)
+
+
+def test_every_public_name_is_exported_by_the_package():
+    for module in (algebra, bernoulli, cauchy, harness, stirling):
+        for name in module.__all__:
+            assert getattr(polyfam, name) is getattr(module, name), name
+    assert "SPECIAL_FAMILIES" in cauchy.__all__
 
 
 def test_sweep_checks_a_repeated_id_once():

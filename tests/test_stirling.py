@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from polyfam.algebra import Polynomial, PreconditionError
 from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
-    Basis,
     CoeffTable,
     comtet_first,
     comtet_second,
     comtet_second_explicit,
     connection_coeffs,
-    identity_table,
     inversion_check,
     lah_closed_form,
     lah_signed,
@@ -179,7 +177,7 @@ def test_comtet_tables_are_two_sided_inverses(alpha):
     second = comtet_second(alpha, n)
     assert table_product(first, second).is_identity()
     assert table_product(second, first).is_identity()
-    assert identity_table(n).is_identity()
+    assert connection_coeffs(alpha, alpha, n).is_identity()
 
 
 def test_noncentral_table_collapses_classically():
@@ -220,10 +218,8 @@ def test_lah_rows_connect_the_two_falling_factorials():
 @given(alpha_lists, alpha_lists)
 def test_connection_coefficients_compose_to_identity(a, b):
     size = min(len(a), len(b))
-    src = Basis.multiparam(a)
-    dst = Basis.multiparam(b)
-    forward = connection_coeffs(src, dst, size)
-    back = connection_coeffs(dst, src, size)
+    forward = connection_coeffs(a, b, size)
+    back = connection_coeffs(b, a, size)
     assert table_product(forward, back).is_identity()
 
 
@@ -239,7 +235,7 @@ def test_node_recurrence_matches_the_back_substitution_oracle(size, alpha, beta)
         table = build(alpha, size) if needs_alpha else build(size)
         source, target = _ORACLE_BASES[family](alpha)
         assert table.rows == _oracle_connection(source, target, size), family
-    mixed = connection_coeffs(Basis.multiparam(alpha), Basis.multiparam(beta), size)
+    mixed = connection_coeffs(alpha, beta, size)
     assert mixed.rows == _oracle_connection(
         _multiparam(alpha), _multiparam(beta), size
     )
@@ -275,10 +271,7 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
         (build(alpha, size) if needs_alpha else build(size), family)
         for family, (build, needs_alpha) in TABLE_FAMILIES.items()
     ]
-    builds.append(
-        (connection_coeffs(Basis.multiparam(alpha), Basis.multiparam(beta), size),
-         "mixed")
-    )
+    builds.append((connection_coeffs(alpha, beta, size), "mixed"))
     for table, family in builds:
         if family == "mixed":
             want = _oracle_connection(_multiparam(alpha), _multiparam(beta), size)
@@ -298,11 +291,12 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=12), node_lists(), st.integers(2, 6))
 def test_table_views_agree_across_denominators(size, alpha, factor):
-    basis = Basis.multiparam(alpha)
-    same = connection_coeffs(basis, basis, size)
-    assert same.is_identity() and identity_table(size).is_identity()
-    assert same == identity_table(size)
-    assert hash(same) == hash(identity_table(size))
+    same = connection_coeffs(alpha, alpha, size)
+    identity = connection_coeffs((0,) * size, (0,) * size, size)
+    assert identity.den == 1
+    assert same.is_identity() and identity.is_identity()
+    assert same == identity
+    assert hash(same) == hash(identity)
     first, second = comtet_first(alpha, size), comtet_second(alpha, size)
     for table in (first, second, signless_comtet_first(alpha, size)):
         hand = _hand_built(table, factor)
@@ -313,8 +307,8 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
         assert hand.entrywise_abs().rows == tuple(
             tuple(abs(c) for c in row) for row in table.rows
         )
-        assert table_product(hand, identity_table(size)) == table
-        assert table_product(identity_table(size), hand) == table
+        assert table_product(hand, identity) == table
+        assert table_product(identity, hand) == table
         assert hand.is_identity() == table.is_identity()
     assert table_product(_hand_built(first, factor), second).is_identity()
     assert table_product(second, _hand_built(first, factor)).is_identity()
@@ -325,20 +319,12 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
 
 def test_connection_preconditions():
     with pytest.raises(PreconditionError):
-        connection_coeffs(Basis.monomial(), Basis.falling(), -1)
-    with pytest.raises(PreconditionError):
-        connection_coeffs(Basis.multiparam((1, 2)), Basis.monomial(), 3)
-    with pytest.raises(PreconditionError):
-        connection_coeffs(Basis.monomial(), Basis.multiparam((1, 2)), 3)
-    with pytest.raises(PreconditionError):
-        Basis.falling().element(-1)
-
-
-def test_basis_elements():
-    assert Basis.monomial().element(3) == Polynomial((0, 0, 0, 1))
-    assert Basis.falling().element(2) == Polynomial.from_roots((0, 1))
-    assert Basis.negated_falling().element(2) == Polynomial((0, 1, 1))
-    assert Basis.multiparam((5, 7)).element(2) == Polynomial.from_roots((5, 7))
+        connection_coeffs((), (), -1)
+    short = "parameter sequence of length 2 cannot form a degree-3 basis element"
+    with pytest.raises(PreconditionError, match=short):
+        connection_coeffs((1, 2), (0, 0, 0), 3)
+    with pytest.raises(PreconditionError, match=short):
+        connection_coeffs((0, 0, 0), (1, 2), 3)
 
 
 def test_explicit_second_kind_matches_the_table():
