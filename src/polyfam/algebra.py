@@ -86,11 +86,16 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
-        """The monic polynomial prod_i (X - r_i); the empty product is 1."""
-        acc = cls((1,))
-        for r in roots:
-            acc = acc * cls((-as_rat(r), 1))
-        return acc
+        """The monic polynomial prod_i (X - r_i); the empty product is 1.
+        One coefficient list is multiplied in place by each X - r, high index
+        first (c_i becomes c_(i-1) - r c_i)."""
+        cs = [Fraction(1)]
+        for r in map(as_rat, roots):
+            cs.append(cs[-1])
+            for i in range(len(cs) - 2, 0, -1):
+                cs[i] = cs[i - 1] - r * cs[i]
+            cs[0] = -r * cs[0]
+        return cls(cs)
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
@@ -184,12 +189,6 @@ class IntVector:
 
     def __init__(self, num: tuple[int, ...], den: int = 1):
         self.num, self.den = num, den
-
-    @classmethod
-    def of(cls, values: Iterable[RatLike]) -> "IntVector":
-        vals = as_rat_tuple(values)
-        den = math.lcm(*(v.denominator for v in vals))
-        return cls(tuple(v.numerator * (den // v.denominator) for v in vals), den)
 
     def __len__(self) -> int:
         return len(self.num)

@@ -147,8 +147,8 @@ def _box_integral(product: Polynomial, lengths: Sequence[Rat]) -> Rat:
     """The box integral of sum_m c_m T^m, T = x_1...x_k, one variable at a
     time: integrating over x_i in [0, u/v] multiplies c_m by
     u^(m+1) / (v^(m+1) (m+1)). Numerators and denominators are carried as
-    integers and reduced once. The definitions' own integration, apart from
-    box_moments."""
+    integers and summed as one Fraction over their lcm. The definitions' own
+    integration, apart from box_moments."""
     nums = [c.numerator for c in product.coeffs]
     dens = [c.denominator for c in product.coeffs]
     for length in lengths:
@@ -158,7 +158,8 @@ def _box_integral(product: Polynomial, lengths: Sequence[Rat]) -> Rat:
             nums[m] *= up
             dens[m] *= vp * (m + 1)
             up, vp = up * u, vp * v
-    return sum(map(Fraction, nums, dens), Fraction(0))
+    den = math.lcm(*dens)
+    return Fraction(sum(c * (den // d) for c, d in zip(nums, dens)), den)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
@@ -207,23 +208,32 @@ def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     return _pair(nc.int_row(p.n), classic)
 
 
+def _reciprocal_power_sums(head: Sequence[Rat], order: int) -> tuple[int, list[int]]:
+    """L and the integers N_j = sum_i w_i^j for j = 1..order, where L is
+    the lcm of the parameters' numerators and w_i = L / a_i (an integer, sign
+    kept), so that sum_i a_i^(-j) = N_j / L^j."""
+    if any(x == 0 for x in head):
+        raise PreconditionError("reciprocal power sums need nonzero parameters")
+    lcm = math.lcm(*(x.numerator for x in head))
+    w = [x.denominator * (lcm // x.numerator) for x in head]
+    powers, sums = w, []
+    for _ in range(order):
+        sums.append(sum(powers))
+        powers = list(map(mul, powers, w))
+    return lcm, sums
+
+
 def generalized_harmonic(
     alpha: Iterable[RatLike], n: int, max_order: int
 ) -> tuple[Rat, ...]:
     """Power sums of reciprocals (H^(1), ..., H^(max_order)) with
-    H^(j) = sum_{i<n} a_i^(-j). Requires the first n parameters nonzero."""
+    H^(j) = sum_{i<n} a_i^(-j) = N_j / L^j, reduced once (see
+    _reciprocal_power_sums). Requires the first n parameters nonzero."""
     a = as_rat_tuple(alpha)
     if len(a) < n:
         raise PreconditionError(f"need at least {n} parameters, got {len(a)}")
-    head = a[:n]
-    if any(x == 0 for x in head):
-        raise PreconditionError(
-            "reciprocal power sums need nonzero parameters"
-        )
-    out = []
-    for j in range(1, max_order + 1):
-        out.append(sum((x ** (-j) for x in head), Fraction(0)))
-    return tuple(out)
+    lcm, sums = _reciprocal_power_sums(a[:n], max_order)
+    return tuple(Fraction(s, lcm**j) for j, s in enumerate(sums, 1))
 
 
 def modified_bell(m: int, xs: Sequence[RatLike]) -> Rat:
@@ -245,16 +255,16 @@ def modified_bell(m: int, xs: Sequence[RatLike]) -> Rat:
 def mp_first_bell(p: FamilyPoint) -> Rat:
     """First kind via the explicit Bell-polynomial formula
     (-1)^n (prod a_i) sum_m P_m(-H^(1), ..., -H^(m)) (l_1...l_k)^(m+1)/(m+1)^k.
-    Requires nonzero parameters."""
-    harmonics = generalized_harmonic(p.alpha, p.n, p.n)
-    prod_alpha = math.prod(p.alpha[: p.n])
-    # One exp of order n gives every P_m: its coefficient m depends only on
-    # the inner coefficients 1..m, as in modified_bell(m, ...).
-    bell = TruncatedSeries(
-        p.n, [Fraction(0)] + [-h / j for j, h in enumerate(harmonics, 1)]
-    ).exp()
-    total = _pair(IntVector.of(bell.coeffs), box_moments(p.lengths, p.k, p.n))
-    return Fraction((-1) ** p.n) * prod_alpha * total
+    With H^(j) = N_j / L^j and t = L s, exp(sum_j -H^(j) t^j / j) is
+    exp(sum_j -N_j s^j / j) = prod_i (1 - w_i s), so its coefficients P_m L^m
+    are integers; one exp of order n gives every P_m. Requires nonzero
+    parameters."""
+    lcm, sums = _reciprocal_power_sums(p.alpha[: p.n], p.n)
+    inner = [Fraction(0)] + [Fraction(-s, j) for j, s in enumerate(sums, 1)]
+    bell = TruncatedSeries(p.n, inner).exp().coeffs
+    row = tuple(c.numerator * lcm ** (p.n - m) for m, c in enumerate(bell))
+    total = _pair(IntVector(row, lcm**p.n), box_moments(p.lengths, p.k, p.n))
+    return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
 
 
 def mp_second_def(p: FamilyPoint) -> Rat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -309,6 +310,15 @@ def _cmd_verify(args) -> int:
     return 1 if FAIL in verdicts else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative number (-2/3, -1/2,1) as a
+    value, not as an option, so --alpha -1/2,1 works as --alpha=-1/2,1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=_int_at_least(0), required=True, help="index n >= 0")
     sub.add_argument("--k", type=_int_at_least(1), default=1, help="depth k >= 1")
@@ -353,7 +363,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyfam",
         description=(
             "Exact computation of multiparameter Cauchy- and Bernoulli-type "

@@ -52,6 +52,21 @@ def test_trailing_zeros_are_stripped():
     assert p.coefficient(17) == 0
 
 
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.one_of(rationals, st.sampled_from((0, -1, 2, Fraction(-1, 2)))),
+        max_size=12,
+    )
+)
+def test_from_roots_equals_the_product_of_linear_factors(roots):
+    expected = Polynomial((1,))
+    for r in roots:
+        expected = expected * Polynomial((-r, 1))
+    assert Polynomial.from_roots(roots) == expected
+    assert Polynomial.from_roots(iter(roots)) == expected
+
+
 def test_from_roots_expansion():
     p = Polynomial.from_roots((1, 2, 3))
     assert p.coeffs == (Fraction(-6), Fraction(11), Fraction(-6), Fraction(1))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyfam import algebra, cauchy, stirling
 from polyfam.algebra import IntVector, Polynomial, PreconditionError, box_moments
 from polyfam.cauchy import (
     FamilyPoint,
@@ -118,7 +120,9 @@ def test_integer_pairing_matches_the_fraction_sums(n, k, alpha, lengths):
         row = table.row(n)
         value = sum((c * mu[m] for m, c in enumerate(row)), Fraction(0))
         assert _pair(table.int_row(n), moments) == value
-        assert _pair(IntVector.of(row), moments) == value
+        den = math.lcm(*(c.denominator for c in row))
+        common = IntVector(tuple(c.numerator * (den // c.denominator) for c in row), den)
+        assert _pair(common, moments) == value
         shifted = [
             sum(
                 (-1) ** i * math.comb(m, i) * row[m] * mu[m - i]
@@ -185,10 +189,32 @@ def test_generalized_harmonic_values():
 
 
 def test_generalized_harmonic_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="need nonzero parameters"):
         generalized_harmonic((0, 1), 2, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="need at least 2 parameters, got 1"):
         generalized_harmonic((1,), 2, 1)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.one_of(nonzero_rationals, st.sampled_from((1, -1, 3, -2, Fraction(-1, 3)))),
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=6),
+)
+@example([], 0, 3)
+@example([Fraction(1, 2), -1, Fraction(1, 2), 7], 4, 0)
+def test_generalized_harmonic_is_the_termwise_power_sum(alpha, n, max_order):
+    # Its own oracle: the Bell route shares generalized_harmonic's integer
+    # power sums, so the Bell tests above do not pin them.
+    n = min(n, len(alpha))
+    head = [Fraction(x) for x in alpha[:n]]
+    expected = tuple(sum(x ** -j for x in head) for j in range(1, max_order + 1))
+    got = generalized_harmonic(alpha, n, max_order)
+    assert got == expected
+    assert all(isinstance(h, Fraction) for h in got)
 
 
 def test_modified_bell_small_cases():
@@ -321,3 +347,57 @@ def test_polynomial_degree_and_leading_coefficient():
         assert second.degree == n
         assert first.coeffs[-1] == (-1) ** n * prod
         assert second.coeffs[-1] == prod
+
+
+def test_the_definitions_reach_no_route_kernel(monkeypatch):
+    # Every route keeps an independent oracle: with the triangle kernel, the
+    # box moments and the integer pairing made to raise, the definitions and
+    # the polynomial sample oracles still give their values.
+    rng = random.Random(2014)
+
+    def rational(nonzero=False):
+        while True:
+            value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if value or not nonzero:
+                return value
+
+    cases = [
+        (
+            FamilyPoint(
+                n,
+                k,
+                tuple(rational() for _ in range(n)),
+                tuple(rational(nonzero=True) for _ in range(k)),
+            ),
+            rational(),
+        )
+        for n in range(11)
+        for k in (1, 2, 3)
+    ]
+
+    def values():
+        return [
+            (
+                mp_first_def(p),
+                mp_second_def(p),
+                mp_poly_first_oracle(p, z),
+                mp_poly_second_oracle(p, z),
+            )
+            for p, z in cases
+        ]
+
+    expected = values()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle reached a shared route kernel")
+
+    names = {"connection_coeffs", "box_moments", "IntVector", "_pair"}
+    patched = set()
+    for module in (algebra, cauchy, stirling):
+        for name in names & set(vars(module)):
+            monkeypatch.setattr(module, name, forbidden)
+            patched.add(name)
+    assert patched == names
+    with pytest.raises(AssertionError, match="shared route kernel"):
+        mp_first_closed(cases[-1][0])
+    assert values() == expected

@@ -351,7 +351,7 @@ def test_verify_argv_grammar_keeps_the_exit_code_contract(flags, errata):
 
 _ints = st.sampled_from(["-1", "0", "1", "2", "x"])
 _shared_flags = {
-    "--alpha": st.sampled_from(["", "1/2,-3", "0,0,1/7", "1/0"]),
+    "--alpha": st.sampled_from(["", "1/2,-3", "0,0,1/7", "1/0", "-1/2,1"]),
     "--q": st.sampled_from(["-2/3", "0", "x"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
     "--decimals": st.sampled_from(["-1", "0", "3"]),
@@ -362,7 +362,7 @@ _value_flags = st.fixed_dictionaries(
         "--k": st.sampled_from(["-1", "0", "1", "3"]),
         "--lengths": st.sampled_from(["1", "2,-1/3", "0,1", "1,1,1"]),
         "--mode": st.sampled_from(["corrected", "verbatim", "both"]),
-        "--z": st.sampled_from(["1/2", "-3", "z"]),
+        "--z": st.sampled_from(["1/2", "-3", "z", "-1/2"]),
         **_shared_flags,
     },
 )
@@ -394,6 +394,22 @@ def test_value_and_table_argv_grammar_keeps_the_exit_code_contract(argv_parts):
     lows = {"--n": 0, "--n-max": 0, "--k": 1}
     if any(flags.get(f, "x") != "x" and int(flags[f]) < low for f, low in lows.items()):
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "comtet-1", "--n-max", "2", "--q", "-2/3"],
+        ["number", "cauchy-1", "--n", "2", "--alpha", "-1/2,1"],
+        ["number", "mp-cauchy-1", "--n", "1", "--lengths", "-1/2"],
+        ["poly", "mp-bernoulli", "--n", "2", "--z", "-1/2"],
+    ],
+)
+def test_a_negative_rational_flag_value_may_follow_a_space(argv, capsys):
+    assert main(argv) == 0
+    spaced = capsys.readouterr().out
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+    assert spaced and capsys.readouterr().out == spaced
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):
