@@ -74,11 +74,11 @@ def classic_poly_bernoulli(n: int, k: int) -> Rat:
 def li_gf_check(k: int, order: int) -> SeriesCheck:
     """Compare sum_{m>=1} (1 - e^{-t})^{m-1} / m^k with the exponential
     generating function of the classical values through the given order;
-    the stated and corrected readings agree."""
-    u = 1 - exp_series(order, rate=-1)
-    lhs = TruncatedSeries.constant(0, order)
-    for m in range(1, order + 2):
-        lhs = lhs + u ** (m - 1) / Fraction(m**k)
+    the stated and corrected readings agree. The left side is one
+    composition, as in GF-Lif: the unit-box moments sum_m u^m / (m+1)^k
+    composed with u = 1 - e^{-t}."""
+    moments = TruncatedSeries(order, box_moments((1,) * k, k, order))
+    lhs = moments.compose(1 - exp_series(order, rate=-1))
     rhs = TruncatedSeries(
         order,
         [classic_poly_bernoulli(n, k) / math.factorial(n) for n in range(order + 1)],
@@ -111,16 +111,20 @@ def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
     return head
 
 
-def _second_kind_column_egf(
-    alpha: Sequence[Rat], exps: Sequence[TruncatedSeries], m: int, order: int
-) -> TruncatedSeries:
-    """sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i): the exponential
-    generating function (in -t) of column m of the second-kind triangle, with
-    e^{-a_j t} read from exps."""
+def _exp_sum(head: Sequence[Rat], weights: Sequence[Rat]) -> TruncatedSeries:
+    """sum_m w_m sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i), the
+    weighted column generating functions (in -t) of the second-kind triangle,
+    to order len(weights) - 1. Summed in the stated order, j outside and
+    m >= j inside, so each e^{-a_j t} is scaled once."""
+    order = len(weights) - 1
     acc = TruncatedSeries.constant(0, order)
-    for j in range(m + 1):
-        denom = math.prod(alpha[j] - alpha[i] for i in range(m + 1) if i != j)
-        acc = acc + exps[j] / denom
+    for j, a in enumerate(head):
+        denom = math.prod((a - head[i] for i in range(j)), start=Fraction(1))
+        coeff = weights[j] / denom
+        for m in range(j + 1, order + 1):
+            denom *= a - head[m]
+            coeff += weights[m] / denom
+        acc = acc + exp_series(order, rate=-a) * coeff
     return acc
 
 
@@ -132,7 +136,11 @@ def mp_bernoulli_gf_check(
 ) -> SeriesCheck:
     """Compare sum_n B_n t^n/n! with the closed form
     sum_m (-1)^m m! (l...)^(m+1)/(m+1)^k sum_{j<=m} e^{-a_j t}/prod(a_j - a_i),
-    truncated at `order`. Needs order+1 pairwise distinct parameters."""
+    truncated at `order`. Needs order+1 pairwise distinct parameters.
+
+    The closed form is summed once, in the stated order (j outside, m = j..order
+    inside); over the rationals that is the same finite sum as column by
+    column, so the stated reading is the corrected one."""
     a = as_rat_tuple(alpha)
     ls = as_rat_tuple(lengths)
     head = _distinct_head(a, order + 1)
@@ -147,21 +155,11 @@ def mp_bernoulli_gf_check(
         (-1) ** m * math.factorial(m) * mu
         for m, mu in enumerate(box_moments(ls, k, order))
     ]
-    exps = [exp_series(order, rate=-a) for a in head]
-    rhs = TruncatedSeries.constant(0, order)
-    for m in range(order + 1):
-        rhs = rhs + weights[m] * _second_kind_column_egf(head, exps, m, order)
-    # Stated ranges: outer sum over j with the inner sum running m = j..order;
-    # the same (j, m) pairs in the other order.
-    verbatim = TruncatedSeries.constant(0, order)
-    for j in range(order + 1):
-        for m in range(j, order + 1):
-            denom = math.prod(head[j] - head[i] for i in range(m + 1) if i != j)
-            verbatim = verbatim + weights[m] * exps[j] / denom
+    rhs = _exp_sum(head, weights)
     return SeriesCheck(
         lhs=lhs,
         rhs=rhs,
-        verbatim_rhs=verbatim,
+        verbatim_rhs=rhs,
         note=(
             "stated outer bound is unbound; read as the truncation order, "
             "which reorders the reconstructed double sum"
@@ -192,8 +190,10 @@ def mp_bernoulli_poly_gf_check(
 ) -> SeriesCheck:
     """Compare sum_n B_n(z0) t^n/n! with the closed form
     sum_m (-1)^m m! w_m(z0) sum_{j<=m} e^{-a_j t}/prod(a_j - a_i)
-    where w_m(z) = sum_i C(m,i) (l...)^(m-i+1) (-z)^i / (m-i+1)^k.
-    The stated form omits the factorial; verbatim_rhs evaluates it as stated.
+    where w_m(z) = sum_i C(m,i) (l...)^(m-i+1) (-z)^i / (m-i+1)^k, read
+    from the box moments. The stated form omits the factorial; verbatim_rhs
+    evaluates it as stated. Both are summed in the stated order of the
+    number check, one weight list each.
     """
     a = as_rat_tuple(alpha)
     ls = as_rat_tuple(lengths)
@@ -206,16 +206,15 @@ def mp_bernoulli_poly_gf_check(
             for n in range(order + 1)
         ],
     )
-    moments = box_moments(ls, k, order)
-    exps = [exp_series(order, rate=-a) for a in head]
-    rhs = TruncatedSeries.constant(0, order)
-    verbatim = TruncatedSeries.constant(0, order)
-    for m in range(order + 1):
-        column = _second_kind_column_egf(head, exps, m, order)
-        # w_m(z0): the shifted moment, the polynomial of the unit row T^m.
-        w = _poly_from_row(IntVector((0,) * m + (1,)), moments)(z)
-        rhs = rhs + Fraction((-1) ** m) * math.factorial(m) * w * column
-        verbatim = verbatim + Fraction((-1) ** m) * w * column
+    mu = box_moments(ls, k, order)
+    # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
+    stated = [
+        (-1) ** m * sum(math.comb(m, i) * (-z) ** i * mu[m - i] for i in range(m + 1))
+        for m in range(order + 1)
+    ]
+    corrected = [math.factorial(m) * w for m, w in enumerate(stated)]
+    rhs = _exp_sum(head, corrected)
+    verbatim = _exp_sum(head, stated)
     return SeriesCheck(
         lhs=lhs,
         rhs=rhs,

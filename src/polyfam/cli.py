@@ -82,7 +82,6 @@ TABLE_FAMILIES = {
     "stirling-1": (stirling_first, False),
     "stirling-2": (stirling_second, False),
     "lah": (lah_signed, False),
-    "noncentral-1": (noncentral_second, True),
     "noncentral-2": (noncentral_second, True),
 }
 
@@ -140,20 +139,20 @@ def _approx(value: Rat, places: int) -> str:
 
 
 class _Emitter:
-    """Streams records as JSON lines or CSV rows with a fixed column order."""
+    """Streams records as JSON lines or CSV rows with a fixed column order;
+    the CSV header is written at once, so no records give the header alone."""
 
     def __init__(self, fmt: str, columns: Sequence[str]):
         self.fmt = fmt
         self.columns = list(columns)
-        self._csv = None
+        if fmt == "csv":
+            self._csv = csv.writer(sys.stdout, lineterminator="\n")
+            self._csv.writerow(self.columns)
 
     def emit(self, record: dict) -> None:
         if self.fmt == "json":
             print(json.dumps(record, sort_keys=True))
             return
-        if self._csv is None:
-            self._csv = csv.writer(sys.stdout, lineterminator="\n")
-            self._csv.writerow(self.columns)
         row = []
         for column in self.columns:
             value = record.get(column, "")
@@ -288,8 +287,6 @@ def _cmd_verify(args) -> int:
             emitter = _Emitter("csv", columns)
             for entry in ledger["entries"]:
                 emitter.emit(entry)
-            if not ledger["entries"]:
-                emitter.emit({})
     else:
         columns = ["identity", "point", "verbatim", "corrected", "note"]
         emitter = _Emitter(args.format, columns)

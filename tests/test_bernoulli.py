@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from polyfam.algebra import PreconditionError
 from polyfam.bernoulli import (
     CONVENTIONS,
+    _exp_sum,
     classic_poly_bernoulli,
     li_gf_check,
     mp_bernoulli,
@@ -16,6 +18,7 @@ from polyfam.bernoulli import (
     mp_bernoulli_poly_gf_check,
 )
 from polyfam.cauchy import FamilyPoint, family_point
+from polyfam.stirling import comtet_second_explicit
 
 SAMPLE = FamilyPoint(
     3, 1, (Fraction(1), Fraction(-2), Fraction(1, 2)), (Fraction(1),)
@@ -143,9 +146,34 @@ def test_number_generating_function_check():
     assert chk.order == 3
     assert chk.all_match
     assert chk.per_coefficient == (True, True, True, True)
-    # The reconstruction visits the same terms in the stated order too.
+    # The closed form is one sum, taken in the stated order, so the stated
+    # reading is the corrected one.
     assert chk.verbatim_matches
     assert "order" in chk.note
+
+
+def _height_20_rational(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_exponential_sum_against_the_explicit_second_kind_columns(order):
+    # n! [t^n] sum_m w_m sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i)
+    # is (-1)^n sum_m w_m S_a(n, m), for arbitrary rational weights.
+    rng = random.Random(order)
+    for _ in range(25):
+        head = []
+        while len(head) < order + 1:
+            a = _height_20_rational(rng)
+            if a not in head:
+                head.append(a)
+        weights = [_height_20_rational(rng) for _ in range(order + 1)]
+        series = _exp_sum(head, weights)
+        for n in range(order + 1):
+            want = (-1) ** n * sum(
+                w * comtet_second_explicit(head, n, m) for m, w in enumerate(weights)
+            )
+            assert math.factorial(n) * series.coefficient(n) == want, (head, n)
 
 
 def test_number_generating_function_needs_distinct_parameters():

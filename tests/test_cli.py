@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -158,6 +159,11 @@ def test_table_multiparameter_needs_parameters():
     assert "precondition violated" in proc.stderr
 
 
+def test_table_has_no_first_kind_noncentral_name():
+    # Only the second-kind non-central table is built.
+    assert _exit_code(["table", "noncentral-1", "--n-max", "2", "--alpha", "1,2"]) == 2
+
+
 def test_table_decimals_adds_an_approx_field(capsys):
     assert main(["table", "lah", "--n-max", "2", "--decimals", "2"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -254,6 +260,17 @@ def test_verify_errata_is_a_single_document():
     doc = json.loads(proc.stdout)
     assert [e["identity"] for e in doc["entries"]] == ["T3.1"]
     assert doc["entries"][0]["counterexample"]["point"]["n"] >= 0
+
+
+def test_verify_errata_csv_of_an_empty_ledger_is_the_header_alone(capsys):
+    argv = ["verify", "--ids", "T2.1", "--points", "2", "--errata", "--format", "csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "identity,statement,corrected_reading,verbatim_failures,"
+        "points_checked,counterexample\n"
+    )
+    assert list(csv.DictReader(io.StringIO(out))) == []
 
 
 def test_verify_counts_a_repeated_id_once(capsys):

@@ -79,7 +79,6 @@ _ORACLE_BASES = {
     "stirling-1": lambda a: (_falling, _monomial),
     "stirling-2": lambda a: (_monomial, _falling),
     "lah": lambda a: (_negated_falling, _falling),
-    "noncentral-1": lambda a: (_multiparam(a), _falling),
     "noncentral-2": lambda a: (_multiparam(a), _falling),
 }
 
