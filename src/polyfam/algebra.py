@@ -87,15 +87,12 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
         """The monic polynomial prod_i (X - r_i); the empty product is 1.
-        One coefficient list is multiplied in place by each X - r, high index
-        first (c_i becomes c_(i-1) - r c_i)."""
-        cs = [Fraction(1)]
-        for r in map(as_rat, roots):
-            cs.append(cs[-1])
-            for i in range(len(cs) - 2, 0, -1):
-                cs[i] = cs[i - 1] - r * cs[i]
-            cs[0] = -r * cs[0]
-        return cls(cs)
+        The product runs over the integers (see _prefix_products), and each
+        coefficient c_m / D^(n-m) becomes one Fraction at the end."""
+        rs = as_rat_tuple(roots)
+        n = len(rs)
+        d, (cs,) = _prefix_products(rs, (n,))
+        return cls(Fraction(c, d ** (n - m)) for m, c in enumerate(cs))
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
@@ -179,6 +176,31 @@ class Polynomial:
 
 
 X = Polynomial((0, 1))
+
+
+def _prefix_products(
+    roots: Sequence[Rat], rows: Iterable[int]
+) -> tuple[int, list[list[int]]]:
+    """D, the lcm of the roots' denominators, and for each j in `rows`
+    (increasing, at most len(roots)) the integers c_0..c_j with
+    prod_{i<j} (X - r_i) = sum_m c_m X^m / D^(j-m).
+
+    These are the coefficients of prod_{i<j} (Y - D r_i) in Y = D X, so one
+    integer list is multiplied in place by each Y - D r_i, high index first
+    (c_m becomes c_(m-1) - D r_i c_m); every prefix is read on the way."""
+    d = math.lcm(*(r.denominator for r in roots))
+    wanted, cs, out = set(rows), [1], []
+    for j, r in enumerate(roots):
+        if j in wanted:
+            out.append(cs[:])
+        b = r.numerator * (d // r.denominator)
+        cs.append(cs[-1])
+        for m in range(j, 0, -1):
+            cs[m] = cs[m - 1] - b * cs[m]
+        cs[0] = -b * cs[0]
+    if len(roots) in wanted:
+        out.append(cs)
+    return d, out
 
 
 class IntVector:

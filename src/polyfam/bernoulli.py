@@ -86,16 +86,25 @@ def li_gf_check(k: int, order: int) -> SeriesCheck:
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
+def _bernoulli_values(
+    p: FamilyPoint, rows: Iterable[int], convention: str = "corrected"
+) -> list[Rat]:
+    """mp_bernoulli at each index j in rows (at most n): the Bernoulli row of
+    row j of one second-kind table of size n (which depends on a_0..a_(j-1)
+    only), paired with the first j+1 of one box_moments(..., n)."""
+    _check_convention(convention)
+    table = comtet_second(p.alpha[: p.n], p.n)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return [_pair(_bernoulli_row(table.int_row(j), convention), moments) for j in rows]
+
+
 def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
     """Multiparameter value
     sum_m (-1)^(n-m) m! S_a(n, m) (l_1...l_k)^(m+1) / (m+1)^k.
 
     The 'verbatim' convention multiplies each summand by a second m!.
     """
-    _check_convention(convention)
-    table = comtet_second(p.alpha[: p.n], p.n)
-    row = _bernoulli_row(table.int_row(p.n), convention)
-    return _pair(row, box_moments(p.lengths, p.k, p.n))
+    return _bernoulli_values(p, (p.n,), convention)[0]
 
 
 def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
@@ -144,12 +153,9 @@ def mp_bernoulli_gf_check(
     a = as_rat_tuple(alpha)
     ls = as_rat_tuple(lengths)
     head = _distinct_head(a, order + 1)
+    values = _bernoulli_values(FamilyPoint(order, k, a, ls), range(order + 1))
     lhs = TruncatedSeries(
-        order,
-        [
-            mp_bernoulli(FamilyPoint(n, k, a, ls)) / math.factorial(n)
-            for n in range(order + 1)
-        ],
+        order, [b / math.factorial(n) for n, b in enumerate(values)]
     )
     weights = [
         (-1) ** m * math.factorial(m) * mu
@@ -167,6 +173,20 @@ def mp_bernoulli_gf_check(
     )
 
 
+def _bernoulli_poly_values(
+    p: FamilyPoint, rows: Iterable[int], convention: str = "corrected"
+) -> list[Polynomial]:
+    """mp_bernoulli_poly at each index j in rows (at most n), from one
+    second-kind table and one box_moments(..., n) as in _bernoulli_values."""
+    _check_convention(convention)
+    table = comtet_second(p.alpha[: p.n], p.n)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return [
+        _poly_from_row(_bernoulli_row(table.int_row(j), convention), moments)
+        for j in rows
+    ]
+
+
 def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomial:
     """Polynomial family in z:
     (-1)^n sum_i sum_{m>=i} (-1)^m m! C(m,i) S_a(n,m)
@@ -175,10 +195,7 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     At z = 0 this reduces to mp_bernoulli under the same convention; the
     'verbatim' convention mirrors the duplicated factorial of the number
     family so that the reduction holds in both conventions."""
-    _check_convention(convention)
-    table = comtet_second(p.alpha[: p.n], p.n)
-    row = _bernoulli_row(table.int_row(p.n), convention)
-    return _poly_from_row(row, box_moments(p.lengths, p.k, p.n))
+    return _bernoulli_poly_values(p, (p.n,), convention)[0]
 
 
 def mp_bernoulli_poly_gf_check(
@@ -199,12 +216,9 @@ def mp_bernoulli_poly_gf_check(
     ls = as_rat_tuple(lengths)
     z = as_rat(z0)
     head = _distinct_head(a, order + 1)
+    values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
     lhs = TruncatedSeries(
-        order,
-        [
-            mp_bernoulli_poly(FamilyPoint(n, k, a, ls))(z) / math.factorial(n)
-            for n in range(order + 1)
-        ],
+        order, [b(z) / math.factorial(n) for n, b in enumerate(values)]
     )
     mu = box_moments(ls, k, order)
     # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).

@@ -24,6 +24,7 @@ from .algebra import (
     Rat,
     RatLike,
     TruncatedSeries,
+    _prefix_products,
     as_rat,
     as_rat_tuple,
     box_moments,
@@ -43,7 +44,6 @@ __all__ = [
     "FamilyPoint",
     "SeriesCheck",
     "classic_first_with_lengths",
-    "family_point",
     "generalized_harmonic",
     "lif_gf_check",
     "lif_series",
@@ -103,21 +103,6 @@ class FamilyPoint:
         return FamilyPoint(self.n, self.k, as_rat_tuple(alpha), self.lengths)
 
 
-def family_point(
-    n: int,
-    k: int = 1,
-    alpha: Optional[Iterable[RatLike]] = None,
-    lengths: Optional[Iterable[RatLike]] = None,
-) -> FamilyPoint:
-    """Convenience constructor: alpha defaults to (0, 1, ..., n-1) and
-    lengths to the unit box."""
-    if alpha is None:
-        alpha = tuple(Fraction(i) for i in range(n))
-    if lengths is None:
-        lengths = (Fraction(1),) * k
-    return FamilyPoint(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths))
-
-
 def _pair(row: IntVector, moments: IntVector) -> Rat:
     """The box integral of sum_m row[m] T^m, given the box moments of T: one
     integer dot product, reduced once."""
@@ -143,14 +128,15 @@ def _times(row: IntVector, table: CoeffTable) -> IntVector:
     return IntVector(tuple(num), row.den)
 
 
-def _box_integral(product: Polynomial, lengths: Sequence[Rat]) -> Rat:
-    """The box integral of sum_m c_m T^m, T = x_1...x_k, one variable at a
-    time: integrating over x_i in [0, u/v] multiplies c_m by
-    u^(m+1) / (v^(m+1) (m+1)). Numerators and denominators are carried as
-    integers and summed as one Fraction over their lcm. The definitions' own
-    integration, apart from box_moments."""
-    nums = [c.numerator for c in product.coeffs]
-    dens = [c.denominator for c in product.coeffs]
+def _box_integral(
+    nums: Sequence[int], dens: Sequence[int], lengths: Sequence[Rat]
+) -> Rat:
+    """The box integral of sum_m (nums[m] / dens[m]) T^m, T = x_1...x_k, one
+    variable at a time: integrating over x_i in [0, u/v] multiplies the
+    coefficient of T^m by u^(m+1) / (v^(m+1) (m+1)). Numerators and
+    denominators are carried as integers and summed as one Fraction over
+    their lcm. The definitions' own integration, apart from box_moments."""
+    nums, dens = list(nums), list(dens)
     for length in lengths:
         u, v = length.numerator, length.denominator
         up, vp = u, v
@@ -162,10 +148,21 @@ def _box_integral(product: Polynomial, lengths: Sequence[Rat]) -> Rat:
     return Fraction(sum(c * (den // d) for c, d in zip(nums, dens)), den)
 
 
+def _first_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
+    """mp_first_def at each index j in rows (increasing, at most n), with the
+    parameters and box of p: prefix j of one in-place expansion of
+    prod_i (T - a_i) over the integers, whose T^m coefficient is
+    c_m / D^(j-m), integrated over the box. No table, box moment or integer
+    pairing."""
+    d, products = _prefix_products(p.alpha[: p.n], rows)
+    powers = [d**i for i in range(p.n + 1)]
+    return [_box_integral(cs, powers[len(cs) - 1 :: -1], p.lengths) for cs in products]
+
+
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate it over the box one variable at a time."""
-    return _box_integral(Polynomial.from_roots(p.alpha[: p.n]), p.lengths)
+    return _first_def_values(p, (p.n,))[0]
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
@@ -252,27 +249,45 @@ def modified_bell(m: int, xs: Sequence[RatLike]) -> Rat:
     return inner.exp().coefficient(m)
 
 
+def _bell_numerators(sums: Sequence[int]) -> list[int]:
+    """Q_0, ..., Q_n with Q_m = P_m(-H^(1), ..., -H^(m)) L^m, from the
+    integers N_j = L^j H^(j) (j = 1..n), by Newton's identities
+    m Q_m = -sum_{j=1}^m N_j Q_(m-j), the recurrence that defines the weighted
+    Bell polynomials. Each division is exact: the Q_m are the integer
+    coefficients of prod_i (1 - w_i s) = exp(sum_j -N_j s^j / j)."""
+    q = [1]
+    for m in range(1, len(sums) + 1):
+        q.append(-sum(map(mul, sums[:m], reversed(q))) // m)
+    return q
+
+
 def mp_first_bell(p: FamilyPoint) -> Rat:
     """First kind via the explicit Bell-polynomial formula
     (-1)^n (prod a_i) sum_m P_m(-H^(1), ..., -H^(m)) (l_1...l_k)^(m+1)/(m+1)^k.
-    With H^(j) = N_j / L^j and t = L s, exp(sum_j -H^(j) t^j / j) is
-    exp(sum_j -N_j s^j / j) = prod_i (1 - w_i s), so its coefficients P_m L^m
-    are integers; one exp of order n gives every P_m. Requires nonzero
-    parameters."""
+    With H^(j) = N_j / L^j, the integers Q_m = P_m L^m follow from the N_j
+    by Newton's identities (_bell_numerators), and the row Q_m L^(n-m) over
+    L^n is paired with the box moments. Requires nonzero parameters."""
     lcm, sums = _reciprocal_power_sums(p.alpha[: p.n], p.n)
-    inner = [Fraction(0)] + [Fraction(-s, j) for j, s in enumerate(sums, 1)]
-    bell = TruncatedSeries(p.n, inner).exp().coeffs
-    row = tuple(c.numerator * lcm ** (p.n - m) for m, c in enumerate(bell))
+    bell = _bell_numerators(sums)
+    row = tuple(c * lcm ** (p.n - m) for m, c in enumerate(bell))
     total = _pair(IntVector(row, lcm**p.n), box_moments(p.lengths, p.k, p.n))
     return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
+
+
+def _second_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
+    """mp_second_def at each index j in rows (increasing, at most n): prefix
+    j of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), the first-kind
+    definition at the negated parameters times (-1)^j."""
+    rows = tuple(rows)
+    negated = p.with_alpha(tuple(-a for a in p.alpha[: p.n]))
+    return [(-1) ** j * v for j, v in zip(rows, _first_def_values(negated, rows))]
 
 
 def mp_second_def(p: FamilyPoint) -> Rat:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
     (-1)^n prod_i (T + a_i), and integrate it over the box one variable at a
     time."""
-    expanded = Polynomial.from_roots(tuple(-a for a in p.alpha[: p.n]))
-    return (-1) ** p.n * _box_integral(expanded, p.lengths)
+    return _second_def_values(p, (p.n,))[0]
 
 
 def mp_second_closed(p: FamilyPoint) -> Rat:
@@ -390,21 +405,35 @@ def lif_gf_check(k: int, order: int) -> SeriesCheck:
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
+def _poly_first_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
+    """mp_poly_first at each index j in rows (at most n): row j of one
+    first-kind table of size n (which depends on a_0..a_(j-1) only) paired
+    with the shifted moments of one box_moments(..., n)."""
+    table = comtet_first(p.alpha[: p.n], p.n)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return [_poly_from_row(table.int_row(j), moments) for j in rows]
+
+
 def mp_poly_first(p: FamilyPoint) -> Polynomial:
     """First-kind polynomial in z: the box integral of
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
-    table = comtet_first(p.alpha[: p.n], p.n)
-    return _poly_from_row(table.int_row(p.n), box_moments(p.lengths, p.k, p.n))
+    return _poly_first_values(p, (p.n,))[0]
+
+
+def _poly_second_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
+    """mp_poly_second at each index j in rows (at most n), from one signless
+    table and one box_moments(..., n) as in _poly_first_values."""
+    table = signless_comtet_first(p.alpha[: p.n], p.n)
+    moments = box_moments(p.lengths, p.k, p.n)
+    return [(-1) ** j * _poly_from_row(table.int_row(j), moments) for j in rows]
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
     """Second-kind polynomial in z: the box integral of
     prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
     as (-1)^n times the first-kind expansion of its row n."""
-    table = signless_comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
-    return (-1) ** p.n * _poly_from_row(table.int_row(p.n), moments)
+    return _poly_second_values(p, (p.n,))[0]
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:

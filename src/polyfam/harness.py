@@ -34,6 +34,8 @@ from .algebra import (
     integer_samples,
 )
 from .bernoulli import (
+    _bernoulli_poly_values,
+    _bernoulli_values,
     li_gf_check,
     mp_bernoulli,
     mp_bernoulli_gf_check,
@@ -42,7 +44,11 @@ from .bernoulli import (
 from .cauchy import (
     FamilyPoint,
     SeriesCheck,
+    _first_def_values,
+    _poly_first_values,
     _poly_from_row,
+    _poly_second_values,
+    _second_def_values,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -278,18 +284,15 @@ def _agree(pt: ParamPoint, route) -> _Outcome:
     return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
 
 
-def _values(route, fp: FamilyPoint) -> list:
-    """One public route's values at indices 0..n, parameters and box of fp."""
-    return [route(FamilyPoint(j, fp.k, fp.alpha, fp.lengths)) for j in range(fp.n + 1)]
-
-
-def _inversion(pt: ParamPoint, lhs_route, value_route, triangle, corrected, stated):
-    """An expansion identity: lhs_route against value_route's values at 0..n,
+def _inversion(pt: ParamPoint, lhs_route, values_of, triangle, corrected, stated):
+    """An expansion identity: lhs_route against a family's values at 0..n,
     summed by the corrected and by the stated weight (None when the stated
     weights are the corrected ones), both over the one table `triangle`
-    builds."""
+    builds. `values_of` is the family's one-pass kernel, the one its public
+    route reads row n from: one table (or one product expansion) and one set
+    of box moments give all n+1 values, O(n^2) per point."""
     fp = _family(pt)
-    values = _values(value_route, fp)
+    values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
     table = triangle(fp.alpha[: fp.n], fp.n)
     corrected_sum = _expand(values, table, corrected)
@@ -415,25 +418,25 @@ def _eval_T41(pt: ParamPoint) -> _Outcome:
 
 def _eval_T42a(pt: ParamPoint, stated: tuple = _ABS_FIRST) -> _Outcome:
     return _inversion(
-        pt, mp_second_def, mp_bernoulli, comtet_first, _SIGNLESS_FIRST, stated
+        pt, mp_second_def, _bernoulli_values, comtet_first, _SIGNLESS_FIRST, stated
     )
 
 
 def _eval_T42b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, mp_second_def, comtet_second, _FROM_SECOND, _SECOND
+        pt, mp_bernoulli, _second_def_values, comtet_second, _FROM_SECOND, _SECOND
     )
 
 
 def _eval_T43a(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_first_def, mp_bernoulli, comtet_first, _TO_FIRST, _FIRST
+        pt, mp_first_def, _bernoulli_values, comtet_first, _TO_FIRST, _FIRST
     )
 
 
 def _eval_T43b(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_bernoulli, mp_first_def, comtet_second, _FROM_FIRST, _SECOND
+        pt, mp_bernoulli, _first_def_values, comtet_second, _FROM_FIRST, _SECOND
     )
 
 
@@ -452,7 +455,7 @@ def _eval_T51b(pt: ParamPoint) -> _Outcome:
 def _eval_T52a(pt: ParamPoint) -> _Outcome:
     # The stated polynomial form carries the correct weights already.
     return _inversion(
-        pt, mp_bernoulli_poly, mp_poly_first, comtet_second, _FROM_FIRST, None
+        pt, mp_bernoulli_poly, _poly_first_values, comtet_second, _FROM_FIRST, None
     )
 
 
@@ -460,7 +463,7 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
     return _inversion(
         pt,
         mp_bernoulli_poly,
-        mp_poly_second,
+        _poly_second_values,
         comtet_second,
         _FROM_SECOND,
         # As stated, the weights of T5.2a: (-1)^(n-m) m!.
@@ -470,7 +473,7 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
 
 def _eval_T52c(pt: ParamPoint) -> _Outcome:
     return _inversion(
-        pt, mp_poly_first, mp_bernoulli_poly, comtet_first, _TO_FIRST, _FIRST
+        pt, mp_poly_first, _bernoulli_poly_values, comtet_first, _TO_FIRST, _FIRST
     )
 
 
@@ -478,7 +481,7 @@ def _eval_T52d(pt: ParamPoint) -> _Outcome:
     return _inversion(
         pt,
         mp_poly_second,
-        mp_bernoulli_poly,
+        _bernoulli_poly_values,
         comtet_first,
         _SIGNLESS_FIRST,
         _ABS_FIRST,

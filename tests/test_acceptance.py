@@ -24,7 +24,6 @@ from polyfam.bernoulli import (
 )
 from polyfam.cauchy import (
     FamilyPoint,
-    family_point,
     generalized_harmonic,
     lif_gf_check,
     modified_bell,
@@ -155,7 +154,9 @@ def test_bell_polynomial_route():
 
 
 def test_classical_anchor_values():
-    first = [mp_first_def(family_point(n)) for n in range(5)]
+    first = [
+        mp_first_def(FamilyPoint(n, 1, tuple(range(n)), (1,))) for n in range(5)
+    ]
     assert first == [
         Fraction(1),
         Fraction(1, 2),
@@ -163,7 +164,7 @@ def test_classical_anchor_values():
         Fraction(1, 4),
         Fraction(-19, 30),
     ]
-    assert mp_second_def(family_point(2)) == Fraction(5, 6)
+    assert mp_second_def(FamilyPoint(2, 1, (0, 1), (1,))) == Fraction(5, 6)
     assert classic_poly_bernoulli(1, 1) == Fraction(1, 2)
     assert classic_poly_bernoulli(2, 1) == Fraction(1, 6)
 

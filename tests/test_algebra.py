@@ -52,10 +52,25 @@ def test_trailing_zeros_are_stripped():
     assert p.coefficient(17) == 0
 
 
+# 1/p for distinct primes p: coprime denominators, so the common one is
+# their product.
+prime_reciprocals = st.sampled_from(
+    [Fraction(s, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for s in (1, -1)]
+)
+tall_rationals = st.fractions(
+    min_value=-(10**12), max_value=10**12, max_denominator=10**12
+)
+
+
 @settings(max_examples=80)
 @given(
     st.lists(
-        st.one_of(rationals, st.sampled_from((0, -1, 2, Fraction(-1, 2)))),
+        st.one_of(
+            rationals,
+            st.sampled_from((0, -1, 2, Fraction(-1, 2))),
+            prime_reciprocals,
+            tall_rationals,
+        ),
         max_size=12,
     )
 )

@@ -11,10 +11,11 @@ from polyfam import algebra, cauchy, stirling
 from polyfam.algebra import IntVector, Polynomial, PreconditionError, box_moments
 from polyfam.cauchy import (
     FamilyPoint,
+    _bell_numerators,
     _pair,
     _poly_from_row,
+    _reciprocal_power_sums,
     classic_first_with_lengths,
-    family_point,
     generalized_harmonic,
     lif_gf_check,
     lif_series,
@@ -141,7 +142,9 @@ def test_second_kind_def_negates_every_factor():
 
 
 def test_classical_number_anchors():
-    first = [mp_first_def(family_point(n)) for n in range(5)]
+    first = [
+        mp_first_def(FamilyPoint(n, 1, tuple(range(n)), (1,))) for n in range(5)
+    ]
     assert first == [
         Fraction(1),
         Fraction(1, 2),
@@ -149,13 +152,13 @@ def test_classical_number_anchors():
         Fraction(1, 4),
         Fraction(-19, 30),
     ]
-    assert mp_second_def(family_point(2)) == Fraction(5, 6)
+    assert mp_second_def(FamilyPoint(2, 1, (0, 1), (1,))) == Fraction(5, 6)
 
 
 def test_classic_first_with_lengths():
     assert classic_first_with_lengths(2, 1, (1,)) == Fraction(-1, 6)
     assert classic_first_with_lengths(2, 2, (1, 1)) == Fraction(
-        mp_first_def(family_point(2, 2))
+        mp_first_def(FamilyPoint(2, 2, (0, 1), (1, 1)))
     )
     with pytest.raises(PreconditionError):
         classic_first_with_lengths(2, 2, (1,))
@@ -287,9 +290,11 @@ def test_lif_generating_function_check():
 
 
 def test_specialize_families():
-    assert specialize("classic", "first", 3) == mp_first_def(family_point(3))
+    assert specialize("classic", "first", 3) == mp_first_def(
+        FamilyPoint(3, 1, (0, 1, 2), (1,))
+    )
     assert specialize("poly", "second", 2, k=3) == mp_second_def(
-        family_point(2, 3)
+        FamilyPoint(2, 3, (0, 1), (1, 1, 1))
     )
     assert specialize("q-poly", "first", 3, k=2, q=1) == specialize(
         "poly", "first", 3, k=2
@@ -347,6 +352,25 @@ def test_polynomial_degree_and_leading_coefficient():
         assert second.degree == n
         assert first.coeffs[-1] == (-1) ** n * prod
         assert second.coeffs[-1] == prod
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_bell_numerators_match_the_series_exp(seed):
+    # Q_m = P_m(-H^(1), ..., -H^(m)) L^m by Newton's identities, against
+    # modified_bell, which expands the series exp; past the parameter count
+    # both are zero.
+    rng = random.Random(f"newton:{seed}")
+    pool = [Fraction(1), Fraction(-1)] + [
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        for _ in range(4)
+    ]
+    alpha = tuple(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+    lcm, sums = _reciprocal_power_sums(alpha, 12)
+    bell = _bell_numerators(sums)
+    harmonic = generalized_harmonic(alpha, len(alpha), 12)
+    for m in range(13):
+        expected = modified_bell(m, [-h for h in harmonic[:m]]) * lcm**m
+        assert bell[m] == expected, (alpha, m)
 
 
 def test_the_definitions_reach_no_route_kernel(monkeypatch):

@@ -407,3 +407,121 @@ def test_the_sweep_sees_a_fault_in_the_box_moments(fault, monkeypatch):
         assert failed == set()
     else:
         assert {"T2.1", "T3.1", "T4.3b", "T5.1a"} <= failed, sorted(failed)
+
+
+@pytest.mark.parametrize(
+    "kernel, route",
+    [
+        (cauchy._first_def_values, cauchy.mp_first_def),
+        (cauchy._second_def_values, cauchy.mp_second_def),
+        (cauchy._poly_first_values, cauchy.mp_poly_first),
+        (cauchy._poly_second_values, cauchy.mp_poly_second),
+        (bernoulli._bernoulli_values, bernoulli.mp_bernoulli),
+        (bernoulli._bernoulli_poly_values, bernoulli.mp_bernoulli_poly),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_a_value_kernel_gives_its_route_at_every_index(kernel, route):
+    # The expansion identities read rows 0..n of one pass; each row must be
+    # the public route at that index, and any increasing subset of rows the
+    # same entries.
+    rng = random.Random(f"one-pass:{route.__name__}")
+
+    def rational(low):
+        return Fraction(rng.choice((-1, 1)) * rng.randint(low, 20), rng.randint(1, 20))
+
+    for n in range(10):
+        # A small pool makes zeros, ones and repeated parameters common.
+        pool = [Fraction(0), Fraction(1), rational(0)]
+        alpha = tuple(rng.choice(pool + [rational(0)]) for _ in range(n))
+        k = rng.randint(1, 3)
+        lengths = tuple(rational(1) for _ in range(k))
+        p = FamilyPoint(n, k, alpha, lengths)
+        expected = [route(FamilyPoint(j, k, alpha, lengths)) for j in range(n + 1)]
+        assert repr(kernel(p, range(n + 1))) == repr(expected)
+        rows = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+        assert repr(kernel(p, rows)) == repr([expected[j] for j in rows])
+
+
+def _from_roots_wrong_power(monkeypatch):
+    # Coefficient m over D^(n-m-1) in place of D^(n-m).
+    real = Polynomial.from_roots
+
+    def fake(cls, roots):
+        rs = tuple(map(Fraction, roots))
+        d = math.lcm(*(r.denominator for r in rs))
+        return Polynomial(c * d for c in real(rs).coeffs)
+
+    monkeypatch.setattr(Polynomial, "from_roots", classmethod(fake))
+
+
+def _newton_sum_off_by_one(monkeypatch):
+    # The inner sum of m Q_m = -sum_{j<=m} N_j Q_(m-j) stops at j = m - 1.
+    def fake(sums):
+        q = [1]
+        for m in range(1, len(sums) + 1):
+            q.append(-sum(s * x for s, x in zip(sums[: m - 1], reversed(q))) // m)
+        return q
+
+    monkeypatch.setattr(cauchy, "_bell_numerators", fake)
+
+
+def _misaligned(pair_row):
+    # Row j paired with mu_(n-j), ..., mu_n of the size-n moments: right for
+    # row n, which is all a public route reads, and wrong below it.
+    def kernel(p, rows, convention="corrected"):
+        table = comtet_second(p.alpha[: p.n], p.n)
+        mu = algebra.box_moments(p.lengths, p.k, p.n)
+        return [
+            pair_row(
+                bernoulli._bernoulli_row(table.int_row(j), convention),
+                IntVector(mu.num[p.n - j :], mu.den),
+            )
+            for j in rows
+        ]
+
+    return kernel
+
+
+def _bernoulli_values_misaligned(monkeypatch):
+    fake = _misaligned(cauchy._pair)
+    for module in (bernoulli, harness):
+        monkeypatch.setattr(module, "_bernoulli_values", fake)
+
+
+def _bernoulli_poly_values_misaligned(monkeypatch):
+    fake = _misaligned(cauchy._poly_from_row)
+    for module in (bernoulli, harness):
+        monkeypatch.setattr(module, "_bernoulli_poly_values", fake)
+
+
+@pytest.mark.parametrize(
+    "fault, caught",
+    [
+        (None, set()),
+        (_from_roots_wrong_power, {"CASES-2", "CASES-3"}),
+        (_newton_sum_off_by_one, {"T2.4"}),
+        (_bernoulli_values_misaligned, {"T4.1", "T4.2a", "T4.3a"}),
+        (_bernoulli_poly_values_misaligned, {"T5.2c", "T5.2d"}),
+    ],
+    ids=[
+        "real",
+        "from-roots-wrong-power",
+        "newton-off-by-one",
+        "values-misaligned",
+        "poly-values-misaligned",
+    ],
+)
+def test_the_sweep_sees_a_fault_in_the_integer_kernels(fault, caught, monkeypatch):
+    # The integer from_roots, the Newton recurrence of the Bell route and the
+    # one-pass value kernels of the expansion identities each feed a corrected
+    # column, so a fault in any of them is a corrected FAIL of the default
+    # sweep; with no fault there is none.
+    if fault is not None:
+        fault(monkeypatch)
+    reports = sweep(seed=0)
+    failed = {r.identity for r in reports if r.corrected == FAIL}
+    if fault is None:
+        assert failed == set()
+    else:
+        assert caught <= failed, sorted(failed)
