@@ -30,7 +30,7 @@ from .algebra import (
     exp_series,
 )
 from .cauchy import FamilyPoint, SeriesCheck, _pair, _poly_from_row
-from .stirling import comtet_second, stirling_second
+from .stirling import comtet_second
 
 __all__ = [
     "CONVENTIONS",
@@ -62,13 +62,12 @@ def _bernoulli_row(row: IntVector, convention: str = "corrected") -> IntVector:
 
 
 def classic_poly_bernoulli(n: int, k: int) -> Rat:
-    """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k: the
-    Bernoulli row of the classical triangle paired with the unit-box
-    moments."""
+    """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k: mp_bernoulli
+    at the classical parameters (0, 1, ..., n-1) and the unit box, whose
+    second-kind table is stirling_second(n)."""
     if n < 0:
         raise PreconditionError("index must be nonnegative")
-    row = _bernoulli_row(stirling_second(n).int_row(n))
-    return _pair(row, box_moments((1,) * k, k, n))
+    return mp_bernoulli(FamilyPoint(n, k, tuple(range(n)), (1,) * k))
 
 
 def li_gf_check(k: int, order: int) -> SeriesCheck:

@@ -184,9 +184,10 @@ def classic_first_with_lengths(
     m: int, k: int, lengths: Sequence[RatLike]
 ) -> Rat:
     """First-kind value at the classical parameters (0, 1, ..., m-1) with a
-    general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k."""
-    moments = box_moments(lengths, k, m)
-    return _pair(stirling_first(m).int_row(m), moments)
+    general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k. Read from
+    _classic_first_values, the kernel of mp_first_via_polycauchy and
+    mp_second_lah."""
+    return _classic_first_values(box_moments(lengths, k, m))[m]
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:

@@ -386,7 +386,7 @@ def _eval_T23(pt: ParamPoint) -> _Outcome:
     corrected = mp_first_via_polycauchy(fp)
     nc = noncentral_second(fp.alpha[: fp.n], fp.n)
     unit_value = classic_first_with_lengths(fp.n, fp.k, (Fraction(1),) * fp.k)
-    verbatim = sum((nc[fp.n, m] * unit_value for m in range(fp.n + 1)), Fraction(0))
+    verbatim = sum(nc.row(fp.n), Fraction(0)) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from .algebra import IntVector, PreconditionError, Rat, RatLike, as_rat_tuple
@@ -58,8 +57,9 @@ class CoeffTable:
     element of degree n. Indexing outside the triangle yields zero.
 
     Held fraction-free: entry (n, m) is num[n][m] / den^(n-m) with integer
-    numerators and one denominator den >= 1. The Fraction entries (`rows`,
-    `row`, indexing, equality) are a view built on first use.
+    numerators and one denominator den >= 1, and nothing else. The Fraction
+    entries (`row`, indexing, equality, hash) are read from `num` and `den`
+    on demand; `row` reads `int_row`, the path the routes pair.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -69,32 +69,31 @@ class CoeffTable:
     def size(self) -> int:
         return len(self.num) - 1
 
-    @cached_property
-    def rows(self) -> tuple[tuple[Rat, ...], ...]:
-        return tuple(
-            tuple(Fraction(r, self.den ** (n - m)) for m, r in enumerate(row))
-            for n, row in enumerate(self.num)
-        )
-
     def row(self, n: int) -> tuple[Rat, ...]:
-        return self.rows[n]
+        return tuple(self.int_row(n))
 
     def int_row(self, n: int) -> IntVector:
-        """Row n as integer numerators over the common denominator den^n."""
-        d = self.den
-        return IntVector(tuple(r * d**m for m, r in enumerate(self.num[n])), d**n)
+        """Row n as integer numerators over the common denominator den^n.
+        Row n has n + 1 entries, so a negative n counts from the last row."""
+        row, d = self.num[n], self.den
+        num = tuple(r * d**m for m, r in enumerate(row))
+        return IntVector(num, d ** (len(row) - 1))
 
     def __getitem__(self, nm: tuple[int, int]) -> Rat:
         n, m = nm
-        return self.rows[n][m] if 0 <= m <= n < len(self.num) else Fraction(0)
+        if 0 <= m <= n < len(self.num):
+            return Fraction(self.num[n][m], self.den ** (n - m))
+        return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CoeffTable):
-            return self.rows == other.rows
+            return self.size == other.size and all(
+                self.row(n) == other.row(n) for n in range(len(self.num))
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(tuple(map(self.row, range(len(self.num)))))
 
     def entrywise_abs(self) -> "CoeffTable":
         return CoeffTable(tuple(tuple(map(abs, row)) for row in self.num), self.den)

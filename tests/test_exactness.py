@@ -5,13 +5,22 @@ The sha256 below is over the `repr` of the twelve public routes and of
 height-20 rationals. It was taken at commit a4dbe14, where the definitions
 and the Bell route still ran on `Fraction`, so every later kernel must
 reproduce those bytes.
+
+TABLE_SHA256 pins what `table` and the classical helpers print: the `table`
+stdout of every family, the indexed entries of every table, inside the
+triangle and around it, and the two classical helpers. It was taken at commit
+c56448c, where `CoeffTable` still cached its Fraction entries and each helper
+paired its own row.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
 import polyfam
+from polyfam import cli
 from polyfam.algebra import Polynomial
 
 ROUTES = (
@@ -30,6 +39,12 @@ ROUTES = (
 )
 
 PINNED_SHA256 = "7a13a3ce476edd8aef7682780ca25577f4ac813fcfd395cbd17505e3827eea7f"
+
+TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51"
+
+# Mixed denominators, zeros and repeats; twelve nodes for --n-max 12.
+TABLE_ALPHA = "1/2,0,-3,1/2,2/3,0,5,-1/4,2/3,7,0,-1/6"
+HELPER_LENGTHS = (Fraction(3, 2), Fraction(-2, 5), Fraction(7, 3))
 
 
 def _rational(rng, height):
@@ -72,3 +87,30 @@ def _digest() -> str:
 
 def test_the_routes_and_from_roots_reproduce_the_pinned_bytes():
     assert _digest() == PINNED_SHA256
+
+
+def _table_digest() -> str:
+    h = hashlib.sha256()
+    alpha = tuple(map(Fraction, TABLE_ALPHA.split(",")))
+    for family, (build, needs_alpha) in sorted(cli.TABLE_FAMILIES.items()):
+        argv = ["table", family, "--n-max", "12"]
+        argv += ["--alpha", TABLE_ALPHA] if needs_alpha else []
+        for fmt in (["--format", "json"], ["--format", "csv", "--decimals", "4"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv + fmt)
+            h.update(f"{argv + fmt}:{code}:{out.getvalue()}".encode())
+        table = build(alpha, 12) if needs_alpha else build(12)
+        entries = [table[n, m] for n in range(-1, 14) for m in range(-1, 14)]
+        h.update(f"{family}:{entries!r}\n".encode())
+    for k in range(1, 4):
+        for m in range(13):
+            value = polyfam.classic_first_with_lengths(m, k, HELPER_LENGTHS[:k])
+            h.update(f"first:{m}:{k}:{value!r}\n".encode())
+            value = polyfam.classic_poly_bernoulli(m, k)
+            h.update(f"bernoulli:{m}:{k}:{value!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_table_and_the_classical_helpers_reproduce_the_pinned_bytes():
+    assert _table_digest() == TABLE_SHA256

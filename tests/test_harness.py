@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, harness, stirling
-from polyfam.algebra import IntVector, Polynomial, PreconditionError
+from polyfam.algebra import Polynomial, PreconditionError
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
     CATALOG,
@@ -373,40 +373,18 @@ def test_expand_matches_the_written_out_double_sum(case):
         ), transform.__name__
 
 
-def _first_length_only(real):
-    def fake(lengths, k, size):
-        return real(tuple(lengths[:1]) + (1,) * (k - 1), k, size)
-
-    return fake
-
-
-def _doubled_mu1(real):
-    def fake(lengths, k, size):
-        mu = real(lengths, k, size)
-        num = tuple(2 * v if m == 1 else v for m, v in enumerate(mu.num))
-        return IntVector(num, mu.den)
-
-    return fake
+# The faulted cases of these two checks are in the mutation matrix
+# (tests/test_mutation.py); here each sweeps its grid with no fault.
+@pytest.mark.parametrize("grid", [GridSpec(n_max=4, points=4)], ids=["real"])
+def test_the_sweep_sees_a_fault_in_the_box_moments(grid):
+    reports = sweep(grid=grid, seed=0)
+    assert {r.identity for r in reports if r.corrected == FAIL} == set()
 
 
-@pytest.mark.parametrize(
-    "fault",
-    [None, _first_length_only, _doubled_mu1],
-    ids=["real", "first-length-only", "doubled-mu1"],
-)
-def test_the_sweep_sees_a_fault_in_the_box_moments(fault, monkeypatch):
-    # The definitions integrate without box_moments, so a fault in it is a
-    # corrected FAIL of a route, of a polynomial family and of an expansion.
-    if fault is not None:
-        fake = fault(algebra.box_moments)
-        for module in (algebra, cauchy, bernoulli, harness):
-            monkeypatch.setattr(module, "box_moments", fake)
-    reports = sweep(grid=GridSpec(n_max=4, points=4), seed=0)
-    failed = {r.identity for r in reports if r.corrected == FAIL}
-    if fault is None:
-        assert failed == set()
-    else:
-        assert {"T2.1", "T3.1", "T4.3b", "T5.1a"} <= failed, sorted(failed)
+@pytest.mark.parametrize("grid", [GridSpec()], ids=["real"])
+def test_the_sweep_sees_a_fault_in_the_integer_kernels(grid):
+    reports = sweep(grid=grid, seed=0)
+    assert {r.identity for r in reports if r.corrected == FAIL} == set()
 
 
 @pytest.mark.parametrize(
@@ -441,87 +419,3 @@ def test_a_value_kernel_gives_its_route_at_every_index(kernel, route):
         assert repr(kernel(p, range(n + 1))) == repr(expected)
         rows = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
         assert repr(kernel(p, rows)) == repr([expected[j] for j in rows])
-
-
-def _from_roots_wrong_power(monkeypatch):
-    # Coefficient m over D^(n-m-1) in place of D^(n-m).
-    real = Polynomial.from_roots
-
-    def fake(cls, roots):
-        rs = tuple(map(Fraction, roots))
-        d = math.lcm(*(r.denominator for r in rs))
-        return Polynomial(c * d for c in real(rs).coeffs)
-
-    monkeypatch.setattr(Polynomial, "from_roots", classmethod(fake))
-
-
-def _newton_sum_off_by_one(monkeypatch):
-    # The inner sum of m Q_m = -sum_{j<=m} N_j Q_(m-j) stops at j = m - 1.
-    def fake(sums):
-        q = [1]
-        for m in range(1, len(sums) + 1):
-            q.append(-sum(s * x for s, x in zip(sums[: m - 1], reversed(q))) // m)
-        return q
-
-    monkeypatch.setattr(cauchy, "_bell_numerators", fake)
-
-
-def _misaligned(pair_row):
-    # Row j paired with mu_(n-j), ..., mu_n of the size-n moments: right for
-    # row n, which is all a public route reads, and wrong below it.
-    def kernel(p, rows, convention="corrected"):
-        table = comtet_second(p.alpha[: p.n], p.n)
-        mu = algebra.box_moments(p.lengths, p.k, p.n)
-        return [
-            pair_row(
-                bernoulli._bernoulli_row(table.int_row(j), convention),
-                IntVector(mu.num[p.n - j :], mu.den),
-            )
-            for j in rows
-        ]
-
-    return kernel
-
-
-def _bernoulli_values_misaligned(monkeypatch):
-    fake = _misaligned(cauchy._pair)
-    for module in (bernoulli, harness):
-        monkeypatch.setattr(module, "_bernoulli_values", fake)
-
-
-def _bernoulli_poly_values_misaligned(monkeypatch):
-    fake = _misaligned(cauchy._poly_from_row)
-    for module in (bernoulli, harness):
-        monkeypatch.setattr(module, "_bernoulli_poly_values", fake)
-
-
-@pytest.mark.parametrize(
-    "fault, caught",
-    [
-        (None, set()),
-        (_from_roots_wrong_power, {"CASES-2", "CASES-3"}),
-        (_newton_sum_off_by_one, {"T2.4"}),
-        (_bernoulli_values_misaligned, {"T4.1", "T4.2a", "T4.3a"}),
-        (_bernoulli_poly_values_misaligned, {"T5.2c", "T5.2d"}),
-    ],
-    ids=[
-        "real",
-        "from-roots-wrong-power",
-        "newton-off-by-one",
-        "values-misaligned",
-        "poly-values-misaligned",
-    ],
-)
-def test_the_sweep_sees_a_fault_in_the_integer_kernels(fault, caught, monkeypatch):
-    # The integer from_roots, the Newton recurrence of the Bell route and the
-    # one-pass value kernels of the expansion identities each feed a corrected
-    # column, so a fault in any of them is a corrected FAIL of the default
-    # sweep; with no fault there is none.
-    if fault is not None:
-        fault(monkeypatch)
-    reports = sweep(seed=0)
-    failed = {r.identity for r in reports if r.corrected == FAIL}
-    if fault is None:
-        assert failed == set()
-    else:
-        assert caught <= failed, sorted(failed)

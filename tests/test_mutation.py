@@ -1,0 +1,492 @@
+"""Mutation matrix: a sweep cannot pass over a broken kernel.
+
+Each case plants one fault in the library, bound wherever the faulty name is
+bound (every module of the package, or the class that owns a method). Every
+fault is in code that feeds a corrected column, and it lists the ids that
+the default-grid `sweep()` at seed 0 then reports as a corrected FAIL: all
+of them, so that a change which blinds the sweep to the fault on any one id
+shows. With no fault there is none (the `[real]` cases of
+`test_the_sweep_sees_a_fault_in_*` in tests/test_harness.py). This is
+mutation analysis (DeMillo, Lipton and Sayward, IEEE Computer 1978; Jia and
+Harman, IEEE TSE 2011) with hand-written mutants.
+
+`NOT_SEEN_BY_THE_SWEEP` names the faults the sweep is not expected to catch,
+each with the Tier-1 test that does.
+"""
+
+import contextlib
+import importlib
+import io
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import polyfam
+from polyfam import algebra, bernoulli, cauchy, cli, harness, stirling
+from polyfam.algebra import IntVector, Polynomial, TruncatedSeries
+from polyfam.harness import FAIL, sweep
+from polyfam.stirling import CoeffTable, comtet_second
+
+MODULES = (algebra, stirling, cauchy, bernoulli, harness, cli, polyfam)
+
+
+def _inject(monkeypatch, owner, name, make, modules=MODULES):
+    """Bind make(real) in place of owner.name: on the class for a method,
+    else under every name of every module that binds the function."""
+    real = getattr(owner, name)
+    fake = make(real)
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, fake)
+        return
+    for module in modules:
+        for bound, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, bound, fake)
+
+
+def _failed(reports):
+    return {r.identity for r in reports if r.corrected == FAIL}
+
+
+# --- L0: arithmetic -------------------------------------------------------
+
+
+def _exp_series_factorial_off_by_one(real):
+    # Coefficient m is rate^m / (m-1)!.
+    def fake(order, rate=1):
+        coeffs = real(order, rate).coeffs
+        return TruncatedSeries(order, [c * max(m, 1) for m, c in enumerate(coeffs)])
+
+    return fake
+
+
+def _log1p_last_term_dropped(real):
+    # The loop stops one short: the t^order coefficient is zero.
+    return lambda order: TruncatedSeries(order, real(order).coeffs[:order])
+
+
+def _compose_constant_dropped(real):
+    # Horner's scheme forgets the outer series' constant term.
+    return lambda self, inner: real(self, inner) - self.coeffs[0]
+
+
+def _horner_unreversed(real):
+    # Horner's scheme run from the constant term: the reversed polynomial.
+    def fake(self, point):
+        x, acc = Fraction(point), Fraction(0)
+        for c in self.coeffs:
+            acc = acc * x + c
+        return acc
+
+    return fake
+
+
+def _antiderivative_divisor_off_by_one(real):
+    # Coefficient c_i becomes c_i / i in place of c_i / (i + 1), for i >= 1.
+    return lambda self: Polynomial(
+        [Fraction(0)] + [c / max(i, 1) for i, c in enumerate(self.coeffs)]
+    )
+
+
+def _from_roots_wrong_power(real):
+    # Coefficient m over D^(n-m-1) in place of D^(n-m).
+    def fake(cls, roots):
+        rs = tuple(map(Fraction, roots))
+        d = math.lcm(*(r.denominator for r in rs))
+        return Polynomial(c * d for c in real(rs).coeffs)
+
+    return classmethod(fake)
+
+
+def _prefix_products_sign_slip(real):
+    # Multiplies by Y + D r_i in place of Y - D r_i.
+    return lambda roots, rows: real([-r for r in roots], rows)
+
+
+# --- L1: triangles --------------------------------------------------------
+
+
+def _connection_target_off_by_one(real):
+    # Column m reads target node m-1: b_0, b_0, b_1, ... in place of b_0, b_1, ...
+    def fake(source, target, size):
+        b = tuple(target)
+        return real(source, b[:1] + b[:-1], size)
+
+    return fake
+
+
+def _int_row_wrong_power(real):
+    # Numerator m scaled by den^(n-m) in place of den^m.
+    def fake(self, n):
+        d = self.den
+        num = tuple(r * d ** (n - m) for m, r in enumerate(self.num[n]))
+        return IntVector(num, d**n)
+
+    return fake
+
+
+# --- L2: routes -----------------------------------------------------------
+
+
+def _first_length_only(real):
+    # The box moments of the first edge alone.
+    return lambda lengths, k, size: real(tuple(lengths[:1]) + (1,) * (k - 1), k, size)
+
+
+def _doubled_mu1(real):
+    def fake(lengths, k, size):
+        mu = real(lengths, k, size)
+        num = tuple(2 * v if m == 1 else v for m, v in enumerate(mu.num))
+        return IntVector(num, mu.den)
+
+    return fake
+
+
+def _box_integral_first_variable_only(real):
+    # The definitions integrate over x_1 alone.
+    return lambda nums, dens, lengths: real(nums, dens, lengths[:1])
+
+
+def _pair_shifted(real):
+    # row[m] paired with mu_(m+1).
+    return lambda row, moments: Fraction(
+        sum(a * b for a, b in zip(row.num, moments.num[1:])), row.den * moments.den
+    )
+
+
+def _times_diagonal_dropped(real):
+    # The sum over m >= j starts at j + 1.
+    def fake(row, table):
+        t, r = table.num, row.num
+        num = (sum(r[m] * t[m][j] for m in range(j + 1, len(r))) for j in range(len(r)))
+        return IntVector(tuple(num), row.den)
+
+    return fake
+
+
+def _poly_from_row_sign_slip(real):
+    # The (-1)^i of the shifted moments is dropped: the polynomial at -z.
+    return lambda row, moments: Polynomial(
+        (-1) ** i * c for i, c in enumerate(real(row, moments).coeffs)
+    )
+
+
+def _bernoulli_row_sign_slip(real):
+    # (-1)^m in place of (-1)^(n-m).
+    def fake(row, convention="corrected"):
+        out = real(row, convention)
+        return IntVector(tuple((-1) ** (len(row) - 1) * c for c in out.num), out.den)
+
+    return fake
+
+
+def _exp_sum_weights_shifted(real):
+    # Column m weighted by w_(m-1).
+    return lambda head, weights: real(head, list(weights[:1]) + list(weights[:-1]))
+
+
+def _power_sums_from_zero(real):
+    # N_0, ..., N_(order-1) in place of N_1, ..., N_order.
+    def fake(head, order):
+        lcm, sums = real(head, order)
+        return lcm, ([len(head)] + sums)[:order]
+
+    return fake
+
+
+def _newton_sum_off_by_one(real):
+    # The inner sum of m Q_m = -sum_{j<=m} N_j Q_(m-j) stops at j = m - 1.
+    def fake(sums):
+        q = [1]
+        for m in range(1, len(sums) + 1):
+            q.append(-sum(s * x for s, x in zip(sums[: m - 1], reversed(q))) // m)
+        return q
+
+    return fake
+
+
+def _classic_first_off_at_two(real):
+    # C_2 is one too large.
+    def fake(moments):
+        out = real(moments)
+        num = tuple(c + out.den * (m == 2) for m, c in enumerate(out.num))
+        return IntVector(num, out.den)
+
+    return fake
+
+
+def _specialize_k_dropped(real):
+    # The sugar forgets k and integrates over one variable.
+    return lambda family, kind, n, k=1, q=None, lengths=None: real(
+        family, kind, n, 1 if family == "poly" else k, q, lengths
+    )
+
+
+def _value_off_at_two(real):
+    # One too large at n = 2.
+    return lambda n, k: real(n, k) + (n == 2)
+
+
+def _lif_factorial_off_by_one(real):
+    # Coefficient m over m! m in place of m!, for m >= 1.
+    return lambda k, order: TruncatedSeries(
+        order, [c / max(m, 1) for m, c in enumerate(real(k, order).coeffs)]
+    )
+
+
+def _row_shifted(real):
+    # Row j of a one-pass kernel is the value at j + 1: right at row n, which
+    # is all a public route reads, and wrong below it.
+    def fake(p, rows, *convention):
+        values = real(p, range(p.n + 1), *convention)
+        return [values[min(j + 1, p.n)] for j in rows]
+
+    return fake
+
+
+def _misaligned(pair_row):
+    # Row j paired with mu_(n-j), ..., mu_n of the size-n moments: right for
+    # row n and wrong below it.
+    def make(real):
+        def kernel(p, rows, convention="corrected"):
+            table = comtet_second(p.alpha[: p.n], p.n)
+            mu = algebra.box_moments(p.lengths, p.k, p.n)
+            return [
+                pair_row(
+                    bernoulli._bernoulli_row(table.int_row(j), convention),
+                    IntVector(mu.num[p.n - j :], mu.den),
+                )
+                for j in rows
+            ]
+
+        return kernel
+
+    make.__name__ = f"misaligned_{pair_row.__name__.strip('_')}"
+    return make
+
+
+# --- L3: harness ----------------------------------------------------------
+
+
+def _expand_index_sign_dropped(real):
+    # The (-1)^(e_j j) factor of the expansion weights is dropped.
+    return lambda values, table, weight: real(
+        values, table, weight[:2] + (0,) + weight[3:]
+    )
+
+
+# Each fault with the ids it turns into a corrected FAIL at seed 0.
+MATRIX = [
+    # L0
+    (algebra, "exp_series", _exp_series_factorial_off_by_one, "GF-Li T4.1"),
+    (algebra, "log1p_series", _log1p_last_term_dropped, "GF-Lif"),
+    (TruncatedSeries, "compose", _compose_constant_dropped, "GF-Li GF-Lif"),
+    (
+        Polynomial,
+        "__call__",
+        _horner_unreversed,
+        "C5.1a C5.1b CASES-2 CASES-3 T5.1a T5.1b",
+    ),
+    (
+        Polynomial,
+        "antiderivative",
+        _antiderivative_divisor_off_by_one,
+        "CASES-2 CASES-3",
+    ),
+    (Polynomial, "from_roots", _from_roots_wrong_power, "CASES-2 CASES-3"),
+    (
+        algebra,
+        "_prefix_products",
+        _prefix_products_sign_slip,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 "
+        "GF-Lif T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b",
+    ),
+    # L1
+    (
+        stirling,
+        "connection_coeffs",
+        _connection_target_off_by_one,
+        "C2.2 C4.1a C4.1b C4.2a C4.2b GF-Li T2.2 T2.3 T4.1 T4.2a T4.2b T4.3a T4.3b "
+        "T5.2a T5.2b T5.2c T5.2d",
+    ),
+    (
+        CoeffTable,
+        "int_row",
+        _int_row_wrong_power,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 "
+        "T2.1 T2.2 T2.3 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b "
+        "T5.2a T5.2b T5.2c T5.2d",
+    ),
+    # L2
+    (
+        algebra,
+        "box_moments",
+        _first_length_only,
+        "CASES-2 CASES-3 T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a T4.3b "
+        "T5.1a T5.1b",
+    ),
+    (
+        algebra,
+        "box_moments",
+        _doubled_mu1,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 "
+        "GF-Lif T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b",
+    ),
+    (
+        cauchy,
+        "_box_integral",
+        _box_integral_first_variable_only,
+        "CASES-2 CASES-3 GF-Lif T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a "
+        "T4.3b T5.1a T5.1b",
+    ),
+    (
+        cauchy,
+        "_pair",
+        _pair_shifted,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b CASES-2 CASES-3 GF-Li T2.1 "
+        "T2.2 T2.3 T2.4 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b",
+    ),
+    (cauchy, "_times", _times_diagonal_dropped, "C2.2 C3.2 T2.2 T3.2"),
+    (cauchy, "_poly_from_row", _poly_from_row_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
+    (
+        bernoulli,
+        "_bernoulli_row",
+        _bernoulli_row_sign_slip,
+        "C4.1a C4.1b C4.2a C4.2b GF-Li T4.1 T4.2a T4.2b T4.3a T4.3b T5.2a T5.2b "
+        "T5.2c T5.2d",
+    ),
+    (bernoulli, "_exp_sum", _exp_sum_weights_shifted, "T4.1"),
+    (cauchy, "_reciprocal_power_sums", _power_sums_from_zero, "T2.4"),
+    (cauchy, "_bell_numerators", _newton_sum_off_by_one, "T2.4"),
+    (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
+    (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3 GF-Lif"),
+    (bernoulli, "classic_poly_bernoulli", _value_off_at_two, "GF-Li"),
+    (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
+    (cauchy, "_first_def_values", _row_shifted, "C4.1b C4.2b T4.2b T4.3b"),
+    (cauchy, "_second_def_values", _row_shifted, "C4.1b T4.2b"),
+    (cauchy, "_poly_first_values", _row_shifted, "T5.2a"),
+    (cauchy, "_poly_second_values", _row_shifted, "T5.2b"),
+    (
+        bernoulli,
+        "_bernoulli_values",
+        _misaligned(cauchy._pair),
+        "C4.1a C4.2a T4.1 T4.2a T4.3a",
+    ),
+    (
+        bernoulli,
+        "_bernoulli_poly_values",
+        _misaligned(cauchy._poly_from_row),
+        "T5.2c T5.2d",
+    ),
+    # L3
+    (
+        harness,
+        "_expand",
+        _expand_index_sign_dropped,
+        "C4.1a C4.2a T4.2a T4.3a T5.2c T5.2d",
+    ),
+]
+
+
+def _case_id(owner, name, make):
+    owner_name = owner.__name__.rpartition(".")[2]
+    return f"{owner_name}.{name}:{make.__name__.strip('_')}"
+
+
+@pytest.mark.parametrize(
+    "owner, name, make, caught",
+    [pytest.param(*case, id=_case_id(*case[:3])) for case in MATRIX],
+)
+def test_the_sweep_sees_the_fault(owner, name, make, caught, monkeypatch):
+    # A sweep's rows for one id do not depend on the other ids swept, so
+    # sweeping the listed ids alone gives the full sweep's verdicts on them.
+    _inject(monkeypatch, owner, name, make)
+    ids = caught.split()
+    assert _failed(sweep(ids=ids, seed=0)) == set(ids)
+
+
+def _table_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["table", "comtet-2", "--n-max", "4", "--alpha", "1/2,-2/3,0,5/4"])
+    return out.getvalue()
+
+
+def test_the_int_row_fault_changes_what_table_prints(monkeypatch):
+    # `table` prints the rows the routes pair, so the fault the sweep sees in
+    # them is also in its output.
+    real = _table_stdout()
+    _inject(monkeypatch, CoeffTable, "int_row", _int_row_wrong_power)
+    assert _table_stdout() != real
+
+
+# --- Faults the sweep is not expected to catch ----------------------------
+
+
+def _series_exp_divisor_off_by_one(real):
+    # Coefficient i of exp is scaled by i.
+    return lambda self: TruncatedSeries(
+        self.order, [c * max(i, 1) for i, c in enumerate(real(self).coeffs)]
+    )
+
+
+def _all_zero_samples(real):
+    # Every sample point is 0: the check compares at one point.
+    return lambda count: (Fraction(0),) * count
+
+
+def _getitem_wrong_power(real):
+    # Entry (n, m) over den^m in place of den^(n-m).
+    def fake(self, nm):
+        n, m = nm
+        if 0 <= m <= n < len(self.num):
+            return Fraction(self.num[n][m], self.den**m)
+        return Fraction(0)
+
+    return fake
+
+
+NOT_SEEN_BY_THE_SWEEP = [
+    # No sweep column reads the series exp; only modified_bell and the
+    # perfbench tracer do.
+    (
+        TruncatedSeries,
+        "exp",
+        _series_exp_divisor_off_by_one,
+        "tests/test_cauchy.py::test_newton_bell_numerators_match_the_series_exp",
+        {"seed": 0},
+    ),
+    # The fault weakens the polynomial checks without changing any value.
+    (
+        algebra,
+        "integer_samples",
+        _all_zero_samples,
+        "tests/test_algebra.py::test_integer_samples_order",
+        {},
+    ),
+    # No verify reading indexes a table; the sweep reads rows through int_row.
+    (
+        CoeffTable,
+        "__getitem__",
+        _getitem_wrong_power,
+        "tests/test_stirling.py::test_explicit_second_kind_matches_the_table",
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, make, killer, kwargs",
+    [pytest.param(*case, id=_case_id(*case[:3])) for case in NOT_SEEN_BY_THE_SWEEP],
+)
+def test_a_fault_the_sweep_misses_fails_its_named_test(
+    owner, name, make, killer, kwargs, monkeypatch
+):
+    path, test = killer.split("::")
+    module = importlib.import_module(Path(path).stem)
+    _inject(monkeypatch, owner, name, make, MODULES + (module,))
+    assert _failed(sweep(seed=0)) == set()
+    with pytest.raises(AssertionError):
+        getattr(module, test)(**kwargs)

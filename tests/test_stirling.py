@@ -55,6 +55,11 @@ def _multiparam(alpha):
     return lambda m: Polynomial.from_roots(alpha[:m])
 
 
+def _rows(table):
+    """Every row of a table as Fractions, read through `row`."""
+    return tuple(table.row(n) for n in range(table.size + 1))
+
+
 def _oracle_connection(source, target, size):
     rows = []
     for n in range(size + 1):
@@ -89,6 +94,7 @@ def test_table_indexing_outside_triangle_is_zero():
     assert t[2, -1] == 0
     assert t[5, 0] == 0
     assert t.row(3) == (Fraction(0), Fraction(2), Fraction(-3), Fraction(1))
+    assert t.row(-1) == t.row(3)
     assert t.size == 3
 
 
@@ -233,9 +239,9 @@ def test_node_recurrence_matches_the_back_substitution_oracle(size, alpha, beta)
     for family, (build, needs_alpha) in TABLE_FAMILIES.items():
         table = build(alpha, size) if needs_alpha else build(size)
         source, target = _ORACLE_BASES[family](alpha)
-        assert table.rows == _oracle_connection(source, target, size), family
+        assert _rows(table) == _oracle_connection(source, target, size), family
     mixed = connection_coeffs(alpha, beta, size)
-    assert mixed.rows == _oracle_connection(
+    assert _rows(mixed) == _oracle_connection(
         _multiparam(alpha), _multiparam(beta), size
     )
 
@@ -253,13 +259,12 @@ def node_lists(draw):
 
 def _hand_built(table, factor):
     """The same entries held over the denominator factor * table.den."""
-    den = factor * table.den
     return CoeffTable(
         tuple(
-            tuple(int(c * den ** (n - m)) for m, c in enumerate(row))
-            for n, row in enumerate(table.rows)
+            tuple(r * factor ** (n - m) for m, r in enumerate(row))
+            for n, row in enumerate(table.num)
         ),
-        den,
+        factor * table.den,
     )
 
 
@@ -301,10 +306,10 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
         hand = _hand_built(table, factor)
         assert hand.den != table.den
         assert hand == table and hash(hand) == hash(table)
-        assert hand.rows == table.rows and hand[size, 0] == table[size, 0]
+        assert _rows(hand) == _rows(table) and hand[size, 0] == table[size, 0]
         assert hand.entrywise_abs() == table.entrywise_abs()
-        assert hand.entrywise_abs().rows == tuple(
-            tuple(abs(c) for c in row) for row in table.rows
+        assert _rows(hand.entrywise_abs()) == tuple(
+            tuple(abs(c) for c in row) for row in _rows(table)
         )
         assert table_product(hand, identity) == table
         assert table_product(identity, hand) == table
@@ -314,6 +319,15 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
     last = first.num[-1]
     bumped = CoeffTable(first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den)
     assert bumped != first and bumped != _hand_built(first, factor)
+
+
+def test_a_table_holds_only_its_integers():
+    # Reading a table builds its Fractions on demand and caches none of them.
+    table = comtet_second([Fraction(1, 2), Fraction(-2, 3), 0], 3)
+    hand = _hand_built(table, 2)
+    assert hand.row(3) == table.row(3) and hand[3, 1] == table[3, 1]
+    assert hand == table and hash(hand) == hash(table)
+    assert set(vars(table)) == set(vars(hand)) == {"num", "den"}
 
 
 def test_connection_preconditions():
