@@ -4,9 +4,10 @@ truncated formal power series.
 Every scalar this package returns is a `fractions.Fraction`; nothing is
 ever rounded. `Polynomial` is an immutable dense univariate polynomial and
 `TruncatedSeries` an order-N prefix of a formal power series, both with
-exact ring operations. `IntVector` holds rationals fraction-free, as integer
-numerators over one common denominator, so that long dot products run over
-Python ints and reduce once.
+exact ring operations. `IntVector` and `Polynomial` hold rationals
+fraction-free, as integer numerators over one common denominator, so that
+long sums and products run over Python ints and reduce once; a Fraction is
+built only where a value leaves them. `TruncatedSeries` holds Fractions.
 """
 
 from __future__ import annotations
@@ -70,109 +71,141 @@ def integer_samples(count: int) -> tuple[Rat, ...]:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored lowest power first with trailing zeros stripped,
-    so equal polynomials compare equal structurally. The zero polynomial has
-    an empty coefficient tuple and degree -infinity (float("-inf")), which
-    keeps degree(p * q) == degree(p) + degree(q) true without exceptions.
+    Held fraction-free, as IntVector and CoeffTable are: coefficient i is
+    num[i] / den, with integer numerators lowest power first, trailing zeros
+    stripped, den > 0 and gcd(den, *num) == 1. That form is canonical, so
+    equal polynomials compare equal structurally, and the ring operations
+    run over the integers; `coeffs`, `coefficient` and evaluation build their
+    Fractions on demand. The zero polynomial has num == () and degree
+    -infinity (float("-inf")), which keeps degree(p * q) == degree(p) +
+    degree(q) true without exceptions.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Rat, ...] = tuple(cs)
+        cs = as_rat_tuple(coeffs)
+        d = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (d // c.denominator) for c in cs]
+        self.num, self.den = _reduced(num, d)
+
+    @classmethod
+    def over(cls, num: Iterable[int], den: int = 1) -> "Polynomial":
+        """The polynomial sum_i num[i] X^i / den, for integers num and a
+        nonzero integer den, reduced to the canonical form."""
+        poly = cls.__new__(cls)
+        poly.num, poly.den = _reduced(list(num), den)
+        return poly
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
         """The monic polynomial prod_i (X - r_i); the empty product is 1.
-        The product runs over the integers (see _prefix_products), and each
-        coefficient c_m / D^(n-m) becomes one Fraction at the end."""
+        The product runs over the integers (see _prefix_products): its
+        coefficient c_m / D^(n-m) is c_m D^m over D^n."""
         rs = as_rat_tuple(roots)
         n = len(rs)
         d, (cs,) = _prefix_products(rs, (n,))
-        return cls(Fraction(c, d ** (n - m)) for m, c in enumerate(cs))
+        return cls.over((c * d**m for m, c in enumerate(cs)), d**n)
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> Union[int, float]:
-        if not self._coeffs:
+        if not self.num:
             return float("-inf")
-        return len(self._coeffs) - 1
+        return len(self.num) - 1
 
     def coefficient(self, i: int) -> Rat:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self._coeffs))
+        return hash(("Polynomial", self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self._coeffs]})"
+        return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return Polynomial.over((-c for c in self.num), self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        d = math.lcm(self.den, other.den)
+        a, b = ([c * (d // p.den) for c in p.num] for p in (self, other))
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial.over(a, d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: Union["Polynomial", RatLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
+            if not self.num or not other.num:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
+            out = [0] * (len(self.num) + len(other.num) - 1)
+            for i, a in enumerate(self.num):
                 if a == 0:
                     continue
-                for j, b in enumerate(other._coeffs):
+                for j, b in enumerate(other.num):
                     out[i + j] += a * b
-            return Polynomial(out)
+            return Polynomial.over(out, self.den * other.den)
         scale = as_rat(other)
-        return Polynomial(tuple(c * scale for c in self._coeffs))
+        return Polynomial.over(
+            (c * scale.numerator for c in self.num), self.den * scale.denominator
+        )
 
     def __rmul__(self, other: RatLike) -> "Polynomial":
         return self * other
 
     def __call__(self, point: RatLike) -> Rat:
+        """Horner's scheme over the integers: at x = u/v and degree d the value
+        is sum_m num[m] u^m v^(d-m) over den v^d."""
         x = as_rat(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        u, v = x.numerator, x.denominator
+        acc, vp = 0, 1
+        for c in reversed(self.num):
+            acc = acc * u + c * vp
+            vp *= v
+        return Fraction(acc, self.den * v ** max(len(self.num) - 1, 0))
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative with zero constant term."""
-        return Polynomial(
-            [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)]
-        )
+        """The antiderivative with zero constant term, over lcm(1, ..., d+1)."""
+        lcm = math.lcm(*range(1, len(self.num) + 1))
+        num = [c * (lcm // i) for i, c in enumerate(self.num, 1)]
+        return Polynomial.over([0] + num, self.den * lcm)
 
     def integral_to(self, upper: RatLike) -> Rat:
         """Exact definite integral over [0, upper]."""
         return self.antiderivative()(upper)
+
+
+def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den in the canonical form of Polynomial: trailing zeros
+    stripped, then numerators and denominator divided by their gcd, signed so
+    that the denominator is positive."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
 
 
 X = Polynomial((0, 1))

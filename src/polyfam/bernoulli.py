@@ -75,12 +75,15 @@ def li_gf_check(k: int, order: int) -> SeriesCheck:
     generating function of the classical values through the given order;
     the stated and corrected readings agree. The left side is one
     composition, as in GF-Lif: the unit-box moments sum_m u^m / (m+1)^k
-    composed with u = 1 - e^{-t}."""
+    composed with u = 1 - e^{-t}. The right side reads the classical values
+    0..order from one _bernoulli_values pass at the parameters
+    0, 1, ..., order-1 and the unit box."""
     moments = TruncatedSeries(order, box_moments((1,) * k, k, order))
     lhs = moments.compose(1 - exp_series(order, rate=-1))
+    classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
+    values = _bernoulli_values(classical, range(order + 1))
     rhs = TruncatedSeries(
-        order,
-        [classic_poly_bernoulli(n, k) / math.factorial(n) for n in range(order + 1)],
+        order, [b / math.factorial(n) for n, b in enumerate(values)]
     )
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 

@@ -112,12 +112,14 @@ def _pair(row: IntVector, moments: IntVector) -> Rat:
 def _poly_from_row(row: IntVector, moments: IntVector) -> Polynomial:
     """The polynomial in z of the box integral of sum_m row[m] (T - z)^m,
     through the shifted moments: its z^i coefficient is
-    sum_{m>=i} (-1)^i C(m, i) row[m] mu_(m-i)."""
-    r, mu, coeffs = row.num, moments.num, []
-    for i in range(len(r)):
-        acc = sum(math.comb(m, i) * r[m] * mu[m - i] for m in range(i, len(r)))
-        coeffs.append(Fraction((-1) ** i * acc, row.den * moments.den))
-    return Polynomial(coeffs)
+    sum_{m>=i} (-1)^i C(m, i) row[m] mu_(m-i), an integer over
+    row.den * moments.den."""
+    r, mu = row.num, moments.num
+    num = (
+        (-1) ** i * sum(math.comb(m, i) * r[m] * mu[m - i] for m in range(i, len(r)))
+        for i in range(len(r))
+    )
+    return Polynomial.over(num, row.den * moments.den)
 
 
 def _times(row: IntVector, table: CoeffTable) -> IntVector:

@@ -213,22 +213,40 @@ def _expand(values: Sequence, table: CoeffTable, weight: tuple):
     T(n, m) = num[n][m] / D^(n-m), the weight of values[j] is one integer
     c_j = sum_m (-1)^(e_m m) f_m l_m num[m][j] over D^(n-j), where l_m is
     num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
-    over a further n! for p = -1; so each value is scaled once."""
+    over a further n! for p = -1; so every weight is an integer over one
+    denominator, (n! or 1) D^n."""
     e_n, e_m, e_j, power, absolute = weight
-    n, num = table.size, table.num
+    n, num, d = table.size, table.num, table.den
     left = [abs(r) for r in num[n]] if absolute else num[n]
     fact = [math.factorial(m) for m in range(n + 1)]
     scale = fact if power == 1 else [fact[n] // f for f in fact]
     lead = [(-1) ** (e_m * m) * scale[m] * left[m] for m in range(n + 1)]
-    den = 1 if power == 1 else fact[n]
-    zero = Polynomial() if isinstance(values[0], Polynomial) else Fraction(0)
-    terms = []
-    for j in range(n + 1):
-        c = sum(lead[m] * num[m][j] for m in range(j, n + 1))
-        if c:
-            sign = (-1) ** (e_n * n + e_j * j)
-            terms.append(Fraction(sign * c, den * table.den ** (n - j)) * values[j])
-    return sum(terms, zero)
+    weights = [
+        (-1) ** (e_n * n + e_j * j)
+        * d**j
+        * sum(lead[m] * num[m][j] for m in range(j, n + 1))
+        for j in range(n + 1)
+    ]
+    return _combine(weights, (1 if power == 1 else fact[n]) * d**n, values)
+
+
+def _combine(weights: Sequence[int], den: int, values: Sequence):
+    """sum_j weights[j] values[j] / den, for Fraction and Polynomial values
+    alike: every value is brought to the lcm q of their denominators, the
+    integers are summed coefficient by coefficient, and one Fraction or one
+    Polynomial over den q is built at the end."""
+    poly = isinstance(values[0], Polynomial)
+    parts = [
+        (v.num, v.den) if poly else ((v.numerator,), v.denominator) for v in values
+    ]
+    q = math.lcm(*(vd for _, vd in parts))
+    out = [0] * max(len(vn) for vn, _ in parts)
+    for w, (vn, vd) in zip(weights, parts):
+        if w:
+            s = w * (q // vd)
+            for i, c in enumerate(vn):
+                out[i] += s * c
+    return Polynomial.over(out, den * q) if poly else Fraction(out[0], den * q)
 
 
 def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):

@@ -136,7 +136,11 @@ def connection_coeffs(
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    a, b = (as_rat_tuple(nodes) for nodes in (source, target))
+    # Ints and Fractions carry their numerator and denominator already.
+    a, b = (
+        tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in nodes)
+        for nodes in (source, target)
+    )
     for nodes in (a, b):
         if len(nodes) < size:
             raise PreconditionError(

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from typing import Iterable, Union
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 from polyfam.algebra import (
     Polynomial,
     PreconditionError,
+    Rat,
+    RatLike,
     TruncatedSeries,
     X,
+    _prefix_products,
     as_rat,
     as_rat_tuple,
     box_moments,
@@ -115,6 +120,139 @@ def test_antiderivative_undoes_nothing_it_should_not(a):
         [(i + 1) * anti.coefficient(i + 1) for i in range(len(anti.coeffs))]
     )
     assert rebuilt == p
+
+
+class _FractionPolynomial:
+    """The reference: Polynomial as it was when it stored one Fraction per
+    coefficient, lowest power first, trailing zeros stripped."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Iterable[RatLike] = ()):
+        cs = [as_rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self._coeffs: tuple[Rat, ...] = tuple(cs)
+
+    @classmethod
+    def from_roots(cls, roots: Iterable[RatLike]) -> "_FractionPolynomial":
+        rs = as_rat_tuple(roots)
+        n = len(rs)
+        d, (cs,) = _prefix_products(rs, (n,))
+        return cls(Fraction(c, d ** (n - m)) for m, c in enumerate(cs))
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        return self._coeffs
+
+    @property
+    def degree(self) -> Union[int, float]:
+        if not self._coeffs:
+            return float("-inf")
+        return len(self._coeffs) - 1
+
+    def coefficient(self, i: int) -> Rat:
+        if 0 <= i < len(self._coeffs):
+            return self._coeffs[i]
+        return Fraction(0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _FractionPolynomial):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __repr__(self) -> str:
+        return f"Polynomial({[str(c) for c in self._coeffs]})"
+
+    def __neg__(self) -> "_FractionPolynomial":
+        return _FractionPolynomial(tuple(-c for c in self._coeffs))
+
+    def __add__(self, other: "_FractionPolynomial") -> "_FractionPolynomial":
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _FractionPolynomial(out)
+
+    def __sub__(self, other: "_FractionPolynomial") -> "_FractionPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_FractionPolynomial":
+        if isinstance(other, _FractionPolynomial):
+            if not self._coeffs or not other._coeffs:
+                return _FractionPolynomial()
+            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+            for i, a in enumerate(self._coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other._coeffs):
+                    out[i + j] += a * b
+            return _FractionPolynomial(out)
+        scale = as_rat(other)
+        return _FractionPolynomial(tuple(c * scale for c in self._coeffs))
+
+    def __call__(self, point: RatLike) -> Rat:
+        x = as_rat(point)
+        acc = Fraction(0)
+        for c in reversed(self._coeffs):
+            acc = acc * x + c
+        return acc
+
+    def antiderivative(self) -> "_FractionPolynomial":
+        return _FractionPolynomial(
+            [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)]
+        )
+
+    def integral_to(self, upper: RatLike) -> Rat:
+        return self.antiderivative()(upper)
+
+
+def _same(p: Polynomial, ref: _FractionPolynomial) -> bool:
+    return (
+        p.coeffs == ref.coeffs
+        and repr(p) == repr(ref)
+        and p.degree == ref.degree
+        and all(p.coefficient(i) == ref.coefficient(i) for i in range(-1, 9))
+    )
+
+
+# Zeros, trailing zeros and the zero polynomial come often.
+sparse_coeffs = st.lists(
+    st.one_of(rationals, st.just(Fraction(0)), tall_rationals), max_size=6
+).map(lambda cs: cs + [0] * (len(cs) % 3))
+points = st.one_of(rationals, tall_rationals, st.sampled_from((0, 1, -1, "3/7")))
+
+
+@settings(max_examples=150)
+@given(sparse_coeffs, sparse_coeffs, points, rationals, st.lists(rationals, max_size=6))
+def test_the_integer_polynomial_matches_the_fraction_reference(a, b, z, c, roots):
+    p, q = Polynomial(a), Polynomial(b)
+    rp, rq = _FractionPolynomial(a), _FractionPolynomial(b)
+    assert _same(p, rp) and _same(q, rq)
+    assert (p == q) == (rp == rq)
+    for got, want in [
+        (p + q, rp + rq),
+        (p - q, rp - rq),
+        (-p, -rp),
+        (p * q, rp * rq),
+        (p * c, rp * c),
+        (c * p, rp * c),
+        (p * 3, rp * 3),
+        (p.antiderivative(), rp.antiderivative()),
+        (Polynomial.from_roots(roots), _FractionPolynomial.from_roots(roots)),
+    ]:
+        assert _same(got, want)
+    assert p(z) == rp(z) and type(p(z)) is Fraction
+    assert p.integral_to(z) == rp.integral_to(z)
+    # The same polynomial built another way: equal, and hashes equal.
+    scale = 6 * math.lcm(*(Fraction(x).denominator for x in a))
+    num = [Fraction(x) * scale for x in a]
+    twin = Polynomial.over([int(x) for x in num] + [0], -scale)
+    assert twin == -p and hash(twin) == hash(-p)
+    assert Polynomial(list(a) + [0, 0]) == p and hash(Polynomial(a + [0])) == hash(p)
+    assert (p + q == q + p) and hash(p + q) == hash(q + p)
 
 
 def test_box_moments_values():

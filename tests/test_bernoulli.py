@@ -138,6 +138,12 @@ def test_polynomial_matches_symbolic_shifted_integrals():
 def test_li_generating_function_check():
     for k in (1, 2, 3):
         assert li_gf_check(k, 6).all_match
+        # The one-pass right side is the classical values, one by one.
+        for order in (0, 1, 2, 6):
+            assert li_gf_check(k, order).rhs.coeffs == tuple(
+                classic_poly_bernoulli(n, k) / math.factorial(n)
+                for n in range(order + 1)
+            )
 
 
 def test_number_generating_function_check():

@@ -11,6 +11,12 @@ stdout of every family, the indexed entries of every table, inside the
 triangle and around it, and the two classical helpers. It was taken at commit
 c56448c, where `CoeffTable` still cached its Fraction entries and each helper
 paired its own row.
+
+SWEEP_SHA256 pins the sweep on a deep grid (n up to 14, k up to 3, series
+order 8): the `repr` of every report at seeds 0, 7 and 123, so every
+polynomial and expansion column is covered well past the n <= 5 of the
+seed-0 goldens. It was taken at commit 3e93ba9, where `Polynomial` still held
+its coefficients as Fractions and `_expand` summed Fraction terms.
 """
 
 import contextlib
@@ -22,6 +28,7 @@ from fractions import Fraction
 import polyfam
 from polyfam import cli
 from polyfam.algebra import Polynomial
+from polyfam.harness import GridSpec, sweep
 
 ROUTES = (
     "mp_first_def",
@@ -41,6 +48,9 @@ ROUTES = (
 PINNED_SHA256 = "7a13a3ce476edd8aef7682780ca25577f4ac813fcfd395cbd17505e3827eea7f"
 
 TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51"
+
+SWEEP_SHA256 = "2bc7fcb7333d16e5a7f60f895796d688849527e0d58c698eaa7a46de186ae50a"
+DEEP_GRID = GridSpec(n_max=14, k_max=3, points=6, series_order=8, bound=20)
 
 # Mixed denominators, zeros and repeats; twelve nodes for --n-max 12.
 TABLE_ALPHA = "1/2,0,-3,1/2,2/3,0,5,-1/4,2/3,7,0,-1/6"
@@ -114,3 +124,11 @@ def _table_digest() -> str:
 
 def test_table_and_the_classical_helpers_reproduce_the_pinned_bytes():
     assert _table_digest() == TABLE_SHA256
+
+
+def test_the_deep_sweep_reproduces_the_pinned_bytes():
+    h = hashlib.sha256()
+    for seed in (0, 7, 123):
+        for report in sweep(grid=DEEP_GRID, seed=seed):
+            h.update(repr(report).encode())
+    assert h.hexdigest() == SWEEP_SHA256

@@ -90,6 +90,18 @@ def _antiderivative_divisor_off_by_one(real):
     )
 
 
+def _gcd_skipped(real):
+    # Trailing zeros are stripped and the denominator made positive, but
+    # numerators and denominator are not divided by their gcd, so the form
+    # is no longer canonical.
+    def fake(num, den):
+        while num and not num[-1]:
+            num.pop()
+        return (tuple(num), den) if den > 0 else (tuple(-c for c in num), -den)
+
+    return fake
+
+
 def _from_roots_wrong_power(real):
     # Coefficient m over D^(n-m-1) in place of D^(n-m).
     def fake(cls, roots):
@@ -277,6 +289,25 @@ def _expand_index_sign_dropped(real):
     )
 
 
+def _combine_first_denominator(real):
+    # Every value is brought to the first value's denominator, not to the
+    # lcm of all of them.
+    def fake(weights, den, values):
+        poly = isinstance(values[0], Polynomial)
+        parts = [
+            (v.num, v.den) if poly else ((v.numerator,), v.denominator)
+            for v in values
+        ]
+        q = parts[0][1]
+        out = [0] * max(len(vn) for vn, _ in parts)
+        for w, (vn, vd) in zip(weights, parts):
+            for i, c in enumerate(vn):
+                out[i] += w * (q // vd) * c
+        return Polynomial.over(out, den * q) if poly else Fraction(out[0], den * q)
+
+    return fake
+
+
 # Each fault with the ids it turns into a corrected FAIL at seed 0.
 MATRIX = [
     # L0
@@ -295,6 +326,7 @@ MATRIX = [
         _antiderivative_divisor_off_by_one,
         "CASES-2 CASES-3",
     ),
+    (algebra, "_reduced", _gcd_skipped, "T5.2a T5.2b T5.2c T5.2d"),
     (Polynomial, "from_roots", _from_roots_wrong_power, "CASES-2 CASES-3"),
     (
         algebra,
@@ -362,7 +394,6 @@ MATRIX = [
     (cauchy, "_bell_numerators", _newton_sum_off_by_one, "T2.4"),
     (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
     (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3 GF-Lif"),
-    (bernoulli, "classic_poly_bernoulli", _value_off_at_two, "GF-Li"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
     (cauchy, "_first_def_values", _row_shifted, "C4.1b C4.2b T4.2b T4.3b"),
     (cauchy, "_second_def_values", _row_shifted, "C4.1b T4.2b"),
@@ -372,7 +403,7 @@ MATRIX = [
         bernoulli,
         "_bernoulli_values",
         _misaligned(cauchy._pair),
-        "C4.1a C4.2a T4.1 T4.2a T4.3a",
+        "C4.1a C4.2a GF-Li T4.1 T4.2a T4.3a",
     ),
     (
         bernoulli,
@@ -386,6 +417,12 @@ MATRIX = [
         "_expand",
         _expand_index_sign_dropped,
         "C4.1a C4.2a T4.2a T4.3a T5.2c T5.2d",
+    ),
+    (
+        harness,
+        "_combine",
+        _combine_first_denominator,
+        "C4.1a C4.1b C4.2a C4.2b T4.2a T4.2b T4.3a T4.3b T5.2a T5.2b T5.2c T5.2d",
     ),
 ]
 
@@ -464,6 +501,16 @@ NOT_SEEN_BY_THE_SWEEP = [
         "integer_samples",
         _all_zero_samples,
         "tests/test_algebra.py::test_integer_samples_order",
+        {},
+    ),
+    # GF-Li reads the classical values from one _bernoulli_values pass, so
+    # only `number`/`table` callers and the table pin read the helper.
+    (
+        bernoulli,
+        "classic_poly_bernoulli",
+        _value_off_at_two,
+        "tests/test_exactness.py::"
+        "test_table_and_the_classical_helpers_reproduce_the_pinned_bytes",
         {},
     ),
     # No verify reading indexes a table; the sweep reads rows through int_row.
