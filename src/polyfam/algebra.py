@@ -7,7 +7,8 @@ ever rounded. `Polynomial` is an immutable dense univariate polynomial and
 exact ring operations. `IntVector` and `Polynomial` hold rationals
 fraction-free, as integer numerators over one common denominator, so that
 long sums and products run over Python ints and reduce once; a Fraction is
-built only where a value leaves them. `TruncatedSeries` holds Fractions.
+built only where a value leaves them. `TruncatedSeries` is a `Polynomial`
+truncated at its order, so it shares that one ring implementation.
 """
 
 from __future__ import annotations
@@ -278,76 +279,78 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
 class TruncatedSeries:
     """An order-N prefix of a formal power series in one variable t.
 
-    Holds exactly the coefficients of t^0 .. t^N. Binary operations between
-    series of different orders truncate to the smaller order, which is the
-    largest prefix both operands determine.
+    Holds the order N and one Polynomial of degree at most N, the
+    coefficients of t^0 .. t^N, so a series is a polynomial mod t^(N+1) and
+    its ring operations are the Polynomial ones, truncated (see `_of`).
+    Binary operations between series of different orders truncate to the
+    smaller order, which is the largest prefix both operands determine.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_order", "_poly")
 
     def __init__(self, order: int, coeffs: Iterable[RatLike] = ()):
         if order < 0:
             raise PreconditionError("series order must be nonnegative")
-        cs = [as_rat(c) for c in coeffs][: order + 1]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self._coeffs: tuple[Rat, ...] = tuple(cs)
+        self._order = order
+        self._poly = Polynomial(as_rat_tuple(coeffs)[: order + 1])
+
+    @classmethod
+    def _of(cls, order: int, poly: Polynomial) -> "TruncatedSeries":
+        """poly mod t^(order+1), as a series of that order."""
+        series = cls.__new__(cls)
+        series._order = order
+        series._poly = Polynomial.over(poly.num[: order + 1], poly.den)
+        return series
 
     @classmethod
     def constant(cls, value: RatLike, order: int) -> "TruncatedSeries":
-        return cls(order, (as_rat(value),))
+        return cls(order, (value,))
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return self._order
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
-        return self._coeffs
+        pad = self.order + 1 - len(self._poly.num)
+        return self._poly.coeffs + (Fraction(0),) * pad
 
     def coefficient(self, i: int) -> Rat:
         if not 0 <= i <= self.order:
             raise PreconditionError(
                 f"coefficient index {i} outside truncation order {self.order}"
             )
-        return self._coeffs[i]
+        return self._poly.coefficient(i)
 
     def truncated(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise PreconditionError(
                 "cannot extend a truncated series to a higher order"
             )
-        return TruncatedSeries(order, self._coeffs[: order + 1])
+        return TruncatedSeries._of(order, self._poly)
 
     def __iter__(self) -> Iterator[Rat]:
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.order == other.order and self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash(("TruncatedSeries", self._coeffs))
+        return hash(("TruncatedSeries", self.order, self._poly))
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, {[str(c) for c in self._coeffs]})"
+        return f"TruncatedSeries(order={self.order}, {[str(c) for c in self.coeffs]})"
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, tuple(-c for c in self._coeffs))
-
-    def _common_order(self, other: "TruncatedSeries") -> int:
-        return min(self.order, other.order)
+        return TruncatedSeries._of(self.order, -self._poly)
 
     def __add__(self, other: Union["TruncatedSeries", RatLike]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            n = self._common_order(other)
-            return TruncatedSeries(
-                n, tuple(self._coeffs[i] + other._coeffs[i] for i in range(n + 1))
-            )
-        c = as_rat(other)
-        out = list(self._coeffs)
-        out[0] += c
-        return TruncatedSeries(self.order, out)
+            order = min(self.order, other.order)
+            return TruncatedSeries._of(order, self._poly + other._poly)
+        return TruncatedSeries._of(self.order, self._poly + Polynomial((other,)))
 
     def __radd__(self, other: RatLike) -> "TruncatedSeries":
         return self + other
@@ -362,17 +365,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", RatLike]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            n = self._common_order(other)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                a = self._coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += a * other._coeffs[j]
-            return TruncatedSeries(n, out)
-        scale = as_rat(other)
-        return TruncatedSeries(self.order, tuple(c * scale for c in self._coeffs))
+            order = min(self.order, other.order)
+            return TruncatedSeries._of(order, self._poly * other._poly)
+        return TruncatedSeries._of(self.order, self._poly * as_rat(other))
 
     def __rmul__(self, other: RatLike) -> "TruncatedSeries":
         return self * other
@@ -390,41 +385,43 @@ class TruncatedSeries:
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """The prefix of self(inner(t)); inner must have zero constant term."""
-        if inner._coeffs[0] != 0:
+        if inner.coefficient(0) != 0:
             raise PreconditionError(
                 "series composition needs an inner series with zero constant term"
             )
-        n = self._common_order(inner)
+        n = min(self.order, inner.order)
         inner = inner.truncated(n)
         acc = TruncatedSeries.constant(0, n)
-        for c in reversed(self._coeffs[: n + 1]):
+        for c in reversed(self.coeffs[: n + 1]):
             acc = acc * inner + c
         return acc
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, to the same order."""
-        if self._coeffs[0] != 0:
+        cs = self.coeffs
+        if cs[0] != 0:
             raise PreconditionError("series exp needs a zero constant term")
         n = self.order
         out = [Fraction(1)] + [Fraction(0)] * n
         for i in range(1, n + 1):
             acc = Fraction(0)
             for j in range(1, i + 1):
-                acc += j * self._coeffs[j] * out[i - j]
+                acc += j * cs[j] * out[i - j]
             out[i] = acc / i
         return TruncatedSeries(n, out)
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term one, to the same order."""
-        if self._coeffs[0] != 1:
+        cs = self.coeffs
+        if cs[0] != 1:
             raise PreconditionError("series log needs constant term one")
         n = self.order
         out = [Fraction(0)] * (n + 1)
         for i in range(1, n + 1):
             acc = Fraction(0)
             for j in range(1, i):
-                acc += j * out[j] * self._coeffs[i - j]
-            out[i] = self._coeffs[i] - acc / i
+                acc += j * out[j] * cs[i - j]
+            out[i] = cs[i] - acc / i
         return TruncatedSeries(n, out)
 
 

@@ -377,7 +377,7 @@ class SeriesCheck:
 
     @property
     def all_match(self) -> bool:
-        return all(self.per_coefficient)
+        return self.lhs == self.rhs
 
     @property
     def verbatim_matches(self) -> bool:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     Polynomial,
@@ -133,8 +133,7 @@ class IdentityReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
     verbatim: str
     corrected: str
     lhs: str
@@ -426,7 +425,7 @@ def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
     corrected = mp_second_lah(fp)
     verbatim = mp_second_lah(FamilyPoint(fp.n, fp.k, fp.alpha, (Fraction(1),) * fp.k))
     out = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
-    return replace(out, note="; ".join(s for s in (out.note, remark) if s))
+    return out._replace(note="; ".join(s for s in (out.note, remark) if s))
 
 
 def _eval_T41(pt: ParamPoint) -> _Outcome:
@@ -753,15 +752,7 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
         out = entry.evaluate(_force_k1(point) if entry.k1_only else point)
     except PreconditionError as exc:
         out = _Outcome(NA, NA, "", "", f"precondition violated: {exc}")
-    return IdentityReport(
-        identity=identity,
-        point=point,
-        verbatim=out.verbatim,
-        corrected=out.corrected,
-        lhs=out.lhs,
-        rhs=out.rhs,
-        note=out.note,
-    )
+    return IdentityReport(identity, point, *out)
 
 
 # ---------------------------------------------------------------------------

@@ -366,3 +366,219 @@ def test_series_log_turns_products_into_sums(coeffs):
     a = 1 + TruncatedSeries(order, [Fraction(0)] + coeffs)
     b = 1 + TruncatedSeries(order, [Fraction(0)] + coeffs[::-1])
     assert (a * b).log() == a.log() + b.log()
+
+
+class _FractionSeries:
+    """The reference: TruncatedSeries as it was when it stored one Fraction
+    per coefficient, t^0 .. t^N, and ran its own arithmetic loops."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, order: int, coeffs: Iterable[RatLike] = ()):
+        if order < 0:
+            raise PreconditionError("series order must be nonnegative")
+        cs = [as_rat(c) for c in coeffs][: order + 1]
+        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        self._coeffs: tuple[Rat, ...] = tuple(cs)
+
+    @classmethod
+    def constant(cls, value: RatLike, order: int) -> "_FractionSeries":
+        return cls(order, (as_rat(value),))
+
+    @property
+    def order(self) -> int:
+        return len(self._coeffs) - 1
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        return self._coeffs
+
+    def coefficient(self, i: int) -> Rat:
+        if not 0 <= i <= self.order:
+            raise PreconditionError(
+                f"coefficient index {i} outside truncation order {self.order}"
+            )
+        return self._coeffs[i]
+
+    def truncated(self, order: int) -> "_FractionSeries":
+        if order > self.order:
+            raise PreconditionError(
+                "cannot extend a truncated series to a higher order"
+            )
+        return _FractionSeries(order, self._coeffs[: order + 1])
+
+    def __iter__(self):
+        return iter(self._coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _FractionSeries):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(("TruncatedSeries", self._coeffs))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(order={self.order}, {[str(c) for c in self._coeffs]})"
+
+    def __neg__(self) -> "_FractionSeries":
+        return _FractionSeries(self.order, tuple(-c for c in self._coeffs))
+
+    def _common_order(self, other: "_FractionSeries") -> int:
+        return min(self.order, other.order)
+
+    def __add__(self, other) -> "_FractionSeries":
+        if isinstance(other, _FractionSeries):
+            n = self._common_order(other)
+            return _FractionSeries(
+                n, tuple(self._coeffs[i] + other._coeffs[i] for i in range(n + 1))
+            )
+        c = as_rat(other)
+        out = list(self._coeffs)
+        out[0] += c
+        return _FractionSeries(self.order, out)
+
+    def __radd__(self, other: RatLike) -> "_FractionSeries":
+        return self + other
+
+    def __sub__(self, other) -> "_FractionSeries":
+        if isinstance(other, _FractionSeries):
+            return self + (-other)
+        return self + (-as_rat(other))
+
+    def __rsub__(self, other: RatLike) -> "_FractionSeries":
+        return (-self) + other
+
+    def __mul__(self, other) -> "_FractionSeries":
+        if isinstance(other, _FractionSeries):
+            n = self._common_order(other)
+            out = [Fraction(0)] * (n + 1)
+            for i in range(n + 1):
+                a = self._coeffs[i]
+                if a == 0:
+                    continue
+                for j in range(n + 1 - i):
+                    out[i + j] += a * other._coeffs[j]
+            return _FractionSeries(n, out)
+        scale = as_rat(other)
+        return _FractionSeries(self.order, tuple(c * scale for c in self._coeffs))
+
+    def __rmul__(self, other: RatLike) -> "_FractionSeries":
+        return self * other
+
+    def __truediv__(self, other: RatLike) -> "_FractionSeries":
+        return self * (Fraction(1) / as_rat(other))
+
+    def __pow__(self, exponent: int) -> "_FractionSeries":
+        if exponent < 0:
+            raise PreconditionError("negative series powers are not supported")
+        acc = _FractionSeries.constant(1, self.order)
+        for _ in range(exponent):
+            acc = acc * self
+        return acc
+
+    def compose(self, inner: "_FractionSeries") -> "_FractionSeries":
+        if inner._coeffs[0] != 0:
+            raise PreconditionError(
+                "series composition needs an inner series with zero constant term"
+            )
+        n = self._common_order(inner)
+        inner = inner.truncated(n)
+        acc = _FractionSeries.constant(0, n)
+        for c in reversed(self._coeffs[: n + 1]):
+            acc = acc * inner + c
+        return acc
+
+    def exp(self) -> "_FractionSeries":
+        if self._coeffs[0] != 0:
+            raise PreconditionError("series exp needs a zero constant term")
+        n = self.order
+        out = [Fraction(1)] + [Fraction(0)] * n
+        for i in range(1, n + 1):
+            acc = Fraction(0)
+            for j in range(1, i + 1):
+                acc += j * self._coeffs[j] * out[i - j]
+            out[i] = acc / i
+        return _FractionSeries(n, out)
+
+    def log(self) -> "_FractionSeries":
+        if self._coeffs[0] != 1:
+            raise PreconditionError("series log needs constant term one")
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        for i in range(1, n + 1):
+            acc = Fraction(0)
+            for j in range(1, i):
+                acc += j * out[j] * self._coeffs[i - j]
+            out[i] = self._coeffs[i] - acc / i
+        return _FractionSeries(n, out)
+
+
+def _same_series(s: TruncatedSeries, ref: _FractionSeries) -> bool:
+    return (
+        s.order == ref.order
+        and s.coeffs == ref.coeffs
+        and all(type(c) is Fraction for c in s.coeffs)
+        and repr(s) == repr(ref)
+        and list(s) == list(ref)
+        and all(s.coefficient(i) == ref.coefficient(i) for i in range(s.order + 1))
+    )
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 7),
+    sparse_coeffs,
+    st.integers(0, 7),
+    sparse_coeffs,
+    points,
+    st.integers(0, 3),
+)
+def test_the_polynomial_series_matches_the_fraction_reference(m, a, n, b, c, e):
+    s, t = TruncatedSeries(m, a), TruncatedSeries(n, b)
+    rs, rt = _FractionSeries(m, a), _FractionSeries(n, b)
+    assert _same_series(s, rs) and _same_series(t, rt)
+    assert (s == t) == (rs == rt)
+    # The nilpotent part of each, for compose, exp and log.
+    s0, t0 = s - s.coefficient(0), t - t.coefficient(0)
+    rs0, rt0 = rs - rs.coefficient(0), rt - rt.coefficient(0)
+    low = min(m, n)
+    cases = [
+        (s + t, rs + rt),
+        (s - t, rs - rt),
+        (-s, -rs),
+        (s * t, rs * rt),
+        (s + c, rs + c),
+        (c + s, c + rs),
+        (s - c, rs - c),
+        (c - s, c - rs),
+        (s * c, rs * c),
+        (c * s, c * rs),
+        (s**e, rs**e),
+        (s.truncated(low), rs.truncated(low)),
+        (TruncatedSeries.constant(c, m), _FractionSeries.constant(c, m)),
+        (s.compose(t0), rs.compose(rt0)),
+        (s0.exp(), rs0.exp()),
+        ((1 + t0).log(), (1 + rt0).log()),
+    ]
+    if Fraction(c) != 0:
+        cases.append((s / c, rs / c))
+    for got, want in cases:
+        assert _same_series(got, want)
+    # Equal series built different ways hash equal; orders keep them apart.
+    for twin in (TruncatedSeries(m, list(a) + [0, 0]), s * 1, s + 0, (s + t) - t + 0):
+        if twin.order == m:
+            assert twin == s and hash(twin) == hash(s)
+    assert TruncatedSeries(m + 1, a) != s
+    # A polynomial is not a scalar.
+    for op in (
+        lambda: s * X,
+        lambda: X * s,
+        lambda: s + X,
+        lambda: X + s,
+        lambda: s - X,
+        lambda: X - s,
+        lambda: s / X,
+    ):
+        with pytest.raises(TypeError):
+            op()

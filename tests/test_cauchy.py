@@ -8,9 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfam import algebra, cauchy, stirling
-from polyfam.algebra import IntVector, Polynomial, PreconditionError, box_moments
+from polyfam.algebra import (
+    IntVector,
+    Polynomial,
+    PreconditionError,
+    TruncatedSeries,
+    box_moments,
+)
 from polyfam.cauchy import (
     FamilyPoint,
+    SeriesCheck,
     _bell_numerators,
     _pair,
     _poly_from_row,
@@ -287,6 +294,17 @@ def test_lif_series_prefix():
 def test_lif_generating_function_check():
     for k in (1, 2, 3):
         assert lif_gf_check(k, 6).all_match
+
+
+def test_a_series_check_compares_whole_series():
+    # A right side with an extra term matches the left side's prefix
+    # coefficient by coefficient, but it is not the same series.
+    lhs = TruncatedSeries(2, (1, 2, 3))
+    rhs = TruncatedSeries(3, (1, 2, 3, 4))
+    check = SeriesCheck(lhs, rhs, rhs)
+    assert check.per_coefficient == (True, True, True)
+    assert check.all_match is False and check.verbatim_matches is False
+    assert SeriesCheck(lhs, rhs.truncated(2), lhs).all_match is True
 
 
 def test_specialize_families():

@@ -72,6 +72,24 @@ def _compose_constant_dropped(real):
     return lambda self, inner: real(self, inner) - self.coeffs[0]
 
 
+def _truncation_one_short(real):
+    # The prefix is cut at t^(order-1): the t^order coefficient is lost.
+    def fake(cls, order, poly):
+        return real(order, Polynomial.over(poly.num[:order], poly.den))
+
+    return classmethod(fake)
+
+
+def _truncation_one_long(real):
+    # The prefix keeps t^(order+1) as well, under the same order.
+    def fake(cls, order, poly):
+        series = real(order, poly)
+        series._poly = Polynomial.over(poly.num[: order + 2], poly.den)
+        return series
+
+    return classmethod(fake)
+
+
 def _horner_unreversed(real):
     # Horner's scheme run from the constant term: the reversed polynomial.
     def fake(self, point):
@@ -314,6 +332,8 @@ MATRIX = [
     (algebra, "exp_series", _exp_series_factorial_off_by_one, "GF-Li T4.1"),
     (algebra, "log1p_series", _log1p_last_term_dropped, "GF-Lif"),
     (TruncatedSeries, "compose", _compose_constant_dropped, "GF-Li GF-Lif"),
+    (TruncatedSeries, "_of", _truncation_one_short, "GF-Li GF-Lif T4.1"),
+    (TruncatedSeries, "_of", _truncation_one_long, "GF-Li GF-Lif"),
     (
         Polynomial,
         "__call__",
