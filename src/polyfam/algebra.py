@@ -51,6 +51,13 @@ def as_rat_tuple(values: Iterable[RatLike]) -> tuple[Rat, ...]:
     return tuple(as_rat(v) for v in values)
 
 
+def _over_lcm(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """Integers B_i and D > 0 with values[i] = B_i / D, D the lcm of the
+    values' denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def integer_samples(count: int) -> tuple[Rat, ...]:
     """The first `count` members of 0, 1, -1, 2, -2, ... as exact rationals.
 
@@ -85,9 +92,7 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = as_rat_tuple(coeffs)
-        d = math.lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (d // c.denominator) for c in cs]
+        num, d = _over_lcm(as_rat_tuple(coeffs))
         self.num, self.den = _reduced(num, d)
 
     @classmethod
@@ -101,11 +106,12 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
         """The monic polynomial prod_i (X - r_i); the empty product is 1.
-        The product runs over the integers (see _prefix_products): its
-        coefficient c_m / D^(n-m) is c_m D^m over D^n."""
-        rs = as_rat_tuple(roots)
-        n = len(rs)
-        d, (cs,) = _prefix_products(rs, (n,))
+        With r_i = B_i / D over one denominator, the product runs over the
+        integer roots B_i (see _prefix_products): its coefficient
+        c_m / D^(n-m) is c_m D^m over D^n."""
+        bs, d = _over_lcm(as_rat_tuple(roots))
+        n = len(bs)
+        (cs,) = _prefix_products(bs, (n,))
         return cls.over((c * d**m for m, c in enumerate(cs)), d**n)
 
     @property
@@ -212,29 +218,25 @@ def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 X = Polynomial((0, 1))
 
 
-def _prefix_products(
-    roots: Sequence[Rat], rows: Iterable[int]
-) -> tuple[int, list[list[int]]]:
-    """D, the lcm of the roots' denominators, and for each j in `rows`
-    (increasing, at most len(roots)) the integers c_0..c_j with
+def _prefix_products(roots: Sequence[int], rows: Iterable[int]) -> list[list[int]]:
+    """For each j in `rows` (increasing, at most len(roots)) the integers
+    c_0..c_j of prod_{i<j} (Y - B_i), lowest power first, for integer roots
+    B_i. Rational roots r_i = B_i / D reach it in Y = D X, where
     prod_{i<j} (X - r_i) = sum_m c_m X^m / D^(j-m).
 
-    These are the coefficients of prod_{i<j} (Y - D r_i) in Y = D X, so one
-    integer list is multiplied in place by each Y - D r_i, high index first
-    (c_m becomes c_(m-1) - D r_i c_m); every prefix is read on the way."""
-    d = math.lcm(*(r.denominator for r in roots))
+    One integer list is multiplied in place by each Y - B_i, high index
+    first (c_m becomes c_(m-1) - B_i c_m); every prefix is read on the way."""
     wanted, cs, out = set(rows), [1], []
-    for j, r in enumerate(roots):
+    for j, b in enumerate(roots):
         if j in wanted:
             out.append(cs[:])
-        b = r.numerator * (d // r.denominator)
         cs.append(cs[-1])
         for m in range(j, 0, -1):
             cs[m] = cs[m - 1] - b * cs[m]
         cs[0] = -b * cs[0]
     if len(roots) in wanted:
         out.append(cs)
-    return d, out
+    return out
 
 
 class IntVector:
@@ -259,9 +261,9 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
 
     Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables, so a
     box integral of any polynomial in T = x_1 * ... * x_k is its coefficient
-    row paired with these moments. With l_1 ... l_k = u/v and
-    L = lcm(1, ..., size+1) they are held over Q = v^(size+1) L^k, with
-    numerators M_m = u^(m+1) v^(size-m) (L/(m+1))^k.
+    row paired with these moments. With l_1 ... l_k = u/v (integer products
+    reduced by one gcd) and L = lcm(1, ..., size+1) they are held over
+    Q = v^(size+1) L^k, with numerators M_m = u^(m+1) v^(size-m) (L/(m+1))^k.
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
@@ -270,8 +272,9 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
     ls = as_rat_tuple(lengths)
     if len(ls) != k:
         raise PreconditionError(f"expected {k} box lengths, got {len(ls)}")
-    prod, lcm = Fraction(math.prod(ls)), math.lcm(*range(1, size + 2))
-    u, v = prod.numerator, prod.denominator
+    u, v = math.prod(l.numerator for l in ls), math.prod(l.denominator for l in ls)
+    g, lcm = math.gcd(u, v), math.lcm(*range(1, size + 2))
+    u, v = u // g, v // g
     num = (u**j * v ** (size + 1 - j) * (lcm // j) ** k for j in range(1, size + 2))
     return IntVector(tuple(num), v ** (size + 1) * lcm**k)
 

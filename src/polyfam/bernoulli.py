@@ -24,6 +24,7 @@ from .algebra import (
     Rat,
     RatLike,
     TruncatedSeries,
+    _over_lcm,
     as_rat,
     as_rat_tuple,
     box_moments,
@@ -125,18 +126,29 @@ def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
 def _exp_sum(head: Sequence[Rat], weights: Sequence[Rat]) -> TruncatedSeries:
     """sum_m w_m sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i), the
     weighted column generating functions (in -t) of the second-kind triangle,
-    to order len(weights) - 1. Summed in the stated order, j outside and
-    m >= j inside, so each e^{-a_j t} is scaled once."""
+    to order N = len(weights) - 1. Summed in the stated order, j outside and
+    m >= j inside, into one coefficient c_j per e^{-a_j t}.
+
+    sum_j c_j e^{-a_j t} is then summed as integer power sums: with
+    c_j = C_j / E and a_j = A_j / D over common denominators, its t^r
+    coefficient is sum_j C_j (-A_j)^r over E D^r r!, held over E D^N N!."""
     order = len(weights) - 1
-    acc = TruncatedSeries.constant(0, order)
+    coeffs = []
     for j, a in enumerate(head):
         denom = math.prod((a - head[i] for i in range(j)), start=Fraction(1))
         coeff = weights[j] / denom
         for m in range(j + 1, order + 1):
             denom *= a - head[m]
             coeff += weights[m] / denom
-        acc = acc + exp_series(order, rate=-a) * coeff
-    return acc
+        coeffs.append(coeff)
+    powers, e = _over_lcm(coeffs)
+    rates, d = _over_lcm([-a for a in head])
+    num = []
+    for r in range(order + 1):
+        num.append(sum(powers) * d ** (order - r) * math.perm(order, order - r))
+        powers = [c * x for c, x in zip(powers, rates)]
+    poly = Polynomial.over(num, e * d**order * math.factorial(order))
+    return TruncatedSeries._of(order, poly)
 
 
 def mp_bernoulli_gf_check(

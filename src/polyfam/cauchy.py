@@ -24,6 +24,7 @@ from .algebra import (
     Rat,
     RatLike,
     TruncatedSeries,
+    _over_lcm,
     _prefix_products,
     as_rat,
     as_rat_tuple,
@@ -84,23 +85,24 @@ class FamilyPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_rat_tuple(self.alpha))
         object.__setattr__(self, "lengths", as_rat_tuple(self.lengths))
-        if self.n < 0:
-            raise PreconditionError("family index n must be nonnegative")
-        if self.k < 1:
-            raise PreconditionError("need at least one integration variable")
-        if len(self.alpha) < self.n:
-            raise PreconditionError(
-                f"need at least {self.n} parameters, got {len(self.alpha)}"
-            )
-        if len(self.lengths) != self.k:
-            raise PreconditionError(
-                f"expected {self.k} box lengths, got {len(self.lengths)}"
-            )
-        if any(l == 0 for l in self.lengths):
-            raise PreconditionError("box lengths must be nonzero")
+        _check_point(self.n, self.k, len(self.alpha), self.lengths)
 
     def with_alpha(self, alpha: Iterable[RatLike]) -> "FamilyPoint":
         return FamilyPoint(self.n, self.k, as_rat_tuple(alpha), self.lengths)
+
+
+def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
+    """The preconditions of a FamilyPoint with `count` parameters."""
+    if n < 0:
+        raise PreconditionError("family index n must be nonnegative")
+    if k < 1:
+        raise PreconditionError("need at least one integration variable")
+    if count < n:
+        raise PreconditionError(f"need at least {n} parameters, got {count}")
+    if len(lengths) != k:
+        raise PreconditionError(f"expected {k} box lengths, got {len(lengths)}")
+    if any(l == 0 for l in lengths):
+        raise PreconditionError("box lengths must be nonzero")
 
 
 def _pair(row: IntVector, moments: IntVector) -> Rat:
@@ -150,15 +152,27 @@ def _box_integral(
     return Fraction(sum(c * (den // d) for c, d in zip(nums, dens)), den)
 
 
+def _def_values(
+    sign: int, roots: Sequence[int], den: int, lengths: Sequence[Rat], rows: Iterable
+) -> list[Rat]:
+    """The definitions' kernel: for each j in rows (increasing, at most
+    len(roots)) the box integral of prod_{i<j} (sign T - B_i / den), sign 1
+    for the first kind and -1 for the second, with integer parameters B_i.
+    That is sign^j times prefix j of one in-place expansion over the integer
+    roots sign B_i (_prefix_products), whose T^m coefficient is
+    c_m / den^(j-m). No table, box moment or integer pairing."""
+    powers, out = [den**i for i in range(len(roots) + 1)], []
+    for cs in _prefix_products([sign * b for b in roots], rows):
+        value = _box_integral(cs, powers[len(cs) - 1 :: -1], lengths)
+        out.append(value if sign ** (len(cs) - 1) > 0 else -value)
+    return out
+
+
 def _first_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
     """mp_first_def at each index j in rows (increasing, at most n), with the
-    parameters and box of p: prefix j of one in-place expansion of
-    prod_i (T - a_i) over the integers, whose T^m coefficient is
-    c_m / D^(j-m), integrated over the box. No table, box moment or integer
-    pairing."""
-    d, products = _prefix_products(p.alpha[: p.n], rows)
-    powers = [d**i for i in range(p.n + 1)]
-    return [_box_integral(cs, powers[len(cs) - 1 :: -1], p.lengths) for cs in products]
+    parameters and box of p: the kernel at the parameters over their lcm."""
+    roots, d = _over_lcm(p.alpha[: p.n])
+    return _def_values(1, roots, d, p.lengths, rows)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
@@ -278,12 +292,11 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
 
 
 def _second_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
-    """mp_second_def at each index j in rows (increasing, at most n): prefix
-    j of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), the first-kind
-    definition at the negated parameters times (-1)^j."""
-    rows = tuple(rows)
-    negated = p.with_alpha(tuple(-a for a in p.alpha[: p.n]))
-    return [(-1) ** j * v for j, v in zip(rows, _first_def_values(negated, rows))]
+    """mp_second_def at each index j in rows (increasing, at most n): the
+    kernel of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), which expands
+    over the negated integer parameters."""
+    roots, d = _over_lcm(p.alpha[: p.n])
+    return _def_values(-1, roots, d, p.lengths, rows)
 
 
 def mp_second_def(p: FamilyPoint) -> Rat:
@@ -317,7 +330,9 @@ def specialize(
     lengths: Optional[Iterable[RatLike]] = None,
 ) -> Rat:
     """Classical and q-parameter members of the families, as sugar over the
-    multiparameter definitions.
+    multiparameter definitions: after the checks of FamilyPoint, the
+    definitions' kernel reads the parameters i q as the integers i num(q)
+    over den(q).
 
     family: 'classic'    k = 1, parameters 0..n-1, one box length
             'poly'       parameters 0..n-1, unit box in k variables
@@ -333,9 +348,9 @@ def specialize(
     if family in ("q-poly", "q-classic", "extended-q"):
         if q is None:
             raise PreconditionError(f"family {family!r} needs the q parameter")
-        alpha = tuple(Fraction(i) * as_rat(q) for i in range(n))
+        step = as_rat(q)
     else:
-        alpha = tuple(Fraction(i) for i in range(n))
+        step = Fraction(1)
     if family in ("classic", "q-classic"):
         k = 1
         ls = as_rat_tuple(lengths) if lengths is not None else (Fraction(1),)
@@ -347,10 +362,10 @@ def specialize(
         if lengths is None:
             raise PreconditionError("family 'extended-q' needs box lengths")
         ls = as_rat_tuple(lengths)
-    point = FamilyPoint(n, k, alpha, ls)
-    if kind == "first":
-        return mp_first_def(point)
-    return mp_second_def(point)
+    _check_point(n, k, n, ls)
+    roots = [i * step.numerator for i in range(n)]
+    sign = 1 if kind == "first" else -1
+    return _def_values(sign, roots, step.denominator, ls, (n,))[0]
 
 
 @dataclass(frozen=True)
@@ -439,16 +454,31 @@ def mp_poly_second(p: FamilyPoint) -> Polynomial:
     return _poly_second_values(p, (p.n,))[0]
 
 
+def _shifted_def_values(
+    sign: int, p: FamilyPoint, samples: Sequence[Rat]
+) -> list[Rat]:
+    """The first-kind (sign 1) or second-kind (sign -1) polynomial's
+    definitional value at every sample z: the plain definition with every
+    parameter shifted by sign z. One scaling by D, the lcm of the parameters'
+    and the samples' denominators, gives integers B_i and Z; each sample is
+    one kernel call at B_i + sign Z over D, so at the roots B_i + Z for the
+    first kind and Z - B_i, under the sign (-1)^n, for the second."""
+    ints, d = _over_lcm(p.alpha[: p.n] + tuple(samples))
+    roots, shifts = ints[: p.n], ints[p.n :]
+    return [
+        _def_values(sign, [b + sign * s for b in roots], d, p.lengths, (p.n,))[0]
+        for s in shifts
+    ]
+
+
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
     """Definitional value of the first-kind polynomial at z = z0: every
     parameter is shifted by z0 and the plain definition is integrated."""
-    z = as_rat(z0)
-    return mp_first_def(p.with_alpha(tuple(a + z for a in p.alpha[: p.n])))
+    return _shifted_def_values(1, p, (as_rat(z0),))[0]
 
 
 def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
     """Definitional value of the second-kind polynomial at z = z0 (parameters
     shifted by -z0 in the negated-variable expansion)."""
-    z = as_rat(z0)
-    return mp_second_def(p.with_alpha(tuple(a - z for a in p.alpha[: p.n])))
+    return _shifted_def_values(-1, p, (as_rat(z0),))[0]
 

@@ -49,6 +49,7 @@ from .cauchy import (
     _poly_from_row,
     _poly_second_values,
     _second_def_values,
+    _shifted_def_values,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -57,9 +58,7 @@ from .cauchy import (
     mp_first_noncentral,
     mp_first_via_polycauchy,
     mp_poly_first,
-    mp_poly_first_oracle,
     mp_poly_second,
-    mp_poly_second_oracle,
     mp_second_closed,
     mp_second_def,
     mp_second_lah,
@@ -332,14 +331,16 @@ def _poly_samples_outcome(
     pt: ParamPoint,
     poly_corrected: Polynomial,
     poly_verbatim: Optional[Polynomial],
-    oracle: Callable[[FamilyPoint, Rat], Rat],
+    sign: int,
 ) -> _Outcome:
-    """Both polynomials against the oracle at the samples (poly_verbatim is
-    None when the stated polynomial is the corrected one)."""
+    """Both polynomials against the definitional oracle of the first-kind
+    (sign 1) or second-kind (sign -1) polynomial at the samples, all taken
+    from one batched call (poly_verbatim is None when the stated polynomial
+    is the corrected one)."""
     samples = list(integer_samples(fp.n + 1))
     if pt.z0 is not None and pt.z0 not in samples:
         samples.append(pt.z0)
-    oracle_values = [oracle(fp, z) for z in samples]
+    oracle_values = _shifted_def_values(sign, fp, samples)
 
     def matches(poly: Polynomial) -> bool:
         return all(poly(z) == v for z, v in zip(samples, oracle_values))
@@ -459,14 +460,12 @@ def _eval_T43b(pt: ParamPoint) -> _Outcome:
 
 def _eval_T51a(pt: ParamPoint) -> _Outcome:
     fp = _family(pt)
-    return _poly_samples_outcome(fp, pt, mp_poly_first(fp), None, mp_poly_first_oracle)
+    return _poly_samples_outcome(fp, pt, mp_poly_first(fp), None, 1)
 
 
 def _eval_T51b(pt: ParamPoint) -> _Outcome:
     fp = _family(pt)
-    return _poly_samples_outcome(
-        fp, pt, mp_poly_second(fp), _poly_second_abs(fp), mp_poly_second_oracle
-    )
+    return _poly_samples_outcome(fp, pt, mp_poly_second(fp), _poly_second_abs(fp), -1)
 
 
 def _eval_T52a(pt: ParamPoint) -> _Outcome:
@@ -888,13 +887,13 @@ def sweep(
 
     The report tuple is ordered by (catalog order, point index), each id
     swept once however often it is requested, and is a pure function of
-    (ids, grid, seed). An empty id list raises ValueError, since a sweep that
-    checked nothing must not read as a success.
+    (ids, grid, seed). A string is one id. An empty id list raises
+    ValueError, since a sweep that checked nothing must not read as a success.
     """
     if ids is None:
         chosen = list(IDENTITY_IDS)
     else:
-        chosen = list(ids)
+        chosen = [ids] if isinstance(ids, str) else list(ids)
         if not chosen:
             raise ValueError("no identity ids given")
         unknown = [i for i in chosen if i not in _BY_ID]

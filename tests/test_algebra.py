@@ -137,8 +137,8 @@ class _FractionPolynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "_FractionPolynomial":
         rs = as_rat_tuple(roots)
-        n = len(rs)
-        d, (cs,) = _prefix_products(rs, (n,))
+        n, d = len(rs), math.lcm(*(r.denominator for r in rs))
+        (cs,) = _prefix_products([r.numerator * (d // r.denominator) for r in rs], (n,))
         return cls(Fraction(c, d ** (n - m)) for m, c in enumerate(cs))
 
     @property

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyfam.algebra import PreconditionError
+from polyfam.algebra import PreconditionError, TruncatedSeries, exp_series
 from polyfam.bernoulli import (
     CONVENTIONS,
     _exp_sum,
@@ -179,6 +181,45 @@ def test_exponential_sum_against_the_explicit_second_kind_columns(order):
                 w * comtet_second_explicit(head, n, m) for m, w in enumerate(weights)
             )
             assert math.factorial(n) * series.coefficient(n) == want, (head, n)
+
+
+def _fraction_exp_sum(head, weights):
+    """The reference: _exp_sum as it was when it added one exp_series per
+    parameter, scaled by its coefficient c_j, as Fraction series."""
+    order = len(weights) - 1
+    acc = TruncatedSeries.constant(0, order)
+    for j, a in enumerate(head):
+        denom = math.prod((a - head[i] for i in range(j)), start=Fraction(1))
+        coeff = weights[j] / denom
+        for m in range(j + 1, order + 1):
+            denom *= a - head[m]
+            coeff += weights[m] / denom
+        acc = acc + exp_series(order, rate=-a) * coeff
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda order: st.tuples(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                min_size=order + 1,
+                max_size=order + 1,
+                unique=True,
+            ),
+            st.lists(
+                st.fractions(min_value=-20, max_value=20, max_denominator=30),
+                min_size=order + 1,
+                max_size=order + 1,
+            ),
+        )
+    )
+)
+def test_the_integer_exp_sum_matches_the_per_parameter_series(head_weights):
+    # Zero and negative parameters, weights over mixed denominators.
+    head, weights = head_weights
+    assert _exp_sum(head, weights) == _fraction_exp_sum(head, weights)
 
 
 def test_number_generating_function_needs_distinct_parameters():

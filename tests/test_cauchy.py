@@ -16,12 +16,14 @@ from polyfam.algebra import (
     box_moments,
 )
 from polyfam.cauchy import (
+    SPECIAL_FAMILIES,
     FamilyPoint,
     SeriesCheck,
     _bell_numerators,
     _pair,
     _poly_from_row,
     _reciprocal_power_sums,
+    _shifted_def_values,
     classic_first_with_lengths,
     generalized_harmonic,
     lif_gf_check,
@@ -358,6 +360,30 @@ def test_polynomials_evaluate_to_the_shifted_integrals(n, k, alpha, lengths):
         assert second(z) == mp_poly_second_oracle(p, z)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.sampled_from((0, 1, Fraction(-2, 3), Fraction(5, 4))), max_size=4),
+    st.lists(rationals, min_size=12, max_size=12),
+    st.lists(nonzero_rationals, min_size=3, max_size=3),
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=35), max_size=5
+    ),
+)
+def test_the_batched_oracle_matches_the_per_sample_definitions(
+    n, k, pool, fresh, lengths, samples
+):
+    # Zero and repeated parameters from the pool; samples over denominators
+    # the parameters need not share.
+    alpha = tuple(pool[i % len(pool)] if pool and i % 2 else fresh[i] for i in range(n))
+    p = FamilyPoint(n, k, alpha, tuple(lengths[:k]))
+    first = [mp_first_def(p.with_alpha(a + z for a in p.alpha)) for z in samples]
+    second = [mp_second_def(p.with_alpha(a - z for a in p.alpha)) for z in samples]
+    assert _shifted_def_values(1, p, samples) == first
+    assert _shifted_def_values(-1, p, samples) == second
+
+
 def test_polynomial_degree_and_leading_coefficient():
     alpha = (Fraction(1, 3), Fraction(-2), Fraction(4))
     lengths = (Fraction(1, 2), Fraction(-3))
@@ -393,8 +419,9 @@ def test_newton_bell_numerators_match_the_series_exp(seed):
 
 def test_the_definitions_reach_no_route_kernel(monkeypatch):
     # Every route keeps an independent oracle: with the triangle kernel, the
-    # box moments and the integer pairing made to raise, the definitions and
-    # the polynomial sample oracles still give their values.
+    # box moments and the integer pairing made to raise, the definitions,
+    # the special families and the polynomial sample oracles, one sample at
+    # a time and batched, still give their values.
     rng = random.Random(2014)
 
     def rational(nonzero=False):
@@ -424,6 +451,14 @@ def test_the_definitions_reach_no_route_kernel(monkeypatch):
                 mp_second_def(p),
                 mp_poly_first_oracle(p, z),
                 mp_poly_second_oracle(p, z),
+                _shifted_def_values(1, p, (z, Fraction(1, 7), -z)),
+                _shifted_def_values(-1, p, (z, Fraction(1, 7), -z)),
+                [
+                    specialize(family, kind, p.n, p.k, q=z or 1, lengths=ls)
+                    for family in SPECIAL_FAMILIES
+                    for kind in ("first", "second")
+                    for ls in [p.lengths[:1] if "classic" in family else p.lengths]
+                ],
             )
             for p, z in cases
         ]

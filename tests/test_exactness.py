@@ -17,6 +17,14 @@ order 8): the `repr` of every report at seeds 0, 7 and 123, so every
 polynomial and expansion column is covered well past the n <= 5 of the
 seed-0 goldens. It was taken at commit 3e93ba9, where `Polynomial` still held
 its coefficients as Fractions and `_expand` summed Fraction terms.
+
+ORACLE_SHA256 pins the definitional layer outside the routes: `specialize` for
+every family and kind, the two polynomial sample oracles at samples whose
+denominators are coprime to the parameters', and `mp_bernoulli_poly_gf_check`,
+which no catalog id reaches. It was taken at commit dc45b2d, where the
+definitions built `Fraction` parameter tuples, the oracles one shifted
+`FamilyPoint` per sample, and the exponential sum one `exp_series` per
+parameter.
 """
 
 import contextlib
@@ -50,6 +58,7 @@ PINNED_SHA256 = "7a13a3ce476edd8aef7682780ca25577f4ac813fcfd395cbd17505e3827eea7
 TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51"
 
 SWEEP_SHA256 = "2bc7fcb7333d16e5a7f60f895796d688849527e0d58c698eaa7a46de186ae50a"
+ORACLE_SHA256 = "9743f89c983839f20d3e0e6529bbe2f64c2f0ce090706add1bdd5b0feafa1810"
 DEEP_GRID = GridSpec(n_max=14, k_max=3, points=6, series_order=8, bound=20)
 
 # Mixed denominators, zeros and repeats; twelve nodes for --n-max 12.
@@ -57,9 +66,12 @@ TABLE_ALPHA = "1/2,0,-3,1/2,2/3,0,5,-1/4,2/3,7,0,-1/6"
 HELPER_LENGTHS = (Fraction(3, 2), Fraction(-2, 5), Fraction(7, 3))
 
 
-def _rational(rng, height):
+def _rational(rng, height, dens=None):
+    """A nonzero rational of height `height`, its denominator drawn from
+    `dens` when given."""
     while True:
-        value = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        num = rng.randint(-height, height)
+        value = Fraction(num, rng.choice(dens) if dens else rng.randint(1, height))
         if value:
             return value
 
@@ -132,3 +144,46 @@ def test_the_deep_sweep_reproduces_the_pinned_bytes():
         for report in sweep(grid=DEEP_GRID, seed=seed):
             h.update(repr(report).encode())
     assert h.hexdigest() == SWEEP_SHA256
+
+
+def _oracle_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random("oracle-pin")
+    for _ in range(12):
+        n, k = rng.randint(0, 10), rng.randint(1, 3)
+        q = _rational(rng, 9)
+        lengths = tuple(_rational(rng, 9) for _ in range(k))
+        for family in polyfam.SPECIAL_FAMILIES:
+            for kind in ("first", "second"):
+                ls = lengths[:1] if "classic" in family else lengths
+                value = polyfam.specialize(family, kind, n, k, q=q, lengths=ls)
+                h.update(f"{family}:{kind}:{value!r}\n".encode())
+    for _ in range(16):
+        n, k = rng.randint(0, 14), rng.randint(1, 3)
+        # Parameters over 2, 3 and 4, samples over 5, 7 and 1.
+        pool = [_rational(rng, 9, (2, 3, 4)) for _ in range(3)] + [Fraction(0)]
+        alpha = tuple(rng.choice(pool) for _ in range(n))
+        lengths = tuple(_rational(rng, 9) for _ in range(k))
+        p = polyfam.FamilyPoint(n, k, alpha, lengths)
+        for z in [Fraction(0)] + [_rational(rng, 9, (5, 7, 1)) for _ in range(3)]:
+            first = polyfam.mp_poly_first_oracle(p, z)
+            second = polyfam.mp_poly_second_oracle(p, z)
+            h.update(f"oracle:{first!r}:{second!r}\n".encode())
+    for order in range(9):
+        for _ in range(2):
+            k = rng.randint(1, 3)
+            alpha = [Fraction(0)]
+            while len(alpha) < order + 1:
+                value = _rational(rng, 9, (1, 2, 3))
+                if value not in alpha:
+                    alpha.append(value)
+            rng.shuffle(alpha)
+            lengths = tuple(_rational(rng, 9) for _ in range(k))
+            z = _rational(rng, 9, (1, 5))
+            check = polyfam.mp_bernoulli_poly_gf_check(alpha, lengths, k, z, order)
+            h.update(f"gf:{check!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_the_definitional_layer_reproduces_the_pinned_bytes():
+    assert _oracle_digest() == ORACLE_SHA256

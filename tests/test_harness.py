@@ -219,6 +219,12 @@ def test_sweep_rejects_unknown_ids():
         sweep(ids=["T2.1", "bogus"], grid=SMALL)
 
 
+def test_sweep_reads_a_string_as_one_id():
+    assert sweep(ids="T2.1", grid=SMALL) == sweep(ids=["T2.1"], grid=SMALL)
+    with pytest.raises(ValueError, match="unknown identity ids: T2"):
+        sweep(ids="T2", grid=SMALL)
+
+
 @pytest.mark.parametrize("ids", [[], (), iter(())])
 def test_sweep_refuses_an_empty_id_list(ids):
     with pytest.raises(ValueError, match="no identity ids"):

@@ -131,8 +131,8 @@ def _from_roots_wrong_power(real):
 
 
 def _prefix_products_sign_slip(real):
-    # Multiplies by Y + D r_i in place of Y - D r_i.
-    return lambda roots, rows: real([-r for r in roots], rows)
+    # The integer kernel multiplies by Y + B_i in place of Y - B_i.
+    return lambda roots, rows: real([-b for b in roots], rows)
 
 
 # --- L1: triangles --------------------------------------------------------
@@ -217,6 +217,30 @@ def _exp_sum_weights_shifted(real):
     return lambda head, weights: real(head, list(weights[:1]) + list(weights[:-1]))
 
 
+def _exp_sum_power_off_by_one(real):
+    # The body of _exp_sum with the power sums one step ahead: the t^r
+    # coefficient reads sum_j C_j (-A_j)^(r+1) in place of sum_j C_j (-A_j)^r.
+    def fake(head, weights):
+        order = len(weights) - 1
+        coeffs = [
+            sum(
+                weights[m] / math.prod(a - head[i] for i in range(m + 1) if i != j)
+                for m in range(j, order + 1)
+            )
+            for j, a in enumerate(head)
+        ]
+        powers, e = algebra._over_lcm(coeffs)
+        rates, d = algebra._over_lcm([-a for a in head])
+        num = []
+        for r in range(order + 1):
+            powers = [c * x for c, x in zip(powers, rates)]
+            num.append(sum(powers) * d ** (order - r) * math.perm(order, order - r))
+        poly = Polynomial.over(num, e * d**order * math.factorial(order))
+        return TruncatedSeries._of(order, poly)
+
+    return fake
+
+
 def _power_sums_from_zero(real):
     # N_0, ..., N_(order-1) in place of N_1, ..., N_order.
     def fake(head, order):
@@ -252,6 +276,18 @@ def _specialize_k_dropped(real):
     return lambda family, kind, n, k=1, q=None, lengths=None: real(
         family, kind, n, 1 if family == "poly" else k, q, lengths
     )
+
+
+def _specialize_den_q_dropped(real):
+    # The kernel reads the parameters i num(q) over 1 in place of den(q).
+    return lambda family, kind, n, k=1, q=None, lengths=None: real(
+        family, kind, n, k, None if q is None else Fraction(q).numerator, lengths
+    )
+
+
+def _shift_sign_slip(real):
+    # The batched oracle shifts every parameter by -sign z in place of sign z.
+    return lambda sign, p, samples: real(sign, p, [-z for z in samples])
 
 
 def _value_off_at_two(real):
@@ -329,7 +365,7 @@ def _combine_first_denominator(real):
 # Each fault with the ids it turns into a corrected FAIL at seed 0.
 MATRIX = [
     # L0
-    (algebra, "exp_series", _exp_series_factorial_off_by_one, "GF-Li T4.1"),
+    (algebra, "exp_series", _exp_series_factorial_off_by_one, "GF-Li"),
     (algebra, "log1p_series", _log1p_last_term_dropped, "GF-Lif"),
     (TruncatedSeries, "compose", _compose_constant_dropped, "GF-Li GF-Lif"),
     (TruncatedSeries, "_of", _truncation_one_short, "GF-Li GF-Lif T4.1"),
@@ -410,12 +446,15 @@ MATRIX = [
         "T5.2c T5.2d",
     ),
     (bernoulli, "_exp_sum", _exp_sum_weights_shifted, "T4.1"),
+    (bernoulli, "_exp_sum", _exp_sum_power_off_by_one, "T4.1"),
     (cauchy, "_reciprocal_power_sums", _power_sums_from_zero, "T2.4"),
     (cauchy, "_bell_numerators", _newton_sum_off_by_one, "T2.4"),
     (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
     (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3 GF-Lif"),
+    (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
+    (cauchy, "_shifted_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
-    (cauchy, "_first_def_values", _row_shifted, "C4.1b C4.2b T4.2b T4.3b"),
+    (cauchy, "_first_def_values", _row_shifted, "C4.2b T4.3b"),
     (cauchy, "_second_def_values", _row_shifted, "C4.1b T4.2b"),
     (cauchy, "_poly_first_values", _row_shifted, "T5.2a"),
     (cauchy, "_poly_second_values", _row_shifted, "T5.2b"),
