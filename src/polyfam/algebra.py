@@ -375,9 +375,6 @@ class TruncatedSeries:
     def __rmul__(self, other: RatLike) -> "TruncatedSeries":
         return self * other
 
-    def __truediv__(self, other: RatLike) -> "TruncatedSeries":
-        return self * (Fraction(1) / as_rat(other))
-
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise PreconditionError("negative series powers are not supported")

@@ -87,9 +87,6 @@ class FamilyPoint:
         object.__setattr__(self, "lengths", as_rat_tuple(self.lengths))
         _check_point(self.n, self.k, len(self.alpha), self.lengths)
 
-    def with_alpha(self, alpha: Iterable[RatLike]) -> "FamilyPoint":
-        return FamilyPoint(self.n, self.k, as_rat_tuple(alpha), self.lengths)
-
 
 def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
     """The preconditions of a FamilyPoint with `count` parameters."""
@@ -385,10 +382,6 @@ class SeriesCheck:
     @property
     def order(self) -> int:
         return self.lhs.order
-
-    @property
-    def per_coefficient(self) -> tuple[bool, ...]:
-        return tuple(a == b for a, b in zip(self.lhs.coeffs, self.rhs.coeffs))
 
     @property
     def all_match(self) -> bool:

@@ -172,94 +172,68 @@ def _render(value, scalar: Callable[[Rat], str] = str) -> object:
     return scalar(value)
 
 
-def _build_point(args, n: int) -> FamilyPoint:
+def _params(args, count: int, default):
+    """--alpha, else 0, q, ..., (count-1)q for --q, else `default`."""
     if args.alpha is not None:
-        alpha = args.alpha
-    elif args.q is not None:
-        alpha = tuple(Fraction(i) * args.q for i in range(n))
-    else:
-        alpha = tuple(Fraction(i) for i in range(n))
-    k = 1 if args.family in ("cauchy-1", "cauchy-2") else args.k
-    lengths = args.lengths if args.lengths is not None else (Fraction(1),) * k
-    return FamilyPoint(n, k, alpha, lengths)
-
-
-def _family_params(args, point: FamilyPoint) -> dict:
-    params = {
-        "n": str(point.n),
-        "k": str(point.k),
-        "alpha": ",".join(str(a) for a in point.alpha),
-        "lengths": ",".join(str(l) for l in point.lengths),
-    }
+        return args.alpha
     if args.q is not None:
-        params["q"] = str(args.q)
-    return params
+        return tuple(Fraction(i) * args.q for i in range(count))
+    return default
+
+
+def _write(args, rows) -> None:
+    """One record per (params, value, mode) row, plus "approx" under
+    --decimals. The CSV header goes out first, so compute the rows' inputs
+    before the call."""
+    columns = ["family", "params", "value", "mode"]
+    if args.decimals is not None:
+        columns.append("approx")
+    emitter = _Emitter(args.format, columns)
+    for params, value, mode in rows:
+        record = dict(
+            family=args.family, params=params, value=_render(value), mode=mode
+        )
+        if args.decimals is not None:
+            record["approx"] = _render(value, lambda v: _approx(v, args.decimals))
+        emitter.emit(record)
 
 
 def _cmd_value(args) -> int:
     """`number` and `poly`: one family value, or one polynomial's coefficients
     (its value with --z)."""
-    point = _build_point(args, args.n)
+    k = 1 if args.family in ("cauchy-1", "cauchy-2") else args.k
+    lengths = args.lengths if args.lengths is not None else (1,) * k
+    point = FamilyPoint(args.n, k, _params(args, args.n, range(args.n)), lengths)
     number_route, poly_route = FAMILY_ROUTES[args.family]
-    params = _family_params(args, point)
+    params = {
+        "n": str(point.n),
+        "k": str(point.k),
+        "alpha": ",".join(map(str, point.alpha)),
+        "lengths": ",".join(map(str, point.lengths)),
+    }
+    if args.q is not None:
+        params["q"] = str(args.q)
     if args.command == "number":
         value = number_route(point, args.mode)
-    elif args.z is None:
-        value = poly_route(point, args.mode)
     else:
-        value = poly_route(point, args.mode)(args.z)
-        params["z"] = str(args.z)
-    record = {
-        "family": args.family,
-        "params": params,
-        "value": _render(value),
-        "mode": args.mode,
-    }
-    columns = ["family", "params", "value", "mode"]
-    if args.decimals is not None:
-        record["approx"] = _render(value, lambda v: _approx(v, args.decimals))
-        columns.append("approx")
-    _Emitter(args.format, columns).emit(record)
+        value = poly_route(point, args.mode)
+        if args.z is not None:
+            value = value(args.z)
+            params["z"] = str(args.z)
+    _write(args, [(params, value, args.mode)])
     return 0
 
 
 def _cmd_table(args) -> int:
     build, needs_alpha = TABLE_FAMILIES[args.family]
-    if needs_alpha:
-        if args.alpha is not None:
-            alpha = args.alpha
-        elif args.q is not None:
-            alpha = tuple(Fraction(i) * args.q for i in range(args.n_max))
-        else:
-            raise PreconditionError(
-                f"table family {args.family!r} needs --alpha or --q"
-            )
-        table = build(alpha, args.n_max)
-        base_params = {"alpha": ",".join(str(a) for a in alpha)}
-    else:
-        if args.alpha is not None or args.q is not None:
-            raise PreconditionError(
-                f"table family {args.family!r} takes no --alpha or --q"
-            )
-        table = build(args.n_max)
-        base_params = {}
-    columns = ["family", "params", "value", "mode"]
-    if args.decimals is not None:
-        columns.append("approx")
-    emitter = _Emitter(args.format, columns)
-    for n in range(args.n_max + 1):
-        params = dict(base_params)
-        params["n"] = str(n)
-        row = table.row(n)
-        record = {
-            "family": args.family,
-            "params": params,
-            "value": _render(row),
-            "mode": "corrected",
-        }
-        if args.decimals is not None:
-            record["approx"] = _render(row, lambda v: _approx(v, args.decimals))
-        emitter.emit(record)
+    alpha = _params(args, args.n_max, None)
+    if needs_alpha != (alpha is not None):
+        needs = "needs" if needs_alpha else "takes no"
+        raise PreconditionError(f"table family {args.family!r} {needs} --alpha or --q")
+    table = build(alpha, args.n_max) if needs_alpha else build(args.n_max)
+    base = {"alpha": ",".join(map(str, alpha))} if needs_alpha else {}
+    ns = range(args.n_max + 1)
+    _write(args, (({**base, "n": str(n)}, table.row(n), "corrected") for n in ns))
     return 0
 
 

@@ -152,7 +152,6 @@ def test_number_generating_function_check():
     chk = mp_bernoulli_gf_check((1, 2, 3, 4), (1,), 1, 3)
     assert chk.order == 3
     assert chk.all_match
-    assert chk.per_coefficient == (True, True, True, True)
     # The closed form is one sum, taken in the stated order, so the stated
     # reading is the corrected one.
     assert chk.verbatim_matches
@@ -235,7 +234,6 @@ def test_polynomial_generating_function_check():
     # The stated closed form drops the factorial weight, so it only matches
     # through the linear term.
     assert not chk.verbatim_matches
-    assert chk.per_coefficient == (True, True, True, True)
 
 
 def test_polynomial_generating_function_with_two_variables():

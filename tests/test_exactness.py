@@ -25,6 +25,13 @@ which no catalog id reaches. It was taken at commit dc45b2d, where the
 definitions built `Fraction` parameter tuples, the oracles one shifted
 `FamilyPoint` per sample, and the exponential sum one `exp_series` per
 parameter.
+
+VALUE_SHA256 pins what `number`, `poly` and `poly --z` print for every
+family: json and csv, with and without --decimals, at the default
+parameters, --alpha, --q, --lengths with --k and --mode verbatim, and a few
+precondition failures. It hashes each argv's exit code, stdout and stderr. It
+was taken at commit a3d7d3f, where `number`/`poly` and `table` each built
+their own records and parameters.
 """
 
 import contextlib
@@ -59,6 +66,7 @@ TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51
 
 SWEEP_SHA256 = "2bc7fcb7333d16e5a7f60f895796d688849527e0d58c698eaa7a46de186ae50a"
 ORACLE_SHA256 = "9743f89c983839f20d3e0e6529bbe2f64c2f0ce090706add1bdd5b0feafa1810"
+VALUE_SHA256 = "af5895789b5d024021ffd2f0e8bca4714cbdd08fa229d1606a0ddeb119c4d4f3"
 DEEP_GRID = GridSpec(n_max=14, k_max=3, points=6, series_order=8, bound=20)
 
 # Mixed denominators, zeros and repeats; twelve nodes for --n-max 12.
@@ -187,3 +195,48 @@ def _oracle_digest() -> str:
 
 def test_the_definitional_layer_reproduces_the_pinned_bytes():
     assert _oracle_digest() == ORACLE_SHA256
+
+
+# The parameter flags of the value pin, at n = 4: five --alpha entries, so
+# the unused extra shows in the record; --k 2, which the classical families
+# ignore; and two lengths, which they (k forced to 1) refuse with exit 3.
+VALUE_PARAMS = (
+    (),
+    ("--alpha", "1/2,-3,0,2/3,7"),
+    ("--q", "-2/3"),
+    ("--k", "2"),
+    ("--k", "2", "--lengths", "3/2,-2/5"),
+    ("--mode", "verbatim"),
+)
+# Precondition failures, which print no CSV header, and an empty --alpha at
+# n = 0, which counts as given.
+VALUE_EDGES = (
+    ("number", "mp-cauchy-1", "--n", "3", "--lengths", "0", "--format", "csv"),
+    ("poly", "mp-bernoulli", "--n", "3", "--alpha", "1,2", "--format", "csv"),
+    ("number", "poly-cauchy-2", "--n", "2", "--alpha", ""),
+    ("number", "cauchy-2", "--n", "0", "--alpha", "", "--format", "csv"),
+)
+
+
+def _value_digest() -> str:
+    h = hashlib.sha256()
+    argvs = []
+    for command in (("number",), ("poly",), ("poly", "--z", "5/7")):
+        for family in cli.NUMBER_FAMILIES:
+            for params in VALUE_PARAMS:
+                for fmt in ("json", "csv"):
+                    for decimals in ((), ("--decimals", "4")):
+                        argvs.append(
+                            (command[0], family, "--n", "4")
+                            + command[1:] + params + ("--format", fmt) + decimals
+                        )
+    for argv in argvs + list(VALUE_EDGES):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        h.update(f"{argv}:{code}:{out.getvalue()}:{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_number_and_poly_reproduce_the_pinned_bytes():
+    assert _value_digest() == VALUE_SHA256

@@ -562,8 +562,8 @@ NOT_SEEN_BY_THE_SWEEP = [
         "tests/test_algebra.py::test_integer_samples_order",
         {},
     ),
-    # GF-Li reads the classical values from one _bernoulli_values pass, so
-    # only `number`/`table` callers and the table pin read the helper.
+    # GF-Li reads the classical values from one _bernoulli_values pass, and
+    # neither `number` nor `table` calls the helper: only the table pin reads it.
     (
         bernoulli,
         "classic_poly_bernoulli",
