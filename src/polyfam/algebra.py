@@ -4,11 +4,13 @@ truncated formal power series.
 Every scalar this package returns is a `fractions.Fraction`; nothing is
 ever rounded. `Polynomial` is an immutable dense univariate polynomial and
 `TruncatedSeries` an order-N prefix of a formal power series, both with
-exact ring operations. `IntVector` and `Polynomial` hold rationals
-fraction-free, as integer numerators over one common denominator, so that
-long sums and products run over Python ints and reduce once; a Fraction is
-built only where a value leaves them. `TruncatedSeries` is a `Polynomial`
-truncated at its order, so it shares that one ring implementation.
+exact ring operations. `Polynomial` is the one fraction-free type: it holds
+rationals as integer numerators over one common denominator, so that long
+sums and products run over Python ints and reduce once, and a Fraction is
+built only where a value leaves it. Triangle rows, box moments and value
+lists are Polynomials too (see `Polynomial`). `TruncatedSeries` is a
+`Polynomial` truncated at its order, so it shares that one ring
+implementation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 __all__ = [
-    "IntVector",
     "Polynomial",
     "PreconditionError",
     "Rat",
@@ -79,14 +80,17 @@ def integer_samples(count: int) -> tuple[Rat, ...]:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Held fraction-free, as IntVector and CoeffTable are: coefficient i is
-    num[i] / den, with integer numerators lowest power first, trailing zeros
-    stripped, den > 0 and gcd(den, *num) == 1. That form is canonical, so
-    equal polynomials compare equal structurally, and the ring operations
-    run over the integers; `coeffs`, `coefficient` and evaluation build their
-    Fractions on demand. The zero polynomial has num == () and degree
-    -infinity (float("-inf")), which keeps degree(p * q) == degree(p) +
-    degree(q) true without exceptions.
+    Held fraction-free: coefficient i is num[i] / den, with integer
+    numerators lowest power first, trailing zeros stripped, den > 0 and
+    gcd(den, *num) == 1. That form is canonical, so equal polynomials compare
+    equal structurally, and the ring operations run over the integers;
+    `coeffs`, `coefficient` and evaluation build their Fractions on demand.
+    The zero polynomial has num == () and degree -infinity (float("-inf")),
+    which keeps degree(p * q) == degree(p) + degree(q) true without
+    exceptions. Triangle rows (polynomials in T = x_1 * ... * x_k), box
+    moments sum_m mu_m t^m and value lists are Polynomials too: their zero
+    top entries are stripped, so a reader that needs a length takes it from
+    elsewhere.
     """
 
     __slots__ = ("num", "den")
@@ -239,31 +243,17 @@ def _prefix_products(roots: Sequence[int], rows: Iterable[int]) -> list[list[int
     return out
 
 
-class IntVector:
-    """Rationals num[i] / den: integer numerators over one common positive
-    denominator. Indexing and iteration yield the reduced Fractions."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple[int, ...], den: int = 1):
-        self.num, self.den = num, den
-
-    def __len__(self) -> int:
-        return len(self.num)
-
-    def __getitem__(self, i: int) -> Rat:
-        return Fraction(self.num[i], self.den)
-
-
-def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
-    """Moments mu_0, ..., mu_size of the box [0,l_1] x ... x [0,l_k]: mu_m is
-    the integral of (x_1 * ... * x_k)^m over the box.
+def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> Polynomial:
+    """The moment polynomial sum_m mu_m t^m, m = 0..size, of the box
+    [0,l_1] x ... x [0,l_k]: mu_m is the integral of (x_1 * ... * x_k)^m over
+    the box.
 
     Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables, so a
     box integral of any polynomial in T = x_1 * ... * x_k is its coefficient
     row paired with these moments. With l_1 ... l_k = u/v (integer products
-    reduced by one gcd) and L = lcm(1, ..., size+1) they are held over
-    Q = v^(size+1) L^k, with numerators M_m = u^(m+1) v^(size-m) (L/(m+1))^k.
+    reduced by one gcd) and L = lcm(1, ..., size+1) the numerators are
+    M_m = u^(m+1) v^(size-m) (L/(m+1))^k over Q = v^(size+1) L^k, reduced to
+    the canonical form: a zero length leaves the zero polynomial.
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
@@ -276,7 +266,7 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> IntVector:
     g, lcm = math.gcd(u, v), math.lcm(*range(1, size + 2))
     u, v = u // g, v // g
     num = (u**j * v ** (size + 1 - j) * (lcm // j) ** k for j in range(1, size + 2))
-    return IntVector(tuple(num), v ** (size + 1) * lcm**k)
+    return Polynomial.over(num, v ** (size + 1) * lcm**k)
 
 
 class TruncatedSeries:

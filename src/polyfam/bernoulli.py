@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
-    IntVector,
     PreconditionError,
     Polynomial,
     Rat,
@@ -51,15 +50,16 @@ def _check_convention(convention: str) -> None:
         raise PreconditionError(f"unknown summation convention {convention!r}")
 
 
-def _bernoulli_row(row: IntVector, convention: str = "corrected") -> IntVector:
+def _bernoulli_row(row: Polynomial, convention: str = "corrected") -> Polynomial:
     """The monomial row (-1)^(n-m) m! S_a(n, m) of the Bernoulli type at index
-    n = len(row) - 1, from row n of the second-kind triangle; the 'verbatim'
-    convention multiplies each entry by a second m!."""
-    n, power = len(row) - 1, 2 if convention == "verbatim" else 1
+    n = deg(row), from row n of the second-kind triangle (whose S_a(n, n) = 1
+    keeps the degree n); the 'verbatim' convention multiplies each entry by a
+    second m!."""
+    n, power = len(row.num) - 1, 2 if convention == "verbatim" else 1
     num = (
         (-1) ** (n - m) * math.factorial(m) ** power * r for m, r in enumerate(row.num)
     )
-    return IntVector(tuple(num), row.den)
+    return Polynomial.over(num, row.den)
 
 
 def classic_poly_bernoulli(n: int, k: int) -> Rat:
@@ -79,7 +79,7 @@ def li_gf_check(k: int, order: int) -> SeriesCheck:
     composed with u = 1 - e^{-t}. The right side reads the classical values
     0..order from one _bernoulli_values pass at the parameters
     0, 1, ..., order-1 and the unit box."""
-    moments = TruncatedSeries(order, box_moments((1,) * k, k, order))
+    moments = TruncatedSeries._of(order, box_moments((1,) * k, k, order))
     lhs = moments.compose(1 - exp_series(order, rate=-1))
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
     values = _bernoulli_values(classical, range(order + 1))
@@ -173,7 +173,7 @@ def mp_bernoulli_gf_check(
     )
     weights = [
         (-1) ** m * math.factorial(m) * mu
-        for m, mu in enumerate(box_moments(ls, k, order))
+        for m, mu in enumerate(box_moments(ls, k, order).coeffs)
     ]
     rhs = _exp_sum(head, weights)
     return SeriesCheck(
@@ -234,7 +234,7 @@ def mp_bernoulli_poly_gf_check(
     lhs = TruncatedSeries(
         order, [b(z) / math.factorial(n) for n, b in enumerate(values)]
     )
-    mu = box_moments(ls, k, order)
+    mu = box_moments(ls, k, order).coeffs
     # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
     stated = [
         (-1) ** m * sum(math.comb(m, i) * (-z) ** i * mu[m - i] for i in range(m + 1))

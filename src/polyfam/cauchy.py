@@ -18,7 +18,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    IntVector,
     Polynomial,
     PreconditionError,
     Rat,
@@ -102,13 +101,14 @@ def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
         raise PreconditionError("box lengths must be nonzero")
 
 
-def _pair(row: IntVector, moments: IntVector) -> Rat:
-    """The box integral of sum_m row[m] T^m, given the box moments of T: one
-    integer dot product, reduced once."""
+def _pair(row: Polynomial, moments: Polynomial) -> Rat:
+    """The box integral of the polynomial `row` in T, given the moment
+    polynomial sum_m mu_m t^m of the box: one integer dot product of the two
+    coefficient lists (the shorter one ends it), reduced once."""
     return Fraction(sum(map(mul, row.num, moments.num)), row.den * moments.den)
 
 
-def _poly_from_row(row: IntVector, moments: IntVector) -> Polynomial:
+def _poly_from_row(row: Polynomial, moments: Polynomial) -> Polynomial:
     """The polynomial in z of the box integral of sum_m row[m] (T - z)^m,
     through the shifted moments: its z^i coefficient is
     sum_{m>=i} (-1)^i C(m, i) row[m] mu_(m-i), an integer over
@@ -121,12 +121,12 @@ def _poly_from_row(row: IntVector, moments: IntVector) -> Polynomial:
     return Polynomial.over(num, row.den * moments.den)
 
 
-def _times(row: IntVector, table: CoeffTable) -> IntVector:
-    """The row vector sum_m row[m] table(m, j) for a classical table, whose
-    entries are integers (den 1)."""
+def _times(row: Polynomial, table: CoeffTable) -> Polynomial:
+    """The row sum_j (sum_m row[m] table(m, j)) T^j for a classical table,
+    whose entries are integers (den 1)."""
     t, r = table.num, row.num
     num = (sum(r[m] * t[m][j] for m in range(j, len(r))) for j in range(len(r)))
-    return IntVector(tuple(num), row.den)
+    return Polynomial.over(num, row.den)
 
 
 def _box_integral(
@@ -184,13 +184,12 @@ def mp_first_closed(p: FamilyPoint) -> Rat:
     return _pair(table.int_row(p.n), box_moments(p.lengths, p.k, p.n))
 
 
-def _classic_first_values(moments: IntVector) -> IntVector:
-    """C_0, ..., C_n at the classical parameters for the box of `moments`
-    (mu_0..mu_n) over the moments' denominator, all read from the integer
-    rows of one stirling_first(n)."""
-    s = stirling_first(len(moments) - 1)
-    values = (sum(map(mul, row, moments.num)) for row in s.num)
-    return IntVector(tuple(values), moments.den)
+def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
+    """sum_m C_m t^m, m = 0..n, the values at the classical parameters for
+    the box of `moments` (mu_0..mu_n; zero for a zero box length, hence the
+    n), each row of one stirling_first(n) paired with them."""
+    values = (sum(map(mul, row, moments.num)) for row in stirling_first(n).num)
+    return Polynomial.over(values, moments.den)
 
 
 def classic_first_with_lengths(
@@ -200,7 +199,7 @@ def classic_first_with_lengths(
     general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k. Read from
     _classic_first_values, the kernel of mp_first_via_polycauchy and
     mp_second_lah."""
-    return _classic_first_values(box_moments(lengths, k, m))[m]
+    return _classic_first_values(box_moments(lengths, k, m), m).coefficient(m)
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:
@@ -215,7 +214,7 @@ def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n))
+    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n), p.n)
     return _pair(nc.int_row(p.n), classic)
 
 
@@ -283,8 +282,8 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     L^n is paired with the box moments. Requires nonzero parameters."""
     lcm, sums = _reciprocal_power_sums(p.alpha[: p.n], p.n)
     bell = _bell_numerators(sums)
-    row = tuple(c * lcm ** (p.n - m) for m, c in enumerate(bell))
-    total = _pair(IntVector(row, lcm**p.n), box_moments(p.lengths, p.k, p.n))
+    row = (c * lcm ** (p.n - m) for m, c in enumerate(bell))
+    total = _pair(Polynomial.over(row, lcm**p.n), box_moments(p.lengths, p.k, p.n))
     return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
 
 
@@ -315,7 +314,7 @@ def mp_second_lah(p: FamilyPoint) -> Rat:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
     row = _times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n), lah_signed(p.n))
-    return _pair(row, _classic_first_values(box_moments(p.lengths, p.k, p.n)))
+    return _pair(row, _classic_first_values(box_moments(p.lengths, p.k, p.n), p.n))
 
 
 def specialize(
@@ -397,7 +396,7 @@ def lif_series(k: int, order: int) -> TruncatedSeries:
     unit-box moments over m!."""
     moments = box_moments((1,) * k, k, order)
     return TruncatedSeries(
-        order, [mu / math.factorial(m) for m, mu in enumerate(moments)]
+        order, [mu / math.factorial(m) for m, mu in enumerate(moments.coeffs)]
     )
 
 

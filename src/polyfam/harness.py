@@ -45,6 +45,7 @@ from .cauchy import (
     FamilyPoint,
     SeriesCheck,
     _first_def_values,
+    _pair,
     _poly_first_values,
     _poly_from_row,
     _poly_second_values,
@@ -402,9 +403,8 @@ def _eval_T23(pt: ParamPoint) -> _Outcome:
     fp = _family(pt)
     lhs = mp_first_def(fp)
     corrected = mp_first_via_polycauchy(fp)
-    nc = noncentral_second(fp.alpha[: fp.n], fp.n)
     unit_value = classic_first_with_lengths(fp.n, fp.k, (Fraction(1),) * fp.k)
-    verbatim = sum(nc.row(fp.n), Fraction(0)) * unit_value
+    verbatim = noncentral_second(fp.alpha[: fp.n], fp.n).int_row(fp.n)(1) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
 
@@ -531,8 +531,11 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         closed = mp_second_closed
     sign = 1 if first else (-1) ** n
     unit = (Fraction(1),) * k
-    pairs = zip(triangle.row(n), box_moments(unit, k, n))
-    triangle_q = sign * sum(c * q ** (n - m) * mu for m, (c, mu) in enumerate(pairs))
+    # Row n with T(n, m) scaled by q^(n-m), over the integers: q = u/v.
+    row, u, v = triangle.int_row(n), q.numerator, q.denominator
+    scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
+    moments = box_moments(unit, k, n)
+    triangle_q = sign * _pair(Polynomial.over(scaled, row.den * v**n), moments)
 
     def integral(roots: tuple[Rat, ...]) -> Rat:
         product = Polynomial.from_roots(r if first else -r for r in roots)

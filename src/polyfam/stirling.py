@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import IntVector, PreconditionError, Rat, RatLike, as_rat_tuple
+from .algebra import Polynomial, PreconditionError, Rat, RatLike, as_rat_tuple
 
 __all__ = [
     "CoeffTable",
@@ -57,9 +57,9 @@ class CoeffTable:
     element of degree n. Indexing outside the triangle yields zero.
 
     Held fraction-free: entry (n, m) is num[n][m] / den^(n-m) with integer
-    numerators and one denominator den >= 1, and nothing else. The Fraction
-    entries (`row`, indexing, equality, hash) are read from `num` and `den`
-    on demand; `row` reads `int_row`, the path the routes pair.
+    numerators and one denominator den >= 1, and nothing else. Row n is read
+    as a polynomial by `int_row`, the path the routes pair; `row`,
+    equality and hash read it too, and indexing builds one Fraction.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -70,14 +70,16 @@ class CoeffTable:
         return len(self.num) - 1
 
     def row(self, n: int) -> tuple[Rat, ...]:
-        return tuple(self.int_row(n))
+        return tuple(map(self.int_row(n).coefficient, range(len(self.num[n]))))
 
-    def int_row(self, n: int) -> IntVector:
-        """Row n as integer numerators over the common denominator den^n.
-        Row n has n + 1 entries, so a negative n counts from the last row."""
+    def int_row(self, n: int) -> Polynomial:
+        """Row n as the polynomial sum_m T(n, m) X^m in canonical form: the
+        integers num[n][m] den^m over den^n, reduced. A connection table's
+        T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps all
+        n + 1 coefficients. A negative n counts from the last row."""
         row, d = self.num[n], self.den
-        num = tuple(r * d**m for m, r in enumerate(row))
-        return IntVector(num, d ** (len(row) - 1))
+        num = (r * d**m for m, r in enumerate(row))
+        return Polynomial.over(num, d ** (len(row) - 1))
 
     def __getitem__(self, nm: tuple[int, int]) -> Rat:
         n, m = nm
@@ -88,12 +90,12 @@ class CoeffTable:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CoeffTable):
             return self.size == other.size and all(
-                self.row(n) == other.row(n) for n in range(len(self.num))
+                self.int_row(n) == other.int_row(n) for n in range(len(self.num))
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(map(self.row, range(len(self.num)))))
+        return hash(tuple(map(self.int_row, range(len(self.num)))))
 
     def entrywise_abs(self) -> "CoeffTable":
         return CoeffTable(tuple(tuple(map(abs, row)) for row in self.num), self.den)

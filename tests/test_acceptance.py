@@ -9,11 +9,12 @@ subprocess and compare raw bytes.
 import json
 import math
 import random
-import subprocess
-import sys
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
+from conftest import run_cli
 from polyfam.algebra import box_moments, integer_samples
 from polyfam.bernoulli import (
     classic_poly_bernoulli,
@@ -73,14 +74,6 @@ def random_grid(seed, count, n_max, k_max, nonzero_alpha=False,
     return points
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "polyfam", *args],
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_first_kind_oracle_equivalence():
     started = time.monotonic()
     for p in random_grid(SEED, 25, n_max=8, k_max=3):
@@ -131,7 +124,7 @@ def test_second_kind_oracle_equivalence():
         table = comtet_first(p.alpha[: p.n], p.n).entrywise_abs()
         moments = box_moments(p.lengths, p.k, p.n)
         abs_reading = Fraction((-1) ** p.n) * sum(
-            (table[p.n, m] * moments[m] for m in range(p.n + 1)),
+            (table[p.n, m] * moments.coefficient(m) for m in range(p.n + 1)),
             Fraction(0),
         )
         assert abs_reading == value
@@ -261,3 +254,21 @@ def test_verify_is_deterministic_across_processes():
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_readme_quick_start_runs_as_stated():
+    # The README's Python block runs as written, and every value a comment
+    # states as a Fraction is the value of the line it annotates.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        match = re.match(r" Fraction\((-?\d+), (\d+)\)", comment)
+        if match:
+            want = Fraction(int(match[1]), int(match[2]))
+            assert eval(code, scope) == want, line
+            stated.append(want)
+    assert stated == [Fraction(73, 48), Fraction(73, 48), Fraction(35, 48)]

@@ -5,12 +5,12 @@ import io
 import json
 import shutil
 import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from polyfam.cli import NUMBER_FAMILIES, TABLE_FAMILIES, build_parser, main
 from polyfam.harness import FAIL, IDENTITY_IDS, GridSpec, sweep
 
@@ -49,14 +49,6 @@ VERIFY_SHA256 = {
         0,
     ),
 }
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "polyfam", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def records(proc):
@@ -285,12 +277,7 @@ def test_verify_counts_a_repeated_id_once(capsys):
 
 def test_verify_with_too_few_distinct_parameters_exits_3():
     # 511 rationals have height at most 20; order 511 needs 512 of them.
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyfam", "verify", "--ids", "T4.1", "--order", "511"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_cli("verify", "--ids", "T4.1", "--order", "511")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "precondition violated" in proc.stderr

@@ -25,7 +25,7 @@ import pytest
 
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, cli, harness, stirling
-from polyfam.algebra import IntVector, Polynomial, TruncatedSeries
+from polyfam.algebra import Polynomial, TruncatedSeries
 from polyfam.harness import FAIL, sweep
 from polyfam.stirling import CoeffTable, comtet_second
 
@@ -151,8 +151,8 @@ def _int_row_wrong_power(real):
     # Numerator m scaled by den^(n-m) in place of den^m.
     def fake(self, n):
         d = self.den
-        num = tuple(r * d ** (n - m) for m, r in enumerate(self.num[n]))
-        return IntVector(num, d**n)
+        num = (r * d ** (n - m) for m, r in enumerate(self.num[n]))
+        return Polynomial.over(num, d**n)
 
     return fake
 
@@ -168,8 +168,8 @@ def _first_length_only(real):
 def _doubled_mu1(real):
     def fake(lengths, k, size):
         mu = real(lengths, k, size)
-        num = tuple(2 * v if m == 1 else v for m, v in enumerate(mu.num))
-        return IntVector(num, mu.den)
+        num = (2 * v if m == 1 else v for m, v in enumerate(mu.num))
+        return Polynomial.over(num, mu.den)
 
     return fake
 
@@ -191,7 +191,7 @@ def _times_diagonal_dropped(real):
     def fake(row, table):
         t, r = table.num, row.num
         num = (sum(r[m] * t[m][j] for m in range(j + 1, len(r))) for j in range(len(r)))
-        return IntVector(tuple(num), row.den)
+        return Polynomial.over(num, row.den)
 
     return fake
 
@@ -207,7 +207,8 @@ def _bernoulli_row_sign_slip(real):
     # (-1)^m in place of (-1)^(n-m).
     def fake(row, convention="corrected"):
         out = real(row, convention)
-        return IntVector(tuple((-1) ** (len(row) - 1) * c for c in out.num), out.den)
+        sign = (-1) ** (len(row.num) - 1)
+        return Polynomial.over((sign * c for c in out.num), out.den)
 
     return fake
 
@@ -263,10 +264,9 @@ def _newton_sum_off_by_one(real):
 
 def _classic_first_off_at_two(real):
     # C_2 is one too large.
-    def fake(moments):
-        out = real(moments)
-        num = tuple(c + out.den * (m == 2) for m, c in enumerate(out.num))
-        return IntVector(num, out.den)
+    def fake(moments, n):
+        out = real(moments, n)
+        return out + Polynomial((0, 0, 1)) if n >= 2 else out
 
     return fake
 
@@ -322,7 +322,7 @@ def _misaligned(pair_row):
             return [
                 pair_row(
                     bernoulli._bernoulli_row(table.int_row(j), convention),
-                    IntVector(mu.num[p.n - j :], mu.den),
+                    Polynomial.over(mu.num[p.n - j :], mu.den),
                 )
                 for j in rows
             ]

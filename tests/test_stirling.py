@@ -96,6 +96,8 @@ def test_table_indexing_outside_triangle_is_zero():
     assert t.row(3) == (Fraction(0), Fraction(2), Fraction(-3), Fraction(1))
     assert t.row(-1) == t.row(3)
     assert t.size == 3
+    # A row reads n + 1 entries even where its polynomial is zero.
+    assert CoeffTable(((1,), (0, 0))).row(1) == (0, 0)
 
 
 def test_stirling_tables_match_reference_values():
@@ -289,6 +291,8 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
             for m, r in enumerate(row):
                 assert Fraction(r, table.den ** (n - m)) == want[n][m], family
             int_row = table.int_row(n)
+            # T(n, n) = +-1 keeps the degree n that _times and _bernoulli_row read.
+            assert len(int_row.num) == n + 1
             assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
 
 
