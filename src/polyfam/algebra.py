@@ -42,6 +42,47 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its stated domain."""
 
 
+class Record:
+    """Base of the package's frozen records. A subclass names its fields in
+    `__slots__` and sets them once, by `_set` in its `__init__`. Repr
+    (`Name(field=value, ...)`), equality (with its own class only) and hash
+    read the fields in slot order; setting or deleting one raises
+    AttributeError. `__reduce__` rebuilds a record through `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The slots' own setters: `_set` calls them faster than setattr by name.
+        cls._put = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values: object) -> None:
+        for put, value in zip(self._put, values):
+            put(self, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
 def as_rat(value: RatLike) -> Rat:
     if isinstance(value, Fraction):
         return value

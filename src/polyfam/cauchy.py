@@ -12,7 +12,6 @@ replace the parameter sequence by shifted copies of itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ from .algebra import (
     PreconditionError,
     Rat,
     RatLike,
+    Record,
     TruncatedSeries,
     _over_lcm,
     _prefix_products,
@@ -66,8 +66,7 @@ __all__ = [
 SPECIAL_FAMILIES = ("classic", "poly", "q-poly", "q-classic", "extended-q")
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
+class FamilyPoint(Record):
     """Evaluation point for the multiparameter families.
 
     n: product length (number of shifted factors), n >= 0.
@@ -76,15 +75,13 @@ class FamilyPoint:
     lengths: the k box edge lengths, all nonzero.
     """
 
-    n: int
-    k: int
-    alpha: tuple[Rat, ...]
-    lengths: tuple[Rat, ...]
+    __slots__ = ("n", "k", "alpha", "lengths")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_rat_tuple(self.alpha))
-        object.__setattr__(self, "lengths", as_rat_tuple(self.lengths))
-        _check_point(self.n, self.k, len(self.alpha), self.lengths)
+    def __init__(
+        self, n: int, k: int, alpha: Iterable[RatLike], lengths: Iterable[RatLike]
+    ) -> None:
+        self._set(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths))
+        _check_point(n, k, len(self.alpha), self.lengths)
 
 
 def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
@@ -364,8 +361,7 @@ def specialize(
     return _def_values(sign, roots, step.denominator, ls, (n,))[0]
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
+class SeriesCheck(Record):
     """Comparison of a family generating function against a closed form.
 
     lhs holds the family side, rhs the reconstructed closed form, and
@@ -373,10 +369,10 @@ class SeriesCheck:
     stated (see `note`). All three share the same truncation order.
     """
 
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
-    verbatim_rhs: TruncatedSeries
-    note: str = ""
+    __slots__ = ("lhs", "rhs", "verbatim_rhs", "note")
+
+    def __init__(self, lhs, rhs, verbatim_rhs, note=""):
+        self._set(lhs, rhs, verbatim_rhs, note)
 
     @property
     def order(self) -> int:

@@ -14,7 +14,6 @@ selected mode; 2 flag/parse errors; 3 precondition violations.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -146,6 +145,7 @@ class _Emitter:
         self.fmt = fmt
         self.columns = list(columns)
         if fmt == "csv":
+            import csv  # here, so that `verify` and JSON output never load it
             self._csv = csv.writer(sys.stdout, lineterminator="\n")
             self._csv.writerow(self.columns)
 

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     Polynomial,
     PreconditionError,
     Rat,
     RatLike,
+    Record,
     TruncatedSeries,
     as_rat_tuple,
     box_moments,
@@ -97,40 +97,34 @@ FAIL = "FAIL"
 NA = "NA"
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Record):
     """A parameter point for identity verification.
 
     z0 seeds extra polynomial sample points, q drives the q-parameter webs,
     and series_order is the truncation order for generating-function ids.
     """
 
-    n: int = 0
-    k: int = 1
-    alpha: tuple[Rat, ...] = ()
-    lengths: tuple[Rat, ...] = (Fraction(1),)
-    z0: Optional[Rat] = None
-    q: Optional[Rat] = None
-    series_order: Optional[int] = None
+    __slots__ = ("n", "k", "alpha", "lengths", "z0", "q", "series_order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_rat_tuple(self.alpha))
-        object.__setattr__(self, "lengths", as_rat_tuple(self.lengths))
-        if self.z0 is not None:
-            object.__setattr__(self, "z0", Fraction(self.z0))
-        if self.q is not None:
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(
+        self,
+        n: int = 0,
+        k: int = 1,
+        alpha: Iterable[RatLike] = (),
+        lengths: Iterable[RatLike] = (Fraction(1),),
+        z0: Optional[RatLike] = None,
+        q: Optional[RatLike] = None,
+        series_order: Optional[int] = None,
+    ) -> None:
+        z0, q = (None if v is None else Fraction(v) for v in (z0, q))
+        self._set(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths), z0, q, series_order)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    point: ParamPoint
-    verbatim: str
-    corrected: str
-    lhs: str
-    rhs: str
-    note: str = ""
+class IdentityReport(Record):
+    __slots__ = ("identity", "point", "verbatim", "corrected", "lhs", "rhs", "note")
+
+    def __init__(self, identity, point, verbatim, corrected, lhs, rhs, note=""):
+        self._set(identity, point, verbatim, corrected, lhs, rhs, note)
 
 
 class _Outcome(NamedTuple):
@@ -141,17 +135,15 @@ class _Outcome(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """One catalog entry. `evaluate` gives both readings at a point;
     `correction` describes the corrected reading when the stated one fails
     somewhere; a `k1_only` entry is evaluated with k forced to 1."""
 
-    id: str
-    statement: str
-    evaluate: Callable[[ParamPoint], _Outcome]
-    correction: str = ""
-    k1_only: bool = False
+    __slots__ = ("id", "statement", "evaluate", "correction", "k1_only")
+
+    def __init__(self, id, statement, evaluate, correction="", k1_only=False):
+        self._set(id, statement, evaluate, correction, k1_only)
 
 
 def point_to_json(point: ParamPoint) -> dict:
@@ -184,7 +176,7 @@ def _family(pt: ParamPoint) -> FamilyPoint:
 
 def _force_k1(pt: ParamPoint) -> ParamPoint:
     lengths = pt.lengths[:1] if pt.lengths else (Fraction(1),)
-    return replace(pt, k=1, lengths=lengths)
+    return ParamPoint(pt.n, 1, pt.alpha, lengths, pt.z0, pt.q, pt.series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -762,20 +754,15 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Sweep sizes: deterministic classical points plus `points` seeded random
     rational points per identity, numerators and denominators bounded."""
 
-    n_max: int = 5
-    k_max: int = 2
-    points: int = 10
-    series_order: int = 6
-    bound: int = 20
+    __slots__ = ("n_max", "k_max", "points", "series_order", "bound")
 
-    def __post_init__(self) -> None:
-        low = {"n_max": 0, "k_max": 1, "points": 0, "series_order": 0, "bound": 1}
-        for name, least in low.items():
+    def __init__(self, n_max=5, k_max=2, points=10, series_order=6, bound=20):
+        self._set(n_max, k_max, points, series_order, bound)
+        for name, least in zip(self.__slots__, (0, 1, 0, 0, 1)):
             if getattr(self, name) < least:
                 raise PreconditionError(f"grid {name} must be at least {least}")
 

@@ -26,11 +26,10 @@ r(n, m) = D^(n-m) T(n, m) obey r(n+1, m) = r(n, m-1) + (B_m - A_n) r(n, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Polynomial, PreconditionError, Rat, RatLike, as_rat_tuple
+from .algebra import Polynomial, PreconditionError, Rat, RatLike, Record, as_rat_tuple
 
 __all__ = [
     "CoeffTable",
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffTable:
+class CoeffTable(Record):
     """Lower-triangular connection table; entry (n, m) is the coefficient of
     the target basis element of degree m in the expansion of the source
     element of degree n. Indexing outside the triangle yields zero.
@@ -62,8 +60,10 @@ class CoeffTable:
     equality and hash read it too, and indexing builds one Fraction.
     """
 
-    num: tuple[tuple[int, ...], ...]
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1) -> None:
+        self._set(num, den)
 
     @property
     def size(self) -> int:
@@ -250,8 +250,7 @@ def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:
     return total
 
 
-@dataclass(frozen=True)
-class InversionCheck:
+class InversionCheck(Record):
     """Outcome of multiplying the two generalized triangles both ways.
 
     `unsigned` is the plain two-sided matrix inversion; `signed` is the
@@ -259,8 +258,10 @@ class InversionCheck:
     reference (it fails for sizes >= 2).
     """
 
-    unsigned: bool
-    signed: bool
+    __slots__ = ("unsigned", "signed")
+
+    def __init__(self, unsigned: bool, signed: bool) -> None:
+        self._set(unsigned, signed)
 
     def __bool__(self) -> bool:
         return self.unsigned

@@ -2,7 +2,6 @@ import gc
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,7 +263,7 @@ def test_t41_points_need_enough_distinct_rationals(bound):
     assert len(set(point.alpha)) == pool
     with pytest.raises(PreconditionError, match=f"only {pool} rationals"):
         harness._random_point(
-            random.Random(0), replace(grid, series_order=pool), "T4.1"
+            random.Random(0), GridSpec(series_order=pool, bound=bound), "T4.1"
         )
 
 

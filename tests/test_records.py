@@ -1,0 +1,205 @@
+"""The eight record types behave as frozen dataclasses do, and importing the
+package loads no module that only a dataclass would need."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from conftest import SRC
+from polyfam.algebra import PreconditionError, exp_series, log1p_series
+from polyfam.cauchy import FamilyPoint, SeriesCheck
+from polyfam.harness import GridSpec, Identity, IdentityReport, ParamPoint
+from polyfam.stirling import CoeffTable, InversionCheck
+
+# perfbench's sweep-deep grid, built by keyword as the benchmark builds it.
+SWEEP_GRID = {"n_max": 14, "k_max": 2, "points": 3, "series_order": 6, "bound": 20}
+
+
+def _records():
+    """(built positionally, built by keyword, repr) for each record type; the
+    two builds are distinct objects with equal fields."""
+    one, half = Fraction(1), Fraction(1, 2)
+    series = exp_series(1), exp_series(1), log1p_series(1)
+    point = ParamPoint(1, 2, (0,), (1, 1), 1, "1/2", None)
+    return [
+        (
+            FamilyPoint(2, 1, (1, "1/2"), (3,)),
+            FamilyPoint(n=2, k=1, alpha=[one, half], lengths=[Fraction(3)]),
+            "FamilyPoint(n=2, k=1, alpha=(Fraction(1, 1), Fraction(1, 2)), "
+            "lengths=(Fraction(3, 1),))",
+        ),
+        (
+            SeriesCheck(*series, "n"),
+            SeriesCheck(lhs=series[0], rhs=series[1], verbatim_rhs=series[2], note="n"),
+            "SeriesCheck(lhs=TruncatedSeries(order=1, ['1', '1']), "
+            "rhs=TruncatedSeries(order=1, ['1', '1']), "
+            "verbatim_rhs=TruncatedSeries(order=1, ['0', '1']), note='n')",
+        ),
+        (
+            CoeffTable(((1,), (-1, 1)), 2),
+            CoeffTable(num=((1,), (-1, 1)), den=2),
+            "CoeffTable(num=((1,), (-1, 1)), den=2)",
+        ),
+        (
+            InversionCheck(True, False),
+            InversionCheck(unsigned=True, signed=False),
+            "InversionCheck(unsigned=True, signed=False)",
+        ),
+        (
+            point,
+            ParamPoint(k=2, n=1, alpha=[0], lengths=["1", 1], z0=one, q=half),
+            "ParamPoint(n=1, k=2, alpha=(Fraction(0, 1),), "
+            "lengths=(Fraction(1, 1), Fraction(1, 1)), z0=Fraction(1, 1), "
+            "q=Fraction(1, 2), series_order=None)",
+        ),
+        (
+            IdentityReport("T2.1", point, "PASS", "FAIL", "1", "2"),
+            IdentityReport(
+                identity="T2.1",
+                point=ParamPoint(1, 2, (0,), (1, 1), 1, half),
+                verbatim="PASS",
+                corrected="FAIL",
+                lhs="1",
+                rhs="2",
+                note="",
+            ),
+            "IdentityReport(identity='T2.1', point=ParamPoint(n=1, k=2, "
+            "alpha=(Fraction(0, 1),), lengths=(Fraction(1, 1), Fraction(1, 1)), "
+            "z0=Fraction(1, 1), q=Fraction(1, 2), series_order=None), "
+            "verbatim='PASS', corrected='FAIL', lhs='1', rhs='2', note='')",
+        ),
+        (
+            Identity("X", "a statement", len, "fix", True),
+            Identity(
+                id="X",
+                statement="a statement",
+                evaluate=len,
+                correction="fix",
+                k1_only=True,
+            ),
+            "Identity(id='X', statement='a statement', "
+            "evaluate=<built-in function len>, correction='fix', k1_only=True)",
+        ),
+        (
+            GridSpec(14, 2, 3, 6, 20),
+            GridSpec(**SWEEP_GRID),
+            "GridSpec(n_max=14, k_max=2, points=3, series_order=6, bound=20)",
+        ),
+    ]
+
+
+RECORD_IDS = [type(built).__name__ for built, _, _ in _records()]
+
+
+@pytest.mark.parametrize("index", range(8), ids=RECORD_IDS)
+def test_a_record_reads_like_a_frozen_dataclass(index):
+    positional, keyword, text = _records()[index]
+    assert repr(positional) == repr(keyword) == text
+    assert positional == keyword and positional is not keyword
+    assert not positional != keyword
+    assert hash(positional) == hash(keyword)
+    assert len({positional, keyword}) == 1
+    name = type(positional).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(positional, name, getattr(keyword, name))
+    with pytest.raises(AttributeError):
+        delattr(positional, name)
+    with pytest.raises(AttributeError):
+        positional.extra = 1
+    assert not hasattr(positional, "__dict__")
+    assert positional == keyword
+
+
+@pytest.mark.parametrize("index", range(8), ids=RECORD_IDS)
+def test_copy_and_pickle_give_an_equal_record_back(index):
+    record, _, _ = _records()[index]
+    for twin in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(twin) is type(record)
+        assert twin == record and repr(twin) == repr(record)
+
+
+def test_a_record_equals_only_its_own_type():
+    point = FamilyPoint(2, 1, (1, 2), (1,))
+    assert point != (2, 1, (1, 2), (1,))
+    assert point != (2, 1, (Fraction(1), Fraction(2)), (Fraction(1),))
+    assert GridSpec() != ParamPoint() and ParamPoint() != GridSpec()
+    assert GridSpec() != (5, 2, 10, 6, 20)
+    assert InversionCheck(True, True) != (True, True)
+    assert ParamPoint(2, 1, (1, 2), (1,)) != point
+    assert point != FamilyPoint(2, 1, (1, 2), (2,))
+    # CoeffTable keeps its own equality: the same table at another scale.
+    assert CoeffTable(((1,), (-1, 1))) == CoeffTable(((1,), (-2, 1)), 2)
+    assert CoeffTable(((1,),)) != ((1,),)
+    assert bool(InversionCheck(True, False)) and not InversionCheck(False, True)
+
+
+def test_points_hold_rationals():
+    point = ParamPoint(n=1, alpha=[2], lengths=("1/3",), z0=3, q="-2/4")
+    assert point.alpha == (Fraction(2),) and point.lengths == (Fraction(1, 3),)
+    assert type(point.alpha) is type(point.lengths) is tuple
+    assert all(type(v) is Fraction for v in (*point.alpha, *point.lengths))
+    assert type(point.z0) is type(point.q) is Fraction and point.q == Fraction(-1, 2)
+    default = ParamPoint()
+    assert default.z0 is None and default.q is None and default.series_order is None
+    assert default.lengths == (Fraction(1),)
+    family = FamilyPoint(1, 2, iter([0, "5/2"]), [1, "-1/2"])
+    assert family.alpha == (0, Fraction(5, 2))
+    assert family.lengths == (1, Fraction(-1, 2))
+    assert all(type(v) is Fraction for v in (*family.alpha, *family.lengths))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 1, (), (1,)), "must be nonnegative"),
+        ((0, 0, (), ()), "at least one integration variable"),
+        ((2, 1, (1,), (1,)), "need at least 2 parameters, got 1"),
+        ((0, 2, (), (1,)), "expected 2 box lengths, got 1"),
+        ((0, 1, (), (0,)), "must be nonzero"),
+    ],
+)
+def test_a_family_point_checks_its_preconditions(args, message):
+    with pytest.raises(PreconditionError, match=message):
+        FamilyPoint(*args)
+
+
+def test_a_grid_checks_its_sizes_by_position_and_by_keyword():
+    with pytest.raises(PreconditionError, match="grid k_max must be at least 1"):
+        GridSpec(5, 0)
+    with pytest.raises(PreconditionError, match="grid bound must be at least 1"):
+        GridSpec(**{**SWEEP_GRID, "bound": 0})
+
+
+def _added_modules(statement):
+    """The modules that `statement` adds to sys.modules in a fresh interpreter.
+    -S keeps site and its .pth files from loading modules beforehand, so
+    the difference is the statement's own."""
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); before = set(sys.modules); "
+        f"{statement}; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    added = _added_modules("import polyfam")
+    assert "polyfam.harness" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    cli = _added_modules("import polyfam.cli")
+    assert "polyfam.cli" in cli and "json" in cli
+    assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}

@@ -331,7 +331,8 @@ def test_a_table_holds_only_its_integers():
     hand = _hand_built(table, 2)
     assert hand.row(3) == table.row(3) and hand[3, 1] == table[3, 1]
     assert hand == table and hash(hand) == hash(table)
-    assert set(vars(table)) == set(vars(hand)) == {"num", "den"}
+    assert type(table).__slots__ == type(hand).__slots__ == ("num", "den")
+    assert not hasattr(table, "__dict__") and not hasattr(hand, "__dict__")
 
 
 def test_connection_preconditions():
