@@ -16,11 +16,11 @@ implementation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Fraction
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 __all__ = [
     "Polynomial",
@@ -164,7 +164,7 @@ class Polynomial:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
-    def degree(self) -> Union[int, float]:
+    def degree(self) -> int | float:
         if not self.num:
             return float("-inf")
         return len(self.num) - 1
@@ -205,7 +205,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: Union["Polynomial", RatLike]) -> "Polynomial":
+    def __mul__(self, other: Polynomial | RatLike) -> "Polynomial":
         if isinstance(other, Polynomial):
             if not self.num or not other.num:
                 return Polynomial()
@@ -380,7 +380,7 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(self.order, -self._poly)
 
-    def __add__(self, other: Union["TruncatedSeries", RatLike]) -> "TruncatedSeries":
+    def __add__(self, other: TruncatedSeries | RatLike) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             order = min(self.order, other.order)
             return TruncatedSeries._of(order, self._poly + other._poly)
@@ -389,7 +389,7 @@ class TruncatedSeries:
     def __radd__(self, other: RatLike) -> "TruncatedSeries":
         return self + other
 
-    def __sub__(self, other: Union["TruncatedSeries", RatLike]) -> "TruncatedSeries":
+    def __sub__(self, other: TruncatedSeries | RatLike) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return self + (-other)
         return self + (-as_rat(other))
@@ -397,7 +397,7 @@ class TruncatedSeries:
     def __rsub__(self, other: RatLike) -> "TruncatedSeries":
         return (-self) + other
 
-    def __mul__(self, other: Union["TruncatedSeries", RatLike]) -> "TruncatedSeries":
+    def __mul__(self, other: TruncatedSeries | RatLike) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             order = min(self.order, other.order)
             return TruncatedSeries._of(order, self._poly * other._poly)

@@ -14,8 +14,8 @@ not use it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .algebra import (
     PreconditionError,

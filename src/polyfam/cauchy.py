@@ -12,9 +12,9 @@ replace the parameter sequence by shifted copies of itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Polynomial,
@@ -319,8 +319,8 @@ def specialize(
     kind: str,
     n: int,
     k: int = 1,
-    q: Optional[RatLike] = None,
-    lengths: Optional[Iterable[RatLike]] = None,
+    q: RatLike | None = None,
+    lengths: Iterable[RatLike] | None = None,
 ) -> Rat:
     """Classical and q-parameter members of the families, as sugar over the
     multiparameter definitions: after the checks of FamilyPoint, the

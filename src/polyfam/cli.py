@@ -17,8 +17,8 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 from .algebra import Polynomial, PreconditionError, Rat
 from .bernoulli import mp_bernoulli, mp_bernoulli_poly
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import partial
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     Polynomial,
@@ -112,9 +111,9 @@ class ParamPoint(Record):
         k: int = 1,
         alpha: Iterable[RatLike] = (),
         lengths: Iterable[RatLike] = (Fraction(1),),
-        z0: Optional[RatLike] = None,
-        q: Optional[RatLike] = None,
-        series_order: Optional[int] = None,
+        z0: RatLike | None = None,
+        q: RatLike | None = None,
+        series_order: int | None = None,
     ) -> None:
         z0, q = (None if v is None else Fraction(v) for v in (z0, q))
         self._set(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths), z0, q, series_order)
@@ -125,14 +124,6 @@ class IdentityReport(Record):
 
     def __init__(self, identity, point, verbatim, corrected, lhs, rhs, note=""):
         self._set(identity, point, verbatim, corrected, lhs, rhs, note)
-
-
-class _Outcome(NamedTuple):
-    verbatim: str
-    corrected: str
-    lhs: str
-    rhs: str
-    note: str = ""
 
 
 class Identity(Record):
@@ -158,7 +149,7 @@ def point_to_json(point: ParamPoint) -> dict:
     }
 
 
-def _fmt(value: Union[Rat, Polynomial, TruncatedSeries, Sequence]) -> str:
+def _fmt(value: Rat | Polynomial | TruncatedSeries | Sequence | str) -> str:
     if isinstance(value, (Polynomial, TruncatedSeries)):
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, (list, tuple)):
@@ -166,8 +157,13 @@ def _fmt(value: Union[Rat, Polynomial, TruncatedSeries, Sequence]) -> str:
     return str(value)
 
 
-def _verdict(equal: bool) -> str:
-    return PASS if equal else FAIL
+_VERDICTS = {True: PASS, False: FAIL, None: NA}
+
+
+def _outcome(verbatim_ok, corrected_ok, lhs, rhs, note: str = "") -> tuple:
+    """The report fields after the identity and the point: the verdict of
+    each reading (a bool, or None for NA), lhs and rhs as text, the note."""
+    return _VERDICTS[verbatim_ok], _VERDICTS[corrected_ok], _fmt(lhs), _fmt(rhs), note
 
 
 def _family(pt: ParamPoint) -> FamilyPoint:
@@ -274,23 +270,16 @@ def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
 def _readings_outcome(lhs, corrected, verbatim, label: str):
     """Both readings against lhs, compared exactly (a Polynomial by its
     coefficients)."""
-    corrected_ok, verbatim_ok = lhs == corrected, lhs == verbatim
+    verbatim_ok = lhs == verbatim
     note = "" if verbatim_ok else f"{label} gives {_fmt(verbatim)}"
-    return _Outcome(
-        _verdict(verbatim_ok),
-        _verdict(corrected_ok),
-        _fmt(lhs),
-        _fmt(corrected),
-        note,
-    )
+    return _outcome(verbatim_ok, lhs == corrected, lhs, corrected, note)
 
 
-def _agree(pt: ParamPoint, route) -> _Outcome:
+def _agree(pt: ParamPoint, route) -> tuple:
     """The definition against one first-kind route; one reading."""
     fp = _family(pt)
     lhs, rhs = mp_first_def(fp), route(fp)
-    v = _verdict(lhs == rhs)
-    return _Outcome(v, v, _fmt(lhs), _fmt(rhs))
+    return _outcome(lhs == rhs, lhs == rhs, lhs, rhs)
 
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, triangle, corrected, stated):
@@ -309,13 +298,9 @@ def _inversion(pt: ParamPoint, lhs_route, values_of, triangle, corrected, stated
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
 
 
-def _series_outcome(check: SeriesCheck) -> _Outcome:
-    return _Outcome(
-        _verdict(check.verbatim_matches),
-        _verdict(check.all_match),
-        _fmt(check.lhs),
-        _fmt(check.rhs),
-        check.note,
+def _series_outcome(check: SeriesCheck) -> tuple:
+    return _outcome(
+        check.verbatim_matches, check.all_match, check.lhs, check.rhs, check.note
     )
 
 
@@ -323,9 +308,9 @@ def _poly_samples_outcome(
     fp: FamilyPoint,
     pt: ParamPoint,
     poly_corrected: Polynomial,
-    poly_verbatim: Optional[Polynomial],
+    poly_verbatim: Polynomial | None,
     sign: int,
-) -> _Outcome:
+) -> tuple:
     """Both polynomials against the definitional oracle of the first-kind
     (sign 1) or second-kind (sign -1) polynomial at the samples, all taken
     from one batched call (poly_verbatim is None when the stated polynomial
@@ -344,13 +329,7 @@ def _poly_samples_outcome(
     else:
         verbatim_ok = matches(poly_verbatim)
     note = "" if verbatim_ok else f"stated expansion gives {_fmt(poly_verbatim)}"
-    return _Outcome(
-        _verdict(verbatim_ok),
-        _verdict(corrected_ok),
-        _fmt(tuple(oracle_values)),
-        _fmt(poly_corrected),
-        note,
-    )
+    return _outcome(verbatim_ok, corrected_ok, oracle_values, poly_corrected, note)
 
 
 def _require_order(pt: ParamPoint) -> int:
@@ -383,15 +362,15 @@ def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _eval_T21(pt: ParamPoint) -> _Outcome:
+def _eval_T21(pt: ParamPoint) -> tuple:
     return _agree(pt, mp_first_closed)
 
 
-def _eval_T22(pt: ParamPoint) -> _Outcome:
+def _eval_T22(pt: ParamPoint) -> tuple:
     return _agree(pt, mp_first_noncentral)
 
 
-def _eval_T23(pt: ParamPoint) -> _Outcome:
+def _eval_T23(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_first_def(fp)
     corrected = mp_first_via_polycauchy(fp)
@@ -400,11 +379,11 @@ def _eval_T23(pt: ParamPoint) -> _Outcome:
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
 
-def _eval_T24(pt: ParamPoint) -> _Outcome:
+def _eval_T24(pt: ParamPoint) -> tuple:
     return _agree(pt, mp_first_bell)
 
 
-def _eval_T31(pt: ParamPoint) -> _Outcome:
+def _eval_T31(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     corrected = mp_second_closed(fp)
@@ -412,62 +391,78 @@ def _eval_T31(pt: ParamPoint) -> _Outcome:
     return _readings_outcome(lhs, corrected, verbatim, "absolute-value reading")
 
 
-def _eval_T32(pt: ParamPoint, remark: str = "") -> _Outcome:
+def _eval_T32(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     corrected = mp_second_lah(fp)
     verbatim = mp_second_lah(FamilyPoint(fp.n, fp.k, fp.alpha, (Fraction(1),) * fp.k))
-    out = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
-    return out._replace(note="; ".join(s for s in (out.note, remark) if s))
+    return _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
 
 
-def _eval_T41(pt: ParamPoint) -> _Outcome:
+def _eval_C32(pt: ParamPoint) -> tuple:
+    *fields, note = _eval_T32(pt)
+    return (*fields, "; ".join(s for s in (note, _C32_REMARK) if s))
+
+
+def _eval_T41(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
     return _series_outcome(mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order))
 
 
-def _eval_T42a(pt: ParamPoint, stated: tuple = _ABS_FIRST) -> _Outcome:
+def _eval_T42a(pt: ParamPoint) -> tuple:
     return _inversion(
-        pt, mp_second_def, _bernoulli_values, comtet_first, _SIGNLESS_FIRST, stated
+        pt, mp_second_def, _bernoulli_values, comtet_first, _SIGNLESS_FIRST, _ABS_FIRST
     )
 
 
-def _eval_T42b(pt: ParamPoint) -> _Outcome:
+def _eval_C41a(pt: ParamPoint) -> tuple:
+    # As printed the single-integral form drops even the (-1)^n prefactor.
+    return _inversion(
+        pt,
+        mp_second_def,
+        _bernoulli_values,
+        comtet_first,
+        _SIGNLESS_FIRST,
+        (0, 0, 0, -1, True),
+    )
+
+
+def _eval_T42b(pt: ParamPoint) -> tuple:
     return _inversion(
         pt, mp_bernoulli, _second_def_values, comtet_second, _FROM_SECOND, _SECOND
     )
 
 
-def _eval_T43a(pt: ParamPoint) -> _Outcome:
+def _eval_T43a(pt: ParamPoint) -> tuple:
     return _inversion(
         pt, mp_first_def, _bernoulli_values, comtet_first, _TO_FIRST, _FIRST
     )
 
 
-def _eval_T43b(pt: ParamPoint) -> _Outcome:
+def _eval_T43b(pt: ParamPoint) -> tuple:
     return _inversion(
         pt, mp_bernoulli, _first_def_values, comtet_second, _FROM_FIRST, _SECOND
     )
 
 
-def _eval_T51a(pt: ParamPoint) -> _Outcome:
+def _eval_T51a(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     return _poly_samples_outcome(fp, pt, mp_poly_first(fp), None, 1)
 
 
-def _eval_T51b(pt: ParamPoint) -> _Outcome:
+def _eval_T51b(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     return _poly_samples_outcome(fp, pt, mp_poly_second(fp), _poly_second_abs(fp), -1)
 
 
-def _eval_T52a(pt: ParamPoint) -> _Outcome:
+def _eval_T52a(pt: ParamPoint) -> tuple:
     # The stated polynomial form carries the correct weights already.
     return _inversion(
         pt, mp_bernoulli_poly, _poly_first_values, comtet_second, _FROM_FIRST, None
     )
 
 
-def _eval_T52b(pt: ParamPoint) -> _Outcome:
+def _eval_T52b(pt: ParamPoint) -> tuple:
     return _inversion(
         pt,
         mp_bernoulli_poly,
@@ -479,13 +474,13 @@ def _eval_T52b(pt: ParamPoint) -> _Outcome:
     )
 
 
-def _eval_T52c(pt: ParamPoint) -> _Outcome:
+def _eval_T52c(pt: ParamPoint) -> tuple:
     return _inversion(
         pt, mp_poly_first, _bernoulli_poly_values, comtet_first, _TO_FIRST, _FIRST
     )
 
 
-def _eval_T52d(pt: ParamPoint) -> _Outcome:
+def _eval_T52d(pt: ParamPoint) -> tuple:
     return _inversion(
         pt,
         mp_poly_second,
@@ -496,17 +491,17 @@ def _eval_T52d(pt: ParamPoint) -> _Outcome:
     )
 
 
-def _eval_GF_Lif(pt: ParamPoint) -> _Outcome:
+def _eval_GF_Lif(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
     return _series_outcome(lif_gf_check(pt.k, order))
 
 
-def _eval_GF_Li(pt: ParamPoint) -> _Outcome:
+def _eval_GF_Li(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
     return _series_outcome(li_gf_check(pt.k, order))
 
 
-def _cases(pt: ParamPoint, kind: str) -> _Outcome:
+def _cases(pt: ParamPoint, kind: str) -> tuple:
     """Specialization web of one family: eight arrows between the special
     families and their triangle, integral and closed-form readings. The
     second kind reads the signless triangle and negated roots under the
@@ -564,11 +559,18 @@ def _cases(pt: ParamPoint, kind: str) -> _Outcome:
         ),
     ]
     failed = [name for name, left, right in arrows if left != right]
-    v = _verdict(not failed)
     lhs = "; ".join(f"{name}={left}" for name, left, _ in arrows)
     rhs = "; ".join(f"{name}={right}" for name, _, right in arrows)
     note = "" if not failed else "failed arrows: " + ", ".join(failed)
-    return _Outcome(v, v, lhs, rhs, note)
+    return _outcome(not failed, not failed, lhs, rhs, note)
+
+
+def _eval_CASES2(pt: ParamPoint) -> tuple:
+    return _cases(pt, "first")
+
+
+def _eval_CASES3(pt: ParamPoint) -> tuple:
+    return _cases(pt, "second")
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +631,7 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "C3.2",
         "single-integral case of T3.2",
-        partial(_eval_T32, remark=_C32_REMARK),
+        _eval_C32,
         "the classical factors carry the box length; the stated form also "
         "reuses the length symbol as the summation index",
         k1_only=True,
@@ -654,8 +656,7 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "C4.1a",
         "single-integral case of T4.2a",
-        # As printed the single-integral form drops even the (-1)^n prefactor.
-        partial(_eval_T42a, stated=(0, 0, 0, -1, True)),
+        _eval_C41a,
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
         k1_only=True,
     ),
@@ -723,12 +724,12 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "CASES-2",
         "specialization web of the first-kind family",
-        partial(_cases, kind="first"),
+        _eval_CASES2,
     ),
     Identity(
         "CASES-3",
         "specialization web of the second-kind family",
-        partial(_cases, kind="second"),
+        _eval_CASES3,
     ),
 )
 
@@ -745,7 +746,7 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     try:
         out = entry.evaluate(_force_k1(point) if entry.k1_only else point)
     except PreconditionError as exc:
-        out = _Outcome(NA, NA, "", "", f"precondition violated: {exc}")
+        out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)
 
 
@@ -777,12 +778,10 @@ def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Rat:
             return value
 
 
-def _random_point(
-    rng: random.Random, grid: GridSpec, identity: str
-) -> ParamPoint:
+def _random_point(rng: random.Random, grid: GridSpec, identity: str) -> ParamPoint:
     k = 1 if _BY_ID[identity].k1_only else rng.randint(1, grid.k_max)
-    if identity == "T4.1":
-        order = grid.series_order
+    order, t41 = grid.series_order, identity == "T4.1"
+    if t41:
         # The 2 bound + 1 integers alone suffice up to here; beyond, count
         # the reduced p/q with |p|, q <= bound.
         if order >= 2 * grid.bound + 1:
@@ -793,82 +792,49 @@ def _random_point(
                     f"series order {order} needs {order + 1} distinct parameters, "
                     f"but only {pool} rationals have height at most {grid.bound}"
                 )
-        alpha: list[Rat] = []
+        n, alpha = order, []
         while len(alpha) < order + 1:
             candidate = _rand_rat(rng, grid.bound)
             if candidate not in alpha:
                 alpha.append(candidate)
-        lengths = tuple(_rand_rat(rng, grid.bound, nonzero=True) for _ in range(k))
-        return ParamPoint(
-            n=order,
-            k=k,
-            alpha=tuple(alpha),
-            lengths=lengths,
-            series_order=order,
-        )
-    n = rng.randint(0, grid.n_max)
-    alpha_tuple = tuple(_rand_rat(rng, grid.bound) for _ in range(n))
-    lengths = tuple(_rand_rat(rng, grid.bound, nonzero=True) for _ in range(k))
-    return ParamPoint(
-        n=n,
-        k=k,
-        alpha=alpha_tuple,
-        lengths=lengths,
-        z0=_rand_rat(rng, grid.bound),
-        q=_rand_rat(rng, grid.bound),
-        series_order=grid.series_order,
-    )
+    else:
+        n = rng.randint(0, grid.n_max)
+        alpha = [_rand_rat(rng, grid.bound) for _ in range(n)]
+    lengths = [_rand_rat(rng, grid.bound, nonzero=True) for _ in range(k)]
+    # z0 and q are drawn last, in this order, to keep the seeded stream.
+    z0_q = () if t41 else (_rand_rat(rng, grid.bound), _rand_rat(rng, grid.bound))
+    return ParamPoint(n, k, alpha, lengths, *z0_q, series_order=order)
 
 
 def _points_for(identity: str, grid: GridSpec, seed: int) -> list[ParamPoint]:
+    one, order = Fraction(1), grid.series_order
     if identity in _GF_IDS:
-        orders = sorted({min(2, grid.series_order), grid.series_order})
+        orders = sorted({min(2, order), order})
         return [
-            ParamPoint(n=0, k=k, alpha=(), lengths=(Fraction(1),), series_order=o)
+            ParamPoint(0, k, (), (one,), series_order=o)
             for k in range(1, grid.k_max + 1)
             for o in orders
         ]
-    points: list[ParamPoint] = []
     k_options = [1] if _BY_ID[identity].k1_only else sorted({1, min(2, grid.k_max)})
-    if identity == "T4.1":
-        order = grid.series_order
-        for k in k_options:
-            points.append(
-                ParamPoint(
-                    n=order,
-                    k=k,
-                    alpha=tuple(Fraction(i) for i in range(1, order + 2)),
-                    lengths=(Fraction(1),) * k,
-                    series_order=order,
-                )
-            )
-    else:
-        for n in range(0, min(grid.n_max, 4) + 1):
-            for k in k_options:
-                if identity == "T2.4":
-                    # The reciprocal power sums need nonzero parameters.
-                    alpha = tuple(Fraction(i) for i in range(1, n + 1))
-                else:
-                    alpha = tuple(Fraction(i) for i in range(n))
-                points.append(
-                    ParamPoint(
-                        n=n,
-                        k=k,
-                        alpha=alpha,
-                        lengths=(Fraction(1),) * k,
-                        z0=Fraction(1),
-                        q=Fraction(1),
-                        series_order=grid.series_order,
-                    )
-                )
+    # T4.1 needs order + 1 distinct parameters at n = order and no z0 or q;
+    # T2.4's reciprocal power sums need nonzero parameters.
+    t41 = identity == "T4.1"
+    start = 1 if t41 or identity == "T2.4" else 0
+    z0_q = () if t41 else (one, one)
+    points = [
+        ParamPoint(
+            n, k, range(start, start + n + t41), (one,) * k, *z0_q, series_order=order
+        )
+        for n in ([order] if t41 else range(min(grid.n_max, 4) + 1))
+        for k in k_options
+    ]
     rng = random.Random(f"{seed}:{identity}")
-    for _ in range(grid.points):
-        points.append(_random_point(rng, grid, identity))
+    points += [_random_point(rng, grid, identity) for _ in range(grid.points)]
     return points
 
 
 def sweep(
-    ids: Optional[Iterable[str]] = None,
+    ids: Iterable[str] | None = None,
     grid: GridSpec = GridSpec(),
     seed: int = 0,
 ) -> tuple[IdentityReport, ...]:

@@ -26,8 +26,8 @@ r(n, m) = D^(n-m) T(n, m) obey r(n+1, m) = r(n, m-1) + (B_m - A_n) r(n, m).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import Polynomial, PreconditionError, Rat, RatLike, Record, as_rat_tuple
 
