@@ -456,13 +456,17 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
 
+def _egf(order: int, values: Iterable[RatLike]) -> TruncatedSeries:
+    """Prefix of the exponential generating function sum_m values[m] t^m / m!."""
+    return TruncatedSeries(
+        order, [Fraction(v) / math.factorial(m) for m, v in enumerate(values)]
+    )
+
+
 def exp_series(order: int, rate: RatLike = 1) -> TruncatedSeries:
-    """Prefix of exp(rate * t): coefficient of t^m is rate^m / m!."""
+    """Prefix of exp(rate * t), the exponential generating function of rate^m."""
     r = as_rat(rate)
-    coeffs = [Fraction(1)]
-    for m in range(1, order + 1):
-        coeffs.append(coeffs[-1] * r / m)
-    return TruncatedSeries(order, coeffs)
+    return _egf(order, (r**m for m in range(order + 1)))
 
 
 def log1p_series(order: int) -> TruncatedSeries:

@@ -23,6 +23,7 @@ from .algebra import (
     Rat,
     RatLike,
     TruncatedSeries,
+    _egf,
     _over_lcm,
     as_rat,
     as_rat_tuple,
@@ -83,9 +84,7 @@ def li_gf_check(k: int, order: int) -> SeriesCheck:
     lhs = moments.compose(1 - exp_series(order, rate=-1))
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
     values = _bernoulli_values(classical, range(order + 1))
-    rhs = TruncatedSeries(
-        order, [b / math.factorial(n) for n, b in enumerate(values)]
-    )
+    rhs = _egf(order, values)
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 
@@ -168,9 +167,7 @@ def mp_bernoulli_gf_check(
     ls = as_rat_tuple(lengths)
     head = _distinct_head(a, order + 1)
     values = _bernoulli_values(FamilyPoint(order, k, a, ls), range(order + 1))
-    lhs = TruncatedSeries(
-        order, [b / math.factorial(n) for n, b in enumerate(values)]
-    )
+    lhs = _egf(order, values)
     weights = [
         (-1) ** m * math.factorial(m) * mu
         for m, mu in enumerate(box_moments(ls, k, order).coeffs)
@@ -231,9 +228,7 @@ def mp_bernoulli_poly_gf_check(
     z = as_rat(z0)
     head = _distinct_head(a, order + 1)
     values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
-    lhs = TruncatedSeries(
-        order, [b(z) / math.factorial(n) for n, b in enumerate(values)]
-    )
+    lhs = _egf(order, (b(z) for b in values))
     mu = box_moments(ls, k, order).coeffs
     # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
     stated = [

@@ -23,6 +23,7 @@ from .algebra import (
     RatLike,
     Record,
     TruncatedSeries,
+    _egf,
     _over_lcm,
     _prefix_products,
     as_rat,
@@ -390,10 +391,7 @@ class SeriesCheck(Record):
 def lif_series(k: int, order: int) -> TruncatedSeries:
     """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k): the
     unit-box moments over m!."""
-    moments = box_moments((1,) * k, k, order)
-    return TruncatedSeries(
-        order, [mu / math.factorial(m) for m, mu in enumerate(moments.coeffs)]
-    )
+    return _egf(order, box_moments((1,) * k, k, order).coeffs)
 
 
 def lif_gf_check(k: int, order: int) -> SeriesCheck:
@@ -401,13 +399,7 @@ def lif_gf_check(k: int, order: int) -> SeriesCheck:
     exponential generating function of the classical first-kind values
     through the requested order; the stated and corrected readings agree."""
     lhs = lif_series(k, order).compose(log1p_series(order))
-    rhs = TruncatedSeries(
-        order,
-        [
-            specialize("poly", "first", n, k) / math.factorial(n)
-            for n in range(order + 1)
-        ],
-    )
+    rhs = _egf(order, (specialize("poly", "first", n, k) for n in range(order + 1)))
     return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
 
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from .algebra import Polynomial, PreconditionError, Rat
@@ -137,29 +137,27 @@ def _approx(value: Rat, places: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 
-class _Emitter:
-    """Streams records as JSON lines or CSV rows with a fixed column order;
-    the CSV header is written at once, so no records give the header alone."""
-
-    def __init__(self, fmt: str, columns: Sequence[str]):
-        self.fmt = fmt
-        self.columns = list(columns)
-        if fmt == "csv":
-            import csv  # here, so that `verify` and JSON output never load it
-            self._csv = csv.writer(sys.stdout, lineterminator="\n")
-            self._csv.writerow(self.columns)
-
-    def emit(self, record: dict) -> None:
-        if self.fmt == "json":
+def _emit(fmt: str, columns: Sequence[str], records: Iterable[dict]) -> None:
+    """Streams records as JSON lines, or as CSV rows with a fixed column
+    order (a dict or list cell JSON-encoded). The CSV header is written
+    before the first record is drawn, so no records give the header alone;
+    compute what can fail before the call."""
+    if fmt == "json":
+        for record in records:
             print(json.dumps(record, sort_keys=True))
-            return
-        row = []
-        for column in self.columns:
-            value = record.get(column, "")
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-            row.append(value)
-        self._csv.writerow(row)
+        return
+    import csv  # here, so that `verify` and JSON output never load it
+
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(columns)
+    for record in records:
+        cells = (record.get(column, "") for column in columns)
+        writer.writerow(
+            json.dumps(v, sort_keys=True, separators=(",", ":"))
+            if isinstance(v, (dict, list))
+            else v
+            for v in cells
+        )
 
 
 def _render(value, scalar: Callable[[Rat], str] = str) -> object:
@@ -188,14 +186,14 @@ def _write(args, rows) -> None:
     columns = ["family", "params", "value", "mode"]
     if args.decimals is not None:
         columns.append("approx")
-    emitter = _Emitter(args.format, columns)
-    for params, value, mode in rows:
-        record = dict(
-            family=args.family, params=params, value=_render(value), mode=mode
-        )
+
+    def record(params, value, mode) -> dict:
+        out = dict(family=args.family, params=params, value=_render(value), mode=mode)
         if args.decimals is not None:
-            record["approx"] = _render(value, lambda v: _approx(v, args.decimals))
-        emitter.emit(record)
+            out["approx"] = _render(value, lambda v: _approx(v, args.decimals))
+        return out
+
+    _emit(args.format, columns, (record(*row) for row in rows))
 
 
 def _cmd_value(args) -> int:
@@ -246,39 +244,32 @@ def _cmd_verify(args) -> int:
     )
     reports = sweep(ids=args.ids, grid=grid, seed=args.seed)
     if args.errata:
+        # In JSON the ledger is one document; in CSV, one row per entry.
         ledger = errata_ledger(reports)
-        if args.format == "json":
-            print(json.dumps(ledger, sort_keys=True))
-        else:
-            columns = [
-                "identity",
-                "statement",
-                "corrected_reading",
-                "verbatim_failures",
-                "points_checked",
-                "counterexample",
-            ]
-            emitter = _Emitter("csv", columns)
-            for entry in ledger["entries"]:
-                emitter.emit(entry)
+        columns = [
+            "identity",
+            "statement",
+            "corrected_reading",
+            "verbatim_failures",
+            "points_checked",
+            "counterexample",
+        ]
+        records = [ledger] if args.format == "json" else ledger["entries"]
     else:
         columns = ["identity", "point", "verbatim", "corrected", "note"]
-        emitter = _Emitter(args.format, columns)
-        for report in reports:
-            emitter.emit(
-                {
-                    "identity": report.identity,
-                    "point": point_to_json(report.point),
-                    "verbatim": report.verbatim,
-                    "corrected": report.corrected,
-                    "note": report.note,
-                }
-            )
-    verdicts = [
-        report.corrected if args.mode == "corrected" else report.verbatim
-        for report in reports
-    ]
-    return 1 if FAIL in verdicts else 0
+        records = (
+            {
+                "identity": report.identity,
+                "point": point_to_json(report.point),
+                "verbatim": report.verbatim,
+                "corrected": report.corrected,
+                "note": report.note,
+            }
+            for report in reports
+        )
+    _emit(args.format, columns, records)
+    # --mode names the report field whose verdicts drive the exit status.
+    return int(any(getattr(report, args.mode) == FAIL for report in reports))
 
 
 class _Parser(argparse.ArgumentParser):

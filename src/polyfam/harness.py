@@ -179,20 +179,28 @@ def _force_k1(pt: ParamPoint) -> ParamPoint:
 # Expansion identities. Every one, stated or corrected, is the double sum
 # sum_{j<=m<=n} w(j, m) values[j] over one family's values at indices 0..n,
 # for numbers and polynomials alike. Its weight is a constant
-# (e_n, e_m, e_j, p, absolute):
+# (kind, e_n, e_m, e_j, p, absolute):
 #     w(j, m) = (-1)^(e_n n + e_m m + e_j j) m!^p L(n, m) T(m, j),
-# where T is the point's one triangle and L is T, or |T| entrywise when
-# `absolute`. The signless triangle needs no table of its own:
-# (-1)^(n+m-j) sc(n, m) = (-1)^j s(n, m).
+# where T is the point's first-kind (kind 1) or second-kind (kind 2)
+# triangle and L is T, or |T| entrywise when `absolute`. The signless
+# triangle needs no table of its own: (-1)^(n+m-j) sc(n, m) = (-1)^j s(n, m).
 # ---------------------------------------------------------------------------
 
-_FIRST = (0, 0, 0, -1, False)  # s(n,m) s(m,j) / m!: stated T4.3a, T5.2c
-_TO_FIRST = (0, 1, 1, -1, False)  # (-1)^(m-j) s(n,m) s(m,j) / m!
-_SIGNLESS_FIRST = (0, 0, 1, -1, False)  # (-1)^(n+m-j) sc(n,m) s(m,j) / m!
-_ABS_FIRST = (1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a, T5.2d
-_SECOND = (1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
-_FROM_FIRST = (1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
-_FROM_SECOND = (1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
+_FIRST = (1, 0, 0, 0, -1, False)  # s(n,m) s(m,j) / m!: stated T4.3a, T5.2c
+_TO_FIRST = (1, 0, 1, 1, -1, False)  # (-1)^(m-j) s(n,m) s(m,j) / m!
+_SIGNLESS_FIRST = (1, 0, 0, 1, -1, False)  # (-1)^(n+m-j) sc(n,m) s(m,j) / m!
+_ABS_FIRST = (1, 1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a, T5.2d
+_ABS_FIRST_UNSIGNED = (1, 0, 0, 0, -1, True)  # |s|(n,m) s(m,j) / m!: stated C4.1a
+_SECOND = (2, 1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
+_FROM_FIRST = (2, 1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
+_FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
+
+
+def _triangle(weight: tuple, alpha: Sequence[Rat], n: int) -> CoeffTable:
+    """The triangle of size n that `weight` names. The builder is looked up
+    by name at each call, so a caller that rebinds comtet_first or
+    comtet_second in this module's namespace sees every build."""
+    return (comtet_first if weight[0] == 1 else comtet_second)(alpha, n)
 
 
 def _expand(values: Sequence, table: CoeffTable, weight: tuple):
@@ -202,7 +210,7 @@ def _expand(values: Sequence, table: CoeffTable, weight: tuple):
     num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
     over a further n! for p = -1; so every weight is an integer over one
     denominator, (n! or 1) D^n."""
-    e_n, e_m, e_j, power, absolute = weight
+    _, e_n, e_m, e_j, power, absolute = weight
     n, num, d = table.size, table.num, table.den
     left = [abs(r) for r in num[n]] if absolute else num[n]
     fact = [math.factorial(m) for m in range(n + 1)]
@@ -236,28 +244,32 @@ def _combine(weights: Sequence[int], den: int, values: Sequence):
     return Polynomial.over(out, den * q) if poly else Fraction(out[0], den * q)
 
 
+def _transform(weight: tuple, n: int, alpha: Sequence[RatLike], values: Sequence):
+    return _expand(values, _triangle(weight, as_rat_tuple(alpha), n), weight)
+
+
 def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Second-kind value (or polynomial) at index n from Bernoulli-type
     values 0..n: sum_{j,m} (-1)^(n+m-j) sc(n,m) s(m,j)/m! values[j]."""
-    return _expand(values, comtet_first(as_rat_tuple(alpha), n), _SIGNLESS_FIRST)
+    return _transform(_SIGNLESS_FIRST, n, alpha, values)
 
 
 def bernoulli_from_second(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from second-kind
     values 0..n: sum_{j,m} (-1)^n m! S(n,m) S(m,j) values[j]."""
-    return _expand(values, comtet_second(as_rat_tuple(alpha), n), _FROM_SECOND)
+    return _transform(_FROM_SECOND, n, alpha, values)
 
 
 def first_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
     """First-kind value (or polynomial) at index n from Bernoulli-type values
     0..n: sum_{j,m} (-1)^(m-j) s(n,m) s(m,j)/m! values[j]."""
-    return _expand(values, comtet_first(as_rat_tuple(alpha), n), _TO_FIRST)
+    return _transform(_TO_FIRST, n, alpha, values)
 
 
 def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
     """Bernoulli-type value (or polynomial) at index n from first-kind values
     0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
-    return _expand(values, comtet_second(as_rat_tuple(alpha), n), _FROM_FIRST)
+    return _transform(_FROM_FIRST, n, alpha, values)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +294,17 @@ def _agree(pt: ParamPoint, route) -> tuple:
     return _outcome(lhs == rhs, lhs == rhs, lhs, rhs)
 
 
-def _inversion(pt: ParamPoint, lhs_route, values_of, triangle, corrected, stated):
+def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     """An expansion identity: lhs_route against a family's values at 0..n,
     summed by the corrected and by the stated weight (None when the stated
-    weights are the corrected ones), both over the one table `triangle`
-    builds. `values_of` is the family's one-pass kernel, the one its public
-    route reads row n from: one table (or one product expansion) and one set
-    of box moments give all n+1 values, O(n^2) per point."""
+    weights are the corrected ones), both over the one table the corrected
+    weight names. `values_of` is the family's one-pass kernel, the one its
+    public route reads row n from: one table (or one product expansion) and
+    one set of box moments give all n+1 values, O(n^2) per point."""
     fp = _family(pt)
     values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
-    table = triangle(fp.alpha[: fp.n], fp.n)
+    table = _triangle(corrected, fp.alpha[: fp.n], fp.n)
     corrected_sum = _expand(values, table, corrected)
     verbatim = corrected_sum if stated is None else _expand(values, table, stated)
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
@@ -410,39 +422,26 @@ def _eval_T41(pt: ParamPoint) -> tuple:
 
 
 def _eval_T42a(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_second_def, _bernoulli_values, comtet_first, _SIGNLESS_FIRST, _ABS_FIRST
-    )
+    return _inversion(pt, mp_second_def, _bernoulli_values, _SIGNLESS_FIRST, _ABS_FIRST)
 
 
 def _eval_C41a(pt: ParamPoint) -> tuple:
     # As printed the single-integral form drops even the (-1)^n prefactor.
     return _inversion(
-        pt,
-        mp_second_def,
-        _bernoulli_values,
-        comtet_first,
-        _SIGNLESS_FIRST,
-        (0, 0, 0, -1, True),
+        pt, mp_second_def, _bernoulli_values, _SIGNLESS_FIRST, _ABS_FIRST_UNSIGNED
     )
 
 
 def _eval_T42b(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_bernoulli, _second_def_values, comtet_second, _FROM_SECOND, _SECOND
-    )
+    return _inversion(pt, mp_bernoulli, _second_def_values, _FROM_SECOND, _SECOND)
 
 
 def _eval_T43a(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_first_def, _bernoulli_values, comtet_first, _TO_FIRST, _FIRST
-    )
+    return _inversion(pt, mp_first_def, _bernoulli_values, _TO_FIRST, _FIRST)
 
 
 def _eval_T43b(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_bernoulli, _first_def_values, comtet_second, _FROM_FIRST, _SECOND
-    )
+    return _inversion(pt, mp_bernoulli, _first_def_values, _FROM_FIRST, _SECOND)
 
 
 def _eval_T51a(pt: ParamPoint) -> tuple:
@@ -457,37 +456,23 @@ def _eval_T51b(pt: ParamPoint) -> tuple:
 
 def _eval_T52a(pt: ParamPoint) -> tuple:
     # The stated polynomial form carries the correct weights already.
-    return _inversion(
-        pt, mp_bernoulli_poly, _poly_first_values, comtet_second, _FROM_FIRST, None
-    )
+    return _inversion(pt, mp_bernoulli_poly, _poly_first_values, _FROM_FIRST, None)
 
 
 def _eval_T52b(pt: ParamPoint) -> tuple:
+    # As stated, the weights of T5.2a: (-1)^(n-m) m!.
     return _inversion(
-        pt,
-        mp_bernoulli_poly,
-        _poly_second_values,
-        comtet_second,
-        _FROM_SECOND,
-        # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-        _FROM_FIRST,
+        pt, mp_bernoulli_poly, _poly_second_values, _FROM_SECOND, _FROM_FIRST
     )
 
 
 def _eval_T52c(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_poly_first, _bernoulli_poly_values, comtet_first, _TO_FIRST, _FIRST
-    )
+    return _inversion(pt, mp_poly_first, _bernoulli_poly_values, _TO_FIRST, _FIRST)
 
 
 def _eval_T52d(pt: ParamPoint) -> tuple:
     return _inversion(
-        pt,
-        mp_poly_second,
-        _bernoulli_poly_values,
-        comtet_first,
-        _SIGNLESS_FIRST,
-        _ABS_FIRST,
+        pt, mp_poly_second, _bernoulli_poly_values, _SIGNLESS_FIRST, _ABS_FIRST
     )
 
 

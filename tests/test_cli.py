@@ -301,6 +301,28 @@ def test_verify_stdout_matches_the_golden_hashes(variant, capsys):
     assert code == exit_code
 
 
+# The sha256 of each command line's --help at 80 columns (argparse wraps at
+# the width COLUMNS gives), taken under Python 3.11. They pin every flag,
+# choice, default shown and help string of the parser.
+HELP_SHA256 = {
+    "polyfam": "a68a349a51b558b8740098cc9aa3dcb872eb7bfd28d30f27c11f5c7091997be8",
+    "polyfam number": "c783fd7a7eba1de0977277640e5e8a458a26bba2c8a59e2936b490b8aac22335",
+    "polyfam poly": "54cbec502a79f07fbced1af41f689138dcbe38efc0da11e24eac93f060b2a26e",
+    "polyfam table": "4a2e81dea28216426f7dc5dddebcde3383258b977cc7f4e5a570ab8b746398ec",
+    "polyfam verify": "57b5e1d295a80aae36745b2117747f0bda9df126da76de7c44c28e9ffbf164aa",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_matches_the_golden_hashes(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([*command.split()[1:], "--help"])
+    assert exited.value.code == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == HELP_SHA256[command]
+
+
 def _exit_code(argv):
     """Run cli.main in process, silenced; only SystemExit may escape it."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(

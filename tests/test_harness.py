@@ -20,6 +20,7 @@ from polyfam.harness import (
     GridSpec,
     ParamPoint,
     _ABS_FIRST,
+    _ABS_FIRST_UNSIGNED,
     _FIRST,
     _FROM_FIRST,
     _FROM_SECOND,
@@ -27,6 +28,7 @@ from polyfam.harness import (
     _SIGNLESS_FIRST,
     _TO_FIRST,
     _expand,
+    _triangle,
     bernoulli_from_first,
     bernoulli_from_second,
     errata_ledger,
@@ -336,7 +338,7 @@ def _written_out_weights(alpha, n):
             s, lambda j, m: (-1) ** (n + m - j) * sc[n, m] * s[m, j] / f(m)
         ),
         _ABS_FIRST: (s, lambda j, m: (-1) ** n * sa[n, m] * s[m, j] / f(m)),
-        (0, 0, 0, -1, True): (s, lambda j, m: sa[n, m] * s[m, j] / f(m)),
+        _ABS_FIRST_UNSIGNED: (s, lambda j, m: sa[n, m] * s[m, j] / f(m)),
         _SECOND: (S, lambda j, m: (-1) ** (n - m) * S[n, m] * S[m, j] / f(m)),
         _FROM_FIRST: (S, lambda j, m: (-1) ** (n - m) * f(m) * S[n, m] * S[m, j]),
         _FROM_SECOND: (S, lambda j, m: (-1) ** n * f(m) * S[n, m] * S[m, j]),
@@ -364,6 +366,7 @@ def test_expand_matches_the_written_out_double_sum(case):
     n, alpha, values = case
     weights = _written_out_weights(alpha, n)
     for spec, (table, weight) in weights.items():
+        assert _triangle(spec, alpha, n) == table, spec
         assert repr(_expand(values, table, spec)) == repr(
             _double_sum(n, values, weight)
         ), spec

@@ -62,6 +62,15 @@ def _exp_series_factorial_off_by_one(real):
     return fake
 
 
+def _egf_factorial_off_by_one(real):
+    # Coefficient m is values[m] / (m-1)! in place of values[m] / m!.
+    def fake(order, values):
+        coeffs = real(order, values).coeffs
+        return TruncatedSeries(order, [c * max(m, 1) for m, c in enumerate(coeffs)])
+
+    return fake
+
+
 def _log1p_last_term_dropped(real):
     # The loop stops one short: the t^order coefficient is zero.
     return lambda order: TruncatedSeries(order, real(order).coeffs[:order])
@@ -339,7 +348,7 @@ def _misaligned(pair_row):
 def _expand_index_sign_dropped(real):
     # The (-1)^(e_j j) factor of the expansion weights is dropped.
     return lambda values, table, weight: real(
-        values, table, weight[:2] + (0,) + weight[3:]
+        values, table, weight[:3] + (0,) + weight[4:]
     )
 
 
@@ -366,6 +375,7 @@ def _combine_first_denominator(real):
 MATRIX = [
     # L0
     (algebra, "exp_series", _exp_series_factorial_off_by_one, "GF-Li"),
+    (algebra, "_egf", _egf_factorial_off_by_one, "GF-Li GF-Lif T4.1"),
     (algebra, "log1p_series", _log1p_last_term_dropped, "GF-Lif"),
     (TruncatedSeries, "compose", _compose_constant_dropped, "GF-Li GF-Lif"),
     (TruncatedSeries, "_of", _truncation_one_short, "GF-Li GF-Lif T4.1"),
