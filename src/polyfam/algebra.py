@@ -16,7 +16,7 @@ implementation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Rat = Fraction
@@ -202,9 +202,6 @@ class Polynomial:
             a[i] += c
         return Polynomial.over(a, d)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: Polynomial | RatLike) -> "Polynomial":
         if isinstance(other, Polynomial):
             if not self.num or not other.num:
@@ -363,9 +360,6 @@ class TruncatedSeries:
             )
         return TruncatedSeries._of(order, self._poly)
 
-    def __iter__(self) -> Iterator[Rat]:
-        return iter(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -386,14 +380,6 @@ class TruncatedSeries:
             return TruncatedSeries._of(order, self._poly + other._poly)
         return TruncatedSeries._of(self.order, self._poly + Polynomial((other,)))
 
-    def __radd__(self, other: RatLike) -> "TruncatedSeries":
-        return self + other
-
-    def __sub__(self, other: TruncatedSeries | RatLike) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        return self + (-as_rat(other))
-
     def __rsub__(self, other: RatLike) -> "TruncatedSeries":
         return (-self) + other
 
@@ -402,9 +388,6 @@ class TruncatedSeries:
             order = min(self.order, other.order)
             return TruncatedSeries._of(order, self._poly * other._poly)
         return TruncatedSeries._of(self.order, self._poly * as_rat(other))
-
-    def __rmul__(self, other: RatLike) -> "TruncatedSeries":
-        return self * other
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:

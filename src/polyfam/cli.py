@@ -33,6 +33,7 @@ from .harness import (
     FAIL,
     GridSpec,
     IDENTITY_IDS,
+    _checked_ids,
     errata_ledger,
     point_to_json,
     sweep,
@@ -66,9 +67,6 @@ FAMILY_ROUTES = {
     "mp-cauchy-1": _FIRST_ROUTES,
     "mp-cauchy-2": _SECOND_ROUTES,
     "mp-bernoulli": _BERNOULLI_ROUTES,
-    "poly-cauchy-1": _FIRST_ROUTES,
-    "poly-cauchy-2": _SECOND_ROUTES,
-    "poly-bernoulli": _BERNOULLI_ROUTES,
     "cauchy-1": _FIRST_ROUTES,
     "cauchy-2": _SECOND_ROUTES,
 }
@@ -116,15 +114,10 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 def _ids_list(text: str) -> tuple[str, ...]:
     if text == "all":
         return IDENTITY_IDS
-    ids = tuple(part for part in text.split(",") if part)
-    if not ids:
-        raise argparse.ArgumentTypeError("no identity ids given")
-    unknown = [i for i in ids if i not in IDENTITY_IDS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown identity ids: {', '.join(unknown)}"
-        )
-    return ids
+    try:
+        return _checked_ids(part for part in text.split(",") if part)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _approx(value: Rat, places: int) -> str:

@@ -818,6 +818,18 @@ def _points_for(identity: str, grid: GridSpec, seed: int) -> list[ParamPoint]:
     return points
 
 
+def _checked_ids(ids: Iterable[str]) -> tuple[str, ...]:
+    """`ids` once each, in catalog order. ValueError for an empty list or an
+    unknown id, naming every unknown one."""
+    chosen = list(ids)
+    if not chosen:
+        raise ValueError("no identity ids given")
+    unknown = [i for i in chosen if i not in _BY_ID]
+    if unknown:
+        raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    return tuple(sorted(set(chosen), key=IDENTITY_IDS.index))
+
+
 def sweep(
     ids: Iterable[str] | None = None,
     grid: GridSpec = GridSpec(),
@@ -832,15 +844,9 @@ def sweep(
     ValueError, since a sweep that checked nothing must not read as a success.
     """
     if ids is None:
-        chosen = list(IDENTITY_IDS)
+        chosen = IDENTITY_IDS
     else:
-        chosen = [ids] if isinstance(ids, str) else list(ids)
-        if not chosen:
-            raise ValueError("no identity ids given")
-        unknown = [i for i in chosen if i not in _BY_ID]
-        if unknown:
-            raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
-        chosen = sorted(set(chosen), key=IDENTITY_IDS.index)
+        chosen = _checked_ids([ids] if isinstance(ids, str) else ids)
     return tuple(
         verify(identity, point)
         for identity in chosen

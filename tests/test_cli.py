@@ -69,7 +69,7 @@ def test_number_first_kind_example():
 
 
 def test_number_defaults_are_classical():
-    explicit = run_cli("number", "poly-bernoulli", "--n", "2", "--k", "1")
+    explicit = run_cli("number", "mp-bernoulli", "--n", "2", "--k", "1")
     assert records(explicit)[0]["value"] == "1/6"
     base = run_cli("number", "mp-cauchy-1", "--n", "0", "--k", "2",
                    "--lengths", "1,1")
@@ -219,6 +219,16 @@ def test_verify_rejects_unknown_ids():
     assert run_cli("verify", "--ids", "bogus").returncode == 2
 
 
+@pytest.mark.parametrize("ids", ["bogus", ",", "T2.1,bogus,x"])
+def test_verify_ids_errors_are_the_sweeps_own(ids, capsys):
+    with pytest.raises(ValueError) as refused:
+        sweep(ids=[part for part in ids.split(",") if part])
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--ids", ids])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {refused.value}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -306,8 +316,8 @@ def test_verify_stdout_matches_the_golden_hashes(variant, capsys):
 # choice, default shown and help string of the parser.
 HELP_SHA256 = {
     "polyfam": "a68a349a51b558b8740098cc9aa3dcb872eb7bfd28d30f27c11f5c7091997be8",
-    "polyfam number": "c783fd7a7eba1de0977277640e5e8a458a26bba2c8a59e2936b490b8aac22335",
-    "polyfam poly": "54cbec502a79f07fbced1af41f689138dcbe38efc0da11e24eac93f060b2a26e",
+    "polyfam number": "e5db8af5831b6d28d724c58d74e79c4b0b9027d05da70d41caab21de0401116d",
+    "polyfam poly": "27c5b7a914b18fdb709333bbcf4128064620769006a762d8712189913dc88294",
     "polyfam table": "4a2e81dea28216426f7dc5dddebcde3383258b977cc7f4e5a570ab8b746398ec",
     "polyfam verify": "57b5e1d295a80aae36745b2117747f0bda9df126da76de7c44c28e9ffbf164aa",
 }

@@ -78,7 +78,7 @@ def _log1p_last_term_dropped(real):
 
 def _compose_constant_dropped(real):
     # Horner's scheme forgets the outer series' constant term.
-    return lambda self, inner: real(self, inner) - self.coeffs[0]
+    return lambda self, inner: real(self, inner) + (-self.coeffs[0])
 
 
 def _truncation_one_short(real):
