@@ -1,8 +1,9 @@
 """The eight record types behave as frozen dataclasses do, every catalog
 entry is a record of module-level names, and importing the package loads no
-module that only a dataclass or `typing` would need."""
+module that only a dataclass or `typing` would need, nor the sweep layer."""
 
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -189,29 +190,81 @@ def test_a_grid_checks_its_sizes_by_position_and_by_keyword():
         GridSpec(**{**SWEEP_GRID, "bound": 0})
 
 
-def _added_modules(statement):
-    """The modules that `statement` adds to sys.modules in a fresh interpreter.
-    -S keeps site and its .pth files from loading modules beforehand, so
-    the difference is the statement's own."""
-    code = (
-        f"import sys; sys.path.insert(0, {SRC!r}); before = set(sys.modules); "
-        f"{statement}; print(*sorted(set(sys.modules) - before))"
-    )
+def _child(code):
+    """The stdout of `code` run in a fresh interpreter that imports polyfam
+    from the tests' source tree. -S keeps site and its .pth files from
+    loading modules beforehand."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def _added_modules(statement):
+    """The modules that `statement` adds to sys.modules in a fresh interpreter."""
+    code = f"before = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - before))"
+    return set(_child(code).split())
 
 
 def test_importing_the_package_loads_no_dataclass_machinery():
     unneeded = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
     added = _added_modules("import polyfam")
-    assert "polyfam.harness" in added
+    families = {f"polyfam.{name}" for name in ("algebra", "stirling", "cauchy", "bernoulli")}
+    assert families <= added
+    # The sweep layer, and the `random` it draws points with, load on first use.
+    assert not added & {"polyfam.harness", "random"}
     assert not added & unneeded
     cli = _added_modules("import polyfam.cli")
-    assert "polyfam.cli" in cli and "json" in cli
+    assert {"polyfam.cli", "polyfam.harness", "json"} <= cli
     assert not cli & (unneeded | {"csv"})
+
+
+# In a child process, because the other tests have imported the harness.
+PUBLIC_API = """
+import json
+import polyfam
+cold = "polyfam.harness" in sys.modules
+star = {}
+exec("from polyfam import *", star)
+from polyfam import algebra, bernoulli, cauchy, harness, stirling
+modules = (algebra, bernoulli, cauchy, harness, stirling)
+expected = {name for module in modules for name in module.__all__}
+expected |= {module.__name__.rpartition(".")[2] for module in modules}
+harness.sweep = rebound = len
+try:
+    polyfam.nope
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({
+    "cold": cold,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "expected": sorted(expected),
+    "dir": dir(polyfam),
+    "harness_names": harness.__all__,
+    "not_the_harness_object": [
+        name for name in harness.__all__ if getattr(polyfam, name) is not getattr(harness, name)
+    ],
+    "follows_a_rebinding": polyfam.sweep is rebound,
+    "error": error,
+    "hasattr": hasattr(polyfam, "nope"),
+}))
+"""
+
+
+def test_the_package_exports_the_sweep_names_on_first_use():
+    api = json.loads(_child(PUBLIC_API))
+    assert api["cold"] is False
+    assert len(api["harness_names"]) == 15
+    assert api["not_the_harness_object"] == []
+    assert api["follows_a_rebinding"] is True
+    assert len(api["expected"]) == 74
+    assert api["star"] == api["expected"]
+    assert set(api["expected"]) <= set(api["dir"])
+    assert "'nope'" in api["error"]
+    assert api["hasattr"] is False
+    bare = "import polyfam; print(polyfam.harness is sys.modules['polyfam.harness'])"
+    assert _child(bare).split() == ["True"]

@@ -5,7 +5,11 @@
   and no two `number` families print the same record under another name;
 - no concurrency and no module-level cache;
 - one way to build a triangle: `CoeffTable(...)` is called only in
-  `stirling.py`.
+  `stirling.py`;
+- the layers import downward: the family modules never import the sweep
+  layer (`harness`) or the command line (`cli`), and the package imports
+  the sweep layer only on first use of one of its names, which it lists
+  as `harness.__all__` does.
 
 The rules read the sources with `ast`. The two that need live objects run in
 `python -m polyfam` or `python -c` child processes, so this module never
@@ -82,6 +86,41 @@ def test_only_stirling_builds_a_coefficient_triangle():
     assert builders == {"stirling.py"}
 
 
+def _package_imports(nodes):
+    """The polyfam submodules that the import statements among `nodes` name,
+    relative (`from .harness import x`, `from . import harness`) or absolute."""
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def _assigned(module: str, name: str) -> ast.expr:
+    """The expression assigned to the module-level `name` in `module`."""
+    for node in TREES[module].body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == name for target in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"{module} assigns no module-level {name}")
+
+
+def test_the_families_never_import_the_sweep_or_the_command_line():
+    upper = {"harness", "cli", "polyfam.harness", "polyfam.cli"}
+    for name in ("algebra.py", "stirling.py", "cauchy.py", "bernoulli.py"):
+        imported = set(_package_imports(ast.walk(TREES[name])))
+        assert not imported & upper, (name, imported & upper)
+    assert not set(_package_imports(TREES["__init__.py"].body)) & upper
+    listed = ast.literal_eval(_assigned("__init__.py", "_HARNESS_NAMES"))
+    assert list(listed) == ast.literal_eval(_assigned("harness.py", "__all__"))
+
+
 def test_no_two_public_names_are_bound_to_one_object():
     child = (
         "import importlib, json\n"
@@ -101,12 +140,7 @@ def test_no_two_public_names_are_bound_to_one_object():
 
 def _number_families() -> list:
     """The keys of cli.FAMILY_ROUTES, read from its dict literal."""
-    for node in ast.walk(TREES["cli.py"]):
-        if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == "FAMILY_ROUTES" for target in node.targets
-        ):
-            return [ast.literal_eval(key) for key in node.value.keys]
-    raise AssertionError("cli.py defines no FAMILY_ROUTES")
+    return [ast.literal_eval(key) for key in _assigned("cli.py", "FAMILY_ROUTES").keys]
 
 
 def test_no_number_family_only_renames_another():
