@@ -291,7 +291,9 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> Polynomial:
     row paired with these moments. With l_1 ... l_k = u/v (integer products
     reduced by one gcd) and L = lcm(1, ..., size+1) the numerators are
     M_m = u^(m+1) v^(size-m) (L/(m+1))^k over Q = v^(size+1) L^k, reduced to
-    the canonical form: a zero length leaves the zero polynomial.
+    the canonical form: a zero length leaves the zero polynomial. The powers
+    of u rise and those of v fall with m, so both are kept running: one
+    product by u and one exact division by v per moment.
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
@@ -303,8 +305,12 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> Polynomial:
     u, v = math.prod(l.numerator for l in ls), math.prod(l.denominator for l in ls)
     g, lcm = math.gcd(u, v), math.lcm(*range(1, size + 2))
     u, v = u // g, v // g
-    num = (u**j * v ** (size + 1 - j) * (lcm // j) ** k for j in range(1, size + 2))
-    return Polynomial.over(num, v ** (size + 1) * lcm**k)
+    q = v ** (size + 1)
+    num, u_power, v_power = [], 1, q
+    for j in range(1, size + 2):
+        u_power, v_power = u_power * u, v_power // v
+        num.append(u_power * v_power * (lcm // j) ** k)
+    return Polynomial.over(num, q * lcm**k)
 
 
 class TruncatedSeries:

@@ -15,12 +15,15 @@ obeys
     T(n+1, m) = T(n, m-1) + (b_m - a_n) T(n, m),
 
 since (X - a_n) t_m = t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
-Verde-Star, Stud. Appl. Math. 1988). The recurrence builds rows 0..size of a
-table in one pass and keeps no state between calls.
+Verde-Star, Stud. Appl. Math. 1988). The recurrence keeps no state between
+calls.
 
-The pass is fraction-free, after Bareiss (Math. Comp. 1968): with D the lcm
-of the node denominators and A = D a, B = D b, the integers
+It runs fraction-free, after Bareiss (Math. Comp. 1968): with D the lcm of
+the node denominators and A = D a, B = D b, the integers
 r(n, m) = D^(n-m) T(n, m) obey r(n+1, m) = r(n, m-1) + (B_m - A_n) r(n, m).
+One integer list holds the current row and is updated in place, from the
+highest index down, so that r(n, m-1) is still unchanged when r(n+1, m)
+reads it; each row is then kept as one tuple.
 """
 
 from __future__ import annotations
@@ -76,10 +79,18 @@ class CoeffTable(Record):
         """Row n as the polynomial sum_m T(n, m) X^m in canonical form: the
         integers num[n][m] den^m over den^n, reduced. A connection table's
         T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps all
-        n + 1 coefficients. A negative n counts from the last row."""
+        n + 1 coefficients. A negative n counts from the last row.
+
+        den^m is kept as a running power, one product per entry, and a
+        classical table (den == 1) is read as it stands."""
         row, d = self.num[n], self.den
-        num = (r * d**m for m, r in enumerate(row))
-        return Polynomial.over(num, d ** (len(row) - 1))
+        if d == 1:
+            return Polynomial.over(row)
+        num, power = [], 1
+        for r in row:
+            num.append(r * power)
+            power *= d
+        return Polynomial.over(num, power // d)
 
     def __getitem__(self, nm: tuple[int, int]) -> Rat:
         n, m = nm
@@ -138,29 +149,29 @@ def connection_coeffs(
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    # Ints and Fractions carry their numerator and denominator already.
-    a, b = (
-        tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in nodes)
-        for nodes in (source, target)
-    )
-    for nodes in (a, b):
-        if len(nodes) < size:
+    # Ints and Fractions carry their numerator and denominator already. The
+    # first `size` nodes of both sequences go into one list, so that one lcm
+    # and one scaling pass convert them all.
+    nodes = []
+    for sequence in (source, target):
+        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in sequence]
+        if len(xs) < size:
             raise PreconditionError(
-                f"parameter sequence of length {len(nodes)} cannot "
+                f"parameter sequence of length {len(xs)} cannot "
                 f"form a degree-{size} basis element"
             )
-    a, b = a[:size], b[:size]
-    d = math.lcm(*(x.denominator for x in a + b))
-    a, b = ([x.numerator * (d // x.denominator) for x in xs] for xs in (a, b))
-    row: tuple[int, ...] = (1,)
-    rows = [row]
+        nodes += xs[:size]
+    d = math.lcm(*[x.denominator for x in nodes])
+    nodes = [x.numerator * (d // x.denominator) for x in nodes]
+    a, b = nodes[:size], nodes[size:]
+    row = [1]
+    rows = [(1,)]
     for n, a_n in enumerate(a):
-        row = (
-            ((b[0] - a_n) * row[0],)
-            + tuple(row[m - 1] + (b[m] - a_n) * row[m] for m in range(1, n + 1))
-            + (row[n],)
-        )
-        rows.append(row)
+        row.append(row[n])
+        for m in range(n, 0, -1):
+            row[m] = row[m - 1] + (b[m] - a_n) * row[m]
+        row[0] *= b[0] - a_n
+        rows.append(tuple(row))
     return CoeffTable(tuple(rows), d)
 
 
@@ -201,9 +212,9 @@ def lah_signed(size: int) -> CoeffTable:
     negated falling factorial (-X)_m = (-1)^m X(X+1)...(X+m-1) in the
     falling-factorial basis: the rising-to-falling table, row m times
     (-1)^m."""
-    rising = connection_coeffs(range(0, -size, -1), range(size), size)
+    rising = connection_coeffs(range(0, -size, -1), range(size), size).num
     return CoeffTable(
-        tuple(tuple((-1) ** m * c for c in row) for m, row in enumerate(rising.num))
+        tuple(tuple(-c for c in row) if m % 2 else row for m, row in enumerate(rising))
     )
 
 

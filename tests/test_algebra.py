@@ -271,6 +271,33 @@ def test_box_moments_match_iterated_integration():
         assert moments.coefficient(m) == want
 
 
+# Signed lengths over the integers 1..12: two lengths' numerators and
+# denominators often share a factor (2/3 and 9/4), so the product u/v needs
+# its gcd taken before the moments are built.
+box_lengths = st.integers(1, 4).flatmap(
+    lambda k: st.lists(
+        st.builds(
+            lambda sign, p, q: sign * Fraction(p, q),
+            st.sampled_from((1, -1)),
+            st.integers(1, 12),
+            st.integers(1, 12),
+        ),
+        min_size=k,
+        max_size=k,
+    )
+)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(box_lengths, st.integers(0, 24))
+def test_box_moments_are_the_separated_integrals(lengths, size):
+    k, product = len(lengths), math.prod(lengths)
+    moments = box_moments(lengths, k, size)
+    assert len(moments.num) == size + 1
+    for m in range(size + 1):
+        assert moments.coefficient(m) == product ** (m + 1) / (m + 1) ** k
+
+
 def test_box_moments_preconditions():
     with pytest.raises(PreconditionError):
         box_moments((1,), 1, -1)

@@ -156,6 +156,15 @@ def _connection_target_off_by_one(real):
     return fake
 
 
+def _connection_source_off_by_one(real):
+    # Row n + 1 reads source node n-1: a_0, a_0, a_1, ... in place of a_0, a_1, ...
+    def fake(source, target, size):
+        a = tuple(source)
+        return real(a[:1] + a[:-1], target, size)
+
+    return fake
+
+
 def _int_row_wrong_power(real):
     # Numerator m scaled by den^(n-m) in place of den^m.
     def fake(self, n):
@@ -408,6 +417,13 @@ MATRIX = [
         _connection_target_off_by_one,
         "C2.2 C4.1a C4.1b C4.2a C4.2b GF-Li T2.2 T2.3 T4.1 T4.2a T4.2b T4.3a T4.3b "
         "T5.2a T5.2b T5.2c T5.2d",
+    ),
+    (
+        stirling,
+        "connection_coeffs",
+        _connection_source_off_by_one,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.2a C5.1a C5.1b CASES-2 CASES-3 T2.1 T2.2 "
+        "T2.3 T3.1 T3.2 T4.2a T4.3a T5.1a T5.1b T5.2a T5.2b T5.2c T5.2d",
     ),
     (
         CoeffTable,

@@ -294,6 +294,7 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
             # T(n, n) = +-1 keeps the degree n that _times and _bernoulli_row read.
             assert len(int_row.num) == n + 1
             assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
+        assert table.int_row(-1) == table.int_row(table.size)
 
 
 @settings(max_examples=30, deadline=None)
