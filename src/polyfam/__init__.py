@@ -6,7 +6,8 @@ Everything is computed over `fractions.Fraction`; equality checks throughout
 the package and its test suite are exact.
 
 `import polyfam` loads the families and their triangles only. The identity
-sweep (`polyfam.harness`) loads on first access to one of its names.
+sweep (`polyfam.harness`) loads on first access to anything else: one of
+its names, `__all__` (so a star import), `dir(polyfam)` or an unknown name.
 """
 
 from .algebra import *
@@ -16,52 +17,27 @@ from .stirling import *
 
 __version__ = "0.1.0"
 
-# harness.__all__, spelled out so that the harness need not be imported to
-# know it; tests/test_structure.py holds the two lists equal.
-_HARNESS_NAMES = (
-    "CATALOG",
-    "GridSpec",
-    "IDENTITY_IDS",
-    "Identity",
-    "IdentityReport",
-    "ParamPoint",
-    "bernoulli_from_first",
-    "bernoulli_from_second",
-    "errata_ledger",
-    "first_from_bernoulli",
-    "point_to_json",
-    "second_from_bernoulli",
-    "summarize",
-    "sweep",
-    "verify",
-)
-
-__all__ = [
-    *algebra.__all__,
-    *bernoulli.__all__,
-    *cauchy.__all__,
-    *stirling.__all__,
-    *_HARNESS_NAMES,
-    "algebra",
-    "bernoulli",
-    "cauchy",
-    "harness",
-    "stirling",
-]
-
 
 def __getattr__(name):
     # Not `from . import harness`: its fromlist check calls hasattr on this
     # package, which lands here again.
-    if name == "harness" or name in _HARNESS_NAMES:
-        from importlib import import_module
+    from importlib import import_module
 
-        harness = import_module(".harness", __name__)
+    harness = import_module(".harness", __name__)
+    if name == "harness":
+        return harness
+    if name in harness.__all__:
         # Looked up on every access, so a name rebound in the harness is
         # the one returned.
-        return harness if name == "harness" else getattr(harness, name)
+        return getattr(harness, name)
+    if name == "__all__":
+        modules = (algebra, bernoulli, cauchy, harness, stirling)
+        return [
+            *(export for module in modules for export in module.__all__),
+            *(module.__name__.rpartition(".")[2] for module in modules),
+        ]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -81,13 +81,9 @@ class CoeffTable(Record):
         T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps all
         n + 1 coefficients. A negative n counts from the last row.
 
-        den^m is kept as a running power, one product per entry, and a
-        classical table (den == 1) is read as it stands."""
-        row, d = self.num[n], self.den
-        if d == 1:
-            return Polynomial.over(row)
-        num, power = [], 1
-        for r in row:
+        den^m is kept as a running power, one product per entry."""
+        d, num, power = self.den, [], 1
+        for r in self.num[n]:
             num.append(r * power)
             power *= d
         return Polynomial.over(num, power // d)

@@ -227,7 +227,9 @@ def test_importing_the_package_loads_no_dataclass_machinery():
 PUBLIC_API = """
 import json
 import polyfam
+polyfam.comtet_first, polyfam.__version__
 cold = "polyfam.harness" in sys.modules
+listed = polyfam.__all__
 star = {}
 exec("from polyfam import *", star)
 from polyfam import algebra, bernoulli, cauchy, harness, stirling
@@ -242,6 +244,7 @@ except AttributeError as exc:
 print(json.dumps({
     "cold": cold,
     "star": sorted(set(star) - {"__builtins__"}),
+    "all": sorted(listed),
     "expected": sorted(expected),
     "dir": dir(polyfam),
     "harness_names": harness.__all__,
@@ -263,6 +266,7 @@ def test_the_package_exports_the_sweep_names_on_first_use():
     assert api["follows_a_rebinding"] is True
     assert len(api["expected"]) == 74
     assert api["star"] == api["expected"]
+    assert api["all"] == api["star"]
     assert set(api["expected"]) <= set(api["dir"])
     assert "'nope'" in api["error"]
     assert api["hasattr"] is False
