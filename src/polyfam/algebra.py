@@ -151,13 +151,12 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Polynomial":
         """The monic polynomial prod_i (X - r_i); the empty product is 1.
-        With r_i = B_i / D over one denominator, the product runs over the
-        integer roots B_i (see _prefix_products): its coefficient
-        c_m / D^(n-m) is c_m D^m over D^n."""
-        bs, d = _over_lcm(as_rat_tuple(roots))
-        n = len(bs)
-        (cs,) = _prefix_products(bs, (n,))
-        return cls.over((c * d**m for m, c in enumerate(cs)), d**n)
+        With r_i = p_i / q_i the product runs over the integer factors
+        q_i X - p_i (see _prefix_products) and keeps its integers, over
+        prod_i q_i."""
+        pairs = [(r.numerator, r.denominator) for r in as_rat_tuple(roots)]
+        ((cs, q),) = _prefix_products(pairs, (len(pairs),))
+        return cls.over(cs, q)
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
@@ -260,24 +259,27 @@ def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 X = Polynomial((0, 1))
 
 
-def _prefix_products(roots: Sequence[int], rows: Iterable[int]) -> list[list[int]]:
+def _prefix_products(roots: Sequence[tuple], rows: Iterable[int]) -> list[tuple]:
     """For each j in `rows` (increasing, at most len(roots)) the integers
-    c_0..c_j of prod_{i<j} (Y - B_i), lowest power first, for integer roots
-    B_i. Rational roots r_i = B_i / D reach it in Y = D X, where
-    prod_{i<j} (X - r_i) = sum_m c_m X^m / D^(j-m).
+    c_0..c_j of prod_{i<j} (q_i X - p_i), lowest power first, and
+    Q_j = prod_{i<j} q_i, for roots r_i = p_i / q_i given as integer pairs
+    (q_i > 0, not necessarily reduced): prod_{i<j} (X - r_i) is
+    sum_m c_m X^m / Q_j, one denominator per prefix.
 
-    One integer list is multiplied in place by each Y - B_i, high index
-    first (c_m becomes c_(m-1) - B_i c_m); every prefix is read on the way."""
-    wanted, cs, out = set(rows), [1], []
-    for j, b in enumerate(roots):
+    One integer list is multiplied in place by each q_i X - p_i, high index
+    first (c_m becomes q_i c_(m-1) - p_i c_m); every prefix is read on the
+    way."""
+    wanted, cs, q_prod, out = set(rows), [1], 1, []
+    for j, (p, q) in enumerate(roots):
         if j in wanted:
-            out.append(cs[:])
-        cs.append(cs[-1])
+            out.append((cs[:], q_prod))
+        cs.append(q * cs[-1])
         for m in range(j, 0, -1):
-            cs[m] = cs[m - 1] - b * cs[m]
-        cs[0] = -b * cs[0]
+            cs[m] = q * cs[m - 1] - p * cs[m]
+        cs[0] = -p * cs[0]
+        q_prod *= q
     if len(roots) in wanted:
-        out.append(cs)
+        out.append((cs, q_prod))
     return out
 
 

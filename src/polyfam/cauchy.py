@@ -24,7 +24,6 @@ from .algebra import (
     Record,
     TruncatedSeries,
     _egf,
-    _over_lcm,
     _prefix_products,
     as_rat,
     as_rat_tuple,
@@ -127,15 +126,14 @@ def _times(row: Polynomial, table: CoeffTable) -> Polynomial:
     return Polynomial.over(num, row.den)
 
 
-def _box_integral(
-    nums: Sequence[int], dens: Sequence[int], lengths: Sequence[Rat]
-) -> Rat:
-    """The box integral of sum_m (nums[m] / dens[m]) T^m, T = x_1...x_k, one
+def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
+    """The box integral of sum_m (nums[m] / den) T^m, T = x_1...x_k, one
     variable at a time: integrating over x_i in [0, u/v] multiplies the
     coefficient of T^m by u^(m+1) / (v^(m+1) (m+1)). Numerators and
     denominators are carried as integers and summed as one Fraction over
-    their lcm. The definitions' own integration, apart from box_moments."""
-    nums, dens = list(nums), list(dens)
+    den times their lcm. The definitions' own integration, apart from
+    box_moments."""
+    nums, dens = list(nums), [1] * len(nums)
     for length in lengths:
         u, v = length.numerator, length.denominator
         up, vp = u, v
@@ -143,31 +141,33 @@ def _box_integral(
             nums[m] *= up
             dens[m] *= vp * (m + 1)
             up, vp = up * u, vp * v
-    den = math.lcm(*dens)
-    return Fraction(sum(c * (den // d) for c, d in zip(nums, dens)), den)
+    lcm = math.lcm(*dens)
+    return Fraction(sum(c * (lcm // d) for c, d in zip(nums, dens)), den * lcm)
 
 
 def _def_values(
-    sign: int, roots: Sequence[int], den: int, lengths: Sequence[Rat], rows: Iterable
+    sign: int, alpha: Sequence[Rat], lengths: Sequence[Rat], rows: Iterable, z=0
 ) -> list[Rat]:
     """The definitions' kernel: for each j in rows (increasing, at most
-    len(roots)) the box integral of prod_{i<j} (sign T - B_i / den), sign 1
-    for the first kind and -1 for the second, with integer parameters B_i.
-    That is sign^j times prefix j of one in-place expansion over the integer
-    roots sign B_i (_prefix_products), whose T^m coefficient is
-    c_m / den^(j-m). No table, box moment or integer pairing."""
-    powers, out = [den**i for i in range(len(roots) + 1)], []
-    for cs in _prefix_products([sign * b for b in roots], rows):
-        value = _box_integral(cs, powers[len(cs) - 1 :: -1], lengths)
+    len(alpha)) the box integral of prod_{i<j} (sign T - a_i - sign z), sign
+    1 for the first kind and -1 for the second. That is sign^j times prefix
+    j of one in-place expansion over the roots sign a_i + z: with
+    a_i = p_i / q_i and z = s / t, over the integer factors of the pairs
+    (sign p_i t + s q_i, q_i t) (_prefix_products), whose T^m coefficient is
+    c_m over prod_{i<j} q_i t. No table, box moment or integer pairing."""
+    s, t, out = z.numerator, z.denominator, []
+    roots = [(sign * a.numerator * t + s * a.denominator, a.denominator * t)
+             for a in alpha]
+    for cs, q in _prefix_products(roots, rows):
+        value = _box_integral(cs, q, lengths)
         out.append(value if sign ** (len(cs) - 1) > 0 else -value)
     return out
 
 
 def _first_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
     """mp_first_def at each index j in rows (increasing, at most n), with the
-    parameters and box of p: the kernel at the parameters over their lcm."""
-    roots, d = _over_lcm(p.alpha[: p.n])
-    return _def_values(1, roots, d, p.lengths, rows)
+    parameters and box of p."""
+    return _def_values(1, p.alpha[: p.n], p.lengths, rows)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
@@ -288,9 +288,8 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
 def _second_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
     """mp_second_def at each index j in rows (increasing, at most n): the
     kernel of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), which expands
-    over the negated integer parameters."""
-    roots, d = _over_lcm(p.alpha[: p.n])
-    return _def_values(-1, roots, d, p.lengths, rows)
+    over the negated parameters."""
+    return _def_values(-1, p.alpha[: p.n], p.lengths, rows)
 
 
 def mp_second_def(p: FamilyPoint) -> Rat:
@@ -325,8 +324,7 @@ def specialize(
 ) -> Rat:
     """Classical and q-parameter members of the families, as sugar over the
     multiparameter definitions: after the checks of FamilyPoint, the
-    definitions' kernel reads the parameters i q as the integers i num(q)
-    over den(q).
+    definitions' kernel reads each parameter i q over its own denominator.
 
     family: 'classic'    k = 1, parameters 0..n-1, one box length
             'poly'       parameters 0..n-1, unit box in k variables
@@ -344,7 +342,7 @@ def specialize(
             raise PreconditionError(f"family {family!r} needs the q parameter")
         step = as_rat(q)
     else:
-        step = Fraction(1)
+        step = 1
     if family in ("classic", "q-classic"):
         k = 1
         ls = as_rat_tuple(lengths) if lengths is not None else (Fraction(1),)
@@ -357,9 +355,8 @@ def specialize(
             raise PreconditionError("family 'extended-q' needs box lengths")
         ls = as_rat_tuple(lengths)
     _check_point(n, k, n, ls)
-    roots = [i * step.numerator for i in range(n)]
     sign = 1 if kind == "first" else -1
-    return _def_values(sign, roots, step.denominator, ls, (n,))[0]
+    return _def_values(sign, [i * step for i in range(n)], ls, (n,))[0]
 
 
 class SeriesCheck(Record):
@@ -439,16 +436,9 @@ def _shifted_def_values(
 ) -> list[Rat]:
     """The first-kind (sign 1) or second-kind (sign -1) polynomial's
     definitional value at every sample z: the plain definition with every
-    parameter shifted by sign z. One scaling by D, the lcm of the parameters'
-    and the samples' denominators, gives integers B_i and Z; each sample is
-    one kernel call at B_i + sign Z over D, so at the roots B_i + Z for the
-    first kind and Z - B_i, under the sign (-1)^n, for the second."""
-    ints, d = _over_lcm(p.alpha[: p.n] + tuple(samples))
-    roots, shifts = ints[: p.n], ints[p.n :]
-    return [
-        _def_values(sign, [b + sign * s for b in roots], d, p.lengths, (p.n,))[0]
-        for s in shifts
-    ]
+    parameter shifted by sign z, one kernel call per sample."""
+    alpha = p.alpha[: p.n]
+    return [_def_values(sign, alpha, p.lengths, (p.n,), z)[0] for z in samples]
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:

@@ -205,24 +205,29 @@ def _triangle(weight: tuple, alpha: Sequence[Rat], n: int) -> CoeffTable:
 
 def _expand(values: Sequence, table: CoeffTable, weight: tuple):
     """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free. As
-    T(n, m) = num[n][m] / D^(n-m), the weight of values[j] is one integer
-    c_j = sum_m (-1)^(e_m m) f_m l_m num[m][j] over D^(n-j), where l_m is
+    T(n, m) = num[n][m] / (q[n] D^(n-m)), the weight of values[j] is one
+    integer c_j = sum_m (-1)^(e_m m) f_m l_m (Q / q[m]) num[m][j] over
+    q[n] Q D^(n-j), where Q is the lcm of the row denominators, l_m is
     num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
     over a further n! for p = -1; so every weight is an integer over one
-    denominator, (n! or 1) D^n."""
+    denominator, (n! or 1) q[n] Q D^n."""
     _, e_n, e_m, e_j, power, absolute = weight
-    n, num, d = table.size, table.num, table.den
+    n, num, d, qs = table.size, table.num, table.den, table.q
     left = [abs(r) for r in num[n]] if absolute else num[n]
     fact = [math.factorial(m) for m in range(n + 1)]
     scale = fact if power == 1 else [fact[n] // f for f in fact]
-    lead = [(-1) ** (e_m * m) * scale[m] * left[m] for m in range(n + 1)]
+    lcm = math.lcm(*qs)
+    lead = [
+        (-1) ** (e_m * m) * scale[m] * left[m] * (lcm // qs[m]) for m in range(n + 1)
+    ]
     weights = [
         (-1) ** (e_n * n + e_j * j)
         * d**j
         * sum(lead[m] * num[m][j] for m in range(j, n + 1))
         for j in range(n + 1)
     ]
-    return _combine(weights, (1 if power == 1 else fact[n]) * d**n, values)
+    den = (1 if power == 1 else fact[n]) * qs[n] * lcm * d**n
+    return _combine(weights, den, values)
 
 
 def _combine(weights: Sequence[int], den: int, values: Sequence):

@@ -18,12 +18,13 @@ since (X - a_n) t_m = t_{m+1} + (b_m - a_n) t_m (Comtet, CRAS 1972;
 Verde-Star, Stud. Appl. Math. 1988). The recurrence keeps no state between
 calls.
 
-It runs fraction-free, after Bareiss (Math. Comp. 1968): with D the lcm of
-the node denominators and A = D a, B = D b, the integers
-r(n, m) = D^(n-m) T(n, m) obey r(n+1, m) = r(n, m-1) + (B_m - A_n) r(n, m).
-One integer list holds the current row and is updated in place, from the
-highest index down, so that r(n, m-1) is still unchanged when r(n+1, m)
-reads it; each row is then kept as one tuple.
+It runs fraction-free, after Bareiss (Math. Comp. 1968): with source nodes
+a_n = p_n / q_n, Q_n = q_0 ... q_(n-1), D the lcm of the target nodes'
+denominators and B = D b, the integers r(n, m) = Q_n D^(n-m) T(n, m) obey
+r(n+1, m) = q_n r(n, m-1) + (q_n B_m - p_n D) r(n, m): each source node
+brings its own denominator only. One integer list holds the current row and
+is updated in place, from the highest index down, so that r(n, m-1) is
+still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
 """
 
 from __future__ import annotations
@@ -57,16 +58,17 @@ class CoeffTable(Record):
     the target basis element of degree m in the expansion of the source
     element of degree n. Indexing outside the triangle yields zero.
 
-    Held fraction-free: entry (n, m) is num[n][m] / den^(n-m) with integer
-    numerators and one denominator den >= 1, and nothing else. Row n is read
+    Held fraction-free: entry (n, m) is num[n][m] / (q[n] den^(n-m)) with
+    integer numerators, one denominator den >= 1 and one row denominator
+    q[n] >= 1 per row (all 1 when omitted), and nothing else. Row n is read
     as a polynomial by `int_row`, the path the routes pair; `row`,
     equality and hash read it too, and indexing builds one Fraction.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "q")
 
-    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1) -> None:
-        self._set(num, den)
+    def __init__(self, num: tuple, den: int = 1, q: tuple = ()) -> None:
+        self._set(num, den, q or (1,) * len(num))
 
     @property
     def size(self) -> int:
@@ -77,21 +79,21 @@ class CoeffTable(Record):
 
     def int_row(self, n: int) -> Polynomial:
         """Row n as the polynomial sum_m T(n, m) X^m in canonical form: the
-        integers num[n][m] den^m over den^n, reduced. A connection table's
-        T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps all
-        n + 1 coefficients. A negative n counts from the last row.
+        integers num[n][m] den^m over q[n] den^n, reduced. A connection
+        table's T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps
+        all n + 1 coefficients. A negative n counts from the last row.
 
         den^m is kept as a running power, one product per entry."""
         d, num, power = self.den, [], 1
         for r in self.num[n]:
             num.append(r * power)
             power *= d
-        return Polynomial.over(num, power // d)
+        return Polynomial.over(num, self.q[n] * power // d)
 
     def __getitem__(self, nm: tuple[int, int]) -> Rat:
         n, m = nm
         if 0 <= m <= n < len(self.num):
-            return Fraction(self.num[n][m], self.den ** (n - m))
+            return Fraction(self.num[n][m], self.q[n] * self.den ** (n - m))
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
@@ -105,24 +107,24 @@ class CoeffTable(Record):
         return hash(tuple(map(self.int_row, range(len(self.num)))))
 
     def entrywise_abs(self) -> "CoeffTable":
-        return CoeffTable(tuple(tuple(map(abs, row)) for row in self.num), self.den)
+        return CoeffTable(tuple(tuple(map(abs, r)) for r in self.num), self.den, self.q)
 
     def is_identity(self) -> bool:
-        return all(
-            r == (n == m) for n, row in enumerate(self.num) for m, r in enumerate(row)
-        )
+        rows = enumerate(zip(self.num, self.q))
+        return all(tuple(row) == (0,) * n + (q,) for n, (row, q) in rows)
 
 
 def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     """Triangular matrix product (a b)(n, j) = sum_m a(n, m) b(m, j), over
-    the lcm of the two denominators."""
+    the lcm d of the two denominators and, in row n, a.q[n] times the lcm l
+    of b's row denominators."""
     if a.size != b.size:
         raise PreconditionError("table sizes must match for a product")
-    d = math.lcm(a.den, b.den)
+    d, l = math.lcm(a.den, b.den), math.lcm(*b.q)
     x, y = (
-        [[r * (d // t.den) ** (n - m) for m, r in enumerate(row)]
-         for n, row in enumerate(t.num)]
-        for t in (a, b)
+        [[r * s * (d // t.den) ** (n - m) for m, r in enumerate(row)]
+         for n, (row, s) in enumerate(zip(t.num, scales))]
+        for t, scales in ((a, (1,) * len(a.q)), (b, [l // q for q in b.q]))
     )
     return CoeffTable(
         tuple(
@@ -130,6 +132,7 @@ def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
             for n in range(a.size + 1)
         ),
         d,
+        tuple(q * l for q in a.q),
     )
 
 
@@ -145,9 +148,7 @@ def connection_coeffs(
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    # Ints and Fractions carry their numerator and denominator already. The
-    # first `size` nodes of both sequences go into one list, so that one lcm
-    # and one scaling pass convert them all.
+    # Ints and Fractions carry their numerator and denominator already.
     nodes = []
     for sequence in (source, target):
         xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in sequence]
@@ -156,19 +157,25 @@ def connection_coeffs(
                 f"parameter sequence of length {len(xs)} cannot "
                 f"form a degree-{size} basis element"
             )
-        nodes += xs[:size]
-    d = math.lcm(*[x.denominator for x in nodes])
-    nodes = [x.numerator * (d // x.denominator) for x in nodes]
-    a, b = nodes[:size], nodes[size:]
-    row = [1]
-    rows = [(1,)]
-    for n, a_n in enumerate(a):
-        row.append(row[n])
-        for m in range(n, 0, -1):
-            row[m] = row[m - 1] + (b[m] - a_n) * row[m]
-        row[0] *= b[0] - a_n
+        nodes.append(xs[:size])
+    a, b = nodes
+    d = math.lcm(*[x.denominator for x in b])
+    b = [x.numerator * (d // x.denominator) for x in b]
+    row, rows, qs = [1], [(1,)], [1]
+    for n, x in enumerate(a):
+        q, pd = x.denominator, x.numerator * d
+        row.append(q * row[n])
+        # q = 1 drops the unit factors, so an integer node costs as before.
+        if q == 1:
+            for m in range(n, 0, -1):
+                row[m] = row[m - 1] + (b[m] - pd) * row[m]
+        else:
+            for m in range(n, 0, -1):
+                row[m] = q * row[m - 1] + (q * b[m] - pd) * row[m]
+        row[0] *= q * b[0] - pd
         rows.append(tuple(row))
-    return CoeffTable(tuple(rows), d)
+        qs.append(qs[-1] * q)
+    return CoeffTable(tuple(rows), d, tuple(qs))
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:

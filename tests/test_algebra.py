@@ -13,7 +13,6 @@ from polyfam.algebra import (
     RatLike,
     TruncatedSeries,
     X,
-    _prefix_products,
     as_rat,
     as_rat_tuple,
     box_moments,
@@ -136,10 +135,11 @@ class _FractionPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "_FractionPolynomial":
-        rs = as_rat_tuple(roots)
-        n, d = len(rs), math.lcm(*(r.denominator for r in rs))
-        (cs,) = _prefix_products([r.numerator * (d // r.denominator) for r in rs], (n,))
-        return cls(Fraction(c, d ** (n - m)) for m, c in enumerate(cs))
+        # The product of the Fraction linear factors X - r, one at a time.
+        acc = cls((1,))
+        for r in as_rat_tuple(roots):
+            acc = acc * cls((-r, 1))
+        return acc
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:

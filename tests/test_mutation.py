@@ -130,18 +130,26 @@ def _gcd_skipped(real):
 
 
 def _from_roots_wrong_power(real):
-    # Coefficient m over D^(n-m-1) in place of D^(n-m).
+    # Coefficient m over D^(n-m-1) in place of D^(n-m), D the lcm of the
+    # roots' denominators: every integer of the product D times too large.
     def fake(cls, roots):
-        rs = tuple(map(Fraction, roots))
-        d = math.lcm(*(r.denominator for r in rs))
-        return Polynomial(c * d for c in real(rs).coeffs)
+        pairs = [(r.numerator, r.denominator) for r in map(Fraction, roots)]
+        d = math.lcm(*(q for _, q in pairs))
+        ((cs, q),) = algebra._prefix_products(pairs, (len(pairs),))
+        return Polynomial.over((c * d for c in cs), q)
 
     return classmethod(fake)
 
 
 def _prefix_products_sign_slip(real):
-    # The integer kernel multiplies by Y + B_i in place of Y - B_i.
-    return lambda roots, rows: real([-b for b in roots], rows)
+    # The integer kernel multiplies by q_i X + p_i in place of q_i X - p_i.
+    return lambda roots, rows: real([(-p, q) for p, q in roots], rows)
+
+
+def _prefix_products_unit_denominators(real):
+    # The per-node denominators are dropped: every q_i is read as 1, so the
+    # kernel multiplies by X - p_i in place of q_i X - p_i.
+    return lambda roots, rows: real([(p, 1) for p, _ in roots], rows)
 
 
 # --- L1: triangles --------------------------------------------------------
@@ -166,11 +174,15 @@ def _connection_source_off_by_one(real):
 
 
 def _int_row_wrong_power(real):
-    # Numerator m scaled by den^(n-m) in place of den^m.
+    # Numerator m scaled by D^(n-m) in place of D^m, with row n read as the
+    # integers D^(n-m) T(n, m) over one denominator D, the lcm of den and the
+    # source nodes' own denominators q[i+1] / q[i]: coefficient m becomes
+    # T(n, m) D^(n-2m).
     def fake(self, n):
-        d = self.den
-        num = (r * d ** (n - m) for m, r in enumerate(self.num[n]))
-        return Polynomial.over(num, d**n)
+        n %= len(self.num)
+        steps = (b // a for a, b in zip(self.q, self.q[1:]))
+        d, row = Fraction(math.lcm(self.den, *steps)), real(self, n)
+        return Polynomial(row.coefficient(m) * d ** (n - 2 * m) for m in range(n + 1))
 
     return fake
 
@@ -406,6 +418,13 @@ MATRIX = [
     (
         algebra,
         "_prefix_products",
+        _prefix_products_unit_denominators,
+        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 "
+        "T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b",
+    ),
+    (
+        algebra,
+        "_prefix_products",
         _prefix_products_sign_slip,
         "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 "
         "GF-Lif T2.1 T2.2 T2.3 T2.4 T3.1 T3.2 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b",
@@ -564,7 +583,7 @@ def _getitem_wrong_power(real):
     def fake(self, nm):
         n, m = nm
         if 0 <= m <= n < len(self.num):
-            return Fraction(self.num[n][m], self.den**m)
+            return Fraction(self.num[n][m], self.q[n] * self.den**m)
         return Fraction(0)
 
     return fake

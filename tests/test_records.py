@@ -43,9 +43,9 @@ def _records():
             "verbatim_rhs=TruncatedSeries(order=1, ['0', '1']), note='n')",
         ),
         (
-            CoeffTable(((1,), (-1, 1)), 2),
-            CoeffTable(num=((1,), (-1, 1)), den=2),
-            "CoeffTable(num=((1,), (-1, 1)), den=2)",
+            CoeffTable(((1,), (-1, 3)), 2, (1, 3)),
+            CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3)),
+            "CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3))",
         ),
         (
             InversionCheck(True, False),
@@ -149,6 +149,7 @@ def test_a_record_equals_only_its_own_type():
     assert point != FamilyPoint(2, 1, (1, 2), (2,))
     # CoeffTable keeps its own equality: the same table at another scale.
     assert CoeffTable(((1,), (-1, 1))) == CoeffTable(((1,), (-2, 1)), 2)
+    assert CoeffTable(((1,), (-1, 1))) == CoeffTable(((1,), (-6, 3)), 2, (1, 3))
     assert CoeffTable(((1,),)) != ((1,),)
     assert bool(InversionCheck(True, False)) and not InversionCheck(False, True)
 

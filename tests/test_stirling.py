@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyfam.algebra import Polynomial, PreconditionError
+from polyfam.algebra import Polynomial, PreconditionError, _prefix_products
 from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     CoeffTable,
@@ -260,13 +261,15 @@ def node_lists(draw):
 
 
 def _hand_built(table, factor):
-    """The same entries held over the denominator factor * table.den."""
+    """The same entries held over the denominator factor * table.den and the
+    row denominators factor * table.q[n]."""
     return CoeffTable(
         tuple(
-            tuple(r * factor ** (n - m) for m, r in enumerate(row))
+            tuple(r * factor ** (n - m + 1) for m, r in enumerate(row))
             for n, row in enumerate(table.num)
         ),
         factor * table.den,
+        tuple(factor * q for q in table.q),
     )
 
 
@@ -285,11 +288,13 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
             source, target = _ORACLE_BASES[family](alpha)
             want = _oracle_connection(source, target, size)
         assert table.den >= 1
+        assert len(table.q) == size + 1 and all(q >= 1 for q in table.q)
         assert all(isinstance(r, int) for row in table.num for r in row)
         for n, row in enumerate(table.num):
             assert len(row) == n + 1
             for m, r in enumerate(row):
-                assert Fraction(r, table.den ** (n - m)) == want[n][m], family
+                got = Fraction(r, table.q[n] * table.den ** (n - m))
+                assert got == want[n][m], family
             int_row = table.int_row(n)
             # T(n, n) = +-1 keeps the degree n that _times and _bernoulli_row read.
             assert len(int_row.num) == n + 1
@@ -322,8 +327,14 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
     assert table_product(_hand_built(first, factor), second).is_identity()
     assert table_product(second, _hand_built(first, factor)).is_identity()
     last = first.num[-1]
-    bumped = CoeffTable(first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den)
+    bumped = CoeffTable(
+        first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den, first.q
+    )
     assert bumped != first and bumped != _hand_built(first, factor)
+    # The identity holds T(n, n) = 1 over any row denominator, and only there.
+    rows = tuple((0,) * n + (factor,) for n in range(size + 1))
+    assert CoeffTable(rows, factor, (factor,) * (size + 1)).is_identity()
+    assert not CoeffTable(rows).is_identity()
 
 
 def test_a_table_holds_only_its_integers():
@@ -332,8 +343,32 @@ def test_a_table_holds_only_its_integers():
     hand = _hand_built(table, 2)
     assert hand.row(3) == table.row(3) and hand[3, 1] == table[3, 1]
     assert hand == table and hash(hand) == hash(table)
-    assert type(table).__slots__ == type(hand).__slots__ == ("num", "den")
+    assert type(table).__slots__ == type(hand).__slots__ == ("num", "den", "q")
     assert not hasattr(table, "__dict__") and not hasattr(hand, "__dict__")
+
+
+def _linear_factor_bound(pairs, n):
+    """prod_{i<n} (|p_i| + q_i): no coefficient of prod_{i<n} (q_i X - p_i)
+    exceeds it in absolute value."""
+    return math.prod(abs(p) + q for p, q in pairs[:n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(wide_rationals, min_size=0, max_size=12))
+@example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
+def test_every_kernel_integer_stays_within_its_linear_factors(alpha):
+    # Each node brings its own denominator and no other: the integers of the
+    # first-kind tables and of the definitions' products are coefficients of
+    # prod (q_i X -+ p_i), never scaled by the lcm of all the denominators.
+    size = len(alpha)
+    pairs = [(a.numerator, a.denominator) for a in alpha]
+    for table in (comtet_first(alpha, size), signless_comtet_first(alpha, size)):
+        for n, row in enumerate(table.num):
+            assert max(map(abs, row)) <= _linear_factor_bound(pairs, n)
+            assert math.prod(q for _, q in pairs[:n]) % table.int_row(n).den == 0
+    for j, (cs, q) in enumerate(_prefix_products(pairs, range(size + 1))):
+        assert max(map(abs, cs)) <= _linear_factor_bound(pairs, j)
+        assert q == math.prod(q for _, q in pairs[:j])
 
 
 def test_connection_preconditions():
