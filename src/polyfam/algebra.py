@@ -28,7 +28,6 @@ __all__ = [
     "Rat",
     "RatLike",
     "TruncatedSeries",
-    "X",
     "as_rat",
     "as_rat_tuple",
     "box_moments",
@@ -254,9 +253,6 @@ def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if g == 1:
         return tuple(num), den
     return tuple(c // g for c in num), den // g
-
-
-X = Polynomial((0, 1))
 
 
 def _prefix_products(roots: Sequence[tuple], rows: Iterable[int]) -> list[tuple]:

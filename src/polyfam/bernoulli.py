@@ -25,7 +25,6 @@ from .algebra import (
     TruncatedSeries,
     _egf,
     _over_lcm,
-    as_rat,
     as_rat_tuple,
     box_moments,
     exp_series,
@@ -40,7 +39,6 @@ __all__ = [
     "mp_bernoulli",
     "mp_bernoulli_gf_check",
     "mp_bernoulli_poly",
-    "mp_bernoulli_poly_gf_check",
 ]
 
 CONVENTIONS = ("corrected", "verbatim")
@@ -207,44 +205,3 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     'verbatim' convention mirrors the duplicated factorial of the number
     family so that the reduction holds in both conventions."""
     return _bernoulli_poly_values(p, (p.n,), convention)[0]
-
-
-def mp_bernoulli_poly_gf_check(
-    alpha: Iterable[RatLike],
-    lengths: Iterable[RatLike],
-    k: int,
-    z0: RatLike,
-    order: int,
-) -> SeriesCheck:
-    """Compare sum_n B_n(z0) t^n/n! with the closed form
-    sum_m (-1)^m m! w_m(z0) sum_{j<=m} e^{-a_j t}/prod(a_j - a_i)
-    where w_m(z) = sum_i C(m,i) (l...)^(m-i+1) (-z)^i / (m-i+1)^k, read
-    from the box moments. The stated form omits the factorial; verbatim_rhs
-    evaluates it as stated. Both are summed in the stated order of the
-    number check, one weight list each.
-    """
-    a = as_rat_tuple(alpha)
-    ls = as_rat_tuple(lengths)
-    z = as_rat(z0)
-    head = _distinct_head(a, order + 1)
-    values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
-    lhs = _egf(order, (b(z) for b in values))
-    mu = box_moments(ls, k, order).coeffs
-    # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
-    stated = [
-        (-1) ** m * sum(math.comb(m, i) * (-z) ** i * mu[m - i] for i in range(m + 1))
-        for m in range(order + 1)
-    ]
-    corrected = [math.factorial(m) * w for m, w in enumerate(stated)]
-    rhs = _exp_sum(head, corrected)
-    verbatim = _exp_sum(head, stated)
-    return SeriesCheck(
-        lhs=lhs,
-        rhs=rhs,
-        verbatim_rhs=verbatim,
-        note=(
-            "stated form omits the factorial weight m! and leaves the "
-            "exponential-sum bounds implicit; verbatim reading keeps the "
-            "stated weights with the reconstructed bounds"
-        ),
-    )

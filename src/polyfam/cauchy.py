@@ -54,9 +54,7 @@ __all__ = [
     "mp_first_noncentral",
     "mp_first_via_polycauchy",
     "mp_poly_first",
-    "mp_poly_first_oracle",
     "mp_poly_second",
-    "mp_poly_second_oracle",
     "mp_second_closed",
     "mp_second_def",
     "mp_second_lah",
@@ -439,16 +437,3 @@ def _shifted_def_values(
     parameter shifted by sign z, one kernel call per sample."""
     alpha = p.alpha[: p.n]
     return [_def_values(sign, alpha, p.lengths, (p.n,), z)[0] for z in samples]
-
-
-def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
-    """Definitional value of the first-kind polynomial at z = z0: every
-    parameter is shifted by z0 and the plain definition is integrated."""
-    return _shifted_def_values(1, p, (as_rat(z0),))[0]
-
-
-def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
-    """Definitional value of the second-kind polynomial at z = z0 (parameters
-    shifted by -z0 in the negated-variable expansion)."""
-    return _shifted_def_values(-1, p, (as_rat(z0),))[0]
-

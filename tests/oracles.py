@@ -1,0 +1,68 @@
+"""Independent oracles that only the tests call.
+
+They read the package's private kernels but sit outside its public
+surface: no route, identity or command reaches them. `ORACLE_SHA256` in
+`test_exactness.py` pins their output.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterable
+
+from polyfam.algebra import Rat, RatLike, _egf, as_rat, as_rat_tuple, box_moments
+from polyfam.bernoulli import _bernoulli_poly_values, _distinct_head, _exp_sum
+from polyfam.cauchy import FamilyPoint, SeriesCheck, _shifted_def_values
+
+
+def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
+    """Definitional value of the first-kind polynomial at z = z0: every
+    parameter is shifted by z0 and the plain definition is integrated."""
+    return _shifted_def_values(1, p, (as_rat(z0),))[0]
+
+
+def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
+    """Definitional value of the second-kind polynomial at z = z0 (parameters
+    shifted by -z0 in the negated-variable expansion)."""
+    return _shifted_def_values(-1, p, (as_rat(z0),))[0]
+
+
+def mp_bernoulli_poly_gf_check(
+    alpha: Iterable[RatLike],
+    lengths: Iterable[RatLike],
+    k: int,
+    z0: RatLike,
+    order: int,
+) -> SeriesCheck:
+    """Compare sum_n B_n(z0) t^n/n! with the closed form
+    sum_m (-1)^m m! w_m(z0) sum_{j<=m} e^{-a_j t}/prod(a_j - a_i)
+    where w_m(z) = sum_i C(m,i) (l...)^(m-i+1) (-z)^i / (m-i+1)^k, read
+    from the box moments. The stated form omits the factorial; verbatim_rhs
+    evaluates it as stated. Both are summed in the stated order of the
+    number check, one weight list each.
+    """
+    a = as_rat_tuple(alpha)
+    ls = as_rat_tuple(lengths)
+    z = as_rat(z0)
+    head = _distinct_head(a, order + 1)
+    values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
+    lhs = _egf(order, (b(z) for b in values))
+    mu = box_moments(ls, k, order).coeffs
+    # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
+    stated = [
+        (-1) ** m * sum(math.comb(m, i) * (-z) ** i * mu[m - i] for i in range(m + 1))
+        for m in range(order + 1)
+    ]
+    corrected = [math.factorial(m) * w for m, w in enumerate(stated)]
+    rhs = _exp_sum(head, corrected)
+    verbatim = _exp_sum(head, stated)
+    return SeriesCheck(
+        lhs=lhs,
+        rhs=rhs,
+        verbatim_rhs=verbatim,
+        note=(
+            "stated form omits the factorial weight m! and leaves the "
+            "exponential-sum bounds implicit; verbatim reading keeps the "
+            "stated weights with the reconstructed bounds"
+        ),
+    )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import run_cli
+from oracles import mp_poly_first_oracle, mp_poly_second_oracle
 from polyfam.algebra import box_moments, integer_samples
 from polyfam.bernoulli import (
     classic_poly_bernoulli,
@@ -34,9 +35,7 @@ from polyfam.cauchy import (
     mp_first_noncentral,
     mp_first_via_polycauchy,
     mp_poly_first,
-    mp_poly_first_oracle,
     mp_poly_second,
-    mp_poly_second_oracle,
     mp_second_closed,
     mp_second_def,
     mp_second_lah,

@@ -12,7 +12,6 @@ from polyfam.algebra import (
     Rat,
     RatLike,
     TruncatedSeries,
-    X,
     as_rat,
     as_rat_tuple,
     box_moments,
@@ -21,6 +20,7 @@ from polyfam.algebra import (
     log1p_series,
 )
 
+X = Polynomial((0, 1))
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 coeff_lists = st.lists(rationals, max_size=6)
 

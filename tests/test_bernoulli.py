@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mp_bernoulli_poly_gf_check
 from polyfam.algebra import PreconditionError, TruncatedSeries, exp_series
 from polyfam.bernoulli import (
     CONVENTIONS,
@@ -17,7 +18,6 @@ from polyfam.bernoulli import (
     mp_bernoulli,
     mp_bernoulli_gf_check,
     mp_bernoulli_poly,
-    mp_bernoulli_poly_gf_check,
 )
 from polyfam.cauchy import FamilyPoint
 from polyfam.stirling import comtet_second_explicit

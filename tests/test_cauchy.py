@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import mp_poly_first_oracle, mp_poly_second_oracle
 from polyfam import algebra, cauchy, stirling
 from polyfam.algebra import (
     Polynomial,
@@ -34,9 +35,7 @@ from polyfam.cauchy import (
     mp_first_noncentral,
     mp_first_via_polycauchy,
     mp_poly_first,
-    mp_poly_first_oracle,
     mp_poly_second,
-    mp_poly_second_oracle,
     mp_second_closed,
     mp_second_def,
     mp_second_lah,

@@ -24,7 +24,8 @@ denominators are coprime to the parameters', and `mp_bernoulli_poly_gf_check`,
 which no catalog id reaches. It was taken at commit dc45b2d, where the
 definitions built `Fraction` parameter tuples, the oracles one shifted
 `FamilyPoint` per sample, and the exponential sum one `exp_series` per
-parameter.
+parameter. The sample oracles and the polynomial GF check are test-only and
+now live in `tests/oracles.py`; their bodies moved unchanged.
 
 VALUE_SHA256 pins what `number`, `poly` and `poly --z` print for every
 family: json and csv, with and without --decimals, at the default
@@ -43,6 +44,7 @@ import io
 import random
 from fractions import Fraction
 
+import oracles
 import polyfam
 from polyfam import cli
 from polyfam.algebra import Polynomial
@@ -177,8 +179,8 @@ def _oracle_digest() -> str:
         lengths = tuple(_rational(rng, 9) for _ in range(k))
         p = polyfam.FamilyPoint(n, k, alpha, lengths)
         for z in [Fraction(0)] + [_rational(rng, 9, (5, 7, 1)) for _ in range(3)]:
-            first = polyfam.mp_poly_first_oracle(p, z)
-            second = polyfam.mp_poly_second_oracle(p, z)
+            first = oracles.mp_poly_first_oracle(p, z)
+            second = oracles.mp_poly_second_oracle(p, z)
             h.update(f"oracle:{first!r}:{second!r}\n".encode())
     for order in range(9):
         for _ in range(2):
@@ -191,7 +193,7 @@ def _oracle_digest() -> str:
             rng.shuffle(alpha)
             lengths = tuple(_rational(rng, 9) for _ in range(k))
             z = _rational(rng, 9, (1, 5))
-            check = polyfam.mp_bernoulli_poly_gf_check(alpha, lengths, k, z, order)
+            check = oracles.mp_bernoulli_poly_gf_check(alpha, lengths, k, z, order)
             h.update(f"gf:{check!r}\n".encode())
     return h.hexdigest()
 

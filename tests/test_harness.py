@@ -17,6 +17,8 @@ from polyfam.harness import (
     CATALOG,
     FAIL,
     IDENTITY_IDS,
+    NA,
+    PASS,
     GridSpec,
     ParamPoint,
     _ABS_FIRST,
@@ -313,6 +315,40 @@ def test_corrected_mode_passes_everywhere_on_a_small_grid():
     reports = sweep(grid=SMALL, seed=2)
     bad = [r for r in reports if r.corrected == "FAIL"]
     assert bad == []
+
+
+@st.composite
+def _adversarial_points(draw):
+    """An identity id and a point the sweep almost never draws: n <= 7,
+    k <= 4, series order 0..5 or None, parameters repeated from a small pool,
+    each rational zero with chance 1/5 (box lengths never) and of height up
+    to 10^30/10^12 with chance 3/10."""
+
+    def rational(nonzero=False):
+        kind = draw(st.integers(2 if nonzero else 0, 9))
+        if kind < 2:
+            return Fraction(0)
+        num, den = (10**30, 10**12) if kind < 5 else (9, 9)
+        sign = draw(st.sampled_from((-1, 1)))
+        return Fraction(sign * draw(st.integers(1, num)), draw(st.integers(1, den)))
+
+    identity = draw(st.sampled_from(IDENTITY_IDS))
+    n, k = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    pool = [rational() for _ in range(draw(st.integers(1, 8)))]
+    alpha = [draw(st.sampled_from(pool)) for _ in range(n)]
+    lengths = [rational(nonzero=True) for _ in range(k)]
+    z0, q = (rational() if draw(st.booleans()) else None for _ in range(2))
+    order = draw(st.none() | st.integers(0, 5))
+    return identity, ParamPoint(n, k, alpha, lengths, z0, q, order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_adversarial_points())
+def test_the_corrected_reading_holds_or_names_its_precondition(case):
+    report = verify(*case)
+    assert report.corrected in (PASS, NA), report
+    if NA in (report.verbatim, report.corrected):
+        assert report.note.startswith("precondition violated:"), report
 
 
 def _double_sum(n, values, weight):

@@ -9,7 +9,11 @@
 - the layers import downward: the family modules never import the sweep
   layer (`harness`) or the command line (`cli`), and the package imports
   the sweep layer only on first use, reading its names from
-  `harness.__all__` with no copy of one in `__init__.py`.
+  `harness.__all__` with no copy of one in `__init__.py`;
+- the package exports what it computes: every name in a submodule's
+  `__all__` is read by another line of the package, named by the benchmark
+  (`perfbench/*.py`), or one of the paper's objects listed in `KEPT`. A
+  check that only tests call lives in `tests/oracles.py`.
 
 The rules read the sources with `ast`. The two that need live objects run in
 `python -m polyfam` or `python -c` child processes, so this module never
@@ -26,6 +30,7 @@ from pathlib import Path
 from conftest import SRC, run_cli
 
 PACKAGE = Path(SRC) / "polyfam"
+PERFBENCH = Path(SRC).parent / "perfbench"
 TREES = {
     path.name: ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -125,6 +130,56 @@ def test_the_families_never_import_the_sweep_or_the_command_line():
         if isinstance(node, ast.Constant) and node.value in harness_names
     }
     assert copied == set()
+
+
+# Public even where only tests read them: the paper's objects, and
+# `summarize`, the reader the ROADMAP plans behind `verify --stats`.
+KEPT = {
+    "bernoulli_from_first",
+    "bernoulli_from_second",
+    "classic_poly_bernoulli",
+    "comtet_second_explicit",
+    "first_from_bernoulli",
+    "generalized_harmonic",
+    "lah_closed_form",
+    "modified_bell",
+    "second_from_bernoulli",
+    "stirling_second",
+    "summarize",
+}
+
+
+def _loaded_names(tree: ast.AST):
+    """Every name that `tree` loads, reads as an attribute or imports by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_name_is_read_by_the_package_the_benchmark_or_the_paper():
+    exported = {
+        f"{module}.{name}": name
+        for module in SUBMODULES
+        for name in ast.literal_eval(_assigned(f"{module}.py", "__all__"))
+    }
+    # The `__all__` entries are strings, so a string in the package is no
+    # reader; the benchmark names its routes as strings and getattr's them.
+    read = {name for tree in TREES.values() for name in _loaded_names(tree)}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(_loaded_names(tree))
+        read.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    assert KEPT <= set(exported.values()), KEPT - set(exported.values())
+    unread = [where for where, name in exported.items() if name not in read | KEPT]
+    assert unread == [], unread
 
 
 def test_no_two_public_names_are_bound_to_one_object():
