@@ -83,7 +83,7 @@ def li_gf_check(k: int, order: int) -> SeriesCheck:
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
     values = _bernoulli_values(classical, range(order + 1))
     rhs = _egf(order, values)
-    return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
+    return SeriesCheck(lhs=lhs, rhs=rhs)
 
 
 def _bernoulli_values(
@@ -174,7 +174,6 @@ def mp_bernoulli_gf_check(
     return SeriesCheck(
         lhs=lhs,
         rhs=rhs,
-        verbatim_rhs=rhs,
         note=(
             "stated outer bound is unbound; read as the truncation order, "
             "which reorders the reconstructed double sum"

@@ -360,27 +360,18 @@ def specialize(
 class SeriesCheck(Record):
     """Comparison of a family generating function against a closed form.
 
-    lhs holds the family side, rhs the reconstructed closed form, and
-    verbatim_rhs the closed form with its summation ranges read exactly as
-    stated (see `note`). All three share the same truncation order.
+    lhs holds the family side and rhs the closed form, at the same
+    truncation order; `note` says how the closed form was read.
     """
 
-    __slots__ = ("lhs", "rhs", "verbatim_rhs", "note")
+    __slots__ = ("lhs", "rhs", "note")
 
-    def __init__(self, lhs, rhs, verbatim_rhs, note=""):
-        self._set(lhs, rhs, verbatim_rhs, note)
-
-    @property
-    def order(self) -> int:
-        return self.lhs.order
+    def __init__(self, lhs, rhs, note=""):
+        self._set(lhs, rhs, note)
 
     @property
     def all_match(self) -> bool:
         return self.lhs == self.rhs
-
-    @property
-    def verbatim_matches(self) -> bool:
-        return self.lhs == self.verbatim_rhs
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:
@@ -395,7 +386,7 @@ def lif_gf_check(k: int, order: int) -> SeriesCheck:
     through the requested order; the stated and corrected readings agree."""
     lhs = lif_series(k, order).compose(log1p_series(order))
     rhs = _egf(order, (specialize("poly", "first", n, k) for n in range(order + 1)))
-    return SeriesCheck(lhs=lhs, rhs=rhs, verbatim_rhs=rhs)
+    return SeriesCheck(lhs=lhs, rhs=rhs)
 
 
 def _poly_first_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:

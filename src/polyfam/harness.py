@@ -316,9 +316,10 @@ def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
 
 
 def _series_outcome(check: SeriesCheck) -> tuple:
-    return _outcome(
-        check.verbatim_matches, check.all_match, check.lhs, check.rhs, check.note
-    )
+    """A generating-function check has one reading: its verdict fills both
+    columns."""
+    ok = check.all_match
+    return _outcome(ok, ok, check.lhs, check.rhs, check.note)
 
 
 def _poly_samples_outcome(

@@ -150,11 +150,10 @@ def test_li_generating_function_check():
 
 def test_number_generating_function_check():
     chk = mp_bernoulli_gf_check((1, 2, 3, 4), (1,), 1, 3)
-    assert chk.order == 3
-    assert chk.all_match
+    assert chk.lhs.order == chk.rhs.order == 3
     # The closed form is one sum, taken in the stated order, so the stated
-    # reading is the corrected one.
-    assert chk.verbatim_matches
+    # reading is the corrected one and the check has one verdict.
+    assert chk.all_match
     assert "order" in chk.note
 
 
@@ -230,14 +229,15 @@ def test_number_generating_function_needs_distinct_parameters():
 
 def test_polynomial_generating_function_check():
     chk = mp_bernoulli_poly_gf_check((1, 2, 3, 4), (1,), 1, Fraction(1, 2), 3)
-    assert chk.all_match
+    assert chk.lhs == chk.rhs
     # The stated closed form drops the factorial weight, so it only matches
     # through the linear term.
-    assert not chk.verbatim_matches
+    assert chk.lhs != chk.verbatim_rhs
+    assert chk.lhs.truncated(1) == chk.verbatim_rhs.truncated(1)
 
 
 def test_polynomial_generating_function_with_two_variables():
     chk = mp_bernoulli_poly_gf_check(
         (1, 2, 3, Fraction(9, 2)), (Fraction(1), Fraction(1, 2)), 2, 1, 3
     )
-    assert chk.all_match
+    assert chk.lhs == chk.rhs

@@ -25,7 +25,9 @@ which no catalog id reaches. It was taken at commit dc45b2d, where the
 definitions built `Fraction` parameter tuples, the oracles one shifted
 `FamilyPoint` per sample, and the exponential sum one `exp_series` per
 parameter. The sample oracles and the polynomial GF check are test-only and
-now live in `tests/oracles.py`; their bodies moved unchanged.
+now live in `tests/oracles.py`; their bodies moved unchanged. The GF check's
+four-field `SeriesCheck` record (the one check with a stated reading of its
+own) moved there too, under the same name, so its repr is unchanged.
 
 VALUE_SHA256 pins what `number`, `poly` and `poly --z` print for every
 family: json and csv, with and without --decimals, at the default

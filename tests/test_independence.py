@@ -1,0 +1,221 @@
+"""Route independence, held structurally.
+
+Each of the twelve routes, and the oracles of T5.1 (`_shifted_def_values`)
+and T4.1 (`_exp_sum`), runs once under `sys.setprofile` at one small point
+with mixed denominators. The package functions it calls, less the generic
+constructors and readers in `GENERIC`, are its kernels; `KERNELS` pins them
+and the README's route table mirrors the pin. Agreement between two routes
+is evidence only if they share no kernel: versions written apart still fail
+together more often than chance allows (Knight and Leveson, IEEE TSE 12(1),
+1986), so the independence that N-version checking rests on (Avizienis, IEEE
+TSE 11(12), 1985) is asserted on the call sets, not assumed:
+
+- the two definitions share no kernel with any route that is not a
+  definition, so with no other route of their family;
+- T5.1's oracle shares none with the polynomial routes, whose kernel
+  `_poly_from_row` it checks;
+- T4.1's exponential sum shares none with the Bernoulli-type routes: that
+  family has one route (`_bernoulli_values` and its polynomial twin), so
+  T4.1 is its independent witness.
+"""
+
+import inspect
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import polyfam
+from polyfam import algebra, bernoulli, cauchy, stirling
+from polyfam.cauchy import FamilyPoint
+
+MODULES = (algebra, stirling, cauchy, bernoulli)
+
+POINT = FamilyPoint(
+    3, 2, (Fraction(1, 2), Fraction(-2, 3), 3), (Fraction(3, 2), Fraction(-2, 5))
+)
+
+# T4.1's closed form at POINT, as mp_bernoulli_gf_check hands it to
+# _exp_sum: order 2, weights (-1)^m m! mu_m.
+WITNESS = (
+    POINT.alpha,
+    [
+        (-1) ** m * math.factorial(m) * mu
+        for m, mu in enumerate(algebra.box_moments(POINT.lengths, POINT.k, 2).coeffs)
+    ],
+)
+
+ENTRIES = {
+    **{
+        name: (getattr(polyfam, name), (POINT,))
+        for name in (
+            "mp_first_def",
+            "mp_first_closed",
+            "mp_first_noncentral",
+            "mp_first_via_polycauchy",
+            "mp_first_bell",
+            "mp_second_def",
+            "mp_second_closed",
+            "mp_second_lah",
+            "mp_bernoulli",
+            "mp_poly_first",
+            "mp_poly_second",
+            "mp_bernoulli_poly",
+        )
+    },
+    "_shifted_def_values": (
+        cauchy._shifted_def_values,
+        (1, POINT, (Fraction(0), Fraction(-1, 7))),
+    ),
+    "_exp_sum": (bernoulli._exp_sum, WITNESS),
+}
+
+DEFINITIONS = ("mp_first_def", "mp_second_def")
+POLYNOMIAL_ROUTES = ("mp_poly_first", "mp_poly_second", "mp_bernoulli_poly")
+BERNOULLI_ROUTES = ("mp_bernoulli", "mp_bernoulli_poly")
+
+# Constructors, argument coercion, row readers and scalar products: every
+# route calls some of them, and a fault in one shows on every route alike.
+GENERIC = {
+    "algebra.Polynomial.__mul__",
+    "algebra.Polynomial.__rmul__",
+    "algebra.Polynomial.over",
+    "algebra.Record._set",
+    "algebra.TruncatedSeries._of",
+    "algebra._reduced",
+    "algebra.as_rat",
+    "algebra.as_rat_tuple",
+    "stirling.CoeffTable.__init__",
+    "stirling.CoeffTable.int_row",
+}
+
+_TABLE = {"stirling.connection_coeffs"}
+_FIRST = {"algebra.box_moments", "cauchy._pair"} | _TABLE
+_BERNOULLI = {
+    "algebra.box_moments",
+    "bernoulli._bernoulli_row",
+    "bernoulli._check_convention",
+    "stirling.comtet_second",
+} | _TABLE
+_DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_values"}
+
+KERNELS = {
+    "mp_first_def": _DEFINITION | {"cauchy._first_def_values"},
+    "mp_first_closed": _FIRST | {"stirling.comtet_first"},
+    "mp_first_noncentral": _FIRST
+    | {"cauchy._times", "stirling.noncentral_second", "stirling.stirling_first"},
+    "mp_first_via_polycauchy": _FIRST
+    | {
+        "cauchy._classic_first_values",
+        "stirling.noncentral_second",
+        "stirling.stirling_first",
+    },
+    "mp_first_bell": {
+        "algebra.box_moments",
+        "cauchy._bell_numerators",
+        "cauchy._pair",
+        "cauchy._reciprocal_power_sums",
+    },
+    "mp_second_def": _DEFINITION | {"cauchy._second_def_values"},
+    "mp_second_closed": _FIRST | {"stirling.signless_comtet_first"},
+    "mp_second_lah": _FIRST
+    | {
+        "cauchy._classic_first_values",
+        "cauchy._times",
+        "stirling.lah_signed",
+        "stirling.noncentral_second",
+        "stirling.stirling_first",
+    },
+    "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
+    "mp_poly_first": {
+        "algebra.box_moments",
+        "cauchy._poly_first_values",
+        "cauchy._poly_from_row",
+        "stirling.comtet_first",
+    }
+    | _TABLE,
+    "mp_poly_second": {
+        "algebra.box_moments",
+        "cauchy._poly_from_row",
+        "cauchy._poly_second_values",
+        "stirling.signless_comtet_first",
+    }
+    | _TABLE,
+    "mp_bernoulli_poly": _BERNOULLI
+    | {"bernoulli._bernoulli_poly_values", "cauchy._poly_from_row"},
+    "_shifted_def_values": _DEFINITION,
+    "_exp_sum": {"algebra._over_lcm"},
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _code_names():
+    """`module.function` or `module.Class.method` for the code object of
+    every function, method and property getter the family modules define."""
+    names = {}
+    for module in MODULES:
+        short = module.__name__.rpartition(".")[2]
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else ((None, obj),)
+            for attr, member in members:
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    names[member.__code__] = ".".join(filter(None, (short, name, attr)))
+    return names
+
+
+def _kernels(function, args):
+    """The non-generic package functions that function(*args) calls, at any
+    depth, itself left out."""
+    names, seen = _code_names(), set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            seen.add(names[frame.f_code])
+
+    sys.setprofile(record)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return seen - GENERIC - {names[function.__code__]}
+
+
+@pytest.fixture(scope="module")
+def traced():
+    return {name: _kernels(*entry) for name, entry in ENTRIES.items()}
+
+
+def test_each_route_calls_its_pinned_kernels(traced):
+    assert traced == KERNELS
+
+
+def test_the_definitions_share_no_kernel_with_another_route(traced):
+    for definition in DEFINITIONS:
+        for route in ENTRIES:
+            if route not in (*DEFINITIONS, "_shifted_def_values"):
+                assert not traced[definition] & traced[route], (definition, route)
+
+
+def test_the_oracles_share_no_kernel_with_the_routes_they_check(traced):
+    for route in POLYNOMIAL_ROUTES:
+        assert "cauchy._poly_from_row" in traced[route]
+        assert not traced["_shifted_def_values"] & traced[route], route
+    for route in BERNOULLI_ROUTES:
+        assert not traced["_exp_sum"] & traced[route], route
+
+
+def test_readme_route_table_matches_the_pin():
+    lines = README.read_text().splitlines()
+    start = lines.index("| route or oracle | kernels |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    assert rows == [(name, ", ".join(sorted(KERNELS[name]))) for name in ENTRIES]

@@ -1,4 +1,4 @@
-"""The eight record types behave as frozen dataclasses do, every catalog
+"""The seven record types behave as frozen dataclasses do, every catalog
 entry is a record of module-level names, and importing the package loads no
 module that only a dataclass or `typing` would need, nor the sweep layer."""
 
@@ -16,7 +16,7 @@ from polyfam import harness
 from polyfam.algebra import PreconditionError, exp_series, log1p_series
 from polyfam.cauchy import FamilyPoint, SeriesCheck
 from polyfam.harness import GridSpec, Identity, IdentityReport, ParamPoint
-from polyfam.stirling import CoeffTable, InversionCheck
+from polyfam.stirling import CoeffTable
 
 # perfbench's sweep-deep grid, built by keyword as the benchmark builds it.
 SWEEP_GRID = {"n_max": 14, "k_max": 2, "points": 3, "series_order": 6, "bound": 20}
@@ -26,7 +26,7 @@ def _records():
     """(built positionally, built by keyword, repr) for each record type; the
     two builds are distinct objects with equal fields."""
     one, half = Fraction(1), Fraction(1, 2)
-    series = exp_series(1), exp_series(1), log1p_series(1)
+    series = exp_series(1), log1p_series(1)
     point = ParamPoint(1, 2, (0,), (1, 1), 1, "1/2", None)
     return [
         (
@@ -37,20 +37,14 @@ def _records():
         ),
         (
             SeriesCheck(*series, "n"),
-            SeriesCheck(lhs=series[0], rhs=series[1], verbatim_rhs=series[2], note="n"),
+            SeriesCheck(lhs=series[0], rhs=series[1], note="n"),
             "SeriesCheck(lhs=TruncatedSeries(order=1, ['1', '1']), "
-            "rhs=TruncatedSeries(order=1, ['1', '1']), "
-            "verbatim_rhs=TruncatedSeries(order=1, ['0', '1']), note='n')",
+            "rhs=TruncatedSeries(order=1, ['0', '1']), note='n')",
         ),
         (
             CoeffTable(((1,), (-1, 3)), 2, (1, 3)),
             CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3)),
             "CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3))",
-        ),
-        (
-            InversionCheck(True, False),
-            InversionCheck(unsigned=True, signed=False),
-            "InversionCheck(unsigned=True, signed=False)",
         ),
         (
             point,
@@ -98,7 +92,7 @@ def _records():
 RECORD_IDS = [type(built).__name__ for built, _, _ in _records()]
 
 
-@pytest.mark.parametrize("index", range(8), ids=RECORD_IDS)
+@pytest.mark.parametrize("index", range(len(RECORD_IDS)), ids=RECORD_IDS)
 def test_a_record_reads_like_a_frozen_dataclass(index):
     positional, keyword, text = _records()[index]
     assert repr(positional) == repr(keyword) == text
@@ -117,7 +111,7 @@ def test_a_record_reads_like_a_frozen_dataclass(index):
     assert positional == keyword
 
 
-@pytest.mark.parametrize("index", range(8), ids=RECORD_IDS)
+@pytest.mark.parametrize("index", range(len(RECORD_IDS)), ids=RECORD_IDS)
 def test_copy_and_pickle_give_an_equal_record_back(index):
     record, _, _ = _records()[index]
     for twin in (
@@ -144,14 +138,14 @@ def test_a_record_equals_only_its_own_type():
     assert point != (2, 1, (Fraction(1), Fraction(2)), (Fraction(1),))
     assert GridSpec() != ParamPoint() and ParamPoint() != GridSpec()
     assert GridSpec() != (5, 2, 10, 6, 20)
-    assert InversionCheck(True, True) != (True, True)
+    check = SeriesCheck(exp_series(1), exp_series(1))
+    assert check != (check.lhs, check.rhs, "")
     assert ParamPoint(2, 1, (1, 2), (1,)) != point
     assert point != FamilyPoint(2, 1, (1, 2), (2,))
     # CoeffTable keeps its own equality: the same table at another scale.
     assert CoeffTable(((1,), (-1, 1))) == CoeffTable(((1,), (-2, 1)), 2)
     assert CoeffTable(((1,), (-1, 1))) == CoeffTable(((1,), (-6, 3)), 2, (1, 3))
     assert CoeffTable(((1,),)) != ((1,),)
-    assert bool(InversionCheck(True, False)) and not InversionCheck(False, True)
 
 
 def test_points_hold_rationals():
@@ -259,6 +253,7 @@ print(json.dumps({
         name
         for name in (
             "X",
+            "InversionCheck",
             "mp_poly_first_oracle",
             "mp_poly_second_oracle",
             "mp_bernoulli_poly_gf_check",
@@ -275,14 +270,14 @@ def test_the_package_exports_the_sweep_names_on_first_use():
     assert len(api["harness_names"]) == 15
     assert api["not_the_harness_object"] == []
     assert api["follows_a_rebinding"] is True
-    assert len(api["expected"]) == 70
+    assert len(api["expected"]) == 69
     assert api["star"] == api["expected"]
     assert api["all"] == api["star"]
     assert set(api["expected"]) <= set(api["dir"])
     assert "'nope'" in api["error"]
     assert api["hasattr"] is False
-    # Test-only checks moved to tests/oracles.py; the lazy __getattr__ does
-    # not bring one back.
+    # Test-only checks moved to tests/oracles.py and InversionCheck is gone;
+    # the lazy __getattr__ does not bring one back.
     assert api["removed"] == []
     bare = "import polyfam; print(polyfam.harness is sys.modules['polyfam.harness'])"
     assert _child(bare).split() == ["True"]
