@@ -31,7 +31,6 @@ from .algebra import (
     log1p_series,
 )
 from .stirling import (
-    CoeffTable,
     comtet_first,
     lah_signed,
     noncentral_second,
@@ -116,14 +115,6 @@ def _poly_from_row(row: Polynomial, moments: Polynomial) -> Polynomial:
     return Polynomial.over(num, row.den * moments.den)
 
 
-def _times(row: Polynomial, table: CoeffTable) -> Polynomial:
-    """The row sum_j (sum_m row[m] table(m, j)) T^j for a classical table,
-    whose entries are integers (den 1)."""
-    t, r = table.num, row.num
-    num = (sum(r[m] * t[m][j] for m in range(j, len(r))) for j in range(len(r)))
-    return Polynomial.over(num, row.den)
-
-
 def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
     """The box integral of sum_m (nums[m] / den) T^m, T = x_1...x_k, one
     variable at a time: integrating over x_i in [0, u/v] multiplies the
@@ -202,7 +193,7 @@ def mp_first_noncentral(p: FamilyPoint) -> Rat:
     """First kind through the non-central table and the classical first-kind
     triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    row = _times(nc.int_row(p.n), stirling_first(p.n))
+    row = stirling_first(p.n).times(nc.int_row(p.n))
     return _pair(row, box_moments(p.lengths, p.k, p.n))
 
 
@@ -308,7 +299,7 @@ def mp_second_closed(p: FamilyPoint) -> Rat:
 def mp_second_lah(p: FamilyPoint) -> Rat:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
-    row = _times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n), lah_signed(p.n))
+    row = lah_signed(p.n).times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n))
     return _pair(row, _classic_first_values(box_moments(p.lengths, p.k, p.n), p.n))
 
 

@@ -210,7 +210,9 @@ def _expand(values: Sequence, table: CoeffTable, weight: tuple):
     q[n] Q D^(n-j), where Q is the lcm of the row denominators, l_m is
     num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
     over a further n! for p = -1; so every weight is an integer over one
-    denominator, (n! or 1) q[n] Q D^n."""
+    denominator, (n! or 1) q[n] Q D^n. The integers are read raw, not
+    through int_row: the mp_bernoulli lhs reads int_row too, so a fault
+    there would cancel between the lhs and these weights."""
     _, e_n, e_m, e_j, power, absolute = weight
     n, num, d, qs = table.size, table.num, table.den, table.q
     left = [abs(r) for r in num[n]] if absolute else num[n]

@@ -48,7 +48,6 @@ __all__ = [
     "signless_comtet_first",
     "stirling_first",
     "stirling_second",
-    "table_product",
 ]
 
 
@@ -108,31 +107,19 @@ class CoeffTable(Record):
     def entrywise_abs(self) -> "CoeffTable":
         return CoeffTable(tuple(tuple(map(abs, r)) for r in self.num), self.den, self.q)
 
-    def is_identity(self) -> bool:
-        rows = enumerate(zip(self.num, self.q))
-        return all(tuple(row) == (0,) * n + (q,) for n, (row, q) in rows)
-
-
-def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
-    """Triangular matrix product (a b)(n, j) = sum_m a(n, m) b(m, j), over
-    the lcm d of the two denominators and, in row n, a.q[n] times the lcm l
-    of b's row denominators."""
-    if a.size != b.size:
-        raise PreconditionError("table sizes must match for a product")
-    d, l = math.lcm(a.den, b.den), math.lcm(*b.q)
-    x, y = (
-        [[r * s * (d // t.den) ** (n - m) for m, r in enumerate(row)]
-         for n, (row, s) in enumerate(zip(t.num, scales))]
-        for t, scales in ((a, (1,) * len(a.q)), (b, [l // q for q in b.q]))
-    )
-    return CoeffTable(
-        tuple(
-            tuple(sum(x[n][m] * y[m][j] for m in range(j, n + 1)) for j in range(n + 1))
-            for n in range(a.size + 1)
-        ),
-        d,
-        tuple(q * l for q in a.q),
-    )
+    def times(self, row: Polynomial) -> Polynomial:
+        """The row vector `row` times the table: sum_j (sum_m row[m] T(m, j))
+        X^j, for deg(row) = N <= size. Over row.den Q den^N, Q the lcm of
+        q[0..N] (den^0 for the zero row, N = -1), coefficient j is the
+        integer den^j sum_m row.num[m] (Q / q[m]) den^(N-m) num[m][j]."""
+        r, t, d, qs = row.num, self.num, self.den, self.q[: len(row.num)]
+        if len(r) > len(t):
+            raise PreconditionError("the row is longer than the table")
+        top, lcm = len(r) - 1, math.lcm(*qs)
+        lead = [c * (lcm // q) * d ** (top - m) for m, (c, q) in enumerate(zip(r, qs))]
+        num = (d**j * sum(lead[m] * t[m][j] for m in range(j, top + 1))
+               for j in range(top + 1))
+        return Polynomial.over(num, row.den * lcm * d ** max(top, 0))
 
 
 def connection_coeffs(
@@ -266,11 +253,12 @@ def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:
 
 def inversion_check(alpha: Iterable[RatLike], size: int) -> bool:
     """Whether the two generalized triangles of `alpha` are two-sided
-    matrix inverses through row `size`."""
+    matrix inverses through row `size`: row n of either, times the other,
+    is X^n."""
     a = as_rat_tuple(alpha)
-    first = comtet_first(a, size)
-    second = comtet_second(a, size)
-    return (
-        table_product(first, second).is_identity()
-        and table_product(second, first).is_identity()
+    first, second = comtet_first(a, size), comtet_second(a, size)
+    return all(
+        y.times(x.int_row(n)) == Polynomial.over((0,) * n + (1,))
+        for x, y in ((first, second), (second, first))
+        for n in range(size + 1)
     )

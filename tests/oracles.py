@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from polyfam.algebra import Rat, RatLike, Record, _egf, as_rat, as_rat_tuple, box_moments
 from polyfam.bernoulli import _bernoulli_poly_values, _distinct_head, _exp_sum
 from polyfam.cauchy import FamilyPoint, _shifted_def_values
+from polyfam.stirling import CoeffTable
 
 
 class SeriesCheck(Record):
@@ -27,6 +28,17 @@ class SeriesCheck(Record):
 
     def __init__(self, lhs, rhs, verbatim_rhs, note=""):
         self._set(lhs, rhs, verbatim_rhs, note)
+
+
+def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
+    """The triangular product a b: its row n is row n of a times b
+    (`CoeffTable.times`), held over its own row denominator."""
+    rows = [b.times(a.int_row(n)) for n in range(a.size + 1)]
+    return CoeffTable(
+        tuple(p.num + (0,) * (n + 1 - len(p.num)) for n, p in enumerate(rows)),
+        1,
+        tuple(p.den for p in rows),
+    )
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -446,6 +447,27 @@ def test_a_negative_rational_flag_value_may_follow_a_space(argv, capsys):
     spaced = capsys.readouterr().out
     assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
     assert spaced and capsys.readouterr().out == spaced
+
+
+def test_a_value_past_the_int_string_digit_limit_prints_in_full():
+    # 1/2 - 10^5000: a 5001-digit numerator, past CPython's default limit of
+    # 4300 digits for int/str conversion.
+    proc = run_cli("number", "mp-cauchy-1", "--n", "1", "--alpha", "1e5000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == "-1" + "9" * 5000 + "/2"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_main_restores_the_int_string_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["number", "mp-cauchy-1", "--n", "1", "--alpha", "1e5000"]) == 0
+    assert main(["number", "cauchy-1", "--n", "0", "--lengths", "0"]) == 3
+    with pytest.raises(SystemExit):
+        main(["number", "cauchy-1"])
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().out.count("9" * 5000) == 1
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):

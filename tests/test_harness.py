@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -309,6 +310,58 @@ def test_errata_ledger_entries():
     # Minimality: no failing point is smaller than the chosen one.
     again = errata_ledger(sweep(ids=["T2.1", "T3.1"], grid=GridSpec(points=6), seed=0))
     assert again == ledger
+
+
+def _sympy_absolute_reading(point):
+    """The absolute-value reading of T3.1 and T5.1b, written out in sympy:
+    (-1)^n times the box integral of sum_m |c_m| (x_1...x_k - z)^m, where c_m
+    is the x^m coefficient of prod_{i<n} (x - a_i). A polynomial in z; its
+    value at 0 is T3.1's stated value."""
+    x, z = sympy.symbols("x z")
+    n, xs = point["n"], sympy.symbols(f"x0:{point['k']}")
+    product = sympy.prod([x - sympy.Rational(a) for a in point["alpha"][:n]])
+    coeffs = sympy.Poly(product, x).all_coeffs()[::-1]
+    integrand = sum(abs(c) * (sympy.prod(xs) - z) ** m for m, c in enumerate(coeffs))
+    for var, length in zip(xs, point["lengths"]):
+        integrand = sympy.integrate(integrand, (var, 0, sympy.Rational(length)))
+    return sympy.Poly((-1) ** n * sympy.expand(integrand), z)
+
+
+def _fractions(text):
+    return [Fraction(v) for v in text.strip("[]").split(", ")]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_absolute_value_readings_have_a_sympy_witness(seed):
+    ids = ["T3.1", "C3.1", "T5.1b", "C5.1b"]
+    entries = errata_ledger(sweep(ids=ids, seed=seed))["entries"]
+    assert [e["identity"] for e in entries] == ids
+    for entry in entries:
+        cex = entry["counterexample"]
+        point, note = cex["point"], cex["note"]
+        stated = _sympy_absolute_reading(point)
+        if entry["identity"] in ("T5.1b", "C5.1b"):
+            assert note.startswith("stated expansion gives ")
+            coeffs = [Fraction(str(c)) for c in stated.all_coeffs()[::-1]]
+            assert coeffs == _fractions(note.rpartition(" gives ")[2])
+            # lhs holds the definition at integer_samples(n + 1) and z0.
+            samples = list(algebra.integer_samples(point["n"] + 1))
+            if Fraction(point["z0"]) not in samples:
+                samples.append(Fraction(point["z0"]))
+            values = [Fraction(str(stated.eval(sympy.Rational(v)))) for v in samples]
+            assert values != _fractions(cex["lhs"])
+        else:
+            assert note.startswith("absolute-value reading gives ")
+            value = Fraction(str(stated.eval(0)))
+            assert value == Fraction(note.rpartition(" ")[2])
+            assert value != Fraction(cex["lhs"])
+        if (seed, entry["identity"]) == (0, "T3.1"):
+            assert (point["n"], point["alpha"], point["lengths"]) == (
+                1, ["-4/15"], ["6", "7/8"]
+            )
+            assert (value, Fraction(cex["lhs"])) == (
+                Fraction(-2653, 320), Fraction(-1757, 320)
+            )
 
 
 def test_corrected_mode_passes_everywhere_on_a_small_grid():

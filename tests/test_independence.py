@@ -105,7 +105,11 @@ KERNELS = {
     "mp_first_def": _DEFINITION | {"cauchy._first_def_values"},
     "mp_first_closed": _FIRST | {"stirling.comtet_first"},
     "mp_first_noncentral": _FIRST
-    | {"cauchy._times", "stirling.noncentral_second", "stirling.stirling_first"},
+    | {
+        "stirling.CoeffTable.times",
+        "stirling.noncentral_second",
+        "stirling.stirling_first",
+    },
     "mp_first_via_polycauchy": _FIRST
     | {
         "cauchy._classic_first_values",
@@ -123,7 +127,7 @@ KERNELS = {
     "mp_second_lah": _FIRST
     | {
         "cauchy._classic_first_values",
-        "cauchy._times",
+        "stirling.CoeffTable.times",
         "stirling.lah_signed",
         "stirling.noncentral_second",
         "stirling.stirling_first",

@@ -217,11 +217,10 @@ def _pair_shifted(real):
 
 
 def _times_diagonal_dropped(real):
-    # The sum over m >= j starts at j + 1.
-    def fake(row, table):
-        t, r = table.num, row.num
-        num = (sum(r[m] * t[m][j] for m in range(j + 1, len(r))) for j in range(len(r)))
-        return Polynomial.over(num, row.den)
+    # The sum over m >= j starts at j + 1: the table's diagonal reads 0.
+    def fake(self, row):
+        off = tuple(r[:-1] + (0,) for r in self.num)
+        return real(CoeffTable(off, self.den, self.q), row)
 
     return fake
 
@@ -452,6 +451,7 @@ MATRIX = [
         "T2.1 T2.2 T2.3 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b "
         "T5.2a T5.2b T5.2c T5.2d",
     ),
+    (CoeffTable, "times", _times_diagonal_dropped, "C2.2 C3.2 T2.2 T3.2"),
     # L2
     (
         algebra,
@@ -481,7 +481,6 @@ MATRIX = [
         "C2.1 C2.2 C3.1 C3.2 C4.1a C4.1b C4.2a C4.2b CASES-2 CASES-3 GF-Li T2.1 "
         "T2.2 T2.3 T2.4 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b",
     ),
-    (cauchy, "_times", _times_diagonal_dropped, "C2.2 C3.2 T2.2 T3.2"),
     (cauchy, "_poly_from_row", _poly_from_row_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (
         bernoulli,

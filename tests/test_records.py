@@ -270,7 +270,7 @@ def test_the_package_exports_the_sweep_names_on_first_use():
     assert len(api["harness_names"]) == 15
     assert api["not_the_harness_object"] == []
     assert api["follows_a_rebinding"] is True
-    assert len(api["expected"]) == 69
+    assert len(api["expected"]) == 68
     assert api["star"] == api["expected"]
     assert api["all"] == api["star"]
     assert set(api["expected"]) <= set(api["dir"])

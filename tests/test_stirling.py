@@ -21,8 +21,9 @@ from polyfam.stirling import (
     signless_comtet_first,
     stirling_first,
     stirling_second,
-    table_product,
 )
+
+from oracles import table_product
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10)
 alpha_lists = st.lists(rationals, min_size=0, max_size=5)
@@ -30,6 +31,10 @@ alpha_lists = st.lists(rationals, min_size=0, max_size=5)
 
 def classical(n):
     return tuple(Fraction(i) for i in range(n))
+
+
+def identity(size):
+    return connection_coeffs((0,) * size, (0,) * size, size)
 
 
 # Reference engine: expand each basis element into monomials and peel the
@@ -193,13 +198,13 @@ def test_comtet_tables_are_two_sided_inverses(alpha):
     n = len(alpha)
     first = comtet_first(alpha, n)
     second = comtet_second(alpha, n)
-    assert table_product(first, second).is_identity()
-    assert table_product(second, first).is_identity()
-    assert connection_coeffs(alpha, alpha, n).is_identity()
+    assert table_product(first, second) == identity(n)
+    assert table_product(second, first) == identity(n)
+    assert connection_coeffs(alpha, alpha, n) == identity(n)
 
 
 def test_noncentral_table_collapses_classically():
-    assert noncentral_second(classical(4), 4).is_identity()
+    assert noncentral_second(classical(4), 4) == identity(4)
 
 
 def test_noncentral_row_against_hand_expansion():
@@ -238,7 +243,7 @@ def test_connection_coefficients_compose_to_identity(a, b):
     size = min(len(a), len(b))
     forward = connection_coeffs(a, b, size)
     back = connection_coeffs(b, a, size)
-    assert table_product(forward, back).is_identity()
+    assert table_product(forward, back) == identity(size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,7 +311,7 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
                 got = Fraction(r, table.q[n] * table.den ** (n - m))
                 assert got == want[n][m], family
             int_row = table.int_row(n)
-            # T(n, n) = +-1 keeps the degree n that _times and _bernoulli_row read.
+            # T(n, n) = +-1 keeps the degree n that times and _bernoulli_row read.
             assert len(int_row.num) == n + 1
             assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
         assert table.int_row(-1) == table.int_row(table.size)
@@ -315,12 +320,10 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=12), node_lists(), st.integers(2, 6))
 def test_table_views_agree_across_denominators(size, alpha, factor):
-    same = connection_coeffs(alpha, alpha, size)
-    identity = connection_coeffs((0,) * size, (0,) * size, size)
-    assert identity.den == 1
-    assert same.is_identity() and identity.is_identity()
-    assert same == identity
-    assert hash(same) == hash(identity)
+    same, unit = connection_coeffs(alpha, alpha, size), identity(size)
+    assert unit.den == 1
+    assert same == unit
+    assert hash(same) == hash(unit)
     first, second = comtet_first(alpha, size), comtet_second(alpha, size)
     for table in (first, second, signless_comtet_first(alpha, size)):
         hand = _hand_built(table, factor)
@@ -331,11 +334,11 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
         assert _rows(hand.entrywise_abs()) == tuple(
             tuple(abs(c) for c in row) for row in _rows(table)
         )
-        assert table_product(hand, identity) == table
-        assert table_product(identity, hand) == table
-        assert hand.is_identity() == table.is_identity()
-    assert table_product(_hand_built(first, factor), second).is_identity()
-    assert table_product(second, _hand_built(first, factor)).is_identity()
+        assert table_product(hand, unit) == table
+        assert table_product(unit, hand) == table
+        assert (hand == unit) == (table == unit)
+    assert table_product(_hand_built(first, factor), second) == unit
+    assert table_product(second, _hand_built(first, factor)) == unit
     last = first.num[-1]
     bumped = CoeffTable(
         first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den, first.q
@@ -343,8 +346,41 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
     assert bumped != first and bumped != _hand_built(first, factor)
     # The identity holds T(n, n) = 1 over any row denominator, and only there.
     rows = tuple((0,) * n + (factor,) for n in range(size + 1))
-    assert CoeffTable(rows, factor, (factor,) * (size + 1)).is_identity()
-    assert not CoeffTable(rows).is_identity()
+    assert CoeffTable(rows, factor, (factor,) * (size + 1)) == unit
+    assert CoeffTable(rows) != unit
+
+
+def _times_by_hand(table, row):
+    """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions."""
+    return Polynomial(
+        sum(c * table[m, j] for m, c in enumerate(row.coeffs))
+        for j in range(len(row.num))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8),
+    node_lists(),
+    st.lists(wide_rationals, min_size=9, max_size=9),
+)
+@example(3, [Fraction(1, 2), Fraction(-2, 3), 5] * 4, [Fraction(1, 3), -7] * 4 + [1])
+def test_times_is_the_row_vector_times_the_table(size, alpha, coeffs):
+    tables = (
+        comtet_first(alpha, size),
+        comtet_second(alpha, size),
+        noncentral_second(alpha, size),
+        lah_signed(size),
+    )
+    for table in tables:
+        hand = _hand_built(table, 3)
+        assert hand.den % 3 == 0 and all(q % 3 == 0 for q in hand.q)
+        for t in (table, hand):
+            # Full degree, a lower degree, and the zero row.
+            for row in (coeffs[: size + 1], coeffs[:size], ()):
+                row = Polynomial(row)
+                assert t.times(row) == _times_by_hand(t, row)
+    assert stirling_first(size).times(Polynomial()) == Polynomial()
 
 
 def test_a_table_holds_only_its_integers():
@@ -406,6 +442,6 @@ def test_explicit_second_kind_needs_distinct_parameters():
         comtet_second_explicit((1,), 2, 1)
 
 
-def test_table_product_requires_equal_sizes():
+def test_times_requires_a_row_within_the_table():
     with pytest.raises(PreconditionError):
-        table_product(stirling_first(2), stirling_second(3))
+        stirling_first(2).times(stirling_second(3).int_row(3))
