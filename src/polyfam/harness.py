@@ -204,32 +204,26 @@ def _triangle(weight: tuple, alpha: Sequence[Rat], n: int) -> CoeffTable:
 
 
 def _expand(values: Sequence, table: CoeffTable, weight: tuple):
-    """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free. As
-    T(n, m) = num[n][m] / (q[n] D^(n-m)), the weight of values[j] is one
-    integer c_j = sum_m (-1)^(e_m m) f_m l_m (Q / q[m]) num[m][j] over
-    q[n] Q D^(n-j), where Q is the lcm of the row denominators, l_m is
-    num[n][m] (or its absolute value), f_m = m! for p = 1, and f_m = n!/m!
-    over a further n! for p = -1; so every weight is an integer over one
-    denominator, (n! or 1) q[n] Q D^n. The integers are read raw, not
-    through int_row: the mp_bernoulli lhs reads int_row too, so a fault
-    there would cancel between the lhs and these weights."""
+    """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free.
+    Row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
+    n!/m! for p = -1), is the row vector that `CoeffTable.times` multiplies
+    by T; its coefficient j, signed by (-1)^(e_n n + e_j j) and over a
+    further n! for p = -1, is the weight of values[j]. The row is built
+    from the raw integers num[n] / (q[n] den^(n-m)), not through int_row:
+    the mp_bernoulli lhs reads int_row too, so a fault there would cancel
+    between the lhs and these weights."""
     _, e_n, e_m, e_j, power, absolute = weight
-    n, num, d, qs = table.size, table.num, table.den, table.q
-    left = [abs(r) for r in num[n]] if absolute else num[n]
+    n, d = table.size, table.den
+    left = [abs(r) for r in table.num[n]] if absolute else table.num[n]
     fact = [math.factorial(m) for m in range(n + 1)]
     scale = fact if power == 1 else [fact[n] // f for f in fact]
-    lcm = math.lcm(*qs)
-    lead = [
-        (-1) ** (e_m * m) * scale[m] * left[m] * (lcm // qs[m]) for m in range(n + 1)
-    ]
-    weights = [
-        (-1) ** (e_n * n + e_j * j)
-        * d**j
-        * sum(lead[m] * num[m][j] for m in range(j, n + 1))
-        for j in range(n + 1)
-    ]
-    den = (1 if power == 1 else fact[n]) * qs[n] * lcm * d**n
-    return _combine(weights, den, values)
+    row = Polynomial.over(
+        ((-1) ** (e_m * m) * scale[m] * c * d**m for m, c in enumerate(left)),
+        table.q[n] * d**n,
+    )
+    product = table.times(row)
+    weights = [(-1) ** (e_n * n + e_j * j) * c for j, c in enumerate(product.num)]
+    return _combine(weights, (1 if power == 1 else fact[n]) * product.den, values)
 
 
 def _combine(weights: Sequence[int], den: int, values: Sequence):

@@ -451,7 +451,13 @@ MATRIX = [
         "T2.1 T2.2 T2.3 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b "
         "T5.2a T5.2b T5.2c T5.2d",
     ),
-    (CoeffTable, "times", _times_diagonal_dropped, "C2.2 C3.2 T2.2 T3.2"),
+    (
+        CoeffTable,
+        "times",
+        _times_diagonal_dropped,
+        "C2.2 C3.2 C4.1a C4.1b C4.2a C4.2b T2.2 T3.2 T4.2a T4.2b T4.3a T4.3b "
+        "T5.2a T5.2b T5.2c T5.2d",
+    ),
     # L2
     (
         algebra,

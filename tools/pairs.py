@@ -1,14 +1,15 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/pairs.py --parent REV [--pairs 10] [--seconds S] [--scratch DIR]
+    python3 tools/pairs.py --parent REV [--scratch DIR]
 
 Run it from the root of a checkout. It exports the committed files of REV
 (`git archive`) into a fresh directory under DIR (the system temporary
 directory by default) and runs `perfbench/run.py --trace 0` there and in the
-working tree, each side with its own unchanged copy of the benchmark. Pair i
-runs both sides at seed i; even pairs run the parent first and odd pairs the
-change, so that a drift in the host's speed does not favour one side. S
-defaults to BENCHMARK.json's run_seconds.
+working tree, each side with its own unchanged copy of the benchmark, for
+BENCHMARK.json's run_seconds per run. Pair i of ten runs both sides at seed
+i; even pairs run the parent first and odd pairs the change, so that a drift
+in the host's speed does not favour one side. Every run of the tool has the
+same length and count, so two changes' tables can be compared.
 
 For each workload it prints every pair's end-to-end values, then per metric
 the two medians, the parent's interquartile range, the change of the medians
@@ -33,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = SPEC["end_to_end"]
+PAIRS = 10
 
 
 def export(rev: str, scratch: str | None) -> Path:
@@ -47,11 +49,11 @@ def export(rev: str, scratch: str | None) -> Path:
     return tree
 
 
-def run(tree: Path, workload: str, seed: int, seconds: int) -> dict | None:
+def run(tree: Path, workload: str, seed: int) -> dict | None:
     """The end-to-end metrics of one untraced run, or None if it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -66,13 +68,6 @@ def run(tree: Path, workload: str, seed: int, seconds: int) -> dict | None:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def quartiles(values: list[float]) -> tuple[float, float]:
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, q3
-
-
 def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
     print(f"\n{workload}: {len(pairs)} complete pairs")
     for metric in METRICS:
@@ -81,7 +76,7 @@ def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         change = [c[name] for _, c in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         mp, mc = statistics.median(parent), statistics.median(change)
-        q1, q3 = quartiles(parent)
+        q1, _, q3 = statistics.quantiles(parent, n=4)
         worse = (mc - mp) / mp if lower else (mp - mc) / mp
         print(
             f"  {name:12s} parent median {mp:.6g} (IQR {q1:.6g}..{q3:.6g}, "
@@ -93,8 +88,6 @@ def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=SPEC["run_seconds"])
     parser.add_argument("--scratch", default=None, help="where the export goes")
     args = parser.parse_args(argv)
     parent = export(args.parent, args.scratch)
@@ -104,9 +97,9 @@ def main(argv=None) -> int:
         for workload in (w["name"] for w in SPEC["workloads"]):
             print(f"\n{workload}: seed  " + "  ".join(f"{n} parent/change" for n in names))
             pairs = []
-            for seed in range(args.pairs):
+            for seed in range(PAIRS):
                 sides = [parent, ROOT] if seed % 2 == 0 else [ROOT, parent]
-                got = {tree: run(tree, workload, seed, args.seconds) for tree in sides}
+                got = {tree: run(tree, workload, seed) for tree in sides}
                 p, c = got[parent], got[ROOT]
                 if p is None or c is None:
                     failed += 1
@@ -115,7 +108,7 @@ def main(argv=None) -> int:
                 cells = "  ".join(f"{p[n]:.6g}/{c[n]:.6g}" for n in names)
                 first = "parent" if seed % 2 == 0 else "change"
                 print(f"  {seed:4d}  {cells}  ({first} first)", flush=True)
-            if pairs:
+            if len(pairs) > 1:
                 report(workload, pairs)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
