@@ -29,7 +29,7 @@ from .algebra import (
     box_moments,
     exp_series,
 )
-from .cauchy import FamilyPoint, SeriesCheck, _pair, _poly_from_row
+from .cauchy import FamilyPoint, _pair, _poly_from_row
 from .stirling import comtet_second
 
 __all__ = [
@@ -70,20 +70,19 @@ def classic_poly_bernoulli(n: int, k: int) -> Rat:
     return mp_bernoulli(FamilyPoint(n, k, tuple(range(n)), (1,) * k))
 
 
-def li_gf_check(k: int, order: int) -> SeriesCheck:
-    """Compare sum_{m>=1} (1 - e^{-t})^{m-1} / m^k with the exponential
-    generating function of the classical values through the given order;
-    the stated and corrected readings agree. The left side is one
-    composition, as in GF-Lif: the unit-box moments sum_m u^m / (m+1)^k
-    composed with u = 1 - e^{-t}. The right side reads the classical values
-    0..order from one _bernoulli_values pass at the parameters
-    0, 1, ..., order-1 and the unit box."""
+def li_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The two sides of GF-Li through the given order:
+    sum_{m>=1} (1 - e^{-t})^{m-1} / m^k, and the exponential generating
+    function of the classical values. The left side is one composition, as
+    in GF-Lif: the unit-box moments sum_m u^m / (m+1)^k composed with
+    u = 1 - e^{-t}. The right side reads the classical values 0..order from
+    one _bernoulli_values pass at the parameters 0, 1, ..., order-1 and the
+    unit box."""
     moments = TruncatedSeries._of(order, box_moments((1,) * k, k, order))
     lhs = moments.compose(1 - exp_series(order, rate=-1))
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
     values = _bernoulli_values(classical, range(order + 1))
-    rhs = _egf(order, values)
-    return SeriesCheck(lhs=lhs, rhs=rhs)
+    return lhs, _egf(order, values)
 
 
 def _bernoulli_values(
@@ -153,14 +152,14 @@ def mp_bernoulli_gf_check(
     lengths: Iterable[RatLike],
     k: int,
     order: int,
-) -> SeriesCheck:
-    """Compare sum_n B_n t^n/n! with the closed form
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The two sides of T4.1: sum_n B_n t^n/n! and the closed form
     sum_m (-1)^m m! (l...)^(m+1)/(m+1)^k sum_{j<=m} e^{-a_j t}/prod(a_j - a_i),
     truncated at `order`. Needs order+1 pairwise distinct parameters.
 
-    The closed form is summed once, in the stated order (j outside, m = j..order
-    inside); over the rationals that is the same finite sum as column by
-    column, so the stated reading is the corrected one."""
+    The closed form is summed once by _exp_sum, j outside and m = j..order
+    inside; over the rationals that is the same finite sum as column by
+    column."""
     a = as_rat_tuple(alpha)
     ls = as_rat_tuple(lengths)
     head = _distinct_head(a, order + 1)
@@ -170,15 +169,7 @@ def mp_bernoulli_gf_check(
         (-1) ** m * math.factorial(m) * mu
         for m, mu in enumerate(box_moments(ls, k, order).coeffs)
     ]
-    rhs = _exp_sum(head, weights)
-    return SeriesCheck(
-        lhs=lhs,
-        rhs=rhs,
-        note=(
-            "stated outer bound is unbound; read as the truncation order, "
-            "which reorders the reconstructed double sum"
-        ),
-    )
+    return lhs, _exp_sum(head, weights)
 
 
 def _bernoulli_poly_values(

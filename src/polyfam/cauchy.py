@@ -41,7 +41,6 @@ from .stirling import (
 __all__ = [
     "SPECIAL_FAMILIES",
     "FamilyPoint",
-    "SeriesCheck",
     "classic_first_with_lengths",
     "generalized_harmonic",
     "lif_gf_check",
@@ -348,36 +347,19 @@ def specialize(
     return _def_values(sign, [i * step for i in range(n)], ls, (n,))[0]
 
 
-class SeriesCheck(Record):
-    """Comparison of a family generating function against a closed form.
-
-    lhs holds the family side and rhs the closed form, at the same
-    truncation order; `note` says how the closed form was read.
-    """
-
-    __slots__ = ("lhs", "rhs", "note")
-
-    def __init__(self, lhs, rhs, note=""):
-        self._set(lhs, rhs, note)
-
-    @property
-    def all_match(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def lif_series(k: int, order: int) -> TruncatedSeries:
     """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k): the
     unit-box moments over m!."""
     return _egf(order, box_moments((1,) * k, k, order).coeffs)
 
 
-def lif_gf_check(k: int, order: int) -> SeriesCheck:
-    """Compare the factorial polylogarithm composed with log(1+t) with the
-    exponential generating function of the classical first-kind values
-    through the requested order; the stated and corrected readings agree."""
+def lif_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The two sides of GF-Lif through the requested order: the factorial
+    polylogarithm composed with log(1+t), and the exponential generating
+    function of the classical first-kind values."""
     lhs = lif_series(k, order).compose(log1p_series(order))
     rhs = _egf(order, (specialize("poly", "first", n, k) for n in range(order + 1)))
-    return SeriesCheck(lhs=lhs, rhs=rhs)
+    return lhs, rhs
 
 
 def _poly_first_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:

@@ -83,7 +83,19 @@ TABLE_FAMILIES = {
 }
 
 
+# Fraction builds 10^|e| for an exponent e, so an unbounded one never ends.
+_MAX_EXPONENT = 10_000
+
+
 def _rational(text: str) -> Rat:
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    # With no leading zero, one digit more than the bound has is past it.
+    head = digits[: len(str(_MAX_EXPONENT)) + 1]
+    if e and head.isdecimal() and int(head) > _MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"exponent out of range: {text!r} (at most {_MAX_EXPONENT} in magnitude)"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

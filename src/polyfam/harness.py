@@ -42,7 +42,6 @@ from .bernoulli import (
 )
 from .cauchy import (
     FamilyPoint,
-    SeriesCheck,
     _first_def_values,
     _pair,
     _poly_first_values,
@@ -288,11 +287,17 @@ def _readings_outcome(lhs, corrected, verbatim, label: str):
     return _outcome(verbatim_ok, lhs == corrected, lhs, corrected, note)
 
 
+def _one_reading(lhs, rhs, note: str = "") -> tuple:
+    """An identity with one reading: whether lhs equals rhs (a series by its
+    order and coefficients) fills both verdict columns."""
+    ok = lhs == rhs
+    return _outcome(ok, ok, lhs, rhs, note)
+
+
 def _agree(pt: ParamPoint, route) -> tuple:
-    """The definition against one first-kind route; one reading."""
+    """The definition against one first-kind route."""
     fp = _family(pt)
-    lhs, rhs = mp_first_def(fp), route(fp)
-    return _outcome(lhs == rhs, lhs == rhs, lhs, rhs)
+    return _one_reading(mp_first_def(fp), route(fp))
 
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
@@ -309,13 +314,6 @@ def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     corrected_sum = _expand(values, table, corrected)
     verbatim = corrected_sum if stated is None else _expand(values, table, stated)
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
-
-
-def _series_outcome(check: SeriesCheck) -> tuple:
-    """A generating-function check has one reading: its verdict fills both
-    columns."""
-    ok = check.all_match
-    return _outcome(ok, ok, check.lhs, check.rhs, check.note)
 
 
 def _poly_samples_outcome(
@@ -420,7 +418,8 @@ def _eval_C32(pt: ParamPoint) -> tuple:
 
 def _eval_T41(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
-    return _series_outcome(mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order))
+    lhs, rhs = mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order)
+    return _one_reading(lhs, rhs, _T41_REMARK)
 
 
 def _eval_T42a(pt: ParamPoint) -> tuple:
@@ -480,12 +479,12 @@ def _eval_T52d(pt: ParamPoint) -> tuple:
 
 def _eval_GF_Lif(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
-    return _series_outcome(lif_gf_check(pt.k, order))
+    return _one_reading(*lif_gf_check(pt.k, order))
 
 
 def _eval_GF_Li(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
-    return _series_outcome(li_gf_check(pt.k, order))
+    return _one_reading(*li_gf_check(pt.k, order))
 
 
 def _cases(pt: ParamPoint, kind: str) -> tuple:
@@ -576,6 +575,10 @@ _MJ_SIGNLESS = (
 _PREFACTOR = "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)"
 _WEIGHT = "the weight is m!, not 1/m!"
 _C32_REMARK = "stated form reuses the length symbol as the summation index"
+_T41_REMARK = (
+    "stated outer bound is unbound; read as the truncation order, "
+    "which reorders the reconstructed double sum"
+)
 
 CATALOG: tuple[Identity, ...] = (
     Identity("T2.1", "first-kind values via the first-kind triangle", _eval_T21),

@@ -19,10 +19,10 @@ from polyfam.stirling import CoeffTable
 class SeriesCheck(Record):
     """A generating-function check with two readings: lhs is the family
     side, rhs the corrected closed form and verbatim_rhs the closed form as
-    stated. The library's checks have one reading each and return
-    `polyfam.cauchy.SeriesCheck`; this record keeps that name, so its repr
-    (which `ORACLE_SHA256` hashes) reads as it did when it was the
-    library's."""
+    stated. The library's record of this name is gone: its checks have one
+    reading each and return the pair (lhs, rhs). This test-only record
+    keeps the name, so its repr (which `ORACLE_SHA256` hashes) reads as it
+    did when the library had one."""
 
     __slots__ = ("lhs", "rhs", "verbatim_rhs", "note")
 

@@ -20,6 +20,7 @@ from polyfam.bernoulli import (
     mp_bernoulli_poly,
 )
 from polyfam.cauchy import FamilyPoint
+from polyfam.harness import ParamPoint, verify
 from polyfam.stirling import comtet_second_explicit
 
 SAMPLE = FamilyPoint(
@@ -139,22 +140,24 @@ def test_polynomial_matches_symbolic_shifted_integrals():
 
 def test_li_generating_function_check():
     for k in (1, 2, 3):
-        assert li_gf_check(k, 6).all_match
+        lhs, rhs = li_gf_check(k, 6)
+        assert lhs == rhs
         # The one-pass right side is the classical values, one by one.
         for order in (0, 1, 2, 6):
-            assert li_gf_check(k, order).rhs.coeffs == tuple(
+            assert li_gf_check(k, order)[1].coeffs == tuple(
                 classic_poly_bernoulli(n, k) / math.factorial(n)
                 for n in range(order + 1)
             )
 
 
 def test_number_generating_function_check():
-    chk = mp_bernoulli_gf_check((1, 2, 3, 4), (1,), 1, 3)
-    assert chk.lhs.order == chk.rhs.order == 3
+    lhs, rhs = mp_bernoulli_gf_check((1, 2, 3, 4), (1,), 1, 3)
+    assert lhs.order == rhs.order == 3
     # The closed form is one sum, taken in the stated order, so the stated
     # reading is the corrected one and the check has one verdict.
-    assert chk.all_match
-    assert "order" in chk.note
+    assert lhs == rhs
+    point = ParamPoint(3, 1, (1, 2, 3, 4), (1,), series_order=3)
+    assert "order" in verify("T4.1", point).note
 
 
 def _height_20_rational(rng):

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -455,6 +456,22 @@ def test_a_value_past_the_int_string_digit_limit_prints_in_full():
     proc = run_cli("number", "mp-cauchy-1", "--n", "1", "--alpha", "1e5000")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["value"] == "-1" + "9" * 5000 + "/2"
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--q", "--lengths", "--z"])
+@pytest.mark.parametrize("exponent", ["1e400000000", "1e-400000000"])
+def test_a_huge_exponent_is_a_usage_error_at_once(flag, exponent, capsys):
+    # Fraction would build 10^400000000 and never return.
+    argv = ["poly" if flag == "--z" else "number", "mp-cauchy-1", "--n", "1"]
+    started = time.monotonic()
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, flag, exponent])
+    assert time.monotonic() - started < 1.0
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {flag}: exponent out of range" in err
+    assert "at most 10000 in magnitude" in err
 
 
 @pytest.mark.skipif(

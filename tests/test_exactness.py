@@ -27,7 +27,9 @@ definitions built `Fraction` parameter tuples, the oracles one shifted
 parameter. The sample oracles and the polynomial GF check are test-only and
 now live in `tests/oracles.py`; their bodies moved unchanged. The GF check's
 four-field `SeriesCheck` record (the one check with a stated reading of its
-own) moved there too, under the same name, so its repr is unchanged.
+own) moved there too, under the same name, so its repr is unchanged. The
+library's own `SeriesCheck` is gone since; its checks return `(lhs, rhs)`,
+and the test-only record keeps the name and the repr.
 
 VALUE_SHA256 pins what `number`, `poly` and `poly --z` print for every
 family: json and csv, with and without --decimals, at the default

@@ -364,6 +364,171 @@ def test_the_absolute_value_readings_have_a_sympy_witness(seed):
             )
 
 
+# The stated sides of the other errata entries, written out in sympy from the
+# definitions alone: X is a triangle's variable and z a polynomial family's.
+X, Z = sympy.symbols("X z")
+
+
+def _newton_row(expr, nodes):
+    """The coefficients c_0..c_d of the polynomial `expr` in X, of degree d,
+    in the Newton basis prod_{i<m} (X - nodes[i]), by repeated division:
+    expr = c_0 + (X - nodes[0]) (c_1 + (X - nodes[1]) (c_2 + ...))."""
+    quotient, row = sympy.Poly(expr, X), []
+    for node in nodes[: quotient.degree()]:
+        quotient, rest = sympy.div(quotient, sympy.Poly(X - node, X))
+        row.append(rest.as_expr())
+    return row + [quotient.as_expr()]
+
+
+class _Witness:
+    """A ledger point in sympy: its parameters, its box (one integration
+    variable for a corollary) and the family values by integration."""
+
+    def __init__(self, identity, point):
+        self.n = point["n"]
+        self.alpha = [sympy.Rational(a) for a in point["alpha"]]
+        lengths = point["lengths"][:1] if identity.startswith("C") else point["lengths"]
+        self.lengths = [sympy.Rational(l) for l in lengths]
+        self.xs = sympy.symbols(f"x0:{len(self.lengths)}")
+
+    def box(self, integrand, unit=False):
+        """The integral of `integrand` in T = x_1...x_k over the box."""
+        out = sympy.expand(integrand.subs(X, sympy.prod(self.xs)))
+        for var, length in zip(self.xs, self.lengths):
+            out = sympy.integrate(out, (var, 0, 1 if unit else length))
+        return sympy.expand(out)
+
+    def first(self, n, m):
+        """s_a(n, m): the X^m coefficient of prod_{i<n} (X - a_i)."""
+        row = sympy.Poly(self.product(n, 1), X).all_coeffs()[::-1]
+        return row[m] if m < len(row) else 0
+
+    def second(self, n, m):
+        """S_a(n, m): X^n in the Newton basis of the parameters."""
+        row = _newton_row(X**n, self.alpha)
+        return row[m] if m < len(row) else 0
+
+    def product(self, j, sign, z=0):
+        """prod_{i<j} (sign (X - z) - a_i)."""
+        return sympy.Mul(*(sign * (X - z) - a for a in self.alpha[:j]))
+
+    def value(self, family, j, z=0):
+        """The first-kind, second-kind or Bernoulli-type value (a polynomial
+        in z when z is the symbol) at index j, by its defining integral."""
+        if family in ("first", "second"):
+            return self.box(self.product(j, 1 if family == "first" else -1, z))
+        terms = (
+            (-1) ** (j - m) * sympy.factorial(m) * self.second(j, m) * (X - z) ** m
+            for m in range(j + 1)
+        )
+        return self.box(sum(terms))
+
+
+def _unit_classic(w, m):
+    """C_m at the classical parameters 0..m-1 over the unit box."""
+    return w.box(sympy.Mul(*(X - i for i in range(m))), unit=True)
+
+
+def _stated_t23(w):
+    # sum_m S(n, m; a) C_n(unit box): the classical factor indexed by n.
+    noncentral = _newton_row(w.product(w.n, 1), range(w.n))
+    return sum(noncentral) * _unit_classic(w, w.n)
+
+
+def _stated_t32(w):
+    # sum_{l<=m<=n} S(n, m; a) L(m, l) C_l(unit box), L(m, l) the expansion
+    # of (-X)_m = (-X)(-X-1)...(-X-m+1) in falling factorials.
+    noncentral = _newton_row(w.product(w.n, 1), range(w.n))
+    return sum(
+        c * sum(
+            lah * _unit_classic(w, l)
+            for l, lah in enumerate(
+                _newton_row(sympy.Mul(*(-X - i for i in range(m))), range(m))
+            )
+        )
+        for m, c in enumerate(noncentral)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_classical_factor_readings_have_a_sympy_witness(seed):
+    ids = ["T2.3", "T3.2", "C3.2"]
+    entries = errata_ledger(sweep(ids=ids, seed=seed))["entries"]
+    assert [e["identity"] for e in entries] == ids
+    for entry in entries:
+        identity, cex = entry["identity"], entry["counterexample"]
+        w = _Witness(identity, cex["point"])
+        if identity == "T2.3":
+            label, value = "stated reading", _stated_t23(w)
+        else:
+            label, value = "unit-length reading", _stated_t32(w)
+        stated, _, remark = cex["note"].partition("; ")
+        assert stated == f"{label} gives {value}"
+        assert Fraction(str(value)) != Fraction(cex["lhs"])
+        # C3.2's reuse of the length symbol is named, not evaluated.
+        assert remark == (harness._C32_REMARK if identity == "C3.2" else "")
+
+
+# The printed weights w(n, m, j) of the expansion entries, with s and S the
+# point's first- and second-kind triangles.
+def _abs_first(n, m, j, s, S):
+    return (-1) ** n * abs(s(n, m)) * s(m, j) / sympy.factorial(m)
+
+
+def _abs_first_unsigned(n, m, j, s, S):
+    return abs(s(n, m)) * s(m, j) / sympy.factorial(m)
+
+
+def _first(n, m, j, s, S):
+    return s(n, m) * s(m, j) / sympy.factorial(m)
+
+
+def _second(n, m, j, s, S):
+    return (-1) ** (n - m) * S(n, m) * S(m, j) / sympy.factorial(m)
+
+
+def _second_times_factorial(n, m, j, s, S):
+    return (-1) ** (n - m) * sympy.factorial(m) * S(n, m) * S(m, j)
+
+
+# Each entry's stated side: sum_{j<=m<=n} w(n, m, j) values[j] over one
+# family's values at 0..n (polynomials in z for T5.2).
+_STATED_EXPANSIONS = {
+    "T4.2a": ("bernoulli", _abs_first),
+    "C4.1a": ("bernoulli", _abs_first_unsigned),
+    "T4.2b": ("second", _second),
+    "C4.1b": ("second", _second),
+    "T4.3a": ("bernoulli", _first),
+    "C4.2a": ("bernoulli", _first),
+    "T4.3b": ("first", _second),
+    "C4.2b": ("first", _second),
+    "T5.2b": ("second", _second_times_factorial),
+    "T5.2c": ("bernoulli", _first),
+    "T5.2d": ("bernoulli", _abs_first),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_stated_expansions_have_a_sympy_witness(seed):
+    ids = list(_STATED_EXPANSIONS)
+    entries = errata_ledger(sweep(ids=ids, seed=seed))["entries"]
+    assert sorted(e["identity"] for e in entries) == sorted(ids)
+    for entry in entries:
+        identity, cex = entry["identity"], entry["counterexample"]
+        family, weight = _STATED_EXPANSIONS[identity]
+        w, z = _Witness(identity, cex["point"]), Z if identity.startswith("T5") else 0
+        n = w.n
+        stated = sympy.expand(sum(
+            weight(n, m, j, w.first, w.second) * w.value(family, j, z)
+            for m in range(n + 1)
+            for j in range(m + 1)
+        ))
+        coeffs = [Fraction(str(c)) for c in sympy.Poly(stated, Z).all_coeffs()[::-1]]
+        assert cex["note"].startswith("stated reading gives ")
+        assert coeffs == _fractions(cex["note"].rpartition(" gives ")[2])
+        assert coeffs != _fractions(cex["lhs"])
+
+
 def test_corrected_mode_passes_everywhere_on_a_small_grid():
     reports = sweep(grid=SMALL, seed=2)
     bad = [r for r in reports if r.corrected == "FAIL"]

@@ -1,4 +1,4 @@
-"""The seven record types behave as frozen dataclasses do, every catalog
+"""The six record types behave as frozen dataclasses do, every catalog
 entry is a record of module-level names, and importing the package loads no
 module that only a dataclass or `typing` would need, nor the sweep layer."""
 
@@ -13,8 +13,8 @@ import pytest
 
 from conftest import SRC
 from polyfam import harness
-from polyfam.algebra import PreconditionError, exp_series, log1p_series
-from polyfam.cauchy import FamilyPoint, SeriesCheck
+from polyfam.algebra import PreconditionError
+from polyfam.cauchy import FamilyPoint
 from polyfam.harness import GridSpec, Identity, IdentityReport, ParamPoint
 from polyfam.stirling import CoeffTable
 
@@ -26,7 +26,6 @@ def _records():
     """(built positionally, built by keyword, repr) for each record type; the
     two builds are distinct objects with equal fields."""
     one, half = Fraction(1), Fraction(1, 2)
-    series = exp_series(1), log1p_series(1)
     point = ParamPoint(1, 2, (0,), (1, 1), 1, "1/2", None)
     return [
         (
@@ -34,12 +33,6 @@ def _records():
             FamilyPoint(n=2, k=1, alpha=[one, half], lengths=[Fraction(3)]),
             "FamilyPoint(n=2, k=1, alpha=(Fraction(1, 1), Fraction(1, 2)), "
             "lengths=(Fraction(3, 1),))",
-        ),
-        (
-            SeriesCheck(*series, "n"),
-            SeriesCheck(lhs=series[0], rhs=series[1], note="n"),
-            "SeriesCheck(lhs=TruncatedSeries(order=1, ['1', '1']), "
-            "rhs=TruncatedSeries(order=1, ['0', '1']), note='n')",
         ),
         (
             CoeffTable(((1,), (-1, 3)), 2, (1, 3)),
@@ -138,8 +131,6 @@ def test_a_record_equals_only_its_own_type():
     assert point != (2, 1, (Fraction(1), Fraction(2)), (Fraction(1),))
     assert GridSpec() != ParamPoint() and ParamPoint() != GridSpec()
     assert GridSpec() != (5, 2, 10, 6, 20)
-    check = SeriesCheck(exp_series(1), exp_series(1))
-    assert check != (check.lhs, check.rhs, "")
     assert ParamPoint(2, 1, (1, 2), (1,)) != point
     assert point != FamilyPoint(2, 1, (1, 2), (2,))
     # CoeffTable keeps its own equality: the same table at another scale.
@@ -270,7 +261,7 @@ def test_the_package_exports_the_sweep_names_on_first_use():
     assert len(api["harness_names"]) == 15
     assert api["not_the_harness_object"] == []
     assert api["follows_a_rebinding"] is True
-    assert len(api["expected"]) == 68
+    assert len(api["expected"]) == 67
     assert api["star"] == api["expected"]
     assert api["all"] == api["star"]
     assert set(api["expected"]) <= set(api["dir"])

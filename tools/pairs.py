@@ -13,7 +13,8 @@ same length and count, so two changes' tables can be compared.
 
 For each workload it prints every pair's end-to-end values, then per metric
 the two medians, the parent's interquartile range, the change of the medians
-against the metric's bound, and how many pairs the change won. A failed or
+against the metric's bound, how many pairs the change won, and the review
+verdict (`verdict`): gain, worse, unresolved or no regression. A failed or
 incorrect run is printed and counted, never folded into a median. The export
 is removed at the end.
 """
@@ -45,7 +46,7 @@ def export(rev: str, scratch: str | None) -> Path:
         cwd=ROOT, check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as handle:
-        handle.extractall(tree)
+        handle.extractall(tree, filter="data")
     return tree
 
 
@@ -68,6 +69,32 @@ def run(tree: Path, workload: str, seed: int) -> dict | None:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The review rule for one metric over pairs (parent[i], change[i]):
+
+    worse          the change's median is worse than the parent's by more
+                   than `bound` (relative to the parent's median);
+    unresolved     the parent's IQR over its median is wider than `bound`,
+                   unless every change run beats every parent run;
+    gain           the change wins at least 9 of 10 pairs (a tie counts for
+                   neither side) and its median is better than the parent's
+                   by more than the parent's IQR;
+    no regression  none of these.
+    """
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gained = mp - mc if lower else mc - mp
+    if -gained > bound * abs(mp):
+        return "worse"
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * abs(mp) and not separated:
+        return "unresolved"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    if wins * 10 >= 9 * len(parent) and gained > q3 - q1:
+        return "gain"
+    return "no regression"
+
+
 def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
     print(f"\n{workload}: {len(pairs)} complete pairs")
     for metric in METRICS:
@@ -81,7 +108,8 @@ def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         print(
             f"  {name:12s} parent median {mp:.6g} (IQR {q1:.6g}..{q3:.6g}, "
             f"{q3 - q1:.3g})  change median {mc:.6g}  worse by {worse:+.1%} "
-            f"(bound {metric['bound']:.0%})  change wins {wins}/{len(pairs)}"
+            f"(bound {metric['bound']:.0%})  change wins {wins}/{len(pairs)}  "
+            f"{verdict(parent, change, lower, metric['bound'])}"
         )
 
 
