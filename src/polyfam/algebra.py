@@ -415,32 +415,18 @@ class TruncatedSeries:
         return acc
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, to the same order."""
-        cs = self.coeffs
-        if cs[0] != 0:
+        """exp of a series with zero constant term, to the same order: the
+        exponential series composed with it."""
+        if self.coefficient(0) != 0:
             raise PreconditionError("series exp needs a zero constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for i in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, i + 1):
-                acc += j * cs[j] * out[i - j]
-            out[i] = acc / i
-        return TruncatedSeries(n, out)
+        return exp_series(self.order).compose(self)
 
     def log(self) -> "TruncatedSeries":
-        """log of a series with constant term one, to the same order."""
-        cs = self.coeffs
-        if cs[0] != 1:
+        """log of a series with constant term one, to the same order:
+        log(1 + t) composed with the series minus one."""
+        if self.coefficient(0) != 1:
             raise PreconditionError("series log needs constant term one")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, i):
-                acc += j * out[j] * cs[i - j]
-            out[i] = cs[i] - acc / i
-        return TruncatedSeries(n, out)
+        return log1p_series(self.order).compose(self + -1)
 
 
 def _egf(order: int, values: Iterable[RatLike]) -> TruncatedSeries:

@@ -240,8 +240,6 @@ def modified_bell(m: int, xs: Sequence[RatLike]) -> Rat:
     vals = as_rat_tuple(xs)
     if len(vals) < m:
         raise PreconditionError(f"need {m} arguments, got {len(vals)}")
-    if m == 0:
-        return Fraction(1)
     inner = TruncatedSeries(
         m, [Fraction(0)] + [vals[j - 1] / j for j in range(1, m + 1)]
     )

@@ -83,7 +83,8 @@ TABLE_FAMILIES = {
 }
 
 
-# Fraction builds 10^|e| for an exponent e, so an unbounded one never ends.
+# Fraction builds 10^|e| for an exponent e, and _approx 10^D for --decimals
+# D, so an unbounded one never ends.
 _MAX_EXPONENT = 10_000
 
 
@@ -110,7 +111,7 @@ def _rational_list(text: str) -> tuple[Rat, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
+def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -118,6 +119,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -322,7 +325,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--decimals",
-        type=_int_at_least(0),
+        type=_int_at_least(0, _MAX_EXPONENT),
         default=None,
         metavar="D",
         help="also print a rounded decimal approximation with D places",

@@ -237,6 +237,27 @@ def test_modified_bell_small_cases():
         modified_bell(2, (x1,))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_modified_bell_matches_sympys_series_of_exp(seed):
+    # An oracle that shares no algorithm with the series composition behind
+    # modified_bell or with the Bell route's Newton recurrence: sympy's own
+    # series of exp(sum_j x_j t^j / j), read at t^m for m <= 6. P_m reads
+    # x_1..x_m only, so one series serves every m. The draws come from a
+    # small pool that holds zero, so zeros and repeated values occur.
+    rng = random.Random(f"bell-sympy:{seed}")
+    pool = [Fraction(0), Fraction(-1)] + [
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
+        for _ in range(3)
+    ]
+    xs = [rng.choice(pool) for _ in range(6)]
+    t = sympy.Symbol("t")
+    inner = sum(sympy.Rational(str(x)) * t**j / j for j, x in enumerate(xs, 1))
+    series = sympy.Poly(sympy.series(sympy.exp(inner), t, 0, 7).removeO(), t)
+    for m in range(7):
+        expected = Fraction(str(series.coeff_monomial(t**m)))
+        assert modified_bell(m, xs[:m]) == expected, (xs, m)
+
+
 @settings(max_examples=25)
 @given(
     st.integers(min_value=0, max_value=4),

@@ -122,6 +122,18 @@ def test_decimals_adds_an_approx_field():
     assert records(poly)[0]["approx"] == ["-0.17", "0.00", "1.00"]
 
 
+def test_decimals_is_bounded_by_the_exponent_bound(capsys):
+    # _approx builds 10^D, so --decimals shares the exponent bound: its
+    # largest value still renders, and one past it is a usage error.
+    assert main(["number", "cauchy-1", "--n", "2", "--decimals", "10000"]) == 0
+    (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rec["approx"] == "-0.1" + "6" * 9998 + "7"
+    with pytest.raises(SystemExit) as exited:
+        main(["number", "cauchy-1", "--n", "2", "--decimals", "10001"])
+    assert exited.value.code == 2
+    assert "must be at most 10000" in capsys.readouterr().err
+
+
 def test_csv_format():
     proc = run_cli("number", "cauchy-1", "--n", "2", "--format", "csv")
     header, row = proc.stdout.splitlines()
@@ -240,6 +252,7 @@ def test_verify_ids_errors_are_the_sweeps_own(ids, capsys):
         ("verify", "--order", "-1"),
         ("verify", "--ids", ","),
         ("number", "cauchy-1", "--n", "2", "--decimals", "-1"),
+        ("number", "cauchy-1", "--n", "2", "--decimals", "1000000000"),
         ("table", "lah", "--n-max", "-1"),
         ("number", "mp-cauchy-1", "--n", "-1"),
         ("number", "mp-cauchy-1", "--n", "2", "--k", "0"),

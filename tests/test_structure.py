@@ -13,7 +13,10 @@
 - the package exports what it computes: every name in a submodule's
   `__all__` is read by another line of the package, named by the benchmark
   (`perfbench/*.py`), or one of the paper's objects listed in `KEPT`. A
-  check that only tests call lives in `tests/oracles.py`.
+  check that only tests call lives in `tests/oracles.py`;
+- the benchmark's tracer finds what it wraps: every `algebra` method that
+  `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
+  class's own body.
 
 The rules read the sources with `ast`. The two that need live objects run in
 `python -m polyfam` or `python -c` child processes, so this module never
@@ -31,6 +34,7 @@ from conftest import SRC, run_cli
 
 PACKAGE = Path(SRC) / "polyfam"
 PERFBENCH = Path(SRC).parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 TREES = {
     path.name: ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -215,3 +219,57 @@ def test_no_number_family_only_renames_another():
         del record["family"]
         seen.setdefault(json.dumps(record, sort_keys=True), []).append(family)
     assert [names for names in seen.values() if len(names) > 1] == []
+
+
+def _traced_class_members() -> dict:
+    """{class name: names} for every `vars(cls)[name]` that `Tracer.install`
+    in perfbench/tracing.py reads. A local such as `series` is bound to its
+    `algebra` class by a tuple assignment, and a loop variable `name` stands
+    for every member of the tuple its `for` runs over."""
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    (install,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    ]
+    classes, loops, found = {}, {}, {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            values = getattr(node.value, "elts", ())
+            for target, value in zip(node.targets[0].elts, values):
+                if getattr(getattr(value, "value", None), "id", None) == "algebra":
+                    classes[target.id] = value.attr
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            if isinstance(node.iter, ast.Tuple):
+                loops[node.target.id] = ast.literal_eval(node.iter)
+    for node in ast.walk(install):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
+            if getattr(node.value.func, "id", None) != "vars":
+                continue
+            key = node.slice
+            names = loops[key.id] if isinstance(key, ast.Name) else (key.value,)
+            found.setdefault(classes[node.value.args[0].id], set()).update(names)
+    return found
+
+
+def test_every_method_the_tracer_wraps_is_defined_in_its_class():
+    """The per-layer trace wraps Polynomial.from_roots and the
+    TruncatedSeries methods by name, through `vars(cls)[name]`, which sees a
+    class's own body only: a method deleted or inherited there is a KeyError
+    in `perfbench/check.py --trace 1` and in every traced benchmark run. So
+    `exp`, `log` and `__pow__` stay, though no library path calls `log` or
+    `__pow__` and only `modified_bell` calls `exp`, until the tracer's name
+    list changes with the benchmark."""
+    wrapped = _traced_class_members()
+    assert set(wrapped) == {"Polynomial", "TruncatedSeries"}, wrapped
+    assert "from_roots" in wrapped["Polynomial"]
+    bodies = {
+        node.name: node.body
+        for node in TREES["algebra.py"].body
+        if isinstance(node, ast.ClassDef)
+    }
+    for cls, names in wrapped.items():
+        defined = {
+            node.name for node in bodies[cls] if isinstance(node, ast.FunctionDef)
+        }
+        assert names <= defined, (cls, names - defined)
