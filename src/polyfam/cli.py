@@ -48,27 +48,12 @@ from .stirling import (
     stirling_second,
 )
 
-_FIRST_ROUTES = (
-    lambda point, mode: mp_first_def(point),
-    lambda point, mode: mp_poly_first(point),
-)
-_SECOND_ROUTES = (
-    lambda point, mode: mp_second_def(point),
-    lambda point, mode: mp_poly_second(point),
-)
-_BERNOULLI_ROUTES = (
-    lambda point, mode: mp_bernoulli(point, convention=mode),
-    lambda point, mode: mp_bernoulli_poly(point, convention=mode),
-)
-
-# family -> (number route, polynomial route); only the Bernoulli type reads
-# the --mode convention.
+# family -> (number route, polynomial route, whether it reads the --mode
+# summation convention); only the Bernoulli type has one.
 FAMILY_ROUTES = {
-    "mp-cauchy-1": _FIRST_ROUTES,
-    "mp-cauchy-2": _SECOND_ROUTES,
-    "mp-bernoulli": _BERNOULLI_ROUTES,
-    "cauchy-1": _FIRST_ROUTES,
-    "cauchy-2": _SECOND_ROUTES,
+    "mp-cauchy-1": (mp_first_def, mp_poly_first, False),
+    "mp-cauchy-2": (mp_second_def, mp_poly_second, False),
+    "mp-bernoulli": (mp_bernoulli, mp_bernoulli_poly, True),
 }
 NUMBER_FAMILIES = tuple(FAMILY_ROUTES)
 
@@ -207,10 +192,11 @@ def _write(args, rows) -> None:
 def _cmd_value(args) -> int:
     """`number` and `poly`: one family value, or one polynomial's coefficients
     (its value with --z)."""
-    k = 1 if args.family in ("cauchy-1", "cauchy-2") else args.k
-    lengths = args.lengths if args.lengths is not None else (1,) * k
-    point = FamilyPoint(args.n, k, _params(args, args.n, range(args.n)), lengths)
-    number_route, poly_route = FAMILY_ROUTES[args.family]
+    number_route, poly_route, has_convention = FAMILY_ROUTES[args.family]
+    if args.mode == "verbatim" and not has_convention:
+        raise PreconditionError(f"family {args.family!r} takes no --mode verbatim")
+    lengths = args.lengths if args.lengths is not None else (1,) * args.k
+    point = FamilyPoint(args.n, args.k, _params(args, args.n, range(args.n)), lengths)
     params = {
         "n": str(point.n),
         "k": str(point.k),
@@ -219,13 +205,11 @@ def _cmd_value(args) -> int:
     }
     if args.q is not None:
         params["q"] = str(args.q)
-    if args.command == "number":
-        value = number_route(point, args.mode)
-    else:
-        value = poly_route(point, args.mode)
-        if args.z is not None:
-            value = value(args.z)
-            params["z"] = str(args.z)
+    route = number_route if args.command == "number" else poly_route
+    value = route(point, convention=args.mode) if has_convention else route(point)
+    if getattr(args, "z", None) is not None:
+        value = value(args.z)
+        params["z"] = str(args.z)
     _write(args, [(params, value, args.mode)])
     return 0
 

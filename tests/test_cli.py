@@ -78,11 +78,37 @@ def test_number_defaults_are_classical():
     assert records(base)[0]["value"] == "1"
 
 
-def test_classic_aliases_force_one_integration():
-    proc = run_cli("number", "cauchy-1", "--n", "3", "--k", "5")
-    (rec,) = records(proc)
-    assert rec["params"]["k"] == "1"
-    assert rec["value"] == "1/4"
+# Each flag a value family may be given away from its default, with the
+# commands that take it.
+_FLAGS = (
+    ("--k", "2"),
+    ("--lengths", "1/2"),
+    ("--alpha", "1/2,-3,2"),
+    ("--q", "-2/3"),
+    ("--mode", "verbatim"),
+)
+_FLAG_CASES = [("number", flag) for flag in _FLAGS] + [
+    ("poly", flag) for flag in _FLAGS + (("--z", "5/7"),)
+]
+
+
+@pytest.mark.parametrize("family", NUMBER_FAMILIES)
+@pytest.mark.parametrize(
+    "command, flag", _FLAG_CASES, ids=[f"{c}{f[0]}" for c, f in _FLAG_CASES]
+)
+def test_a_value_flag_changes_the_value_or_is_refused(command, flag, family, capsys):
+    # No family ignores a flag: each one either moves the printed value at
+    # n = 3 or exits 3, before any output, naming the flag it takes no.
+    assert main([command, family, "--n", "3"]) == 0
+    (default,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    code = main([command, family, "--n", "3", *flag])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["value"] != default["value"]
+    else:
+        assert (code, out) == (3, "")
+        refusal = f"family {family!r} takes no {' '.join(flag)}"
+        assert err == f"precondition violated: {refusal}\n"
 
 
 def test_q_sugar_builds_an_arithmetic_progression():
@@ -114,28 +140,28 @@ def test_poly_evaluation_at_z():
 
 
 def test_decimals_adds_an_approx_field():
-    proc = run_cli("number", "cauchy-1", "--n", "2", "--decimals", "4")
+    proc = run_cli("number", "mp-cauchy-1", "--n", "2", "--decimals", "4")
     (rec,) = records(proc)
     assert rec["value"] == "-1/6"
     assert rec["approx"] == "-0.1667"
-    poly = run_cli("poly", "cauchy-1", "--n", "2", "--decimals", "2")
+    poly = run_cli("poly", "mp-cauchy-1", "--n", "2", "--decimals", "2")
     assert records(poly)[0]["approx"] == ["-0.17", "0.00", "1.00"]
 
 
 def test_decimals_is_bounded_by_the_exponent_bound(capsys):
     # _approx builds 10^D, so --decimals shares the exponent bound: its
     # largest value still renders, and one past it is a usage error.
-    assert main(["number", "cauchy-1", "--n", "2", "--decimals", "10000"]) == 0
+    assert main(["number", "mp-cauchy-1", "--n", "2", "--decimals", "10000"]) == 0
     (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rec["approx"] == "-0.1" + "6" * 9998 + "7"
     with pytest.raises(SystemExit) as exited:
-        main(["number", "cauchy-1", "--n", "2", "--decimals", "10001"])
+        main(["number", "mp-cauchy-1", "--n", "2", "--decimals", "10001"])
     assert exited.value.code == 2
     assert "must be at most 10000" in capsys.readouterr().err
 
 
 def test_csv_format():
-    proc = run_cli("number", "cauchy-1", "--n", "2", "--format", "csv")
+    proc = run_cli("number", "mp-cauchy-1", "--n", "2", "--format", "csv")
     header, row = proc.stdout.splitlines()
     assert header == "family,params,value,mode"
     assert "-1/6" in row
@@ -198,15 +224,15 @@ def test_classical_tables_reject_parameters(family, flag, capsys):
 
 
 def test_bad_rational_is_a_usage_error():
-    assert run_cli("number", "cauchy-1", "--n", "2",
+    assert run_cli("number", "mp-cauchy-1", "--n", "2",
                    "--lengths", "1/0").returncode == 2
-    assert run_cli("number", "cauchy-1", "--n", "2",
+    assert run_cli("number", "mp-cauchy-1", "--n", "2",
                    "--alpha", "x").returncode == 2
-    assert run_cli("number", "cauchy-1").returncode == 2
+    assert run_cli("number", "mp-cauchy-1").returncode == 2
 
 
 def test_zero_length_is_a_precondition_violation():
-    proc = run_cli("number", "cauchy-1", "--n", "2", "--lengths", "0")
+    proc = run_cli("number", "mp-cauchy-1", "--n", "2", "--lengths", "0")
     assert proc.returncode == 3
     assert "precondition violated" in proc.stderr
 
@@ -251,13 +277,13 @@ def test_verify_ids_errors_are_the_sweeps_own(ids, capsys):
         ("verify", "--points", "-3"),
         ("verify", "--order", "-1"),
         ("verify", "--ids", ","),
-        ("number", "cauchy-1", "--n", "2", "--decimals", "-1"),
-        ("number", "cauchy-1", "--n", "2", "--decimals", "1000000000"),
+        ("number", "mp-cauchy-1", "--n", "2", "--decimals", "-1"),
+        ("number", "mp-cauchy-1", "--n", "2", "--decimals", "1000000000"),
         ("table", "lah", "--n-max", "-1"),
         ("number", "mp-cauchy-1", "--n", "-1"),
         ("number", "mp-cauchy-1", "--n", "2", "--k", "0"),
         ("poly", "mp-bernoulli", "--n", "-2"),
-        ("poly", "cauchy-2", "--n", "1", "--k", "-1"),
+        ("poly", "mp-cauchy-2", "--n", "1", "--k", "-1"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv):
@@ -331,8 +357,8 @@ def test_verify_stdout_matches_the_golden_hashes(variant, capsys):
 # choice, default shown and help string of the parser.
 HELP_SHA256 = {
     "polyfam": "a68a349a51b558b8740098cc9aa3dcb872eb7bfd28d30f27c11f5c7091997be8",
-    "polyfam number": "e5db8af5831b6d28d724c58d74e79c4b0b9027d05da70d41caab21de0401116d",
-    "polyfam poly": "27c5b7a914b18fdb709333bbcf4128064620769006a762d8712189913dc88294",
+    "polyfam number": "d0ca4aa959bcad4d4b99b4e5be997b8a1b4d7050b895ef992963555331ef6221",
+    "polyfam poly": "2b22409e6b865de72dd465240020bfe34247167112bd62626441374bb07566c2",
     "polyfam table": "4a2e81dea28216426f7dc5dddebcde3383258b977cc7f4e5a570ab8b746398ec",
     "polyfam verify": "57b5e1d295a80aae36745b2117747f0bda9df126da76de7c44c28e9ffbf164aa",
 }
@@ -445,13 +471,16 @@ def test_value_and_table_argv_grammar_keeps_the_exit_code_contract(argv_parts):
     lows = {"--n": 0, "--n-max": 0, "--k": 1}
     if any(flags.get(f, "x") != "x" and int(flags[f]) < low for f, low in lows.items()):
         assert code == 2
+    # The Cauchy types have no summation convention to read.
+    if family.startswith("mp-cauchy") and flags.get("--mode") == "verbatim":
+        assert code != 0
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["table", "comtet-1", "--n-max", "2", "--q", "-2/3"],
-        ["number", "cauchy-1", "--n", "2", "--alpha", "-1/2,1"],
+        ["number", "mp-cauchy-1", "--n", "2", "--alpha", "-1/2,1"],
         ["number", "mp-cauchy-1", "--n", "1", "--lengths", "-1/2"],
         ["poly", "mp-bernoulli", "--n", "2", "--z", "-1/2"],
     ],
@@ -493,15 +522,15 @@ def test_a_huge_exponent_is_a_usage_error_at_once(flag, exponent, capsys):
 def test_main_restores_the_int_string_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     assert main(["number", "mp-cauchy-1", "--n", "1", "--alpha", "1e5000"]) == 0
-    assert main(["number", "cauchy-1", "--n", "0", "--lengths", "0"]) == 3
+    assert main(["number", "mp-cauchy-1", "--n", "0", "--lengths", "0"]) == 3
     with pytest.raises(SystemExit):
-        main(["number", "cauchy-1"])
+        main(["number", "mp-cauchy-1"])
     assert sys.get_int_max_str_digits() == limit
     assert capsys.readouterr().out.count("9" * 5000) == 1
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):
-    assert main(["number", "cauchy-1", "--n", "1"]) == 0
+    assert main(["number", "mp-cauchy-1", "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["value"] == "1/2"
 
@@ -511,7 +540,7 @@ def test_main_is_importable_and_returns_exit_codes(capsys):
 )
 def test_console_script_entry_point():
     proc = subprocess.run(
-        ["polyfam", "number", "cauchy-2", "--n", "2"],
+        ["polyfam", "number", "mp-cauchy-2", "--n", "2"],
         capture_output=True,
         text=True,
     )

@@ -39,7 +39,12 @@ was taken at commit a3d7d3f, where `number`/`poly` and `table` each built
 their own records and parameters, and retaken at commit 71a3aac over its
 five families other than the rename-only `poly-cauchy-1`, `poly-cauchy-2`
 and `poly-bernoulli` (one edge argv moved from `poly-cauchy-2` to
-`mp-cauchy-2`), which the CLI then dropped.
+`mp-cauchy-2`), which the CLI then dropped. It was retaken on top of commit
+f5d9107 (68feeb3b... -> daed314f...) over the three `mp-*` families, when
+the CLI dropped `cauchy-1` and `cauchy-2` (the k = 1 renames of the
+`mp-cauchy-*` families; the one `cauchy-2` edge argv moved to `mp-cauchy-2`)
+and began to refuse --mode verbatim for the Cauchy types with exit 3. Every
+argv still accepted prints the bytes it printed at f5d9107.
 """
 
 import contextlib
@@ -75,7 +80,7 @@ TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51
 
 SWEEP_SHA256 = "2bc7fcb7333d16e5a7f60f895796d688849527e0d58c698eaa7a46de186ae50a"
 ORACLE_SHA256 = "9743f89c983839f20d3e0e6529bbe2f64c2f0ce090706add1bdd5b0feafa1810"
-VALUE_SHA256 = "68feeb3ba0d156d1cdaa1bb5f43b4b106b5cc16af524d2e7dd00e0ef1e2f6c52"
+VALUE_SHA256 = "daed314f277db4ac6c04cc1a3ef36c83ae8ad05afb3cc2c2ca6761e69ccd137b"
 DEEP_GRID = GridSpec(n_max=14, k_max=3, points=6, series_order=8, bound=20)
 
 # Mixed denominators, zeros and repeats; twelve nodes for --n-max 12.
@@ -207,8 +212,8 @@ def test_the_definitional_layer_reproduces_the_pinned_bytes():
 
 
 # The parameter flags of the value pin, at n = 4: five --alpha entries, so
-# the unused extra shows in the record; --k 2, which the classical families
-# ignore; and two lengths, which they (k forced to 1) refuse with exit 3.
+# the unused extra shows in the record; --k 2 with and without its two
+# lengths; and --mode verbatim, which the Cauchy types refuse with exit 3.
 VALUE_PARAMS = (
     (),
     ("--alpha", "1/2,-3,0,2/3,7"),
@@ -223,7 +228,7 @@ VALUE_EDGES = (
     ("number", "mp-cauchy-1", "--n", "3", "--lengths", "0", "--format", "csv"),
     ("poly", "mp-bernoulli", "--n", "3", "--alpha", "1,2", "--format", "csv"),
     ("number", "mp-cauchy-2", "--n", "2", "--alpha", ""),
-    ("number", "cauchy-2", "--n", "0", "--alpha", "", "--format", "csv"),
+    ("number", "mp-cauchy-2", "--n", "0", "--alpha", "", "--format", "csv"),
 )
 
 

@@ -1,0 +1,103 @@
+"""Metamorphic relations as route oracles.
+
+Each property checks a route against itself at a transformed point, with no
+second implementation, so a fault that two routes share still shows
+(Chen, Cheung and Yiu, HKUST-CS98-01, 1998; Segura et al., IEEE TSE 42(9),
+2016). The points follow the adversarial law of
+`test_the_corrected_reading_holds_or_names_its_precondition`: repeated
+parameters, zeros, heights up to 10^30 and negative lengths. A route that
+refuses a point must refuse its image with the same message.
+
+- R1: the Cauchy types depend on the parameters only through their multiset,
+  so permuting alpha leaves their ten routes unchanged. The Bernoulli types
+  read a_0..a_m in order, and are left out.
+- R2: the box enters through the product of its lengths, so (l_1, ..., l_k)
+  and (l_1...l_k, 1, ..., 1) give every route the same value.
+- R3: a polynomial at z is a number at shifted parameters: the first kind's
+  at alpha + z and the second kind's at alpha - z.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polyfam
+from polyfam.algebra import PreconditionError
+from polyfam.cauchy import (
+    FamilyPoint,
+    mp_first_closed,
+    mp_poly_first,
+    mp_poly_second,
+    mp_second_lah,
+)
+from test_harness import _adversarial_points
+
+CAUCHY_ROUTES = (
+    "mp_first_def",
+    "mp_first_closed",
+    "mp_first_noncentral",
+    "mp_first_via_polycauchy",
+    "mp_first_bell",
+    "mp_second_def",
+    "mp_second_closed",
+    "mp_second_lah",
+    "mp_poly_first",
+    "mp_poly_second",
+)
+ROUTES = CAUCHY_ROUTES + ("mp_bernoulli", "mp_bernoulli_poly")
+
+
+def _family_point(case):
+    """The FamilyPoint of an adversarial case's ParamPoint."""
+    p = case[1]
+    return FamilyPoint(p.n, p.k, p.alpha, p.lengths)
+
+
+_points = _adversarial_points().map(_family_point)
+# R3 takes the law's sample point z0 as its z, so only cases that draw one.
+_shifts = (
+    _adversarial_points()
+    .filter(lambda case: case[1].z0 is not None)
+    .map(lambda case: (_family_point(case), case[1].z0))
+)
+
+_BUDGET = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _outcome(route, point):
+    """The route's value at the point, or the precondition it names."""
+    try:
+        return route(point)
+    except PreconditionError as exc:
+        return f"precondition violated: {exc}"
+
+
+def _outcomes(names, point):
+    return {name: _outcome(getattr(polyfam, name), point) for name in names}
+
+
+@_BUDGET
+@given(_points, st.data())
+def test_permuting_the_parameters_leaves_the_cauchy_routes_unchanged(p, data):
+    permuted = FamilyPoint(p.n, p.k, data.draw(st.permutations(p.alpha)), p.lengths)
+    assert _outcomes(CAUCHY_ROUTES, permuted) == _outcomes(CAUCHY_ROUTES, p)
+
+
+@_BUDGET
+@given(_points)
+def test_the_box_enters_through_the_product_of_its_lengths(p):
+    lengths = (math.prod(p.lengths),) + (Fraction(1),) * (p.k - 1)
+    folded = FamilyPoint(p.n, p.k, p.alpha, lengths)
+    assert _outcomes(ROUTES, folded) == _outcomes(ROUTES, p)
+
+
+@_BUDGET
+@given(_shifts)
+def test_a_polynomial_at_z_is_a_number_at_shifted_parameters(shift):
+    p, z = shift
+    up = FamilyPoint(p.n, p.k, [a + z for a in p.alpha], p.lengths)
+    down = FamilyPoint(p.n, p.k, [a - z for a in p.alpha], p.lengths)
+    assert mp_poly_first(p)(z) == mp_first_closed(up)
+    assert mp_poly_second(p)(z) == mp_second_lah(down)

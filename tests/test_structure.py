@@ -209,7 +209,9 @@ def _number_families() -> list:
 
 
 def test_no_number_family_only_renames_another():
-    # --k 2 shows that cauchy-1 and cauchy-2 force k = 1.
+    # Any flags show a pure rename. A family that ignored --k 2 would print a
+    # k = 1 record of its own and pass here; tests/test_cli.py's
+    # test_a_value_flag_changes_the_value_or_is_refused catches that.
     seen = {}
     for family in _number_families():
         proc = run_cli("number", family, "--n", "2", "--k", "2")
