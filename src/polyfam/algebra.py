@@ -279,10 +279,10 @@ def _prefix_products(roots: Sequence[tuple], rows: Iterable[int]) -> list[tuple]
     return out
 
 
-def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> Polynomial:
+def box_moments(lengths: Sequence[RatLike], size: int) -> Polynomial:
     """The moment polynomial sum_m mu_m t^m, m = 0..size, of the box
-    [0,l_1] x ... x [0,l_k]: mu_m is the integral of (x_1 * ... * x_k)^m over
-    the box.
+    [0,l_1] x ... x [0,l_k], k = len(lengths): mu_m is the integral of
+    (x_1 * ... * x_k)^m over the box.
 
     Equals (l_1 ... l_k)^(m+1) / (m+1)^k by separating the variables, so a
     box integral of any polynomial in T = x_1 * ... * x_k is its coefficient
@@ -295,11 +295,10 @@ def box_moments(lengths: Sequence[RatLike], k: int, size: int) -> Polynomial:
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
+    ls = as_rat_tuple(lengths)
+    k = len(ls)
     if k < 1:
         raise PreconditionError("need at least one integration variable")
-    ls = as_rat_tuple(lengths)
-    if len(ls) != k:
-        raise PreconditionError(f"expected {k} box lengths, got {len(ls)}")
     u, v = math.prod(l.numerator for l in ls), math.prod(l.denominator for l in ls)
     g, lcm = math.gcd(u, v), math.lcm(*range(1, size + 2))
     u, v = u // g, v // g

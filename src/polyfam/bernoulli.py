@@ -21,11 +21,9 @@ from .algebra import (
     PreconditionError,
     Polynomial,
     Rat,
-    RatLike,
     TruncatedSeries,
     _egf,
     _over_lcm,
-    as_rat_tuple,
     box_moments,
     exp_series,
 )
@@ -78,7 +76,7 @@ def li_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     u = 1 - e^{-t}. The right side reads the classical values 0..order from
     one _bernoulli_values pass at the parameters 0, 1, ..., order-1 and the
     unit box."""
-    moments = TruncatedSeries._of(order, box_moments((1,) * k, k, order))
+    moments = TruncatedSeries._of(order, box_moments((1,) * k, order))
     lhs = moments.compose(1 - exp_series(order, rate=-1))
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
     values = _bernoulli_values(classical, range(order + 1))
@@ -93,7 +91,7 @@ def _bernoulli_values(
     only), paired with the first j+1 of one box_moments(..., n)."""
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
+    moments = box_moments(p.lengths, p.n)
     return [_pair(_bernoulli_row(table.int_row(j), convention), moments) for j in rows]
 
 
@@ -147,27 +145,19 @@ def _exp_sum(head: Sequence[Rat], weights: Sequence[Rat]) -> TruncatedSeries:
     return TruncatedSeries._of(order, poly)
 
 
-def mp_bernoulli_gf_check(
-    alpha: Iterable[RatLike],
-    lengths: Iterable[RatLike],
-    k: int,
-    order: int,
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+def mp_bernoulli_gf_check(p: FamilyPoint) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The two sides of T4.1: sum_n B_n t^n/n! and the closed form
     sum_m (-1)^m m! (l...)^(m+1)/(m+1)^k sum_{j<=m} e^{-a_j t}/prod(a_j - a_i),
-    truncated at `order`. Needs order+1 pairwise distinct parameters.
+    truncated at order N = p.n. Needs N+1 pairwise distinct parameters.
 
-    The closed form is summed once by _exp_sum, j outside and m = j..order
+    The closed form is summed once by _exp_sum, j outside and m = j..N
     inside; over the rationals that is the same finite sum as column by
     column."""
-    a = as_rat_tuple(alpha)
-    ls = as_rat_tuple(lengths)
-    head = _distinct_head(a, order + 1)
-    values = _bernoulli_values(FamilyPoint(order, k, a, ls), range(order + 1))
-    lhs = _egf(order, values)
+    head = _distinct_head(p.alpha, p.n + 1)
+    lhs = _egf(p.n, _bernoulli_values(p, range(p.n + 1)))
     weights = [
         (-1) ** m * math.factorial(m) * mu
-        for m, mu in enumerate(box_moments(ls, k, order).coeffs)
+        for m, mu in enumerate(box_moments(p.lengths, p.n).coeffs)
     ]
     return lhs, _exp_sum(head, weights)
 
@@ -179,7 +169,7 @@ def _bernoulli_poly_values(
     second-kind table and one box_moments(..., n) as in _bernoulli_values."""
     _check_convention(convention)
     table = comtet_second(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
+    moments = box_moments(p.lengths, p.n)
     return [
         _poly_from_row(_bernoulli_row(table.int_row(j), convention), moments)
         for j in rows

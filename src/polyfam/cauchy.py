@@ -81,7 +81,8 @@ class FamilyPoint(Record):
 
 
 def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
-    """The preconditions of a FamilyPoint with `count` parameters."""
+    """The preconditions of a FamilyPoint with `count` parameters; the one
+    place that holds k to the number of box lengths."""
     if n < 0:
         raise PreconditionError("family index n must be nonnegative")
     if k < 1:
@@ -167,7 +168,7 @@ def mp_first_def(p: FamilyPoint) -> Rat:
 def mp_first_closed(p: FamilyPoint) -> Rat:
     """First kind from the first-kind triangle row n."""
     table = comtet_first(p.alpha[: p.n], p.n)
-    return _pair(table.int_row(p.n), box_moments(p.lengths, p.k, p.n))
+    return _pair(table.int_row(p.n), box_moments(p.lengths, p.n))
 
 
 def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
@@ -178,14 +179,12 @@ def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
     return Polynomial.over(values, moments.den)
 
 
-def classic_first_with_lengths(
-    m: int, k: int, lengths: Sequence[RatLike]
-) -> Rat:
+def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Rat:
     """First-kind value at the classical parameters (0, 1, ..., m-1) with a
     general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k. Read from
     _classic_first_values, the kernel of mp_first_via_polycauchy and
     mp_second_lah."""
-    return _classic_first_values(box_moments(lengths, k, m), m).coefficient(m)
+    return _classic_first_values(box_moments(lengths, m), m).coefficient(m)
 
 
 def mp_first_noncentral(p: FamilyPoint) -> Rat:
@@ -193,14 +192,14 @@ def mp_first_noncentral(p: FamilyPoint) -> Rat:
     triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     row = stirling_first(p.n).times(nc.int_row(p.n))
-    return _pair(row, box_moments(p.lengths, p.k, p.n))
+    return _pair(row, box_moments(p.lengths, p.n))
 
 
 def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    classic = _classic_first_values(box_moments(p.lengths, p.k, p.n), p.n)
+    classic = _classic_first_values(box_moments(p.lengths, p.n), p.n)
     return _pair(nc.int_row(p.n), classic)
 
 
@@ -267,7 +266,7 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     lcm, sums = _reciprocal_power_sums(p.alpha[: p.n], p.n)
     bell = _bell_numerators(sums)
     row = (c * lcm ** (p.n - m) for m, c in enumerate(bell))
-    total = _pair(Polynomial.over(row, lcm**p.n), box_moments(p.lengths, p.k, p.n))
+    total = _pair(Polynomial.over(row, lcm**p.n), box_moments(p.lengths, p.n))
     return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
 
 
@@ -289,7 +288,7 @@ def mp_second_closed(p: FamilyPoint) -> Rat:
     """Second kind from the signless triangle (read as the expansion of
     prod_i (X + a_i), valid for every parameter sequence)."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
+    moments = box_moments(p.lengths, p.n)
     return Fraction((-1) ** p.n) * _pair(table.int_row(p.n), moments)
 
 
@@ -297,7 +296,7 @@ def mp_second_lah(p: FamilyPoint) -> Rat:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
     row = lah_signed(p.n).times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n))
-    return _pair(row, _classic_first_values(box_moments(p.lengths, p.k, p.n), p.n))
+    return _pair(row, _classic_first_values(box_moments(p.lengths, p.n), p.n))
 
 
 def specialize(
@@ -348,7 +347,7 @@ def specialize(
 def lif_series(k: int, order: int) -> TruncatedSeries:
     """Prefix of the factorial polylogarithm sum_m t^m / (m! (m+1)^k): the
     unit-box moments over m!."""
-    return _egf(order, box_moments((1,) * k, k, order).coeffs)
+    return _egf(order, box_moments((1,) * k, order).coeffs)
 
 
 def lif_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -365,7 +364,7 @@ def _poly_first_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
     first-kind table of size n (which depends on a_0..a_(j-1) only) paired
     with the shifted moments of one box_moments(..., n)."""
     table = comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
+    moments = box_moments(p.lengths, p.n)
     return [_poly_from_row(table.int_row(j), moments) for j in rows]
 
 
@@ -380,7 +379,7 @@ def _poly_second_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]
     """mp_poly_second at each index j in rows (at most n), from one signless
     table and one box_moments(..., n) as in _poly_first_values."""
     table = signless_comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.k, p.n)
+    moments = box_moments(p.lengths, p.n)
     return [(-1) ** j * _poly_from_row(table.int_row(j), moments) for j in rows]
 
 

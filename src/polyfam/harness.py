@@ -363,7 +363,7 @@ def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
     absolute values of the first-kind row. Its value at 0 is the stated
     closed form of the numbers."""
     table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
-    moments = box_moments(fp.lengths, fp.k, fp.n)
+    moments = box_moments(fp.lengths, fp.n)
     return (-1) ** fp.n * _poly_from_row(table.int_row(fp.n), moments)
 
 
@@ -386,7 +386,7 @@ def _eval_T23(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_first_def(fp)
     corrected = mp_first_via_polycauchy(fp)
-    unit_value = classic_first_with_lengths(fp.n, fp.k, (Fraction(1),) * fp.k)
+    unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
     verbatim = noncentral_second(fp.alpha[: fp.n], fp.n).int_row(fp.n)(1) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
@@ -418,7 +418,7 @@ def _eval_C32(pt: ParamPoint) -> tuple:
 
 def _eval_T41(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
-    lhs, rhs = mp_bernoulli_gf_check(pt.alpha, pt.lengths, pt.k, order)
+    lhs, rhs = mp_bernoulli_gf_check(FamilyPoint(order, pt.k, pt.alpha, pt.lengths))
     return _one_reading(lhs, rhs, _T41_REMARK)
 
 
@@ -507,7 +507,7 @@ def _cases(pt: ParamPoint, kind: str) -> tuple:
     # Row n with T(n, m) scaled by q^(n-m), over the integers: q = u/v.
     row, u, v = triangle.int_row(n), q.numerator, q.denominator
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
-    moments = box_moments(unit, k, n)
+    moments = box_moments(unit, n)
     triangle_q = sign * _pair(Polynomial.over(scaled, row.den * v**n), moments)
 
     def integral(roots: tuple[Rat, ...]) -> Rat:

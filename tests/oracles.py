@@ -73,7 +73,7 @@ def mp_bernoulli_poly_gf_check(
     head = _distinct_head(a, order + 1)
     values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
     lhs = _egf(order, (b(z) for b in values))
-    mu = box_moments(ls, k, order).coeffs
+    mu = box_moments(ls, order).coeffs
     # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).
     stated = [
         (-1) ** m * sum(math.comb(m, i) * (-z) ** i * mu[m - i] for i in range(m + 1))

@@ -121,7 +121,7 @@ def test_second_kind_oracle_equivalence():
         value = mp_second_def(p)
         assert mp_second_closed(p) == value
         table = comtet_first(p.alpha[: p.n], p.n).entrywise_abs()
-        moments = box_moments(p.lengths, p.k, p.n)
+        moments = box_moments(p.lengths, p.n)
         abs_reading = Fraction((-1) ** p.n) * sum(
             (table[p.n, m] * moments.coefficient(m) for m in range(p.n + 1)),
             Fraction(0),
@@ -170,7 +170,7 @@ def test_generating_function_checks():
         assert lhs == rhs
     for k in (1, 2):
         lhs, rhs = mp_bernoulli_gf_check(
-            tuple(range(1, 8)), (Fraction(1),) * k, k, 6
+            FamilyPoint(6, k, tuple(range(1, 8)), (Fraction(1),) * k)
         )
         assert lhs == rhs
     assert time.monotonic() - started < 5.0

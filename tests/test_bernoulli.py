@@ -151,7 +151,7 @@ def test_li_generating_function_check():
 
 
 def test_number_generating_function_check():
-    lhs, rhs = mp_bernoulli_gf_check((1, 2, 3, 4), (1,), 1, 3)
+    lhs, rhs = mp_bernoulli_gf_check(FamilyPoint(3, 1, (1, 2, 3, 4), (1,)))
     assert lhs.order == rhs.order == 3
     # The closed form is one sum, taken in the stated order, so the stated
     # reading is the corrected one and the check has one verdict.
@@ -225,9 +225,16 @@ def test_the_integer_exp_sum_matches_the_per_parameter_series(head_weights):
 
 def test_number_generating_function_needs_distinct_parameters():
     with pytest.raises(PreconditionError):
-        mp_bernoulli_gf_check((1, 1, 2, 3), (1,), 1, 3)
+        mp_bernoulli_gf_check(FamilyPoint(3, 1, (1, 1, 2, 3), (1,)))
     with pytest.raises(PreconditionError):
-        mp_bernoulli_gf_check((1, 2), (1,), 1, 3)
+        mp_bernoulli_gf_check(FamilyPoint(3, 1, (1, 2, 3), (1,)))
+
+
+def test_the_T41_sweep_refuses_a_box_that_does_not_have_k_lengths():
+    # The sweep hands T4.1 one FamilyPoint, whose own check names the box.
+    report = verify("T4.1", ParamPoint(2, 2, (1, 2, 3), (1,), series_order=2))
+    assert (report.verbatim, report.corrected) == ("NA", "NA")
+    assert report.note == "precondition violated: expected 2 box lengths, got 1"
 
 
 def test_polynomial_generating_function_check():

@@ -120,7 +120,7 @@ def test_integer_pairing_matches_the_fraction_sums(n, k, alpha, lengths):
     # The moments and both pairings recomputed in Fraction, term by term.
     lengths = lengths[:k]
     mu = [math.prod(lengths) ** (m + 1) / (m + 1) ** k for m in range(n + 1)]
-    moments = box_moments(lengths, k, n)
+    moments = box_moments(lengths, n)
     assert list(moments.coeffs) == mu and len(moments.num) == n + 1
     for build in (comtet_first, comtet_second, signless_comtet_first):
         table = build(alpha, n)
@@ -160,16 +160,14 @@ def test_classical_number_anchors():
 
 
 def test_classic_first_with_lengths():
-    assert classic_first_with_lengths(2, 1, (1,)) == Fraction(-1, 6)
-    assert classic_first_with_lengths(2, 2, (1, 1)) == Fraction(
+    assert classic_first_with_lengths(2, (1,)) == Fraction(-1, 6)
+    assert classic_first_with_lengths(2, (1, 1)) == Fraction(
         mp_first_def(FamilyPoint(2, 2, (0, 1), (1, 1)))
     )
-    with pytest.raises(PreconditionError):
-        classic_first_with_lengths(2, 2, (1,))
     # A zero length zeroes every moment; at l = 3/2 the top value
     # C_2 = l^3/3 - l^2/2 is zero.
-    assert classic_first_with_lengths(2, 1, (0,)) == 0
-    assert classic_first_with_lengths(2, 1, ("3/2",)) == 0
+    assert classic_first_with_lengths(2, (0,)) == 0
+    assert classic_first_with_lengths(2, ("3/2",)) == 0
 
 
 def test_family_point_validation():

@@ -149,7 +149,7 @@ def _table_digest() -> str:
         h.update(f"{family}:{entries!r}\n".encode())
     for k in range(1, 4):
         for m in range(13):
-            value = polyfam.classic_first_with_lengths(m, k, HELPER_LENGTHS[:k])
+            value = polyfam.classic_first_with_lengths(m, HELPER_LENGTHS[:k])
             h.update(f"first:{m}:{k}:{value!r}\n".encode())
             value = polyfam.classic_poly_bernoulli(m, k)
             h.update(f"bernoulli:{m}:{k}:{value!r}\n".encode())

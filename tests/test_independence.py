@@ -17,6 +17,11 @@ TSE 11(12), 1985) is asserted on the call sets, not assumed:
 - T4.1's exponential sum shares none with the Bernoulli-type routes: that
   family has one route (`_bernoulli_values` and its polynomial twin), so
   T4.1 is its independent witness.
+
+The twelve expansion identities (the `harness._inversion` ids) are traced
+the same way, one side at a time: the lhs route, and the family values with
+the weights that sum them. What the two sides share is pinned in `SHARED`,
+each entry with its reason, so a new shared kernel fails a test.
 """
 
 import inspect
@@ -28,8 +33,9 @@ from pathlib import Path
 import pytest
 
 import polyfam
-from polyfam import algebra, bernoulli, cauchy, stirling
+from polyfam import algebra, bernoulli, cauchy, harness, stirling
 from polyfam.cauchy import FamilyPoint
+from polyfam.harness import ParamPoint, verify
 
 MODULES = (algebra, stirling, cauchy, bernoulli)
 
@@ -43,7 +49,7 @@ WITNESS = (
     POINT.alpha,
     [
         (-1) ** m * math.factorial(m) * mu
-        for m, mu in enumerate(algebra.box_moments(POINT.lengths, POINT.k, 2).coeffs)
+        for m, mu in enumerate(algebra.box_moments(POINT.lengths, 2).coeffs)
     ],
 )
 
@@ -187,7 +193,7 @@ def _kernels(function, args):
         function(*args)
     finally:
         sys.setprofile(None)
-    return seen - GENERIC - {names[function.__code__]}
+    return seen - GENERIC - {names.get(function.__code__)}
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +229,84 @@ def test_readme_route_table_matches_the_pin():
             break
         rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
     assert rows == [(name, ", ".join(sorted(KERNELS[name]))) for name in ENTRIES]
+
+
+# Every triangle is built through connection_coeffs, every polynomial route
+# pairs its row with the box moments through _poly_from_row, and T5.1's
+# definitional oracle checks that pairing apart from both.
+_POLYNOMIAL = {
+    "algebra.box_moments",
+    "cauchy._poly_from_row",
+    "stirling.connection_coeffs",
+}
+_ONE_BERNOULLI_ROUTE = (
+    "mp_bernoulli reads the second-kind triangle, and so do the weights: the "
+    "Bernoulli type has one route"
+)
+SHARED = {
+    **{ident: (set(), "") for ident in ("T4.2a", "C4.1a", "T4.3a", "C4.2a")},
+    **{
+        ident: (
+            {"stirling.comtet_second", "stirling.connection_coeffs"},
+            _ONE_BERNOULLI_ROUTE,
+        )
+        for ident in ("T4.2b", "C4.1b", "T4.3b", "C4.2b")
+    },
+    **{
+        ident: (
+            _POLYNOMIAL | {"stirling.comtet_second"},
+            "polynomial routes on both sides, and mp_bernoulli_poly reads the "
+            "second-kind triangle that the weights name",
+        )
+        for ident in ("T5.2a", "T5.2b")
+    },
+    "T5.2c": (
+        _POLYNOMIAL | {"stirling.comtet_first"},
+        "polynomial routes on both sides, and mp_poly_first reads the "
+        "first-kind triangle that the weights name",
+    ),
+    "T5.2d": (_POLYNOMIAL, "polynomial routes on both sides"),
+}
+
+
+def _inversion_args(identity, monkeypatch):
+    """The arguments of each harness._inversion call that verify(identity)
+    makes at POINT."""
+    captured, real = [], harness._inversion
+    monkeypatch.setattr(
+        harness, "_inversion", lambda *args: captured.append(args) or real(*args)
+    )
+    verify(identity, ParamPoint(POINT.n, POINT.k, POINT.alpha, POINT.lengths))
+    monkeypatch.undo()
+    return captured
+
+
+def test_the_pin_names_every_expansion_identity(monkeypatch):
+    expansions = {
+        ident
+        for ident in harness.IDENTITY_IDS
+        if _inversion_args(ident, monkeypatch)
+    }
+    assert expansions == set(SHARED)
+
+
+@pytest.mark.parametrize("identity", sorted(SHARED))
+def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(
+    identity, monkeypatch
+):
+    ((pt, lhs_route, values_of, corrected, stated),) = _inversion_args(
+        identity, monkeypatch
+    )
+    fp = harness._family(pt)
+
+    def values_and_weights():
+        # The rest of _inversion's body: the values at 0..n and their sums
+        # by the corrected and the stated weights.
+        values = values_of(fp, range(fp.n + 1))
+        for weight in filter(None, (corrected, stated)):
+            table = harness._triangle(weight, fp.alpha[: fp.n], fp.n)
+            harness._expand(values, table, weight)
+
+    shared = _kernels(lhs_route, (fp,)) & _kernels(values_and_weights, ())
+    allowed, reason = SHARED[identity]
+    assert shared == allowed, reason

@@ -15,6 +15,10 @@ refuses a point must refuse its image with the same message.
   and (l_1...l_k, 1, ..., 1) give every route the same value.
 - R3: a polynomial at z is a number at shifted parameters: the first kind's
   at alpha + z and the second kind's at alpha - z.
+- R4: R1 carried to the sweep: permuting alpha leaves the whole report
+  (verdicts, lhs, rhs and note) of every identity that reads only Cauchy-type
+  values unchanged. CASES-2 and CASES-3 read no alpha. The T4, C4 and T5.2
+  ids read the Bernoulli types, and are left out.
 """
 
 import math
@@ -32,6 +36,7 @@ from polyfam.cauchy import (
     mp_poly_second,
     mp_second_lah,
 )
+from polyfam.harness import ParamPoint, verify
 from test_harness import _adversarial_points
 
 CAUCHY_ROUTES = (
@@ -101,3 +106,25 @@ def test_a_polynomial_at_z_is_a_number_at_shifted_parameters(shift):
     down = FamilyPoint(p.n, p.k, [a - z for a in p.alpha], p.lengths)
     assert mp_poly_first(p)(z) == mp_first_closed(up)
     assert mp_poly_second(p)(z) == mp_second_lah(down)
+
+
+CAUCHY_IDS = (
+    "T2.1 C2.1 T2.2 C2.2 T2.3 T2.4 T3.1 C3.1 T3.2 C3.2 T5.1a T5.1b C5.1a C5.1b "
+    "CASES-2 CASES-3"
+).split()
+
+
+def _report(identity, pt):
+    report = verify(identity, pt)
+    return report.verbatim, report.corrected, report.lhs, report.rhs, report.note
+
+
+@settings(max_examples=350, deadline=None, derandomize=True)
+@given(st.sampled_from(CAUCHY_IDS), _adversarial_points(), st.data())
+def test_permuting_the_parameters_leaves_the_cauchy_reports_unchanged(
+    identity, case, data
+):
+    pt = case[1]
+    alpha = data.draw(st.permutations(pt.alpha))
+    permuted = ParamPoint(pt.n, pt.k, alpha, pt.lengths, pt.z0, pt.q, pt.series_order)
+    assert _report(identity, permuted) == _report(identity, pt)

@@ -192,12 +192,14 @@ def _int_row_wrong_power(real):
 
 def _first_length_only(real):
     # The box moments of the first edge alone.
-    return lambda lengths, k, size: real(tuple(lengths[:1]) + (1,) * (k - 1), k, size)
+    return lambda lengths, size: real(
+        tuple(lengths[:1]) + (1,) * (len(lengths) - 1), size
+    )
 
 
 def _doubled_mu1(real):
-    def fake(lengths, k, size):
-        mu = real(lengths, k, size)
+    def fake(lengths, size):
+        mu = real(lengths, size)
         num = (2 * v if m == 1 else v for m, v in enumerate(mu.num))
         return Polynomial.over(num, mu.den)
 
@@ -347,7 +349,7 @@ def _misaligned(pair_row):
     def make(real):
         def kernel(p, rows, convention="corrected"):
             table = comtet_second(p.alpha[: p.n], p.n)
-            mu = algebra.box_moments(p.lengths, p.k, p.n)
+            mu = algebra.box_moments(p.lengths, p.n)
             return [
                 pair_row(
                     bernoulli._bernoulli_row(table.int_row(j), convention),

@@ -6,6 +6,8 @@
 - no concurrency and no module-level cache;
 - one way to build a triangle: `CoeffTable(...)` is called only in
   `stirling.py`;
+- a box is its lengths: below the point records no family function takes k
+  beside `lengths`, so k = len(lengths) is checked in one place;
 - the layers import downward: the family modules never import the sweep
   layer (`harness`) or the command line (`cli`), and the package imports
   the sweep layer only on first use, reading its names from
@@ -93,6 +95,38 @@ def test_only_stirling_builds_a_coefficient_triangle():
             ):
                 builders.add(name)
     assert builders == {"stirling.py"}
+
+
+def _functions(body, prefix=""):
+    """(qualified name, node) for every function defined in `body`, methods
+    and nested functions included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from _functions(node.body, name + ".")
+
+
+# The point records take k and their lengths and check that the two agree
+# (`cauchy._check_point`); `specialize` builds its unit box from k. Every
+# other function reads k from len(lengths) or from a FamilyPoint.
+BOX_BUILDERS = {
+    "cauchy.FamilyPoint.__init__",
+    "cauchy._check_point",
+    "cauchy.specialize",
+}
+
+
+def test_no_family_function_takes_k_beside_the_box_lengths():
+    both = set()
+    for module in ("algebra", "stirling", "cauchy", "bernoulli"):
+        for name, node in _functions(TREES[f"{module}.py"].body):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if {"k", "lengths"} <= params:
+                both.add(f"{module}.{name}")
+    assert both - BOX_BUILDERS == set()
 
 
 def _package_imports(nodes):
