@@ -63,8 +63,6 @@ def classic_poly_bernoulli(n: int, k: int) -> Rat:
     """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k: mp_bernoulli
     at the classical parameters (0, 1, ..., n-1) and the unit box, whose
     second-kind table is stirling_second(n)."""
-    if n < 0:
-        raise PreconditionError("index must be nonnegative")
     return mp_bernoulli(FamilyPoint(n, k, tuple(range(n)), (1,) * k))
 
 

@@ -76,23 +76,20 @@ class FamilyPoint(Record):
     def __init__(
         self, n: int, k: int, alpha: Iterable[RatLike], lengths: Iterable[RatLike]
     ) -> None:
-        self._set(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths))
-        _check_point(n, k, len(self.alpha), self.lengths)
-
-
-def _check_point(n: int, k: int, count: int, lengths: Sequence[Rat]) -> None:
-    """The preconditions of a FamilyPoint with `count` parameters; the one
-    place that holds k to the number of box lengths."""
-    if n < 0:
-        raise PreconditionError("family index n must be nonnegative")
-    if k < 1:
-        raise PreconditionError("need at least one integration variable")
-    if count < n:
-        raise PreconditionError(f"need at least {n} parameters, got {count}")
-    if len(lengths) != k:
-        raise PreconditionError(f"expected {k} box lengths, got {len(lengths)}")
-    if any(l == 0 for l in lengths):
-        raise PreconditionError("box lengths must be nonzero")
+        # The one place that checks a point, and so holds k to the number of
+        # box lengths.
+        alpha, lengths = as_rat_tuple(alpha), as_rat_tuple(lengths)
+        self._set(n, k, alpha, lengths)
+        if n < 0:
+            raise PreconditionError("family index n must be nonnegative")
+        if k < 1:
+            raise PreconditionError("need at least one integration variable")
+        if len(alpha) < n:
+            raise PreconditionError(f"need at least {n} parameters, got {len(alpha)}")
+        if len(lengths) != k:
+            raise PreconditionError(f"expected {k} box lengths, got {len(lengths)}")
+        if any(l == 0 for l in lengths):
+            raise PreconditionError("box lengths must be nonzero")
 
 
 def _pair(row: Polynomial, moments: Polynomial) -> Rat:
@@ -134,21 +131,20 @@ def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
     return Fraction(sum(c * (lcm // d) for c, d in zip(nums, dens)), den * lcm)
 
 
-def _def_values(
-    sign: int, alpha: Sequence[Rat], lengths: Sequence[Rat], rows: Iterable, z=0
-) -> list[Rat]:
-    """The definitions' kernel: for each j in rows (increasing, at most
-    len(alpha)) the box integral of prod_{i<j} (sign T - a_i - sign z), sign
-    1 for the first kind and -1 for the second. That is sign^j times prefix
+def _def_values(sign: int, p: FamilyPoint, rows: Iterable[int], z=0) -> list[Rat]:
+    """The definitions' kernel: for each j in rows (increasing, at most n)
+    the box integral of prod_{i<j} (sign T - a_i - sign z) over the box of p,
+    sign 1 for the first kind and -1 for the second; at z != 0 that is the
+    polynomial family's definitional value at z. It is sign^j times prefix
     j of one in-place expansion over the roots sign a_i + z: with
     a_i = p_i / q_i and z = s / t, over the integer factors of the pairs
     (sign p_i t + s q_i, q_i t) (_prefix_products), whose T^m coefficient is
     c_m over prod_{i<j} q_i t. No table, box moment or integer pairing."""
     s, t, out = z.numerator, z.denominator, []
     roots = [(sign * a.numerator * t + s * a.denominator, a.denominator * t)
-             for a in alpha]
+             for a in p.alpha[: p.n]]
     for cs, q in _prefix_products(roots, rows):
-        value = _box_integral(cs, q, lengths)
+        value = _box_integral(cs, q, p.lengths)
         out.append(value if sign ** (len(cs) - 1) > 0 else -value)
     return out
 
@@ -156,7 +152,7 @@ def _def_values(
 def _first_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
     """mp_first_def at each index j in rows (increasing, at most n), with the
     parameters and box of p."""
-    return _def_values(1, p.alpha[: p.n], p.lengths, rows)
+    return _def_values(1, p, rows)
 
 
 def mp_first_def(p: FamilyPoint) -> Rat:
@@ -274,7 +270,7 @@ def _second_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
     """mp_second_def at each index j in rows (increasing, at most n): the
     kernel of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), which expands
     over the negated parameters."""
-    return _def_values(-1, p.alpha[: p.n], p.lengths, rows)
+    return _def_values(-1, p, rows)
 
 
 def mp_second_def(p: FamilyPoint) -> Rat:
@@ -308,8 +304,8 @@ def specialize(
     lengths: Iterable[RatLike] | None = None,
 ) -> Rat:
     """Classical and q-parameter members of the families, as sugar over the
-    multiparameter definitions: after the checks of FamilyPoint, the
-    definitions' kernel reads each parameter i q over its own denominator.
+    multiparameter definitions: the definitions' kernel at the FamilyPoint
+    with parameters i q (i < n) and the family's box.
 
     family: 'classic'    k = 1, parameters 0..n-1, one box length
             'poly'       parameters 0..n-1, unit box in k variables
@@ -317,31 +313,33 @@ def specialize(
             'q-classic'  k = 1, parameters 0, q, ..., (n-1)q, one box length
             'extended-q' parameters 0, q, ..., (n-1)q, general box
     kind:   'first' or 'second'
+
+    An argument the family does not read is refused, not ignored: q for
+    'classic' and 'poly', lengths for 'poly' and 'q-poly', and k != 1 for
+    'classic' and 'q-classic'.
     """
     if family not in SPECIAL_FAMILIES:
         raise PreconditionError(f"unknown specialization family {family!r}")
     if kind not in ("first", "second"):
         raise PreconditionError(f"unknown family kind {kind!r}")
-    if family in ("q-poly", "q-classic", "extended-q"):
-        if q is None:
-            raise PreconditionError(f"family {family!r} needs the q parameter")
-        step = as_rat(q)
-    else:
-        step = 1
-    if family in ("classic", "q-classic"):
-        k = 1
-        ls = as_rat_tuple(lengths) if lengths is not None else (Fraction(1),)
-        if len(ls) != 1:
-            raise PreconditionError(f"family {family!r} takes one box length")
-    elif family in ("poly", "q-poly"):
-        ls = (Fraction(1),) * k
-    else:
-        if lengths is None:
+    reads_q = family in ("q-poly", "q-classic", "extended-q")
+    if reads_q and q is None:
+        raise PreconditionError(f"family {family!r} needs the q parameter")
+    if q is not None and not reads_q:
+        raise PreconditionError(f"family {family!r} takes no q parameter")
+    if family in ("classic", "q-classic") and k != 1:
+        raise PreconditionError(f"family {family!r} takes k = 1, got {k}")
+    if family in ("poly", "q-poly"):
+        if lengths is not None:
+            raise PreconditionError(f"family {family!r} takes no box lengths")
+        lengths = (1,) * k
+    elif lengths is None:
+        if family == "extended-q":
             raise PreconditionError("family 'extended-q' needs box lengths")
-        ls = as_rat_tuple(lengths)
-    _check_point(n, k, n, ls)
-    sign = 1 if kind == "first" else -1
-    return _def_values(sign, [i * step for i in range(n)], ls, (n,))[0]
+        lengths = (1,)
+    step = 1 if q is None else as_rat(q)
+    p = FamilyPoint(n, k, [i * step for i in range(n)], lengths)
+    return _def_values(1 if kind == "first" else -1, p, (n,))[0]
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:
@@ -388,13 +386,3 @@ def mp_poly_second(p: FamilyPoint) -> Polynomial:
     prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
     as (-1)^n times the first-kind expansion of its row n."""
     return _poly_second_values(p, (p.n,))[0]
-
-
-def _shifted_def_values(
-    sign: int, p: FamilyPoint, samples: Sequence[Rat]
-) -> list[Rat]:
-    """The first-kind (sign 1) or second-kind (sign -1) polynomial's
-    definitional value at every sample z: the plain definition with every
-    parameter shifted by sign z, one kernel call per sample."""
-    alpha = p.alpha[: p.n]
-    return [_def_values(sign, alpha, p.lengths, (p.n,), z)[0] for z in samples]

@@ -42,13 +42,13 @@ from .bernoulli import (
 )
 from .cauchy import (
     FamilyPoint,
+    _def_values,
     _first_def_values,
     _pair,
     _poly_first_values,
     _poly_from_row,
     _poly_second_values,
     _second_def_values,
-    _shifted_def_values,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -324,13 +324,14 @@ def _poly_samples_outcome(
     sign: int,
 ) -> tuple:
     """Both polynomials against the definitional oracle of the first-kind
-    (sign 1) or second-kind (sign -1) polynomial at the samples, all taken
-    from one batched call (poly_verbatim is None when the stated polynomial
-    is the corrected one)."""
+    (sign 1) or second-kind (sign -1) polynomial at the samples: the
+    definitions' kernel with the parameters shifted by sign z, once per
+    sample z (poly_verbatim is None when the stated polynomial is the
+    corrected one)."""
     samples = list(integer_samples(fp.n + 1))
     if pt.z0 is not None and pt.z0 not in samples:
         samples.append(pt.z0)
-    oracle_values = _shifted_def_values(sign, fp, samples)
+    oracle_values = [_def_values(sign, fp, (fp.n,), z)[0] for z in samples]
 
     def matches(poly: Polynomial) -> bool:
         return all(poly(z) == v for z, v in zip(samples, oracle_values))

@@ -19,10 +19,10 @@ from polyfam.cauchy import (
     SPECIAL_FAMILIES,
     FamilyPoint,
     _bell_numerators,
+    _def_values,
     _pair,
     _poly_from_row,
     _reciprocal_power_sums,
-    _shifted_def_values,
     classic_first_with_lengths,
     generalized_harmonic,
     lif_gf_check,
@@ -326,6 +326,21 @@ def test_a_series_check_compares_whole_series():
     assert harness._one_reading(lhs, rhs.truncated(2))[:2] == ("PASS", "PASS")
 
 
+# The arguments each special family reads; `specialize` refuses the others.
+SPECIAL_READS = {
+    "classic": {"lengths"},
+    "poly": {"k"},
+    "q-poly": {"k", "q"},
+    "q-classic": {"q", "lengths"},
+    "extended-q": {"k", "q", "lengths"},
+}
+
+
+def special_args(family, **args):
+    """The entries of args that `family` reads."""
+    return {name: arg for name, arg in args.items() if name in SPECIAL_READS[family]}
+
+
 def test_specialize_families():
     assert specialize("classic", "first", 3) == mp_first_def(
         FamilyPoint(3, 1, (0, 1, 2), (1,))
@@ -359,6 +374,25 @@ def test_specialize_preconditions():
         specialize("classic", "first", 2, lengths=(1, 2))
 
 
+@pytest.mark.parametrize(
+    "family, unread",
+    [
+        (family, name)
+        for family in SPECIAL_FAMILIES
+        for name in ("k", "q", "lengths")
+        if name not in SPECIAL_READS[family]
+    ],
+)
+def test_specialize_refuses_an_argument_its_family_does_not_read(family, unread):
+    # q to classic or poly, lengths to poly or q-poly, k != 1 to classic or
+    # q-classic: each would be dropped without a word.
+    given = {"k": 3, "q": 5, "lengths": (3,)}
+    args = special_args(family, **given)
+    specialize(family, "first", 2, **args)  # what it reads, it takes
+    with pytest.raises(PreconditionError, match=f"family {family!r} takes"):
+        specialize(family, "first", 2, **args, **{unread: given[unread]})
+
+
 @settings(max_examples=20)
 @given(
     st.integers(min_value=0, max_value=4),
@@ -388,7 +422,7 @@ def test_polynomials_evaluate_to_the_shifted_integrals(n, k, alpha, lengths):
         st.fractions(min_value=-5, max_value=5, max_denominator=35), max_size=5
     ),
 )
-def test_the_batched_oracle_matches_the_per_sample_definitions(
+def test_the_shifted_kernel_matches_the_definitions_at_shifted_parameters(
     n, k, pool, fresh, lengths, samples
 ):
     # Zero and repeated parameters from the pool; samples over denominators
@@ -403,8 +437,8 @@ def test_the_batched_oracle_matches_the_per_sample_definitions(
         mp_second_def(FamilyPoint(p.n, p.k, [a - z for a in p.alpha], p.lengths))
         for z in samples
     ]
-    assert _shifted_def_values(1, p, samples) == first
-    assert _shifted_def_values(-1, p, samples) == second
+    assert [_def_values(1, p, (p.n,), z)[0] for z in samples] == first
+    assert [_def_values(-1, p, (p.n,), z)[0] for z in samples] == second
 
 
 def test_polynomial_degree_and_leading_coefficient():
@@ -443,8 +477,8 @@ def test_newton_bell_numerators_match_the_series_exp(seed):
 def test_the_definitions_reach_no_route_kernel(monkeypatch):
     # Every route keeps an independent oracle: with the triangle kernel, the
     # box moments and the integer pairing made to raise, the definitions,
-    # the special families and the polynomial sample oracles, one sample at
-    # a time and batched, still give their values.
+    # the special families, the polynomial sample oracles and the kernel at
+    # a shifted z, as the harness reads it, still give their values.
     rng = random.Random(2014)
 
     def rational(nonzero=False):
@@ -474,10 +508,18 @@ def test_the_definitions_reach_no_route_kernel(monkeypatch):
                 mp_second_def(p),
                 mp_poly_first_oracle(p, z),
                 mp_poly_second_oracle(p, z),
-                _shifted_def_values(1, p, (z, Fraction(1, 7), -z)),
-                _shifted_def_values(-1, p, (z, Fraction(1, 7), -z)),
                 [
-                    specialize(family, kind, p.n, p.k, q=z or 1, lengths=ls)
+                    _def_values(sign, p, (p.n,), shift)[0]
+                    for sign in (1, -1)
+                    for shift in (z, Fraction(1, 7), -z)
+                ],
+                [
+                    specialize(
+                        family,
+                        kind,
+                        p.n,
+                        **special_args(family, k=p.k, q=z or 1, lengths=ls),
+                    )
                     for family in SPECIAL_FAMILIES
                     for kind in ("first", "second")
                     for ls in [p.lengths[:1] if "classic" in family else p.lengths]

@@ -58,6 +58,7 @@ import polyfam
 from polyfam import cli
 from polyfam.algebra import Polynomial
 from polyfam.harness import GridSpec, sweep
+from test_cauchy import special_args
 
 ROUTES = (
     "mp_first_def",
@@ -178,7 +179,8 @@ def _oracle_digest() -> str:
         for family in polyfam.SPECIAL_FAMILIES:
             for kind in ("first", "second"):
                 ls = lengths[:1] if "classic" in family else lengths
-                value = polyfam.specialize(family, kind, n, k, q=q, lengths=ls)
+                args = special_args(family, k=k, q=q, lengths=ls)
+                value = polyfam.specialize(family, kind, n, **args)
                 h.update(f"{family}:{kind}:{value!r}\n".encode())
     for _ in range(16):
         n, k = rng.randint(0, 14), rng.randint(1, 3)

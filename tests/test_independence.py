@@ -1,14 +1,15 @@
 """Route independence, held structurally.
 
-Each of the twelve routes, and the oracles of T5.1 (`_shifted_def_values`)
-and T4.1 (`_exp_sum`), runs once under `sys.setprofile` at one small point
-with mixed denominators. The package functions it calls, less the generic
-constructors and readers in `GENERIC`, are its kernels; `KERNELS` pins them
-and the README's route table mirrors the pin. Agreement between two routes
-is evidence only if they share no kernel: versions written apart still fail
-together more often than chance allows (Knight and Leveson, IEEE TSE 12(1),
-1986), so the independence that N-version checking rests on (Avizienis, IEEE
-TSE 11(12), 1985) is asserted on the call sets, not assumed:
+Each of the twelve routes, and the oracles of T5.1 (`_def_values` at a
+shifted z) and T4.1 (`_exp_sum`), runs once under `sys.setprofile` at one
+small point with mixed denominators. The package functions it calls, less
+the generic constructors and readers in `GENERIC`, are its kernels;
+`KERNELS` pins them and the README's route table mirrors the pin. Agreement
+between two routes is evidence only if they share no kernel: versions
+written apart still fail together more often than chance allows (Knight and
+Leveson, IEEE TSE 12(1), 1986), so the independence that N-version checking
+rests on (Avizienis, IEEE TSE 11(12), 1985) is asserted on the call sets,
+not assumed:
 
 - the two definitions share no kernel with any route that is not a
   definition, so with no other route of their family;
@@ -53,6 +54,8 @@ WITNESS = (
     ],
 )
 
+ORACLE = "_def_values at z"
+
 ENTRIES = {
     **{
         name: (getattr(polyfam, name), (POINT,))
@@ -71,9 +74,10 @@ ENTRIES = {
             "mp_bernoulli_poly",
         )
     },
-    "_shifted_def_values": (
-        cauchy._shifted_def_values,
-        (1, POINT, (Fraction(0), Fraction(-1, 7))),
+    # As harness._poly_samples_outcome reads it: one kernel call per sample.
+    ORACLE: (
+        lambda p, samples: [cauchy._def_values(1, p, (p.n,), z)[0] for z in samples],
+        (POINT, (Fraction(0), Fraction(-1, 7))),
     ),
     "_exp_sum": (bernoulli._exp_sum, WITNESS),
 }
@@ -155,7 +159,7 @@ KERNELS = {
     | _TABLE,
     "mp_bernoulli_poly": _BERNOULLI
     | {"bernoulli._bernoulli_poly_values", "cauchy._poly_from_row"},
-    "_shifted_def_values": _DEFINITION,
+    ORACLE: _DEFINITION,
     "_exp_sum": {"algebra._over_lcm"},
 }
 
@@ -208,14 +212,14 @@ def test_each_route_calls_its_pinned_kernels(traced):
 def test_the_definitions_share_no_kernel_with_another_route(traced):
     for definition in DEFINITIONS:
         for route in ENTRIES:
-            if route not in (*DEFINITIONS, "_shifted_def_values"):
+            if route not in (*DEFINITIONS, ORACLE):
                 assert not traced[definition] & traced[route], (definition, route)
 
 
 def test_the_oracles_share_no_kernel_with_the_routes_they_check(traced):
     for route in POLYNOMIAL_ROUTES:
         assert "cauchy._poly_from_row" in traced[route]
-        assert not traced["_shifted_def_values"] & traced[route], route
+        assert not traced[ORACLE] & traced[route], route
     for route in BERNOULLI_ROUTES:
         assert not traced["_exp_sum"] & traced[route], route
 

@@ -317,8 +317,9 @@ def _specialize_den_q_dropped(real):
 
 
 def _shift_sign_slip(real):
-    # The batched oracle shifts every parameter by -sign z in place of sign z.
-    return lambda sign, p, samples: real(sign, p, [-z for z in samples])
+    # The definitions' kernel shifts every parameter by -sign z in place of
+    # sign z (at z = 0, the definitions themselves, nothing changes).
+    return lambda sign, p, rows, z=0: real(sign, p, rows, -z)
 
 
 def _value_off_at_two(real):
@@ -504,7 +505,7 @@ MATRIX = [
     (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
     (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3 GF-Lif"),
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
-    (cauchy, "_shifted_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
+    (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
     (cauchy, "_first_def_values", _row_shifted, "C4.2b T4.3b"),
     (cauchy, "_second_def_values", _row_shifted, "C4.1b T4.2b"),

@@ -7,7 +7,8 @@
 - one way to build a triangle: `CoeffTable(...)` is called only in
   `stirling.py`;
 - a box is its lengths: below the point records no family function takes k
-  beside `lengths`, so k = len(lengths) is checked in one place;
+  beside `lengths`, so k = len(lengths) is checked in one place, and only
+  `FamilyPoint` raises the box-length messages;
 - the layers import downward: the family modules never import the sweep
   layer (`harness`) or the command line (`cli`), and the package imports
   the sweep layer only on first use, reading its names from
@@ -108,12 +109,11 @@ def _functions(body, prefix=""):
             yield from _functions(node.body, name + ".")
 
 
-# The point records take k and their lengths and check that the two agree
-# (`cauchy._check_point`); `specialize` builds its unit box from k. Every
-# other function reads k from len(lengths) or from a FamilyPoint.
+# The point records take k and their lengths, and FamilyPoint checks that the
+# two agree; `specialize` builds its unit box from k. Every other function
+# reads k from len(lengths) or from a FamilyPoint.
 BOX_BUILDERS = {
     "cauchy.FamilyPoint.__init__",
-    "cauchy._check_point",
     "cauchy.specialize",
 }
 
@@ -127,6 +127,40 @@ def test_no_family_function_takes_k_beside_the_box_lengths():
             if {"k", "lengths"} <= params:
                 both.add(f"{module}.{name}")
     assert both - BOX_BUILDERS == set()
+
+
+def _message(node: ast.expr) -> str:
+    """The text of a string or f-string literal, each field read as {}."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_message(part) for part in node.values)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return "{}"
+
+
+def _raised_messages(node):
+    """The message of every `raise E(message)` in a function's own body, not
+    in the functions and classes it defines."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+            yield " ".join(_message(arg) for arg in child.exc.args)
+        yield from _raised_messages(child)
+
+
+def test_only_the_family_point_checks_its_box():
+    # "need at least one integration variable" (box_moments' empty box) and
+    # the parameter count (generalized_harmonic's own) are raised elsewhere
+    # too; the two box messages are FamilyPoint's alone.
+    raisers = set()
+    for module in SUBMODULES + ("cli",):
+        for name, node in _functions(TREES[f"{module}.py"].body):
+            for text in _raised_messages(node):
+                box = text.startswith("expected {} box lengths")
+                if box or text == "box lengths must be nonzero":
+                    raisers.add(f"{module}.{name}")
+    assert raisers == {"cauchy.FamilyPoint.__init__"}
 
 
 def _package_imports(nodes):
