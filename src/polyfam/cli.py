@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from .algebra import Polynomial, PreconditionError, Rat
-from .bernoulli import mp_bernoulli, mp_bernoulli_poly
+from .bernoulli import CONVENTIONS, mp_bernoulli, mp_bernoulli_poly
 from .cauchy import (
     FamilyPoint,
     mp_first_def,
@@ -297,7 +297,7 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--mode",
-        choices=("corrected", "verbatim"),
+        choices=CONVENTIONS,
         default="corrected",
         help="summation convention for Bernoulli-type families",
     )

@@ -10,8 +10,8 @@ for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
 
 The catalog is one tuple of `Identity` records. A single-integral corollary
-is its parent's evaluator marked `k1_only`, so it is checked with k forced
-to 1.
+is its parent's evaluator marked `k1_only`: it is checked at points with
+k = 1, and any other point is NA.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .algebra import (
 from .bernoulli import (
     _bernoulli_poly_values,
     _bernoulli_values,
+    _distinct_head,
     li_gf_check,
     mp_bernoulli,
     mp_bernoulli_gf_check,
@@ -128,7 +129,7 @@ class IdentityReport(Record):
 class Identity(Record):
     """One catalog entry. `evaluate` gives both readings at a point;
     `correction` describes the corrected reading when the stated one fails
-    somewhere; a `k1_only` entry is evaluated with k forced to 1."""
+    somewhere; a `k1_only` entry holds only at k = 1 and is NA elsewhere."""
 
     __slots__ = ("id", "statement", "evaluate", "correction", "k1_only")
 
@@ -167,11 +168,6 @@ def _outcome(verbatim_ok, corrected_ok, lhs, rhs, note: str = "") -> tuple:
 
 def _family(pt: ParamPoint) -> FamilyPoint:
     return FamilyPoint(pt.n, pt.k, pt.alpha, pt.lengths)
-
-
-def _force_k1(pt: ParamPoint) -> ParamPoint:
-    lengths = pt.lengths[:1] if pt.lengths else (Fraction(1),)
-    return ParamPoint(pt.n, 1, pt.alpha, lengths, pt.z0, pt.q, pt.series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +415,8 @@ def _eval_C32(pt: ParamPoint) -> tuple:
 
 def _eval_T41(pt: ParamPoint) -> tuple:
     order = _require_order(pt)
-    lhs, rhs = mp_bernoulli_gf_check(FamilyPoint(order, pt.k, pt.alpha, pt.lengths))
+    alpha = _distinct_head(pt.alpha, order + 1)
+    lhs, rhs = mp_bernoulli_gf_check(FamilyPoint(order, pt.k, alpha, pt.lengths))
     return _one_reading(lhs, rhs, _T41_REMARK)
 
 
@@ -735,7 +732,9 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     if entry is None:
         raise ValueError(f"unknown identity id {identity!r}")
     try:
-        out = entry.evaluate(_force_k1(point) if entry.k1_only else point)
+        if entry.k1_only and point.k != 1:
+            raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
+        out = entry.evaluate(point)
     except PreconditionError as exc:
         out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)

@@ -237,6 +237,17 @@ def test_the_T41_sweep_refuses_a_box_that_does_not_have_k_lengths():
     assert report.note == "precondition violated: expected 2 box lengths, got 1"
 
 
+def test_the_T41_note_counts_the_order_plus_one_parameters_it_needs():
+    # Order 6 reads seven distinct parameters, one more than a FamilyPoint of
+    # index 6 asks for.
+    report = verify("T4.1", ParamPoint(2, 1, (1, 2), (1,), series_order=6))
+    assert (report.verbatim, report.corrected) == ("NA", "NA")
+    assert report.note == (
+        "precondition violated: need 7 parameters for the generating function, "
+        "got 2"
+    )
+
+
 def test_polynomial_generating_function_check():
     chk = mp_bernoulli_poly_gf_check((1, 2, 3, 4), (1,), 1, Fraction(1, 2), 3)
     assert chk.lhs == chk.rhs

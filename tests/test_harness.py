@@ -78,20 +78,26 @@ def test_identity_catalog_is_complete_and_unique():
 
 
 def test_corollaries_evaluate_their_parent_with_one_integration():
-    point = ParamPoint(
-        n=3, k=2, alpha=(1, "1/2", -2), lengths=(3, "1/3"), z0=2, q=2,
-        series_order=4,
+    # At k = 1 a corollary is its parent; at any other k it is refused, and
+    # the report names the point it was given.
+    one = ParamPoint(
+        n=3, k=1, alpha=(1, "1/2", -2), lengths=(3,), z0=2, q=2, series_order=4
     )
-    forced = ParamPoint(
-        n=3, k=1, alpha=point.alpha, lengths=(3,), z0=2, q=2, series_order=4
-    )
+    two = ParamPoint(3, 2, one.alpha, (3, "1/3"), one.z0, one.q, one.series_order)
     for corollary, parent in (("C2.1", "T2.1"), ("C4.2b", "T4.3b"),
                               ("C5.1b", "T5.1b")):
-        report = verify(corollary, point)
-        expected = verify(parent, forced)
-        assert report.point == point
+        report, expected = verify(corollary, one), verify(parent, one)
+        assert report.point == one
         assert (report.verbatim, report.corrected, report.lhs, report.rhs) == (
             expected.verbatim, expected.corrected, expected.lhs, expected.rhs
+        )
+        refused = verify(corollary, two)
+        assert refused.point == two
+        assert (refused.verbatim, refused.corrected, refused.lhs, refused.rhs) == (
+            "NA", "NA", "", ""
+        )
+        assert refused.note == (
+            "precondition violated: single-integral case needs k = 1, got 2"
         )
 
 

@@ -275,12 +275,14 @@ SHARED = {
 
 def _inversion_args(identity, monkeypatch):
     """The arguments of each harness._inversion call that verify(identity)
-    makes at POINT."""
+    makes at POINT, or at POINT's first box length alone for a single-integral
+    case."""
     captured, real = [], harness._inversion
     monkeypatch.setattr(
         harness, "_inversion", lambda *args: captured.append(args) or real(*args)
     )
-    verify(identity, ParamPoint(POINT.n, POINT.k, POINT.alpha, POINT.lengths))
+    lengths = POINT.lengths[:1] if harness._BY_ID[identity].k1_only else POINT.lengths
+    verify(identity, ParamPoint(POINT.n, len(lengths), POINT.alpha, lengths))
     monkeypatch.undo()
     return captured
 

@@ -19,8 +19,15 @@ refuses a point must refuse its image with the same message.
   (verdicts, lhs, rhs and note) of every identity that reads only Cauchy-type
   values unchanged. CASES-2 and CASES-3 read no alpha. The T4, C4 and T5.2
   ids read the Bernoulli types, and are left out.
+- R5: scaling, the one relation that also binds the Bernoulli types. For
+  c != 0, a route at c alpha and the box (c l_1, l_2, ..., l_k) is c^(n+1)
+  times the route at alpha and (l_1, ..., l_k): put x_1 = c y_1 in the box
+  integral, or read S_a(n, m) as homogeneous of degree n - m in a. A
+  polynomial is read at c z against the other at z. It holds for all twelve
+  routes, and for both Bernoulli-type routes under either convention.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyfam
-from polyfam.algebra import PreconditionError
+from polyfam.algebra import Polynomial, PreconditionError
 from polyfam.cauchy import (
     FamilyPoint,
     mp_first_closed,
@@ -128,3 +135,35 @@ def test_permuting_the_parameters_leaves_the_cauchy_reports_unchanged(
     alpha = data.draw(st.permutations(pt.alpha))
     permuted = ParamPoint(pt.n, pt.k, alpha, pt.lengths, pt.z0, pt.q, pt.series_order)
     assert _report(identity, permuted) == _report(identity, pt)
+
+
+# Every route, and the Bernoulli-type routes once more under the verbatim
+# convention.
+SCALED_ROUTES = {name: getattr(polyfam, name) for name in ROUTES} | {
+    f"{name} verbatim": functools.partial(getattr(polyfam, name), convention="verbatim")
+    for name in ("mp_bernoulli", "mp_bernoulli_poly")
+}
+
+
+def _unscaled(outcome, c, n):
+    """A route's outcome at the scaled point brought back to the point: a
+    number over c^(n+1), a polynomial read at c z over c^(n+1), a refusal as
+    it is."""
+    if isinstance(outcome, str):
+        return outcome
+    if isinstance(outcome, Polynomial):
+        outcome = Polynomial(a * c**i for i, a in enumerate(outcome.coeffs))
+    return outcome * (1 / c ** (n + 1))
+
+
+@_BUDGET
+@given(
+    _points,
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+)
+def test_scaling_the_parameters_and_one_length_scales_every_route(p, c):
+    lengths = (c * p.lengths[0],) + p.lengths[1:]
+    scaled = FamilyPoint(p.n, p.k, [c * a for a in p.alpha], lengths)
+    for name, route in SCALED_ROUTES.items():
+        image = _unscaled(_outcome(route, scaled), c, p.n)
+        assert image == _outcome(route, p), name

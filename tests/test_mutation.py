@@ -616,13 +616,13 @@ NOT_SEEN_BY_THE_SWEEP = [
         {},
     ),
     # GF-Li reads the classical values from one _bernoulli_values pass, and
-    # neither `number` nor `table` calls the helper: only the table pin reads it.
+    # neither `number` nor `table` calls the helper. Only tests call it: five
+    # in tests/test_bernoulli.py, its anchor values first, and the table pin.
     (
         bernoulli,
         "classic_poly_bernoulli",
         _value_off_at_two,
-        "tests/test_exactness.py::"
-        "test_table_and_the_classical_helpers_reproduce_the_pinned_bytes",
+        "tests/test_bernoulli.py::test_small_anchor_values",
         {},
     ),
     # No verify reading indexes a table; the sweep reads rows through int_row.
