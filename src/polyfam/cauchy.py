@@ -132,14 +132,15 @@ def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
 
 
 def _def_values(sign: int, p: FamilyPoint, rows: Iterable[int], z=0) -> list[Rat]:
-    """The definitions' kernel: for each j in rows (increasing, at most n)
-    the box integral of prod_{i<j} (sign T - a_i - sign z) over the box of p,
-    sign 1 for the first kind and -1 for the second; at z != 0 that is the
-    polynomial family's definitional value at z. It is sign^j times prefix
-    j of one in-place expansion over the roots sign a_i + z: with
-    a_i = p_i / q_i and z = s / t, over the integer factors of the pairs
-    (sign p_i t + s q_i, q_i t) (_prefix_products), whose T^m coefficient is
-    c_m over prod_{i<j} q_i t. No table, box moment or integer pairing."""
+    """The definitions' kernel of both kinds: for each j in rows (increasing,
+    at most n) the box integral of prod_{i<j} (sign T - a_i - sign z) over
+    the box of p, sign 1 for mp_first_def and -1 for mp_second_def; at
+    z != 0 that is the polynomial family's definitional value at z. It is
+    sign^j times prefix j of one in-place expansion over the roots
+    sign a_i + z: with a_i = p_i / q_i and z = s / t, over the integer
+    factors of the pairs (sign p_i t + s q_i, q_i t) (_prefix_products),
+    whose T^m coefficient is c_m over prod_{i<j} q_i t. No table, box
+    moment or integer pairing."""
     s, t, out = z.numerator, z.denominator, []
     roots = [(sign * a.numerator * t + s * a.denominator, a.denominator * t)
              for a in p.alpha[: p.n]]
@@ -149,16 +150,10 @@ def _def_values(sign: int, p: FamilyPoint, rows: Iterable[int], z=0) -> list[Rat
     return out
 
 
-def _first_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
-    """mp_first_def at each index j in rows (increasing, at most n), with the
-    parameters and box of p."""
-    return _def_values(1, p, rows)
-
-
 def mp_first_def(p: FamilyPoint) -> Rat:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate it over the box one variable at a time."""
-    return _first_def_values(p, (p.n,))[0]
+    return _def_values(1, p, (p.n,))[0]
 
 
 def mp_first_closed(p: FamilyPoint) -> Rat:
@@ -266,18 +261,11 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
 
 
-def _second_def_values(p: FamilyPoint, rows: Iterable[int]) -> list[Rat]:
-    """mp_second_def at each index j in rows (increasing, at most n): the
-    kernel of prod_i (-T - a_i) = (-1)^j prod_i (T + a_i), which expands
-    over the negated parameters."""
-    return _def_values(-1, p, rows)
-
-
 def mp_second_def(p: FamilyPoint) -> Rat:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
     (-1)^n prod_i (T + a_i), and integrate it over the box one variable at a
     time."""
-    return _second_def_values(p, (p.n,))[0]
+    return _def_values(-1, p, (p.n,))[0]
 
 
 def mp_second_closed(p: FamilyPoint) -> Rat:
@@ -357,32 +345,27 @@ def lif_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return lhs, rhs
 
 
-def _poly_first_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
-    """mp_poly_first at each index j in rows (at most n): row j of one
-    first-kind table of size n (which depends on a_0..a_(j-1) only) paired
-    with the shifted moments of one box_moments(..., n)."""
-    table = comtet_first(p.alpha[: p.n], p.n)
+def _poly_values(sign: int, p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
+    """The polynomial families' kernel: mp_poly_first (sign 1) or
+    mp_poly_second (sign -1) at each index j in rows (at most n). Row j of
+    one first-kind or signless table of size n (which depends on
+    a_0..a_(j-1) only), paired with the shifted moments of one
+    box_moments(..., n), times sign^j."""
+    triangle = comtet_first if sign > 0 else signless_comtet_first
+    table = triangle(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.n)
-    return [_poly_from_row(table.int_row(j), moments) for j in rows]
+    return [sign**j * _poly_from_row(table.int_row(j), moments) for j in rows]
 
 
 def mp_poly_first(p: FamilyPoint) -> Polynomial:
     """First-kind polynomial in z: the box integral of
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
-    return _poly_first_values(p, (p.n,))[0]
-
-
-def _poly_second_values(p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
-    """mp_poly_second at each index j in rows (at most n), from one signless
-    table and one box_moments(..., n) as in _poly_first_values."""
-    table = signless_comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.n)
-    return [(-1) ** j * _poly_from_row(table.int_row(j), moments) for j in rows]
+    return _poly_values(1, p, (p.n,))[0]
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
     """Second-kind polynomial in z: the box integral of
     prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
     as (-1)^n times the first-kind expansion of its row n."""
-    return _poly_second_values(p, (p.n,))[0]
+    return _poly_values(-1, p, (p.n,))[0]

@@ -20,6 +20,7 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     Polynomial,
@@ -44,12 +45,9 @@ from .bernoulli import (
 from .cauchy import (
     FamilyPoint,
     _def_values,
-    _first_def_values,
     _pair,
-    _poly_first_values,
     _poly_from_row,
-    _poly_second_values,
-    _second_def_values,
+    _poly_values,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -365,9 +363,10 @@ def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Per-identity evaluators. They name their routes in their bodies rather than
-# binding them in closures or partials, so a caller that rebinds a route in
-# this module's namespace (such as a per-layer tracer) sees every call.
+# Per-identity evaluators. They look their routes up in their bodies at call
+# time: a kernel bound to one kind is a partial built there, never at import,
+# so a caller that rebinds a route in this module's namespace (such as a
+# per-layer tracer) sees every call.
 # ---------------------------------------------------------------------------
 
 
@@ -432,7 +431,8 @@ def _eval_C41a(pt: ParamPoint) -> tuple:
 
 
 def _eval_T42b(pt: ParamPoint) -> tuple:
-    return _inversion(pt, mp_bernoulli, _second_def_values, _FROM_SECOND, _SECOND)
+    values_of = partial(_def_values, -1)
+    return _inversion(pt, mp_bernoulli, values_of, _FROM_SECOND, _SECOND)
 
 
 def _eval_T43a(pt: ParamPoint) -> tuple:
@@ -440,7 +440,8 @@ def _eval_T43a(pt: ParamPoint) -> tuple:
 
 
 def _eval_T43b(pt: ParamPoint) -> tuple:
-    return _inversion(pt, mp_bernoulli, _first_def_values, _FROM_FIRST, _SECOND)
+    values_of = partial(_def_values, 1)
+    return _inversion(pt, mp_bernoulli, values_of, _FROM_FIRST, _SECOND)
 
 
 def _eval_T51a(pt: ParamPoint) -> tuple:
@@ -455,14 +456,14 @@ def _eval_T51b(pt: ParamPoint) -> tuple:
 
 def _eval_T52a(pt: ParamPoint) -> tuple:
     # The stated polynomial form carries the correct weights already.
-    return _inversion(pt, mp_bernoulli_poly, _poly_first_values, _FROM_FIRST, None)
+    values_of = partial(_poly_values, 1)
+    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_FIRST, None)
 
 
 def _eval_T52b(pt: ParamPoint) -> tuple:
     # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-    return _inversion(
-        pt, mp_bernoulli_poly, _poly_second_values, _FROM_SECOND, _FROM_FIRST
-    )
+    values_of = partial(_poly_values, -1)
+    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_SECOND, _FROM_FIRST)
 
 
 def _eval_T52c(pt: ParamPoint) -> tuple:
@@ -486,7 +487,7 @@ def _eval_GF_Li(pt: ParamPoint) -> tuple:
 
 
 def _cases(pt: ParamPoint, kind: str) -> tuple:
-    """Specialization web of one family: eight arrows between the special
+    """Specialization web of one family: five arrows between the special
     families and their triangle, integral and closed-form readings. The
     second kind reads the signless triangle and negated roots under the
     sign (-1)^n."""
@@ -520,26 +521,15 @@ def _cases(pt: ParamPoint, kind: str) -> tuple:
         ("poly-vs-triangle", poly, closed(FamilyPoint(n, k, classical_roots, unit))),
         ("classic-vs-integral", classic, integral(classical_roots)),
         ("q-poly-vs-homogeneity", q_poly, triangle_q),
-        ("q-one-collapse", specialize("q-poly", kind, n, k, q=1), poly),
         (
             "extended-vs-closed",
             specialize("extended-q", kind, n, k, q=q, lengths=pt.lengths),
             closed(FamilyPoint(n, k, q_roots, pt.lengths)),
         ),
         (
-            "extended-unit-collapse",
-            specialize("extended-q", kind, n, k, q=q, lengths=unit),
-            q_poly,
-        ),
-        (
             "q-classic-vs-integral",
             specialize("q-classic", kind, n, q=q, lengths=(ell,)),
             integral(q_roots),
-        ),
-        (
-            "q-classic-collapse",
-            specialize("q-classic", kind, n, q=1, lengths=(ell,)),
-            classic,
         ),
     ]
     failed = [name for name, left, right in arrows if left != right]

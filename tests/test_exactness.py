@@ -16,7 +16,12 @@ SWEEP_SHA256 pins the sweep on a deep grid (n up to 14, k up to 3, series
 order 8): the `repr` of every report at seeds 0, 7 and 123, so every
 polynomial and expansion column is covered well past the n <= 5 of the
 seed-0 goldens. It was taken at commit 3e93ba9, where `Polynomial` still held
-its coefficients as Fractions and `_expand` summed Fraction terms.
+its coefficients as Fractions and `_expand` summed Fraction terms. It was
+retaken on top of commit d9329ec (2bc7fcb7... -> b0bbb573...), when the
+specialization webs CASES-2 and CASES-3 dropped their three arrows
+`q-one-collapse`, `extended-unit-collapse` and `q-classic-collapse`, each of
+which compared the definitions' kernel with itself at one point; every other
+report held its bytes.
 
 ORACLE_SHA256 pins the definitional layer outside the routes: `specialize` for
 every family and kind, the two polynomial sample oracles at samples whose
@@ -79,7 +84,7 @@ PINNED_SHA256 = "7a13a3ce476edd8aef7682780ca25577f4ac813fcfd395cbd17505e3827eea7
 
 TABLE_SHA256 = "5e7591f7c33d88665f7582d0d37d0e6d3350b1776bff703ea3d7c54a53b33f51"
 
-SWEEP_SHA256 = "2bc7fcb7333d16e5a7f60f895796d688849527e0d58c698eaa7a46de186ae50a"
+SWEEP_SHA256 = "b0bbb573d2ca684dc1bd2ceaf70b3b8dbe056c408f9d1ea23bef269d2bb686dc"
 ORACLE_SHA256 = "9743f89c983839f20d3e0e6529bbe2f64c2f0ce090706add1bdd5b0feafa1810"
 VALUE_SHA256 = "daed314f277db4ac6c04cc1a3ef36c83ae8ad05afb3cc2c2ca6761e69ccd137b"
 DEEP_GRID = GridSpec(n_max=14, k_max=3, points=6, series_order=8, bound=20)

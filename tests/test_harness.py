@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -196,9 +197,13 @@ def test_number_transforms_round_trip():
 
 def test_polynomial_transforms_round_trip():
     alpha, _, polys = rand_vectors(11, 4)
-    via_b = [bernoulli_from_first(n, alpha, polys[: n + 1]) for n in range(5)]
-    back = [first_from_bernoulli(n, alpha, via_b[: n + 1]) for n in range(5)]
-    assert back == polys
+    for to_b, from_b in (
+        (bernoulli_from_first, first_from_bernoulli),
+        (bernoulli_from_second, second_from_bernoulli),
+    ):
+        via_b = [to_b(n, alpha, polys[: n + 1]) for n in range(5)]
+        back = [from_b(n, alpha, via_b[: n + 1]) for n in range(5)]
+        assert back == polys, to_b.__name__
 
 
 def test_sweep_is_deterministic_and_ordered():
@@ -541,12 +546,16 @@ def test_corrected_mode_passes_everywhere_on_a_small_grid():
     assert bad == []
 
 
+K1_ONLY = {entry.id for entry in CATALOG if entry.k1_only}
+
+
 @st.composite
 def _adversarial_points(draw):
     """An identity id and a point the sweep almost never draws: n <= 7,
-    k <= 4, series order 0..5 or None, parameters repeated from a small pool,
-    each rational zero with chance 1/5 (box lengths never) and of height up
-    to 10^30/10^12 with chance 3/10."""
+    k <= 4 (k = 1 for a single-integral case, which refuses any other k),
+    series order 0..5 or None, parameters repeated from a small pool, each
+    rational zero with chance 1/5 (box lengths never) and of height up to
+    10^30/10^12 with chance 3/10."""
 
     def rational(nonzero=False):
         kind = draw(st.integers(2 if nonzero else 0, 9))
@@ -557,7 +566,8 @@ def _adversarial_points(draw):
         return Fraction(sign * draw(st.integers(1, num)), draw(st.integers(1, den)))
 
     identity = draw(st.sampled_from(IDENTITY_IDS))
-    n, k = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    n = draw(st.integers(0, 7))
+    k = 1 if identity in K1_ONLY else draw(st.integers(1, 4))
     pool = [rational() for _ in range(draw(st.integers(1, 8)))]
     alpha = [draw(st.sampled_from(pool)) for _ in range(n)]
     lengths = [rational(nonzero=True) for _ in range(k)]
@@ -655,17 +665,22 @@ def test_the_sweep_sees_a_fault_in_the_integer_kernels(grid):
     assert {r.identity for r in reports if r.corrected == FAIL} == set()
 
 
+def _kernel_id(f):
+    # A kernel of both Cauchy kinds is named with the sign of its kind.
+    return f"{f.func.__name__}({f.args[0]})" if isinstance(f, partial) else f.__name__
+
+
 @pytest.mark.parametrize(
     "kernel, route",
     [
-        (cauchy._first_def_values, cauchy.mp_first_def),
-        (cauchy._second_def_values, cauchy.mp_second_def),
-        (cauchy._poly_first_values, cauchy.mp_poly_first),
-        (cauchy._poly_second_values, cauchy.mp_poly_second),
+        (partial(cauchy._def_values, 1), cauchy.mp_first_def),
+        (partial(cauchy._def_values, -1), cauchy.mp_second_def),
+        (partial(cauchy._poly_values, 1), cauchy.mp_poly_first),
+        (partial(cauchy._poly_values, -1), cauchy.mp_poly_second),
         (bernoulli._bernoulli_values, bernoulli.mp_bernoulli),
         (bernoulli._bernoulli_poly_values, bernoulli.mp_bernoulli_poly),
     ],
-    ids=lambda f: f.__name__,
+    ids=_kernel_id,
 )
 def test_a_value_kernel_gives_its_route_at_every_index(kernel, route):
     # The expansion identities read rows 0..n of one pass; each row must be

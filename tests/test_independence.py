@@ -112,7 +112,7 @@ _BERNOULLI = {
 _DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_values"}
 
 KERNELS = {
-    "mp_first_def": _DEFINITION | {"cauchy._first_def_values"},
+    "mp_first_def": _DEFINITION,
     "mp_first_closed": _FIRST | {"stirling.comtet_first"},
     "mp_first_noncentral": _FIRST
     | {
@@ -132,7 +132,7 @@ KERNELS = {
         "cauchy._pair",
         "cauchy._reciprocal_power_sums",
     },
-    "mp_second_def": _DEFINITION | {"cauchy._second_def_values"},
+    "mp_second_def": _DEFINITION,
     "mp_second_closed": _FIRST | {"stirling.signless_comtet_first"},
     "mp_second_lah": _FIRST
     | {
@@ -145,15 +145,15 @@ KERNELS = {
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {
         "algebra.box_moments",
-        "cauchy._poly_first_values",
         "cauchy._poly_from_row",
+        "cauchy._poly_values",
         "stirling.comtet_first",
     }
     | _TABLE,
     "mp_poly_second": {
         "algebra.box_moments",
         "cauchy._poly_from_row",
-        "cauchy._poly_second_values",
+        "cauchy._poly_values",
         "stirling.signless_comtet_first",
     }
     | _TABLE,

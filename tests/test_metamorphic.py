@@ -17,8 +17,9 @@ refuses a point must refuse its image with the same message.
   at alpha + z and the second kind's at alpha - z.
 - R4: R1 carried to the sweep: permuting alpha leaves the whole report
   (verdicts, lhs, rhs and note) of every identity that reads only Cauchy-type
-  values unchanged. CASES-2 and CASES-3 read no alpha. The T4, C4 and T5.2
-  ids read the Bernoulli types, and are left out.
+  values unchanged, a single-integral case at k = 1 with the first length.
+  CASES-2 and CASES-3 read no alpha. The T4, C4 and T5.2 ids read the
+  Bernoulli types, and are left out.
 - R5: scaling, the one relation that also binds the Bernoulli types. For
   c != 0, a route at c alpha and the box (c l_1, l_2, ..., l_k) is c^(n+1)
   times the route at alpha and (l_1, ..., l_k): put x_1 = c y_1 in the box
@@ -44,7 +45,7 @@ from polyfam.cauchy import (
     mp_second_lah,
 )
 from polyfam.harness import ParamPoint, verify
-from test_harness import _adversarial_points
+from test_harness import K1_ONLY, _adversarial_points
 
 CAUCHY_ROUTES = (
     "mp_first_def",
@@ -132,6 +133,9 @@ def test_permuting_the_parameters_leaves_the_cauchy_reports_unchanged(
     identity, case, data
 ):
     pt = case[1]
+    # The law draws its own id: a single-integral case gets the first length.
+    lengths = pt.lengths[:1] if identity in K1_ONLY else pt.lengths
+    pt = ParamPoint(pt.n, len(lengths), pt.alpha, lengths, pt.z0, pt.q, pt.series_order)
     alpha = data.draw(st.permutations(pt.alpha))
     permuted = ParamPoint(pt.n, pt.k, alpha, pt.lengths, pt.z0, pt.q, pt.series_order)
     assert _report(identity, permuted) == _report(identity, pt)

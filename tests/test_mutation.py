@@ -335,10 +335,10 @@ def _lif_factorial_off_by_one(real):
 
 
 def _row_shifted(real):
-    # Row j of a one-pass kernel is the value at j + 1: right at row n, which
-    # is all a public route reads, and wrong below it.
-    def fake(p, rows, *convention):
-        values = real(p, range(p.n + 1), *convention)
+    # Row j of a one-pass kernel of either kind is the value at j + 1: right
+    # at row n, which is all a public route reads, and wrong below it.
+    def fake(sign, p, rows, *z):
+        values = real(sign, p, range(p.n + 1), *z)
         return [values[min(j + 1, p.n)] for j in rows]
 
     return fake
@@ -507,10 +507,8 @@ MATRIX = [
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
     (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
-    (cauchy, "_first_def_values", _row_shifted, "C4.2b T4.3b"),
-    (cauchy, "_second_def_values", _row_shifted, "C4.1b T4.2b"),
-    (cauchy, "_poly_first_values", _row_shifted, "T5.2a"),
-    (cauchy, "_poly_second_values", _row_shifted, "T5.2b"),
+    (cauchy, "_def_values", _row_shifted, "C4.1b C4.2b T4.2b T4.3b"),
+    (cauchy, "_poly_values", _row_shifted, "T5.2a T5.2b"),
     (
         bernoulli,
         "_bernoulli_values",

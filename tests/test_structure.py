@@ -2,7 +2,8 @@
 
 - stdlib-only: every absolute import names a standard-library module;
 - no alias that only renames: no two public names are bound to one object,
-  and no two `number` families print the same record under another name;
+  no two `number` families print the same record under another name, and
+  no function below the sweep layer only forwards its own parameters;
 - no concurrency and no module-level cache;
 - one way to build a triangle: `CoeffTable(...)` is called only in
   `stirling.py`;
@@ -269,6 +270,53 @@ def test_no_two_public_names_are_bound_to_one_object():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _only_renames(node: ast.FunctionDef) -> bool:
+    """Whether the body, docstring aside, is one `return f(...)` that passes
+    exactly the function's own parameters plus literal constants."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    args = node.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a]
+    passed = []
+    for arg in call.args + [keyword.value for keyword in call.keywords]:
+        arg = arg.value if isinstance(arg, ast.Starred) else arg
+        if isinstance(arg, ast.Name):
+            passed.append(arg.id)
+        elif not _is_literal(arg):
+            return False
+    return sorted(passed) == sorted(params)
+
+
+def test_no_family_function_only_forwards_its_parameters():
+    # A function whose one statement hands its own parameters and some
+    # constants to another is that function under another name: a kind's
+    # kernel is the shared kernel called with the kind's sign. The sweep
+    # layer is out of scope: the catalog needs one module-level evaluator per
+    # entry, so `_eval_CASES2` and `_eval_CASES3` are `_cases` with a kind.
+    renames = [
+        f"{module}.{name}"
+        for module in ("algebra", "stirling", "cauchy", "bernoulli")
+        for name, node in _functions(TREES[f"{module}.py"].body)
+        if _only_renames(node)
+    ]
+    assert renames == []
 
 
 def _number_families() -> list:
