@@ -334,14 +334,21 @@ def _lif_factorial_off_by_one(real):
     )
 
 
-def _row_shifted(real):
-    # Row j of a one-pass kernel of either kind is the value at j + 1: right
-    # at row n, which is all a public route reads, and wrong below it.
-    def fake(sign, p, rows, *z):
-        values = real(sign, p, range(p.n + 1), *z)
-        return [values[min(j + 1, p.n)] for j in rows]
+def _row_shifted(kind):
+    # Row j of a one-pass kernel of one kind is the value at j + 1: right at
+    # row n, which is all a public route reads, and wrong below it. The
+    # other kind's rows are untouched.
+    def make(real):
+        def fake(sign, p, rows, *z):
+            if sign != kind:
+                return real(sign, p, rows, *z)
+            values = real(sign, p, range(p.n + 1), *z)
+            return [values[min(j + 1, p.n)] for j in rows]
 
-    return fake
+        return fake
+
+    make.__name__ = "row_shifted"
+    return make
 
 
 def _misaligned(pair_row):
@@ -507,8 +514,12 @@ MATRIX = [
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
     (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
-    (cauchy, "_def_values", _row_shifted, "C4.1b C4.2b T4.2b T4.3b"),
-    (cauchy, "_poly_values", _row_shifted, "T5.2a T5.2b"),
+    # A shared kernel's fault in one kind's rows is named by that kind's
+    # slice of it: _first_def_values is _def_values at sign +1.
+    (cauchy, "_def_values", _row_shifted(1), "C4.2b T4.3b", "_first_def_values"),
+    (cauchy, "_def_values", _row_shifted(-1), "C4.1b T4.2b", "_second_def_values"),
+    (cauchy, "_poly_values", _row_shifted(1), "T5.2a", "_poly_first_values"),
+    (cauchy, "_poly_values", _row_shifted(-1), "T5.2b", "_poly_second_values"),
     (
         bernoulli,
         "_bernoulli_values",
@@ -537,14 +548,17 @@ MATRIX = [
 ]
 
 
-def _case_id(owner, name, make):
+def _case_id(owner, name, make, slice_name=None):
     owner_name = owner.__name__.rpartition(".")[2]
-    return f"{owner_name}.{name}:{make.__name__.strip('_')}"
+    return f"{owner_name}.{slice_name or name}:{make.__name__.strip('_')}"
 
 
 @pytest.mark.parametrize(
     "owner, name, make, caught",
-    [pytest.param(*case, id=_case_id(*case[:3])) for case in MATRIX],
+    [
+        pytest.param(*case[:4], id=_case_id(*case[:3], *case[4:]))
+        for case in MATRIX
+    ],
 )
 def test_the_sweep_sees_the_fault(owner, name, make, caught, monkeypatch):
     # A sweep's rows for one id do not depend on the other ids swept, so
