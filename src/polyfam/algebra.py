@@ -255,28 +255,29 @@ def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(c // g for c in num), den // g
 
 
-def _prefix_products(roots: Sequence[tuple], rows: Iterable[int]) -> list[tuple]:
-    """For each j in `rows` (increasing, at most len(roots)) the integers
-    c_0..c_j of prod_{i<j} (q_i X - p_i), lowest power first, and
+def _prefix_products(roots: Sequence[tuple], rows: Sequence[int]) -> list[tuple]:
+    """For each j in `rows` (in their order, each in 0..len(roots)) the
+    integers c_0..c_j of prod_{i<j} (q_i X - p_i), lowest power first, and
     Q_j = prod_{i<j} q_i, for roots r_i = p_i / q_i given as integer pairs
     (q_i > 0, not necessarily reduced): prod_{i<j} (X - r_i) is
     sum_m c_m X^m / Q_j, one denominator per prefix.
 
     One integer list is multiplied in place by each q_i X - p_i, high index
-    first (c_m becomes q_i c_(m-1) - p_i c_m); every prefix is read on the
-    way."""
-    wanted, cs, q_prod, out = set(rows), [1], 1, []
+    first (c_m becomes q_i c_(m-1) - p_i c_m); every prefix asked for is
+    read on the way."""
+    if not all(0 <= j <= len(roots) for j in rows):
+        raise IndexError(f"a row of {list(rows)} is outside 0..{len(roots)}")
+    wanted, cs, q_prod, prefixes = set(rows), [1], 1, {}
     for j, (p, q) in enumerate(roots):
         if j in wanted:
-            out.append((cs[:], q_prod))
+            prefixes[j] = (cs[:], q_prod)
         cs.append(q * cs[-1])
         for m in range(j, 0, -1):
             cs[m] = q * cs[m - 1] - p * cs[m]
         cs[0] = -p * cs[0]
         q_prod *= q
-    if len(roots) in wanted:
-        out.append((cs, q_prod))
-    return out
+    prefixes[len(roots)] = (cs, q_prod)
+    return [prefixes[j] for j in rows]
 
 
 def box_moments(lengths: Sequence[RatLike], size: int) -> Polynomial:

@@ -14,7 +14,7 @@ not use it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -77,20 +77,26 @@ def li_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     moments = TruncatedSeries._of(order, box_moments((1,) * k, order))
     lhs = moments.compose(1 - exp_series(order, rate=-1))
     classical = FamilyPoint(order, k, tuple(range(order)), (1,) * k)
-    values = _bernoulli_values(classical, range(order + 1))
+    values = _bernoulli_values(_pair, classical, range(order + 1))
     return lhs, _egf(order, values)
 
 
 def _bernoulli_values(
-    p: FamilyPoint, rows: Iterable[int], convention: str = "corrected"
-) -> list[Rat]:
-    """mp_bernoulli at each index j in rows (at most n): the Bernoulli row of
-    row j of one second-kind table of size n (which depends on a_0..a_(j-1)
-    only), paired with the first j+1 of one box_moments(..., n)."""
+    pairing, p: FamilyPoint, rows: Sequence[int], convention: str = "corrected"
+) -> list:
+    """The Bernoulli type's kernel: at each j in rows (in their order, each in
+    0..n) the pairing (_pair for mp_bernoulli, _poly_from_row for
+    mp_bernoulli_poly) of the Bernoulli row of row j, which reads
+    a_0..a_(j-1) only, of one second-kind table of size n with one
+    box_moments(..., n)."""
     _check_convention(convention)
+    if not all(0 <= j <= p.n for j in rows):
+        raise IndexError(f"a row of {list(rows)} is outside 0..{p.n}")
     table = comtet_second(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.n)
-    return [_pair(_bernoulli_row(table.int_row(j), convention), moments) for j in rows]
+    return [
+        pairing(_bernoulli_row(table.int_row(j), convention), moments) for j in rows
+    ]
 
 
 def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
@@ -99,7 +105,7 @@ def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
 
     The 'verbatim' convention multiplies each summand by a second m!.
     """
-    return _bernoulli_values(p, (p.n,), convention)[0]
+    return _bernoulli_values(_pair, p, (p.n,), convention)[0]
 
 
 def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
@@ -152,26 +158,12 @@ def mp_bernoulli_gf_check(p: FamilyPoint) -> tuple[TruncatedSeries, TruncatedSer
     inside; over the rationals that is the same finite sum as column by
     column."""
     head = _distinct_head(p.alpha, p.n + 1)
-    lhs = _egf(p.n, _bernoulli_values(p, range(p.n + 1)))
+    lhs = _egf(p.n, _bernoulli_values(_pair, p, range(p.n + 1)))
     weights = [
         (-1) ** m * math.factorial(m) * mu
         for m, mu in enumerate(box_moments(p.lengths, p.n).coeffs)
     ]
     return lhs, _exp_sum(head, weights)
-
-
-def _bernoulli_poly_values(
-    p: FamilyPoint, rows: Iterable[int], convention: str = "corrected"
-) -> list[Polynomial]:
-    """mp_bernoulli_poly at each index j in rows (at most n), from one
-    second-kind table and one box_moments(..., n) as in _bernoulli_values."""
-    _check_convention(convention)
-    table = comtet_second(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.n)
-    return [
-        _poly_from_row(_bernoulli_row(table.int_row(j), convention), moments)
-        for j in rows
-    ]
 
 
 def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomial:
@@ -182,4 +174,4 @@ def mp_bernoulli_poly(p: FamilyPoint, convention: str = "corrected") -> Polynomi
     At z = 0 this reduces to mp_bernoulli under the same convention; the
     'verbatim' convention mirrors the duplicated factorial of the number
     family so that the reduction holds in both conventions."""
-    return _bernoulli_poly_values(p, (p.n,), convention)[0]
+    return _bernoulli_values(_poly_from_row, p, (p.n,), convention)[0]

@@ -131,10 +131,10 @@ def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
     return Fraction(sum(c * (lcm // d) for c, d in zip(nums, dens)), den * lcm)
 
 
-def _def_values(sign: int, p: FamilyPoint, rows: Iterable[int], z=0) -> list[Rat]:
-    """The definitions' kernel of both kinds: for each j in rows (increasing,
-    at most n) the box integral of prod_{i<j} (sign T - a_i - sign z) over
-    the box of p, sign 1 for mp_first_def and -1 for mp_second_def; at
+def _def_values(sign: int, p: FamilyPoint, rows: Sequence[int], z=0) -> list[Rat]:
+    """The definitions' kernel of both kinds: for each j in rows (in their
+    order, each in 0..n) the box integral of prod_{i<j} (sign T - a_i - sign z)
+    over the box of p, sign 1 for mp_first_def and -1 for mp_second_def; at
     z != 0 that is the polynomial family's definitional value at z. It is
     sign^j times prefix j of one in-place expansion over the roots
     sign a_i + z: with a_i = p_i / q_i and z = s / t, over the integer
@@ -156,10 +156,24 @@ def mp_first_def(p: FamilyPoint) -> Rat:
     return _def_values(1, p, (p.n,))[0]
 
 
+def _closed_values(pairing, sign: int, p: FamilyPoint, rows: Sequence[int]) -> list:
+    """The closed forms' kernel of both kinds: at each j in rows (in their
+    order, each in 0..n) sign^j times the pairing (_pair for the numbers,
+    _poly_from_row for the polynomials) of row j, which reads a_0..a_(j-1)
+    only, of one first-kind (sign 1) or signless (sign -1) table of size n
+    with one box_moments(..., n). The triangle is looked up by name at each
+    call, so a caller that rebinds it in this module sees every build."""
+    if not all(0 <= j <= p.n for j in rows):
+        raise IndexError(f"a row of {list(rows)} is outside 0..{p.n}")
+    triangle = comtet_first if sign > 0 else signless_comtet_first
+    table = triangle(p.alpha[: p.n], p.n)
+    moments = box_moments(p.lengths, p.n)
+    return [sign**j * pairing(table.int_row(j), moments) for j in rows]
+
+
 def mp_first_closed(p: FamilyPoint) -> Rat:
     """First kind from the first-kind triangle row n."""
-    table = comtet_first(p.alpha[: p.n], p.n)
-    return _pair(table.int_row(p.n), box_moments(p.lengths, p.n))
+    return _closed_values(_pair, 1, p, (p.n,))[0]
 
 
 def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
@@ -271,9 +285,7 @@ def mp_second_def(p: FamilyPoint) -> Rat:
 def mp_second_closed(p: FamilyPoint) -> Rat:
     """Second kind from the signless triangle (read as the expansion of
     prod_i (X + a_i), valid for every parameter sequence)."""
-    table = signless_comtet_first(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.n)
-    return Fraction((-1) ** p.n) * _pair(table.int_row(p.n), moments)
+    return _closed_values(_pair, -1, p, (p.n,))[0]
 
 
 def mp_second_lah(p: FamilyPoint) -> Rat:
@@ -345,27 +357,15 @@ def lif_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return lhs, rhs
 
 
-def _poly_values(sign: int, p: FamilyPoint, rows: Iterable[int]) -> list[Polynomial]:
-    """The polynomial families' kernel: mp_poly_first (sign 1) or
-    mp_poly_second (sign -1) at each index j in rows (at most n). Row j of
-    one first-kind or signless table of size n (which depends on
-    a_0..a_(j-1) only), paired with the shifted moments of one
-    box_moments(..., n), times sign^j."""
-    triangle = comtet_first if sign > 0 else signless_comtet_first
-    table = triangle(p.alpha[: p.n], p.n)
-    moments = box_moments(p.lengths, p.n)
-    return [sign**j * _poly_from_row(table.int_row(j), moments) for j in rows]
-
-
 def mp_poly_first(p: FamilyPoint) -> Polynomial:
     """First-kind polynomial in z: the box integral of
     prod_i (x_1...x_k - a_i - z), expanded as
     sum_i sum_{m>=i} (-1)^i C(m, i) s_a(n, m) (l...)^(m-i+1)/(m-i+1)^k z^i."""
-    return _poly_values(1, p, (p.n,))[0]
+    return _closed_values(_poly_from_row, 1, p, (p.n,))[0]
 
 
 def mp_poly_second(p: FamilyPoint) -> Polynomial:
     """Second-kind polynomial in z: the box integral of
     prod_i (-x_1...x_k - a_i + z), expanded through the signless triangle
     as (-1)^n times the first-kind expansion of its row n."""
-    return _poly_values(-1, p, (p.n,))[0]
+    return _closed_values(_poly_from_row, -1, p, (p.n,))[0]

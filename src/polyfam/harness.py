@@ -34,7 +34,6 @@ from .algebra import (
     integer_samples,
 )
 from .bernoulli import (
-    _bernoulli_poly_values,
     _bernoulli_values,
     _distinct_head,
     li_gf_check,
@@ -44,10 +43,10 @@ from .bernoulli import (
 )
 from .cauchy import (
     FamilyPoint,
+    _closed_values,
     _def_values,
     _pair,
     _poly_from_row,
-    _poly_values,
     classic_first_with_lengths,
     lif_gf_check,
     mp_first_bell,
@@ -353,20 +352,20 @@ def _require_q(pt: ParamPoint) -> Rat:
     return pt.q
 
 
-def _poly_second_abs(fp: FamilyPoint) -> Polynomial:
-    """Stated second-kind polynomial: the signless row replaced by entrywise
-    absolute values of the first-kind row. Its value at 0 is the stated
-    closed form of the numbers."""
+def _second_abs(pairing, fp: FamilyPoint):
+    """The stated second kind, with the signless row replaced by the
+    entrywise absolute values of the first-kind row: the stated closed form
+    of the numbers under _pair, the stated polynomial under _poly_from_row."""
     table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
     moments = box_moments(fp.lengths, fp.n)
-    return (-1) ** fp.n * _poly_from_row(table.int_row(fp.n), moments)
+    return (-1) ** fp.n * pairing(table.int_row(fp.n), moments)
 
 
 # ---------------------------------------------------------------------------
 # Per-identity evaluators. They look their routes up in their bodies at call
-# time: a kernel bound to one kind is a partial built there, never at import,
-# so a caller that rebinds a route in this module's namespace (such as a
-# per-layer tracer) sees every call.
+# time: a kernel bound to one kind or one pairing is a partial built there,
+# never at import, so a caller that rebinds a route in this module's
+# namespace (such as a per-layer tracer) sees every call.
 # ---------------------------------------------------------------------------
 
 
@@ -395,7 +394,7 @@ def _eval_T31(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     corrected = mp_second_closed(fp)
-    verbatim = _poly_second_abs(fp)(0)
+    verbatim = _second_abs(_pair, fp)
     return _readings_outcome(lhs, corrected, verbatim, "absolute-value reading")
 
 
@@ -420,13 +419,15 @@ def _eval_T41(pt: ParamPoint) -> tuple:
 
 
 def _eval_T42a(pt: ParamPoint) -> tuple:
-    return _inversion(pt, mp_second_def, _bernoulli_values, _SIGNLESS_FIRST, _ABS_FIRST)
+    values_of = partial(_bernoulli_values, _pair)
+    return _inversion(pt, mp_second_def, values_of, _SIGNLESS_FIRST, _ABS_FIRST)
 
 
 def _eval_C41a(pt: ParamPoint) -> tuple:
     # As printed the single-integral form drops even the (-1)^n prefactor.
+    values_of = partial(_bernoulli_values, _pair)
     return _inversion(
-        pt, mp_second_def, _bernoulli_values, _SIGNLESS_FIRST, _ABS_FIRST_UNSIGNED
+        pt, mp_second_def, values_of, _SIGNLESS_FIRST, _ABS_FIRST_UNSIGNED
     )
 
 
@@ -436,7 +437,8 @@ def _eval_T42b(pt: ParamPoint) -> tuple:
 
 
 def _eval_T43a(pt: ParamPoint) -> tuple:
-    return _inversion(pt, mp_first_def, _bernoulli_values, _TO_FIRST, _FIRST)
+    values_of = partial(_bernoulli_values, _pair)
+    return _inversion(pt, mp_first_def, values_of, _TO_FIRST, _FIRST)
 
 
 def _eval_T43b(pt: ParamPoint) -> tuple:
@@ -451,29 +453,30 @@ def _eval_T51a(pt: ParamPoint) -> tuple:
 
 def _eval_T51b(pt: ParamPoint) -> tuple:
     fp = _family(pt)
-    return _poly_samples_outcome(fp, pt, mp_poly_second(fp), _poly_second_abs(fp), -1)
+    stated = _second_abs(_poly_from_row, fp)
+    return _poly_samples_outcome(fp, pt, mp_poly_second(fp), stated, -1)
 
 
 def _eval_T52a(pt: ParamPoint) -> tuple:
     # The stated polynomial form carries the correct weights already.
-    values_of = partial(_poly_values, 1)
+    values_of = partial(_closed_values, _poly_from_row, 1)
     return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_FIRST, None)
 
 
 def _eval_T52b(pt: ParamPoint) -> tuple:
     # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-    values_of = partial(_poly_values, -1)
+    values_of = partial(_closed_values, _poly_from_row, -1)
     return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_SECOND, _FROM_FIRST)
 
 
 def _eval_T52c(pt: ParamPoint) -> tuple:
-    return _inversion(pt, mp_poly_first, _bernoulli_poly_values, _TO_FIRST, _FIRST)
+    values_of = partial(_bernoulli_values, _poly_from_row)
+    return _inversion(pt, mp_poly_first, values_of, _TO_FIRST, _FIRST)
 
 
 def _eval_T52d(pt: ParamPoint) -> tuple:
-    return _inversion(
-        pt, mp_poly_second, _bernoulli_poly_values, _SIGNLESS_FIRST, _ABS_FIRST
-    )
+    values_of = partial(_bernoulli_values, _poly_from_row)
+    return _inversion(pt, mp_poly_second, values_of, _SIGNLESS_FIRST, _ABS_FIRST)
 
 
 def _eval_GF_Lif(pt: ParamPoint) -> tuple:

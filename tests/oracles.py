@@ -11,8 +11,8 @@ import math
 from collections.abc import Iterable
 
 from polyfam.algebra import Rat, RatLike, Record, _egf, as_rat, as_rat_tuple, box_moments
-from polyfam.bernoulli import _bernoulli_poly_values, _distinct_head, _exp_sum
-from polyfam.cauchy import FamilyPoint, _def_values
+from polyfam.bernoulli import _bernoulli_values, _distinct_head, _exp_sum
+from polyfam.cauchy import FamilyPoint, _def_values, _poly_from_row
 from polyfam.stirling import CoeffTable
 
 
@@ -71,7 +71,8 @@ def mp_bernoulli_poly_gf_check(
     ls = as_rat_tuple(lengths)
     z = as_rat(z0)
     head = _distinct_head(a, order + 1)
-    values = _bernoulli_poly_values(FamilyPoint(order, k, a, ls), range(order + 1))
+    point = FamilyPoint(order, k, a, ls)
+    values = _bernoulli_values(_poly_from_row, point, range(order + 1))
     lhs = _egf(order, (b(z) for b in values))
     mu = box_moments(ls, order).coeffs
     # (-1)^m w_m(z0), with w_m(z0) = sum_i C(m,i) (-z0)^i mu_(m-i).

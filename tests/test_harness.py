@@ -666,8 +666,13 @@ def test_the_sweep_sees_a_fault_in_the_integer_kernels(grid):
 
 
 def _kernel_id(f):
-    # A kernel of both Cauchy kinds is named with the sign of its kind.
-    return f"{f.func.__name__}({f.args[0]})" if isinstance(f, partial) else f.__name__
+    # A shared kernel is named with the slice it is bound to: a table
+    # kernel's pairing, by what it yields, then a Cauchy kind's sign.
+    if not isinstance(f, partial):
+        return f.__name__
+    pairings = {cauchy._pair: "number", cauchy._poly_from_row: "poly"}
+    args = ",".join(pairings.get(a, str(a)) for a in f.args)
+    return f"{f.func.__name__}({args})"
 
 
 @pytest.mark.parametrize(
@@ -675,17 +680,29 @@ def _kernel_id(f):
     [
         (partial(cauchy._def_values, 1), cauchy.mp_first_def),
         (partial(cauchy._def_values, -1), cauchy.mp_second_def),
-        (partial(cauchy._poly_values, 1), cauchy.mp_poly_first),
-        (partial(cauchy._poly_values, -1), cauchy.mp_poly_second),
-        (bernoulli._bernoulli_values, bernoulli.mp_bernoulli),
-        (bernoulli._bernoulli_poly_values, bernoulli.mp_bernoulli_poly),
+        (partial(cauchy._closed_values, cauchy._pair, 1), cauchy.mp_first_closed),
+        (partial(cauchy._closed_values, cauchy._pair, -1), cauchy.mp_second_closed),
+        (
+            partial(cauchy._closed_values, cauchy._poly_from_row, 1),
+            cauchy.mp_poly_first,
+        ),
+        (
+            partial(cauchy._closed_values, cauchy._poly_from_row, -1),
+            cauchy.mp_poly_second,
+        ),
+        (partial(bernoulli._bernoulli_values, cauchy._pair), bernoulli.mp_bernoulli),
+        (
+            partial(bernoulli._bernoulli_values, cauchy._poly_from_row),
+            bernoulli.mp_bernoulli_poly,
+        ),
     ],
     ids=_kernel_id,
 )
 def test_a_value_kernel_gives_its_route_at_every_index(kernel, route):
     # The expansion identities read rows 0..n of one pass; each row must be
-    # the public route at that index, and any increasing subset of rows the
-    # same entries.
+    # the public route at that index, any subset of rows the same entries in
+    # the order asked for, and a row outside 0..n an IndexError, never a
+    # dropped or wrapped row.
     rng = random.Random(f"one-pass:{route.__name__}")
 
     def rational(low):
@@ -700,5 +717,7 @@ def test_a_value_kernel_gives_its_route_at_every_index(kernel, route):
         p = FamilyPoint(n, k, alpha, lengths)
         expected = [route(FamilyPoint(j, k, alpha, lengths)) for j in range(n + 1)]
         assert repr(kernel(p, range(n + 1))) == repr(expected)
-        rows = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+        rows = rng.sample(range(n + 1), rng.randint(1, n + 1))
         assert repr(kernel(p, rows)) == repr([expected[j] for j in rows])
+        with pytest.raises(IndexError):
+            kernel(p, rows + [rng.choice((-1, n + 1))])

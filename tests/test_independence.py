@@ -16,8 +16,8 @@ not assumed:
 - T5.1's oracle shares none with the polynomial routes, whose kernel
   `_poly_from_row` it checks;
 - T4.1's exponential sum shares none with the Bernoulli-type routes: that
-  family has one route (`_bernoulli_values` and its polynomial twin), so
-  T4.1 is its independent witness.
+  family has one route (`_bernoulli_values`, whose row is paired into the
+  number or into the polynomial), so T4.1 is its independent witness.
 
 The twelve expansion identities (the `harness._inversion` ids) are traced
 the same way, one side at a time: the lhs route, and the family values with
@@ -113,7 +113,7 @@ _DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_
 
 KERNELS = {
     "mp_first_def": _DEFINITION,
-    "mp_first_closed": _FIRST | {"stirling.comtet_first"},
+    "mp_first_closed": _FIRST | {"cauchy._closed_values", "stirling.comtet_first"},
     "mp_first_noncentral": _FIRST
     | {
         "stirling.CoeffTable.times",
@@ -133,7 +133,8 @@ KERNELS = {
         "cauchy._reciprocal_power_sums",
     },
     "mp_second_def": _DEFINITION,
-    "mp_second_closed": _FIRST | {"stirling.signless_comtet_first"},
+    "mp_second_closed": _FIRST
+    | {"cauchy._closed_values", "stirling.signless_comtet_first"},
     "mp_second_lah": _FIRST
     | {
         "cauchy._classic_first_values",
@@ -145,20 +146,20 @@ KERNELS = {
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {
         "algebra.box_moments",
+        "cauchy._closed_values",
         "cauchy._poly_from_row",
-        "cauchy._poly_values",
         "stirling.comtet_first",
     }
     | _TABLE,
     "mp_poly_second": {
         "algebra.box_moments",
+        "cauchy._closed_values",
         "cauchy._poly_from_row",
-        "cauchy._poly_values",
         "stirling.signless_comtet_first",
     }
     | _TABLE,
     "mp_bernoulli_poly": _BERNOULLI
-    | {"bernoulli._bernoulli_poly_values", "cauchy._poly_from_row"},
+    | {"bernoulli._bernoulli_values", "cauchy._poly_from_row"},
     ORACLE: _DEFINITION,
     "_exp_sum": {"algebra._over_lcm"},
 }

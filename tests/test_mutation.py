@@ -334,15 +334,17 @@ def _lif_factorial_off_by_one(real):
     )
 
 
-def _row_shifted(kind):
-    # Row j of a one-pass kernel of one kind is the value at j + 1: right at
-    # row n, which is all a public route reads, and wrong below it. The
-    # other kind's rows are untouched.
+def _row_shifted(*slice_):
+    # Row j of one slice of a one-pass kernel, named by its leading
+    # arguments (a table kernel's pairing, then a Cauchy kind's sign), is the
+    # value at j + 1: right at row n, which is all a public route reads, and
+    # wrong below it. The other slices' rows are untouched.
     def make(real):
-        def fake(sign, p, rows, *z):
-            if sign != kind:
-                return real(sign, p, rows, *z)
-            values = real(sign, p, range(p.n + 1), *z)
+        def fake(*args):
+            head, (p, rows, *z) = args[: len(slice_)], args[len(slice_) :]
+            if head != slice_:
+                return real(*args)
+            values = real(*head, p, range(p.n + 1), *z)
             return [values[min(j + 1, p.n)] for j in rows]
 
         return fake
@@ -351,15 +353,18 @@ def _row_shifted(kind):
     return make
 
 
-def _misaligned(pair_row):
-    # Row j paired with mu_(n-j), ..., mu_n of the size-n moments: right for
-    # row n and wrong below it.
+def _misaligned(pairing):
+    # In one pairing's slice of the Bernoulli-type kernel, row j paired with
+    # mu_(n-j), ..., mu_n of the size-n moments: right for row n and wrong
+    # below it. The other pairing's rows are untouched.
     def make(real):
-        def kernel(p, rows, convention="corrected"):
+        def kernel(sliced, p, rows, convention="corrected"):
+            if sliced is not pairing:
+                return real(sliced, p, rows, convention)
             table = comtet_second(p.alpha[: p.n], p.n)
             mu = algebra.box_moments(p.lengths, p.n)
             return [
-                pair_row(
+                pairing(
                     bernoulli._bernoulli_row(table.int_row(j), convention),
                     Polynomial.over(mu.num[p.n - j :], mu.den),
                 )
@@ -368,8 +373,21 @@ def _misaligned(pair_row):
 
         return kernel
 
-    make.__name__ = f"misaligned_{pair_row.__name__.strip('_')}"
+    make.__name__ = f"misaligned_{pairing.__name__.strip('_')}"
     return make
+
+
+def _kind_sign_dropped(real):
+    # The number slice of the closed forms' kernel leaves out sign^j for the
+    # second kind: mp_second_closed pairs the signless row n without the
+    # (-1)^n that the negated variable brings.
+    def fake(pairing, sign, p, rows):
+        values = real(pairing, sign, p, rows)
+        if pairing is not cauchy._pair or sign > 0:
+            return values
+        return [sign**j * v for j, v in zip(rows, values)]
+
+    return fake
 
 
 # --- L3: harness ----------------------------------------------------------
@@ -514,12 +532,33 @@ MATRIX = [
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
     (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
-    # A shared kernel's fault in one kind's rows is named by that kind's
-    # slice of it: _first_def_values is _def_values at sign +1.
+    # A shared kernel's fault in one slice's rows is named by that slice:
+    # _first_def_values is _def_values at sign +1, _poly_first_values is
+    # _closed_values at _poly_from_row and +1, _bernoulli_poly_values is
+    # _bernoulli_values at _poly_from_row.
     (cauchy, "_def_values", _row_shifted(1), "C4.2b T4.3b", "_first_def_values"),
     (cauchy, "_def_values", _row_shifted(-1), "C4.1b T4.2b", "_second_def_values"),
-    (cauchy, "_poly_values", _row_shifted(1), "T5.2a", "_poly_first_values"),
-    (cauchy, "_poly_values", _row_shifted(-1), "T5.2b", "_poly_second_values"),
+    (
+        cauchy,
+        "_closed_values",
+        _row_shifted(cauchy._poly_from_row, 1),
+        "T5.2a",
+        "_poly_first_values",
+    ),
+    (
+        cauchy,
+        "_closed_values",
+        _row_shifted(cauchy._poly_from_row, -1),
+        "T5.2b",
+        "_poly_second_values",
+    ),
+    (
+        cauchy,
+        "_closed_values",
+        _kind_sign_dropped,
+        "C3.1 CASES-3 T3.1",
+        "_second_closed_values",
+    ),
     (
         bernoulli,
         "_bernoulli_values",
@@ -528,9 +567,10 @@ MATRIX = [
     ),
     (
         bernoulli,
-        "_bernoulli_poly_values",
+        "_bernoulli_values",
         _misaligned(cauchy._poly_from_row),
         "T5.2c T5.2d",
+        "_bernoulli_poly_values",
     ),
     # L3
     (

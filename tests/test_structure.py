@@ -2,8 +2,9 @@
 
 - stdlib-only: every absolute import names a standard-library module;
 - no alias that only renames: no two public names are bound to one object,
-  no two `number` families print the same record under another name, and
-  no function below the sweep layer only forwards its own parameters;
+  no two `number` families print the same record under another name, no
+  function below the sweep layer only forwards its own parameters, and no
+  two private functions there differ in one name alone;
 - no concurrency and no module-level cache;
 - one way to build a triangle: `CoeffTable(...)` is called only in
   `stirling.py`;
@@ -317,6 +318,47 @@ def test_no_family_function_only_forwards_its_parameters():
         if _only_renames(node)
     ]
     assert renames == []
+
+
+def _body_shape(node: ast.FunctionDef) -> tuple:
+    """The body, docstring aside, as the sequence of its AST node types and,
+    apart, the sequence of its leaves (every name, attribute, constant and
+    other plain field), both in one walk order."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    kinds, leaves = [], []
+    for stmt in body:
+        for child in ast.walk(stmt):
+            kinds.append(type(child).__name__)
+            leaves.extend(
+                repr(value)
+                for _, value in ast.iter_fields(child)
+                if not isinstance(value, (ast.AST, list))
+            )
+    return tuple(kinds), leaves
+
+
+def test_no_two_private_family_functions_differ_in_one_name():
+    # Two bodies of one shape that differ in at most one name, attribute or
+    # constant are one function with that leaf as a parameter: a number and
+    # its polynomial come from one triangle row under two pairings, so one
+    # kernel takes the pairing. The sweep layer and the public routes are
+    # out of scope: they are thin by design.
+    private = []
+    for module in ("algebra", "stirling", "cauchy", "bernoulli"):
+        for name, node in _functions(TREES[f"{module}.py"].body):
+            own = name.rpartition(".")[2]
+            if own.startswith("_") and not own.startswith("__"):
+                private.append((f"{module}.{name}", _body_shape(node)))
+    clones = [
+        (a, b)
+        for i, (a, (kinds_a, leaves_a)) in enumerate(private)
+        for b, (kinds_b, leaves_b) in private[i + 1 :]
+        if kinds_a == kinds_b
+        and sum(x != y for x, y in zip(leaves_a, leaves_b)) <= 1
+    ]
+    assert clones == []
 
 
 def _number_families() -> list:
