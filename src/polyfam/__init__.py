@@ -5,9 +5,11 @@ identity catalog.
 Everything is computed over `fractions.Fraction`; equality checks throughout
 the package and its test suite are exact.
 
-`import polyfam` loads the families and their triangles only. The identity
-sweep (`polyfam.harness`) loads on first access to anything else: one of
-its names, `__all__` (so a star import), `dir(polyfam)` or an unknown name.
+`import polyfam` loads the families and their triangles only. The inversion
+transforms (`polyfam.transforms`) load on first access to one of their
+names. The identity sweep (`polyfam.harness`) loads on first access to
+anything else: one of its names, `__all__` (so a star import),
+`dir(polyfam)` or an unknown name.
 """
 
 from .algebra import *
@@ -23,15 +25,17 @@ def __getattr__(name):
     # package, which lands here again.
     from importlib import import_module
 
-    harness = import_module(".harness", __name__)
-    if name == "harness":
-        return harness
-    if name in harness.__all__:
-        # Looked up on every access, so a name rebound in the harness is
-        # the one returned.
-        return getattr(harness, name)
+    for lazy in ("transforms", "harness"):
+        module = import_module(f".{lazy}", __name__)
+        if name == lazy:
+            return module
+        if name in module.__all__:
+            # Looked up on every access, so a name rebound in its module is
+            # the one returned.
+            return getattr(module, name)
     if name == "__all__":
-        modules = (algebra, bernoulli, cauchy, harness, stirling)
+        # The loop loaded both lazy modules, which binds them here.
+        modules = (algebra, bernoulli, cauchy, harness, stirling, transforms)
         return [
             *(export for module in modules for export in module.__all__),
             *(module.__name__.rpartition(".")[2] for module in modules),

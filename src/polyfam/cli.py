@@ -29,15 +29,6 @@ from .cauchy import (
     mp_poly_second,
     mp_second_def,
 )
-from .harness import (
-    FAIL,
-    GridSpec,
-    IDENTITY_IDS,
-    _checked_ids,
-    errata_ledger,
-    point_to_json,
-    sweep,
-)
 from .stirling import (
     comtet_first,
     comtet_second,
@@ -69,7 +60,8 @@ TABLE_FAMILIES = {
 
 
 # Fraction builds 10^|e| for an exponent e, and _approx 10^D for --decimals
-# D, so an unbounded one never ends.
+# D, so an unbounded one never ends. Every integer flag has the same bound:
+# --k 10^9 alone would build a 10^9-entry box before any check on the work.
 _MAX_EXPONENT = 10_000
 
 
@@ -96,7 +88,9 @@ def _rational_list(text: str) -> tuple[Rat, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
-def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+def _bounded_int(low: int) -> Callable[[str], int]:
+    """An integer flag's parser: low.._MAX_EXPONENT, else a usage error."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -104,16 +98,21 @@ def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        if value > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {_MAX_EXPONENT}, got {value}"
+            )
         return value
 
     return parse
 
 
-def _ids_list(text: str) -> tuple[str, ...]:
+def _ids_list(text: str) -> tuple[str, ...] | None:
+    """The ids of --ids, checked; None (every id) for 'all'."""
     if text == "all":
-        return IDENTITY_IDS
+        return None
+    from .harness import _checked_ids
+
     try:
         return _checked_ids(part for part in text.split(",") if part)
     except ValueError as exc:
@@ -228,6 +227,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Here, so that `number`, `poly` and `table` never load the sweep layer.
+    from .harness import FAIL, GridSpec, errata_ledger, point_to_json, sweep
+
     grid = GridSpec(
         n_max=args.n_max,
         k_max=args.k_max,
@@ -274,8 +276,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_int_at_least(0), required=True, help="index n >= 0")
-    sub.add_argument("--k", type=_int_at_least(1), default=1, help="depth k >= 1")
+    sub.add_argument("--n", type=_bounded_int(0), required=True, help="index n >= 0")
+    sub.add_argument("--k", type=_bounded_int(1), default=1, help="depth k >= 1")
     group = sub.add_mutually_exclusive_group()
     group.add_argument(
         "--alpha",
@@ -309,7 +311,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--decimals",
-        type=_int_at_least(0, _MAX_EXPONENT),
+        type=_bounded_int(0),
         default=None,
         metavar="D",
         help="also print a rounded decimal approximation with D places",
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="emit the rows of a connection-coefficient triangle"
     )
     table.add_argument("family", choices=sorted(TABLE_FAMILIES))
-    table.add_argument("--n-max", type=_int_at_least(0), default=5, help="last row")
+    table.add_argument("--n-max", type=_bounded_int(0), default=5, help="last row")
     group = table.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=_rational_list, default=None)
     group.add_argument("--q", type=_rational, default=None)
@@ -362,21 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--ids",
         type=_ids_list,
-        default=IDENTITY_IDS,
+        default=None,
         help="comma list of identity ids, or 'all'",
     )
-    verify.add_argument("--n-max", type=_int_at_least(0), default=5)
-    verify.add_argument("--k-max", type=_int_at_least(1), default=2)
+    verify.add_argument("--n-max", type=_bounded_int(0), default=5)
+    verify.add_argument("--k-max", type=_bounded_int(1), default=2)
     verify.add_argument(
         "--points",
-        type=_int_at_least(0),
+        type=_bounded_int(0),
         default=10,
         help="random points per identity",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--order",
-        type=_int_at_least(0),
+        type=_bounded_int(0),
         default=6,
         help="series truncation order",
     )

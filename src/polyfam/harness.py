@@ -62,12 +62,18 @@ from .cauchy import (
     specialize,
 )
 from .stirling import (
-    CoeffTable,
     comtet_first,
-    comtet_second,
     noncentral_second,
     signless_comtet_first,
     stirling_first,
+)
+from .transforms import (
+    _FROM_FIRST,
+    _FROM_SECOND,
+    _SIGNLESS_FIRST,
+    _TO_FIRST,
+    _expand,
+    _triangle,
 )
 
 __all__ = [
@@ -77,12 +83,8 @@ __all__ = [
     "Identity",
     "IdentityReport",
     "ParamPoint",
-    "bernoulli_from_first",
-    "bernoulli_from_second",
     "errata_ledger",
-    "first_from_bernoulli",
     "point_to_json",
-    "second_from_bernoulli",
     "summarize",
     "sweep",
     "verify",
@@ -169,100 +171,16 @@ def _family(pt: ParamPoint) -> FamilyPoint:
 
 # ---------------------------------------------------------------------------
 # Expansion identities. Every one, stated or corrected, is the double sum
-# sum_{j<=m<=n} w(j, m) values[j] over one family's values at indices 0..n,
-# for numbers and polynomials alike. Its weight is a constant
-# (kind, e_n, e_m, e_j, p, absolute):
-#     w(j, m) = (-1)^(e_n n + e_m m + e_j j) m!^p L(n, m) T(m, j),
-# where T is the point's first-kind (kind 1) or second-kind (kind 2)
-# triangle and L is T, or |T| entrywise when `absolute`. The signless
-# triangle needs no table of its own: (-1)^(n+m-j) sc(n, m) = (-1)^j s(n, m).
+# that `transforms._expand` computes for a weight constant
+# (kind, e_n, e_m, e_j, p, absolute), read as written there. The corrected
+# weights live in `transforms` beside the public transforms; these are the
+# paper's stated weights where they differ.
 # ---------------------------------------------------------------------------
 
 _FIRST = (1, 0, 0, 0, -1, False)  # s(n,m) s(m,j) / m!: stated T4.3a, T5.2c
-_TO_FIRST = (1, 0, 1, 1, -1, False)  # (-1)^(m-j) s(n,m) s(m,j) / m!
-_SIGNLESS_FIRST = (1, 0, 0, 1, -1, False)  # (-1)^(n+m-j) sc(n,m) s(m,j) / m!
 _ABS_FIRST = (1, 1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a, T5.2d
 _ABS_FIRST_UNSIGNED = (1, 0, 0, 0, -1, True)  # |s|(n,m) s(m,j) / m!: stated C4.1a
 _SECOND = (2, 1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
-_FROM_FIRST = (2, 1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
-_FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
-
-
-def _triangle(weight: tuple, alpha: Sequence[Rat], n: int) -> CoeffTable:
-    """The triangle of size n that `weight` names. The builder is looked up
-    by name at each call, so a caller that rebinds comtet_first or
-    comtet_second in this module's namespace sees every build."""
-    return (comtet_first if weight[0] == 1 else comtet_second)(alpha, n)
-
-
-def _expand(values: Sequence, table: CoeffTable, weight: tuple):
-    """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free.
-    Row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
-    n!/m! for p = -1), is the row vector that `CoeffTable.times` multiplies
-    by T; its coefficient j, signed by (-1)^(e_n n + e_j j) and over a
-    further n! for p = -1, is the weight of values[j]. The row is built
-    from the raw integers num[n] / (q[n] den^(n-m)), not through int_row:
-    the mp_bernoulli lhs reads int_row too, so a fault there would cancel
-    between the lhs and these weights."""
-    _, e_n, e_m, e_j, power, absolute = weight
-    n, d = table.size, table.den
-    left = [abs(r) for r in table.num[n]] if absolute else table.num[n]
-    fact = [math.factorial(m) for m in range(n + 1)]
-    scale = fact if power == 1 else [fact[n] // f for f in fact]
-    row = Polynomial.over(
-        ((-1) ** (e_m * m) * scale[m] * c * d**m for m, c in enumerate(left)),
-        table.q[n] * d**n,
-    )
-    product = table.times(row)
-    weights = [(-1) ** (e_n * n + e_j * j) * c for j, c in enumerate(product.num)]
-    return _combine(weights, (1 if power == 1 else fact[n]) * product.den, values)
-
-
-def _combine(weights: Sequence[int], den: int, values: Sequence):
-    """sum_j weights[j] values[j] / den, for Fraction and Polynomial values
-    alike: every value is brought to the lcm q of their denominators, the
-    integers are summed coefficient by coefficient, and one Fraction or one
-    Polynomial over den q is built at the end."""
-    poly = isinstance(values[0], Polynomial)
-    parts = [
-        (v.num, v.den) if poly else ((v.numerator,), v.denominator) for v in values
-    ]
-    q = math.lcm(*(vd for _, vd in parts))
-    out = [0] * max(len(vn) for vn, _ in parts)
-    for w, (vn, vd) in zip(weights, parts):
-        if w:
-            s = w * (q // vd)
-            for i, c in enumerate(vn):
-                out[i] += s * c
-    return Polynomial.over(out, den * q) if poly else Fraction(out[0], den * q)
-
-
-def _transform(weight: tuple, n: int, alpha: Sequence[RatLike], values: Sequence):
-    return _expand(values, _triangle(weight, as_rat_tuple(alpha), n), weight)
-
-
-def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
-    """Second-kind value (or polynomial) at index n from Bernoulli-type
-    values 0..n: sum_{j,m} (-1)^(n+m-j) sc(n,m) s(m,j)/m! values[j]."""
-    return _transform(_SIGNLESS_FIRST, n, alpha, values)
-
-
-def bernoulli_from_second(n: int, alpha: Sequence[RatLike], values: Sequence):
-    """Bernoulli-type value (or polynomial) at index n from second-kind
-    values 0..n: sum_{j,m} (-1)^n m! S(n,m) S(m,j) values[j]."""
-    return _transform(_FROM_SECOND, n, alpha, values)
-
-
-def first_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):
-    """First-kind value (or polynomial) at index n from Bernoulli-type values
-    0..n: sum_{j,m} (-1)^(m-j) s(n,m) s(m,j)/m! values[j]."""
-    return _transform(_TO_FIRST, n, alpha, values)
-
-
-def bernoulli_from_first(n: int, alpha: Sequence[RatLike], values: Sequence):
-    """Bernoulli-type value (or polynomial) at index n from first-kind values
-    0..n: sum_{j,m} (-1)^(n-m) m! S(n,m) S(m,j) values[j]."""
-    return _transform(_FROM_FIRST, n, alpha, values)
 
 
 # ---------------------------------------------------------------------------

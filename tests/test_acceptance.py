@@ -40,8 +40,9 @@ from polyfam.cauchy import (
     mp_second_def,
     mp_second_lah,
 )
-from polyfam.harness import GridSpec, bernoulli_from_first, sweep
+from polyfam.harness import GridSpec, sweep
 from polyfam.stirling import comtet_first, inversion_check
+from polyfam.transforms import bernoulli_from_first
 
 SEED = 108
 

@@ -284,6 +284,17 @@ def test_verify_ids_errors_are_the_sweeps_own(ids, capsys):
         ("number", "mp-cauchy-1", "--n", "2", "--k", "0"),
         ("poly", "mp-bernoulli", "--n", "-2"),
         ("poly", "mp-cauchy-2", "--n", "1", "--k", "-1"),
+        # Each integer flag past its bound is refused before any work: a
+        # --k of 10^9 would build a 10^9-entry box.
+        ("number", "mp-cauchy-1", "--n", "10001"),
+        ("number", "mp-cauchy-1", "--n", "1", "--k", "10001"),
+        ("poly", "mp-bernoulli", "--n", "10001"),
+        ("poly", "mp-cauchy-2", "--n", "1", "--k", "10001"),
+        ("table", "lah", "--n-max", "10001"),
+        ("verify", "--n-max", "10001"),
+        ("verify", "--k-max", "10001"),
+        ("verify", "--points", "10001"),
+        ("verify", "--order", "10001"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyfam
-from polyfam import algebra, bernoulli, cauchy, harness, stirling
+from polyfam import algebra, bernoulli, cauchy, harness, stirling, transforms
 from polyfam.algebra import Polynomial, PreconditionError
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
@@ -26,24 +26,26 @@ from polyfam.harness import (
     _ABS_FIRST,
     _ABS_FIRST_UNSIGNED,
     _FIRST,
+    _SECOND,
+    errata_ledger,
+    point_to_json,
+    summarize,
+    sweep,
+    verify,
+)
+from polyfam.stirling import comtet_first, comtet_second, signless_comtet_first
+from polyfam.transforms import (
     _FROM_FIRST,
     _FROM_SECOND,
-    _SECOND,
     _SIGNLESS_FIRST,
     _TO_FIRST,
     _expand,
     _triangle,
     bernoulli_from_first,
     bernoulli_from_second,
-    errata_ledger,
     first_from_bernoulli,
-    point_to_json,
     second_from_bernoulli,
-    summarize,
-    sweep,
-    verify,
 )
-from polyfam.stirling import comtet_first, comtet_second, signless_comtet_first
 
 SMALL = GridSpec(n_max=3, k_max=1, points=2, series_order=4, bound=6)
 
@@ -247,7 +249,7 @@ def test_sweep_refuses_an_empty_id_list(ids):
 
 
 def test_every_public_name_is_exported_by_the_package():
-    for module in (algebra, bernoulli, cauchy, harness, stirling):
+    for module in (algebra, bernoulli, cauchy, harness, stirling, transforms):
         for name in module.__all__:
             assert getattr(polyfam, name) is getattr(module, name), name
     assert "SPECIAL_FAMILIES" in cauchy.__all__

@@ -24,12 +24,12 @@ from pathlib import Path
 import pytest
 
 import polyfam
-from polyfam import algebra, bernoulli, cauchy, cli, harness, stirling
+from polyfam import algebra, bernoulli, cauchy, cli, harness, stirling, transforms
 from polyfam.algebra import Polynomial, TruncatedSeries
 from polyfam.harness import FAIL, sweep
 from polyfam.stirling import CoeffTable, comtet_second
 
-MODULES = (algebra, stirling, cauchy, bernoulli, harness, cli, polyfam)
+MODULES = (algebra, stirling, cauchy, bernoulli, transforms, harness, cli, polyfam)
 
 
 def _inject(monkeypatch, owner, name, make, modules=MODULES):
@@ -390,7 +390,7 @@ def _kind_sign_dropped(real):
     return fake
 
 
-# --- L3: harness ----------------------------------------------------------
+# --- Expansion sums: transforms, read by the harness ----------------------
 
 
 def _expand_index_sign_dropped(real):
@@ -572,7 +572,7 @@ MATRIX = [
         "T5.2c T5.2d",
         "_bernoulli_poly_values",
     ),
-    # L3
+    # Expansion sums: _expand as the harness binds it, _combine in transforms
     (
         harness,
         "_expand",
@@ -580,7 +580,7 @@ MATRIX = [
         "C4.1a C4.2a T4.2a T4.3a T5.2c T5.2d",
     ),
     (
-        harness,
+        transforms,
         "_combine",
         _combine_first_denominator,
         "C4.1a C4.1b C4.2a C4.2b T4.2a T4.2b T4.3a T4.3b T5.2a T5.2b T5.2c T5.2d",

@@ -201,12 +201,23 @@ def test_importing_the_package_loads_no_dataclass_machinery():
     added = _added_modules("import polyfam")
     families = {f"polyfam.{name}" for name in ("algebra", "stirling", "cauchy", "bernoulli")}
     assert families <= added
-    # The sweep layer, and the `random` it draws points with, load on first use.
-    assert not added & {"polyfam.harness", "random"}
+    # The transforms, the sweep layer and the `random` it draws points with
+    # load on first use.
+    assert not added & {"polyfam.transforms", "polyfam.harness", "random"}
     assert not added & unneeded
+    # The command line loads the sweep layer in `verify` alone.
     cli = _added_modules("import polyfam.cli")
-    assert {"polyfam.cli", "polyfam.harness", "json"} <= cli
-    assert not cli & (unneeded | {"csv"})
+    assert {"polyfam.cli", "json"} <= cli
+    assert not cli & (unneeded | {"csv", "polyfam.harness"})
+
+
+def test_reading_a_transform_leaves_the_sweep_layer_unloaded():
+    names = ("bernoulli_from_first", "bernoulli_from_second")
+    names += ("first_from_bernoulli", "second_from_bernoulli")
+    for name in names:
+        added = _added_modules(f"import polyfam; polyfam.{name}")
+        assert "polyfam.transforms" in added, name
+        assert "polyfam.harness" not in added, name
 
 
 # In a child process, because the other tests have imported the harness.
@@ -218,11 +229,12 @@ cold = "polyfam.harness" in sys.modules
 listed = polyfam.__all__
 star = {}
 exec("from polyfam import *", star)
-from polyfam import algebra, bernoulli, cauchy, harness, stirling
-modules = (algebra, bernoulli, cauchy, harness, stirling)
+from polyfam import algebra, bernoulli, cauchy, harness, stirling, transforms
+modules = (algebra, bernoulli, cauchy, harness, stirling, transforms)
 expected = {name for module in modules for name in module.__all__}
 expected |= {module.__name__.rpartition(".")[2] for module in modules}
 harness.sweep = rebound = len
+transforms.bernoulli_from_first = rebound_transform = abs
 try:
     polyfam.nope
 except AttributeError as exc:
@@ -237,7 +249,9 @@ print(json.dumps({
     "not_the_harness_object": [
         name for name in harness.__all__ if getattr(polyfam, name) is not getattr(harness, name)
     ],
-    "follows_a_rebinding": polyfam.sweep is rebound,
+    "follows_a_rebinding": [
+        polyfam.sweep is rebound, polyfam.bernoulli_from_first is rebound_transform
+    ],
     "error": error,
     "hasattr": hasattr(polyfam, "nope"),
     "removed": [
@@ -258,10 +272,10 @@ print(json.dumps({
 def test_the_package_exports_the_sweep_names_on_first_use():
     api = json.loads(_child(PUBLIC_API))
     assert api["cold"] is False
-    assert len(api["harness_names"]) == 15
+    assert len(api["harness_names"]) == 11
     assert api["not_the_harness_object"] == []
-    assert api["follows_a_rebinding"] is True
-    assert len(api["expected"]) == 67
+    assert api["follows_a_rebinding"] == [True, True]
+    assert len(api["expected"]) == 68
     assert api["star"] == api["expected"]
     assert api["all"] == api["star"]
     assert set(api["expected"]) <= set(api["dir"])

@@ -11,17 +11,19 @@
 - a box is its lengths: below the point records no family function takes k
   beside `lengths`, so k = len(lengths) is checked in one place, and only
   `FamilyPoint` raises the box-length messages;
-- the layers import downward: the family modules never import the sweep
-  layer (`harness`) or the command line (`cli`), and the package imports
-  the sweep layer only on first use, reading its names from
-  `harness.__all__` with no copy of one in `__init__.py`;
+- the layers import downward: the family modules, `transforms` among
+  them, never import the sweep layer (`harness`) or the command line
+  (`cli`); the package imports `transforms` and the sweep layer only on
+  first use, reading their names from their `__all__` with no copy of one
+  in `__init__.py`; and `cli` imports the sweep layer only to verify;
 - the package exports what it computes: every name in a submodule's
   `__all__` is read by another line of the package, named by the benchmark
   (`perfbench/*.py`), or one of the paper's objects listed in `KEPT`. A
   check that only tests call lives in `tests/oracles.py`;
 - the benchmark's tracer finds what it wraps: every `algebra` method that
   `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
-  class's own body.
+  class's own body, and every module that binds a traced layer's function
+  by name is one that the tracer rebinds it in.
 
 The rules read the sources with `ast`. The two that need live objects run in
 `python -m polyfam` or `python -c` child processes, so this module never
@@ -44,7 +46,9 @@ TREES = {
     path.name: ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.glob("*.py"))
 }
-SUBMODULES = ("algebra", "bernoulli", "cauchy", "harness", "stirling")
+SUBMODULES = ("algebra", "bernoulli", "cauchy", "harness", "stirling", "transforms")
+# The family layer, below the sweep: the inversion transforms sit here too.
+FAMILIES = ("algebra", "stirling", "cauchy", "bernoulli", "transforms")
 
 
 def _absolute_imports(tree: ast.AST):
@@ -122,7 +126,7 @@ BOX_BUILDERS = {
 
 def test_no_family_function_takes_k_beside_the_box_lengths():
     both = set()
-    for module in ("algebra", "stirling", "cauchy", "bernoulli"):
+    for module in FAMILIES:
         for name, node in _functions(TREES[f"{module}.py"].body):
             args = node.args
             params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
@@ -192,18 +196,38 @@ def _assigned(module: str, name: str) -> ast.expr:
 
 def test_the_families_never_import_the_sweep_or_the_command_line():
     upper = {"harness", "cli", "polyfam.harness", "polyfam.cli"}
-    for name in ("algebra.py", "stirling.py", "cauchy.py", "bernoulli.py"):
-        imported = set(_package_imports(ast.walk(TREES[name])))
-        assert not imported & upper, (name, imported & upper)
-    assert not set(_package_imports(TREES["__init__.py"].body)) & upper
-    # The package reads the sweep names from harness.__all__; no copy of one.
-    harness_names = set(ast.literal_eval(_assigned("harness.py", "__all__")))
+    for module in FAMILIES:
+        imported = set(_package_imports(ast.walk(TREES[f"{module}.py"])))
+        assert not imported & upper, (module, imported & upper)
+    lazy = {"transforms", "polyfam.transforms"}
+    assert not set(_package_imports(TREES["__init__.py"].body)) & (upper | lazy)
+    # The package reads the lazy names from each module's __all__; no copy.
+    lazy_names = {
+        name
+        for module in ("harness.py", "transforms.py")
+        for name in ast.literal_eval(_assigned(module, "__all__"))
+    }
     copied = {
         node.value
         for node in ast.walk(TREES["__init__.py"])
-        if isinstance(node, ast.Constant) and node.value in harness_names
+        if isinstance(node, ast.Constant) and node.value in lazy_names
     }
     assert copied == set()
+
+
+def test_the_command_line_loads_the_sweep_only_to_verify():
+    # `number`, `poly` and `table` never load the sweep layer: cli's
+    # module-level imports name no harness, and only `verify`'s own
+    # functions import it.
+    sweep = {"harness", "polyfam.harness"}
+    body = TREES["cli.py"].body
+    assert not set(_package_imports(body)) & sweep
+    importers = {
+        name
+        for name, node in _functions(body)
+        if set(_package_imports(ast.walk(node))) & sweep
+    }
+    assert importers == {"_cmd_verify", "_ids_list"}
 
 
 # Public even where only tests read them: the paper's objects, and
@@ -313,7 +337,7 @@ def test_no_family_function_only_forwards_its_parameters():
     # entry, so `_eval_CASES2` and `_eval_CASES3` are `_cases` with a kind.
     renames = [
         f"{module}.{name}"
-        for module in ("algebra", "stirling", "cauchy", "bernoulli")
+        for module in FAMILIES
         for name, node in _functions(TREES[f"{module}.py"].body)
         if _only_renames(node)
     ]
@@ -346,7 +370,7 @@ def test_no_two_private_family_functions_differ_in_one_name():
     # kernel takes the pairing. The sweep layer and the public routes are
     # out of scope: they are thin by design.
     private = []
-    for module in ("algebra", "stirling", "cauchy", "bernoulli"):
+    for module in FAMILIES:
         for name, node in _functions(TREES[f"{module}.py"].body):
             own = name.rpartition(".")[2]
             if own.startswith("_") and not own.startswith("__"):
@@ -433,3 +457,35 @@ def test_every_method_the_tracer_wraps_is_defined_in_its_class():
             node.name for node in bodies[cls] if isinstance(node, ast.FunctionDef)
         }
         assert names <= defined, (cls, names - defined)
+
+
+def test_every_module_that_binds_a_traced_function_is_traced():
+    """`Tracer.install` rebinds each traced layer's public functions in the
+    modules its `modules` tuple names. A module outside it that bound one by
+    name (`from .stirling import comtet_first`) would call the unwrapped
+    function, and its calls would drop out of the per-layer figures. So a
+    module outside the tuple reads them through their module at call time,
+    as `transforms` reads `stirling.comtet_first`."""
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    # The tuple names the package itself as `polyfam`: its `__init__.py`.
+    (traced,) = [
+        {"__init__" if name.id == "polyfam" else name.id for name in node.value.elts}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "modules"
+    ]
+    layers = ("stirling", "cauchy", "bernoulli", "harness")
+    public = {
+        layer: set(ast.literal_eval(_assigned(f"{layer}.py", "__all__")))
+        for layer in layers
+    }
+    binders = {
+        name.removesuffix(".py")
+        for name, module_tree in TREES.items()
+        for node in ast.walk(module_tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and node.module in public
+        and {alias.name for alias in node.names} & public[node.module]
+    }
+    assert binders - traced == set(), binders - traced
