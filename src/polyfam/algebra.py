@@ -19,13 +19,11 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-Rat = Fraction
 RatLike = Fraction | int | str
 
 __all__ = [
     "Polynomial",
     "PreconditionError",
-    "Rat",
     "RatLike",
     "TruncatedSeries",
     "as_rat",
@@ -82,30 +80,30 @@ class Record:
         return type(self), self._fields()
 
 
-def as_rat(value: RatLike) -> Rat:
+def as_rat(value: RatLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
 
 
-def as_rat_tuple(values: Iterable[RatLike]) -> tuple[Rat, ...]:
+def as_rat_tuple(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(as_rat(v) for v in values)
 
 
-def _over_lcm(values: Sequence[Rat]) -> tuple[list[int], int]:
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers B_i and D > 0 with values[i] = B_i / D, D the lcm of the
     values' denominators."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def integer_samples(count: int) -> tuple[Rat, ...]:
+def integer_samples(count: int) -> tuple[Fraction, ...]:
     """The first `count` members of 0, 1, -1, 2, -2, ... as exact rationals.
 
     Used as deterministic evaluation points when two polynomials are compared
     by sampling.
     """
-    out: list[Rat] = []
+    out: list[Fraction] = []
     step = 1
     if count > 0:
         out.append(Fraction(0))
@@ -158,7 +156,7 @@ class Polynomial:
         return cls.over(cs, q)
 
     @property
-    def coeffs(self) -> tuple[Rat, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
@@ -167,7 +165,7 @@ class Polynomial:
             return float("-inf")
         return len(self.num) - 1
 
-    def coefficient(self, i: int) -> Rat:
+    def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self.num):
             return Fraction(self.num[i], self.den)
         return Fraction(0)
@@ -219,7 +217,7 @@ class Polynomial:
     def __rmul__(self, other: RatLike) -> "Polynomial":
         return self * other
 
-    def __call__(self, point: RatLike) -> Rat:
+    def __call__(self, point: RatLike) -> Fraction:
         """Horner's scheme over the integers: at x = u/v and degree d the value
         is sum_m num[m] u^m v^(d-m) over den v^d."""
         x = as_rat(point)
@@ -236,7 +234,7 @@ class Polynomial:
         num = [c * (lcm // i) for i, c in enumerate(self.num, 1)]
         return Polynomial.over([0] + num, self.den * lcm)
 
-    def integral_to(self, upper: RatLike) -> Rat:
+    def integral_to(self, upper: RatLike) -> Fraction:
         """Exact definite integral over [0, upper]."""
         return self.antiderivative()(upper)
 
@@ -337,20 +335,16 @@ class TruncatedSeries:
         series._poly = Polynomial.over(poly.num[: order + 1], poly.den)
         return series
 
-    @classmethod
-    def constant(cls, value: RatLike, order: int) -> "TruncatedSeries":
-        return cls(order, (value,))
-
     @property
     def order(self) -> int:
         return self._order
 
     @property
-    def coeffs(self) -> tuple[Rat, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         pad = self.order + 1 - len(self._poly.num)
         return self._poly.coeffs + (Fraction(0),) * pad
 
-    def coefficient(self, i: int) -> Rat:
+    def coefficient(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise PreconditionError(
                 f"coefficient index {i} outside truncation order {self.order}"
@@ -396,7 +390,7 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise PreconditionError("negative series powers are not supported")
-        acc = TruncatedSeries.constant(1, self.order)
+        acc = TruncatedSeries(self.order, (1,))
         for _ in range(exponent):
             acc = acc * self
         return acc
@@ -409,7 +403,7 @@ class TruncatedSeries:
             )
         n = min(self.order, inner.order)
         inner = inner.truncated(n)
-        acc = TruncatedSeries.constant(0, n)
+        acc = TruncatedSeries(n, (0,))
         for c in reversed(self.coeffs[: n + 1]):
             acc = acc * inner + c
         return acc

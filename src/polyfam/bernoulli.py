@@ -20,7 +20,6 @@ from fractions import Fraction
 from .algebra import (
     PreconditionError,
     Polynomial,
-    Rat,
     TruncatedSeries,
     _egf,
     _over_lcm,
@@ -59,7 +58,7 @@ def _bernoulli_row(row: Polynomial, convention: str = "corrected") -> Polynomial
     return Polynomial.over(num, row.den)
 
 
-def classic_poly_bernoulli(n: int, k: int) -> Rat:
+def classic_poly_bernoulli(n: int, k: int) -> Fraction:
     """Classical value (-1)^n sum_m S(n, m) (-1)^m m! / (m+1)^k: mp_bernoulli
     at the classical parameters (0, 1, ..., n-1) and the unit box, whose
     second-kind table is stirling_second(n)."""
@@ -99,7 +98,7 @@ def _bernoulli_values(
     ]
 
 
-def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
+def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Fraction:
     """Multiparameter value
     sum_m (-1)^(n-m) m! S_a(n, m) (l_1...l_k)^(m+1) / (m+1)^k.
 
@@ -108,7 +107,7 @@ def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Rat:
     return _bernoulli_values(_pair, p, (p.n,), convention)[0]
 
 
-def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
+def _distinct_head(alpha: tuple[Fraction, ...], count: int) -> tuple[Fraction, ...]:
     if len(alpha) < count:
         raise PreconditionError(
             f"need {count} parameters for the generating function, got {len(alpha)}"
@@ -121,7 +120,7 @@ def _distinct_head(alpha: tuple[Rat, ...], count: int) -> tuple[Rat, ...]:
     return head
 
 
-def _exp_sum(head: Sequence[Rat], weights: Sequence[Rat]) -> TruncatedSeries:
+def _exp_sum(head: Sequence[Fraction], weights: Sequence[Fraction]) -> TruncatedSeries:
     """sum_m w_m sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i), the
     weighted column generating functions (in -t) of the second-kind triangle,
     to order N = len(weights) - 1. Summed in the stated order, j outside and

@@ -19,7 +19,6 @@ from operator import mul
 from .algebra import (
     Polynomial,
     PreconditionError,
-    Rat,
     RatLike,
     Record,
     TruncatedSeries,
@@ -92,7 +91,7 @@ class FamilyPoint(Record):
             raise PreconditionError("box lengths must be nonzero")
 
 
-def _pair(row: Polynomial, moments: Polynomial) -> Rat:
+def _pair(row: Polynomial, moments: Polynomial) -> Fraction:
     """The box integral of the polynomial `row` in T, given the moment
     polynomial sum_m mu_m t^m of the box: one integer dot product of the two
     coefficient lists (the shorter one ends it), reduced once."""
@@ -112,7 +111,9 @@ def _poly_from_row(row: Polynomial, moments: Polynomial) -> Polynomial:
     return Polynomial.over(num, row.den * moments.den)
 
 
-def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
+def _box_integral(
+    nums: Sequence[int], den: int, lengths: Sequence[Fraction]
+) -> Fraction:
     """The box integral of sum_m (nums[m] / den) T^m, T = x_1...x_k, one
     variable at a time: integrating over x_i in [0, u/v] multiplies the
     coefficient of T^m by u^(m+1) / (v^(m+1) (m+1)). Numerators and
@@ -131,7 +132,7 @@ def _box_integral(nums: Sequence[int], den: int, lengths: Sequence[Rat]) -> Rat:
     return Fraction(sum(c * (lcm // d) for c, d in zip(nums, dens)), den * lcm)
 
 
-def _def_values(sign: int, p: FamilyPoint, rows: Sequence[int], z=0) -> list[Rat]:
+def _def_values(sign: int, p: FamilyPoint, rows: Sequence[int], z=0) -> list[Fraction]:
     """The definitions' kernel of both kinds: for each j in rows (in their
     order, each in 0..n) the box integral of prod_{i<j} (sign T - a_i - sign z)
     over the box of p, sign 1 for mp_first_def and -1 for mp_second_def; at
@@ -150,7 +151,7 @@ def _def_values(sign: int, p: FamilyPoint, rows: Sequence[int], z=0) -> list[Rat
     return out
 
 
-def mp_first_def(p: FamilyPoint) -> Rat:
+def mp_first_def(p: FamilyPoint) -> Fraction:
     """First kind by definition: expand prod_i (T - a_i) with T = x_1...x_k
     and integrate it over the box one variable at a time."""
     return _def_values(1, p, (p.n,))[0]
@@ -171,7 +172,7 @@ def _closed_values(pairing, sign: int, p: FamilyPoint, rows: Sequence[int]) -> l
     return [sign**j * pairing(table.int_row(j), moments) for j in rows]
 
 
-def mp_first_closed(p: FamilyPoint) -> Rat:
+def mp_first_closed(p: FamilyPoint) -> Fraction:
     """First kind from the first-kind triangle row n."""
     return _closed_values(_pair, 1, p, (p.n,))[0]
 
@@ -184,7 +185,7 @@ def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
     return Polynomial.over(values, moments.den)
 
 
-def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Rat:
+def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Fraction:
     """First-kind value at the classical parameters (0, 1, ..., m-1) with a
     general box: sum_j s(m, j) (l_1...l_k)^(j+1) / (j+1)^k. Read from
     _classic_first_values, the kernel of mp_first_via_polycauchy and
@@ -192,7 +193,7 @@ def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Rat:
     return _classic_first_values(box_moments(lengths, m), m).coefficient(m)
 
 
-def mp_first_noncentral(p: FamilyPoint) -> Rat:
+def mp_first_noncentral(p: FamilyPoint) -> Fraction:
     """First kind through the non-central table and the classical first-kind
     triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
@@ -200,7 +201,7 @@ def mp_first_noncentral(p: FamilyPoint) -> Rat:
     return _pair(row, box_moments(p.lengths, p.n))
 
 
-def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
+def mp_first_via_polycauchy(p: FamilyPoint) -> Fraction:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
@@ -208,7 +209,9 @@ def mp_first_via_polycauchy(p: FamilyPoint) -> Rat:
     return _pair(nc.int_row(p.n), classic)
 
 
-def _reciprocal_power_sums(head: Sequence[Rat], order: int) -> tuple[int, list[int]]:
+def _reciprocal_power_sums(
+    head: Sequence[Fraction], order: int
+) -> tuple[int, list[int]]:
     """L and the integers N_j = sum_i w_i^j for j = 1..order, where L is
     the lcm of the parameters' numerators and w_i = L / a_i (an integer, sign
     kept), so that sum_i a_i^(-j) = N_j / L^j."""
@@ -225,7 +228,7 @@ def _reciprocal_power_sums(head: Sequence[Rat], order: int) -> tuple[int, list[i
 
 def generalized_harmonic(
     alpha: Iterable[RatLike], n: int, max_order: int
-) -> tuple[Rat, ...]:
+) -> tuple[Fraction, ...]:
     """Power sums of reciprocals (H^(1), ..., H^(max_order)) with
     H^(j) = sum_{i<n} a_i^(-j) = N_j / L^j, reduced once (see
     _reciprocal_power_sums). Requires the first n parameters nonzero."""
@@ -236,7 +239,7 @@ def generalized_harmonic(
     return tuple(Fraction(s, lcm**j) for j, s in enumerate(sums, 1))
 
 
-def modified_bell(m: int, xs: Sequence[RatLike]) -> Rat:
+def modified_bell(m: int, xs: Sequence[RatLike]) -> Fraction:
     """The weighted Bell polynomial P_m(x_1, ..., x_m): the coefficient of
     t^m in exp(sum_{j>=1} x_j t^j / j)."""
     if m < 0:
@@ -262,7 +265,7 @@ def _bell_numerators(sums: Sequence[int]) -> list[int]:
     return q
 
 
-def mp_first_bell(p: FamilyPoint) -> Rat:
+def mp_first_bell(p: FamilyPoint) -> Fraction:
     """First kind via the explicit Bell-polynomial formula
     (-1)^n (prod a_i) sum_m P_m(-H^(1), ..., -H^(m)) (l_1...l_k)^(m+1)/(m+1)^k.
     With H^(j) = N_j / L^j, the integers Q_m = P_m L^m follow from the N_j
@@ -275,20 +278,20 @@ def mp_first_bell(p: FamilyPoint) -> Rat:
     return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
 
 
-def mp_second_def(p: FamilyPoint) -> Rat:
+def mp_second_def(p: FamilyPoint) -> Fraction:
     """Second kind by definition: expand prod_i (-T - a_i), which equals
     (-1)^n prod_i (T + a_i), and integrate it over the box one variable at a
     time."""
     return _def_values(-1, p, (p.n,))[0]
 
 
-def mp_second_closed(p: FamilyPoint) -> Rat:
+def mp_second_closed(p: FamilyPoint) -> Fraction:
     """Second kind from the signless triangle (read as the expansion of
     prod_i (X + a_i), valid for every parameter sequence)."""
     return _closed_values(_pair, -1, p, (p.n,))[0]
 
 
-def mp_second_lah(p: FamilyPoint) -> Rat:
+def mp_second_lah(p: FamilyPoint) -> Fraction:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
     row = lah_signed(p.n).times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n))
@@ -302,7 +305,7 @@ def specialize(
     k: int = 1,
     q: RatLike | None = None,
     lengths: Iterable[RatLike] | None = None,
-) -> Rat:
+) -> Fraction:
     """Classical and q-parameter members of the families, as sugar over the
     multiparameter definitions: the definitions' kernel at the FamilyPoint
     with parameters i q (i < n) and the family's box.
@@ -351,10 +354,11 @@ def lif_series(k: int, order: int) -> TruncatedSeries:
 def lif_gf_check(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The two sides of GF-Lif through the requested order: the factorial
     polylogarithm composed with log(1+t), and the exponential generating
-    function of the classical first-kind values."""
+    function of the classical first-kind values, read as GF-Li reads its own:
+    0..order from one _def_values pass at 0, 1, ..., order-1 and the unit box."""
     lhs = lif_series(k, order).compose(log1p_series(order))
-    rhs = _egf(order, (specialize("poly", "first", n, k) for n in range(order + 1)))
-    return lhs, rhs
+    classical = FamilyPoint(order, k, range(order), (1,) * k)
+    return lhs, _egf(order, _def_values(1, classical, range(order + 1)))
 
 
 def mp_poly_first(p: FamilyPoint) -> Polynomial:

@@ -20,7 +20,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import Polynomial, PreconditionError, Rat
+from .algebra import Polynomial, PreconditionError
 from .bernoulli import CONVENTIONS, mp_bernoulli, mp_bernoulli_poly
 from .cauchy import (
     FamilyPoint,
@@ -65,7 +65,7 @@ TABLE_FAMILIES = {
 _MAX_EXPONENT = 10_000
 
 
-def _rational(text: str) -> Rat:
+def _rational(text: str) -> Fraction:
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     # With no leading zero, one digit more than the bound has is past it.
@@ -82,7 +82,7 @@ def _rational(text: str) -> Rat:
         )
 
 
-def _rational_list(text: str) -> tuple[Rat, ...]:
+def _rational_list(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
     return tuple(_rational(part) for part in text.split(","))
@@ -119,7 +119,7 @@ def _ids_list(text: str) -> tuple[str, ...] | None:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _approx(value: Rat, places: int) -> str:
+def _approx(value: Fraction, places: int) -> str:
     """Round-half-even decimal rendering with exactly `places` digits."""
     scaled = round(value * Fraction(10) ** places)
     sign = "-" if scaled < 0 else ""
@@ -152,7 +152,7 @@ def _emit(fmt: str, columns: Sequence[str], records: Iterable[dict]) -> None:
         )
 
 
-def _render(value, scalar: Callable[[Rat], str] = str) -> object:
+def _render(value, scalar: Callable[[Fraction], str] = str) -> object:
     """A value, a sequence or a Polynomial's coefficients, each rational
     rendered by `scalar`."""
     if isinstance(value, Polynomial):

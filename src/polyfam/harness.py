@@ -25,7 +25,6 @@ from functools import partial
 from .algebra import (
     Polynomial,
     PreconditionError,
-    Rat,
     RatLike,
     Record,
     TruncatedSeries,
@@ -61,12 +60,7 @@ from .cauchy import (
     mp_second_lah,
     specialize,
 )
-from .stirling import (
-    comtet_first,
-    noncentral_second,
-    signless_comtet_first,
-    stirling_first,
-)
+from .stirling import comtet_first, noncentral_second, stirling_first
 from .transforms import (
     _FROM_FIRST,
     _FROM_SECOND,
@@ -148,7 +142,7 @@ def point_to_json(point: ParamPoint) -> dict:
     }
 
 
-def _fmt(value: Rat | Polynomial | TruncatedSeries | Sequence | str) -> str:
+def _fmt(value: Fraction | Polynomial | TruncatedSeries | Sequence | str) -> str:
     if isinstance(value, (Polynomial, TruncatedSeries)):
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, (list, tuple)):
@@ -213,17 +207,17 @@ def _agree(pt: ParamPoint, route) -> tuple:
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     """An expansion identity: lhs_route against a family's values at 0..n,
-    summed by the corrected and by the stated weight (None when the stated
-    weights are the corrected ones), both over the one table the corrected
-    weight names. `values_of` is the family's one-pass kernel, the one its
-    public route reads row n from: one table (or one product expansion) and
-    one set of box moments give all n+1 values, O(n^2) per point."""
+    summed by the corrected and by the stated weight, both over the one
+    table the corrected weight names. `values_of` is the family's one-pass
+    kernel, the one its public route reads row n from: one table (or one
+    product expansion) and one set of box moments give all n+1 values,
+    O(n^2) per point."""
     fp = _family(pt)
     values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
     table = _triangle(corrected, fp.alpha[: fp.n], fp.n)
     corrected_sum = _expand(values, table, corrected)
-    verbatim = corrected_sum if stated is None else _expand(values, table, stated)
+    verbatim = _expand(values, table, stated)
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
 
 
@@ -231,14 +225,13 @@ def _poly_samples_outcome(
     fp: FamilyPoint,
     pt: ParamPoint,
     poly_corrected: Polynomial,
-    poly_verbatim: Polynomial | None,
+    poly_verbatim: Polynomial,
     sign: int,
 ) -> tuple:
     """Both polynomials against the definitional oracle of the first-kind
     (sign 1) or second-kind (sign -1) polynomial at the samples: the
     definitions' kernel with the parameters shifted by sign z, once per
-    sample z (poly_verbatim is None when the stated polynomial is the
-    corrected one)."""
+    sample z."""
     samples = list(integer_samples(fp.n + 1))
     if pt.z0 is not None and pt.z0 not in samples:
         samples.append(pt.z0)
@@ -247,11 +240,7 @@ def _poly_samples_outcome(
     def matches(poly: Polynomial) -> bool:
         return all(poly(z) == v for z, v in zip(samples, oracle_values))
 
-    corrected_ok = matches(poly_corrected)
-    if poly_verbatim is None:
-        poly_verbatim, verbatim_ok = poly_corrected, corrected_ok
-    else:
-        verbatim_ok = matches(poly_verbatim)
+    corrected_ok, verbatim_ok = matches(poly_corrected), matches(poly_verbatim)
     note = "" if verbatim_ok else f"stated expansion gives {_fmt(poly_verbatim)}"
     return _outcome(verbatim_ok, corrected_ok, oracle_values, poly_corrected, note)
 
@@ -264,19 +253,19 @@ def _require_order(pt: ParamPoint) -> int:
     return pt.series_order
 
 
-def _require_q(pt: ParamPoint) -> Rat:
+def _require_q(pt: ParamPoint) -> Fraction:
     if pt.q is None:
         raise PreconditionError("specialization web needs the q parameter")
     return pt.q
 
 
 def _second_abs(pairing, fp: FamilyPoint):
-    """The stated second kind, with the signless row replaced by the
-    entrywise absolute values of the first-kind row: the stated closed form
-    of the numbers under _pair, the stated polynomial under _poly_from_row."""
-    table = comtet_first(fp.alpha[: fp.n], fp.n).entrywise_abs()
+    """The stated second kind, with the signless row replaced by the absolute
+    values of first-kind row n (as `_expand` reads them): the stated closed
+    form of the numbers under _pair, the stated polynomial under _poly_from_row."""
+    row = comtet_first(fp.alpha[: fp.n], fp.n).int_row(fp.n)
     moments = box_moments(fp.lengths, fp.n)
-    return (-1) ** fp.n * pairing(table.int_row(fp.n), moments)
+    return (-1) ** fp.n * pairing(Polynomial.over(map(abs, row.num), row.den), moments)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +354,10 @@ def _eval_T43b(pt: ParamPoint) -> tuple:
 
 
 def _eval_T51a(pt: ParamPoint) -> tuple:
+    # The stated polynomial is the corrected one.
     fp = _family(pt)
-    return _poly_samples_outcome(fp, pt, mp_poly_first(fp), None, 1)
+    poly = mp_poly_first(fp)
+    return _poly_samples_outcome(fp, pt, poly, poly, 1)
 
 
 def _eval_T51b(pt: ParamPoint) -> tuple:
@@ -378,7 +369,7 @@ def _eval_T51b(pt: ParamPoint) -> tuple:
 def _eval_T52a(pt: ParamPoint) -> tuple:
     # The stated polynomial form carries the correct weights already.
     values_of = partial(_closed_values, _poly_from_row, 1)
-    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_FIRST, None)
+    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_FIRST, _FROM_FIRST)
 
 
 def _eval_T52b(pt: ParamPoint) -> tuple:
@@ -407,32 +398,29 @@ def _eval_GF_Li(pt: ParamPoint) -> tuple:
     return _one_reading(*li_gf_check(pt.k, order))
 
 
-def _cases(pt: ParamPoint, kind: str) -> tuple:
-    """Specialization web of one family: five arrows between the special
-    families and their triangle, integral and closed-form readings. The
-    second kind reads the signless triangle and negated roots under the
-    sign (-1)^n."""
+def _cases(pt: ParamPoint, sign: int) -> tuple:
+    """Specialization web of the first-kind (sign 1) or second-kind (sign -1)
+    family: five arrows between the special families and their triangle,
+    integral and closed-form readings. The second kind is the first at the
+    negated roots under (-1)^n, in the triangle row as in the integrals."""
     q = _require_q(pt)
     n, k = pt.n, pt.k
     ell = pt.lengths[0] if pt.lengths else Fraction(1)
     classical_roots = tuple(Fraction(i) for i in range(n))
-    first = kind == "first"
-    if first:
-        triangle, closed = stirling_first(n), mp_first_closed
-    else:
-        triangle = signless_comtet_first(classical_roots, n)
-        closed = mp_second_closed
-    sign = 1 if first else (-1) ** n
+    kind = "first" if sign > 0 else "second"
     unit = (Fraction(1),) * k
-    # Row n with T(n, m) scaled by q^(n-m), over the integers: q = u/v.
-    row, u, v = triangle.int_row(n), q.numerator, q.denominator
+    # Row n with s(n, m) scaled by (sign q)^(n-m), over the integers: sign q = u/v.
+    row, u, v = stirling_first(n).int_row(n), sign * q.numerator, q.denominator
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
     moments = box_moments(unit, n)
-    triangle_q = sign * _pair(Polynomial.over(scaled, row.den * v**n), moments)
+    triangle_q = sign**n * _pair(Polynomial.over(scaled, row.den * v**n), moments)
 
-    def integral(roots: tuple[Rat, ...]) -> Rat:
-        product = Polynomial.from_roots(r if first else -r for r in roots)
-        return sign * product.integral_to(ell)
+    def closed(p: FamilyPoint) -> Fraction:
+        return _closed_values(_pair, sign, p, (n,))[0]
+
+    def integral(roots: tuple[Fraction, ...]) -> Fraction:
+        product = Polynomial.from_roots(sign * r for r in roots)
+        return sign**n * product.integral_to(ell)
 
     q_roots = tuple(Fraction(i) * q for i in range(n))
     poly = specialize("poly", kind, n, k)
@@ -461,11 +449,11 @@ def _cases(pt: ParamPoint, kind: str) -> tuple:
 
 
 def _eval_CASES2(pt: ParamPoint) -> tuple:
-    return _cases(pt, "first")
+    return _cases(pt, 1)
 
 
 def _eval_CASES3(pt: ParamPoint) -> tuple:
-    return _cases(pt, "second")
+    return _cases(pt, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +660,7 @@ class GridSpec(Record):
 _GF_IDS = ("GF-Lif", "GF-Li")
 
 
-def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Rat:
+def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
     while True:
         value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
         if value != 0 or not nonzero:

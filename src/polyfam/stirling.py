@@ -33,7 +33,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .algebra import Polynomial, PreconditionError, Rat, RatLike, Record, as_rat_tuple
+from .algebra import Polynomial, PreconditionError, RatLike, Record, as_rat_tuple
 
 __all__ = [
     "CoeffTable",
@@ -72,7 +72,7 @@ class CoeffTable(Record):
     def size(self) -> int:
         return len(self.num) - 1
 
-    def row(self, n: int) -> tuple[Rat, ...]:
+    def row(self, n: int) -> tuple[Fraction, ...]:
         return tuple(map(self.int_row(n).coefficient, range(len(self.num[n]))))
 
     def int_row(self, n: int) -> Polynomial:
@@ -88,7 +88,7 @@ class CoeffTable(Record):
             power *= d
         return Polynomial.over(num, self.q[n] * power // d)
 
-    def __getitem__(self, nm: tuple[int, int]) -> Rat:
+    def __getitem__(self, nm: tuple[int, int]) -> Fraction:
         n, m = nm
         if 0 <= m <= n < len(self.num):
             return Fraction(self.num[n][m], self.q[n] * self.den ** (n - m))
@@ -103,9 +103,6 @@ class CoeffTable(Record):
 
     def __hash__(self) -> int:
         return hash(tuple(map(self.int_row, range(len(self.num)))))
-
-    def entrywise_abs(self) -> "CoeffTable":
-        return CoeffTable(tuple(tuple(map(abs, r)) for r in self.num), self.den, self.q)
 
     def times(self, row: Polynomial) -> Polynomial:
         """The row vector `row` times the table: sum_j (sum_m row[m] T(m, j))
@@ -208,7 +205,7 @@ def lah_signed(size: int) -> CoeffTable:
     )
 
 
-def lah_closed_form(m: int, l: int) -> Rat:
+def lah_closed_form(m: int, l: int) -> Fraction:
     """(-1)^m (m!/l!) C(m-1, l-1) for m, l >= 1; 1 at (0, 0); else 0."""
     if m == 0 and l == 0:
         return Fraction(1)
@@ -227,7 +224,7 @@ def noncentral_second(alpha: Iterable[RatLike], size: int) -> CoeffTable:
     return connection_coeffs(alpha, range(size), size)
 
 
-def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Rat:
+def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Fraction:
     """Closed form sum_{j<=m} a_j^n / prod_{i<=m, i!=j} (a_j - a_i).
 
     Requires a_0..a_m pairwise distinct; agrees with the second-kind table.

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import stirling
-from .algebra import Polynomial, Rat, RatLike, as_rat_tuple
+from .algebra import Polynomial, RatLike, as_rat_tuple
 
 __all__ = [
     "bernoulli_from_first",
@@ -45,7 +45,7 @@ _FROM_FIRST = (2, 1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
 _FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
 
 
-def _triangle(weight: tuple, alpha: Sequence[Rat], n: int) -> stirling.CoeffTable:
+def _triangle(weight: tuple, alpha: Sequence[Fraction], n: int) -> stirling.CoeffTable:
     """The triangle of size n that `weight` names. The builder is read from
     the `stirling` module at each call, so a caller that rebinds
     comtet_first or comtet_second there sees every build."""

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from fractions import Fraction
 
-from polyfam.algebra import Rat, RatLike, Record, _egf, as_rat, as_rat_tuple, box_moments
+from polyfam.algebra import RatLike, Record, _egf, as_rat, as_rat_tuple, box_moments
 from polyfam.bernoulli import _bernoulli_values, _distinct_head, _exp_sum
 from polyfam.cauchy import FamilyPoint, _def_values, _poly_from_row
 from polyfam.stirling import CoeffTable
@@ -41,13 +42,13 @@ def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     )
 
 
-def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
+def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Fraction:
     """Definitional value of the first-kind polynomial at z = z0: every
     parameter is shifted by z0 and the plain definition is integrated."""
     return _def_values(1, p, (p.n,), as_rat(z0))[0]
 
 
-def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Rat:
+def mp_poly_second_oracle(p: FamilyPoint, z0: RatLike) -> Fraction:
     """Definitional value of the second-kind polynomial at z = z0 (parameters
     shifted by -z0 in the negated-variable expansion)."""
     return _def_values(-1, p, (p.n,), as_rat(z0))[0]

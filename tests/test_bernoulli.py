@@ -188,7 +188,7 @@ def _fraction_exp_sum(head, weights):
     """The reference: _exp_sum as it was when it added one exp_series per
     parameter, scaled by its coefficient c_j, as Fraction series."""
     order = len(weights) - 1
-    acc = TruncatedSeries.constant(0, order)
+    acc = TruncatedSeries(order, (0,))
     for j, a in enumerate(head):
         denom = math.prod((a - head[i] for i in range(j)), start=Fraction(1))
         coeff = weights[j] / denom

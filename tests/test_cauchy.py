@@ -317,6 +317,15 @@ def test_lif_generating_function_check():
         assert lhs == rhs
 
 
+def test_lif_right_side_is_the_per_index_classical_values():
+    # The one-pass right side against the classical values read one index
+    # at a time through `specialize`, one product expansion per index.
+    for k in (1, 2, 3):
+        for order in range(11):
+            values = [specialize("poly", "first", n, k) for n in range(order + 1)]
+            assert lif_gf_check(k, order)[1] == algebra._egf(order, values)
+
+
 def test_a_series_check_compares_whole_series():
     # A right side with an extra term matches the left side's prefix
     # coefficient by coefficient, but it is not the same series.

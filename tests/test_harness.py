@@ -600,17 +600,17 @@ def _double_sum(n, values, weight):
 
 def _written_out_weights(alpha, n):
     """Each weight spec with its table and its weight as printed, the signless
-    one read from its own triangle."""
-    s, S = comtet_first(alpha, n), comtet_second(alpha, n)
-    sc, sa, f = signless_comtet_first(alpha, n), s.entrywise_abs(), math.factorial
+    one read from its own triangle, the absolute one from row n's abs."""
+    s, S, f = comtet_first(alpha, n), comtet_second(alpha, n), math.factorial
+    sc, sa = signless_comtet_first(alpha, n), tuple(map(abs, s.row(n)))
     return {
         _FIRST: (s, lambda j, m: s[n, m] * s[m, j] / f(m)),
         _TO_FIRST: (s, lambda j, m: (-1) ** (m - j) * s[n, m] * s[m, j] / f(m)),
         _SIGNLESS_FIRST: (
             s, lambda j, m: (-1) ** (n + m - j) * sc[n, m] * s[m, j] / f(m)
         ),
-        _ABS_FIRST: (s, lambda j, m: (-1) ** n * sa[n, m] * s[m, j] / f(m)),
-        _ABS_FIRST_UNSIGNED: (s, lambda j, m: sa[n, m] * s[m, j] / f(m)),
+        _ABS_FIRST: (s, lambda j, m: (-1) ** n * sa[m] * s[m, j] / f(m)),
+        _ABS_FIRST_UNSIGNED: (s, lambda j, m: sa[m] * s[m, j] / f(m)),
         _SECOND: (S, lambda j, m: (-1) ** (n - m) * S[n, m] * S[m, j] / f(m)),
         _FROM_FIRST: (S, lambda j, m: (-1) ** (n - m) * f(m) * S[n, m] * S[m, j]),
         _FROM_SECOND: (S, lambda j, m: (-1) ** n * f(m) * S[n, m] * S[m, j]),

@@ -528,7 +528,7 @@ MATRIX = [
     (cauchy, "_reciprocal_power_sums", _power_sums_from_zero, "T2.4"),
     (cauchy, "_bell_numerators", _newton_sum_off_by_one, "T2.4"),
     (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
-    (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3 GF-Lif"),
+    (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3"),
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
     (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
     (cauchy, "lif_series", _lif_factorial_off_by_one, "GF-Lif"),
@@ -536,7 +536,13 @@ MATRIX = [
     # _first_def_values is _def_values at sign +1, _poly_first_values is
     # _closed_values at _poly_from_row and +1, _bernoulli_poly_values is
     # _bernoulli_values at _poly_from_row.
-    (cauchy, "_def_values", _row_shifted(1), "C4.2b T4.3b", "_first_def_values"),
+    (
+        cauchy,
+        "_def_values",
+        _row_shifted(1),
+        "C4.2b GF-Lif T4.3b",
+        "_first_def_values",
+    ),
     (cauchy, "_def_values", _row_shifted(-1), "C4.1b T4.2b", "_second_def_values"),
     (
         cauchy,

@@ -160,14 +160,12 @@ def test_signless_rows_expand_the_negated_product(alpha):
 
 def test_signless_is_entrywise_abs_only_for_nonnegative_parameters():
     nonneg = (Fraction(0), Fraction(1, 2), Fraction(3))
-    assert (
-        signless_comtet_first(nonneg, 3).row(3)
-        == comtet_first(nonneg, 3).entrywise_abs().row(3)
+    assert signless_comtet_first(nonneg, 3).row(3) == tuple(
+        map(abs, comtet_first(nonneg, 3).row(3))
     )
     mixed = (Fraction(-1), Fraction(2))
-    assert (
-        signless_comtet_first(mixed, 2).row(2)
-        != comtet_first(mixed, 2).entrywise_abs().row(2)
+    assert signless_comtet_first(mixed, 2).row(2) != tuple(
+        map(abs, comtet_first(mixed, 2).row(2))
     )
 
 
@@ -330,8 +328,7 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
         assert hand.den != table.den
         assert hand == table and hash(hand) == hash(table)
         assert _rows(hand) == _rows(table) and hand[size, 0] == table[size, 0]
-        assert hand.entrywise_abs() == table.entrywise_abs()
-        assert _rows(hand.entrywise_abs()) == tuple(
+        assert tuple(tuple(map(abs, hand.row(n))) for n in range(size + 1)) == tuple(
             tuple(abs(c) for c in row) for row in _rows(table)
         )
         assert table_product(hand, unit) == table

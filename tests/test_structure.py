@@ -297,6 +297,28 @@ def test_no_two_public_names_are_bound_to_one_object():
     assert json.loads(proc.stdout) == []
 
 
+def test_every_public_class_and_function_is_defined_in_the_package():
+    # A public name bound to a class or function from elsewhere (such as
+    # `Rat = Fraction`) is a second name for it; modules and data are exempt.
+    child = (
+        "import importlib, inspect, json\n"
+        "foreign = []\n"
+        f"for module in {SUBMODULES!r}:\n"
+        "    mod = importlib.import_module('polyfam.' + module)\n"
+        "    for name in mod.__all__:\n"
+        "        obj = getattr(mod, name)\n"
+        "        if inspect.isclass(obj) or inspect.isroutine(obj):\n"
+        "            if (obj.__module__ or '').split('.')[0] != 'polyfam':\n"
+        "                foreign.append(f'{module}.{name}')\n"
+        "print(json.dumps(foreign))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def _is_literal(node: ast.expr) -> bool:
     try:
         ast.literal_eval(node)
@@ -334,7 +356,7 @@ def test_no_family_function_only_forwards_its_parameters():
     # constants to another is that function under another name: a kind's
     # kernel is the shared kernel called with the kind's sign. The sweep
     # layer is out of scope: the catalog needs one module-level evaluator per
-    # entry, so `_eval_CASES2` and `_eval_CASES3` are `_cases` with a kind.
+    # entry, so `_eval_CASES2` and `_eval_CASES3` are `_cases` with a sign.
     renames = [
         f"{module}.{name}"
         for module in FAMILIES
