@@ -124,27 +124,36 @@ def _exp_sum(head: Sequence[Fraction], weights: Sequence[Fraction]) -> Truncated
     """sum_m w_m sum_{j<=m} e^{-a_j t} / prod_{i<=m, i!=j} (a_j - a_i), the
     weighted column generating functions (in -t) of the second-kind triangle,
     to order N = len(weights) - 1. Summed in the stated order, j outside and
-    m >= j inside, into one coefficient c_j per e^{-a_j t}.
+    m >= j inside, into one coefficient c_j per e^{-a_j t}, over the
+    integers: with a_i = A_i / D and w_m = W_m / E over common denominators,
+    c_j = sum_{m>=j} W_m D^m prod_{m<i<=N} (A_j - A_i) / (E Q_j), Q_j =
+    prod_{i!=j} (A_j - A_i), its numerator C_j run by Horner's scheme over
+    the suffix products.
 
-    sum_j c_j e^{-a_j t} is then summed as integer power sums: with
-    c_j = C_j / E and a_j = A_j / D over common denominators, its t^r
-    coefficient is sum_j C_j (-A_j)^r over E D^r r!, held over E D^N N!."""
+    sum_j c_j e^{-a_j t} is then summed as integer power sums: with Q the
+    lcm of the Q_j, its t^r coefficient is sum_j C_j (Q / Q_j) (-A_j)^r over
+    E Q D^r r!, held over E Q D^N N! and reduced once."""
     order = len(weights) - 1
-    coeffs = []
-    for j, a in enumerate(head):
-        denom = math.prod((a - head[i] for i in range(j)), start=Fraction(1))
-        coeff = weights[j] / denom
+    nodes, d = _over_lcm(head)
+    ws, e = _over_lcm(weights)
+    scaled = [w * d**m for m, w in enumerate(ws)]
+    coeffs, dens = [], []
+    for j, a in enumerate(nodes):
+        acc, den = scaled[j], math.prod(a - nodes[i] for i in range(j))
         for m in range(j + 1, order + 1):
-            denom *= a - head[m]
-            coeff += weights[m] / denom
-        coeffs.append(coeff)
-    powers, e = _over_lcm(coeffs)
-    rates, d = _over_lcm([-a for a in head])
+            factor = a - nodes[m]
+            acc = acc * factor + scaled[m]
+            den *= factor
+        coeffs.append(acc)
+        dens.append(den)
+    lcm = math.lcm(*dens)
+    powers = [c * (lcm // q) for c, q in zip(coeffs, dens)]
+    rates = [-a for a in nodes]
     num = []
     for r in range(order + 1):
         num.append(sum(powers) * d ** (order - r) * math.perm(order, order - r))
         powers = [c * x for c, x in zip(powers, rates)]
-    poly = Polynomial.over(num, e * d**order * math.factorial(order))
+    poly = Polynomial.over(num, e * lcm * d**order * math.factorial(order))
     return TruncatedSeries._of(order, poly)
 
 

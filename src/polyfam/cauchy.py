@@ -29,13 +29,7 @@ from .algebra import (
     box_moments,
     log1p_series,
 )
-from .stirling import (
-    comtet_first,
-    lah_signed,
-    noncentral_second,
-    signless_comtet_first,
-    stirling_first,
-)
+from .stirling import _rebase, comtet_first, noncentral_second, signless_comtet_first
 
 __all__ = [
     "SPECIAL_FAMILIES",
@@ -180,8 +174,16 @@ def mp_first_closed(p: FamilyPoint) -> Fraction:
 def _classic_first_values(moments: Polynomial, n: int) -> Polynomial:
     """sum_m C_m t^m, m = 0..n, the values at the classical parameters for
     the box of `moments` (mu_0..mu_n; zero for a zero box length, hence the
-    n), each row of one stirling_first(n) paired with them."""
-    values = (sum(map(mul, row, moments.num)) for row in stirling_first(n).num)
+    n): C_m = sum_j s(m, j) mu_j, with no table built. With M_i the box
+    integral of T^i (T)_m, (T)_(m+1) = (T - m) (T)_m gives the transposed
+    recurrence M <- M[1:] - m M[:-1], run in place on M_0..M_(n-m), and C_m
+    is M_0 at step m."""
+    mu = list(moments.num) + [0] * (n + 1 - len(moments.num))
+    values = []
+    for m in range(n + 1):
+        values.append(mu[0])
+        for i in range(n - m):
+            mu[i] = mu[i + 1] - m * mu[i]
     return Polynomial.over(values, moments.den)
 
 
@@ -195,15 +197,18 @@ def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Fraction:
 
 def mp_first_noncentral(p: FamilyPoint) -> Fraction:
     """First kind through the non-central table and the classical first-kind
-    triangle: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k."""
+    numbers: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k.
+    The non-central row moves from falling factorials to monomials by
+    _rebase, Horner's scheme over the nodes 0, 1, ..., n-1."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
-    row = stirling_first(p.n).times(nc.int_row(p.n))
+    row = _rebase(nc.int_row(p.n), range(p.n), (0,) * p.n)
     return _pair(row, box_moments(p.lengths, p.n))
 
 
 def mp_first_via_polycauchy(p: FamilyPoint) -> Fraction:
     """First kind as a non-central combination of classical-parameter values
-    carrying the same box lengths: sum_m S(n, m; a) C_m(lengths)."""
+    carrying the same box lengths: sum_m S(n, m; a) C_m(lengths), the C_m
+    from the box moments by _classic_first_values."""
     nc = noncentral_second(p.alpha[: p.n], p.n)
     classic = _classic_first_values(box_moments(p.lengths, p.n), p.n)
     return _pair(nc.int_row(p.n), classic)
@@ -293,8 +298,13 @@ def mp_second_closed(p: FamilyPoint) -> Fraction:
 
 def mp_second_lah(p: FamilyPoint) -> Fraction:
     """Second kind through non-central and signed Lah expansions:
-    sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths)."""
-    row = lah_signed(p.n).times(noncentral_second(p.alpha[: p.n], p.n).int_row(p.n))
+    sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths). L(m, l) expands
+    (-X)_m = (-1)^m X(X+1)...(X+m-1) in falling factorials, so the
+    non-central row, signed by (-1)^m, moves from the rising to the falling
+    basis by _rebase over the nodes 0, -1, ..., -(n-1)."""
+    row = noncentral_second(p.alpha[: p.n], p.n).int_row(p.n)
+    signed = (-c if m % 2 else c for m, c in enumerate(row.num))
+    row = _rebase(Polynomial.over(signed, row.den), range(0, -p.n, -1), range(p.n))
     return _pair(row, _classic_first_values(box_moments(p.lengths, p.n), p.n))
 
 

@@ -25,12 +25,16 @@ r(n+1, m) = q_n r(n, m-1) + (q_n B_m - p_n D) r(n, m): each source node
 brings its own denominator only. One integer list holds the current row and
 is updated in place, from the highest index down, so that r(n, m-1) is
 still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
+
+A caller that needs one row vector times a table between integer-node
+bases builds no table: `_rebase` runs the same step on the vector alone,
+by Horner's scheme over the source nodes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .algebra import Polynomial, PreconditionError, RatLike, Record, as_rat_tuple
@@ -160,6 +164,26 @@ def connection_coeffs(
         rows.append(tuple(row))
         qs.append(qs[-1] * q)
     return CoeffTable(tuple(rows), d, tuple(qs))
+
+
+def _rebase(
+    row: Polynomial, source: Sequence[int], target: Sequence[int]
+) -> Polynomial:
+    """The row vector `row` times connection_coeffs(source, target, N), N =
+    deg(row), for integer nodes, with no table built: Horner's scheme over
+    the source nodes, v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in
+    the target basis, where one step is new_l = v_(l-1) + (b_l - a_m) v_l
+    (Verde-Star 1988; Gander, Numer. Linear Algebra Appl. 2005). The zero
+    row gives the zero polynomial, as CoeffTable.times does."""
+    r = row.num
+    v = list(r[-1:])
+    for m in range(len(r) - 2, -1, -1):
+        a = source[m]
+        v.append(v[-1])
+        for l in range(len(v) - 2, 0, -1):
+            v[l] = v[l - 1] + (target[l] - a) * v[l]
+        v[0] = (target[0] - a) * v[0] + r[m]
+    return Polynomial.over(v, row.den)
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:

@@ -10,11 +10,20 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import mul
 
-from polyfam.algebra import RatLike, Record, _egf, as_rat, as_rat_tuple, box_moments
+from polyfam.algebra import (
+    Polynomial,
+    RatLike,
+    Record,
+    _egf,
+    as_rat,
+    as_rat_tuple,
+    box_moments,
+)
 from polyfam.bernoulli import _bernoulli_values, _distinct_head, _exp_sum
 from polyfam.cauchy import FamilyPoint, _def_values, _poly_from_row
-from polyfam.stirling import CoeffTable
+from polyfam.stirling import CoeffTable, stirling_first
 
 
 class SeriesCheck(Record):
@@ -40,6 +49,14 @@ def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
         1,
         tuple(p.den for p in rows),
     )
+
+
+def classic_first_values_by_rows(moments: Polynomial, n: int) -> Polynomial:
+    """sum_m C_m t^m, m = 0..n, as `cauchy._classic_first_values` reads it
+    from the box moments mu_0..mu_n: each row of one stirling_first(n)
+    paired with them, C_m = sum_j s(m, j) mu_j."""
+    values = (sum(map(mul, row, moments.num)) for row in stirling_first(n).num)
+    return Polynomial.over(values, moments.den)
 
 
 def mp_poly_first_oracle(p: FamilyPoint, z0: RatLike) -> Fraction:

@@ -7,7 +7,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_poly_first_oracle, mp_poly_second_oracle
+from oracles import (
+    classic_first_values_by_rows,
+    mp_poly_first_oracle,
+    mp_poly_second_oracle,
+)
 from polyfam import algebra, cauchy, harness, stirling
 from polyfam.algebra import (
     Polynomial,
@@ -19,6 +23,7 @@ from polyfam.cauchy import (
     SPECIAL_FAMILIES,
     FamilyPoint,
     _bell_numerators,
+    _classic_first_values,
     _def_values,
     _pair,
     _poly_from_row,
@@ -168,6 +173,32 @@ def test_classic_first_with_lengths():
     # C_2 = l^3/3 - l^2/2 is zero.
     assert classic_first_with_lengths(2, (0,)) == 0
     assert classic_first_with_lengths(2, ("3/2",)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.lists(rationals, min_size=1, max_size=3),
+)
+@example(40, [Fraction(7, 3), Fraction(-5, 2)])
+def test_classic_values_match_the_first_kind_rows(n, lengths):
+    # The transposed recurrence gives what one stirling_first(n) paired row
+    # by row with the moments gives, a zero length (zero moments) included.
+    moments = box_moments(lengths, n)
+    assert _classic_first_values(moments, n) == classic_first_values_by_rows(
+        moments, n
+    )
+    assert classic_first_with_lengths(n, lengths) == classic_first_values_by_rows(
+        moments, n
+    ).coefficient(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_a_zero_box_length_gives_zero_classic_values(n):
+    moments = box_moments((Fraction(3, 2), 0), n)
+    assert moments == Polynomial()
+    assert _classic_first_values(moments, n) == Polynomial()
+    assert classic_first_with_lengths(n, (Fraction(3, 2), 0)) == 0
 
 
 def test_family_point_validation():

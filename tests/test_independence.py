@@ -114,18 +114,9 @@ _DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_
 KERNELS = {
     "mp_first_def": _DEFINITION,
     "mp_first_closed": _FIRST | {"cauchy._closed_values", "stirling.comtet_first"},
-    "mp_first_noncentral": _FIRST
-    | {
-        "stirling.CoeffTable.times",
-        "stirling.noncentral_second",
-        "stirling.stirling_first",
-    },
+    "mp_first_noncentral": _FIRST | {"stirling._rebase", "stirling.noncentral_second"},
     "mp_first_via_polycauchy": _FIRST
-    | {
-        "cauchy._classic_first_values",
-        "stirling.noncentral_second",
-        "stirling.stirling_first",
-    },
+    | {"cauchy._classic_first_values", "stirling.noncentral_second"},
     "mp_first_bell": {
         "algebra.box_moments",
         "cauchy._bell_numerators",
@@ -138,10 +129,8 @@ KERNELS = {
     "mp_second_lah": _FIRST
     | {
         "cauchy._classic_first_values",
-        "stirling.CoeffTable.times",
-        "stirling.lah_signed",
+        "stirling._rebase",
         "stirling.noncentral_second",
-        "stirling.stirling_first",
     },
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {

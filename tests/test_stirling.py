@@ -10,6 +10,7 @@ from polyfam.algebra import Polynomial, PreconditionError, _prefix_products
 from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     CoeffTable,
+    _rebase,
     comtet_first,
     comtet_second,
     comtet_second_explicit,
@@ -377,6 +378,32 @@ def test_times_is_the_row_vector_times_the_table(size, alpha, coeffs):
                 row = Polynomial(row)
                 assert t.times(row) == _times_by_hand(t, row)
     assert stirling_first(size).times(Polynomial()) == Polynomial()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=41),
+    st.integers(min_value=1, max_value=10**6),
+)
+@example(40, [3**40 - m for m in range(41)], 7)
+def test_rebase_is_the_row_times_the_classical_tables(size, ints, den):
+    # Falling factorials to monomials is the classical first-kind table, and
+    # the (-1)^m-signed rising row to falling factorials the signed Lah table.
+    row = Polynomial.over(ints[: size + 1], den)
+    signs = (-c if m % 2 else c for m, c in enumerate(row.num))
+    signed = Polynomial.over(signs, row.den)
+    falling, rising = range(size), range(0, -size, -1)
+    assert _rebase(row, falling, (0,) * size) == stirling_first(size).times(row)
+    assert _rebase(signed, rising, falling) == lah_signed(size).times(row)
+
+
+@pytest.mark.parametrize("size", [0, 1, 40])
+def test_rebase_maps_the_zero_row_to_zero(size):
+    zero = Polynomial()
+    assert _rebase(zero, range(size), (0,) * size) == zero
+    assert _rebase(zero, range(0, -size, -1), range(size)) == zero
+    assert stirling_first(size).times(zero) == zero
 
 
 def test_a_table_holds_only_its_integers():

@@ -1,6 +1,6 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/pairs.py --parent REV [--scratch DIR]
+    python3 tools/pairs.py --parent REV [--scratch DIR] [--record PATH]
 
 Run it from the root of a checkout. It exports the committed files of REV
 (`git archive`) into a fresh directory under DIR (the system temporary
@@ -17,6 +17,12 @@ against the metric's bound, how many pairs the change won, and the review
 verdict (`verdict`): gain, worse, unresolved or no regression. A failed or
 incorrect run is printed and counted, never folded into a median. The export
 is removed at the end.
+
+With `--record PATH` it also writes what it printed as one JSON document
+(`document`): every pair's values, and per workload and metric the medians,
+the parent's IQR, the wins and the verdict; beside them the two commits, the
+Python version, the CPU count (`nproc`) and each side's
+`wc -l src/polyfam/*.py` total.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -95,51 +103,125 @@ def verdict(parent: list[float], change: list[float], lower: bool, bound: float)
     return "no regression"
 
 
-def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
-    print(f"\n{workload}: {len(pairs)} complete pairs")
+def summary(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per end-to-end metric, over pairs (parent, change) of run values: the
+    two medians, the parent's quartiles and IQR, how much worse the change's
+    median is (relative to the parent's, so negative is better), the bound,
+    the change's wins and the verdict."""
+    out = {}
     for metric in METRICS:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         mp, mc = statistics.median(parent), statistics.median(change)
         q1, _, q3 = statistics.quantiles(parent, n=4)
-        worse = (mc - mp) / mp if lower else (mp - mc) / mp
+        out[name] = {
+            "parent_median": mp,
+            "change_median": mc,
+            "parent_q1": q1,
+            "parent_q3": q3,
+            "parent_iqr": q3 - q1,
+            "worse_by": (mc - mp) / mp if lower else (mp - mc) / mp,
+            "bound": metric["bound"],
+            "change_wins": sum(
+                (c < p) if lower else (c > p) for p, c in zip(parent, change)
+            ),
+            "verdict": verdict(parent, change, lower, metric["bound"]),
+        }
+    return out
+
+
+def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
+    print(f"\n{workload}: {len(pairs)} complete pairs")
+    for name, s in summary(pairs).items():
         print(
-            f"  {name:12s} parent median {mp:.6g} (IQR {q1:.6g}..{q3:.6g}, "
-            f"{q3 - q1:.3g})  change median {mc:.6g}  worse by {worse:+.1%} "
-            f"(bound {metric['bound']:.0%})  change wins {wins}/{len(pairs)}  "
-            f"{verdict(parent, change, lower, metric['bound'])}"
+            f"  {name:12s} parent median {s['parent_median']:.6g} "
+            f"(IQR {s['parent_q1']:.6g}..{s['parent_q3']:.6g}, {s['parent_iqr']:.3g})  "
+            f"change median {s['change_median']:.6g}  worse by {s['worse_by']:+.1%} "
+            f"(bound {s['bound']:.0%})  change wins {s['change_wins']}/{len(pairs)}  "
+            f"{s['verdict']}"
         )
+
+
+def source_lines(tree: Path) -> int:
+    """The total that `wc -l src/polyfam/*.py` prints in `tree`."""
+    paths = (tree / "src" / "polyfam").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def document(meta: dict, runs: dict) -> dict:
+    """The JSON document `--record` writes. `meta` holds the commits, the
+    Python version, nproc and the source line counts; `runs` maps each
+    workload to its list of (seed, parent values, change values), a failed
+    side as None. Every pair is listed with the side that ran first; only
+    the complete ones enter the medians."""
+    workloads = {}
+    for workload, rows in runs.items():
+        complete = [(p, c) for _, p, c in rows if p is not None and c is not None]
+        workloads[workload] = {
+            "pairs": [
+                {
+                    "seed": seed,
+                    "first": "parent" if seed % 2 == 0 else "change",
+                    "parent": p,
+                    "change": c,
+                }
+                for seed, p, c in rows
+            ],
+            "failed": len(rows) - len(complete),
+            "metrics": summary(complete) if len(complete) > 1 else {},
+        }
+    return {**meta, "run_seconds": SPEC["run_seconds"], "workloads": workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--scratch", default=None, help="where the export goes")
+    parser.add_argument("--record", default=None, help="write the pairs as JSON here")
     args = parser.parse_args(argv)
     parent = export(args.parent, args.scratch)
     names = [m["name"] for m in METRICS]
-    failed = 0
+    runs, failed = {}, 0
     try:
+        meta = {
+            "commits": {
+                "parent": git("rev-parse", args.parent),
+                "change": git("rev-parse", "HEAD"),
+                "change_uncommitted": bool(git("status", "--porcelain", "--", "src")),
+            },
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "src_lines": {"parent": source_lines(parent), "change": source_lines(ROOT)},
+        }
         for workload in (w["name"] for w in SPEC["workloads"]):
             print(f"\n{workload}: seed  " + "  ".join(f"{n} parent/change" for n in names))
-            pairs = []
+            rows = runs[workload] = []
             for seed in range(PAIRS):
                 sides = [parent, ROOT] if seed % 2 == 0 else [ROOT, parent]
                 got = {tree: run(tree, workload, seed) for tree in sides}
                 p, c = got[parent], got[ROOT]
+                rows.append((seed, p, c))
                 if p is None or c is None:
                     failed += 1
                     continue
-                pairs.append((p, c))
                 cells = "  ".join(f"{p[n]:.6g}/{c[n]:.6g}" for n in names)
                 first = "parent" if seed % 2 == 0 else "change"
                 print(f"  {seed:4d}  {cells}  ({first} first)", flush=True)
+            pairs = [(p, c) for _, p, c in rows if p is not None and c is not None]
             if len(pairs) > 1:
                 report(workload, pairs)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
+    if args.record:
+        text = json.dumps(document(meta, runs), indent=2) + "\n"
+        Path(args.record).write_text(text)
     if failed:
         print(f"\n{failed} pair(s) had a failed run", file=sys.stderr)
     return 1 if failed else 0
