@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -133,23 +134,30 @@ def _emit(fmt: str, columns: Sequence[str], records: Iterable[dict]) -> None:
     """Streams records as JSON lines, or as CSV rows with a fixed column
     order (a dict or list cell JSON-encoded). The CSV header is written
     before the first record is drawn, so no records give the header alone;
-    compute what can fail before the call."""
-    if fmt == "json":
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
-        return
-    import csv  # here, so that `verify` and JSON output never load it
+    compute what can fail before the call. A reader that closes the pipe
+    early (`| head`) ends the output: stdout is pointed at os.devnull, so the
+    flush at exit stays silent and the command returns its own status."""
+    try:
+        if fmt == "json":
+            for record in records:
+                print(json.dumps(record, sort_keys=True))
+        else:
+            import csv  # here, so that `verify` and JSON output never load it
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        cells = (record.get(column, "") for column in columns)
-        writer.writerow(
-            json.dumps(v, sort_keys=True, separators=(",", ":"))
-            if isinstance(v, (dict, list))
-            else v
-            for v in cells
-        )
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(columns)
+            for record in records:
+                cells = (record.get(column, "") for column in columns)
+                writer.writerow(
+                    json.dumps(v, sort_keys=True, separators=(",", ":"))
+                    if isinstance(v, (dict, list))
+                    else v
+                    for v in cells
+                )
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _render(value, scalar: Callable[[Fraction], str] = str) -> object:

@@ -67,7 +67,6 @@ from .transforms import (
     _SIGNLESS_FIRST,
     _TO_FIRST,
     _expand,
-    _triangle,
 )
 
 __all__ = [
@@ -207,17 +206,15 @@ def _agree(pt: ParamPoint, route) -> tuple:
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     """An expansion identity: lhs_route against a family's values at 0..n,
-    summed by the corrected and by the stated weight, both over the one
-    table the corrected weight names. `values_of` is the family's one-pass
-    kernel, the one its public route reads row n from: one table (or one
-    product expansion) and one set of box moments give all n+1 values,
-    O(n^2) per point."""
+    summed by the corrected and by the stated weight. `values_of` is the
+    family's one-pass kernel, the one its public route reads row n from: one
+    table (or one product expansion) and one set of box moments give all
+    n+1 values, O(n^2) per point."""
     fp = _family(pt)
     values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
-    table = _triangle(corrected, fp.alpha[: fp.n], fp.n)
-    corrected_sum = _expand(values, table, corrected)
-    verbatim = _expand(values, table, stated)
+    corrected_sum = _expand(values, fp.alpha, corrected)
+    verbatim = _expand(values, fp.alpha, stated)
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
 
 

@@ -26,16 +26,17 @@ brings its own denominator only. One integer list holds the current row and
 is updated in place, from the highest index down, so that r(n, m-1) is
 still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
 
-A caller that needs one row vector times a table between integer-node
-bases builds no table: `_rebase` runs the same step on the vector alone,
-by Horner's scheme over the source nodes.
+A caller that needs one row vector times a table builds no table: `_rebase`
+runs the same step on the vector alone, by Horner's scheme over the source
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Polynomial, PreconditionError, RatLike, Record, as_rat_tuple
 
@@ -108,20 +109,6 @@ class CoeffTable(Record):
     def __hash__(self) -> int:
         return hash(tuple(map(self.int_row, range(len(self.num)))))
 
-    def times(self, row: Polynomial) -> Polynomial:
-        """The row vector `row` times the table: sum_j (sum_m row[m] T(m, j))
-        X^j, for deg(row) = N <= size. Over row.den Q den^N, Q the lcm of
-        q[0..N] (den^0 for the zero row, N = -1), coefficient j is the
-        integer den^j sum_m row.num[m] (Q / q[m]) den^(N-m) num[m][j]."""
-        r, t, d, qs = row.num, self.num, self.den, self.q[: len(row.num)]
-        if len(r) > len(t):
-            raise PreconditionError("the row is longer than the table")
-        top, lcm = len(r) - 1, math.lcm(*qs)
-        lead = [c * (lcm // q) * d ** (top - m) for m, (c, q) in enumerate(zip(r, qs))]
-        num = (d**j * sum(lead[m] * t[m][j] for m in range(j, top + 1))
-               for j in range(top + 1))
-        return Polynomial.over(num, row.den * lcm * d ** max(top, 0))
-
 
 def connection_coeffs(
     source: Iterable[RatLike], target: Iterable[RatLike], size: int
@@ -135,22 +122,12 @@ def connection_coeffs(
     """
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
-    # Ints and Fractions carry their numerator and denominator already.
-    nodes = []
-    for sequence in (source, target):
-        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in sequence]
-        if len(xs) < size:
-            raise PreconditionError(
-                f"parameter sequence of length {len(xs)} cannot "
-                f"form a degree-{size} basis element"
-            )
-        nodes.append(xs[:size])
-    a, b = nodes
-    d = math.lcm(*[x.denominator for x in b])
-    b = [x.numerator * (d // x.denominator) for x in b]
+    a, b = _nodes(source, size), _nodes(target, size)
+    d = math.lcm(*[q for _, q in b])
+    b = [p * (d // q) for p, q in b]
     row, rows, qs = [1], [(1,)], [1]
-    for n, x in enumerate(a):
-        q, pd = x.denominator, x.numerator * d
+    for n, (p, q) in enumerate(a):
+        pd = p * d
         row.append(q * row[n])
         # q = 1 drops the unit factors: at n = 40 one general loop ran 1.16-1.34x
         # slower on integer-source tables (comtet_second, classical, Lah).
@@ -166,24 +143,48 @@ def connection_coeffs(
     return CoeffTable(tuple(rows), d, tuple(qs))
 
 
+def _nodes(sequence: Iterable[RatLike], size: int) -> list[tuple[int, int]]:
+    """The first `size` nodes of a Newton basis as integer pairs (p, q).
+    Raises PreconditionError when the sequence holds fewer."""
+    xs = list(islice(sequence, size))
+    if len(xs) < size:
+        raise PreconditionError(
+            f"parameter sequence of length {len(xs)} cannot "
+            f"form a degree-{size} basis element"
+        )
+    # Ints and Fractions carry their numerator and denominator already.
+    return [
+        (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+        for x in xs
+    ]
+
+
 def _rebase(
-    row: Polynomial, source: Sequence[int], target: Sequence[int]
+    row: Polynomial, source: Iterable[RatLike], target: Iterable[RatLike]
 ) -> Polynomial:
     """The row vector `row` times connection_coeffs(source, target, N), N =
-    deg(row), for integer nodes, with no table built: Horner's scheme over
-    the source nodes, v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in
-    the target basis, where one step is new_l = v_(l-1) + (b_l - a_m) v_l
-    (Verde-Star 1988; Gander, Numer. Linear Algebra Appl. 2005). The zero
-    row gives the zero polynomial, as CoeffTable.times does."""
-    r = row.num
-    v = list(r[-1:])
+    deg(row), with no table built: Horner's scheme over the source nodes,
+    v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in the target basis,
+    where one step is new_l = v_(l-1) + (b_l - a_m) v_l (Verde-Star 1988;
+    Gander, Numer. Linear Algebra Appl. 2005). Fraction-free: with E the lcm
+    of the nodes' denominators, A = E a and B = E b, a degree-K vector is
+    held as u_l = E^(K-l) v_l, so the step is u_l <- u_(l-1) + (B_l - A_m)
+    u_l, row[m] enters times E^(K+1), and coefficient l leaves as u_l E^l
+    over row.den E^N (E = 1 for integer nodes)."""
+    r, size = row.num, max(len(row.num) - 1, 0)
+    a, b = _nodes(source, size), _nodes(target, size)
+    e = math.lcm(*[q for _, q in a + b])
+    a, b = [p * (e // q) for p, q in a], [p * (e // q) for p, q in b]
+    v, power = list(r[-1:]), 1
     for m in range(len(r) - 2, -1, -1):
-        a = source[m]
+        a_m, power = a[m], power * e
         v.append(v[-1])
         for l in range(len(v) - 2, 0, -1):
-            v[l] = v[l - 1] + (target[l] - a) * v[l]
-        v[0] = (target[0] - a) * v[0] + r[m]
-    return Polynomial.over(v, row.den)
+            v[l] = v[l - 1] + (b[l] - a_m) * v[l]
+        v[0] = (b[0] - a_m) * v[0] + r[m] * power
+    if e > 1:
+        v = [u * e**l for l, u in enumerate(v)]
+    return Polynomial.over(v, row.den * power)
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:
@@ -274,12 +275,12 @@ def comtet_second_explicit(alpha: Iterable[RatLike], n: int, m: int) -> Fraction
 
 def inversion_check(alpha: Iterable[RatLike], size: int) -> bool:
     """Whether the two generalized triangles of `alpha` are two-sided
-    matrix inverses through row `size`: row n of either, times the other,
-    is X^n."""
-    a = as_rat_tuple(alpha)
+    matrix inverses through row `size`: row n of either, times the other
+    (`_rebase` between the other's bases), is X^n."""
+    a, zeros = as_rat_tuple(alpha), (0,) * size
     first, second = comtet_first(a, size), comtet_second(a, size)
     return all(
-        y.times(x.int_row(n)) == Polynomial.over((0,) * n + (1,))
-        for x, y in ((first, second), (second, first))
+        _rebase(x.int_row(n), *nodes) == Polynomial.over((0,) * n + (1,))
+        for x, nodes in ((first, (zeros, a)), (second, (a, zeros)))
         for n in range(size + 1)
     )

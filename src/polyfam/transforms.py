@@ -17,8 +17,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import stirling
 from .algebra import Polynomial, RatLike, as_rat_tuple
+from .stirling import _rebase
 
 __all__ = [
     "bernoulli_from_first",
@@ -45,33 +45,26 @@ _FROM_FIRST = (2, 1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
 _FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
 
 
-def _triangle(weight: tuple, alpha: Sequence[Fraction], n: int) -> stirling.CoeffTable:
-    """The triangle of size n that `weight` names. The builder is read from
-    the `stirling` module at each call, so a caller that rebinds
-    comtet_first or comtet_second there sees every build."""
-    build = stirling.comtet_first if weight[0] == 1 else stirling.comtet_second
-    return build(alpha, n)
-
-
-def _expand(values: Sequence, table: stirling.CoeffTable, weight: tuple):
-    """sum_{j<=m<=n} w(j, m) values[j] for n = table.size, fraction-free.
-    Row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
-    n!/m! for p = -1), is the row vector that `CoeffTable.times` multiplies
-    by T; its coefficient j, signed by (-1)^(e_n n + e_j j) and over a
-    further n! for p = -1, is the weight of values[j]. The row is built
-    from the raw integers num[n] / (q[n] den^(n-m)), not through int_row:
-    the mp_bernoulli lhs reads int_row too, so a fault there would cancel
-    between the lhs and these weights."""
-    _, e_n, e_m, e_j, power, absolute = weight
-    n, d = table.size, table.den
-    left = [abs(r) for r in table.num[n]] if absolute else table.num[n]
+def _expand(values: Sequence, alpha: Sequence[Fraction], weight: tuple):
+    """sum_{j<=m<=n} w(j, m) values[j] for n = len(values) - 1, fraction-free
+    and with no table built. Row n of T is the unit row X^n moved by `_rebase`
+    from T's source basis to its target (nodes alpha to 0, ... for kind 1;
+    0, ... to alpha for kind 2). As row n of L, signed by (-1)^(e_m m) and
+    scaled by f_m (m! for p = 1, n!/m! for p = -1), it is moved once more
+    (times T); coefficient j, signed by (-1)^(e_n n + e_j j) and over a
+    further n! for p = -1, is the weight of values[j]. No row is read through
+    int_row, which the mp_bernoulli lhs reads: a fault there would cancel."""
+    kind, e_n, e_m, e_j, power, absolute = weight
+    n = len(values) - 1
+    nodes = (alpha, (0,) * n) if kind == 1 else ((0,) * n, alpha)
+    left = _rebase(Polynomial.over((0,) * n + (1,)), *nodes)
     fact = [math.factorial(m) for m in range(n + 1)]
     scale = fact if power == 1 else [fact[n] // f for f in fact]
+    signed = enumerate(map(abs, left.num) if absolute else left.num)
     row = Polynomial.over(
-        ((-1) ** (e_m * m) * scale[m] * c * d**m for m, c in enumerate(left)),
-        table.q[n] * d**n,
+        ((-1) ** (e_m * m) * scale[m] * c for m, c in signed), left.den
     )
-    product = table.times(row)
+    product = _rebase(row, *nodes)
     weights = [(-1) ** (e_n * n + e_j * j) * c for j, c in enumerate(product.num)]
     return _combine(weights, (1 if power == 1 else fact[n]) * product.den, values)
 
@@ -96,7 +89,7 @@ def _combine(weights: Sequence[int], den: int, values: Sequence):
 
 
 def _transform(weight: tuple, n: int, alpha: Sequence[RatLike], values: Sequence):
-    return _expand(values, _triangle(weight, as_rat_tuple(alpha), n), weight)
+    return _expand(values[: n + 1], as_rat_tuple(alpha), weight)
 
 
 def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):

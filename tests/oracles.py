@@ -40,10 +40,18 @@ class SeriesCheck(Record):
         self._set(lhs, rhs, verbatim_rhs, note)
 
 
+def _times_by_hand(table: CoeffTable, row: Polynomial) -> Polynomial:
+    """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions."""
+    return Polynomial(
+        sum(c * table[m, j] for m, c in enumerate(row.coeffs))
+        for j in range(len(row.num))
+    )
+
+
 def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     """The triangular product a b: its row n is row n of a times b
-    (`CoeffTable.times`), held over its own row denominator."""
-    rows = [b.times(a.int_row(n)) for n in range(a.size + 1)]
+    (`_times_by_hand`), held over its own row denominator."""
+    rows = [_times_by_hand(b, a.int_row(n)) for n in range(a.size + 1)]
     return CoeffTable(
         tuple(p.num + (0,) * (n + 1 - len(p.num)) for n, p in enumerate(rows)),
         1,

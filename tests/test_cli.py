@@ -557,3 +557,29 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "5/6"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("table", "lah", "--n-max", "300"), 0),
+        (("table", "lah", "--n-max", "300", "--format", "csv"), 0),
+        (("verify", "--mode", "verbatim"), 1),
+    ],
+    ids=["table-json", "table-csv", "verify-json"],
+)
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(args, code):
+    # As `| head -1`: one line is read and the pipe closed while the command
+    # still writes (each output is larger than a pipe holds). It returns its
+    # own status and writes nothing to stderr.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyfam", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert first and err == b""

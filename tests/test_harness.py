@@ -40,7 +40,6 @@ from polyfam.transforms import (
     _SIGNLESS_FIRST,
     _TO_FIRST,
     _expand,
-    _triangle,
     bernoulli_from_first,
     bernoulli_from_second,
     first_from_bernoulli,
@@ -599,21 +598,21 @@ def _double_sum(n, values, weight):
 
 
 def _written_out_weights(alpha, n):
-    """Each weight spec with its table and its weight as printed, the signless
-    one read from its own triangle, the absolute one from row n's abs."""
+    """Each weight spec with its weight as printed, the signless one read
+    from its own triangle, the absolute one from row n's abs."""
     s, S, f = comtet_first(alpha, n), comtet_second(alpha, n), math.factorial
     sc, sa = signless_comtet_first(alpha, n), tuple(map(abs, s.row(n)))
     return {
-        _FIRST: (s, lambda j, m: s[n, m] * s[m, j] / f(m)),
-        _TO_FIRST: (s, lambda j, m: (-1) ** (m - j) * s[n, m] * s[m, j] / f(m)),
-        _SIGNLESS_FIRST: (
-            s, lambda j, m: (-1) ** (n + m - j) * sc[n, m] * s[m, j] / f(m)
+        _FIRST: lambda j, m: s[n, m] * s[m, j] / f(m),
+        _TO_FIRST: lambda j, m: (-1) ** (m - j) * s[n, m] * s[m, j] / f(m),
+        _SIGNLESS_FIRST: lambda j, m: (
+            (-1) ** (n + m - j) * sc[n, m] * s[m, j] / f(m)
         ),
-        _ABS_FIRST: (s, lambda j, m: (-1) ** n * sa[m] * s[m, j] / f(m)),
-        _ABS_FIRST_UNSIGNED: (s, lambda j, m: sa[m] * s[m, j] / f(m)),
-        _SECOND: (S, lambda j, m: (-1) ** (n - m) * S[n, m] * S[m, j] / f(m)),
-        _FROM_FIRST: (S, lambda j, m: (-1) ** (n - m) * f(m) * S[n, m] * S[m, j]),
-        _FROM_SECOND: (S, lambda j, m: (-1) ** n * f(m) * S[n, m] * S[m, j]),
+        _ABS_FIRST: lambda j, m: (-1) ** n * sa[m] * s[m, j] / f(m),
+        _ABS_FIRST_UNSIGNED: lambda j, m: sa[m] * s[m, j] / f(m),
+        _SECOND: lambda j, m: (-1) ** (n - m) * S[n, m] * S[m, j] / f(m),
+        _FROM_FIRST: lambda j, m: (-1) ** (n - m) * f(m) * S[n, m] * S[m, j],
+        _FROM_SECOND: lambda j, m: (-1) ** n * f(m) * S[n, m] * S[m, j],
     }
 
 
@@ -632,25 +631,36 @@ def _expansion_cases(draw):
     return n, alpha, draw(st.lists(value, min_size=n + 1, max_size=n + 1))
 
 
+TRANSFORMS = (
+    (second_from_bernoulli, _SIGNLESS_FIRST),
+    (bernoulli_from_second, _FROM_SECOND),
+    (first_from_bernoulli, _TO_FIRST),
+    (bernoulli_from_first, _FROM_FIRST),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_expansion_cases())
 def test_expand_matches_the_written_out_double_sum(case):
     n, alpha, values = case
     weights = _written_out_weights(alpha, n)
-    for spec, (table, weight) in weights.items():
-        assert _triangle(spec, alpha, n) == table, spec
-        assert repr(_expand(values, table, spec)) == repr(
+    for spec, weight in weights.items():
+        assert repr(_expand(values, alpha, spec)) == repr(
             _double_sum(n, values, weight)
         ), spec
-    for transform, spec in (
-        (second_from_bernoulli, _SIGNLESS_FIRST),
-        (bernoulli_from_second, _FROM_SECOND),
-        (first_from_bernoulli, _TO_FIRST),
-        (bernoulli_from_first, _FROM_FIRST),
-    ):
+    for transform, spec in TRANSFORMS:
         assert repr(transform(n, alpha, values)) == repr(
-            _double_sum(n, values, weights[spec][1])
+            _double_sum(n, values, weights[spec])
         ), transform.__name__
+
+
+@pytest.mark.parametrize(
+    "transform", [t for t, _ in TRANSFORMS], ids=lambda t: t.__name__
+)
+def test_a_transform_refuses_fewer_parameters_than_its_degree(transform):
+    short = "parameter sequence of length 1 cannot form a degree-3 basis element"
+    with pytest.raises(PreconditionError, match=short):
+        transform(3, (Fraction(1, 2),), [Fraction(1)] * 4)
 
 
 # The faulted cases of these two checks are in the mutation matrix

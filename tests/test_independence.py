@@ -99,6 +99,7 @@ GENERIC = {
     "algebra.as_rat_tuple",
     "stirling.CoeffTable.__init__",
     "stirling.CoeffTable.int_row",
+    "stirling._nodes",
 }
 
 _TABLE = {"stirling.connection_coeffs"}
@@ -233,33 +234,17 @@ _POLYNOMIAL = {
     "cauchy._poly_from_row",
     "stirling.connection_coeffs",
 }
-_ONE_BERNOULLI_ROUTE = (
-    "mp_bernoulli reads the second-kind triangle, and so do the weights: the "
-    "Bernoulli type has one route"
-)
 SHARED = {
-    **{ident: (set(), "") for ident in ("T4.2a", "C4.1a", "T4.3a", "C4.2a")},
     **{
-        ident: (
-            {"stirling.comtet_second", "stirling.connection_coeffs"},
-            _ONE_BERNOULLI_ROUTE,
+        ident: (set(), "")
+        for ident in (
+            "T4.2a", "C4.1a", "T4.3a", "C4.2a", "T4.2b", "C4.1b", "T4.3b", "C4.2b"
         )
-        for ident in ("T4.2b", "C4.1b", "T4.3b", "C4.2b")
     },
     **{
-        ident: (
-            _POLYNOMIAL | {"stirling.comtet_second"},
-            "polynomial routes on both sides, and mp_bernoulli_poly reads the "
-            "second-kind triangle that the weights name",
-        )
-        for ident in ("T5.2a", "T5.2b")
+        ident: (_POLYNOMIAL, "polynomial routes on both sides")
+        for ident in ("T5.2a", "T5.2b", "T5.2c", "T5.2d")
     },
-    "T5.2c": (
-        _POLYNOMIAL | {"stirling.comtet_first"},
-        "polynomial routes on both sides, and mp_poly_first reads the "
-        "first-kind triangle that the weights name",
-    ),
-    "T5.2d": (_POLYNOMIAL, "polynomial routes on both sides"),
 }
 
 
@@ -300,8 +285,7 @@ def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(
         # by the corrected and the stated weights.
         values = values_of(fp, range(fp.n + 1))
         for weight in filter(None, (corrected, stated)):
-            table = harness._triangle(weight, fp.alpha[: fp.n], fp.n)
-            harness._expand(values, table, weight)
+            harness._expand(values, fp.alpha, weight)
 
     shared = _kernels(lhs_route, (fp,)) & _kernels(values_and_weights, ())
     allowed, reason = SHARED[identity]

@@ -29,6 +29,8 @@ from polyfam.algebra import Polynomial, TruncatedSeries
 from polyfam.harness import FAIL, sweep
 from polyfam.stirling import CoeffTable, comtet_second
 
+from test_independence import SHARED
+
 MODULES = (algebra, stirling, cauchy, bernoulli, transforms, harness, cli, polyfam)
 
 
@@ -197,6 +199,16 @@ def _rebase_source_off_by_one(real):
     return fake
 
 
+def _rebase_target_off_by_one(real):
+    # Column l reads target node l-1: b_0, b_0, b_1, ... in place of
+    # b_0, b_1, ...
+    def fake(row, source, target):
+        b = tuple(target)
+        return real(row, source, b[:1] + b[:-1])
+
+    return fake
+
+
 # --- L2: routes -----------------------------------------------------------
 
 
@@ -226,15 +238,6 @@ def _pair_shifted(real):
     return lambda row, moments: Fraction(
         sum(a * b for a, b in zip(row.num, moments.num[1:])), row.den * moments.den
     )
-
-
-def _times_diagonal_dropped(real):
-    # The sum over m >= j starts at j + 1: the table's diagonal reads 0.
-    def fake(self, row):
-        off = tuple(r[:-1] + (0,) for r in self.num)
-        return real(CoeffTable(off, self.den, self.q), row)
-
-    return fake
 
 
 def _poly_from_row_sign_slip(real):
@@ -405,8 +408,8 @@ def _kind_sign_dropped(real):
 
 def _expand_index_sign_dropped(real):
     # The (-1)^(e_j j) factor of the expansion weights is dropped.
-    return lambda values, table, weight: real(
-        values, table, weight[:3] + (0,) + weight[4:]
+    return lambda values, alpha, weight: real(
+        values, alpha, weight[:3] + (0,) + weight[4:]
     )
 
 
@@ -483,8 +486,8 @@ MATRIX = [
         stirling,
         "connection_coeffs",
         _connection_source_off_by_one,
-        "C2.1 C2.2 C3.1 C3.2 C4.1a C4.2a C5.1a C5.1b CASES-2 CASES-3 T2.1 T2.2 "
-        "T2.3 T3.1 T3.2 T4.2a T4.3a T5.1a T5.1b T5.2a T5.2b T5.2c T5.2d",
+        "C2.1 C2.2 C3.1 C3.2 C5.1a C5.1b CASES-2 CASES-3 T2.1 T2.2 T2.3 T3.1 "
+        "T3.2 T5.1a T5.1b T5.2a T5.2b T5.2c T5.2d",
     ),
     (
         CoeffTable,
@@ -494,13 +497,21 @@ MATRIX = [
         "T2.1 T2.2 T2.3 T3.1 T3.2 T4.1 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b "
         "T5.2a T5.2b T5.2c T5.2d",
     ),
+    # The expansion weights run _rebase from the nodes (alpha, 0, ...) for
+    # the first kind and (0, ..., alpha) for the second: a fault on either
+    # side's nodes reaches the ids of one kind.
     (
-        CoeffTable,
-        "times",
-        _times_diagonal_dropped,
-        "C4.1a C4.1b C4.2a C4.2b T4.2a T4.2b T4.3a T4.3b T5.2a T5.2b T5.2c T5.2d",
+        stirling,
+        "_rebase",
+        _rebase_source_off_by_one,
+        "C2.2 C3.2 C4.1a C4.2a T2.2 T3.2 T4.2a T4.3a T5.2c T5.2d",
     ),
-    (stirling, "_rebase", _rebase_source_off_by_one, "C2.2 C3.2 T2.2 T3.2"),
+    (
+        stirling,
+        "_rebase",
+        _rebase_target_off_by_one,
+        "C3.2 C4.1b C4.2b T3.2 T4.2b T4.3b T5.2a T5.2b",
+    ),
     # L2
     (
         algebra,
@@ -625,6 +636,15 @@ def test_the_sweep_sees_the_fault(owner, name, make, caught, monkeypatch):
     # The whole catalog is swept, so an id missing from the list fails too.
     _inject(monkeypatch, owner, name, make)
     assert _failed(sweep(seed=0)) == set(caught.split())
+
+
+def test_every_expansion_fails_under_a_rebase_fault():
+    # The weights of every expansion identity are moved by _rebase alone.
+    caught = set()
+    for owner, name, _, ids, *_ in MATRIX:
+        if owner is stirling and name == "_rebase":
+            caught.update(ids.split())
+    assert caught >= set(SHARED)
 
 
 def _table_stdout():

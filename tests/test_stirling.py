@@ -24,7 +24,7 @@ from polyfam.stirling import (
     stirling_second,
 )
 
-from oracles import table_product
+from oracles import _times_by_hand, table_product
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10)
 alpha_lists = st.lists(rationals, min_size=0, max_size=5)
@@ -310,7 +310,7 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
                 got = Fraction(r, table.q[n] * table.den ** (n - m))
                 assert got == want[n][m], family
             int_row = table.int_row(n)
-            # T(n, n) = +-1 keeps the degree n that times and _bernoulli_row read.
+            # T(n, n) = +-1 keeps the degree n that _bernoulli_row reads.
             assert len(int_row.num) == n + 1
             assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
         assert table.int_row(-1) == table.int_row(table.size)
@@ -347,37 +347,35 @@ def test_table_views_agree_across_denominators(size, alpha, factor):
     assert CoeffTable(rows) != unit
 
 
-def _times_by_hand(table, row):
-    """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions."""
-    return Polynomial(
-        sum(c * table[m, j] for m, c in enumerate(row.coeffs))
-        for j in range(len(row.num))
-    )
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=8),
     node_lists(),
+    node_lists(),
     st.lists(wide_rationals, min_size=9, max_size=9),
 )
-@example(3, [Fraction(1, 2), Fraction(-2, 3), 5] * 4, [Fraction(1, 3), -7] * 4 + [1])
-def test_times_is_the_row_vector_times_the_table(size, alpha, coeffs):
-    tables = (
-        comtet_first(alpha, size),
-        comtet_second(alpha, size),
-        noncentral_second(alpha, size),
-        lah_signed(size),
+@example(
+    3,
+    [Fraction(1, 2), Fraction(-2, 3), 5] * 4,
+    [0, Fraction(3, 4), Fraction(3, 4)] * 4,
+    [Fraction(1, 3), -7] * 4 + [1],
+)
+def test_rebase_is_the_row_vector_times_the_table(size, alpha, beta, coeffs):
+    # First kind, second kind, non-central, rising to falling, and mixed.
+    zeros, falling, rising = (0,) * size, range(size), range(0, -size, -1)
+    pairs = (
+        (alpha, zeros),
+        (zeros, alpha),
+        (alpha, falling),
+        (rising, falling),
+        (alpha, beta),
     )
-    for table in tables:
-        hand = _hand_built(table, 3)
-        assert hand.den % 3 == 0 and all(q % 3 == 0 for q in hand.q)
-        for t in (table, hand):
-            # Full degree, a lower degree, and the zero row.
-            for row in (coeffs[: size + 1], coeffs[:size], ()):
-                row = Polynomial(row)
-                assert t.times(row) == _times_by_hand(t, row)
-    assert stirling_first(size).times(Polynomial()) == Polynomial()
+    for source, target in pairs:
+        table = connection_coeffs(source, target, size)
+        # Full degree, a lower degree, and the zero row.
+        for row in (coeffs[: size + 1], coeffs[:size], ()):
+            row = Polynomial(row)
+            assert _rebase(row, source, target) == _times_by_hand(table, row)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,8 +392,9 @@ def test_rebase_is_the_row_times_the_classical_tables(size, ints, den):
     signs = (-c if m % 2 else c for m, c in enumerate(row.num))
     signed = Polynomial.over(signs, row.den)
     falling, rising = range(size), range(0, -size, -1)
-    assert _rebase(row, falling, (0,) * size) == stirling_first(size).times(row)
-    assert _rebase(signed, rising, falling) == lah_signed(size).times(row)
+    first, lah = stirling_first(size), lah_signed(size)
+    assert _rebase(row, falling, (0,) * size) == _times_by_hand(first, row)
+    assert _rebase(signed, rising, falling) == _times_by_hand(lah, row)
 
 
 @pytest.mark.parametrize("size", [0, 1, 40])
@@ -403,7 +402,6 @@ def test_rebase_maps_the_zero_row_to_zero(size):
     zero = Polynomial()
     assert _rebase(zero, range(size), (0,) * size) == zero
     assert _rebase(zero, range(0, -size, -1), range(size)) == zero
-    assert stirling_first(size).times(zero) == zero
 
 
 def test_a_table_holds_only_its_integers():
@@ -465,6 +463,9 @@ def test_explicit_second_kind_needs_distinct_parameters():
         comtet_second_explicit((1,), 2, 1)
 
 
-def test_times_requires_a_row_within_the_table():
-    with pytest.raises(PreconditionError):
-        stirling_first(2).times(stirling_second(3).int_row(3))
+def test_rebase_refuses_a_row_longer_than_its_nodes():
+    row = stirling_second(3).int_row(3)
+    short = "parameter sequence of length 2 cannot form a degree-3 basis element"
+    for nodes in (((0, 0), range(3)), (range(3), (0, 0))):
+        with pytest.raises(PreconditionError, match=short):
+            _rebase(row, *nodes)

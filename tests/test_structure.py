@@ -486,8 +486,8 @@ def test_every_module_that_binds_a_traced_function_is_traced():
     modules its `modules` tuple names. A module outside it that bound one by
     name (`from .stirling import comtet_first`) would call the unwrapped
     function, and its calls would drop out of the per-layer figures. So a
-    module outside the tuple reads them through their module at call time,
-    as `transforms` reads `stirling.comtet_first`."""
+    module outside the tuple (`transforms`) reads them through their module
+    at call time, or not at all."""
     tree = ast.parse(TRACING.read_text(), str(TRACING))
     # The tuple names the package itself as `polyfam`: its `__init__.py`.
     (traced,) = [
