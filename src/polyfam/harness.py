@@ -206,15 +206,14 @@ def _agree(pt: ParamPoint, route) -> tuple:
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     """An expansion identity: lhs_route against a family's values at 0..n,
-    summed by the corrected and by the stated weight. `values_of` is the
-    family's one-pass kernel, the one its public route reads row n from: one
-    table (or one product expansion) and one set of box moments give all
-    n+1 values, O(n^2) per point."""
+    summed by the corrected and by the stated weight over one row n of the
+    triangle both name. `values_of` is the family's one-pass kernel, the one
+    its public route reads row n from: one table (or one product expansion)
+    and one set of box moments give all n+1 values, O(n^2) per point."""
     fp = _family(pt)
     values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
-    corrected_sum = _expand(values, fp.alpha, corrected)
-    verbatim = _expand(values, fp.alpha, stated)
+    corrected_sum, verbatim = _expand(values, fp.alpha, corrected, stated)
     return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
 
 

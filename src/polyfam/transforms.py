@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import Polynomial, RatLike, as_rat_tuple
+from .algebra import Polynomial, PreconditionError, RatLike, as_rat_tuple
 from .stirling import _rebase
 
 __all__ = [
@@ -45,28 +45,33 @@ _FROM_FIRST = (2, 1, 1, 0, 1, False)  # (-1)^(n-m) m! S(n,m) S(m,j)
 _FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
 
 
-def _expand(values: Sequence, alpha: Sequence[Fraction], weight: tuple):
-    """sum_{j<=m<=n} w(j, m) values[j] for n = len(values) - 1, fraction-free
-    and with no table built. Row n of T is the unit row X^n moved by `_rebase`
-    from T's source basis to its target (nodes alpha to 0, ... for kind 1;
-    0, ... to alpha for kind 2). As row n of L, signed by (-1)^(e_m m) and
-    scaled by f_m (m! for p = 1, n!/m! for p = -1), it is moved once more
-    (times T); coefficient j, signed by (-1)^(e_n n + e_j j) and over a
-    further n! for p = -1, is the weight of values[j]. No row is read through
-    int_row, which the mp_bernoulli lhs reads: a fault there would cancel."""
-    kind, e_n, e_m, e_j, power, absolute = weight
+def _expand(values: Sequence, alpha: Sequence[Fraction], *weights: tuple) -> list:
+    """sum_{j<=m<=n} w(j, m) values[j], n = len(values) - 1, for each weight,
+    all naming one triangle T; fraction-free, no table built. Row n of T is
+    the unit row X^n moved once by `_rebase` from T's source basis to its
+    target (nodes alpha to 0, ... for kind 1; 0, ... to alpha for kind 2).
+    As row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
+    n!/m! for p = -1), it is moved once more (times T); coefficient j, signed
+    by (-1)^(e_n n + e_j j) and over a further n! for p = -1, weighs
+    values[j]. No row is read through int_row, which the mp_bernoulli lhs
+    reads: a fault there would cancel."""
+    (kind,) = {weight[0] for weight in weights}
     n = len(values) - 1
     nodes = (alpha, (0,) * n) if kind == 1 else ((0,) * n, alpha)
     left = _rebase(Polynomial.over((0,) * n + (1,)), *nodes)
     fact = [math.factorial(m) for m in range(n + 1)]
-    scale = fact if power == 1 else [fact[n] // f for f in fact]
-    signed = enumerate(map(abs, left.num) if absolute else left.num)
-    row = Polynomial.over(
-        ((-1) ** (e_m * m) * scale[m] * c for m, c in signed), left.den
-    )
-    product = _rebase(row, *nodes)
-    weights = [(-1) ** (e_n * n + e_j * j) * c for j, c in enumerate(product.num)]
-    return _combine(weights, (1 if power == 1 else fact[n]) * product.den, values)
+    sums = []
+    for _, e_n, e_m, e_j, power, absolute in weights:
+        scale = fact if power == 1 else [fact[n] // f for f in fact]
+        signed = enumerate(map(abs, left.num) if absolute else left.num)
+        row = Polynomial.over(
+            ((-1) ** (e_m * m) * scale[m] * c for m, c in signed), left.den
+        )
+        product = _rebase(row, *nodes)
+        w = [(-1) ** (e_n * n + e_j * j) * c for j, c in enumerate(product.num)]
+        den = (1 if power == 1 else fact[n]) * product.den
+        sums.append(_combine(w, den, values))
+    return sums
 
 
 def _combine(weights: Sequence[int], den: int, values: Sequence):
@@ -89,7 +94,9 @@ def _combine(weights: Sequence[int], den: int, values: Sequence):
 
 
 def _transform(weight: tuple, n: int, alpha: Sequence[RatLike], values: Sequence):
-    return _expand(values[: n + 1], as_rat_tuple(alpha), weight)
+    if not 0 <= n < len(values):
+        raise PreconditionError(f"no value at transform index {n}")
+    return _expand(values[: n + 1], as_rat_tuple(alpha), weight)[0]
 
 
 def second_from_bernoulli(n: int, alpha: Sequence[RatLike], values: Sequence):

@@ -644,10 +644,10 @@ TRANSFORMS = (
 def test_expand_matches_the_written_out_double_sum(case):
     n, alpha, values = case
     weights = _written_out_weights(alpha, n)
-    for spec, weight in weights.items():
-        assert repr(_expand(values, alpha, spec)) == repr(
-            _double_sum(n, values, weight)
-        ), spec
+    for kind in (1, 2):
+        specs = [spec for spec in weights if spec[0] == kind]
+        for spec, total in zip(specs, _expand(values, alpha, *specs), strict=True):
+            assert repr(total) == repr(_double_sum(n, values, weights[spec])), spec
     for transform, spec in TRANSFORMS:
         assert repr(transform(n, alpha, values)) == repr(
             _double_sum(n, values, weights[spec])
@@ -661,6 +661,25 @@ def test_a_transform_refuses_fewer_parameters_than_its_degree(transform):
     short = "parameter sequence of length 1 cannot form a degree-3 basis element"
     with pytest.raises(PreconditionError, match=short):
         transform(3, (Fraction(1, 2),), [Fraction(1)] * 4)
+
+
+@pytest.mark.parametrize(
+    "transform", [t for t, _ in TRANSFORMS], ids=lambda t: t.__name__
+)
+@pytest.mark.parametrize(
+    "n, values, message",
+    [
+        (-1, [1], "no value at transform index -1"),
+        (3, [1, 2], "no value at transform index 3"),
+    ],
+    ids=["negative-index", "short-values"],
+)
+def test_a_transform_refuses_an_index_its_values_cannot_reach(
+    transform, n, values, message
+):
+    # A short value list is refused, not summed at a lower index.
+    with pytest.raises(PreconditionError, match=message):
+        transform(n, (1, 2, 3), values)
 
 
 # The faulted cases of these two checks are in the mutation matrix

@@ -284,8 +284,7 @@ def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(
         # The rest of _inversion's body: the values at 0..n and their sums
         # by the corrected and the stated weights.
         values = values_of(fp, range(fp.n + 1))
-        for weight in filter(None, (corrected, stated)):
-            harness._expand(values, fp.alpha, weight)
+        harness._expand(values, fp.alpha, corrected, stated)
 
     shared = _kernels(lhs_route, (fp,)) & _kernels(values_and_weights, ())
     allowed, reason = SHARED[identity]

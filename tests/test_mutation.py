@@ -408,8 +408,8 @@ def _kind_sign_dropped(real):
 
 def _expand_index_sign_dropped(real):
     # The (-1)^(e_j j) factor of the expansion weights is dropped.
-    return lambda values, alpha, weight: real(
-        values, alpha, weight[:3] + (0,) + weight[4:]
+    return lambda values, alpha, *weights: real(
+        values, alpha, *(w[:3] + (0,) + w[4:] for w in weights)
     )
 
 
