@@ -103,8 +103,16 @@ def integer_samples(count: int) -> tuple[Fraction, ...]:
     Used as deterministic evaluation points when two polynomials are compared
     by sampling.
     """
-    signed = (Fraction(s * step) for step in range(1, count) for s in (1, -1))
-    return (Fraction(0), *signed)[:count]
+    out: list[Fraction] = []
+    step = 1
+    if count > 0:
+        out.append(Fraction(0))
+    while len(out) < count:
+        out.append(Fraction(step))
+        if len(out) < count:
+            out.append(Fraction(-step))
+        step += 1
+    return tuple(out)
 
 
 class Polynomial:

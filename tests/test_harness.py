@@ -657,29 +657,26 @@ def test_expand_matches_the_written_out_double_sum(case):
 @pytest.mark.parametrize(
     "transform", [t for t, _ in TRANSFORMS], ids=lambda t: t.__name__
 )
-def test_a_transform_refuses_fewer_parameters_than_its_degree(transform):
-    short = "parameter sequence of length 1 cannot form a degree-3 basis element"
-    with pytest.raises(PreconditionError, match=short):
-        transform(3, (Fraction(1, 2),), [Fraction(1)] * 4)
-
-
 @pytest.mark.parametrize(
-    "transform", [t for t, _ in TRANSFORMS], ids=lambda t: t.__name__
-)
-@pytest.mark.parametrize(
-    "n, values, message",
+    "n, alpha, values, message",
     [
-        (-1, [1], "no value at transform index -1"),
-        (3, [1, 2], "no value at transform index 3"),
+        (
+            3,
+            (Fraction(1, 2),),
+            [1] * 4,
+            "parameter sequence of length 1 cannot form a degree-3 basis element",
+        ),
+        (-1, (1, 2, 3), [1], "no value at transform index -1"),
+        # A short value list is refused, not summed at a lower index.
+        (3, (1, 2, 3), [1, 2], "no value at transform index 3"),
     ],
-    ids=["negative-index", "short-values"],
+    ids=["short-parameters", "negative-index", "short-values"],
 )
-def test_a_transform_refuses_an_index_its_values_cannot_reach(
-    transform, n, values, message
+def test_a_transform_refuses_an_index_its_inputs_cannot_reach(
+    transform, n, alpha, values, message
 ):
-    # A short value list is refused, not summed at a lower index.
     with pytest.raises(PreconditionError, match=message):
-        transform(n, (1, 2, 3), values)
+        transform(n, alpha, values)
 
 
 # The faulted cases of these two checks are in the mutation matrix
