@@ -16,7 +16,9 @@ implementation.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from fractions import Fraction
 
 RatLike = Fraction | int | str
@@ -80,6 +82,19 @@ class Record:
         return type(self), self._fields()
 
 
+@contextmanager
+def _all_digits():
+    """Lifts the int/str digit limit (3.10.7 on) inside the block; restores it after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def as_rat(value: RatLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -123,11 +138,9 @@ class Polynomial:
     gcd(den, *num) == 1. That form is canonical, so equal polynomials compare
     equal structurally, and the ring operations run over the integers;
     `coeffs`, `coefficient` and evaluation build their Fractions on demand.
-    The zero polynomial has num == () and degree -infinity (float("-inf")),
-    which keeps degree(p * q) == degree(p) + degree(q) true without
-    exceptions. Triangle rows (polynomials in T = x_1 * ... * x_k), box
-    moments sum_m mu_m t^m and value lists are Polynomials too: their zero
-    top entries are stripped, so a reader that needs a length takes it from
+    Triangle rows (polynomials in T = x_1 * ... * x_k), box moments
+    sum_m mu_m t^m and value lists are Polynomials too: their zero top
+    entries are stripped, so a reader that needs a length takes it from
     elsewhere.
     """
 
@@ -158,12 +171,6 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
-
-    @property
-    def degree(self) -> int | float:
-        if not self.num:
-            return float("-inf")
-        return len(self.num) - 1
 
     def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self.num):

@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import Polynomial, PreconditionError
+from .algebra import Polynomial, PreconditionError, _all_digits
 from .bernoulli import CONVENTIONS, mp_bernoulli, mp_bernoulli_poly
 from .cauchy import (
     FamilyPoint,
@@ -408,16 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Exact values print in full: lift the int/str digit limit (3.10.7 on).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        with _all_digits():
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)

@@ -28,6 +28,7 @@ from .algebra import (
     RatLike,
     Record,
     TruncatedSeries,
+    _all_digits,
     as_rat_tuple,
     box_moments,
     integer_samples,
@@ -60,7 +61,7 @@ from .cauchy import (
     mp_second_lah,
     specialize,
 )
-from .stirling import comtet_first, noncentral_second, stirling_first
+from .stirling import _rebase
 from .transforms import (
     _FROM_FIRST,
     _FROM_SECOND,
@@ -256,10 +257,10 @@ def _require_q(pt: ParamPoint) -> Fraction:
 
 
 def _second_abs(pairing, fp: FamilyPoint):
-    """The stated second kind, with the signless row replaced by the absolute
-    values of first-kind row n (as `_expand` reads them): the stated closed
-    form of the numbers under _pair, the stated polynomial under _poly_from_row."""
-    row = comtet_first(fp.alpha[: fp.n], fp.n).int_row(fp.n)
+    """The stated second kind, the signless row replaced by the absolute values
+    of first-kind row n (X^n moved, as `_expand` reads it): the stated numbers
+    under _pair, the stated polynomial under _poly_from_row."""
+    row = _rebase(Polynomial.over((0,) * fp.n + (1,)), fp.alpha[: fp.n], (0,) * fp.n)
     moments = box_moments(fp.lengths, fp.n)
     return (-1) ** fp.n * pairing(Polynomial.over(map(abs, row.num), row.den), moments)
 
@@ -285,7 +286,8 @@ def _eval_T23(pt: ParamPoint) -> tuple:
     lhs = mp_first_def(fp)
     corrected = mp_first_via_polycauchy(fp)
     unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
-    verbatim = noncentral_second(fp.alpha[: fp.n], fp.n).int_row(fp.n)(1) * unit_value
+    nc = _rebase(Polynomial.over((0,) * fp.n + (1,)), fp.alpha[: fp.n], range(fp.n))
+    verbatim = nc(1) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
 
@@ -405,8 +407,9 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     classical_roots = tuple(Fraction(i) for i in range(n))
     kind = "first" if sign > 0 else "second"
     unit = (Fraction(1),) * k
-    # Row n with s(n, m) scaled by (sign q)^(n-m), over the integers: sign q = u/v.
-    row, u, v = stirling_first(n).int_row(n), sign * q.numerator, q.denominator
+    # Row n (X^n moved) with s(n, m) scaled by (sign q)^(n-m): sign q = u/v.
+    row = _rebase(Polynomial.over((0,) * n + (1,)), range(n), (0,) * n)
+    u, v = sign * q.numerator, q.denominator
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
     moments = box_moments(unit, n)
     triangle_q = sign**n * _pair(Polynomial.over(scaled, row.den * v**n), moments)
@@ -629,7 +632,8 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     try:
         if entry.k1_only and point.k != 1:
             raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
-        out = entry.evaluate(point)
+        with _all_digits():
+            out = entry.evaluate(point)
     except PreconditionError as exc:
         out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)

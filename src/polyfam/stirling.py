@@ -26,9 +26,11 @@ brings its own denominator only. One integer list holds the current row and
 is updated in place, from the highest index down, so that r(n, m-1) is
 still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
 
-A caller that needs one row vector times a table builds no table: `_rebase`
-runs the same step on the vector alone, by Horner's scheme over the source
-nodes.
+A row vector times a table, row n (the unit row X^n) included, builds no
+table: `_rebase` runs the same step on the vector alone, in the same form, by
+Horner's scheme over the source nodes. The two loops share no step helper:
+the expansion identities sum table-built values by `_rebase`-moved weights,
+and a shared helper would be a kernel common to both sides.
 """
 
 from __future__ import annotations
@@ -164,27 +166,27 @@ def _rebase(
 ) -> Polynomial:
     """The row vector `row` times connection_coeffs(source, target, N), N =
     deg(row), with no table built: Horner's scheme over the source nodes,
-    v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in the target basis,
-    where one step is new_l = v_(l-1) + (b_l - a_m) v_l (Verde-Star 1988;
-    Gander, Numer. Linear Algebra Appl. 2005). Fraction-free: with E the lcm
-    of the nodes' denominators, A = E a and B = E b, a degree-K vector is
-    held as u_l = E^(K-l) v_l, so the step is u_l <- u_(l-1) + (B_l - A_m)
-    u_l, row[m] enters times E^(K+1), and coefficient l leaves as u_l E^l
-    over row.den E^N (E = 1 for integer nodes)."""
+    v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in the target basis
+    (Verde-Star 1988; Gander, Numer. Linear Algebra Appl. 2005), in the
+    module docstring's form, q = 1 fork included: a degree-K vector is held
+    as u_l = Q D^(K-l) v_l, one step is u_l <- q u_(l-1) + (q B_l - p D) u_l,
+    and row[m] enters at degree 0 times the running Q D^K."""
     r, size = row.num, max(len(row.num) - 1, 0)
     a, b = _nodes(source, size), _nodes(target, size)
-    e = math.lcm(*[q for _, q in a + b])
-    a, b = [p * (e // q) for p, q in a], [p * (e // q) for p, q in b]
-    v, power = list(r[-1:]), 1
-    for m in range(len(r) - 2, -1, -1):
-        a_m, power = a[m], power * e
-        v.append(v[-1])
-        for l in range(len(v) - 2, 0, -1):
-            v[l] = v[l - 1] + (b[l] - a_m) * v[l]
-        v[0] = (b[0] - a_m) * v[0] + r[m] * power
-    if e > 1:
-        v = [u * e**l for l, u in enumerate(v)]
-    return Polynomial.over(v, row.den * power)
+    d = math.lcm(*[q for _, q in b])
+    b = [p * (d // q) for p, q in b]
+    u, power = list(r[-1:]), 1
+    for (p, q), c in zip(reversed(a), reversed(r[:-1])):
+        pd, power = p * d, power * q * d
+        u.append(q * u[-1])
+        if q == 1:
+            for l in range(len(u) - 2, 0, -1):
+                u[l] = u[l - 1] + (b[l] - pd) * u[l]
+        else:
+            for l in range(len(u) - 2, 0, -1):
+                u[l] = q * u[l - 1] + (q * b[l] - pd) * u[l]
+        u[0] = (q * b[0] - pd) * u[0] + c * power
+    return Polynomial.over((x * d**l for l, x in enumerate(u)), row.den * power)
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:

@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -140,6 +142,29 @@ def test_verify_reports_a_pass():
     assert report.verbatim == "PASS"
     assert report.corrected == "PASS"
     assert report.lhs == report.rhs
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize("identity", ["T4.3a", "T4.3b", "T5.2a"])
+def test_verify_reports_values_past_the_int_string_digit_limit(identity):
+    # 64-bit numerators over 16-bit denominators at n = 40: the report's
+    # integers run past CPython's default limit of 4300 digits for int/str
+    # conversion, and the process's limit is the same after the call.
+    rng = random.Random(0)
+
+    def rat():
+        return Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**16))
+
+    alpha = [rat() for _ in range(40)]
+    point = ParamPoint(40, 2, alpha, (rat(), rat()), z0=rat(), q=rat())
+    limit = sys.get_int_max_str_digits()
+    report = verify(identity, point)
+    assert sys.get_int_max_str_digits() == limit
+    assert report.corrected == PASS
+    text = report.lhs + report.rhs + report.note
+    assert max(map(len, re.findall(r"\d+", text))) > 4300
 
 
 def test_verify_rejects_unknown_ids():

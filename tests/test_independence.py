@@ -104,6 +104,8 @@ GENERIC = {
 
 _TABLE = {"stirling.connection_coeffs"}
 _FIRST = {"algebra.box_moments", "cauchy._pair"} | _TABLE
+# A route that reads one row moves the unit row X^n by _rebase: no table.
+_ROW = {"algebra.box_moments", "cauchy._pair", "stirling._rebase"}
 _BERNOULLI = {
     "algebra.box_moments",
     "bernoulli._bernoulli_row",
@@ -115,9 +117,8 @@ _DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_
 KERNELS = {
     "mp_first_def": _DEFINITION,
     "mp_first_closed": _FIRST | {"cauchy._closed_values", "stirling.comtet_first"},
-    "mp_first_noncentral": _FIRST | {"stirling._rebase", "stirling.noncentral_second"},
-    "mp_first_via_polycauchy": _FIRST
-    | {"cauchy._classic_first_values", "stirling.noncentral_second"},
+    "mp_first_noncentral": _ROW,
+    "mp_first_via_polycauchy": _ROW | {"cauchy._classic_first_values"},
     "mp_first_bell": {
         "algebra.box_moments",
         "cauchy._bell_numerators",
@@ -127,12 +128,7 @@ KERNELS = {
     "mp_second_def": _DEFINITION,
     "mp_second_closed": _FIRST
     | {"cauchy._closed_values", "stirling.signless_comtet_first"},
-    "mp_second_lah": _FIRST
-    | {
-        "cauchy._classic_first_values",
-        "stirling._rebase",
-        "stirling.noncentral_second",
-    },
+    "mp_second_lah": _ROW | {"cauchy._classic_first_values"},
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {
         "algebra.box_moments",
