@@ -208,7 +208,7 @@ def mp_first_noncentral(p: FamilyPoint) -> Fraction:
 def mp_first_via_polycauchy(p: FamilyPoint) -> Fraction:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths), the C_m
-    by _classic_first_values, the non-central row the unit row X^n moved."""
+    by _classic_first_values, the non-central row X^n moved by _rebase."""
     nc = _rebase(Polynomial.over((0,) * p.n + (1,)), p.alpha[: p.n], range(p.n))
     classic = _classic_first_values(box_moments(p.lengths, p.n), p.n)
     return _pair(nc, classic)
@@ -300,8 +300,8 @@ def mp_second_lah(p: FamilyPoint) -> Fraction:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths). L(m, l) expands
     (-X)_m = (-1)^m X(X+1)...(X+m-1) in falling factorials, so the
-    non-central row (X^n moved), signed by (-1)^m, moves from the rising to
-    the falling basis by _rebase over the nodes 0, -1, ..., -(n-1)."""
+    non-central row (X^n moved by _rebase), signed by (-1)^m, moves from the
+    rising to the falling basis over the nodes 0, -1, ..., -(n-1)."""
     row = _rebase(Polynomial.over((0,) * p.n + (1,)), p.alpha[: p.n], range(p.n))
     signed = (-c if m % 2 else c for m, c in enumerate(row.num))
     row = _rebase(Polynomial.over(signed, row.den), range(0, -p.n, -1), range(p.n))

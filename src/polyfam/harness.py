@@ -258,8 +258,8 @@ def _require_q(pt: ParamPoint) -> Fraction:
 
 def _second_abs(pairing, fp: FamilyPoint):
     """The stated second kind, the signless row replaced by the absolute values
-    of first-kind row n (X^n moved, as `_expand` reads it): the stated numbers
-    under _pair, the stated polynomial under _poly_from_row."""
+    of first-kind row n (X^n moved by _rebase, as `_expand` reads it): the
+    stated numbers under _pair, the stated polynomial under _poly_from_row."""
     row = _rebase(Polynomial.over((0,) * fp.n + (1,)), fp.alpha[: fp.n], (0,) * fp.n)
     moments = box_moments(fp.lengths, fp.n)
     return (-1) ** fp.n * pairing(Polynomial.over(map(abs, row.num), row.den), moments)
@@ -407,7 +407,7 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     classical_roots = tuple(Fraction(i) for i in range(n))
     kind = "first" if sign > 0 else "second"
     unit = (Fraction(1),) * k
-    # Row n (X^n moved) with s(n, m) scaled by (sign q)^(n-m): sign q = u/v.
+    # Row n of s (X^n moved by _rebase), s(n, m) times (sign q)^(n-m), sign q = u/v.
     row = _rebase(Polynomial.over((0,) * n + (1,)), range(n), (0,) * n)
     u, v = sign * q.numerator, q.denominator
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
