@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
 from fractions import Fraction
 
 RatLike = Fraction | int | str
@@ -82,17 +81,15 @@ class Record:
         return type(self), self._fields()
 
 
-@contextmanager
-def _all_digits():
-    """Lifts the int/str digit limit (3.10.7 on) inside the block; restores it after."""
+def _all_digits(call, *args):
+    """call(*args) with the int/str digit limit (3.10.7 on) lifted; restored after."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
     try:
-        yield
+        return call(*args)
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        set_limit(limit)
 
 
 def as_rat(value: RatLike) -> Fraction:

@@ -29,7 +29,7 @@ from .algebra import (
     box_moments,
     log1p_series,
 )
-from .stirling import _rebase, comtet_first, signless_comtet_first
+from .stirling import _rebase, _row, comtet_first, signless_comtet_first
 
 __all__ = [
     "SPECIAL_FAMILIES",
@@ -198,20 +198,18 @@ def classic_first_with_lengths(m: int, lengths: Sequence[RatLike]) -> Fraction:
 def mp_first_noncentral(p: FamilyPoint) -> Fraction:
     """First kind through the non-central table and the classical first-kind
     numbers: sum_j sum_{m>=j} S(n, m; a) s(m, j) (l_1...l_k)^(j+1)/(j+1)^k.
-    _rebase moves the unit row X^n to the non-central row, in falling
-    factorials, and that row to monomials over the nodes 0, 1, ..., n-1."""
-    nc = _rebase(Polynomial.over((0,) * p.n + (1,)), p.alpha[: p.n], range(p.n))
-    row = _rebase(nc, range(p.n), (0,) * p.n)
+    _row reads the non-central row, in falling factorials, and _rebase moves
+    it to monomials over the nodes 0, 1, ..., n-1."""
+    row = _rebase(_row(p.alpha[: p.n], range(p.n), p.n), range(p.n), (0,) * p.n)
     return _pair(row, box_moments(p.lengths, p.n))
 
 
 def mp_first_via_polycauchy(p: FamilyPoint) -> Fraction:
     """First kind as a non-central combination of classical-parameter values
     carrying the same box lengths: sum_m S(n, m; a) C_m(lengths), the C_m
-    by _classic_first_values, the non-central row X^n moved by _rebase."""
-    nc = _rebase(Polynomial.over((0,) * p.n + (1,)), p.alpha[: p.n], range(p.n))
+    by _classic_first_values, the non-central row by _row."""
     classic = _classic_first_values(box_moments(p.lengths, p.n), p.n)
-    return _pair(nc, classic)
+    return _pair(_row(p.alpha[: p.n], range(p.n), p.n), classic)
 
 
 def _reciprocal_power_sums(
@@ -300,9 +298,9 @@ def mp_second_lah(p: FamilyPoint) -> Fraction:
     """Second kind through non-central and signed Lah expansions:
     sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths). L(m, l) expands
     (-X)_m = (-1)^m X(X+1)...(X+m-1) in falling factorials, so the
-    non-central row (X^n moved by _rebase), signed by (-1)^m, moves from the
-    rising to the falling basis over the nodes 0, -1, ..., -(n-1)."""
-    row = _rebase(Polynomial.over((0,) * p.n + (1,)), p.alpha[: p.n], range(p.n))
+    non-central row (read by _row), signed by (-1)^m, moves from the rising
+    to the falling basis by _rebase over the nodes 0, -1, ..., -(n-1)."""
+    row = _row(p.alpha[: p.n], range(p.n), p.n)
     signed = (-c if m % 2 else c for m, c in enumerate(row.num))
     row = _rebase(Polynomial.over(signed, row.den), range(0, -p.n, -1), range(p.n))
     return _pair(row, _classic_first_values(box_moments(p.lengths, p.n), p.n))

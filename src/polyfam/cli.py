@@ -409,9 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        with _all_digits():
-            args = build_parser().parse_args(argv)
-            return args.handler(args)
+        args = build_parser().parse_args(argv)
+        return _all_digits(args.handler, args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3

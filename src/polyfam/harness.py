@@ -61,7 +61,7 @@ from .cauchy import (
     mp_second_lah,
     specialize,
 )
-from .stirling import _rebase
+from .stirling import _row
 from .transforms import (
     _FROM_FIRST,
     _FROM_SECOND,
@@ -258,9 +258,9 @@ def _require_q(pt: ParamPoint) -> Fraction:
 
 def _second_abs(pairing, fp: FamilyPoint):
     """The stated second kind, the signless row replaced by the absolute values
-    of first-kind row n (X^n moved by _rebase, as `_expand` reads it): the
-    stated numbers under _pair, the stated polynomial under _poly_from_row."""
-    row = _rebase(Polynomial.over((0,) * fp.n + (1,)), fp.alpha[: fp.n], (0,) * fp.n)
+    of first-kind row n (read by _row, as `_expand` reads it): the stated
+    numbers under _pair, the stated polynomial under _poly_from_row."""
+    row = _row(fp.alpha[: fp.n], (0,) * fp.n, fp.n)
     moments = box_moments(fp.lengths, fp.n)
     return (-1) ** fp.n * pairing(Polynomial.over(map(abs, row.num), row.den), moments)
 
@@ -286,8 +286,7 @@ def _eval_T23(pt: ParamPoint) -> tuple:
     lhs = mp_first_def(fp)
     corrected = mp_first_via_polycauchy(fp)
     unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
-    nc = _rebase(Polynomial.over((0,) * fp.n + (1,)), fp.alpha[: fp.n], range(fp.n))
-    verbatim = nc(1) * unit_value
+    verbatim = _row(fp.alpha[: fp.n], range(fp.n), fp.n)(1) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
 
 
@@ -407,9 +406,8 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     classical_roots = tuple(Fraction(i) for i in range(n))
     kind = "first" if sign > 0 else "second"
     unit = (Fraction(1),) * k
-    # Row n of s (X^n moved by _rebase), s(n, m) times (sign q)^(n-m), sign q = u/v.
-    row = _rebase(Polynomial.over((0,) * n + (1,)), range(n), (0,) * n)
-    u, v = sign * q.numerator, q.denominator
+    # Row n of s, s(n, m) scaled by (sign q)^(n-m), over the integers: sign q = u/v.
+    row, u, v = _row(range(n), (0,) * n, n), sign * q.numerator, q.denominator
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
     moments = box_moments(unit, n)
     triangle_q = sign**n * _pair(Polynomial.over(scaled, row.den * v**n), moments)
@@ -632,8 +630,7 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     try:
         if entry.k1_only and point.k != 1:
             raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
-        with _all_digits():
-            out = entry.evaluate(point)
+        out = _all_digits(entry.evaluate, point)
     except PreconditionError as exc:
         out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)

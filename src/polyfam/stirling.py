@@ -26,11 +26,12 @@ brings its own denominator only. One integer list holds the current row and
 is updated in place, from the highest index down, so that r(n, m-1) is
 still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
 
-A row vector times a table, row n (the unit row X^n) included, builds no
-table: `_rebase` runs the same step on the vector alone, in the same form, by
-Horner's scheme over the source nodes. The two loops share no step helper:
-the expansion identities sum table-built values by `_rebase`-moved weights,
-and a shared helper would be a kernel common to both sides.
+A row vector times a table builds no table: `_rebase` runs the same step on
+the vector alone, in the same form, by Horner's scheme over the source nodes,
+and `_row` reads row n as the unit row X^n moved by it. The two loops share
+no step helper: the expansion identities sum table-built values by
+`_rebase`-moved weights, and a shared helper would be a kernel common to
+both sides.
 """
 
 from __future__ import annotations
@@ -167,10 +168,9 @@ def _rebase(
     """The row vector `row` times connection_coeffs(source, target, N), N =
     deg(row), with no table built: Horner's scheme over the source nodes,
     v <- v (X - a_m) + row[m] for m = N-1, ..., 0, held in the target basis
-    (Verde-Star 1988; Gander, Numer. Linear Algebra Appl. 2005), in the
-    module docstring's form, q = 1 fork included: a degree-K vector is held
-    as u_l = Q D^(K-l) v_l, one step is u_l <- q u_(l-1) + (q B_l - p D) u_l,
-    and row[m] enters at degree 0 times the running Q D^K."""
+    (Verde-Star 1988; Gander, Numer. Linear Algebra Appl. 2005) in the module
+    docstring's form: u_l = Q D^(K-l) v_l at degree K, row[m] entering at
+    degree 0 times the running Q D^K."""
     r, size = row.num, max(len(row.num) - 1, 0)
     a, b = _nodes(source, size), _nodes(target, size)
     d = math.lcm(*[q for _, q in b])
@@ -179,14 +179,16 @@ def _rebase(
     for (p, q), c in zip(reversed(a), reversed(r[:-1])):
         pd, power = p * d, power * q * d
         u.append(q * u[-1])
-        if q == 1:
-            for l in range(len(u) - 2, 0, -1):
-                u[l] = u[l - 1] + (b[l] - pd) * u[l]
-        else:
-            for l in range(len(u) - 2, 0, -1):
-                u[l] = q * u[l - 1] + (q * b[l] - pd) * u[l]
+        for l in range(len(u) - 2, 0, -1):
+            u[l] = q * u[l - 1] + (q * b[l] - pd) * u[l]
         u[0] = (q * b[0] - pd) * u[0] + c * power
     return Polynomial.over((x * d**l for l, x in enumerate(u)), row.den * power)
+
+
+def _row(source: Iterable[RatLike], target: Iterable[RatLike], n: int) -> Polynomial:
+    """Row n of connection_coeffs(source, target, n), no table built: the
+    unit row X^n moved by `_rebase`."""
+    return _rebase(Polynomial.over((0,) * n + (1,)), source, target)
 
 
 def comtet_first(alpha: Iterable[RatLike], size: int) -> CoeffTable:

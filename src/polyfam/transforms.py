@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import Polynomial, PreconditionError, RatLike, as_rat_tuple
-from .stirling import _rebase
+from .stirling import _rebase, _row
 
 __all__ = [
     "bernoulli_from_first",
@@ -48,7 +48,7 @@ _FROM_SECOND = (2, 1, 0, 0, 1, False)  # (-1)^n m! S(n,m) S(m,j)
 def _expand(values: Sequence, alpha: Sequence[Fraction], *weights: tuple) -> list:
     """sum_{j<=m<=n} w(j, m) values[j], n = len(values) - 1, for each weight,
     all naming one triangle T; fraction-free, no table built. Row n of T is
-    the unit row X^n moved once by `_rebase` from T's source basis to its
+    read by `_row`, the unit row X^n moved once from T's source basis to its
     target (nodes alpha to 0, ... for kind 1; 0, ... to alpha for kind 2).
     As row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
     n!/m! for p = -1), it is moved once more (times T); coefficient j, signed
@@ -58,7 +58,7 @@ def _expand(values: Sequence, alpha: Sequence[Fraction], *weights: tuple) -> lis
     (kind,) = {weight[0] for weight in weights}
     n = len(values) - 1
     nodes = (alpha, (0,) * n) if kind == 1 else ((0,) * n, alpha)
-    left = _rebase(Polynomial.over((0,) * n + (1,)), *nodes)
+    left = _row(*nodes, n)
     fact = [math.factorial(m) for m in range(n + 1)]
     sums = []
     for _, e_n, e_m, e_j, power, absolute in weights:

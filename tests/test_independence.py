@@ -104,8 +104,9 @@ GENERIC = {
 
 _TABLE = {"stirling.connection_coeffs"}
 _FIRST = {"algebra.box_moments", "cauchy._pair"} | _TABLE
-# A route that reads one row moves the unit row X^n by _rebase: no table.
-_ROW = {"algebra.box_moments", "cauchy._pair", "stirling._rebase"}
+# A route that reads one row moves the unit row X^n by _rebase (in _row): no
+# table.
+_ROW = {"algebra.box_moments", "cauchy._pair", "stirling._rebase", "stirling._row"}
 _BERNOULLI = {
     "algebra.box_moments",
     "bernoulli._bernoulli_row",
