@@ -209,6 +209,15 @@ def _rebase_target_off_by_one(real):
     return fake
 
 
+def _row_unit_carries_the_row_below(real):
+    # The unit row is X^n + X^(n-1): row n reads as row n plus row n-1.
+    def fake(source, target, n):
+        row = real(source, target, n)
+        return row + real(source, target, n - 1) if n else row
+
+    return fake
+
+
 # --- L2: routes -----------------------------------------------------------
 
 
@@ -513,6 +522,14 @@ MATRIX = [
         "_rebase",
         _rebase_target_off_by_one,
         "C2.2 C4.1b C4.2b T2.2 T2.3 T4.2b T4.3b T5.2a T5.2b",
+    ),
+    # Every one-row read and every expansion's row n of T come from _row.
+    (
+        stirling,
+        "_row",
+        _row_unit_carries_the_row_below,
+        "C2.2 C3.2 C4.1a C4.1b C4.2a C4.2b CASES-2 CASES-3 T2.2 T2.3 T3.2 T4.2a "
+        "T4.2b T4.3a T4.3b T5.2a T5.2b T5.2c T5.2d",
     ),
     # L2
     (
