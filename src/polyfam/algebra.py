@@ -208,8 +208,6 @@ class Polynomial:
                 return Polynomial()
             out = [0] * (len(self.num) + len(other.num) - 1)
             for i, a in enumerate(self.num):
-                if a == 0:
-                    continue
                 for j, b in enumerate(other.num):
                     out[i + j] += a * b
             return Polynomial.over(out, self.den * other.den)

@@ -89,8 +89,6 @@ def _bernoulli_values(
     a_0..a_(j-1) only, of one second-kind table of size n with one
     box_moments(..., n)."""
     _check_convention(convention)
-    if not all(0 <= j <= p.n for j in rows):
-        raise IndexError(f"a row of {list(rows)} is outside 0..{p.n}")
     table = comtet_second(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.n)
     return [

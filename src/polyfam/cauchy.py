@@ -158,8 +158,6 @@ def _closed_values(pairing, sign: int, p: FamilyPoint, rows: Sequence[int]) -> l
     only, of one first-kind (sign 1) or signless (sign -1) table of size n
     with one box_moments(..., n). The triangle is looked up by name at each
     call, so a caller that rebinds it in this module sees every build."""
-    if not all(0 <= j <= p.n for j in rows):
-        raise IndexError(f"a row of {list(rows)} is outside 0..{p.n}")
     triangle = comtet_first if sign > 0 else signless_comtet_first
     table = triangle(p.alpha[: p.n], p.n)
     moments = box_moments(p.lengths, p.n)

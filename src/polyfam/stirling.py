@@ -66,9 +66,9 @@ class CoeffTable(Record):
 
     Held fraction-free: entry (n, m) is num[n][m] / (q[n] den^(n-m)) with
     integer numerators, one denominator den >= 1 and one row denominator
-    q[n] >= 1 per row (all 1 when omitted), and nothing else. Row n is read
-    as a polynomial by `int_row`, the path the routes pair; `row`,
-    equality and hash read it too, and indexing builds one Fraction.
+    q[n] >= 1 per row (all 1 when omitted), and nothing else. `int_row`
+    alone decodes that form and checks the row: `row` and indexing read row
+    n through it. A table compares field by field, like every Record.
     """
 
     __slots__ = ("num", "den", "q")
@@ -81,15 +81,17 @@ class CoeffTable(Record):
         return len(self.num) - 1
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(map(self.int_row(n).coefficient, range(len(self.num[n]))))
+        return tuple(map(self.int_row(n).coefficient, range(n + 1)))
 
     def int_row(self, n: int) -> Polynomial:
         """Row n as the polynomial sum_m T(n, m) X^m in canonical form: the
         integers num[n][m] den^m over q[n] den^n, reduced. A connection
         table's T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps
-        all n + 1 coefficients. A negative n counts from the last row.
+        all n + 1 coefficients. Raises IndexError for n outside 0..size.
 
         den^m is kept as a running power, one product per entry."""
+        if not 0 <= n < len(self.num):
+            raise IndexError(f"row {n} is outside 0..{self.size}")
         d, num, power = self.den, [], 1
         for r in self.num[n]:
             num.append(r * power)
@@ -99,18 +101,8 @@ class CoeffTable(Record):
     def __getitem__(self, nm: tuple[int, int]) -> Fraction:
         n, m = nm
         if 0 <= m <= n < len(self.num):
-            return Fraction(self.num[n][m], self.q[n] * self.den ** (n - m))
+            return self.int_row(n).coefficient(m)
         return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CoeffTable):
-            return self.size == other.size and all(
-                self.int_row(n) == other.int_row(n) for n in range(len(self.num))
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(self.int_row, range(len(self.num)))))
 
 
 def connection_coeffs(
