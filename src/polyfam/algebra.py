@@ -81,15 +81,18 @@ class Record:
         return type(self), self._fields()
 
 
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 def _all_digits(call, *args):
     """call(*args) with the int/str digit limit (3.10.7 on) lifted; restored after."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
+    limit = _get_digits()
+    _set_digits(0)
     try:
         return call(*args)
     finally:
-        set_limit(limit)
+        _set_digits(limit)
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -99,7 +102,7 @@ def as_rat(value: RatLike) -> Fraction:
 
 
 def as_rat_tuple(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
-    return tuple(as_rat(v) for v in values)
+    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -222,8 +225,7 @@ class Polynomial:
     def __call__(self, point: RatLike) -> Fraction:
         """Horner's scheme over the integers: at x = u/v and degree d the value
         is sum_m num[m] u^m v^(d-m) over den v^d."""
-        x = as_rat(point)
-        u, v = x.numerator, x.denominator
+        u, v = as_rat(point).as_integer_ratio()
         acc, vp = 0, 1
         for c in reversed(self.num):
             acc = acc * u + c * vp
@@ -296,11 +298,11 @@ def box_moments(lengths: Sequence[RatLike], size: int) -> Polynomial:
     """
     if size < 0:
         raise PreconditionError("moment count must be nonnegative")
-    ls = as_rat_tuple(lengths)
-    k = len(ls)
+    ratios = [as_rat(l).as_integer_ratio() for l in lengths]
+    k = len(ratios)
     if k < 1:
         raise PreconditionError("need at least one integration variable")
-    u, v = math.prod(l.numerator for l in ls), math.prod(l.denominator for l in ls)
+    u, v = map(math.prod, zip(*ratios))
     g, lcm = math.gcd(u, v), math.lcm(*range(1, size + 2))
     u, v = u // g, v // g
     q = v ** (size + 1)

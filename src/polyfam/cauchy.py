@@ -81,7 +81,7 @@ class FamilyPoint(Record):
             raise PreconditionError(f"need at least {n} parameters, got {len(alpha)}")
         if len(lengths) != k:
             raise PreconditionError(f"expected {k} box lengths, got {len(lengths)}")
-        if any(l == 0 for l in lengths):
+        if not all(lengths):
             raise PreconditionError("box lengths must be nonzero")
 
 
@@ -116,7 +116,7 @@ def _box_integral(
     box_moments."""
     nums, dens = list(nums), [1] * len(nums)
     for length in lengths:
-        u, v = length.numerator, length.denominator
+        u, v = length.as_integer_ratio()
         up, vp = u, v
         for m in range(len(nums)):
             nums[m] *= up
@@ -136,9 +136,9 @@ def _def_values(sign: int, p: FamilyPoint, rows: Sequence[int], z=0) -> list[Fra
     factors of the pairs (sign p_i t + s q_i, q_i t) (_prefix_products),
     whose T^m coefficient is c_m over prod_{i<j} q_i t. No table, box
     moment or integer pairing."""
-    s, t, out = z.numerator, z.denominator, []
-    roots = [(sign * a.numerator * t + s * a.denominator, a.denominator * t)
-             for a in p.alpha[: p.n]]
+    (s, t), out = z.as_integer_ratio(), []
+    ratios = map(Fraction.as_integer_ratio, p.alpha[: p.n])
+    roots = [(sign * a * t + s * b, b * t) for a, b in ratios]
     for cs, q in _prefix_products(roots, rows):
         value = _box_integral(cs, q, p.lengths)
         out.append(value if sign ** (len(cs) - 1) > 0 else -value)
@@ -292,16 +292,23 @@ def mp_second_closed(p: FamilyPoint) -> Fraction:
     return _closed_values(_pair, -1, p, (p.n,))[0]
 
 
-def mp_second_lah(p: FamilyPoint) -> Fraction:
-    """Second kind through non-central and signed Lah expansions:
-    sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths). L(m, l) expands
-    (-X)_m = (-1)^m X(X+1)...(X+m-1) in falling factorials, so the
-    non-central row (read by _row), signed by (-1)^m, moves from the rising
-    to the falling basis by _rebase over the nodes 0, -1, ..., -(n-1)."""
+def _lah_values(p: FamilyPoint, boxes: Sequence[Sequence[RatLike]]) -> list:
+    """The Lah expansion's kernel: for each box in `boxes` (edge lengths, in
+    their order) sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(box). L(m, l)
+    expands (-X)_m = (-1)^m X(X+1)...(X+m-1) in falling factorials, so the
+    non-central row (read by _row), signed by (-1)^m, moves once from the
+    rising to the falling basis by _rebase over the nodes 0, -1, ..., -(n-1),
+    and is paired with each box's classical-parameter values."""
     row = _row(p.alpha[: p.n], range(p.n), p.n)
     signed = (-c if m % 2 else c for m, c in enumerate(row.num))
     row = _rebase(Polynomial.over(signed, row.den), range(0, -p.n, -1), range(p.n))
-    return _pair(row, _classic_first_values(box_moments(p.lengths, p.n), p.n))
+    return [_pair(row, _classic_first_values(box_moments(b, p.n), p.n)) for b in boxes]
+
+
+def mp_second_lah(p: FamilyPoint) -> Fraction:
+    """Second kind through non-central and signed Lah expansions:
+    sum_l sum_{m>=l} S(n, m; a) L(m, l) C_l(lengths), by _lah_values."""
+    return _lah_values(p, (p.lengths,))[0]
 
 
 def specialize(

@@ -29,6 +29,7 @@ from .algebra import (
     Record,
     TruncatedSeries,
     _all_digits,
+    as_rat,
     as_rat_tuple,
     box_moments,
     integer_samples,
@@ -45,6 +46,7 @@ from .cauchy import (
     FamilyPoint,
     _closed_values,
     _def_values,
+    _lah_values,
     _pair,
     _poly_from_row,
     classic_first_with_lengths,
@@ -58,7 +60,6 @@ from .cauchy import (
     mp_poly_second,
     mp_second_closed,
     mp_second_def,
-    mp_second_lah,
     specialize,
 )
 from .stirling import _row
@@ -108,7 +109,7 @@ class ParamPoint(Record):
         q: RatLike | None = None,
         series_order: int | None = None,
     ) -> None:
-        z0, q = (None if v is None else Fraction(v) for v in (z0, q))
+        z0, q = (None if v is None else as_rat(v) for v in (z0, q))
         self._set(n, k, as_rat_tuple(alpha), as_rat_tuple(lengths), z0, q, series_order)
 
 
@@ -143,7 +144,14 @@ def point_to_json(point: ParamPoint) -> dict:
 
 
 def _fmt(value: Fraction | Polynomial | TruncatedSeries | Sequence | str) -> str:
-    if isinstance(value, (Polynomial, TruncatedSeries)):
+    if isinstance(value, Polynomial):
+        # str(Fraction(c, den)) without the Fraction: c/den in lowest terms.
+        den, parts = value.den, []
+        for c in value.num:
+            g = math.gcd(c, den)
+            parts.append(f"{c // g}/{den // g}" if den != g else str(c // g))
+        return "[" + ", ".join(parts) + "]"
+    if isinstance(value, TruncatedSeries):
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
@@ -214,8 +222,9 @@ def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     fp = _family(pt)
     values = values_of(fp, range(fp.n + 1))
     lhs = lhs_route(fp)
-    corrected_sum, verbatim = _expand(values, fp.alpha, corrected, stated)
-    return _readings_outcome(lhs, corrected_sum, verbatim, "stated reading")
+    # A stated weight equal to the corrected one is summed once.
+    sums = _expand(values, fp.alpha, *dict.fromkeys((corrected, stated)))
+    return _readings_outcome(lhs, sums[0], sums[-1], "stated reading")
 
 
 def _poly_samples_outcome(
@@ -237,7 +246,9 @@ def _poly_samples_outcome(
     def matches(poly: Polynomial) -> bool:
         return all(poly(z) == v for z, v in zip(samples, oracle_values))
 
-    corrected_ok, verbatim_ok = matches(poly_corrected), matches(poly_verbatim)
+    # A stated polynomial equal to the corrected one is checked once.
+    ok = {f: matches(f) for f in dict.fromkeys((poly_corrected, poly_verbatim))}
+    corrected_ok, verbatim_ok = ok[poly_corrected], ok[poly_verbatim]
     note = "" if verbatim_ok else f"stated expansion gives {_fmt(poly_verbatim)}"
     return _outcome(verbatim_ok, corrected_ok, oracle_values, poly_corrected, note)
 
@@ -305,8 +316,8 @@ def _eval_T31(pt: ParamPoint) -> tuple:
 def _eval_T32(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     lhs = mp_second_def(fp)
-    corrected = mp_second_lah(fp)
-    verbatim = mp_second_lah(FamilyPoint(fp.n, fp.k, fp.alpha, (Fraction(1),) * fp.k))
+    # mp_second_lah's kernel: one Lah row, paired with the box and the unit box.
+    corrected, verbatim = _lah_values(fp, (fp.lengths, (Fraction(1),) * fp.k))
     return _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
 
 
@@ -659,9 +670,10 @@ _GF_IDS = ("GF-Lif", "GF-Li")
 
 def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        if value != 0 or not nonzero:
-            return value
+        # randint(-b, b) and randint(1, b), drawn from the same stream.
+        p, q = rng.randrange(2 * bound + 1) - bound, rng.randrange(bound) + 1
+        if p or not nonzero:
+            return Fraction(p, q)
 
 
 def _random_point(rng: random.Random, grid: GridSpec, identity: str) -> ParamPoint:

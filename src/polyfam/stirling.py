@@ -147,11 +147,10 @@ def _nodes(sequence: Iterable[RatLike], size: int) -> list[tuple[int, int]]:
             f"parameter sequence of length {len(xs)} cannot "
             f"form a degree-{size} basis element"
         )
-    # Ints and Fractions carry their numerator and denominator already.
-    return [
-        (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
-        for x in xs
-    ]
+    try:  # an int or a Fraction gives its pair in one call
+        return [x.as_integer_ratio() for x in xs]
+    except AttributeError:
+        return [Fraction(x).as_integer_ratio() for x in xs]
 
 
 def _rebase(

@@ -41,9 +41,11 @@ class SeriesCheck(Record):
 
 
 def _times_by_hand(table: CoeffTable, row: Polynomial) -> Polynomial:
-    """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions."""
+    """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions. Row m of
+    the table is decoded once (`int_row`), not once per entry."""
+    rows = [table.int_row(m) for m in range(len(row.num))]
     return Polynomial(
-        sum(c * table[m, j] for m, c in enumerate(row.coeffs))
+        sum(c * r.coefficient(j) for c, r in zip(row.coeffs, rows))
         for j in range(len(row.num))
     )
 

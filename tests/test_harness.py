@@ -135,6 +135,32 @@ def test_point_to_json_shape():
     assert doc["z0"] is None
 
 
+def test_a_report_prints_a_polynomial_as_its_fractions():
+    # _fmt reads the integers over the one denominator; the text is the
+    # Fractions' own: zero, negative, integral and reducible coefficients.
+    for num, den in [((0, -3, 4, 6), 4), ((-6, 0, 9), 3), ((5, -7), 1), ((), 1)]:
+        poly = Polynomial.over(num, den)
+        expected = [str(Fraction(c, poly.den)) for c in poly.num]
+        assert harness._fmt(poly) == "[" + ", ".join(expected) + "]"
+    assert harness._fmt(Polynomial.over((0, -3, 4, 6), 4)) == "[0, -3/4, 1, 3/2]"
+
+
+@pytest.mark.parametrize("bound", [1, 20, 10**6])
+def test_point_draws_keep_the_randint_stream(bound):
+    # _rand_rat draws through randrange; the stream, and so every seeded
+    # sweep, is the one that randint(-bound, bound) over randint(1, bound)
+    # gave, value for value, on every Python.
+    ours, theirs = random.Random(f"draws:{bound}"), random.Random(f"draws:{bound}")
+    for i in range(10**4):
+        nonzero = i % 3 == 0
+        while True:
+            value = Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
+            if value != 0 or not nonzero:
+                break
+        assert harness._rand_rat(ours, bound, nonzero) == value
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_verify_reports_a_pass():
     pt = ParamPoint(n=2, k=1, alpha=(Fraction(1, 3), Fraction(-2)))
     report = verify("T2.1", pt)

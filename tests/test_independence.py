@@ -129,7 +129,7 @@ KERNELS = {
     "mp_second_def": _DEFINITION,
     "mp_second_closed": _FIRST
     | {"cauchy._closed_values", "stirling.signless_comtet_first"},
-    "mp_second_lah": _ROW | {"cauchy._classic_first_values"},
+    "mp_second_lah": _ROW | {"cauchy._classic_first_values", "cauchy._lah_values"},
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {
         "algebra.box_moments",

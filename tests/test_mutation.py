@@ -324,6 +324,20 @@ def _classic_first_off_at_two(real):
     return fake
 
 
+def _lah_sign_dropped(real):
+    # The body of _lah_values without the (-1)^m of the Lah row: the
+    # non-central row moves from the rising to the falling basis unsigned.
+    def fake(p, boxes):
+        row = stirling._row(p.alpha[: p.n], range(p.n), p.n)
+        row = stirling._rebase(row, range(0, -p.n, -1), range(p.n))
+        moments = (algebra.box_moments(b, p.n) for b in boxes)
+        return [
+            cauchy._pair(row, cauchy._classic_first_values(mu, p.n)) for mu in moments
+        ]
+
+    return fake
+
+
 def _specialize_k_dropped(real):
     # The sugar forgets k and integrates over one variable.
     return lambda family, kind, n, k=1, q=None, lengths=None: real(
@@ -573,6 +587,8 @@ MATRIX = [
     (cauchy, "_reciprocal_power_sums", _power_sums_from_zero, "T2.4"),
     (cauchy, "_bell_numerators", _newton_sum_off_by_one, "T2.4"),
     (cauchy, "_classic_first_values", _classic_first_off_at_two, "C3.2 T2.3 T3.2"),
+    # T3.2's two readings share the one Lah row that _lah_values moves.
+    (cauchy, "_lah_values", _lah_sign_dropped, "C3.2 T3.2"),
     (cauchy, "specialize", _specialize_k_dropped, "CASES-2 CASES-3"),
     (cauchy, "specialize", _specialize_den_q_dropped, "CASES-2 CASES-3"),
     (cauchy, "_def_values", _shift_sign_slip, "C5.1a C5.1b T5.1a T5.1b"),
