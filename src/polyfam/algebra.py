@@ -207,8 +207,6 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | RatLike) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if not self.num or not other.num:
-                return Polynomial()
             out = [0] * (len(self.num) + len(other.num) - 1)
             for i, a in enumerate(self.num):
                 for j, b in enumerate(other.num):
@@ -313,35 +311,32 @@ def box_moments(lengths: Sequence[RatLike], size: int) -> Polynomial:
     return Polynomial.over(num, q * lcm**k)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """An order-N prefix of a formal power series in one variable t.
 
-    Holds the order N and one Polynomial of degree at most N, the
+    A record of the order N and one Polynomial of degree at most N, the
     coefficients of t^0 .. t^N, so a series is a polynomial mod t^(N+1) and
     its ring operations are the Polynomial ones, truncated (see `_of`).
     Binary operations between series of different orders truncate to the
     smaller order, which is the largest prefix both operands determine.
     """
 
-    __slots__ = ("_order", "_poly")
+    __slots__ = ("order", "_poly")
 
     def __init__(self, order: int, coeffs: Iterable[RatLike] = ()):
         if order < 0:
             raise PreconditionError("series order must be nonnegative")
-        self._order = order
-        self._poly = Polynomial(as_rat_tuple(coeffs)[: order + 1])
+        self._set(order, Polynomial(as_rat_tuple(coeffs)[: order + 1]))
 
     @classmethod
     def _of(cls, order: int, poly: Polynomial) -> "TruncatedSeries":
         """poly mod t^(order+1), as a series of that order."""
         series = cls.__new__(cls)
-        series._order = order
-        series._poly = Polynomial.over(poly.num[: order + 1], poly.den)
+        series._set(order, Polynomial.over(poly.num[: order + 1], poly.den))
         return series
 
-    @property
-    def order(self) -> int:
-        return self._order
+    def __reduce__(self) -> tuple:
+        return type(self)._of, self._fields()
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -361,14 +356,6 @@ class TruncatedSeries:
                 "cannot extend a truncated series to a higher order"
             )
         return TruncatedSeries._of(order, self._poly)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self._poly == other._poly
-
-    def __hash__(self) -> int:
-        return hash(("TruncatedSeries", self.order, self._poly))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, {[str(c) for c in self.coeffs]})"

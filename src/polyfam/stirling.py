@@ -124,8 +124,8 @@ def connection_coeffs(
     for n, (p, q) in enumerate(a):
         pd = p * d
         row.append(q * row[n])
-        # q = 1 drops the unit factors: at n = 40 one general loop ran 1.16-1.34x
-        # slower on integer-source tables (comtet_second, classical, Lah).
+        # q = 1 drops the unit factors: without it, ten benchmark pairs put
+        # routes-large at 153.2 -> 139.4 ops/s (-9%, ROADMAP negative results).
         if q == 1:
             for m in range(n, 0, -1):
                 row[m] = row[m - 1] + (b[m] - pd) * row[m]

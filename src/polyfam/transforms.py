@@ -86,10 +86,9 @@ def _combine(weights: Sequence[int], den: int, values: Sequence):
     q = math.lcm(*(vd for _, vd in parts))
     out = [0] * max(len(vn) for vn, _ in parts)
     for w, (vn, vd) in zip(weights, parts):
-        if w:
-            s = w * (q // vd)
-            for i, c in enumerate(vn):
-                out[i] += s * c
+        s = w * (q // vd)
+        for i, c in enumerate(vn):
+            out[i] += s * c
     return Polynomial.over(out, den * q) if poly else Fraction(out[0], den * q)
 
 

@@ -46,6 +46,9 @@ def test_zero_polynomial():
     assert zero.coeffs == ()
     assert zero(Fraction(5, 3)) == 0
     assert Polynomial((0, 0, 0)) == zero
+    nonzero = Polynomial((Fraction(1, 3), 2))
+    for product in (zero * nonzero, nonzero * zero, zero * zero):
+        assert product == Polynomial() and product.den == 1
 
 
 def test_trailing_zeros_are_stripped():

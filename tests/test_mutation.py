@@ -94,8 +94,8 @@ def _truncation_one_short(real):
 def _truncation_one_long(real):
     # The prefix keeps t^(order+1) as well, under the same order.
     def fake(cls, order, poly):
-        series = real(order, poly)
-        series._poly = Polynomial.over(poly.num[: order + 2], poly.den)
+        series = cls.__new__(cls)
+        series._set(order, Polynomial.over(poly.num[: order + 2], poly.den))
         return series
 
     return classmethod(fake)

@@ -1,4 +1,4 @@
-"""The six record types behave as frozen dataclasses do, every catalog
+"""The seven record types behave as frozen dataclasses do, every catalog
 entry is a record of module-level names, and importing the package loads no
 module that only a dataclass or `typing` would need, nor the sweep layer."""
 
@@ -13,7 +13,7 @@ import pytest
 
 from conftest import SRC
 from polyfam import harness
-from polyfam.algebra import PreconditionError
+from polyfam.algebra import PreconditionError, TruncatedSeries
 from polyfam.cauchy import FamilyPoint
 from polyfam.harness import GridSpec, Identity, IdentityReport, ParamPoint
 from polyfam.stirling import CoeffTable
@@ -78,6 +78,11 @@ def _records():
             GridSpec(14, 2, 3, 6, 20),
             GridSpec(**SWEEP_GRID),
             "GridSpec(n_max=14, k_max=2, points=3, series_order=6, bound=20)",
+        ),
+        (
+            TruncatedSeries(2, (1, half)),
+            TruncatedSeries(order=2, coeffs=["1", "1/2", 0, 5]),
+            "TruncatedSeries(order=2, ['1', '1/2', '0'])",
         ),
     ]
 
