@@ -9,9 +9,11 @@ identity's preconditions and is never a failure. The errata ledger collects,
 for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
 
-The catalog is one tuple of `Identity` records. A single-integral corollary
-is its parent's evaluator marked `k1_only`: it is checked at points with
-k = 1, and any other point is NA.
+The catalog is one tuple of `Identity` records, each naming its evaluator
+and the arguments it is called with after the point. A single-integral
+corollary reuses its parent's evaluator and, unless it is printed in a
+reading of its own, its arguments, marked `k1_only`: it is checked at points
+with k = 1, and any other point is NA.
 """
 
 from __future__ import annotations
@@ -121,14 +123,15 @@ class IdentityReport(Record):
 
 
 class Identity(Record):
-    """One catalog entry. `evaluate` gives both readings at a point;
-    `correction` describes the corrected reading when the stated one fails
-    somewhere; a `k1_only` entry holds only at k = 1 and is NA elsewhere."""
+    """One catalog entry. `evaluate(point, *args)` gives both readings at a
+    point; `correction` describes the corrected reading when the stated one
+    fails somewhere; a `k1_only` entry holds only at k = 1 and is NA
+    elsewhere."""
 
-    __slots__ = ("id", "statement", "evaluate", "correction", "k1_only")
+    __slots__ = ("id", "statement", "evaluate", "correction", "k1_only", "args")
 
-    def __init__(self, id, statement, evaluate, correction="", k1_only=False):
-        self._set(id, statement, evaluate, correction, k1_only)
+    def __init__(self, id, statement, evaluate, correction="", k1_only=False, args=()):
+        self._set(id, statement, evaluate, correction, k1_only, args)
 
 
 def point_to_json(point: ParamPoint) -> dict:
@@ -184,11 +187,20 @@ _ABS_FIRST = (1, 1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a
 _ABS_FIRST_UNSIGNED = (1, 0, 0, 0, -1, True)  # |s|(n,m) s(m,j) / m!: stated C4.1a
 _SECOND = (2, 1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
 
+# An expansion entry's arguments to `_expansion`: the lhs route, the values
+# kernel and the kernel's bound pairing or sign, the corrected weight and the
+# stated one. These are the rows a corollary shares with its parent.
+_T42A = ("mp_second_def", "_bernoulli_values", ("_pair",), _SIGNLESS_FIRST, _ABS_FIRST)
+_T42B = ("mp_bernoulli", "_def_values", (-1,), _FROM_SECOND, _SECOND)
+_T43A = ("mp_first_def", "_bernoulli_values", ("_pair",), _TO_FIRST, _FIRST)
+_T43B = ("mp_bernoulli", "_def_values", (1,), _FROM_FIRST, _SECOND)
+
 
 # ---------------------------------------------------------------------------
-# Shared evaluator bodies. Each evaluator computes, in this order, its value
-# vector, the left-hand side, the corrected reading and the stated one, so
-# the first precondition violated is the one reported.
+# Shared evaluator bodies, called with the routes and readings that an
+# entry's evaluator and arguments name. Each computes, in this order, its
+# value vector, the left-hand side, the corrected reading and the stated one,
+# so the first precondition violated is the one reported.
 # ---------------------------------------------------------------------------
 
 
@@ -277,10 +289,12 @@ def _second_abs(pairing, fp: FamilyPoint):
 
 
 # ---------------------------------------------------------------------------
-# Per-identity evaluators. They look their routes up in their bodies at call
-# time: a kernel bound to one kind or one pairing is a partial built there,
-# never at import, so a caller that rebinds a route in this module's
-# namespace (such as a per-layer tracer) sees every call.
+# The catalog's evaluators. An entry names one of them and the arguments it
+# takes after the point; a `C` entry reuses its parent's. Routes are looked
+# up at call time, never bound at import: an argument names a route by its
+# string, and a kernel bound to one kind or one pairing is a partial built in
+# the body, so a caller that rebinds a route in this module's namespace (such
+# as a per-layer tracer) sees every call.
 # ---------------------------------------------------------------------------
 
 
@@ -313,17 +327,13 @@ def _eval_T31(pt: ParamPoint) -> tuple:
     return _readings_outcome(lhs, corrected, verbatim, "absolute-value reading")
 
 
-def _eval_T32(pt: ParamPoint) -> tuple:
+def _eval_T32(pt: ParamPoint, remark: str = "") -> tuple:
     fp = _family(pt)
     lhs = mp_second_def(fp)
     # mp_second_lah's kernel: one Lah row, paired with the box and the unit box.
     corrected, verbatim = _lah_values(fp, (fp.lengths, (Fraction(1),) * fp.k))
-    return _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
-
-
-def _eval_C32(pt: ParamPoint) -> tuple:
-    *fields, note = _eval_T32(pt)
-    return (*fields, "; ".join(s for s in (note, _C32_REMARK) if s))
+    *fields, note = _readings_outcome(lhs, corrected, verbatim, "unit-length reading")
+    return (*fields, "; ".join(s for s in (note, remark) if s))
 
 
 def _eval_T41(pt: ParamPoint) -> tuple:
@@ -333,32 +343,14 @@ def _eval_T41(pt: ParamPoint) -> tuple:
     return _one_reading(lhs, rhs, _T41_REMARK)
 
 
-def _eval_T42a(pt: ParamPoint) -> tuple:
-    values_of = partial(_bernoulli_values, _pair)
-    return _inversion(pt, mp_second_def, values_of, _SIGNLESS_FIRST, _ABS_FIRST)
-
-
-def _eval_C41a(pt: ParamPoint) -> tuple:
-    # As printed the single-integral form drops even the (-1)^n prefactor.
-    values_of = partial(_bernoulli_values, _pair)
-    return _inversion(
-        pt, mp_second_def, values_of, _SIGNLESS_FIRST, _ABS_FIRST_UNSIGNED
-    )
-
-
-def _eval_T42b(pt: ParamPoint) -> tuple:
-    values_of = partial(_def_values, -1)
-    return _inversion(pt, mp_bernoulli, values_of, _FROM_SECOND, _SECOND)
-
-
-def _eval_T43a(pt: ParamPoint) -> tuple:
-    values_of = partial(_bernoulli_values, _pair)
-    return _inversion(pt, mp_first_def, values_of, _TO_FIRST, _FIRST)
-
-
-def _eval_T43b(pt: ParamPoint) -> tuple:
-    values_of = partial(_def_values, 1)
-    return _inversion(pt, mp_bernoulli, values_of, _FROM_FIRST, _SECOND)
+def _expansion(pt: ParamPoint, lhs_route, kernel, bound, corrected, stated):
+    """An expansion entry: `_inversion` of the lhs route against the values
+    kernel with `bound` as its first arguments. The route, the kernel and a
+    pairing in `bound` are names, looked up in this module at call time; a
+    sign in `bound` is an int and passes as itself."""
+    names = globals()
+    values_of = partial(names[kernel], *(names.get(b, b) for b in bound))
+    return _inversion(pt, names[lhs_route], values_of, corrected, stated)
 
 
 def _eval_T51a(pt: ParamPoint) -> tuple:
@@ -372,28 +364,6 @@ def _eval_T51b(pt: ParamPoint) -> tuple:
     fp = _family(pt)
     stated = _second_abs(_poly_from_row, fp)
     return _poly_samples_outcome(fp, pt, mp_poly_second(fp), stated, -1)
-
-
-def _eval_T52a(pt: ParamPoint) -> tuple:
-    # The stated polynomial form carries the correct weights already.
-    values_of = partial(_closed_values, _poly_from_row, 1)
-    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_FIRST, _FROM_FIRST)
-
-
-def _eval_T52b(pt: ParamPoint) -> tuple:
-    # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-    values_of = partial(_closed_values, _poly_from_row, -1)
-    return _inversion(pt, mp_bernoulli_poly, values_of, _FROM_SECOND, _FROM_FIRST)
-
-
-def _eval_T52c(pt: ParamPoint) -> tuple:
-    values_of = partial(_bernoulli_values, _poly_from_row)
-    return _inversion(pt, mp_poly_first, values_of, _TO_FIRST, _FIRST)
-
-
-def _eval_T52d(pt: ParamPoint) -> tuple:
-    values_of = partial(_bernoulli_values, _poly_from_row)
-    return _inversion(pt, mp_poly_second, values_of, _SIGNLESS_FIRST, _ABS_FIRST)
 
 
 def _eval_GF_Lif(pt: ParamPoint) -> tuple:
@@ -454,14 +424,6 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     rhs = "; ".join(f"{name}={right}" for name, _, right in arrows)
     note = "" if not failed else "failed arrows: " + ", ".join(failed)
     return _outcome(not failed, not failed, lhs, rhs, note)
-
-
-def _eval_CASES2(pt: ParamPoint) -> tuple:
-    return _cases(pt, 1)
-
-
-def _eval_CASES3(pt: ParamPoint) -> tuple:
-    return _cases(pt, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +488,11 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "C3.2",
         "single-integral case of T3.2",
-        _eval_C32,
+        _eval_T32,
         "the classical factors carry the box length; the stated form also "
         "reuses the length symbol as the summation index",
         k1_only=True,
+        args=(_C32_REMARK,),
     ),
     Identity(
         "T4.1",
@@ -539,37 +502,63 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "T4.2a",
         "second-kind values expanded in Bernoulli-type values",
-        _eval_T42a,
+        _expansion,
         _MJ_SIGNLESS,
+        args=_T42A,
     ),
     Identity(
         "T4.2b",
         "Bernoulli-type values expanded in second-kind values",
-        _eval_T42b,
+        _expansion,
         _PREFACTOR,
+        args=_T42B,
     ),
     Identity(
         "C4.1a",
         "single-integral case of T4.2a",
-        _eval_C41a,
+        _expansion,
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
         k1_only=True,
+        # As printed the single-integral form drops even the (-1)^n prefactor.
+        args=(*_T42A[:-1], _ABS_FIRST_UNSIGNED),
     ),
     Identity(
-        "C4.1b", "single-integral case of T4.2b", _eval_T42b, _PREFACTOR, k1_only=True
+        "C4.1b",
+        "single-integral case of T4.2b",
+        _expansion,
+        _PREFACTOR,
+        k1_only=True,
+        args=_T42B,
     ),
     Identity(
-        "T4.3a", "first-kind values expanded in Bernoulli-type values", _eval_T43a, _MJ
+        "T4.3a",
+        "first-kind values expanded in Bernoulli-type values",
+        _expansion,
+        _MJ,
+        args=_T43A,
     ),
     Identity(
         "T4.3b",
         "Bernoulli-type values expanded in first-kind values",
-        _eval_T43b,
+        _expansion,
         _WEIGHT,
+        args=_T43B,
     ),
-    Identity("C4.2a", "single-integral case of T4.3a", _eval_T43a, _MJ, k1_only=True),
     Identity(
-        "C4.2b", "single-integral case of T4.3b", _eval_T43b, _WEIGHT, k1_only=True
+        "C4.2a",
+        "single-integral case of T4.3a",
+        _expansion,
+        _MJ,
+        k1_only=True,
+        args=_T43A,
+    ),
+    Identity(
+        "C4.2b",
+        "single-integral case of T4.3b",
+        _expansion,
+        _WEIGHT,
+        k1_only=True,
+        args=_T43B,
     ),
     Identity("T5.1a", "closed form of the first-kind polynomial family", _eval_T51a),
     Identity(
@@ -585,25 +574,35 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "T5.2a",
         "Bernoulli-type polynomials expanded in first-kind polynomials",
-        _eval_T52a,
+        _expansion,
+        # The stated polynomial form carries the correct weights already.
+        args=("mp_bernoulli_poly", "_closed_values", ("_poly_from_row", 1))
+        + (_FROM_FIRST, _FROM_FIRST),
     ),
     Identity(
         "T5.2b",
         "Bernoulli-type polynomials expanded in second-kind polynomials",
-        _eval_T52b,
+        _expansion,
         "the prefactor is (-1)^n, not (-1)^(n-m)",
+        # As stated, the weights of T5.2a: (-1)^(n-m) m!.
+        args=("mp_bernoulli_poly", "_closed_values", ("_poly_from_row", -1))
+        + (_FROM_SECOND, _FROM_FIRST),
     ),
     Identity(
         "T5.2c",
         "first-kind polynomials expanded in Bernoulli-type polynomials",
-        _eval_T52c,
+        _expansion,
         _MJ,
+        args=("mp_poly_first", "_bernoulli_values", ("_poly_from_row",))
+        + (_TO_FIRST, _FIRST),
     ),
     Identity(
         "T5.2d",
         "second-kind polynomials expanded in Bernoulli-type polynomials",
-        _eval_T52d,
+        _expansion,
         _MJ_SIGNLESS,
+        args=("mp_poly_second", "_bernoulli_values", ("_poly_from_row",))
+        + (_SIGNLESS_FIRST, _ABS_FIRST),
     ),
     Identity(
         "GF-Lif",
@@ -617,14 +616,10 @@ CATALOG: tuple[Identity, ...] = (
         _eval_GF_Li,
     ),
     Identity(
-        "CASES-2",
-        "specialization web of the first-kind family",
-        _eval_CASES2,
+        "CASES-2", "specialization web of the first-kind family", _cases, args=(1,)
     ),
     Identity(
-        "CASES-3",
-        "specialization web of the second-kind family",
-        _eval_CASES3,
+        "CASES-3", "specialization web of the second-kind family", _cases, args=(-1,)
     ),
 )
 
@@ -641,7 +636,7 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     try:
         if entry.k1_only and point.k != 1:
             raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
-        out = _all_digits(entry.evaluate, point)
+        out = _all_digits(entry.evaluate, point, *entry.args)
     except PreconditionError as exc:
         out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import re
@@ -703,6 +704,51 @@ def test_expand_matches_the_written_out_double_sum(case):
         assert repr(transform(n, alpha, values)) == repr(
             _double_sum(n, values, weights[spec])
         ), transform.__name__
+
+
+# Every expansion reading, stated or corrected, is one of these 64 constants
+# (kind, e_n, e_m, e_j, p, absolute); see `transforms._expand`.
+WEIGHT_LATTICE = tuple(
+    itertools.product((1, 2), (0, 1), (0, 1), (0, 1), (-1, 1), (False, True))
+)
+# The Hamming distance of each stated weight from its corrected one.
+STATED_DISTANCE = {
+    "T4.2a": 3, "T5.2d": 3,
+    "C4.1a": 2, "T4.2b": 2, "C4.1b": 2, "T4.3a": 2, "C4.2a": 2, "T5.2c": 2,
+    "T4.3b": 1, "C4.2b": 1, "T5.2b": 1,
+    "T5.2a": 0,
+}
+EXPANSIONS = [entry for entry in CATALOG if entry.evaluate is harness._expansion]
+
+
+@pytest.mark.parametrize("entry", EXPANSIONS, ids=lambda entry: entry.id)
+def test_each_expansion_correction_is_the_one_weight_that_holds(entry, monkeypatch):
+    # Guess and prove over a finite ansatz: of the 64 constants only the
+    # corrected one sums the entry's values to its lhs at every point, and
+    # each rejection is exact. The stated weight is then a fixed number of
+    # fields away from it.
+    *_, corrected, stated = entry.args
+    sides = []
+    # The entry's own route and kernel, as `_expansion` resolves them.
+    monkeypatch.setattr(harness, "_inversion", lambda *args: sides.append(args))
+    survivors = set(WEIGHT_LATTICE)
+    grid = GridSpec(n_max=6, points=10)
+    points = [p for seed in (0, 1) for p in harness._points_for(entry.id, grid, seed)]
+    for point in points:
+        sides.clear()
+        try:
+            entry.evaluate(point, *entry.args)
+            ((pt, lhs_route, values_of, _, _),) = sides
+            fp = harness._family(pt)
+            lhs, values = lhs_route(fp), values_of(fp, range(fp.n + 1))
+        except PreconditionError:
+            continue
+        for kind in (1, 2):
+            weights = [w for w in WEIGHT_LATTICE if w[0] == kind]
+            sums = _expand(values, fp.alpha, *weights)
+            survivors -= {w for w, total in zip(weights, sums) if total != lhs}
+    assert survivors == {corrected}
+    assert sum(a != b for a, b in zip(stated, corrected)) == STATED_DISTANCE[entry.id]
 
 
 @pytest.mark.parametrize(

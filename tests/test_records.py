@@ -63,16 +63,18 @@ def _records():
             "verbatim='PASS', corrected='FAIL', lhs='1', rhs='2', note='')",
         ),
         (
-            Identity("X", "a statement", len, "fix", True),
+            Identity("X", "a statement", len, "fix", True, (-1, "_pair")),
             Identity(
                 id="X",
                 statement="a statement",
                 evaluate=len,
                 correction="fix",
                 k1_only=True,
+                args=(-1, "_pair"),
             ),
             "Identity(id='X', statement='a statement', "
-            "evaluate=<built-in function len>, correction='fix', k1_only=True)",
+            "evaluate=<built-in function len>, correction='fix', k1_only=True, "
+            "args=(-1, '_pair'))",
         ),
         (
             GridSpec(14, 2, 3, 6, 20),

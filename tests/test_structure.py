@@ -355,8 +355,9 @@ def test_no_family_function_only_forwards_its_parameters():
     # A function whose one statement hands its own parameters and some
     # constants to another is that function under another name: a kind's
     # kernel is the shared kernel called with the kind's sign. The sweep
-    # layer is out of scope: the catalog needs one module-level evaluator per
-    # entry, so `_eval_CASES2` and `_eval_CASES3` are `_cases` with a sign.
+    # layer is out of scope: a catalog entry names its evaluator and the
+    # arguments it takes (CASES-2 and CASES-3 name `_cases` with a sign), and
+    # a `C` entry reuses its parent's.
     renames = [
         f"{module}.{name}"
         for module in FAMILIES
