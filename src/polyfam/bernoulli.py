@@ -27,7 +27,7 @@ from .algebra import (
     exp_series,
 )
 from .cauchy import FamilyPoint, _pair, _poly_from_row
-from .stirling import comtet_second
+from .stirling import _rows
 
 __all__ = [
     "CONVENTIONS",
@@ -39,11 +39,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("corrected", "verbatim")
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise PreconditionError(f"unknown summation convention {convention!r}")
 
 
 def _bernoulli_row(row: Polynomial, convention: str = "corrected") -> Polynomial:
@@ -86,14 +81,13 @@ def _bernoulli_values(
     """The Bernoulli type's kernel: at each j in rows (in their order, each in
     0..n) the pairing (_pair for mp_bernoulli, _poly_from_row for
     mp_bernoulli_poly) of the Bernoulli row of row j, which reads
-    a_0..a_(j-1) only, of one second-kind table of size n with one
-    box_moments(..., n)."""
-    _check_convention(convention)
-    table = comtet_second(p.alpha[: p.n], p.n)
+    a_0..a_(j-1) only, of the second-kind triangle of size n, read on the
+    way by one `_rows` pass, with one box_moments(..., n)."""
+    if convention not in CONVENTIONS:
+        raise PreconditionError(f"unknown summation convention {convention!r}")
     moments = box_moments(p.lengths, p.n)
-    return [
-        pairing(_bernoulli_row(table.int_row(j), convention), moments) for j in rows
-    ]
+    read = _rows((0,) * p.n, p.alpha[: p.n], p.n, rows)
+    return [pairing(_bernoulli_row(row, convention), moments) for row in read]
 
 
 def mp_bernoulli(p: FamilyPoint, convention: str = "corrected") -> Fraction:

@@ -29,7 +29,7 @@ from .algebra import (
     box_moments,
     log1p_series,
 )
-from .stirling import _rebase, _row, comtet_first, signless_comtet_first
+from .stirling import _rebase, _row, _rows
 
 __all__ = [
     "SPECIAL_FAMILIES",
@@ -155,13 +155,12 @@ def _closed_values(pairing, sign: int, p: FamilyPoint, rows: Sequence[int]) -> l
     """The closed forms' kernel of both kinds: at each j in rows (in their
     order, each in 0..n) sign^j times the pairing (_pair for the numbers,
     _poly_from_row for the polynomials) of row j, which reads a_0..a_(j-1)
-    only, of one first-kind (sign 1) or signless (sign -1) table of size n
-    with one box_moments(..., n). The triangle is looked up by name at each
-    call, so a caller that rebinds it in this module sees every build."""
-    triangle = comtet_first if sign > 0 else signless_comtet_first
-    table = triangle(p.alpha[: p.n], p.n)
+    only, of the first-kind (sign 1) or signless (sign -1) triangle of size
+    n, read on the way by one `_rows` pass, with one box_moments(..., n)."""
+    nodes = p.alpha[: p.n] if sign > 0 else [-a for a in p.alpha[: p.n]]
     moments = box_moments(p.lengths, p.n)
-    return [sign**j * pairing(table.int_row(j), moments) for j in rows]
+    read = _rows(nodes, (0,) * p.n, p.n, rows)
+    return [sign**j * pairing(row, moments) for j, row in zip(rows, read)]
 
 
 def mp_first_closed(p: FamilyPoint) -> Fraction:
@@ -271,12 +270,16 @@ def mp_first_bell(p: FamilyPoint) -> Fraction:
     (-1)^n (prod a_i) sum_m P_m(-H^(1), ..., -H^(m)) (l_1...l_k)^(m+1)/(m+1)^k.
     With H^(j) = N_j / L^j, the integers Q_m = P_m L^m follow from the N_j
     by Newton's identities (_bell_numerators), and the row Q_m L^(n-m) over
-    L^n is paired with the box moments. Requires nonzero parameters."""
-    lcm, sums = _reciprocal_power_sums(p.alpha[: p.n], p.n)
-    bell = _bell_numerators(sums)
-    row = (c * lcm ** (p.n - m) for m, c in enumerate(bell))
-    total = _pair(Polynomial.over(row, lcm**p.n), box_moments(p.lengths, p.n))
-    return Fraction((-1) ** p.n) * math.prod(p.alpha[: p.n]) * total
+    L^n, times (-1)^n prod a_i as two integer products, is paired with the
+    box moments. Requires nonzero parameters."""
+    head = p.alpha[: p.n]
+    lcm, sums = _reciprocal_power_sums(head, p.n)
+    row, power = [], (-1) ** p.n * math.prod(a.numerator for a in head)
+    for c in reversed(_bell_numerators(sums)):
+        row.append(c * power)
+        power *= lcm
+    den = math.prod(a.denominator for a in head) * lcm**p.n
+    return _pair(Polynomial.over(reversed(row), den), box_moments(p.lengths, p.n))
 
 
 def mp_second_def(p: FamilyPoint) -> Fraction:

@@ -24,7 +24,8 @@ denominators and B = D b, the integers r(n, m) = Q_n D^(n-m) T(n, m) obey
 r(n+1, m) = q_n r(n, m-1) + (q_n B_m - p_n D) r(n, m): each source node
 brings its own denominator only. One integer list holds the current row and
 is updated in place, from the highest index down, so that r(n, m-1) is
-still unchanged when r(n+1, m) reads it; each row is kept as one tuple.
+still unchanged when r(n+1, m) reads it. That loop is `_rows`, which decodes
+each row asked for on the way and holds no other: a table is its rows.
 
 A row vector times a table builds no table: `_rebase` runs the same step on
 the vector alone, in the same form, by Horner's scheme over the source nodes,
@@ -37,9 +38,10 @@ both sides.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 
 from .algebra import Polynomial, PreconditionError, RatLike, Record, as_rat_tuple
 
@@ -62,66 +64,69 @@ __all__ = [
 class CoeffTable(Record):
     """Lower-triangular connection table; entry (n, m) is the coefficient of
     the target basis element of degree m in the expansion of the source
-    element of degree n. Indexing outside the triangle yields zero.
+    element of degree n. Indexing outside the triangle yields zero. It holds
+    its rows and nothing else: rows[n] is sum_m T(n, m) X^m as `_rows` reads
+    it, a canonical Polynomial, so two tables are equal exactly when their
+    entries are. `int_row` is the one row check."""
 
-    Held fraction-free: entry (n, m) is num[n][m] / (q[n] den^(n-m)) with
-    integer numerators, one denominator den >= 1 and one row denominator
-    q[n] >= 1 per row (all 1 when omitted), and nothing else. `int_row`
-    alone decodes that form and checks the row: `row` and indexing read row
-    n through it. A table compares field by field, like every Record.
-    """
+    __slots__ = ("rows",)
 
-    __slots__ = ("num", "den", "q")
-
-    def __init__(self, num: tuple, den: int = 1, q: tuple = ()) -> None:
-        self._set(num, den, q or (1,) * len(num))
+    def __init__(self, rows: Iterable[Polynomial]) -> None:
+        self._set(tuple(rows))
 
     @property
     def size(self) -> int:
-        return len(self.num) - 1
+        return len(self.rows) - 1
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return tuple(map(self.int_row(n).coefficient, range(n + 1)))
 
     def int_row(self, n: int) -> Polynomial:
-        """Row n as the polynomial sum_m T(n, m) X^m in canonical form: the
-        integers num[n][m] den^m over q[n] den^n, reduced. A connection
-        table's T(n, n) is 1 (a signed one's is +-1), so the polynomial keeps
-        all n + 1 coefficients. Raises IndexError for n outside 0..size.
-
-        den^m is kept as a running power, one product per entry."""
-        if not 0 <= n < len(self.num):
+        """Row n; its T(n, n) = +-1 keeps all n + 1 coefficients. Raises
+        IndexError for n outside 0..size."""
+        if not 0 <= n < len(self.rows):
             raise IndexError(f"row {n} is outside 0..{self.size}")
-        d, num, power = self.den, [], 1
-        for r in self.num[n]:
-            num.append(r * power)
-            power *= d
-        return Polynomial.over(num, self.q[n] * power // d)
+        return self.rows[n]
 
     def __getitem__(self, nm: tuple[int, int]) -> Fraction:
         n, m = nm
-        if 0 <= m <= n < len(self.num):
-            return self.int_row(n).coefficient(m)
+        if 0 <= m <= n < len(self.rows):
+            return self.rows[n].coefficient(m)
         return Fraction(0)
 
 
 def connection_coeffs(
     source: Iterable[RatLike], target: Iterable[RatLike], size: int
 ) -> CoeffTable:
-    """Exact table T with source_n(X) = sum_{m<=n} T(n, m) target_m(X).
+    """Exact table T with source_n(X) = sum_{m<=n} T(n, m) target_m(X), rows
+    0..size, for any two Newton bases given by their node sequences. Raises
+    PreconditionError when size < 0 or either holds fewer than size nodes."""
+    return CoeffTable(_rows(source, target, size, range(size + 1)))
 
-    Works for any pair of Newton bases, each given by its node sequence; rows
-    0..size, built over the integers by the node recurrence of the module
-    docstring. Raises PreconditionError when either sequence holds fewer than
-    `size` nodes.
-    """
+
+def _rows(
+    source: Iterable[RatLike], target: Iterable[RatLike], size: int, rows: Sequence[int]
+) -> list[Polynomial]:
+    """For each n in `rows` (in their order, each in 0..size; an IndexError
+    otherwise) row n of connection_coeffs(source, target, size) as the
+    canonical polynomial sum_m T(n, m) X^m: one integer list runs the module
+    docstring's recurrence in place, up to the last row asked for, and each
+    such row is decoded on the way as r(n, m) D^m over Q_n D^n."""
     if size < 0:
         raise PreconditionError("table size must be nonnegative")
     a, b = _nodes(source, size), _nodes(target, size)
+    if not all(0 <= n <= size for n in rows):
+        raise IndexError(f"a row of {list(rows)} is outside 0..{size}")
     d = math.lcm(*[q for _, q in b])
     b = [p * (d // q) for p, q in b]
-    row, rows, qs = [1], [(1,)], [1]
-    for n, (p, q) in enumerate(a):
+    wanted, last, read, row, q_prod = set(rows), max(rows, default=-1), {}, [1], 1
+    powers = list(accumulate(repeat(d, last), mul, initial=1))
+    for n in range(last + 1):
+        if n in wanted:
+            read[n] = Polynomial.over(map(mul, row, powers), q_prod * powers[n])
+        if n == last:
+            break
+        p, q = a[n]
         pd = p * d
         row.append(q * row[n])
         # q = 1 drops the unit factors: without it, ten benchmark pairs put
@@ -133,9 +138,8 @@ def connection_coeffs(
             for m in range(n, 0, -1):
                 row[m] = q * row[m - 1] + (q * b[m] - pd) * row[m]
         row[0] *= q * b[0] - pd
-        rows.append(tuple(row))
-        qs.append(qs[-1] * q)
-    return CoeffTable(tuple(rows), d, tuple(qs))
+        q_prod *= q
+    return [read[n] for n in rows]
 
 
 def _nodes(sequence: Iterable[RatLike], size: int) -> list[tuple[int, int]]:
@@ -219,10 +223,8 @@ def lah_signed(size: int) -> CoeffTable:
     negated falling factorial (-X)_m = (-1)^m X(X+1)...(X+m-1) in the
     falling-factorial basis: the rising-to-falling table, row m times
     (-1)^m."""
-    rising = connection_coeffs(range(0, -size, -1), range(size), size).num
-    return CoeffTable(
-        tuple(tuple(-c for c in row) if m % 2 else row for m, row in enumerate(rising))
-    )
+    rising = _rows(range(0, -size, -1), range(size), size, range(size + 1))
+    return CoeffTable(-row if m % 2 else row for m, row in enumerate(rising))
 
 
 def lah_closed_form(m: int, l: int) -> Fraction:
@@ -275,7 +277,7 @@ def inversion_check(alpha: Iterable[RatLike], size: int) -> bool:
     a, zeros = as_rat_tuple(alpha), (0,) * size
     first, second = comtet_first(a, size), comtet_second(a, size)
     return all(
-        _rebase(x.int_row(n), *nodes) == Polynomial.over((0,) * n + (1,))
+        _rebase(row, *nodes) == Polynomial.over((0,) * n + (1,))
         for x, nodes in ((first, (zeros, a)), (second, (a, zeros)))
-        for n in range(size + 1)
+        for n, row in enumerate(x.rows)
     )

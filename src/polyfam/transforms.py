@@ -53,8 +53,8 @@ def _expand(values: Sequence, alpha: Sequence[Fraction], *weights: tuple) -> lis
     As row n of L, signed by (-1)^(e_m m) and scaled by f_m (m! for p = 1,
     n!/m! for p = -1), it is moved once more (times T); coefficient j, signed
     by (-1)^(e_n n + e_j j) and over a further n! for p = -1, weighs
-    values[j]. No row is read through int_row, which the mp_bernoulli lhs
-    reads: a fault there would cancel."""
+    values[j]. No row is read through `stirling._rows`, which the table
+    routes on the lhs read: a fault there would cancel."""
     (kind,) = {weight[0] for weight in weights}
     n = len(values) - 1
     nodes = (alpha, (0,) * n) if kind == 1 else ((0,) * n, alpha)

@@ -42,7 +42,7 @@ class SeriesCheck(Record):
 
 def _times_by_hand(table: CoeffTable, row: Polynomial) -> Polynomial:
     """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions. Row m of
-    the table is decoded once (`int_row`), not once per entry."""
+    the table is looked up once (`int_row`), not once per entry."""
     rows = [table.int_row(m) for m in range(len(row.num))]
     return Polynomial(
         sum(c * r.coefficient(j) for c, r in zip(row.coeffs, rows))
@@ -52,20 +52,16 @@ def _times_by_hand(table: CoeffTable, row: Polynomial) -> Polynomial:
 
 def table_product(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     """The triangular product a b: its row n is row n of a times b
-    (`_times_by_hand`), held over its own row denominator."""
-    rows = [_times_by_hand(b, a.int_row(n)) for n in range(a.size + 1)]
-    return CoeffTable(
-        tuple(p.num + (0,) * (n + 1 - len(p.num)) for n, p in enumerate(rows)),
-        1,
-        tuple(p.den for p in rows),
-    )
+    (`_times_by_hand`)."""
+    return CoeffTable(_times_by_hand(b, row) for row in a.rows)
 
 
 def classic_first_values_by_rows(moments: Polynomial, n: int) -> Polynomial:
     """sum_m C_m t^m, m = 0..n, as `cauchy._classic_first_values` reads it
     from the box moments mu_0..mu_n: each row of one stirling_first(n)
     paired with them, C_m = sum_j s(m, j) mu_j."""
-    values = (sum(map(mul, row, moments.num)) for row in stirling_first(n).num)
+    rows = stirling_first(n).rows
+    values = (sum(map(mul, row.num, moments.num)) for row in rows)
     return Polynomial.over(values, moments.den)
 
 

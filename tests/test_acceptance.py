@@ -11,6 +11,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +107,25 @@ def test_all_twelve_routes_agree_at_a_large_point():
     assert mp_bernoulli_poly(p)(0) == bernoulli
     vector = [mp_first_def(FamilyPoint(j, k, alpha, lengths)) for j in range(n + 1)]
     assert bernoulli_from_first(n, alpha, vector) == bernoulli
+
+
+def test_the_table_routes_hold_no_whole_triangle():
+    # One seeded n=320, k=2 point: the closed forms and the Bernoulli type
+    # read row n on the way (`stirling._rows`), so neither holds the O(n^3)
+    # bits of a size-n table, which peaked near 25 and 6 MiB here.
+    rng = random.Random(SEED + 320)
+    n, k = 320, 2
+    alpha = tuple(rand_rat(rng) for _ in range(n))
+    lengths = tuple(rand_rat(rng, nonzero=True) for _ in range(k))
+    p = FamilyPoint(n, k, alpha, lengths)
+    for route in (mp_bernoulli, mp_first_closed):
+        tracemalloc.start()
+        try:
+            route(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (route.__name__, peak / 2**20)
 
 
 def test_second_kind_oracle_equivalence():

@@ -573,7 +573,7 @@ def test_the_definitions_reach_no_route_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle reached a shared route kernel")
 
-    names = {"connection_coeffs", "box_moments", "_pair"}
+    names = {"_rows", "box_moments", "_pair"}
     patched = set()
     for module in (algebra, cauchy, stirling):
         for name in names & set(vars(module)):

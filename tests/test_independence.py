@@ -86,8 +86,8 @@ DEFINITIONS = ("mp_first_def", "mp_second_def")
 POLYNOMIAL_ROUTES = ("mp_poly_first", "mp_poly_second", "mp_bernoulli_poly")
 BERNOULLI_ROUTES = ("mp_bernoulli", "mp_bernoulli_poly")
 
-# Constructors, argument coercion, row readers and scalar products: every
-# route calls some of them, and a fault in one shows on every route alike.
+# Constructors, argument coercion and scalar products: every route calls
+# some of them, and a fault in one shows on every route alike.
 GENERIC = {
     "algebra.Polynomial.__mul__",
     "algebra.Polynomial.__rmul__",
@@ -97,27 +97,21 @@ GENERIC = {
     "algebra._reduced",
     "algebra.as_rat",
     "algebra.as_rat_tuple",
-    "stirling.CoeffTable.__init__",
-    "stirling.CoeffTable.int_row",
     "stirling._nodes",
 }
 
-_TABLE = {"stirling.connection_coeffs"}
-_FIRST = {"algebra.box_moments", "cauchy._pair"} | _TABLE
-# A route that reads one row moves the unit row X^n by _rebase (in _row): no
-# table.
+# A table route reads its row on the way through the triangle recurrence
+# (_rows); a one-row route moves the unit row X^n by _rebase (in _row).
+# Neither builds a table.
+_TABLE = {"stirling._rows"}
+_FIRST = {"algebra.box_moments", "cauchy._closed_values", "cauchy._pair"} | _TABLE
 _ROW = {"algebra.box_moments", "cauchy._pair", "stirling._rebase", "stirling._row"}
-_BERNOULLI = {
-    "algebra.box_moments",
-    "bernoulli._bernoulli_row",
-    "bernoulli._check_convention",
-    "stirling.comtet_second",
-} | _TABLE
+_BERNOULLI = {"algebra.box_moments", "bernoulli._bernoulli_row"} | _TABLE
 _DEFINITION = {"algebra._prefix_products", "cauchy._box_integral", "cauchy._def_values"}
 
 KERNELS = {
     "mp_first_def": _DEFINITION,
-    "mp_first_closed": _FIRST | {"cauchy._closed_values", "stirling.comtet_first"},
+    "mp_first_closed": _FIRST,
     "mp_first_noncentral": _ROW,
     "mp_first_via_polycauchy": _ROW | {"cauchy._classic_first_values"},
     "mp_first_bell": {
@@ -127,22 +121,19 @@ KERNELS = {
         "cauchy._reciprocal_power_sums",
     },
     "mp_second_def": _DEFINITION,
-    "mp_second_closed": _FIRST
-    | {"cauchy._closed_values", "stirling.signless_comtet_first"},
+    "mp_second_closed": _FIRST,
     "mp_second_lah": _ROW | {"cauchy._classic_first_values", "cauchy._lah_values"},
     "mp_bernoulli": _BERNOULLI | {"bernoulli._bernoulli_values", "cauchy._pair"},
     "mp_poly_first": {
         "algebra.box_moments",
         "cauchy._closed_values",
         "cauchy._poly_from_row",
-        "stirling.comtet_first",
     }
     | _TABLE,
     "mp_poly_second": {
         "algebra.box_moments",
         "cauchy._closed_values",
         "cauchy._poly_from_row",
-        "stirling.signless_comtet_first",
     }
     | _TABLE,
     "mp_bernoulli_poly": _BERNOULLI
@@ -223,14 +214,10 @@ def test_readme_route_table_matches_the_pin():
     assert rows == [(name, ", ".join(sorted(KERNELS[name]))) for name in ENTRIES]
 
 
-# Every triangle is built through connection_coeffs, every polynomial route
-# pairs its row with the box moments through _poly_from_row, and T5.1's
-# definitional oracle checks that pairing apart from both.
-_POLYNOMIAL = {
-    "algebra.box_moments",
-    "cauchy._poly_from_row",
-    "stirling.connection_coeffs",
-}
+# Every table route reads its triangle rows through _rows, every polynomial
+# route pairs its row with the box moments through _poly_from_row, and
+# T5.1's definitional oracle checks that pairing apart from both.
+_POLYNOMIAL = {"algebra.box_moments", "cauchy._poly_from_row", "stirling._rows"}
 SHARED = {
     **{
         ident: (set(), "")

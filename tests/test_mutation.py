@@ -27,7 +27,7 @@ import polyfam
 from polyfam import algebra, bernoulli, cauchy, cli, harness, stirling, transforms
 from polyfam.algebra import Polynomial, TruncatedSeries
 from polyfam.harness import FAIL, sweep
-from polyfam.stirling import CoeffTable, comtet_second
+from polyfam.stirling import CoeffTable
 
 from test_independence import SHARED
 
@@ -157,34 +157,36 @@ def _prefix_products_unit_denominators(real):
 # --- L1: triangles --------------------------------------------------------
 
 
-def _connection_target_off_by_one(real):
+def _rows_target_off_by_one(real):
     # Column m reads target node m-1: b_0, b_0, b_1, ... in place of b_0, b_1, ...
-    def fake(source, target, size):
+    def fake(source, target, size, rows):
         b = tuple(target)
-        return real(source, b[:1] + b[:-1], size)
+        return real(source, b[:1] + b[:-1], size, rows)
 
     return fake
 
 
-def _connection_source_off_by_one(real):
+def _rows_source_off_by_one(real):
     # Row n + 1 reads source node n-1: a_0, a_0, a_1, ... in place of a_0, a_1, ...
-    def fake(source, target, size):
+    def fake(source, target, size, rows):
         a = tuple(source)
-        return real(a[:1] + a[:-1], target, size)
+        return real(a[:1] + a[:-1], target, size, rows)
 
     return fake
 
 
-def _int_row_wrong_power(real):
-    # Numerator m scaled by D^(n-m) in place of D^m, with row n read as the
-    # integers D^(n-m) T(n, m) over one denominator D, the lcm of den and the
-    # source nodes' own denominators q[i+1] / q[i]: coefficient m becomes
+def _rows_wrong_power(real):
+    # The decode scales numerator m by D^(n-m) in place of D^m, with row n
+    # read as the integers D^(n-m) T(n, m) over one denominator D, the lcm of
+    # the source and target nodes' denominators: coefficient m becomes
     # T(n, m) D^(n-2m).
-    def fake(self, n):
-        n %= len(self.num)
-        steps = (b // a for a, b in zip(self.q, self.q[1:]))
-        d, row = Fraction(math.lcm(self.den, *steps)), real(self, n)
-        return Polynomial(row.coefficient(m) * d ** (n - 2 * m) for m in range(n + 1))
+    def fake(source, target, size, rows):
+        a, b = tuple(source)[:size], tuple(target)[:size]
+        d = Fraction(math.lcm(*(Fraction(x).denominator for x in a + b)))
+        return [
+            Polynomial(row.coefficient(m) * d ** (n - 2 * m) for m in range(n + 1))
+            for n, row in zip(rows, real(a, b, size, rows))
+        ]
 
     return fake
 
@@ -397,14 +399,14 @@ def _misaligned(pairing):
         def kernel(sliced, p, rows, convention="corrected"):
             if sliced is not pairing:
                 return real(sliced, p, rows, convention)
-            table = comtet_second(p.alpha[: p.n], p.n)
+            read = stirling._rows((0,) * p.n, p.alpha[: p.n], p.n, rows)
             mu = algebra.box_moments(p.lengths, p.n)
             return [
                 pairing(
-                    bernoulli._bernoulli_row(table.int_row(j), convention),
+                    bernoulli._bernoulli_row(row, convention),
                     Polynomial.over(mu.num[p.n - j :], mu.den),
                 )
-                for j in rows
+                for j, row in zip(rows, read)
             ]
 
         return kernel
@@ -500,22 +502,22 @@ MATRIX = [
     # L1
     (
         stirling,
-        "connection_coeffs",
-        _connection_target_off_by_one,
+        "_rows",
+        _rows_target_off_by_one,
         "C4.1a C4.1b C4.2a C4.2b GF-Li T4.1 T4.2a T4.2b T4.3a T4.3b T5.2a T5.2b "
         "T5.2c T5.2d",
     ),
     (
         stirling,
-        "connection_coeffs",
-        _connection_source_off_by_one,
+        "_rows",
+        _rows_source_off_by_one,
         "C2.1 C3.1 C5.1a C5.1b CASES-2 CASES-3 T2.1 T3.1 T5.1a T5.1b T5.2a T5.2b "
         "T5.2c T5.2d",
     ),
     (
-        CoeffTable,
-        "int_row",
-        _int_row_wrong_power,
+        stirling,
+        "_rows",
+        _rows_wrong_power,
         "C2.1 C3.1 C4.1a C4.1b C4.2a C4.2b C5.1a C5.1b CASES-2 CASES-3 T2.1 T3.1 "
         "T4.1 T4.2a T4.2b T4.3a T4.3b T5.1a T5.1b T5.2a T5.2b T5.2c T5.2d",
     ),
@@ -691,10 +693,10 @@ def _table_stdout():
 
 
 def test_the_int_row_fault_changes_what_table_prints(monkeypatch):
-    # `table` prints the rows the routes pair, so the fault the sweep sees in
-    # them is also in its output.
+    # `table` prints the rows the routes pair, so the decode fault the sweep
+    # sees in them (once in `int_row`, now in `_rows`) is also in its output.
     real = _table_stdout()
-    _inject(monkeypatch, CoeffTable, "int_row", _int_row_wrong_power)
+    _inject(monkeypatch, stirling, "_rows", _rows_wrong_power)
     assert _table_stdout() != real
 
 
@@ -714,12 +716,13 @@ def _all_zero_samples(real):
 
 
 def _getitem_wrong_power(real):
-    # Entry (n, m) over den^m in place of den^(n-m).
+    # Entry (n, m) over a further den^(n-m), den its row's denominator: the
+    # fraction-free form's scale applied to a canonical row.
     def fake(self, nm):
         n, m = nm
-        if 0 <= m <= n < len(self.num):
-            return Fraction(self.num[n][m], self.q[n] * self.den**m)
-        return Fraction(0)
+        if 0 <= m <= n < len(self.rows):
+            return real(self, nm) / self.rows[n].den ** (n - m)
+        return real(self, nm)
 
     return fake
 
@@ -752,7 +755,7 @@ NOT_SEEN_BY_THE_SWEEP = [
         "tests/test_bernoulli.py::test_small_anchor_values",
         {},
     ),
-    # No verify reading indexes a table; the sweep reads rows through int_row.
+    # No verify reading indexes a table; the sweep reads rows through _rows.
     (
         CoeffTable,
         "__getitem__",

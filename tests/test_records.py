@@ -13,7 +13,7 @@ import pytest
 
 from conftest import SRC
 from polyfam import harness
-from polyfam.algebra import PreconditionError, TruncatedSeries
+from polyfam.algebra import Polynomial, PreconditionError, TruncatedSeries
 from polyfam.cauchy import FamilyPoint
 from polyfam.harness import GridSpec, Identity, IdentityReport, ParamPoint
 from polyfam.stirling import CoeffTable
@@ -35,9 +35,9 @@ def _records():
             "lengths=(Fraction(3, 1),))",
         ),
         (
-            CoeffTable(((1,), (-1, 3)), 2, (1, 3)),
-            CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3)),
-            "CoeffTable(num=((1,), (-1, 3)), den=2, q=(1, 3))",
+            CoeffTable((Polynomial.over((1,)), Polynomial.over((-1, 6), 6))),
+            CoeffTable(rows=[Polynomial((one,)), Polynomial((Fraction(-1, 6), one))]),
+            "CoeffTable(rows=(Polynomial(['1']), Polynomial(['-1/6', '1'])))",
         ),
         (
             point,
@@ -140,10 +140,12 @@ def test_a_record_equals_only_its_own_type():
     assert GridSpec() != (5, 2, 10, 6, 20)
     assert ParamPoint(2, 1, (1, 2), (1,)) != point
     assert point != FamilyPoint(2, 1, (1, 2), (2,))
-    # A table compares field by field: the same entries at another scale
-    # are another record.
-    assert CoeffTable(((1,), (-1, 1))) != CoeffTable(((1,), (-2, 1)), 2)
-    assert CoeffTable(((1,),)) != ((1,),)
+    # A table holds canonical rows: the same entries held at another scale
+    # are the same record, and other entries another one.
+    one, row = Polynomial.over((1,)), Polynomial.over((-1, 1))
+    assert CoeffTable((one, row)) == CoeffTable((one, Polynomial.over((-2, 2), 2)))
+    assert CoeffTable((one, row)) != CoeffTable((one, -row))
+    assert CoeffTable((one,)) != (one,)
 
 
 def test_points_hold_rationals():

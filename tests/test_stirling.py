@@ -11,6 +11,7 @@ from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     CoeffTable,
     _rebase,
+    _rows,
     comtet_first,
     comtet_second,
     comtet_second_explicit,
@@ -62,7 +63,7 @@ def _multiparam(alpha):
     return lambda m: Polynomial.from_roots(alpha[:m])
 
 
-def _rows(table):
+def _entries(table):
     """Every row of a table as Fractions, read through `row`."""
     return tuple(table.row(n) for n in range(table.size + 1))
 
@@ -103,7 +104,7 @@ def test_table_indexing_outside_triangle_is_zero():
     assert t.row(3) == (Fraction(0), Fraction(2), Fraction(-3), Fraction(1))
     assert t.size == 3
     # A row reads n + 1 entries even where its polynomial is zero.
-    assert CoeffTable(((1,), (0, 0))).row(1) == (0, 0)
+    assert CoeffTable((Polynomial.over((1,)), Polynomial())).row(1) == (0, 0)
 
 
 def test_stirling_tables_match_reference_values():
@@ -196,10 +197,10 @@ def test_comtet_tables_are_two_sided_inverses(alpha):
     n = len(alpha)
     first = comtet_first(alpha, n)
     second = comtet_second(alpha, n)
-    unit = _rows(identity(n))
-    assert _rows(table_product(first, second)) == unit
-    assert _rows(table_product(second, first)) == unit
-    assert _rows(connection_coeffs(alpha, alpha, n)) == unit
+    unit = _entries(identity(n))
+    assert _entries(table_product(first, second)) == unit
+    assert _entries(table_product(second, first)) == unit
+    assert _entries(connection_coeffs(alpha, alpha, n)) == unit
 
 
 def test_noncentral_table_collapses_classically():
@@ -256,9 +257,9 @@ def test_node_recurrence_matches_the_back_substitution_oracle(size, alpha, beta)
     for family, (build, needs_alpha) in TABLE_FAMILIES.items():
         table = build(alpha, size) if needs_alpha else build(size)
         source, target = _ORACLE_BASES[family](alpha)
-        assert _rows(table) == _oracle_connection(source, target, size), family
+        assert _entries(table) == _oracle_connection(source, target, size), family
     mixed = connection_coeffs(alpha, beta, size)
-    assert _rows(mixed) == _oracle_connection(
+    assert _entries(mixed) == _oracle_connection(
         _multiparam(alpha), _multiparam(beta), size
     )
 
@@ -275,15 +276,11 @@ def node_lists(draw):
 
 
 def _hand_built(table, factor):
-    """The same entries held over the denominator factor * table.den and the
-    row denominators factor * table.q[n]."""
+    """The same entries, each row given as its integers times factor over its
+    denominator times factor."""
     return CoeffTable(
-        tuple(
-            tuple(r * factor ** (n - m + 1) for m, r in enumerate(row))
-            for n, row in enumerate(table.num)
-        ),
-        factor * table.den,
-        tuple(factor * q for q in table.q),
+        Polynomial.over((c * factor for c in row.num), row.den * factor)
+        for row in table.rows
     )
 
 
@@ -301,48 +298,46 @@ def test_integer_numerators_over_the_common_denominator(size, alpha, beta):
         else:
             source, target = _ORACLE_BASES[family](alpha)
             want = _oracle_connection(source, target, size)
-        assert table.den >= 1
-        assert len(table.q) == size + 1 and all(q >= 1 for q in table.q)
-        assert all(isinstance(r, int) for row in table.num for r in row)
-        for n, row in enumerate(table.num):
-            assert len(row) == n + 1
-            for m, r in enumerate(row):
-                got = Fraction(r, table.q[n] * table.den ** (n - m))
-                assert got == want[n][m], family
-            int_row = table.int_row(n)
+        # Each row is integers over one denominator, in Polynomial's
+        # canonical form.
+        assert len(table.rows) == size + 1
+        for n, row in enumerate(table.rows):
+            assert type(row) is Polynomial and row.den >= 1
+            assert all(type(r) is int for r in row.num)
+            assert math.gcd(row.den, *row.num) == 1
             # T(n, n) = +-1 keeps the degree n that _bernoulli_row reads.
-            assert len(int_row.num) == n + 1
-            assert [Fraction(c, int_row.den) for c in int_row.num] == list(want[n])
+            assert len(row.num) == n + 1
+            assert [Fraction(c, row.den) for c in row.num] == list(want[n]), family
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=12), node_lists(), st.integers(2, 6))
 def test_table_views_agree_across_denominators(size, alpha, factor):
     same, unit = connection_coeffs(alpha, alpha, size), identity(size)
-    assert unit.den == 1
-    assert _rows(same) == _rows(unit)
+    assert all(row.den == 1 for row in unit.rows)
+    assert _entries(same) == _entries(unit)
     first, second = comtet_first(alpha, size), comtet_second(alpha, size)
     for table in (first, second, signless_comtet_first(alpha, size)):
+        # Rows given at another scale are held canonical: the same record.
         hand = _hand_built(table, factor)
-        assert hand.den != table.den
-        assert _rows(hand) == _rows(table) and hand[size, 0] == table[size, 0]
+        assert hand == table
+        assert _entries(hand) == _entries(table) and hand[size, 0] == table[size, 0]
         assert tuple(tuple(map(abs, hand.row(n))) for n in range(size + 1)) == tuple(
-            tuple(abs(c) for c in row) for row in _rows(table)
+            tuple(abs(c) for c in row) for row in _entries(table)
         )
-        assert _rows(table_product(hand, unit)) == _rows(table)
-        assert _rows(table_product(unit, hand)) == _rows(table)
-    assert _rows(table_product(_hand_built(first, factor), second)) == _rows(unit)
-    assert _rows(table_product(second, _hand_built(first, factor))) == _rows(unit)
-    last = first.num[-1]
-    bumped = CoeffTable(
-        first.num[:-1] + ((last[0] + 1,) + last[1:],), first.den, first.q
-    )
-    assert _rows(bumped) != _rows(first)
-    assert _rows(bumped) != _rows(_hand_built(first, factor))
+        assert _entries(table_product(hand, unit)) == _entries(table)
+        assert _entries(table_product(unit, hand)) == _entries(table)
+    assert _entries(table_product(_hand_built(first, factor), second)) == _entries(unit)
+    assert _entries(table_product(second, _hand_built(first, factor))) == _entries(unit)
+    last = first.rows[-1]
+    bumped = CoeffTable(first.rows[:-1] + (last + Polynomial.over((1,), last.den),))
+    assert _entries(bumped) != _entries(first)
+    assert _entries(bumped) != _entries(_hand_built(first, factor))
     # The identity holds T(n, n) = 1 over any row denominator, and only there.
-    rows = tuple((0,) * n + (factor,) for n in range(size + 1))
-    assert _rows(CoeffTable(rows, factor, (factor,) * (size + 1))) == _rows(unit)
-    assert _rows(CoeffTable(rows)) != _rows(unit)
+    rows = [(0,) * n + (factor,) for n in range(size + 1)]
+    over = CoeffTable(Polynomial.over(row, factor) for row in rows)
+    assert over == unit and _entries(over) == _entries(unit)
+    assert _entries(CoeffTable(map(Polynomial.over, rows))) != _entries(unit)
 
 
 @settings(max_examples=30, deadline=None)
@@ -437,13 +432,66 @@ def test_every_read_of_a_table_is_its_int_row(size, alpha, beta):
 
 
 def test_a_table_holds_only_its_integers():
-    # Reading a table builds its Fractions on demand and caches none of them.
+    # A table holds one field, its rows, each integers over one denominator;
+    # reading it builds its Fractions on demand and caches none of them.
     table = comtet_second([Fraction(1, 2), Fraction(-2, 3), 0], 3)
     hand = _hand_built(table, 2)
     assert hand.row(3) == table.row(3) and hand[3, 1] == table[3, 1]
-    assert _rows(hand) == _rows(table)
-    assert type(table).__slots__ == type(hand).__slots__ == ("num", "den", "q")
+    assert _entries(hand) == _entries(table)
+    assert type(table).__slots__ == ("rows",)
+    assert len(table.rows) == 4 and all(type(r) is Polynomial for r in table.rows)
     assert not hasattr(table, "__dict__") and not hasattr(hand, "__dict__")
+
+
+# Rational, zero and repeated nodes, integer ones among them for the
+# recurrence's q = 1 step.
+_MIXED_NODES = [
+    Fraction(1, 2), 0, Fraction(-2, 3), Fraction(1, 2), 3, Fraction(5, 7)
+] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10),
+    node_lists(),
+    node_lists(),
+    st.lists(st.integers(min_value=0, max_value=10), max_size=6),
+)
+@example(7, _MIXED_NODES, _MIXED_NODES[::-1], [7])
+@example(7, _MIXED_NODES, _MIXED_NODES[::-1], [0, 2, 3, 7])
+@example(7, _MIXED_NODES, _MIXED_NODES[::-1], [5, 0, 3])
+@example(7, _MIXED_NODES, _MIXED_NODES[::-1], [4, 4, 1, 4])
+@example(0, _MIXED_NODES, _MIXED_NODES, [])
+def test_rows_reads_the_oracle_rows_asked_for(size, alpha, beta, picks):
+    # One row, ascending, out-of-order and repeated row lists, each row read
+    # in the order asked for, at the routes' three node pairs and a mixed one.
+    rows = [j % (size + 1) for j in picks]
+    zeros = [0] * size
+    negated = [-a for a in alpha]
+    for source, target in (
+        (alpha, zeros),
+        (negated, zeros),
+        (zeros, alpha),
+        (alpha, beta),
+    ):
+        want = _oracle_connection(_multiparam(source), _multiparam(target), size)
+        got = _rows(source, target, size, rows)
+        assert len(got) == len(rows)
+        for n, row in zip(rows, got):
+            assert len(row.num) == n + 1 and row == Polynomial(want[n])
+        for outside in (-1, size + 1):
+            with pytest.raises(IndexError):
+                _rows(source, target, size, rows + [outside])
+
+
+def test_rows_keeps_the_connection_preconditions():
+    short = "parameter sequence of length 2 cannot form a degree-3 basis element"
+    with pytest.raises(PreconditionError):
+        _rows((), (), -1, ())
+    with pytest.raises(PreconditionError, match=short):
+        _rows((1, 2), (0, 0, 0), 3, (3,))
+    with pytest.raises(PreconditionError, match=short):
+        _rows((0, 0, 0), (1, 2), 3, (0,))
 
 
 def _linear_factor_bound(pairs, n):
@@ -457,14 +505,15 @@ def _linear_factor_bound(pairs, n):
 @example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
 def test_every_kernel_integer_stays_within_its_linear_factors(alpha):
     # Each node brings its own denominator and no other: the integers of the
-    # first-kind tables and of the definitions' products are coefficients of
-    # prod (q_i X -+ p_i), never scaled by the lcm of all the denominators.
+    # first-kind rows (in lowest terms) and of the definitions' products stay
+    # within the coefficients of prod (q_i X -+ p_i), never scaled by the lcm
+    # of all the denominators.
     size = len(alpha)
     pairs = [(a.numerator, a.denominator) for a in alpha]
     for table in (comtet_first(alpha, size), signless_comtet_first(alpha, size)):
-        for n, row in enumerate(table.num):
-            assert max(map(abs, row)) <= _linear_factor_bound(pairs, n)
-            assert math.prod(q for _, q in pairs[:n]) % table.int_row(n).den == 0
+        for n, row in enumerate(table.rows):
+            assert max(map(abs, row.num)) <= _linear_factor_bound(pairs, n)
+            assert math.prod(q for _, q in pairs[:n]) % row.den == 0
     for j, (cs, q) in enumerate(_prefix_products(pairs, range(size + 1))):
         assert max(map(abs, cs)) <= _linear_factor_bound(pairs, j)
         assert q == math.prod(q for _, q in pairs[:j])
