@@ -29,7 +29,6 @@ from .algebra import (
     PreconditionError,
     RatLike,
     Record,
-    TruncatedSeries,
     _all_digits,
     as_rat,
     as_rat_tuple,
@@ -146,7 +145,7 @@ def point_to_json(point: ParamPoint) -> dict:
     }
 
 
-def _fmt(value: Fraction | Polynomial | TruncatedSeries | Sequence | str) -> str:
+def _fmt(value: Fraction | Polynomial | Sequence | str) -> str:
     if isinstance(value, Polynomial):
         # str(Fraction(c, den)) without the Fraction: c/den in lowest terms.
         den, parts = value.den, []
@@ -154,8 +153,6 @@ def _fmt(value: Fraction | Polynomial | TruncatedSeries | Sequence | str) -> str
             g = math.gcd(c, den)
             parts.append(f"{c // g}/{den // g}" if den != g else str(c // g))
         return "[" + ", ".join(parts) + "]"
-    if isinstance(value, TruncatedSeries):
-        return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
@@ -214,15 +211,10 @@ def _readings_outcome(lhs, corrected, verbatim, label: str):
 
 def _one_reading(lhs, rhs, note: str = "") -> tuple:
     """An identity with one reading: whether lhs equals rhs (a series by its
-    order and coefficients) fills both verdict columns."""
+    order and reduced coefficients) fills both verdict columns. A series
+    prints as its coefficient tuple, order + 1 entries."""
     ok = lhs == rhs
-    return _outcome(ok, ok, lhs, rhs, note)
-
-
-def _agree(pt: ParamPoint, route) -> tuple:
-    """The definition against one first-kind route."""
-    fp = _family(pt)
-    return _one_reading(mp_first_def(fp), route(fp))
+    return _outcome(ok, ok, *(getattr(v, "coeffs", v) for v in (lhs, rhs)), note)
 
 
 def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
@@ -237,32 +229,6 @@ def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
     # A stated weight equal to the corrected one is summed once.
     sums = _expand(values, fp.alpha, *dict.fromkeys((corrected, stated)))
     return _readings_outcome(lhs, sums[0], sums[-1], "stated reading")
-
-
-def _poly_samples_outcome(
-    fp: FamilyPoint,
-    pt: ParamPoint,
-    poly_corrected: Polynomial,
-    poly_verbatim: Polynomial,
-    sign: int,
-) -> tuple:
-    """Both polynomials against the definitional oracle of the first-kind
-    (sign 1) or second-kind (sign -1) polynomial at the samples: the
-    definitions' kernel with the parameters shifted by sign z, once per
-    sample z."""
-    samples = list(integer_samples(fp.n + 1))
-    if pt.z0 is not None and pt.z0 not in samples:
-        samples.append(pt.z0)
-    oracle_values = [_def_values(sign, fp, (fp.n,), z)[0] for z in samples]
-
-    def matches(poly: Polynomial) -> bool:
-        return all(poly(z) == v for z, v in zip(samples, oracle_values))
-
-    # A stated polynomial equal to the corrected one is checked once.
-    ok = {f: matches(f) for f in dict.fromkeys((poly_corrected, poly_verbatim))}
-    corrected_ok, verbatim_ok = ok[poly_corrected], ok[poly_verbatim]
-    note = "" if verbatim_ok else f"stated expansion gives {_fmt(poly_verbatim)}"
-    return _outcome(verbatim_ok, corrected_ok, oracle_values, poly_corrected, note)
 
 
 def _require_order(pt: ParamPoint) -> int:
@@ -298,12 +264,10 @@ def _second_abs(pairing, fp: FamilyPoint):
 # ---------------------------------------------------------------------------
 
 
-def _eval_T21(pt: ParamPoint) -> tuple:
-    return _agree(pt, mp_first_closed)
-
-
-def _eval_T22(pt: ParamPoint) -> tuple:
-    return _agree(pt, mp_first_noncentral)
+def _agree(pt: ParamPoint, route: str) -> tuple:
+    """The definition against the first-kind route named `route`."""
+    fp = _family(pt)
+    return _one_reading(mp_first_def(fp), globals()[route](fp))
 
 
 def _eval_T23(pt: ParamPoint) -> tuple:
@@ -313,10 +277,6 @@ def _eval_T23(pt: ParamPoint) -> tuple:
     unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
     verbatim = _row(fp.alpha[: fp.n], range(fp.n), fp.n)(1) * unit_value
     return _readings_outcome(lhs, corrected, verbatim, "stated reading")
-
-
-def _eval_T24(pt: ParamPoint) -> tuple:
-    return _agree(pt, mp_first_bell)
 
 
 def _eval_T31(pt: ParamPoint) -> tuple:
@@ -353,27 +313,37 @@ def _expansion(pt: ParamPoint, lhs_route, kernel, bound, corrected, stated):
     return _inversion(pt, names[lhs_route], values_of, corrected, stated)
 
 
-def _eval_T51a(pt: ParamPoint) -> tuple:
-    # The stated polynomial is the corrected one.
+def _poly_samples_outcome(
+    pt: ParamPoint, route: str, sign: int, absolute: bool
+) -> tuple:
+    """A polynomial closed form: the polynomial route named `route` and the
+    stated polynomial (the route's own, or `_second_abs`'s absolute
+    first-kind row if `absolute`) against the definitional oracle of the
+    first-kind (sign 1) or second-kind (sign -1) polynomial at the samples:
+    the definitions' kernel with the parameters shifted by sign z, once per
+    sample z."""
     fp = _family(pt)
-    poly = mp_poly_first(fp)
-    return _poly_samples_outcome(fp, pt, poly, poly, 1)
+    samples = list(integer_samples(fp.n + 1))
+    if pt.z0 is not None and pt.z0 not in samples:
+        samples.append(pt.z0)
+    oracle_values = [_def_values(sign, fp, (fp.n,), z)[0] for z in samples]
+    corrected = globals()[route](fp)
+    stated = _second_abs(_poly_from_row, fp) if absolute else corrected
+
+    def matches(poly: Polynomial) -> bool:
+        return all(poly(z) == v for z, v in zip(samples, oracle_values))
+
+    # A stated polynomial equal to the corrected one is checked once.
+    ok = {f: matches(f) for f in dict.fromkeys((corrected, stated))}
+    note = "" if ok[stated] else f"stated expansion gives {_fmt(stated)}"
+    return _outcome(ok[stated], ok[corrected], oracle_values, corrected, note)
 
 
-def _eval_T51b(pt: ParamPoint) -> tuple:
-    fp = _family(pt)
-    stated = _second_abs(_poly_from_row, fp)
-    return _poly_samples_outcome(fp, pt, mp_poly_second(fp), stated, -1)
-
-
-def _eval_GF_Lif(pt: ParamPoint) -> tuple:
+def _series_check(pt: ParamPoint, check: str) -> tuple:
+    """A generating function of classical values: the two series that the
+    check named `check` gives through the point's order."""
     order = _require_order(pt)
-    return _one_reading(*lif_gf_check(pt.k, order))
-
-
-def _eval_GF_Li(pt: ParamPoint) -> tuple:
-    order = _require_order(pt)
-    return _one_reading(*li_gf_check(pt.k, order))
+    return _one_reading(*globals()[check](pt.k, order))
 
 
 def _cases(pt: ParamPoint, sign: int) -> tuple:
@@ -448,15 +418,33 @@ _T41_REMARK = (
 )
 
 CATALOG: tuple[Identity, ...] = (
-    Identity("T2.1", "first-kind values via the first-kind triangle", _eval_T21),
-    Identity("C2.1", "single-integral case of T2.1", _eval_T21, k1_only=True),
+    Identity(
+        "T2.1",
+        "first-kind values via the first-kind triangle",
+        _agree,
+        args=("mp_first_closed",),
+    ),
+    Identity(
+        "C2.1",
+        "single-integral case of T2.1",
+        _agree,
+        k1_only=True,
+        args=("mp_first_closed",),
+    ),
     Identity(
         "T2.2",
         "first-kind values via the non-central table and the classical "
         "first-kind triangle",
-        _eval_T22,
+        _agree,
+        args=("mp_first_noncentral",),
     ),
-    Identity("C2.2", "single-integral case of T2.2", _eval_T22, k1_only=True),
+    Identity(
+        "C2.2",
+        "single-integral case of T2.2",
+        _agree,
+        k1_only=True,
+        args=("mp_first_noncentral",),
+    ),
     Identity(
         "T2.3",
         "first-kind values as non-central combinations of classical-parameter "
@@ -469,7 +457,8 @@ CATALOG: tuple[Identity, ...] = (
         "T2.4",
         "explicit first-kind formula via weighted Bell polynomials of "
         "reciprocal power sums",
-        _eval_T24,
+        _agree,
+        args=("mp_first_bell",),
     ),
     Identity(
         "T3.1", "second-kind values via the signless triangle", _eval_T31, _SIGNLESS
@@ -560,16 +549,34 @@ CATALOG: tuple[Identity, ...] = (
         k1_only=True,
         args=_T43B,
     ),
-    Identity("T5.1a", "closed form of the first-kind polynomial family", _eval_T51a),
+    Identity(
+        "T5.1a",
+        "closed form of the first-kind polynomial family",
+        _poly_samples_outcome,
+        # The stated polynomial is the corrected one.
+        args=("mp_poly_first", 1, False),
+    ),
     Identity(
         "T5.1b",
         "closed form of the second-kind polynomial family",
-        _eval_T51b,
+        _poly_samples_outcome,
         _SIGNLESS,
+        args=("mp_poly_second", -1, True),
     ),
-    Identity("C5.1a", "single-integral case of T5.1a", _eval_T51a, k1_only=True),
     Identity(
-        "C5.1b", "single-integral case of T5.1b", _eval_T51b, _SIGNLESS, k1_only=True
+        "C5.1a",
+        "single-integral case of T5.1a",
+        _poly_samples_outcome,
+        k1_only=True,
+        args=("mp_poly_first", 1, False),
+    ),
+    Identity(
+        "C5.1b",
+        "single-integral case of T5.1b",
+        _poly_samples_outcome,
+        _SIGNLESS,
+        k1_only=True,
+        args=("mp_poly_second", -1, True),
     ),
     Identity(
         "T5.2a",
@@ -608,12 +615,14 @@ CATALOG: tuple[Identity, ...] = (
         "GF-Lif",
         "factorial-polylogarithm generating function of classical first-kind "
         "values",
-        _eval_GF_Lif,
+        _series_check,
+        args=("lif_gf_check",),
     ),
     Identity(
         "GF-Li",
         "polylogarithm generating function of classical Bernoulli-type values",
-        _eval_GF_Li,
+        _series_check,
+        args=("li_gf_check",),
     ),
     Identity(
         "CASES-2", "specialization web of the first-kind family", _cases, args=(1,)

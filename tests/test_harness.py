@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, harness, stirling, transforms
-from polyfam.algebra import Polynomial, PreconditionError
+from polyfam.algebra import Polynomial, PreconditionError, TruncatedSeries
 from polyfam.cauchy import FamilyPoint, mp_second_def
 from polyfam.harness import (
     CATALOG,
@@ -106,6 +106,46 @@ def test_corollaries_evaluate_their_parent_with_one_integration():
         )
 
 
+def _named_functions(args):
+    """The strings in `args`, nested tuples included, that name a function of
+    the harness module, once each."""
+    for arg in args:
+        if isinstance(arg, tuple):
+            yield from _named_functions(arg)
+        elif isinstance(arg, str) and callable(vars(harness).get(arg)):
+            yield arg
+
+
+REBINDINGS = [
+    (entry, name)
+    for entry in CATALOG
+    for name in dict.fromkeys(_named_functions(entry.args))
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name", REBINDINGS, ids=[f"{e.id}:{name}" for e, name in REBINDINGS]
+)
+def test_an_entry_calls_what_its_arguments_name_through_the_harness(
+    entry, name, monkeypatch
+):
+    # A route, kernel, pairing or check named by its string is looked up in
+    # the harness module when the entry is evaluated, so a rebinding there
+    # (a per-layer tracer's, a mutation's) sees the entry's calls.
+    point = ParamPoint(
+        n=3, k=1, alpha=(1, "1/2", -2), lengths=(3,), z0=2, q=2, series_order=4
+    )
+    real, calls = getattr(harness, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    report = verify(entry.id, point)
+    assert report.corrected == PASS and calls
+
+
 def test_readme_identity_table_matches_the_catalog():
     lines = README.read_text().splitlines()
     start = lines.index("| id | checks | status |") + 2
@@ -144,6 +184,22 @@ def test_a_report_prints_a_polynomial_as_its_fractions():
         expected = [str(Fraction(c, poly.den)) for c in poly.num]
         assert harness._fmt(poly) == "[" + ", ".join(expected) + "]"
     assert harness._fmt(Polynomial.over((0, -3, 4, 6), 4)) == "[0, -3/4, 1, 3/2]"
+
+
+def test_a_report_prints_a_series_as_all_its_coefficients(monkeypatch):
+    # A series reaches _fmt as its coefficient tuple, order + 1 entries: the
+    # zeros past its last nonzero coefficient print, and two series that
+    # differ only in order differ in the report.
+    point = ParamPoint(series_order=3)
+    for lhs, rhs, verdict, texts in [
+        ((3, (1, "-1/2")), (3, (1, "-1/2", 0)), PASS, ("[1, -1/2, 0, 0]",) * 2),
+        ((2, (1,)), (3, (1,)), FAIL, ("[1, 0, 0]", "[1, 0, 0, 0]")),
+    ]:
+        sides = (TruncatedSeries(*lhs), TruncatedSeries(*rhs))
+        monkeypatch.setattr(harness, "lif_gf_check", lambda k, order: sides)
+        report = verify("GF-Lif", point)
+        assert (report.verbatim, report.corrected) == (verdict, verdict)
+        assert (report.lhs, report.rhs) == texts
 
 
 @pytest.mark.parametrize("bound", [1, 20, 10**6])

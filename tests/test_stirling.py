@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from polyfam.cli import TABLE_FAMILIES
 from polyfam.stirling import (
     CoeffTable,
     _rebase,
+    _row,
     _rows,
     comtet_first,
     comtet_second,
@@ -517,6 +519,42 @@ def test_every_kernel_integer_stays_within_its_linear_factors(alpha):
     for j, (cs, q) in enumerate(_prefix_products(pairs, range(size + 1))):
         assert max(map(abs, cs)) <= _linear_factor_bound(pairs, j)
         assert q == math.prod(q for _, q in pairs[:j])
+
+
+def _routes_large_alpha():
+    # The 40 parameters of perfbench's seed-0 routes-large point: nonzero
+    # rationals of height at most 20, drawn first from the seeded stream.
+    rng, alpha = random.Random("routes-large:0"), []
+    while len(alpha) < 40:
+        value = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+        if value:
+            alpha.append(value)
+    return alpha
+
+
+def test_the_fraction_free_loops_hand_over_integers_within_their_factors(
+    monkeypatch,
+):
+    # The integers `_rows` and `_row` hand to Polynomial.over, before it
+    # reduces them, at the routes-large point: each node brings its own
+    # denominator only, so none exceeds prod (|p_i| + q_i), 155 bits here
+    # (the largest reads 138). Scaling each step by the lcm of all the
+    # denominators would hand over 1104-bit integers.
+    alpha, n = _routes_large_alpha(), 40
+    bound = _linear_factor_bound([a.as_integer_ratio() for a in alpha], n)
+    over, handed = Polynomial.over.__func__, []
+
+    def spy(cls, num, den=1):
+        num = list(num)
+        handed.extend((*num, den))
+        return over(cls, num, den)
+
+    monkeypatch.setattr(Polynomial, "over", classmethod(spy))
+    zeros = (0,) * n
+    rows = _rows(alpha, zeros, n, (n,)) + [_row(alpha, zeros, n)]
+    assert rows[0] == rows[1] and len(rows[0].num) == n + 1
+    largest = max(map(abs, handed))
+    assert largest <= bound, (largest.bit_length(), bound.bit_length())
 
 
 def test_connection_preconditions():
