@@ -323,8 +323,8 @@ def specialize(
     lengths: Iterable[RatLike] | None = None,
 ) -> Fraction:
     """Classical and q-parameter members of the families, as sugar over the
-    multiparameter definitions: the definitions' kernel at the FamilyPoint
-    with parameters i q (i < n) and the family's box.
+    multiparameter definitions: mp_first_def or mp_second_def at the
+    FamilyPoint with parameters i q (i < n) and the family's box.
 
     family: 'classic'    k = 1, parameters 0..n-1, one box length
             'poly'       parameters 0..n-1, unit box in k variables
@@ -358,7 +358,7 @@ def specialize(
         lengths = (1,)
     step = 1 if q is None else as_rat(q)
     p = FamilyPoint(n, k, [i * step for i in range(n)], lengths)
-    return _def_values(1 if kind == "first" else -1, p, (n,))[0]
+    return mp_first_def(p) if kind == "first" else mp_second_def(p)
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:

@@ -60,10 +60,16 @@ TABLE_FAMILIES = {
 }
 
 
-# Fraction builds 10^|e| for an exponent e, and _approx 10^D for --decimals
-# D, so an unbounded one never ends. Every integer flag has the same bound:
-# --k 10^9 alone would build a 10^9-entry box before any check on the work.
+# Fraction builds 10^|e| for an exponent e, and _approx 10^D for --decimals D,
+# so an unbounded one never ends. Integer flags and a literal's digit count
+# share the bound: --k 10^9 alone would build a 10^9-entry box before any check.
 _MAX_EXPONENT = 10_000
+
+
+def _literal(parse, text: str):
+    if (digits := sum(map(str.isdecimal, text))) > _MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(f"{digits} digits (at most {_MAX_EXPONENT})")
+    return _all_digits(parse, text)
 
 
 def _rational(text: str) -> Fraction:
@@ -76,7 +82,7 @@ def _rational(text: str) -> Fraction:
             f"exponent out of range: {text!r} (at most {_MAX_EXPONENT} in magnitude)"
         )
     try:
-        return Fraction(text)
+        return _literal(Fraction, text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"not a rational number: {text!r} (use 'p/q' or an integer)"
@@ -105,7 +111,7 @@ def _bounded_int(low: int) -> Callable[[str], int]:
             )
         return value
 
-    return parse
+    return lambda text: _literal(parse, text)
 
 
 def _ids_list(text: str) -> tuple[str, ...] | None:

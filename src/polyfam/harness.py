@@ -348,9 +348,9 @@ def _series_check(pt: ParamPoint, check: str) -> tuple:
 
 def _cases(pt: ParamPoint, sign: int) -> tuple:
     """Specialization web of the first-kind (sign 1) or second-kind (sign -1)
-    family: five arrows between the special families and their triangle,
-    integral and closed-form readings. The second kind is the first at the
-    negated roots under (-1)^n, in the triangle row as in the integrals."""
+    family: five arrows from specialize to the triangle row, the integrals and
+    the kind's closed route. The second kind is the first at the negated roots
+    under (-1)^n, in the triangle row as in the integrals."""
     q = _require_q(pt)
     n, k = pt.n, pt.k
     ell = pt.lengths[0] if pt.lengths else Fraction(1)
@@ -362,9 +362,7 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     scaled = (c * u ** (n - m) * v**m for m, c in enumerate(row.num))
     moments = box_moments(unit, n)
     triangle_q = sign**n * _pair(Polynomial.over(scaled, row.den * v**n), moments)
-
-    def closed(p: FamilyPoint) -> Fraction:
-        return _closed_values(_pair, sign, p, (n,))[0]
+    closed = mp_first_closed if sign > 0 else mp_second_closed
 
     def integral(roots: tuple[Fraction, ...]) -> Fraction:
         product = Polynomial.from_roots(sign * r for r in roots)
@@ -373,11 +371,10 @@ def _cases(pt: ParamPoint, sign: int) -> tuple:
     q_roots = tuple(Fraction(i) * q for i in range(n))
     poly = specialize("poly", kind, n, k)
     classic = specialize("classic", kind, n, lengths=(ell,))
-    q_poly = specialize("q-poly", kind, n, k, q=q)
     arrows = [
         ("poly-vs-triangle", poly, closed(FamilyPoint(n, k, classical_roots, unit))),
         ("classic-vs-integral", classic, integral(classical_roots)),
-        ("q-poly-vs-homogeneity", q_poly, triangle_q),
+        ("q-poly-vs-homogeneity", specialize("q-poly", kind, n, k, q=q), triangle_q),
         (
             "extended-vs-closed",
             specialize("extended-q", kind, n, k, q=q, lengths=pt.lengths),

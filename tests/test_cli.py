@@ -540,6 +540,40 @@ def test_main_restores_the_int_string_digit_limit(capsys):
     assert capsys.readouterr().out.count("9" * 5000) == 1
 
 
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_a_literal_written_in_full_reads_like_its_exponent_form(capsys):
+    # 10^4400 has 4401 digits, past CPython's default limit of 4300.
+    limit, argv = _digit_limit(), ["number", "mp-cauchy-1", "--n", "1", "--alpha"]
+    assert main([*argv, "1" + "0" * 4400]) == 0
+    assert _digit_limit() == limit
+    full = capsys.readouterr()
+    assert main([*argv, "1e4400"]) == 0
+    assert _digit_limit() == limit
+    assert full.out and full.err == ""
+    assert capsys.readouterr() == full
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "1", "--alpha", "1" * 10_001], "--alpha: 10001 digits (at most 10000)"),
+        (["--n", "1" * 4401], "--n: must be at most 10000, got 1111"),
+    ],
+)
+def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
+    limit = _digit_limit()
+    with pytest.raises(SystemExit) as exit_:
+        main(["number", "mp-cauchy-1", *argv])
+    assert _digit_limit() == limit
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {message}" in err
+    assert "Traceback" not in err
+
+
 def test_main_is_importable_and_returns_exit_codes(capsys):
     assert main(["number", "mp-cauchy-1", "--n", "1"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,9 @@ not assumed:
 The twelve expansion identities (the `harness._inversion` ids) are traced
 the same way, one side at a time: the lhs route, and the family values with
 the weights that sum them. What the two sides share is pinned in `SHARED`,
-each entry with its reason, so a new shared kernel fails a test.
+each entry with its reason, so a new shared kernel fails a test. The five
+arrows of the specialization webs (CASES-2/3) are traced one side at a time
+too, and `ARROWS` pins what the two sides of each share.
 """
 
 import inspect
@@ -273,3 +275,65 @@ def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(
     shared = _kernels(lhs_route, (fp,)) & _kernels(values_and_weights, ())
     allowed, reason = SHARED[identity]
     assert shared == allowed, reason
+
+
+# CASES-2/3 (harness._cases) set five special values, each by `specialize`
+# (the definitions), against a reading of another kind: the closed route,
+# the box integral of a product of linear factors, or the triangle row scaled
+# by the homogeneity in q. Each call that _cases makes itself is charged, with
+# all it calls, to the side that it computes; a point's constructor checks the
+# point and is left out. The integral side expands its product through
+# Polynomial.from_roots, which shares _prefix_products with the definitions:
+# a fault there cancels in both integral arrows, and only the other three,
+# which share no kernel, catch it.
+CASES_POINT = ParamPoint(3, 2, POINT.alpha, POINT.lengths, q=Fraction(-2, 3))
+_INTEGRAL = {"algebra._prefix_products"}
+ARROWS = {
+    "poly-vs-triangle": ("poly", "closed", set()),
+    "classic-vs-integral": ("classic", "integral", _INTEGRAL),
+    "q-poly-vs-homogeneity": ("q-poly", "scaled row", set()),
+    "extended-vs-closed": ("extended-q", "closed", set()),
+    "q-classic-vs-integral": ("q-classic", "integral", _INTEGRAL),
+}
+
+
+def _case_sides(identity):
+    """The package functions under each side of verify(identity) at
+    CASES_POINT, and the names of its arrows."""
+    names, cases, sides = _code_names(), harness._cases.__code__, {}
+
+    def label(frame):
+        # The call that _cases itself made, and the side that it computes.
+        while frame.f_back is not None and frame.f_back.f_code is not cases:
+            frame = frame.f_back
+        if frame.f_back is None:
+            return None
+        name = frame.f_code.co_name
+        if name == "specialize":
+            return frame.f_locals["family"]
+        if name in ("mp_first_closed", "mp_second_closed"):
+            return "closed"
+        return "integral" if name == "integral" else "scaled row"
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            side = label(frame)
+            if side is not None:
+                sides.setdefault(side, set()).add(names[frame.f_code])
+
+    sys.setprofile(record)
+    try:
+        report = verify(identity, CASES_POINT)
+    finally:
+        sys.setprofile(None)
+    arrows = [part.partition("=")[0] for part in report.lhs.split("; ")]
+    points = {"cauchy.FamilyPoint.__init__"}
+    return {side: kernels - GENERIC - points for side, kernels in sides.items()}, arrows
+
+
+@pytest.mark.parametrize("identity", ["CASES-2", "CASES-3"])
+def test_the_two_sides_of_a_cases_arrow_share_only_the_pinned_kernels(identity):
+    sides, arrows = _case_sides(identity)
+    assert arrows == list(ARROWS)
+    for arrow, (left, right, allowed) in ARROWS.items():
+        assert sides[left] & sides[right] == allowed, arrow
