@@ -66,6 +66,13 @@ TABLE_FAMILIES = {
 _MAX_EXPONENT = 10_000
 
 
+def _brief(text: str, show=repr) -> str:
+    """`text` as a usage error names it: whole, or past 40 characters its
+    first 40, "…" and its length."""
+    cut = f"… ({len(text)} characters)" if len(text) > 40 else ""
+    return show(text[:40]) + cut
+
+
 def _literal(parse, text: str):
     if (digits := sum(map(str.isdecimal, text))) > _MAX_EXPONENT:
         raise argparse.ArgumentTypeError(f"{digits} digits (at most {_MAX_EXPONENT})")
@@ -79,13 +86,14 @@ def _rational(text: str) -> Fraction:
     head = digits[: len(str(_MAX_EXPONENT)) + 1]
     if e and head.isdecimal() and int(head) > _MAX_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"exponent out of range: {text!r} (at most {_MAX_EXPONENT} in magnitude)"
+            f"exponent out of range: {_brief(text)} "
+            f"(at most {_MAX_EXPONENT} in magnitude)"
         )
     try:
         return _literal(Fraction, text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r} (use 'p/q' or an integer)"
+            f"not a rational number: {_brief(text)} (use 'p/q' or an integer)"
         )
 
 
@@ -102,13 +110,11 @@ def _bounded_int(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if value > _MAX_EXPONENT:
-            raise argparse.ArgumentTypeError(
-                f"must be at most {_MAX_EXPONENT}, got {value}"
-            )
+            raise argparse.ArgumentTypeError(f"not an integer: {_brief(text)}")
+        if not low <= value <= _MAX_EXPONENT:
+            bound = f"at least {low}" if value < low else f"at most {_MAX_EXPONENT}"
+            shown = _brief(str(value), str)
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {shown}")
         return value
 
     return lambda text: _literal(parse, text)
@@ -123,7 +129,8 @@ def _ids_list(text: str) -> tuple[str, ...] | None:
     try:
         return _checked_ids(part for part in text.split(",") if part)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        head, sep, unknown = str(exc).partition(": ")
+        raise argparse.ArgumentTypeError(head + sep + _brief(unknown, str))
 
 
 def _approx(value: Fraction, places: int) -> str:

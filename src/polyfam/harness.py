@@ -10,10 +10,11 @@ for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
 
 The catalog is one tuple of `Identity` records, each naming its evaluator
-and the arguments it is called with after the point. A single-integral
-corollary reuses its parent's evaluator and, unless it is printed in a
-reading of its own, its arguments, marked `k1_only`: it is checked at points
-with k = 1, and any other point is NA.
+and the arguments it is called with after the point. `_single_integral`
+builds each single-integral corollary (a `C` entry) from its parent: the
+parent's evaluator, correction and arguments, except that C3.2 and C4.1a
+print a reading of their own. It is `k1_only`: checked at points with k = 1,
+and any other point is NA.
 """
 
 from __future__ import annotations
@@ -183,14 +184,6 @@ _FIRST = (1, 0, 0, 0, -1, False)  # s(n,m) s(m,j) / m!: stated T4.3a, T5.2c
 _ABS_FIRST = (1, 1, 0, 0, -1, True)  # (-1)^n |s|(n,m) s(m,j) / m!: stated T4.2a, T5.2d
 _ABS_FIRST_UNSIGNED = (1, 0, 0, 0, -1, True)  # |s|(n,m) s(m,j) / m!: stated C4.1a
 _SECOND = (2, 1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b, T4.3b
-
-# An expansion entry's arguments to `_expansion`: the lhs route, the values
-# kernel and the kernel's bound pairing or sign, the corrected weight and the
-# stated one. These are the rows a corollary shares with its parent.
-_T42A = ("mp_second_def", "_bernoulli_values", ("_pair",), _SIGNLESS_FIRST, _ABS_FIRST)
-_T42B = ("mp_bernoulli", "_def_values", (-1,), _FROM_SECOND, _SECOND)
-_T43A = ("mp_first_def", "_bernoulli_values", ("_pair",), _TO_FIRST, _FIRST)
-_T43B = ("mp_bernoulli", "_def_values", (1,), _FROM_FIRST, _SECOND)
 
 
 # ---------------------------------------------------------------------------
@@ -406,42 +399,43 @@ _MJ = "insert the factor (-1)^(m-j) inside the double sum"
 _MJ_SIGNLESS = (
     f"{_MJ} and read the signless triangle as the expansion of prod(x + a_i)"
 )
-_PREFACTOR = "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)"
-_WEIGHT = "the weight is m!, not 1/m!"
 _C32_REMARK = "stated form reuses the length symbol as the summation index"
 _T41_REMARK = (
     "stated outer bound is unbound; read as the truncation order, "
     "which reorders the reconstructed double sum"
 )
 
+
+def _single_integral(parent, id, correction=None, args=None) -> Identity:
+    """The single-integral corollary `id` of `parent`: its evaluator, and its
+    correction and arguments unless the corollary is printed in a reading of
+    its own, checked at k = 1 only."""
+    return Identity(
+        id,
+        f"single-integral case of {parent.id}",
+        parent.evaluate,
+        parent.correction if correction is None else correction,
+        True,
+        parent.args if args is None else args,
+    )
+
+
 CATALOG: tuple[Identity, ...] = (
-    Identity(
+    _t21 := Identity(
         "T2.1",
         "first-kind values via the first-kind triangle",
         _agree,
         args=("mp_first_closed",),
     ),
-    Identity(
-        "C2.1",
-        "single-integral case of T2.1",
-        _agree,
-        k1_only=True,
-        args=("mp_first_closed",),
-    ),
-    Identity(
+    _single_integral(_t21, "C2.1"),
+    _t22 := Identity(
         "T2.2",
         "first-kind values via the non-central table and the classical "
         "first-kind triangle",
         _agree,
         args=("mp_first_noncentral",),
     ),
-    Identity(
-        "C2.2",
-        "single-integral case of T2.2",
-        _agree,
-        k1_only=True,
-        args=("mp_first_noncentral",),
-    ),
+    _single_integral(_t22, "C2.2"),
     Identity(
         "T2.3",
         "first-kind values as non-central combinations of classical-parameter "
@@ -457,13 +451,11 @@ CATALOG: tuple[Identity, ...] = (
         _agree,
         args=("mp_first_bell",),
     ),
-    Identity(
+    _t31 := Identity(
         "T3.1", "second-kind values via the signless triangle", _eval_T31, _SIGNLESS
     ),
-    Identity(
-        "C3.1", "single-integral case of T3.1", _eval_T31, _SIGNLESS, k1_only=True
-    ),
-    Identity(
+    _single_integral(_t31, "C3.1"),
+    _t32 := Identity(
         "T3.2",
         "second-kind values via non-central, signed Lah, and "
         "classical-parameter factors",
@@ -471,110 +463,76 @@ CATALOG: tuple[Identity, ...] = (
         "the classical-parameter factors carry the box lengths: C_l(lengths), "
         "not the unit-box values",
     ),
-    Identity(
+    _single_integral(
+        _t32,
         "C3.2",
-        "single-integral case of T3.2",
-        _eval_T32,
         "the classical factors carry the box length; the stated form also "
         "reuses the length symbol as the summation index",
-        k1_only=True,
-        args=(_C32_REMARK,),
+        (_C32_REMARK,),
     ),
     Identity(
         "T4.1",
         "exponential generating function of the Bernoulli-type family",
         _eval_T41,
     ),
-    Identity(
+    # An expansion entry's arguments to `_expansion`: the lhs route, the
+    # values kernel and the kernel's bound pairing or sign, the corrected
+    # weight and the stated one.
+    _t42a := Identity(
         "T4.2a",
         "second-kind values expanded in Bernoulli-type values",
         _expansion,
         _MJ_SIGNLESS,
-        args=_T42A,
+        args=("mp_second_def", "_bernoulli_values", ("_pair",))
+        + (_SIGNLESS_FIRST, _ABS_FIRST),
     ),
-    Identity(
+    _t42b := Identity(
         "T4.2b",
         "Bernoulli-type values expanded in second-kind values",
         _expansion,
-        _PREFACTOR,
-        args=_T42B,
+        "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)",
+        args=("mp_bernoulli", "_def_values", (-1,), _FROM_SECOND, _SECOND),
     ),
-    Identity(
+    _single_integral(
+        _t42a,
         "C4.1a",
-        "single-integral case of T4.2a",
-        _expansion,
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
-        k1_only=True,
         # As printed the single-integral form drops even the (-1)^n prefactor.
-        args=(*_T42A[:-1], _ABS_FIRST_UNSIGNED),
+        (*_t42a.args[:-1], _ABS_FIRST_UNSIGNED),
     ),
-    Identity(
-        "C4.1b",
-        "single-integral case of T4.2b",
-        _expansion,
-        _PREFACTOR,
-        k1_only=True,
-        args=_T42B,
-    ),
-    Identity(
+    _single_integral(_t42b, "C4.1b"),
+    _t43a := Identity(
         "T4.3a",
         "first-kind values expanded in Bernoulli-type values",
         _expansion,
         _MJ,
-        args=_T43A,
+        args=("mp_first_def", "_bernoulli_values", ("_pair",), _TO_FIRST, _FIRST),
     ),
-    Identity(
+    _t43b := Identity(
         "T4.3b",
         "Bernoulli-type values expanded in first-kind values",
         _expansion,
-        _WEIGHT,
-        args=_T43B,
+        "the weight is m!, not 1/m!",
+        args=("mp_bernoulli", "_def_values", (1,), _FROM_FIRST, _SECOND),
     ),
-    Identity(
-        "C4.2a",
-        "single-integral case of T4.3a",
-        _expansion,
-        _MJ,
-        k1_only=True,
-        args=_T43A,
-    ),
-    Identity(
-        "C4.2b",
-        "single-integral case of T4.3b",
-        _expansion,
-        _WEIGHT,
-        k1_only=True,
-        args=_T43B,
-    ),
-    Identity(
+    _single_integral(_t43a, "C4.2a"),
+    _single_integral(_t43b, "C4.2b"),
+    _t51a := Identity(
         "T5.1a",
         "closed form of the first-kind polynomial family",
         _poly_samples_outcome,
         # The stated polynomial is the corrected one.
         args=("mp_poly_first", 1, False),
     ),
-    Identity(
+    _t51b := Identity(
         "T5.1b",
         "closed form of the second-kind polynomial family",
         _poly_samples_outcome,
         _SIGNLESS,
         args=("mp_poly_second", -1, True),
     ),
-    Identity(
-        "C5.1a",
-        "single-integral case of T5.1a",
-        _poly_samples_outcome,
-        k1_only=True,
-        args=("mp_poly_first", 1, False),
-    ),
-    Identity(
-        "C5.1b",
-        "single-integral case of T5.1b",
-        _poly_samples_outcome,
-        _SIGNLESS,
-        k1_only=True,
-        args=("mp_poly_second", -1, True),
-    ),
+    _single_integral(_t51a, "C5.1a"),
+    _single_integral(_t51b, "C5.1b"),
     Identity(
         "T5.2a",
         "Bernoulli-type polynomials expanded in first-kind polynomials",

@@ -574,6 +574,28 @@ def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["number", "mp-cauchy-1", "--n", "1" * 4401],
+        ["number", "mp-cauchy-1", "--n", "-" + "1" * 600],
+        ["number", "mp-cauchy-1", "--n", "1", "--alpha", "x" + "1" * 4999],
+        ["verify", "--ids", "x" * 5000],
+    ],
+    ids=["n-4401-digits", "n-600-digits-negative", "alpha-5000", "ids-5000"],
+)
+def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsys):
+    # The message keeps its start and the argument's first 40 characters,
+    # then names the argument's length in place of the rest.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.encode()) < 512
+    assert argv[-1][:40] in err and f"… ({len(argv[-1])} characters)" in err
+
+
 def test_main_is_importable_and_returns_exit_codes(capsys):
     assert main(["number", "mp-cauchy-1", "--n", "1"]) == 0
     out = capsys.readouterr().out

@@ -106,6 +106,38 @@ def test_corollaries_evaluate_their_parent_with_one_integration():
         )
 
 
+COROLLARIES = [entry for entry in CATALOG if entry.k1_only]
+# The corollaries printed in a reading of their own: their stated reading and
+# its note are theirs, not their parent's.
+OWN_READINGS = {"C3.2", "C4.1a"}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "entry", COROLLARIES, ids=[entry.id for entry in COROLLARIES]
+)
+def test_each_corollary_is_its_parent_at_one_integration(entry, seed):
+    # The statement names the parent, an earlier entry with the same
+    # evaluator; only a corollary printed in a reading of its own has
+    # arguments of its own.
+    parent_id = entry.statement.removeprefix("single-integral case of ")
+    assert IDENTITY_IDS.index(parent_id) < IDENTITY_IDS.index(entry.id)
+    parent = CATALOG[IDENTITY_IDS.index(parent_id)]
+    assert entry.evaluate is parent.evaluate
+    own = entry.id in OWN_READINGS
+    assert (entry.args != parent.args) == own
+    # At each of the corollary's points both readings agree with the
+    # parent's, and so does the note unless the reading is the corollary's.
+    points = harness._points_for(entry.id, GridSpec(), seed)
+    assert len(points) == 15
+    for point in points:
+        report, expected = verify(entry.id, point), verify(parent_id, point)
+        fields = ["corrected", "lhs", "rhs"] + ([] if own else ["verbatim", "note"])
+        assert [getattr(report, f) for f in fields] == [
+            getattr(expected, f) for f in fields
+        ], point
+
+
 def _named_functions(args):
     """The strings in `args`, nested tuples included, that name a function of
     the harness module, once each."""
