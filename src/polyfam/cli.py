@@ -66,13 +66,6 @@ TABLE_FAMILIES = {
 _MAX_EXPONENT = 10_000
 
 
-def _brief(text: str, show=repr) -> str:
-    """`text` as a usage error names it: whole, or past 40 characters its
-    first 40, "…" and its length."""
-    cut = f"… ({len(text)} characters)" if len(text) > 40 else ""
-    return show(text[:40]) + cut
-
-
 def _literal(parse, text: str):
     if (digits := sum(map(str.isdecimal, text))) > _MAX_EXPONENT:
         raise argparse.ArgumentTypeError(f"{digits} digits (at most {_MAX_EXPONENT})")
@@ -86,14 +79,13 @@ def _rational(text: str) -> Fraction:
     head = digits[: len(str(_MAX_EXPONENT)) + 1]
     if e and head.isdecimal() and int(head) > _MAX_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"exponent out of range: {_brief(text)} "
-            f"(at most {_MAX_EXPONENT} in magnitude)"
+            f"exponent out of range: {text!r} (at most {_MAX_EXPONENT} in magnitude)"
         )
     try:
         return _literal(Fraction, text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"not a rational number: {_brief(text)} (use 'p/q' or an integer)"
+            f"not a rational number: {text!r} (use 'p/q' or an integer)"
         )
 
 
@@ -110,11 +102,10 @@ def _bounded_int(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {_brief(text)}")
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if not low <= value <= _MAX_EXPONENT:
             bound = f"at least {low}" if value < low else f"at most {_MAX_EXPONENT}"
-            shown = _brief(str(value), str)
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {shown}")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return lambda text: _literal(parse, text)
@@ -129,8 +120,7 @@ def _ids_list(text: str) -> tuple[str, ...] | None:
     try:
         return _checked_ids(part for part in text.split(",") if part)
     except ValueError as exc:
-        head, sep, unknown = str(exc).partition(": ")
-        raise argparse.ArgumentTypeError(head + sep + _brief(unknown, str))
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _approx(value: Fraction, places: int) -> str:
@@ -289,11 +279,19 @@ def _cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts like a negative number (-2/3, -1/2,1) as a
-    value, not as an option, so --alpha -1/2,1 works as --alpha=-1/2,1."""
+    value, not as an option, so --alpha -1/2,1 works as --alpha=-1/2,1.
+    A usage error, argparse's own too, names each run of over 40 characters
+    with no whitespace and no quote by its first 40, "…" and its length."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        def brief(run: re.Match) -> str:
+            return f"{run[0][:40]}… ({len(run[0])} characters)"
+
+        super().error(re.sub(r"[^\s'\"]{41,}", brief, message))
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:

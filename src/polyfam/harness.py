@@ -698,7 +698,7 @@ def _checked_ids(ids: Iterable[str]) -> tuple[str, ...]:
         raise ValueError("no identity ids given")
     unknown = [i for i in chosen if i not in _BY_ID]
     if unknown:
-        raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+        raise ValueError(f"unknown identity ids: {','.join(unknown)}")
     return tuple(sorted(set(chosen), key=IDENTITY_IDS.index))
 
 

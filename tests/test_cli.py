@@ -581,8 +581,29 @@ def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
         ["number", "mp-cauchy-1", "--n", "-" + "1" * 600],
         ["number", "mp-cauchy-1", "--n", "1", "--alpha", "x" + "1" * 4999],
         ["verify", "--ids", "x" * 5000],
+        # argparse's own messages: an invalid choice, an unrecognized
+        # argument and an invalid int.
+        ["number", "--n", "1", "x" * 5000],
+        ["table", "x" * 5000],
+        ["number", "mp-cauchy-1", "--n", "1", "--format", "x" * 5000],
+        ["verify", "--mode", "x" * 5000],
+        ["verify", "x" * 5000],
+        ["verify", "--seed", "1" * 5000],
+        ["verify", "--ids", ",".join(["x"] * 2500)],
     ],
-    ids=["n-4401-digits", "n-600-digits-negative", "alpha-5000", "ids-5000"],
+    ids=[
+        "n-4401-digits",
+        "n-600-digits-negative",
+        "alpha-5000",
+        "ids-5000",
+        "number-family-5000",
+        "table-family-5000",
+        "format-5000",
+        "verify-mode-5000",
+        "unrecognized-5000",
+        "seed-5000-digits",
+        "ids-2500-unknown",
+    ],
 )
 def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsys):
     # The message keeps its start and the argument's first 40 characters,
@@ -594,6 +615,24 @@ def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsy
     assert "Traceback" not in err
     assert len(err.encode()) < 512
     assert argv[-1][:40] in err and f"… ({len(argv[-1])} characters)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, parts",
+    [
+        (["table", "foo"], ["(choose from ", *TABLE_FAMILIES]),
+        (["number", "mp-cauchy-1", "--n", "-1"], ["must be at least 0, got -1"]),
+    ],
+    ids=["table-choices", "n-negative"],
+)
+def test_a_short_usage_error_is_left_whole(argv, parts, capsys):
+    # Shortening bounds a long argument; it never cuts a short message.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    message = capsys.readouterr().err.partition(" error: ")[2]
+    assert "characters)" not in message
+    assert all(part in message for part in parts)
 
 
 def test_main_is_importable_and_returns_exit_codes(capsys):
