@@ -280,18 +280,30 @@ def _cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts like a negative number (-2/3, -1/2,1) as a
     value, not as an option, so --alpha -1/2,1 works as --alpha=-1/2,1.
-    A usage error, argparse's own too, names each run of over 40 characters
-    with no whitespace and no quote by its first 40, "…" and its length."""
+    A usage error, argparse's own too, names an argument of over 40 characters
+    by its first 40, "…" and its length, whatever it holds; a message still
+    over 240 characters (many arguments, or a piece of one) keeps its first
+    160, "…" and the message's length."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._given: list[str] = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # What a message can echo: each argument, and the value of --flag=value.
+        self._given = args + [arg.partition("=")[2] for arg in args if arg[:1] == "-"]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
-        def brief(run: re.Match) -> str:
-            return f"{run[0][:40]}… ({len(run[0])} characters)"
-
-        super().error(re.sub(r"[^\s'\"]{41,}", brief, message))
+        for arg in sorted(self._given, key=len, reverse=True):
+            if len(arg) > 40:
+                end = f"… ({len(arg)} characters)"
+                for shown in arg, repr(arg)[1:-1]:  # as given, and as repr() shows it
+                    message = message.replace(shown, shown[:40] + end)
+        cut = f"{message[:160]}… ({len(message)} characters)"
+        super().error(cut if len(message) > 240 else message)
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:

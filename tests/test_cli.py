@@ -590,6 +590,10 @@ def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
         ["verify", "x" * 5000],
         ["verify", "--seed", "1" * 5000],
         ["verify", "--ids", ",".join(["x"] * 2500)],
+        # Whatever the argument holds: spaces, quotes.
+        ["number", "mp-cauchy-1", "--n", "1", "--alpha", " ".join(["x"] * 2500)],
+        ["number", "mp-cauchy-1", "--n", " ".join(["1"] * 2500)],
+        ["number", "mp-cauchy-1", "--n", "1", "--alpha", "x'" * 2500],
     ],
     ids=[
         "n-4401-digits",
@@ -603,6 +607,9 @@ def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
         "unrecognized-5000",
         "seed-5000-digits",
         "ids-2500-unknown",
+        "alpha-spaced-5000",
+        "n-spaced-5000",
+        "alpha-quoted-5000",
     ],
 )
 def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsys):
@@ -615,6 +622,46 @@ def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsy
     assert "Traceback" not in err
     assert len(err.encode()) < 512
     assert argv[-1][:40] in err and f"… ({len(argv[-1])} characters)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, parts",
+    [
+        (
+            ["verify", *["x"] * 2500],
+            ["unrecognized arguments: x x x", "… (5023 characters)"],
+        ),
+        (
+            ["verify", "--ids", "T2.1," + "x" * 5000],
+            ["unknown identity ids: " + "x" * 40, "… (5038 characters)"],
+        ),
+        (
+            ["number", "mp-cauchy-1", "--n", "1", "--alpha=" + "x" * 5000],
+            ["'" + "x" * 40 + "… (5000 characters)'"],
+        ),
+        (
+            ["number", "mp-cauchy-1", "--n", "1", "--alpha", "\x01" * 200],
+            ["'" + r"\x01" * 10 + "… (200 characters)'"],
+        ),
+    ],
+    ids=[
+        "unrecognized-2500-words",
+        "ids-one-long-piece",
+        "alpha-equals-5000",
+        "alpha-escaped-200",
+    ],
+)
+def test_a_usage_error_stays_short_whatever_the_arguments(argv, parts, capsys):
+    # An argument given as --flag=value, or shown escaped by repr(), is named
+    # by its start and length too; a message still long (many arguments, or
+    # a long piece of one) keeps its start and names its own length.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.encode()) < 512
+    assert all(part in err for part in parts)
 
 
 @pytest.mark.parametrize(
