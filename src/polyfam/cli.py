@@ -20,6 +20,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import Polynomial, PreconditionError, _all_digits
 from .bernoulli import CONVENTIONS, mp_bernoulli, mp_bernoulli_poly
@@ -282,8 +283,8 @@ class _Parser(argparse.ArgumentParser):
     value, not as an option, so --alpha -1/2,1 works as --alpha=-1/2,1.
     A usage error, argparse's own too, names an argument of over 40 characters
     by its first 40, "…" and its length, whatever it holds; a message still
-    over 240 characters (many arguments, or a piece of one) keeps its first
-    160, "…" and the message's length."""
+    over 240 bytes as stderr writes it (many arguments, wide characters) keeps
+    the characters of its first 160 bytes, "…" and its length in characters."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -302,8 +303,11 @@ class _Parser(argparse.ArgumentParser):
                 end = f"… ({len(arg)} characters)"
                 for shown in arg, repr(arg)[1:-1]:  # as given, and as repr() shows it
                     message = message.replace(shown, shown[:40] + end)
-        cut = f"{message[:160]}… ({len(message)} characters)"
-        super().error(cut if len(message) > 240 else message)
+        encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+        sizes = [len(char.encode(encoding, "backslashreplace")) for char in message]
+        keep = sum(end <= 160 for end in accumulate(sizes))
+        cut = f"{message[:keep]}… ({len(message)} characters)"
+        super().error(cut if sum(sizes) > 240 else message)
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:

@@ -67,7 +67,7 @@ class CoeffTable(Record):
     element of degree n. Indexing outside the triangle yields zero. It holds
     its rows and nothing else: rows[n] is sum_m T(n, m) X^m as `_rows` reads
     it, a canonical Polynomial, so two tables are equal exactly when their
-    entries are. `int_row` is the one row check."""
+    entries are. `row` is the one row check."""
 
     __slots__ = ("rows",)
 
@@ -79,14 +79,10 @@ class CoeffTable(Record):
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(map(self.int_row(n).coefficient, range(n + 1)))
-
-    def int_row(self, n: int) -> Polynomial:
-        """Row n; its T(n, n) = +-1 keeps all n + 1 coefficients. Raises
-        IndexError for n outside 0..size."""
+        """Row n's n + 1 entries. Raises IndexError for n outside 0..size."""
         if not 0 <= n < len(self.rows):
             raise IndexError(f"row {n} is outside 0..{self.size}")
-        return self.rows[n]
+        return tuple(map(self.rows[n].coefficient, range(n + 1)))
 
     def __getitem__(self, nm: tuple[int, int]) -> Fraction:
         n, m = nm

@@ -42,8 +42,8 @@ class SeriesCheck(Record):
 
 def _times_by_hand(table: CoeffTable, row: Polynomial) -> Polynomial:
     """sum_j (sum_m row[m] table[m, j]) X^j, summed over Fractions. Row m of
-    the table is looked up once (`int_row`), not once per entry."""
-    rows = [table.int_row(m) for m in range(len(row.num))]
+    the table is looked up once (`rows`), not once per entry."""
+    rows = [table.rows[m] for m in range(len(row.num))]
     return Polynomial(
         sum(c * r.coefficient(j) for c, r in zip(row.coeffs, rows))
         for j in range(len(row.num))

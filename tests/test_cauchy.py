@@ -131,7 +131,7 @@ def test_integer_pairing_matches_the_fraction_sums(n, k, alpha, lengths):
         table = build(alpha, n)
         row = table.row(n)
         value = sum((c * mu[m] for m, c in enumerate(row)), Fraction(0))
-        assert _pair(table.int_row(n), moments) == value
+        assert _pair(table.rows[n], moments) == value
         assert _pair(Polynomial(row), moments) == value
         shifted = [
             sum(
@@ -140,7 +140,7 @@ def test_integer_pairing_matches_the_fraction_sums(n, k, alpha, lengths):
             )
             for i in range(n + 1)
         ]
-        assert _poly_from_row(table.int_row(n), moments) == Polynomial(shifted)
+        assert _poly_from_row(table.rows[n], moments) == Polynomial(shifted)
 
 
 def test_second_kind_def_negates_every_factor():

@@ -12,9 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import CLI, run_cli
 from polyfam.cli import NUMBER_FAMILIES, TABLE_FAMILIES, build_parser, main
 from polyfam.harness import FAIL, IDENTITY_IDS, GridSpec, sweep
+
+# `main` run in process treats a warning as an error too, as the children
+# that `run_cli` starts do. Not libcst's deprecations: hypothesis imports it
+# to report a failing example, and an error there would end the whole run.
+pytestmark = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:libcst")
 
 # The `verify` argv after "verify", the sha256 of its stdout and its exit
 # code. The seed-0 runs are also perfbench/golden.json's; the other three
@@ -303,6 +308,77 @@ def test_out_of_range_flags_are_usage_errors(argv):
     assert proc.stdout == ""
     assert "error: argument" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 512
+
+
+# Commands that exit 0 and write nothing to stderr, each run as a child under
+# `-X dev -W error`. Each key says what its command covers.
+_CLEAN_RUNS = {
+    "errata-seed-7": "verify --errata --seed 7",
+    "series-ids-order-8": "verify --ids T4.1,GF-Lif,GF-Li --order 8 --k-max 3",
+    "series-ids-order-12-seed-4": (
+        "verify --ids T4.1,GF-Lif,GF-Li --order 12 --k-max 3 --seed 4"
+    ),
+    "polynomial-and-special-value-ids-k-3": (
+        "verify --ids T5.1a,T5.1b,C5.1a,C5.1b,CASES-2,CASES-3 --k-max 3"
+    ),
+    "expansion-ids-n-8-k-3": (
+        "verify --ids T4.2a,T4.2b,C4.1a,C4.1b,T4.3a,T4.3b,C4.2a,C4.2b,"
+        "T5.2a,T5.2b,T5.2c,T5.2d --n-max 8 --k-max 3"
+    ),
+    "definition-and-closed-form-ids-n-8-k-3": (
+        "verify --ids T2.1,C2.1,T3.1,C3.1,CASES-2,CASES-3 --n-max 8 --k-max 3"
+    ),
+    "absolute-row-stated-readings-one-sign-webs-one-pass-GF-Lif-deeper": (
+        "verify --ids T3.1,C3.1,T5.1a,C5.1a,T5.2a,GF-Lif,CASES-2,CASES-3"
+        " --n-max 10 --k-max 3 --order 12 --seed 3"
+    ),
+    "rows-read-as-X^n-moved-by-_rebase": (
+        "verify --ids T2.2,T2.3,T3.1,T3.2,C2.2,C3.2,CASES-2,CASES-3"
+        " --n-max 12 --k-max 3 --seed 5"
+    ),
+    "two-readings-that-share-a-Lah-row-a-sample-pass-or-a-sum": (
+        "verify --ids T3.2,C3.2,T5.1a,C5.1a,T5.2a,CASES-2 --n-max 12 --k-max 3 --seed 9"
+    ),
+    "ids-that-name-their-route-check-or-row-in-their-arguments": (
+        "verify --ids T2.1,C2.1,T2.2,C2.2,T2.4,T5.1a,T5.1b,C5.1a,C5.1b,GF-Lif,GF-Li"
+        " --n-max 10 --k-max 3 --order 10 --seed 11"
+    ),
+    "single-integral-corollaries-built-from-their-parents": (
+        "verify --ids C2.1,C2.2,C3.1,C3.2,C4.1a,C4.1b,C4.2a,C4.2b,C5.1a,C5.1b"
+        " --n-max 10 --seed 13"
+    ),
+    "number-csv-decimals": "number mp-bernoulli --n 5 --format csv --decimals 3",
+    "alpha-of-4401-digits-past-the-int-str-limit": (
+        "number mp-cauchy-1 --n 1 --alpha 1" + "0" * 4400
+    ),
+    "number-bernoulli-verbatim": (
+        "number mp-bernoulli --n 4 --k 2 --lengths 1/2,3 --mode verbatim"
+    ),
+    "poly-at-z": "poly mp-cauchy-2 --n 4 --alpha -1/2,3,0,2/3 --z 5/7",
+    "poly-bernoulli-verbatim": (
+        "poly mp-bernoulli --n 4 --k 2 --lengths 1/2,3 --mode verbatim"
+    ),
+    "table-lah": "table lah --n-max 5",
+    "table-rational-target-nodes": (
+        "table comtet-2 --alpha 1/2,-2/3,3,5/7,-4,9/2 --n-max 6"
+        " --format csv --decimals 3"
+    ),
+    "table-rational-source-nodes": "table noncentral-2 --q 1/3 --n-max 6",
+    "bernoulli-row-at-rational-targets-n-120": (
+        "number mp-bernoulli --n 120 --k 2 --lengths 1/2,3 --q -2/3"
+    ),
+    "signless-polynomial-row-n-40": (
+        "poly mp-cauchy-2 --n 40 --q 3/5 --k 2 --lengths 2,-1/3"
+    ),
+    "whole-table-n-40": "table noncentral-2 --q 1/3 --n-max 40",
+}
+
+
+@pytest.mark.parametrize("argv", _CLEAN_RUNS.values(), ids=_CLEAN_RUNS)
+def test_a_command_exits_0_with_nothing_on_stderr(argv):
+    proc = run_cli(*argv.split())
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_verify_errata_is_a_single_document():
@@ -358,9 +434,9 @@ def test_verify_output_is_deterministic():
 def test_verify_stdout_matches_the_golden_hashes(variant, capsys):
     argv, digest, exit_code = VERIFY_SHA256[variant]
     code = main(["verify", *argv])
-    stdout = capsys.readouterr().out
+    stdout, stderr = capsys.readouterr()
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
-    assert code == exit_code
+    assert (code, stderr) == (exit_code, "")
 
 
 # The sha256 of each command line's --help at 80 columns (argparse wraps at
@@ -572,6 +648,7 @@ def test_a_literal_past_the_bound_is_a_usage_error(argv, message, capsys):
     err = capsys.readouterr().err
     assert f"argument {message}" in err
     assert "Traceback" not in err
+    assert len(err.encode()) < 512
 
 
 @pytest.mark.parametrize(
@@ -643,12 +720,28 @@ def test_a_usage_error_names_a_long_argument_by_its_start_and_length(argv, capsy
             ["number", "mp-cauchy-1", "--n", "1", "--alpha", "\x01" * 200],
             ["'" + r"\x01" * 10 + "… (200 characters)'"],
         ),
+        (
+            ["number", "x" * 5000, "--n", "1"],
+            ["invalid choice: '" + "x" * 40 + "… (5000 characters)'"],
+        ),
+        # Bounded in bytes: each of these characters takes four.
+        (
+            ["verify", *["\U0001d465" * 40] * 6],
+            ["unrecognized arguments: " + "\U0001d465" * 34, "… (269 characters)"],
+        ),
+        (
+            ["poly", "mp-cauchy-1", "--n", "1", "--lengths", "\U0001d465" * 40],
+            ["not a rational number: '" + "\U0001d465" * 40 + "'"],
+        ),
     ],
     ids=[
         "unrecognized-2500-words",
         "ids-one-long-piece",
         "alpha-equals-5000",
         "alpha-escaped-200",
+        "number-family-first-5000",
+        "unrecognized-six-wide-40",
+        "lengths-wide-40",
     ],
 )
 def test_a_usage_error_stays_short_whatever_the_arguments(argv, parts, capsys):
@@ -662,6 +755,16 @@ def test_a_usage_error_stays_short_whatever_the_arguments(argv, parts, capsys):
     assert "Traceback" not in err
     assert len(err.encode()) < 512
     assert all(part in err for part in parts)
+
+
+def test_undecodable_arguments_are_bounded_in_the_bytes_stderr_writes():
+    # Each \xff byte reaches argparse as "\udcff", which stderr writes as six
+    # bytes; pytest's own capture cannot write it, so this runs as a child.
+    proc = run_cli("verify", *["\udcff" * 40] * 6)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 512
+    assert "unrecognized arguments: " + r"\udcff" * 20 in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -707,15 +810,16 @@ def test_console_script_entry_point():
         (("table", "lah", "--n-max", "300"), 0),
         (("table", "lah", "--n-max", "300", "--format", "csv"), 0),
         (("verify", "--mode", "verbatim"), 1),
+        (("verify",), 0),
     ],
-    ids=["table-json", "table-csv", "verify-json"],
+    ids=["table-json", "table-csv", "verify-json", "verify-default"],
 )
 def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(args, code):
     # As `| head -1`: one line is read and the pipe closed while the command
     # still writes (each output is larger than a pipe holds). It returns its
     # own status and writes nothing to stderr.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "polyfam", *args],
+        [*CLI, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

@@ -6,12 +6,11 @@ import copy
 import json
 import pickle
 import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import SRC
+from conftest import PYTHON, SRC
 from polyfam import harness
 from polyfam.algebra import Polynomial, PreconditionError, TruncatedSeries
 from polyfam.cauchy import FamilyPoint
@@ -187,10 +186,10 @@ def test_a_grid_checks_its_sizes_by_position_and_by_keyword():
 
 def _child(code):
     """The stdout of `code` run in a fresh interpreter that imports polyfam
-    from the tests' source tree. -S keeps site and its .pth files from
-    loading modules beforehand."""
+    from the tests' source tree, with warnings as errors. -S keeps site and
+    its .pth files from loading modules beforehand."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
+        [*PYTHON, "-S", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -406,9 +406,9 @@ def test_rebase_maps_the_zero_row_to_zero(size):
     [Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7)] * 3,
     [Fraction(3, 4), 0, Fraction(-5, 6)] * 4,
 )
-def test_every_read_of_a_table_is_its_int_row(size, alpha, beta):
+def test_every_read_of_a_table_is_its_stored_row(size, alpha, beta):
     # Every builder, at rational nodes where it takes any: an entry, a row
-    # and the polynomial row agree, and a row outside 0..size is an
+    # and the stored polynomial row agree, and a row outside 0..size is an
     # IndexError, never a wrapped row.
     tables = (
         comtet_first(alpha, size),
@@ -422,13 +422,11 @@ def test_every_read_of_a_table_is_its_int_row(size, alpha, beta):
     )
     for table in tables:
         for n in range(size + 1):
-            row, int_row = table.row(n), table.int_row(n)
+            row, stored = table.row(n), table.rows[n]
             assert len(row) == n + 1
             for m in range(n + 1):
-                assert table[n, m] == int_row.coefficient(m) == row[m]
+                assert table[n, m] == stored.coefficient(m) == row[m]
         for n in (-1, size + 1):
-            with pytest.raises(IndexError):
-                table.int_row(n)
             with pytest.raises(IndexError):
                 table.row(n)
 
@@ -583,7 +581,7 @@ def test_explicit_second_kind_needs_distinct_parameters():
 
 
 def test_rebase_refuses_a_row_longer_than_its_nodes():
-    row = stirling_second(3).int_row(3)
+    row = stirling_second(3).rows[3]
     short = "parameter sequence of length 2 cannot form a degree-3 basis element"
     for nodes in (((0, 0), range(3)), (range(3), (0, 0))):
         with pytest.raises(PreconditionError, match=short):
