@@ -10,7 +10,9 @@ for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
 
 The catalog is one tuple of `Identity` records, each naming its evaluator
-and the arguments it is called with after the point. `_single_integral`
+and the arguments it is called with after the point. `verify` resolves them
+when the entry runs: a string that names a function of this module becomes
+that function, and any other argument passes as itself. `_single_integral`
 builds each single-integral corollary (a `C` entry) from its parent: the
 parent's evaluator, correction and arguments, except that C3.2 and C4.1a
 print a reading of their own. It is `k1_only`: checked at points with k = 1,
@@ -23,7 +25,6 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import partial
 
 from .algebra import (
     Polynomial,
@@ -210,14 +211,15 @@ def _one_reading(lhs, rhs, note: str = "") -> tuple:
     return _outcome(ok, ok, *(getattr(v, "coeffs", v) for v in (lhs, rhs)), note)
 
 
-def _inversion(pt: ParamPoint, lhs_route, values_of, corrected, stated):
+def _inversion(pt: ParamPoint, stated, corrected, lhs_route, kernel, *bound):
     """An expansion identity: lhs_route against a family's values at 0..n,
     summed by the corrected and by the stated weight over one row n of the
-    triangle both name. `values_of` is the family's one-pass kernel, the one
-    its public route reads row n from: one table (or one product expansion)
-    and one set of box moments give all n+1 values, O(n^2) per point."""
+    triangle both name. `kernel`, after its `bound` pairing or sign, is the
+    family's one-pass kernel, the one its public route reads row n from: one
+    table (or one product expansion) and one set of box moments give all n+1
+    values, O(n^2) per point."""
     fp = _family(pt)
-    values = values_of(fp, range(fp.n + 1))
+    values = kernel(*bound, fp, range(fp.n + 1))
     lhs = lhs_route(fp)
     # A stated weight equal to the corrected one is summed once.
     sums = _expand(values, fp.alpha, *dict.fromkeys((corrected, stated)))
@@ -248,19 +250,18 @@ def _second_abs(pairing, fp: FamilyPoint):
 
 
 # ---------------------------------------------------------------------------
-# The catalog's evaluators. An entry names one of them and the arguments it
-# takes after the point; a `C` entry reuses its parent's. Routes are looked
-# up at call time, never bound at import: an argument names a route by its
-# string, and a kernel bound to one kind or one pairing is a partial built in
-# the body, so a caller that rebinds a route in this module's namespace (such
-# as a per-layer tracer) sees every call.
+# The catalog's evaluators, and `_inversion` above. An entry names one of them
+# and the arguments it takes after the point; a `C` entry reuses its parent's.
+# A route, kernel, pairing or check is named by its string, which `verify`
+# looks up in this module's namespace when the entry runs, so a caller that
+# rebinds it there (such as a per-layer tracer) sees every call.
 # ---------------------------------------------------------------------------
 
 
-def _agree(pt: ParamPoint, route: str) -> tuple:
-    """The definition against the first-kind route named `route`."""
+def _agree(pt: ParamPoint, route) -> tuple:
+    """The definition against the first-kind route `route`."""
     fp = _family(pt)
-    return _one_reading(mp_first_def(fp), globals()[route](fp))
+    return _one_reading(mp_first_def(fp), route(fp))
 
 
 def _eval_T23(pt: ParamPoint) -> tuple:
@@ -296,20 +297,8 @@ def _eval_T41(pt: ParamPoint) -> tuple:
     return _one_reading(lhs, rhs, _T41_REMARK)
 
 
-def _expansion(pt: ParamPoint, lhs_route, kernel, bound, corrected, stated):
-    """An expansion entry: `_inversion` of the lhs route against the values
-    kernel with `bound` as its first arguments. The route, the kernel and a
-    pairing in `bound` are names, looked up in this module at call time; a
-    sign in `bound` is an int and passes as itself."""
-    names = globals()
-    values_of = partial(names[kernel], *(names.get(b, b) for b in bound))
-    return _inversion(pt, names[lhs_route], values_of, corrected, stated)
-
-
-def _poly_samples_outcome(
-    pt: ParamPoint, route: str, sign: int, absolute: bool
-) -> tuple:
-    """A polynomial closed form: the polynomial route named `route` and the
+def _poly_samples_outcome(pt: ParamPoint, route, sign: int, absolute: bool) -> tuple:
+    """A polynomial closed form: the polynomial route `route` and the
     stated polynomial (the route's own, or `_second_abs`'s absolute
     first-kind row if `absolute`) against the definitional oracle of the
     first-kind (sign 1) or second-kind (sign -1) polynomial at the samples:
@@ -320,7 +309,7 @@ def _poly_samples_outcome(
     if pt.z0 is not None and pt.z0 not in samples:
         samples.append(pt.z0)
     oracle_values = [_def_values(sign, fp, (fp.n,), z)[0] for z in samples]
-    corrected = globals()[route](fp)
+    corrected = route(fp)
     stated = _second_abs(_poly_from_row, fp) if absolute else corrected
 
     def matches(poly: Polynomial) -> bool:
@@ -332,11 +321,11 @@ def _poly_samples_outcome(
     return _outcome(ok[stated], ok[corrected], oracle_values, corrected, note)
 
 
-def _series_check(pt: ParamPoint, check: str) -> tuple:
-    """A generating function of classical values: the two series that the
-    check named `check` gives through the point's order."""
+def _series_check(pt: ParamPoint, check) -> tuple:
+    """A generating function of classical values: the two series that
+    `check` gives through the point's order."""
     order = _require_order(pt)
-    return _one_reading(*globals()[check](pt.k, order))
+    return _one_reading(*check(pt.k, order))
 
 
 def _cases(pt: ParamPoint, sign: int) -> tuple:
@@ -475,45 +464,45 @@ CATALOG: tuple[Identity, ...] = (
         "exponential generating function of the Bernoulli-type family",
         _eval_T41,
     ),
-    # An expansion entry's arguments to `_expansion`: the lhs route, the
-    # values kernel and the kernel's bound pairing or sign, the corrected
-    # weight and the stated one.
+    # An expansion entry's arguments to `_inversion`: the stated weight, the
+    # corrected one, the lhs route, and the values kernel with its pairing
+    # or sign.
     _t42a := Identity(
         "T4.2a",
         "second-kind values expanded in Bernoulli-type values",
-        _expansion,
+        _inversion,
         _MJ_SIGNLESS,
-        args=("mp_second_def", "_bernoulli_values", ("_pair",))
-        + (_SIGNLESS_FIRST, _ABS_FIRST),
+        args=(_ABS_FIRST, _SIGNLESS_FIRST, "mp_second_def", "_bernoulli_values")
+        + ("_pair",),
     ),
     _t42b := Identity(
         "T4.2b",
         "Bernoulli-type values expanded in second-kind values",
-        _expansion,
+        _inversion,
         "the prefactor is (-1)^n and the weight m! (not (-1)^(n-m) and 1/m!)",
-        args=("mp_bernoulli", "_def_values", (-1,), _FROM_SECOND, _SECOND),
+        args=(_SECOND, _FROM_SECOND, "mp_bernoulli", "_def_values", -1),
     ),
     _single_integral(
         _t42a,
         "C4.1a",
         f"restore the (-1)^n prefactor of the parent identity and {_MJ}",
         # As printed the single-integral form drops even the (-1)^n prefactor.
-        (*_t42a.args[:-1], _ABS_FIRST_UNSIGNED),
+        (_ABS_FIRST_UNSIGNED, *_t42a.args[1:]),
     ),
     _single_integral(_t42b, "C4.1b"),
     _t43a := Identity(
         "T4.3a",
         "first-kind values expanded in Bernoulli-type values",
-        _expansion,
+        _inversion,
         _MJ,
-        args=("mp_first_def", "_bernoulli_values", ("_pair",), _TO_FIRST, _FIRST),
+        args=(_FIRST, _TO_FIRST, "mp_first_def", "_bernoulli_values", "_pair"),
     ),
     _t43b := Identity(
         "T4.3b",
         "Bernoulli-type values expanded in first-kind values",
-        _expansion,
+        _inversion,
         "the weight is m!, not 1/m!",
-        args=("mp_bernoulli", "_def_values", (1,), _FROM_FIRST, _SECOND),
+        args=(_SECOND, _FROM_FIRST, "mp_bernoulli", "_def_values", 1),
     ),
     _single_integral(_t43a, "C4.2a"),
     _single_integral(_t43b, "C4.2b"),
@@ -536,35 +525,35 @@ CATALOG: tuple[Identity, ...] = (
     Identity(
         "T5.2a",
         "Bernoulli-type polynomials expanded in first-kind polynomials",
-        _expansion,
+        _inversion,
         # The stated polynomial form carries the correct weights already.
-        args=("mp_bernoulli_poly", "_closed_values", ("_poly_from_row", 1))
-        + (_FROM_FIRST, _FROM_FIRST),
+        args=(_FROM_FIRST, _FROM_FIRST, "mp_bernoulli_poly", "_closed_values")
+        + ("_poly_from_row", 1),
     ),
     Identity(
         "T5.2b",
         "Bernoulli-type polynomials expanded in second-kind polynomials",
-        _expansion,
+        _inversion,
         "the prefactor is (-1)^n, not (-1)^(n-m)",
         # As stated, the weights of T5.2a: (-1)^(n-m) m!.
-        args=("mp_bernoulli_poly", "_closed_values", ("_poly_from_row", -1))
-        + (_FROM_SECOND, _FROM_FIRST),
+        args=(_FROM_FIRST, _FROM_SECOND, "mp_bernoulli_poly", "_closed_values")
+        + ("_poly_from_row", -1),
     ),
     Identity(
         "T5.2c",
         "first-kind polynomials expanded in Bernoulli-type polynomials",
-        _expansion,
+        _inversion,
         _MJ,
-        args=("mp_poly_first", "_bernoulli_values", ("_poly_from_row",))
-        + (_TO_FIRST, _FIRST),
+        args=(_FIRST, _TO_FIRST, "mp_poly_first", "_bernoulli_values")
+        + ("_poly_from_row",),
     ),
     Identity(
         "T5.2d",
         "second-kind polynomials expanded in Bernoulli-type polynomials",
-        _expansion,
+        _inversion,
         _MJ_SIGNLESS,
-        args=("mp_poly_second", "_bernoulli_values", ("_poly_from_row",))
-        + (_SIGNLESS_FIRST, _ABS_FIRST),
+        args=(_ABS_FIRST, _SIGNLESS_FIRST, "mp_poly_second", "_bernoulli_values")
+        + ("_poly_from_row",),
     ),
     Identity(
         "GF-Lif",
@@ -591,16 +580,23 @@ IDENTITY_IDS: tuple[str, ...] = tuple(entry.id for entry in CATALOG)
 _BY_ID: dict[str, Identity] = {entry.id: entry for entry in CATALOG}
 
 
+def _resolved(args: tuple, names: dict) -> list:
+    """`args` with each string that names a function in `names` replaced by
+    that function; every other argument passes as itself."""
+    return [names[a] if callable(names.get(a)) else a for a in args]
+
+
 def verify(identity: str, point: ParamPoint) -> IdentityReport:
     """Evaluate one identity at one point; precondition violations become NA
-    verdicts with a note, never exceptions."""
+    verdicts with a note, never exceptions. The entry's arguments are
+    resolved in this module's namespace now, not at import."""
     entry = _BY_ID.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity id {identity!r}")
     try:
         if entry.k1_only and point.k != 1:
             raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
-        out = _all_digits(entry.evaluate, point, *entry.args)
+        out = _all_digits(entry.evaluate, point, *_resolved(entry.args, globals()))
     except PreconditionError as exc:
         out = _outcome(None, None, "", "", f"precondition violated: {exc}")
     return IdentityReport(identity, point, *out)

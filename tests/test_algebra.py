@@ -58,6 +58,13 @@ def test_trailing_zeros_are_stripped():
     assert p.coefficient(17) == 0
 
 
+def test_a_polynomial_equals_no_number():
+    # A constant polynomial is not its constant: `==` leaves the int to
+    # compare, and the two are unequal.
+    assert (Polynomial((1,)) == 1) is False
+    assert Polynomial((1,)) != 1
+
+
 # 1/p for distinct primes p: coprime denominators, so the common one is
 # their product.
 prime_reciprocals = st.sampled_from(
@@ -372,6 +379,37 @@ def test_exp_and_log_constant_term_preconditions():
         TruncatedSeries(3, (1, 1)).exp()
     with pytest.raises(PreconditionError):
         TruncatedSeries(3, (0, 1)).log()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TruncatedSeries(-1), "series order must be nonnegative"),
+        (
+            lambda: TruncatedSeries(2, (1, 1)).coefficient(3),
+            "coefficient index 3 outside truncation order 2",
+        ),
+        (
+            lambda: TruncatedSeries(2, (1, 1)).coefficient(-1),
+            "coefficient index -1 outside truncation order 2",
+        ),
+        (
+            lambda: TruncatedSeries(2, (1, 1)).truncated(3),
+            "cannot extend a truncated series to a higher order",
+        ),
+        (
+            lambda: TruncatedSeries(2, (1, 1)) ** -1,
+            "negative series powers are not supported",
+        ),
+    ],
+    ids=[
+        "negative-order", "past-the-order", "negative-index", "raise-order",
+        "negative-power",
+    ],
+)
+def test_a_truncated_series_refuses_what_its_order_cannot_hold(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
 
 
 @given(st.lists(rationals, min_size=1, max_size=5))

@@ -266,6 +266,11 @@ def test_modified_bell_small_cases():
         modified_bell(2, (x1,))
 
 
+def test_modified_bell_refuses_a_negative_index():
+    with pytest.raises(PreconditionError, match="index must be nonnegative"):
+        modified_bell(-1, ())
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_modified_bell_matches_sympys_series_of_exp(seed):
     # An oracle that shares no algorithm with the series composition behind

@@ -215,6 +215,12 @@ def test_table_decimals_adds_an_approx_field(capsys):
     assert row.endswith(',"[""-0.333"",""1.000""]"')
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == "family,params,value,mode"
+    # Zero places round half to even and print no "-0": row 1 is (-a, 1).
+    for alpha, approx in (("-1/2", "0"), ("1/2", "0"), ("3/2", "-2")):
+        argv = ["table", "comtet-1", "--n-max", "1", f"--alpha={alpha}"]
+        assert main(argv + ["--decimals", "0"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows[1]["approx"] == [approx, "1"]
 
 
 @pytest.mark.parametrize("family", ["stirling-1", "stirling-2", "lah"])

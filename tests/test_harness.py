@@ -139,12 +139,9 @@ def test_each_corollary_is_its_parent_at_one_integration(entry, seed):
 
 
 def _named_functions(args):
-    """The strings in `args`, nested tuples included, that name a function of
-    the harness module, once each."""
+    """The strings in `args` that name a function of the harness module."""
     for arg in args:
-        if isinstance(arg, tuple):
-            yield from _named_functions(arg)
-        elif isinstance(arg, str) and callable(vars(harness).get(arg)):
+        if isinstance(arg, str) and callable(vars(harness).get(arg)):
             yield arg
 
 
@@ -293,6 +290,13 @@ def test_precondition_violations_become_na():
     assert report.verbatim == "NA"
     assert report.corrected == "NA"
     assert report.note.startswith("precondition violated")
+
+
+@pytest.mark.parametrize("identity", ["T4.1", "GF-Lif", "GF-Li"])
+def test_a_negative_series_order_reads_na(identity):
+    report = verify(identity, ParamPoint(series_order=-1))
+    assert (report.verbatim, report.corrected) == ("NA", "NA")
+    assert report.note == "precondition violated: series order must be nonnegative"
 
 
 def test_verbatim_and_corrected_columns_can_disagree():
@@ -806,29 +810,26 @@ STATED_DISTANCE = {
     "T4.3b": 1, "C4.2b": 1, "T5.2b": 1,
     "T5.2a": 0,
 }
-EXPANSIONS = [entry for entry in CATALOG if entry.evaluate is harness._expansion]
+EXPANSIONS = [entry for entry in CATALOG if entry.evaluate is harness._inversion]
 
 
 @pytest.mark.parametrize("entry", EXPANSIONS, ids=lambda entry: entry.id)
-def test_each_expansion_correction_is_the_one_weight_that_holds(entry, monkeypatch):
+def test_each_expansion_correction_is_the_one_weight_that_holds(entry):
     # Guess and prove over a finite ansatz: of the 64 constants only the
     # corrected one sums the entry's values to its lhs at every point, and
     # each rejection is exact. The stated weight is then a fixed number of
     # fields away from it.
-    *_, corrected, stated = entry.args
-    sides = []
-    # The entry's own route and kernel, as `_expansion` resolves them.
-    monkeypatch.setattr(harness, "_inversion", lambda *args: sides.append(args))
+    # The entry's weights, route and kernel, as `verify` resolves them.
+    stated, corrected, lhs_route, kernel, *bound = harness._resolved(
+        entry.args, vars(harness)
+    )
     survivors = set(WEIGHT_LATTICE)
     grid = GridSpec(n_max=6, points=10)
     points = [p for seed in (0, 1) for p in harness._points_for(entry.id, grid, seed)]
     for point in points:
-        sides.clear()
         try:
-            entry.evaluate(point, *entry.args)
-            ((pt, lhs_route, values_of, _, _),) = sides
-            fp = harness._family(pt)
-            lhs, values = lhs_route(fp), values_of(fp, range(fp.n + 1))
+            fp = harness._family(point)
+            lhs, values = lhs_route(fp), kernel(*bound, fp, range(fp.n + 1))
         except PreconditionError:
             continue
         for kind in (1, 2):

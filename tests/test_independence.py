@@ -19,12 +19,13 @@ not assumed:
   family has one route (`_bernoulli_values`, whose row is paired into the
   number or into the polynomial), so T4.1 is its independent witness.
 
-The twelve expansion identities (the `harness._inversion` ids) are traced
-the same way, one side at a time: the lhs route, and the family values with
-the weights that sum them. What the two sides share is pinned in `SHARED`,
-each entry with its reason, so a new shared kernel fails a test. The five
-arrows of the specialization webs (CASES-2/3) are traced one side at a time
-too, and `ARROWS` pins what the two sides of each share.
+The twelve expansion identities (the entries whose evaluator is
+`harness._inversion`) are traced the same way, one side at a time: the lhs
+route, and the family values with the weights that sum them. What the two
+sides share is pinned in `SHARED`, each entry with its reason, so a new
+shared kernel fails a test. The five arrows of the specialization webs
+(CASES-2/3) are traced one side at a time too, and `ARROWS` pins what the
+two sides of each share.
 """
 
 import inspect
@@ -234,42 +235,31 @@ SHARED = {
 }
 
 
-def _inversion_args(identity, monkeypatch):
-    """The arguments of each harness._inversion call that verify(identity)
-    makes at POINT, or at POINT's first box length alone for a single-integral
-    case."""
-    captured, real = [], harness._inversion
-    monkeypatch.setattr(
-        harness, "_inversion", lambda *args: captured.append(args) or real(*args)
-    )
-    lengths = POINT.lengths[:1] if harness._BY_ID[identity].k1_only else POINT.lengths
-    verify(identity, ParamPoint(POINT.n, len(lengths), POINT.alpha, lengths))
-    monkeypatch.undo()
-    return captured
+def _inversion_args(identity):
+    """The family point of POINT, or of POINT's first box length alone for a
+    single-integral case, and the entry's arguments to harness._inversion as
+    verify(identity) resolves them; None if its evaluator is another."""
+    entry = harness._BY_ID[identity]
+    if entry.evaluate is not harness._inversion:
+        return None
+    lengths = POINT.lengths[:1] if entry.k1_only else POINT.lengths
+    fp = FamilyPoint(POINT.n, len(lengths), POINT.alpha, lengths)
+    return fp, harness._resolved(entry.args, vars(harness))
 
 
-def test_the_pin_names_every_expansion_identity(monkeypatch):
-    expansions = {
-        ident
-        for ident in harness.IDENTITY_IDS
-        if _inversion_args(ident, monkeypatch)
-    }
+def test_the_pin_names_every_expansion_identity():
+    expansions = {ident for ident in harness.IDENTITY_IDS if _inversion_args(ident)}
     assert expansions == set(SHARED)
 
 
 @pytest.mark.parametrize("identity", sorted(SHARED))
-def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(
-    identity, monkeypatch
-):
-    ((pt, lhs_route, values_of, corrected, stated),) = _inversion_args(
-        identity, monkeypatch
-    )
-    fp = harness._family(pt)
+def test_the_two_sides_of_an_expansion_share_only_the_pinned_kernels(identity):
+    fp, (stated, corrected, lhs_route, kernel, *bound) = _inversion_args(identity)
 
     def values_and_weights():
         # The rest of _inversion's body: the values at 0..n and their sums
         # by the corrected and the stated weights.
-        values = values_of(fp, range(fp.n + 1))
+        values = kernel(*bound, fp, range(fp.n + 1))
         harness._expand(values, fp.alpha, corrected, stated)
 
     shared = _kernels(lhs_route, (fp,)) & _kernels(values_and_weights, ())

@@ -565,6 +565,13 @@ def test_connection_preconditions():
         connection_coeffs((0, 0, 0), (1, 2), 3)
 
 
+def test_connection_reads_nodes_given_as_strings():
+    # A node with no `as_integer_ratio` is read through Fraction.
+    as_text = connection_coeffs(("1/2", "-3"), (0, 0), 2)
+    exact = connection_coeffs((Fraction(1, 2), Fraction(-3)), (0, 0), 2)
+    assert _entries(as_text) == _entries(exact)
+
+
 def test_explicit_second_kind_matches_the_table():
     alpha = (Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(7, 3))
     table = comtet_second(alpha, 3)
@@ -578,6 +585,12 @@ def test_explicit_second_kind_needs_distinct_parameters():
         comtet_second_explicit((1, 1), 1, 1)
     with pytest.raises(PreconditionError):
         comtet_second_explicit((1,), 2, 1)
+
+
+@pytest.mark.parametrize("n, m", [(-1, 0), (1, -1)])
+def test_explicit_second_kind_refuses_a_negative_index(n, m):
+    with pytest.raises(PreconditionError, match="indices must be nonnegative"):
+        comtet_second_explicit((1, 2), n, m)
 
 
 def test_rebase_refuses_a_row_longer_than_its_nodes():

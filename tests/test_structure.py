@@ -20,6 +20,10 @@
   `__all__` is read by another line of the package, named by the benchmark
   (`perfbench/*.py`), or one of the paper's objects listed in `KEPT`. A
   check that only tests call lives in `tests/oracles.py`;
+- a catalog entry's names are looked up in one place: in `harness.py` only
+  `verify` reads `globals()`, and every argument of a `CATALOG` entry is a
+  literal (or a module-level name bound to one), none of them a tuple that
+  holds a string, so each name is a top-level string `verify` resolves;
 - the benchmark's tracer finds what it wraps: every `algebra` method that
   `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
   class's own body, and every module that binds a traced layer's function
@@ -512,3 +516,46 @@ def test_every_module_that_binds_a_traced_function_is_traced():
         and {alias.name for alias in node.names} & public[node.module]
     }
     assert binders - traced == set(), binders - traced
+
+
+def test_only_verify_looks_up_what_a_catalog_entry_names():
+    """`verify` resolves an entry's arguments when the entry runs. A second
+    `globals()` read would be a second lookup rule; a function bound at
+    import in place of its string, or a name nested in a tuple, would escape
+    the one there is. A module-level name among the arguments is read as the
+    literal it is bound to in harness.py or transforms.py: the weights are
+    tuples of integers and a bool."""
+    tree = TREES["harness.py"]
+
+    def reads(node):
+        calls = (call for call in ast.walk(node) if isinstance(call, ast.Call))
+        return [call for call in calls if getattr(call.func, "id", None) == "globals"]
+
+    (verify,) = [node for name, node in _functions(tree.body) if name == "verify"]
+    assert reads(tree) == reads(verify) != []
+    literals = {
+        target.id: node.value
+        for module in ("transforms.py", "harness.py")
+        for node in TREES[module].body
+        if isinstance(node, ast.Assign) and _is_literal(node.value)
+        for target in node.targets
+    }
+    (catalog,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "CATALOG"
+    ]
+    escaping = []
+    for node in ast.walk(catalog):
+        if not isinstance(node, ast.Tuple) or node is catalog:
+            continue
+        for arg in node.elts:
+            if isinstance(arg, ast.Starred):
+                continue
+            value = literals.get(getattr(arg, "id", None), arg)
+            if not _is_literal(value) or (
+                isinstance(value, ast.Tuple)
+                and any(isinstance(v, str) for v in ast.literal_eval(value))
+            ):
+                escaping.append(ast.unparse(arg))
+    assert escaping == []

@@ -14,7 +14,7 @@ same length and count, so two changes' tables can be compared.
 For each workload it prints every pair's end-to-end values, then per metric
 the two medians, the parent's interquartile range, the change of the medians
 against the metric's bound, how many pairs the change won, and the review
-verdict (`verdict`): gain, worse, unresolved or no regression. A failed or
+verdict (`figures`): gain, worse, unresolved or no regression. A failed or
 incorrect run is printed and counted, never folded into a median. The export
 is removed at the end.
 
@@ -77,58 +77,66 @@ def run(tree: Path, workload: str, seed: int) -> dict | None:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
-    """The review rule for one metric over pairs (parent[i], change[i]):
+def figures(
+    parent: list[float], change: list[float], lower: bool, bound: float
+) -> dict:
+    """The review rule for one metric over pairs (parent[i], change[i]), with
+    the figures it reads: the two medians, the parent's quartiles and IQR, how
+    much worse the change's median is (relative to the parent's, so negative
+    is better), the bound, the change's wins (a tie counts for neither side)
+    and the verdict:
 
     worse          the change's median is worse than the parent's by more
                    than `bound` (relative to the parent's median);
     unresolved     the parent's IQR over its median is wider than `bound`,
                    unless every change run beats every parent run;
-    gain           the change wins at least 9 of 10 pairs (a tie counts for
-                   neither side) and its median is better than the parent's
-                   by more than the parent's IQR;
+    gain           the change wins at least 9 of 10 pairs and its median is
+                   better than the parent's by more than the parent's IQR;
     no regression  none of these.
     """
     mp, mc = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gained = mp - mc if lower else mc - mp
-    if -gained > bound * abs(mp):
-        return "worse"
-    separated = max(change) < min(parent) if lower else min(change) > max(parent)
-    if q3 - q1 > bound * abs(mp) and not separated:
-        return "unresolved"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-    if wins * 10 >= 9 * len(parent) and gained > q3 - q1:
-        return "gain"
-    return "no regression"
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    if -gained > bound * abs(mp):
+        rule = "worse"
+    elif q3 - q1 > bound * abs(mp) and not separated:
+        rule = "unresolved"
+    elif wins * 10 >= 9 * len(parent) and gained > q3 - q1:
+        rule = "gain"
+    else:
+        rule = "no regression"
+    return {
+        "parent_median": mp,
+        "change_median": mc,
+        "parent_q1": q1,
+        "parent_q3": q3,
+        "parent_iqr": q3 - q1,
+        "worse_by": -gained / mp,
+        "bound": bound,
+        "change_wins": wins,
+        "verdict": rule,
+    }
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The verdict of `figures`' review rule alone."""
+    return figures(parent, change, lower, bound)["verdict"]
 
 
 def summary(pairs: list[tuple[dict, dict]]) -> dict:
-    """Per end-to-end metric, over pairs (parent, change) of run values: the
-    two medians, the parent's quartiles and IQR, how much worse the change's
-    median is (relative to the parent's, so negative is better), the bound,
-    the change's wins and the verdict."""
-    out = {}
-    for metric in METRICS:
-        name, lower = metric["name"], metric["better"] == "lower"
-        parent = [p[name] for p, _ in pairs]
-        change = [c[name] for _, c in pairs]
-        mp, mc = statistics.median(parent), statistics.median(change)
-        q1, _, q3 = statistics.quantiles(parent, n=4)
-        out[name] = {
-            "parent_median": mp,
-            "change_median": mc,
-            "parent_q1": q1,
-            "parent_q3": q3,
-            "parent_iqr": q3 - q1,
-            "worse_by": (mc - mp) / mp if lower else (mp - mc) / mp,
-            "bound": metric["bound"],
-            "change_wins": sum(
-                (c < p) if lower else (c > p) for p, c in zip(parent, change)
-            ),
-            "verdict": verdict(parent, change, lower, metric["bound"]),
-        }
-    return out
+    """`figures` per end-to-end metric, over pairs (parent, change) of run
+    values."""
+    return {
+        metric["name"]: figures(
+            [p[metric["name"]] for p, _ in pairs],
+            [c[metric["name"]] for _, c in pairs],
+            metric["better"] == "lower",
+            metric["bound"],
+        )
+        for metric in METRICS
+    }
 
 
 def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
