@@ -10,13 +10,13 @@ for each identity whose verbatim reading failed anywhere, a minimal
 counterexample and a description of the correction.
 
 The catalog is one tuple of `Identity` records, each naming its evaluator
-and the arguments it is called with after the point. `verify` resolves them
-when the entry runs: a string that names a function of this module becomes
-that function, and any other argument passes as itself. `_single_integral`
-builds each single-integral corollary (a `C` entry) from its parent: the
-parent's evaluator, correction and arguments, except that C3.2 and C4.1a
-print a reading of their own. It is `k1_only`: checked at points with k = 1,
-and any other point is NA.
+and the arguments it is called with after the point: most name there the
+routes and stated readings they compare. `verify` resolves them when the
+entry runs: a string that names a function of this module becomes that
+function, and any other argument passes as itself. `_single_integral` builds
+each single-integral corollary (a `C` entry) from its parent: the parent's
+evaluator, correction and arguments, except that C3.2 and C4.1a print a
+reading of their own. It is `k1_only`: NA at any point with k != 1.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ _SECOND = (2, 1, 1, 0, -1, False)  # (-1)^(n-m) S(n,m) S(m,j) / m!: stated T4.2b
 
 
 # ---------------------------------------------------------------------------
-# Shared evaluator bodies, called with the routes and readings that an
-# entry's evaluator and arguments name. Each computes, in this order, its
+# Shared evaluator bodies and stated routes, called with what an entry's
+# evaluator and arguments name. Each evaluator computes, in this order, its
 # value vector, the left-hand side, the corrected reading and the stated one,
 # so the first precondition violated is the one reported.
 # ---------------------------------------------------------------------------
@@ -249,36 +249,30 @@ def _second_abs(pairing, fp: FamilyPoint):
     return (-1) ** fp.n * pairing(Polynomial.over(map(abs, row.num), row.den), moments)
 
 
+def _unit_value_times_row_sum(fp: FamilyPoint) -> Fraction:
+    """T2.3 as stated: C_n at the unit box times the row sum of S(n, m; a)."""
+    unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
+    return _row(fp.alpha[: fp.n], range(fp.n), fp.n)(1) * unit_value
+
+
 # ---------------------------------------------------------------------------
 # The catalog's evaluators, and `_inversion` above. An entry names one of them
 # and the arguments it takes after the point; a `C` entry reuses its parent's.
-# A route, kernel, pairing or check is named by its string, which `verify`
-# looks up in this module's namespace when the entry runs, so a caller that
-# rebinds it there (such as a per-layer tracer) sees every call.
+# A route, kernel, pairing, check or stated reading is named by its string,
+# which `verify` looks up in this module's namespace when the entry runs, so
+# a caller that rebinds it there (such as a per-layer tracer) sees every call.
 # ---------------------------------------------------------------------------
 
 
-def _agree(pt: ParamPoint, route) -> tuple:
-    """The definition against the first-kind route `route`."""
+def _readings(pt: ParamPoint, lhs_route, route, stated=None, label="", *bound):
+    """lhs_route against the corrected `route` and, if the entry names one, the
+    stated route called with `bound` and the family point, noted under `label`
+    where it fails. With no stated route, one reading fills both columns."""
     fp = _family(pt)
-    return _one_reading(mp_first_def(fp), route(fp))
-
-
-def _eval_T23(pt: ParamPoint) -> tuple:
-    fp = _family(pt)
-    lhs = mp_first_def(fp)
-    corrected = mp_first_via_polycauchy(fp)
-    unit_value = classic_first_with_lengths(fp.n, (Fraction(1),) * fp.k)
-    verbatim = _row(fp.alpha[: fp.n], range(fp.n), fp.n)(1) * unit_value
-    return _readings_outcome(lhs, corrected, verbatim, "stated reading")
-
-
-def _eval_T31(pt: ParamPoint) -> tuple:
-    fp = _family(pt)
-    lhs = mp_second_def(fp)
-    corrected = mp_second_closed(fp)
-    verbatim = _second_abs(_pair, fp)
-    return _readings_outcome(lhs, corrected, verbatim, "absolute-value reading")
+    lhs, corrected = lhs_route(fp), route(fp)
+    if stated is None:
+        return _one_reading(lhs, corrected)
+    return _readings_outcome(lhs, corrected, stated(*bound, fp), label)
 
 
 def _eval_T32(pt: ParamPoint, remark: str = "") -> tuple:
@@ -297,28 +291,27 @@ def _eval_T41(pt: ParamPoint) -> tuple:
     return _one_reading(lhs, rhs, _T41_REMARK)
 
 
-def _poly_samples_outcome(pt: ParamPoint, route, sign: int, absolute: bool) -> tuple:
-    """A polynomial closed form: the polynomial route `route` and the
-    stated polynomial (the route's own, or `_second_abs`'s absolute
-    first-kind row if `absolute`) against the definitional oracle of the
-    first-kind (sign 1) or second-kind (sign -1) polynomial at the samples:
-    the definitions' kernel with the parameters shifted by sign z, once per
-    sample z."""
+def _poly_samples_outcome(pt: ParamPoint, route, sign: int, stated=None, *bound):
+    """A polynomial closed form: the polynomial route `route` and the stated
+    polynomial (the route's own, or `stated` called with `bound` and the family
+    point) against the definitional oracle of the first-kind (sign 1) or
+    second-kind (sign -1) polynomial at the samples: the definitions' kernel
+    with the parameters shifted by sign z, once per sample z."""
     fp = _family(pt)
     samples = list(integer_samples(fp.n + 1))
     if pt.z0 is not None and pt.z0 not in samples:
         samples.append(pt.z0)
     oracle_values = [_def_values(sign, fp, (fp.n,), z)[0] for z in samples]
     corrected = route(fp)
-    stated = _second_abs(_poly_from_row, fp) if absolute else corrected
+    verbatim = corrected if stated is None else stated(*bound, fp)
 
     def matches(poly: Polynomial) -> bool:
         return all(poly(z) == v for z, v in zip(samples, oracle_values))
 
     # A stated polynomial equal to the corrected one is checked once.
-    ok = {f: matches(f) for f in dict.fromkeys((corrected, stated))}
-    note = "" if ok[stated] else f"stated expansion gives {_fmt(stated)}"
-    return _outcome(ok[stated], ok[corrected], oracle_values, corrected, note)
+    ok = {f: matches(f) for f in dict.fromkeys((corrected, verbatim))}
+    note = "" if ok[verbatim] else f"stated expansion gives {_fmt(verbatim)}"
+    return _outcome(ok[verbatim], ok[corrected], oracle_values, corrected, note)
 
 
 def _series_check(pt: ParamPoint, check) -> tuple:
@@ -413,35 +406,42 @@ CATALOG: tuple[Identity, ...] = (
     _t21 := Identity(
         "T2.1",
         "first-kind values via the first-kind triangle",
-        _agree,
-        args=("mp_first_closed",),
+        _readings,
+        args=("mp_first_def", "mp_first_closed"),
     ),
     _single_integral(_t21, "C2.1"),
     _t22 := Identity(
         "T2.2",
         "first-kind values via the non-central table and the classical "
         "first-kind triangle",
-        _agree,
-        args=("mp_first_noncentral",),
+        _readings,
+        args=("mp_first_def", "mp_first_noncentral"),
     ),
     _single_integral(_t22, "C2.2"),
     Identity(
         "T2.3",
         "first-kind values as non-central combinations of classical-parameter "
         "values",
-        _eval_T23,
+        _readings,
         "the classical-parameter factor is indexed by the summation variable "
         "and carries the box lengths: sum_m S(n,m;a) C_m(lengths)",
+        args=("mp_first_def", "mp_first_via_polycauchy", "_unit_value_times_row_sum")
+        + ("stated reading",),
     ),
     Identity(
         "T2.4",
         "explicit first-kind formula via weighted Bell polynomials of "
         "reciprocal power sums",
-        _agree,
-        args=("mp_first_bell",),
+        _readings,
+        args=("mp_first_def", "mp_first_bell"),
     ),
     _t31 := Identity(
-        "T3.1", "second-kind values via the signless triangle", _eval_T31, _SIGNLESS
+        "T3.1",
+        "second-kind values via the signless triangle",
+        _readings,
+        _SIGNLESS,
+        args=("mp_second_def", "mp_second_closed", "_second_abs")
+        + ("absolute-value reading", "_pair"),
     ),
     _single_integral(_t31, "C3.1"),
     _t32 := Identity(
@@ -510,15 +510,15 @@ CATALOG: tuple[Identity, ...] = (
         "T5.1a",
         "closed form of the first-kind polynomial family",
         _poly_samples_outcome,
-        # The stated polynomial is the corrected one.
-        args=("mp_poly_first", 1, False),
+        # No stated route: the stated polynomial is the corrected one.
+        args=("mp_poly_first", 1),
     ),
     _t51b := Identity(
         "T5.1b",
         "closed form of the second-kind polynomial family",
         _poly_samples_outcome,
         _SIGNLESS,
-        args=("mp_poly_second", -1, True),
+        args=("mp_poly_second", -1, "_second_abs", "_poly_from_row"),
     ),
     _single_integral(_t51a, "C5.1a"),
     _single_integral(_t51b, "C5.1b"),

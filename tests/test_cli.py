@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -801,13 +802,17 @@ def test_main_is_importable_and_returns_exit_codes(capsys):
     shutil.which("polyfam") is None, reason="console script not on PATH"
 )
 def test_console_script_entry_point():
+    # The installed script runs as strict as the `python -m polyfam` children.
     proc = subprocess.run(
         ["polyfam", "number", "mp-cauchy-2", "--n", "2"],
         capture_output=True,
         text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "5/6"
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import readme_table
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, harness, stirling, transforms
 from polyfam.algebra import Polynomial, PreconditionError, TruncatedSeries
@@ -66,9 +66,6 @@ def rand_vectors(seed, size):
         for j in range(size + 1)
     ]
     return alpha, numbers, polys
-
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_identity_catalog_is_complete_and_unique():
@@ -176,13 +173,7 @@ def test_an_entry_calls_what_its_arguments_name_through_the_harness(
 
 
 def test_readme_identity_table_matches_the_catalog():
-    lines = README.read_text().splitlines()
-    start = lines.index("| id | checks | status |") + 2
-    rows = []
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    rows = readme_table("| id | checks | status |")
     assert rows == [
         (entry.id, entry.statement, "corrected" if entry.correction else "verbatim")
         for entry in CATALOG

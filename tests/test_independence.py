@@ -32,10 +32,10 @@ import inspect
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import readme_table
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, harness, stirling
 from polyfam.cauchy import FamilyPoint
@@ -145,8 +145,6 @@ KERNELS = {
     "_exp_sum": {"algebra._over_lcm"},
 }
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
 
 def _code_names():
     """`module.function` or `module.Class.method` for the code object of
@@ -207,13 +205,7 @@ def test_the_oracles_share_no_kernel_with_the_routes_they_check(traced):
 
 
 def test_readme_route_table_matches_the_pin():
-    lines = README.read_text().splitlines()
-    start = lines.index("| route or oracle | kernels |") + 2
-    rows = []
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    rows = readme_table("| route or oracle | kernels |")
     assert rows == [(name, ", ".join(sorted(KERNELS[name]))) for name in ENTRIES]
 
 

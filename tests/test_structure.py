@@ -24,14 +24,17 @@
   `verify` reads `globals()`, and every argument of a `CATALOG` entry is a
   literal (or a module-level name bound to one), none of them a tuple that
   holds a string, so each name is a top-level string `verify` resolves;
+- one evaluator serves many entries: every evaluator of `CATALOG` but
+  `_eval_T41` serves at least two, so an entry names its routes in its
+  arguments rather than in an evaluator of its own;
 - the benchmark's tracer finds what it wraps: every `algebra` method that
   `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
   class's own body, and every module that binds a traced layer's function
   by name is one that the tracer rebinds it in.
 
-The rules read the sources with `ast`. The two that need live objects run in
-`python -m polyfam` or `python -c` child processes, so this module never
-imports polyfam and runs on any Python from 3.10, where
+The rules read the sources with `ast`. The ones that need live objects run in
+`python -m polyfam` or `python -c` child processes, under `-X dev -W error`,
+so this module never imports polyfam and runs on any Python from 3.10, where
 `sys.stdlib_module_names` arrived.
 """
 
@@ -41,7 +44,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import SRC, run_cli
+from conftest import PYTHON, SRC, run_cli
 
 PACKAGE = Path(SRC) / "polyfam"
 PERFBENCH = Path(SRC).parent / "perfbench"
@@ -295,7 +298,7 @@ def test_no_two_public_names_are_bound_to_one_object():
         "print(json.dumps(sorted(sorted(n) for n in names.values() if len(n) > 1)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
@@ -317,7 +320,7 @@ def test_every_public_class_and_function_is_defined_in_the_package():
         "print(json.dumps(foreign))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
@@ -559,3 +562,22 @@ def test_only_verify_looks_up_what_a_catalog_entry_names():
             ):
                 escaping.append(ast.unparse(arg))
     assert escaping == []
+
+
+def test_every_catalog_evaluator_serves_at_least_two_entries():
+    # An evaluator that serves one entry holds what that entry compares in its
+    # code, where the entry's arguments could name it. `_eval_T41` is exempt:
+    # it checks a point of its own, of size `order` and with the first
+    # `order` + 1 distinct parameters (`_distinct_head`), which no other entry
+    # reads.
+    child = (
+        "import collections, json\n"
+        "from polyfam import harness\n"
+        "served = collections.Counter(e.evaluate.__name__ for e in harness.CATALOG)\n"
+        "print(json.dumps(sorted(name for name, n in served.items() if n < 2)))\n"
+    )
+    proc = subprocess.run(
+        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"_eval_T41"}

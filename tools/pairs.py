@@ -120,11 +120,6 @@ def figures(
     }
 
 
-def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
-    """The verdict of `figures`' review rule alone."""
-    return figures(parent, change, lower, bound)["verdict"]
-
-
 def summary(pairs: list[tuple[dict, dict]]) -> dict:
     """`figures` per end-to-end metric, over pairs (parent, change) of run
     values."""
