@@ -16,7 +16,9 @@ entry runs: a string that names a function of this module becomes that
 function, and any other argument passes as itself. `_single_integral` builds
 each single-integral corollary (a `C` entry) from its parent: the parent's
 evaluator, correction and arguments, except that C3.2 and C4.1a print a
-reading of their own. It is `k1_only`: NA at any point with k != 1.
+reading of their own. Each entry's `points` names the points the sweep builds
+for it: "free", "nonzero", "distinct", "series", or "k1" for a `C` entry (NA
+at any point with k != 1).
 """
 
 from __future__ import annotations
@@ -125,14 +127,14 @@ class IdentityReport(Record):
 
 class Identity(Record):
     """One catalog entry. `evaluate(point, *args)` gives both readings at a
-    point; `correction` describes the corrected reading when the stated one
-    fails somewhere; a `k1_only` entry holds only at k = 1 and is NA
-    elsewhere."""
+    point; `correction` the corrected reading where the stated one fails.
+    `points`: "free", "k1" (NA at k != 1), "nonzero" or "distinct" (parameters
+    1, 2, ..., "distinct" order + 1 at n = order), or "series" (n = 0)."""
 
-    __slots__ = ("id", "statement", "evaluate", "correction", "k1_only", "args")
+    __slots__ = ("id", "statement", "evaluate", "correction", "points", "args")
 
-    def __init__(self, id, statement, evaluate, correction="", k1_only=False, args=()):
-        self._set(id, statement, evaluate, correction, k1_only, args)
+    def __init__(self, id, statement, evaluate, correction="", points="free", args=()):
+        self._set(id, statement, evaluate, correction, points, args)
 
 
 def point_to_json(point: ParamPoint) -> dict:
@@ -397,7 +399,7 @@ def _single_integral(parent, id, correction=None, args=None) -> Identity:
         f"single-integral case of {parent.id}",
         parent.evaluate,
         parent.correction if correction is None else correction,
-        True,
+        "k1",
         parent.args if args is None else args,
     )
 
@@ -433,6 +435,7 @@ CATALOG: tuple[Identity, ...] = (
         "explicit first-kind formula via weighted Bell polynomials of "
         "reciprocal power sums",
         _readings,
+        points="nonzero",
         args=("mp_first_def", "mp_first_bell"),
     ),
     _t31 := Identity(
@@ -463,6 +466,7 @@ CATALOG: tuple[Identity, ...] = (
         "T4.1",
         "exponential generating function of the Bernoulli-type family",
         _eval_T41,
+        points="distinct",
     ),
     # An expansion entry's arguments to `_inversion`: the stated weight, the
     # corrected one, the lhs route, and the values kernel with its pairing
@@ -560,12 +564,14 @@ CATALOG: tuple[Identity, ...] = (
         "factorial-polylogarithm generating function of classical first-kind "
         "values",
         _series_check,
+        points="series",
         args=("lif_gf_check",),
     ),
     Identity(
         "GF-Li",
         "polylogarithm generating function of classical Bernoulli-type values",
         _series_check,
+        points="series",
         args=("li_gf_check",),
     ),
     Identity(
@@ -594,7 +600,7 @@ def verify(identity: str, point: ParamPoint) -> IdentityReport:
     if entry is None:
         raise ValueError(f"unknown identity id {identity!r}")
     try:
-        if entry.k1_only and point.k != 1:
+        if entry.points == "k1" and point.k != 1:
             raise PreconditionError(f"single-integral case needs k = 1, got {point.k}")
         out = _all_digits(entry.evaluate, point, *_resolved(entry.args, globals()))
     except PreconditionError as exc:
@@ -620,9 +626,6 @@ class GridSpec(Record):
                 raise PreconditionError(f"grid {name} must be at least {least}")
 
 
-_GF_IDS = ("GF-Lif", "GF-Li")
-
-
 def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
     while True:
         # randint(-b, b) and randint(1, b), drawn from the same stream.
@@ -632,9 +635,9 @@ def _rand_rat(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction
 
 
 def _random_point(rng: random.Random, grid: GridSpec, identity: str) -> ParamPoint:
-    k = 1 if _BY_ID[identity].k1_only else rng.randint(1, grid.k_max)
-    order, t41 = grid.series_order, identity == "T4.1"
-    if t41:
+    shape, order = _BY_ID[identity].points, grid.series_order
+    k = 1 if shape == "k1" else rng.randint(1, grid.k_max)
+    if distinct := shape == "distinct":
         # The 2 bound + 1 integers alone suffice up to here; beyond, count
         # the reduced p/q with |p|, q <= bound.
         if order >= 2 * grid.bound + 1:
@@ -655,30 +658,26 @@ def _random_point(rng: random.Random, grid: GridSpec, identity: str) -> ParamPoi
         alpha = [_rand_rat(rng, grid.bound) for _ in range(n)]
     lengths = [_rand_rat(rng, grid.bound, nonzero=True) for _ in range(k)]
     # z0 and q are drawn last, in this order, to keep the seeded stream.
-    z0_q = () if t41 else (_rand_rat(rng, grid.bound), _rand_rat(rng, grid.bound))
+    z0_q = () if distinct else (_rand_rat(rng, grid.bound), _rand_rat(rng, grid.bound))
     return ParamPoint(n, k, alpha, lengths, *z0_q, series_order=order)
 
 
 def _points_for(identity: str, grid: GridSpec, seed: int) -> list[ParamPoint]:
-    one, order = Fraction(1), grid.series_order
-    if identity in _GF_IDS:
+    """Structured points built from the entry's `points`, then seeded random ones."""
+    one, order, shape = Fraction(1), grid.series_order, _BY_ID[identity].points
+    if shape == "series":
         orders = sorted({min(2, order), order})
         return [
             ParamPoint(0, k, (), (one,), series_order=o)
             for k in range(1, grid.k_max + 1)
             for o in orders
         ]
-    k_options = [1] if _BY_ID[identity].k1_only else sorted({1, min(2, grid.k_max)})
-    # T4.1 needs order + 1 distinct parameters at n = order and no z0 or q;
-    # T2.4's reciprocal power sums need nonzero parameters.
-    t41 = identity == "T4.1"
-    start = 1 if t41 or identity == "T2.4" else 0
-    z0_q = () if t41 else (one, one)
+    k_options = [1] if shape == "k1" else sorted({1, min(2, grid.k_max)})
+    start = 1 if shape in ("nonzero", "distinct") else 0
+    z0_q = (None, None) if (distinct := shape == "distinct") else (one, one)
     points = [
-        ParamPoint(
-            n, k, range(start, start + n + t41), (one,) * k, *z0_q, series_order=order
-        )
-        for n in ([order] if t41 else range(min(grid.n_max, 4) + 1))
+        ParamPoint(n, k, range(start, start + n + distinct), (one,) * k, *z0_q, order)
+        for n in ([order] if distinct else range(min(grid.n_max, 4) + 1))
         for k in k_options
     ]
     rng = random.Random(f"{seed}:{identity}")

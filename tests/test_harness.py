@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import readme_table
+from test_records import SWEEP_GRID
 import polyfam
 from polyfam import algebra, bernoulli, cauchy, harness, stirling, transforms
 from polyfam.algebra import Polynomial, PreconditionError, TruncatedSeries
@@ -76,7 +77,8 @@ def test_identity_catalog_is_complete_and_unique():
         assert entry.statement
         assert callable(entry.evaluate)
         # Exactly the single-integral corollaries are evaluated at k = 1.
-        assert entry.k1_only == entry.statement.startswith("single-integral case")
+        corollary = entry.statement.startswith("single-integral case")
+        assert (entry.points == "k1") == corollary
 
 
 def test_corollaries_evaluate_their_parent_with_one_integration():
@@ -103,7 +105,7 @@ def test_corollaries_evaluate_their_parent_with_one_integration():
         )
 
 
-COROLLARIES = [entry for entry in CATALOG if entry.k1_only]
+COROLLARIES = [entry for entry in CATALOG if entry.points == "k1"]
 # The corollaries printed in a reading of their own: their stated reading and
 # its note are theirs, not their parent's.
 OWN_READINGS = {"C3.2", "C4.1a"}
@@ -682,7 +684,25 @@ def test_corrected_mode_passes_everywhere_on_a_small_grid():
     assert bad == []
 
 
-K1_ONLY = {entry.id for entry in CATALOG if entry.k1_only}
+@pytest.mark.parametrize(
+    "grid", [GridSpec(), GridSpec(**SWEEP_GRID)], ids=["default", "deep"]
+)
+def test_the_structured_points_read_no_na(grid):
+    # `_points_for` builds an entry's structured points inside its
+    # preconditions, from its `points`: every point of a "series" entry, and
+    # the points before the seeded draws of any other. An NA there is a
+    # fault, not a precondition.
+    reports = []
+    for entry in CATALOG:
+        points = harness._points_for(entry.id, grid, 0)
+        if entry.points != "series":
+            points = points[: len(points) - grid.points]
+        reports += [verify(entry.id, point) for point in points]
+    assert len(reports) == 240
+    assert [r for r in reports if NA in (r.verbatim, r.corrected)] == []
+
+
+K1_ONLY = {entry.id for entry in CATALOG if entry.points == "k1"}
 
 
 @st.composite

@@ -234,7 +234,7 @@ def _inversion_args(identity):
     entry = harness._BY_ID[identity]
     if entry.evaluate is not harness._inversion:
         return None
-    lengths = POINT.lengths[:1] if entry.k1_only else POINT.lengths
+    lengths = POINT.lengths[:1] if entry.points == "k1" else POINT.lengths
     fp = FamilyPoint(POINT.n, len(lengths), POINT.alpha, lengths)
     return fp, harness._resolved(entry.args, vars(harness))
 

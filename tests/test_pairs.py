@@ -1,19 +1,28 @@
 """The review rule that `tools/pairs.py` prints per metric, on synthetic
-pairs: ten parent runs against ten change runs of one metric; and the JSON
-document its `--record` writes, from synthetic runs."""
+pairs: ten parent runs against ten change runs of one metric; the JSON
+document its `--record` writes, from synthetic runs; and the instruction
+count of `tools/opcount.py`, on small sweeps."""
 
 import importlib.util
 import json
 import platform
+import shutil
 import statistics
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
-_SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
-pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(pairs)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, opcount = _load("pairs"), _load("opcount")
 
 # A parent whose median is 100 and whose IQR is 2 (quartiles 99 and 101).
 PARENT = [98, 99, 99, 99.5, 100, 100, 100.5, 101, 101, 102]
@@ -80,6 +89,9 @@ def test_record_writes_every_pair_and_the_printed_summary(tmp_path, monkeypatch)
         return _values(PARENT[seed] * 1.1)
 
     monkeypatch.setattr(pairs, "run", run)
+    # The fake tree has no package to count.
+    count = lambda tree: 400 if tree == parent_tree else 404  # noqa: E731
+    monkeypatch.setattr(pairs, "instructions", count)
     out = tmp_path / "BENCH.json"
     assert pairs.main(["--parent", "abc123", "--record", str(out)]) == 1
     doc = json.loads(out.read_text())
@@ -88,6 +100,7 @@ def test_record_writes_every_pair_and_the_printed_summary(tmp_path, monkeypatch)
     }
     assert doc["python"] == platform.python_version() and doc["nproc"] >= 1
     assert doc["src_lines"]["parent"] == 2 and doc["src_lines"]["change"] > 0
+    assert doc["instructions"] == {"parent": 400, "change": 404, "ratio": 1.01}
     assert doc["run_seconds"] == pairs.SPEC["run_seconds"]
     assert list(doc["workloads"]) == [w["name"] for w in pairs.SPEC["workloads"]]
     for name, workload in doc["workloads"].items():
@@ -104,3 +117,26 @@ def test_record_writes_every_pair_and_the_printed_summary(tmp_path, monkeypatch)
         assert ops["worse_by"] == pytest.approx(-0.1)
         assert workload["metrics"]["setup_s"]["verdict"] == "no regression"
     assert doc["workloads"][first]["pairs"][3]["parent"] is None
+
+
+# Every id at a few small points: counted in a fraction of SWEEP_GRID's time.
+SMALL_GRID = {"n_max": 3, "k_max": 2, "points": 1, "series_order": 3, "bound": 5}
+
+
+def test_the_count_repeats_over_runs_and_hash_seeds():
+    assert opcount.sweep_grid() == {
+        "n_max": 14, "k_max": 2, "points": 3, "series_order": 6, "bound": 20
+    }
+    counts = [opcount.count(opcount.ROOT, SMALL_GRID, seed) for seed in (0, 0, 1)]
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_a_planted_loop_raises_the_count(tmp_path):
+    shutil.copytree(opcount.ROOT / "src" / "polyfam", tmp_path / "src" / "polyfam")
+    harness = tmp_path / "src" / "polyfam" / "harness.py"
+    body = "    entry = _BY_ID.get(identity)\n"
+    text = harness.read_text()
+    assert text.count(body) == 1
+    harness.write_text(text.replace(body, "    for _ in range(3):\n        pass\n" + body))
+    planted = opcount.count(tmp_path, SMALL_GRID)
+    assert planted > opcount.count(opcount.ROOT, SMALL_GRID)

@@ -62,17 +62,17 @@ def _records():
             "verbatim='PASS', corrected='FAIL', lhs='1', rhs='2', note='')",
         ),
         (
-            Identity("X", "a statement", len, "fix", True, (-1, "_pair")),
+            Identity("X", "a statement", len, "fix", "k1", (-1, "_pair")),
             Identity(
                 id="X",
                 statement="a statement",
                 evaluate=len,
                 correction="fix",
-                k1_only=True,
+                points="k1",
                 args=(-1, "_pair"),
             ),
             "Identity(id='X', statement='a statement', "
-            "evaluate=<built-in function len>, correction='fix', k1_only=True, "
+            "evaluate=<built-in function len>, correction='fix', points='k1', "
             "args=(-1, '_pair'))",
         ),
         (

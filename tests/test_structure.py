@@ -27,6 +27,9 @@
 - one evaluator serves many entries: every evaluator of `CATALOG` but
   `_eval_T41` serves at least two, so an entry names its routes in its
   arguments rather than in an evaluator of its own;
+- an entry names the points it takes: outside `CATALOG` no code in
+  `harness.py` holds a catalog id as a string, so the sweep reads an entry's
+  `points` field and never tests its id;
 - the benchmark's tracer finds what it wraps: every `algebra` method that
   `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
   class's own body, and every module that binds a traced layer's function
@@ -562,6 +565,43 @@ def test_only_verify_looks_up_what_a_catalog_entry_names():
             ):
                 escaping.append(ast.unparse(arg))
     assert escaping == []
+
+
+def test_the_sweep_never_tests_a_catalog_id():
+    # Which points an entry takes is its `points` field, and whatever needs
+    # that fact reads the entry: outside the `CATALOG` assignment no string
+    # constant of harness.py's code is a catalog id. Docstrings and comments
+    # may still name ids.
+    tree = TREES["harness.py"]
+    (catalog,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "CATALOG"
+    ]
+    # An entry's id is the first argument of `Identity`, the second of
+    # `_single_integral`.
+    position = {"Identity": 0, "_single_integral": 1}
+    ids = {
+        call.args[position[call.func.id]].value
+        for call in ast.walk(catalog)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in position
+    }
+    assert len(ids) == 31
+    skipped = {id(node) for node in ast.walk(catalog)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                skipped.add(id(first.value))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value in ids
+        and id(node) not in skipped
+    ]
+    assert found == []
 
 
 def test_every_catalog_evaluator_serves_at_least_two_entries():

@@ -21,8 +21,10 @@ is removed at the end.
 With `--record PATH` it also writes what it printed as one JSON document
 (`document`): every pair's values, and per workload and metric the medians,
 the parent's IQR, the wins and the verdict; beside them the two commits, the
-Python version, the CPU count (`nproc`) and each side's
-`wc -l src/polyfam/*.py` total.
+Python version, the CPU count (`nproc`), each side's `wc -l src/polyfam/*.py`
+total, and each side's bytecode instructions in one seed-0 deep sweep, as
+this checkout's `tools/opcount.py` counts them, with their ratio. No verdict
+reads the counts.
 """
 
 from __future__ import annotations
@@ -152,6 +154,18 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
+def instructions(tree: Path) -> int | None:
+    """The count `tools/opcount.py` prints for `tree`, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "opcount.py"), str(tree)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        print(f"  opcount FAILED {tree.name}", proc.stderr[-2000:], file=sys.stderr)
+        return None
+    return int(proc.stdout)
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
@@ -203,6 +217,10 @@ def main(argv=None) -> int:
             "nproc": len(os.sched_getaffinity(0)),
             "src_lines": {"parent": source_lines(parent), "change": source_lines(ROOT)},
         }
+        counts = {"parent": instructions(parent), "change": instructions(ROOT)}
+        ratio = None if None in counts.values() else counts["change"] / counts["parent"]
+        meta["instructions"] = {**counts, "ratio": ratio}
+        print(f"instructions per deep sweep: {counts}, ratio {ratio}")
         for workload in (w["name"] for w in SPEC["workloads"]):
             print(f"\n{workload}: seed  " + "  ".join(f"{n} parent/change" for n in names))
             rows = runs[workload] = []
