@@ -5,10 +5,11 @@ bound (every module of the package, or the class that owns a method). Every
 fault is in code that feeds a corrected column, and it lists the ids that
 the default-grid `sweep()` of the whole catalog at seed 0 then reports as a
 corrected FAIL: all of them, so that a change which blinds the sweep to the
-fault on any one id shows. With no fault there is none (the `[real]` cases of
-`test_the_sweep_sees_a_fault_in_*` in tests/test_harness.py). This is
-mutation analysis (DeMillo, Lipton and Sayward, IEEE Computer 1978; Jia and
-Harman, IEEE TSE 2011) with hand-written mutants.
+fault on any one id shows. With no fault there is none
+(`test_a_sweep_with_no_fault_reads_no_corrected_fail` in
+tests/test_harness.py). This is mutation analysis (DeMillo, Lipton and
+Sayward, IEEE Computer 1978; Jia and Harman, IEEE TSE 2011) with
+hand-written mutants.
 
 `NOT_SEEN_BY_THE_SWEEP` names the faults the sweep is not expected to catch,
 each with the Tier-1 test that does.

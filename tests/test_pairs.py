@@ -100,6 +100,7 @@ def test_record_writes_every_pair_and_the_printed_summary(tmp_path, monkeypatch)
     }
     assert doc["python"] == platform.python_version() and doc["nproc"] >= 1
     assert doc["src_lines"]["parent"] == 2 and doc["src_lines"]["change"] > 0
+    assert doc["test_lines"]["parent"] == 0 and doc["test_lines"]["change"] > 0
     assert doc["instructions"] == {"parent": 400, "change": 404, "ratio": 1.01}
     assert doc["run_seconds"] == pairs.SPEC["run_seconds"]
     assert list(doc["workloads"]) == [w["name"] for w in pairs.SPEC["workloads"]]

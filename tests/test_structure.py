@@ -30,15 +30,16 @@
 - an entry names the points it takes: outside `CATALOG` no code in
   `harness.py` holds a catalog id as a string, so the sweep reads an entry's
   `points` field and never tests its id;
-- the benchmark's tracer finds what it wraps: every `algebra` method that
-  `perfbench/tracing.py` reads as `vars(cls)[name]` is defined in its
-  class's own body, and every module that binds a traced layer's function
-  by name is one that the tracer rebinds it in.
+- the benchmark's tracer runs on the package: `Tracer.install` from
+  `perfbench/tracing.py` raises nothing, so every `algebra` method it reads
+  as `vars(cls)[name]` is defined in its class's own body, and no polyfam
+  module still binds a function that it wrapped in another.
 
-The rules read the sources with `ast`. The ones that need live objects run in
-`python -m polyfam` or `python -c` child processes, under `-X dev -W error`,
-so this module never imports polyfam and runs on any Python from 3.10, where
-`sys.stdlib_module_names` arrived.
+The rules read the sources with `ast`. The live ones read the facts that one
+`-X dev -W error` child prints: it imports every polyfam module, runs `number`
+through `cli.main` and installs the tracer. So this module never imports
+polyfam and runs on any Python from 3.10, where `sys.stdlib_module_names`
+arrived.
 """
 
 import ast
@@ -47,11 +48,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import PYTHON, SRC, run_cli
+import pytest
+from conftest import PYTHON, SRC
 
 PACKAGE = Path(SRC) / "polyfam"
 PERFBENCH = Path(SRC).parent / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 TREES = {
     path.name: ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -128,10 +129,7 @@ def _functions(body, prefix=""):
 # The point records take k and their lengths, and FamilyPoint checks that the
 # two agree; `specialize` builds its unit box from k. Every other function
 # reads k from len(lengths) or from a FamilyPoint.
-BOX_BUILDERS = {
-    "cauchy.FamilyPoint.__init__",
-    "cauchy.specialize",
-}
+BOX_BUILDERS = {"cauchy.FamilyPoint.__init__", "cauchy.specialize"}
 
 
 def test_no_family_function_takes_k_beside_the_box_lengths():
@@ -195,10 +193,11 @@ def _package_imports(nodes):
 
 
 def _assigned(module: str, name: str) -> ast.expr:
-    """The expression assigned to the module-level `name` in `module`."""
+    """The value assigned, annotated or not, to the top-level `name` of `module`."""
     for node in TREES[module].body:
-        if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == name for target in node.targets
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+            getattr(target, "id", None) == name for target in targets
         ):
             return node.value
     raise AssertionError(f"{module} assigns no module-level {name}")
@@ -290,43 +289,69 @@ def test_every_public_name_is_read_by_the_package_the_benchmark_or_the_paper():
     assert unread == [], unread
 
 
-def test_no_two_public_names_are_bound_to_one_object():
-    child = (
-        "import importlib, json\n"
-        "names = {}\n"
-        f"for module in {SUBMODULES!r}:\n"
-        "    mod = importlib.import_module('polyfam.' + module)\n"
-        "    for name in mod.__all__:\n"
-        "        names.setdefault(id(getattr(mod, name)), set()).add(name)\n"
-        "print(json.dumps(sorted(sorted(n) for n in names.values() if len(n) > 1)))\n"
-    )
-    proc = subprocess.run(
-        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
-    )
+# The one child of the live rules, given the perfbench directory and the
+# submodules whose `__all__` it reads. A traced function is one that `install`
+# rebinds in some module; a module that still binds it after `install` is not.
+CHILD = """
+import collections, contextlib, importlib, inspect, io, json, sys
+from polyfam import cli, harness
+
+modules = {m: importlib.import_module('polyfam.' + m) for m in sys.argv[2:]}
+names, foreign = {}, []
+for module, mod in modules.items():
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        names.setdefault(id(obj), set()).add(name)
+        if inspect.isclass(obj) or inspect.isroutine(obj):
+            if (obj.__module__ or '').split('.')[0] != 'polyfam':
+                foreign.append(f'{module}.{name}')
+served = collections.Counter(e.evaluate.__name__ for e in harness.CATALOG)
+numbers = {}
+for family in cli.FAMILY_ROUTES:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main(['number', family, '--n', '2', '--k', '2'])
+    numbers[family] = (code, out.getvalue())
+
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+before = {
+    (module, name): value
+    for module, mod in sys.modules.items() if module.partition('.')[0] == 'polyfam'
+    for name, value in vars(mod).items() if inspect.isfunction(value)
+}
+install_error = None
+try:
+    Tracer().install()
+except Exception as exc:
+    install_error = repr(exc)
+now = {(module, name): getattr(sys.modules[module], name) for module, name in before}
+traced = {id(before[key]) for key in before if now[key] is not before[key]}
+unwrapped = sorted(f'{m}.{n}' for (m, n), value in now.items() if id(value) in traced)
+print(json.dumps(dict(
+    aliases=sorted(sorted(n) for n in names.values() if len(n) > 1),
+    lonely=sorted(name for name, n in served.items() if n < 2),
+    foreign=foreign, numbers=numbers, install_error=install_error, unwrapped=unwrapped,
+)))
+"""
+
+
+@pytest.fixture(scope="module")
+def live():
+    args = [*PYTHON, "-c", CHILD, str(PERFBENCH), *SUBMODULES]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
 
 
-def test_every_public_class_and_function_is_defined_in_the_package():
+def test_no_two_public_names_are_bound_to_one_object(live):
+    assert live["aliases"] == []
+
+
+def test_every_public_class_and_function_is_defined_in_the_package(live):
     # A public name bound to a class or function from elsewhere (such as
     # `Rat = Fraction`) is a second name for it; modules and data are exempt.
-    child = (
-        "import importlib, inspect, json\n"
-        "foreign = []\n"
-        f"for module in {SUBMODULES!r}:\n"
-        "    mod = importlib.import_module('polyfam.' + module)\n"
-        "    for name in mod.__all__:\n"
-        "        obj = getattr(mod, name)\n"
-        "        if inspect.isclass(obj) or inspect.isroutine(obj):\n"
-        "            if (obj.__module__ or '').split('.')[0] != 'polyfam':\n"
-        "                foreign.append(f'{module}.{name}')\n"
-        "print(json.dumps(foreign))\n"
-    )
-    proc = subprocess.run(
-        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert live["foreign"] == []
 
 
 def _is_literal(node: ast.expr) -> bool:
@@ -418,58 +443,21 @@ def test_no_two_private_family_functions_differ_in_one_name():
     assert clones == []
 
 
-def _number_families() -> list:
-    """The keys of cli.FAMILY_ROUTES, read from its dict literal."""
-    return [ast.literal_eval(key) for key in _assigned("cli.py", "FAMILY_ROUTES").keys]
-
-
-def test_no_number_family_only_renames_another():
+def test_no_number_family_only_renames_another(live):
     # Any flags show a pure rename. A family that ignored --k 2 would print a
     # k = 1 record of its own and pass here; tests/test_cli.py's
     # test_a_value_flag_changes_the_value_or_is_refused catches that.
     seen = {}
-    for family in _number_families():
-        proc = run_cli("number", family, "--n", "2", "--k", "2")
-        assert proc.returncode == 0, proc.stderr
-        (line,) = proc.stdout.splitlines()
+    for family, (code, out) in live["numbers"].items():
+        assert code == 0, out
+        (line,) = out.splitlines()
         record = json.loads(line)
         del record["family"]
         seen.setdefault(json.dumps(record, sort_keys=True), []).append(family)
     assert [names for names in seen.values() if len(names) > 1] == []
 
 
-def _traced_class_members() -> dict:
-    """{class name: names} for every `vars(cls)[name]` that `Tracer.install`
-    in perfbench/tracing.py reads. A local such as `series` is bound to its
-    `algebra` class by a tuple assignment, and a loop variable `name` stands
-    for every member of the tuple its `for` runs over."""
-    tree = ast.parse(TRACING.read_text(), str(TRACING))
-    (install,) = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "install"
-    ]
-    classes, loops, found = {}, {}, {}
-    for node in ast.walk(install):
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
-            values = getattr(node.value, "elts", ())
-            for target, value in zip(node.targets[0].elts, values):
-                if getattr(getattr(value, "value", None), "id", None) == "algebra":
-                    classes[target.id] = value.attr
-        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
-            if isinstance(node.iter, ast.Tuple):
-                loops[node.target.id] = ast.literal_eval(node.iter)
-    for node in ast.walk(install):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
-            if getattr(node.value.func, "id", None) != "vars":
-                continue
-            key = node.slice
-            names = loops[key.id] if isinstance(key, ast.Name) else (key.value,)
-            found.setdefault(classes[node.value.args[0].id], set()).update(names)
-    return found
-
-
-def test_every_method_the_tracer_wraps_is_defined_in_its_class():
+def test_every_method_the_tracer_wraps_is_defined_in_its_class(live):
     """The per-layer trace wraps Polynomial.from_roots and the
     TruncatedSeries methods by name, through `vars(cls)[name]`, which sees a
     class's own body only: a method deleted or inherited there is a KeyError
@@ -477,51 +465,17 @@ def test_every_method_the_tracer_wraps_is_defined_in_its_class():
     `exp`, `log` and `__pow__` stay, though no library path calls `log` or
     `__pow__` and only `modified_bell` calls `exp`, until the tracer's name
     list changes with the benchmark."""
-    wrapped = _traced_class_members()
-    assert set(wrapped) == {"Polynomial", "TruncatedSeries"}, wrapped
-    assert "from_roots" in wrapped["Polynomial"]
-    bodies = {
-        node.name: node.body
-        for node in TREES["algebra.py"].body
-        if isinstance(node, ast.ClassDef)
-    }
-    for cls, names in wrapped.items():
-        defined = {
-            node.name for node in bodies[cls] if isinstance(node, ast.FunctionDef)
-        }
-        assert names <= defined, (cls, names - defined)
+    assert live["install_error"] is None
 
 
-def test_every_module_that_binds_a_traced_function_is_traced():
+def test_every_module_that_binds_a_traced_function_is_traced(live):
     """`Tracer.install` rebinds each traced layer's public functions in the
     modules its `modules` tuple names. A module outside it that bound one by
     name (`from .stirling import comtet_first`) would call the unwrapped
     function, and its calls would drop out of the per-layer figures. So a
     module outside the tuple (`transforms`) reads them through their module
     at call time, or not at all."""
-    tree = ast.parse(TRACING.read_text(), str(TRACING))
-    # The tuple names the package itself as `polyfam`: its `__init__.py`.
-    (traced,) = [
-        {"__init__" if name.id == "polyfam" else name.id for name in node.value.elts}
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) == "modules"
-    ]
-    layers = ("stirling", "cauchy", "bernoulli", "harness")
-    public = {
-        layer: set(ast.literal_eval(_assigned(f"{layer}.py", "__all__")))
-        for layer in layers
-    }
-    binders = {
-        name.removesuffix(".py")
-        for name, module_tree in TREES.items()
-        for node in ast.walk(module_tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.level == 1
-        and node.module in public
-        and {alias.name for alias in node.names} & public[node.module]
-    }
-    assert binders - traced == set(), binders - traced
+    assert live["unwrapped"] == []
 
 
 def test_only_verify_looks_up_what_a_catalog_entry_names():
@@ -546,11 +500,7 @@ def test_only_verify_looks_up_what_a_catalog_entry_names():
         if isinstance(node, ast.Assign) and _is_literal(node.value)
         for target in node.targets
     }
-    (catalog,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.AnnAssign) and node.target.id == "CATALOG"
-    ]
+    catalog = _assigned("harness.py", "CATALOG")
     escaping = []
     for node in ast.walk(catalog):
         if not isinstance(node, ast.Tuple) or node is catalog:
@@ -573,11 +523,7 @@ def test_the_sweep_never_tests_a_catalog_id():
     # constant of harness.py's code is a catalog id. Docstrings and comments
     # may still name ids.
     tree = TREES["harness.py"]
-    (catalog,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.AnnAssign) and node.target.id == "CATALOG"
-    ]
+    catalog = _assigned("harness.py", "CATALOG")
     # An entry's id is the first argument of `Identity`, the second of
     # `_single_integral`.
     position = {"Identity": 0, "_single_integral": 1}
@@ -604,20 +550,10 @@ def test_the_sweep_never_tests_a_catalog_id():
     assert found == []
 
 
-def test_every_catalog_evaluator_serves_at_least_two_entries():
+def test_every_catalog_evaluator_serves_at_least_two_entries(live):
     # An evaluator that serves one entry holds what that entry compares in its
     # code, where the entry's arguments could name it. `_eval_T41` is exempt:
     # it checks a point of its own, of size `order` and with the first
     # `order` + 1 distinct parameters (`_distinct_head`), which no other entry
     # reads.
-    child = (
-        "import collections, json\n"
-        "from polyfam import harness\n"
-        "served = collections.Counter(e.evaluate.__name__ for e in harness.CATALOG)\n"
-        "print(json.dumps(sorted(name for name, n in served.items() if n < 2)))\n"
-    )
-    proc = subprocess.run(
-        [*PYTHON, "-c", child], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) <= {"_eval_T41"}
+    assert set(live["lonely"]) <= {"_eval_T41"}

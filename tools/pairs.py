@@ -22,9 +22,9 @@ With `--record PATH` it also writes what it printed as one JSON document
 (`document`): every pair's values, and per workload and metric the medians,
 the parent's IQR, the wins and the verdict; beside them the two commits, the
 Python version, the CPU count (`nproc`), each side's `wc -l src/polyfam/*.py`
-total, and each side's bytecode instructions in one seed-0 deep sweep, as
-this checkout's `tools/opcount.py` counts them, with their ratio. No verdict
-reads the counts.
+and `wc -l tests/*.py` totals, and each side's bytecode instructions in one
+seed-0 deep sweep, as this checkout's `tools/opcount.py` counts them, with
+their ratio. No verdict reads the counts.
 """
 
 from __future__ import annotations
@@ -148,10 +148,13 @@ def report(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         )
 
 
-def source_lines(tree: Path) -> int:
-    """The total that `wc -l src/polyfam/*.py` prints in `tree`."""
-    paths = (tree / "src" / "polyfam").glob("*.py")
-    return sum(path.read_bytes().count(b"\n") for path in paths)
+def line_counts(parent: Path, pattern: str) -> dict:
+    """The totals that `wc -l PATTERN` prints in the parent's tree and in this
+    checkout."""
+    return {
+        side: sum(path.read_bytes().count(b"\n") for path in tree.glob(pattern))
+        for side, tree in (("parent", parent), ("change", ROOT))
+    }
 
 
 def instructions(tree: Path) -> int | None:
@@ -174,7 +177,7 @@ def git(*args: str) -> str:
 
 def document(meta: dict, runs: dict) -> dict:
     """The JSON document `--record` writes. `meta` holds the commits, the
-    Python version, nproc and the source line counts; `runs` maps each
+    Python version, nproc and the source and test line counts; `runs` maps each
     workload to its list of (seed, parent values, change values), a failed
     side as None. Every pair is listed with the side that ran first; only
     the complete ones enter the medians."""
@@ -215,7 +218,8 @@ def main(argv=None) -> int:
             },
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
-            "src_lines": {"parent": source_lines(parent), "change": source_lines(ROOT)},
+            "src_lines": line_counts(parent, "src/polyfam/*.py"),
+            "test_lines": line_counts(parent, "tests/*.py"),
         }
         counts = {"parent": instructions(parent), "change": instructions(ROOT)}
         ratio = None if None in counts.values() else counts["change"] / counts["parent"]
